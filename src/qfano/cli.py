@@ -47,19 +47,26 @@ def _shape_from_args(args) -> wps.HypersurfaceShape:
     return wps.HypersurfaceShape(_parse_weights(args.weights, 5), args.degree)
 
 
+def _terms(args) -> int | None:
+    if args.terms is not None and args.terms < 0:
+        raise UsageError(f"--terms must be >= 0, got {args.terms}")
+    return args.terms
+
+
 def _frac(x: Fraction) -> str:
     return str(x)
 
 
 def cmd_hilbert(args) -> int:
+    terms = _terms(args)
     shape = _shape_from_args(args)
-    series = wps.hilbert(shape, args.terms)
+    series = wps.hilbert(shape, terms)
     coeffs = series.integer_coefficients()
     if args.json:
         payload = {
             "weights": list(shape.weights),
             "degree": shape.degree,
-            "terms": args.terms,
+            "terms": terms,
             "coefficients": list(coeffs),
         }
         print(json.dumps(payload, indent=2))
@@ -88,8 +95,9 @@ def _analysis_json(report: wps.AnalysisReport, poly_block: dict | None) -> dict:
 
 
 def cmd_analyze(args) -> int:
+    terms = _terms(args)
     shape = _shape_from_args(args)
-    report = wps.analyze(shape, order=args.terms)
+    report = wps.analyze(shape, order=terms)
     warnings = list(report.warnings)
     poly_block: dict | None = None
     if args.poly is not None:

@@ -532,7 +532,7 @@ class RelationProfile(NamedTuple):
 
 def relation_profile(weights, d: int, series: PowerSeries) -> RelationProfile:
     """Free monomial count vs series coefficient at degree d."""
-    count = len(wps.monomials(tuple(weights), d))
+    count = wps.monomial_count(weights, d)
     coeff = series[d]
     if coeff.denominator != 1:
         raise ValueError(f"series coefficient at t^{d} is not an integer")

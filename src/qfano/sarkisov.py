@@ -338,7 +338,7 @@ def verify_equation(candidate: LinkCandidate) -> bool:
 
 
 def _h0(weights: tuple[int, ...], s: int) -> int:
-    return len(wps.monomials(weights, s))
+    return wps.monomial_count(weights, s)
 
 
 def _pin_target(candidate: LinkCandidate) -> fixtures.Fixture | None:

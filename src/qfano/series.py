@@ -5,19 +5,26 @@ no floating point anywhere. A series stores its first ``order + 1``
 coefficients, and every operation takes the truncation order explicitly
 (default 30, which covers all the checks shipped with the package).
 
-The workhorse expands a quotient of cyclotomic-style products
+The workhorse, ``product_coefficients``, expands a quotient of
+cyclotomic-style products
 
     prod_a (1 - t^a) / prod_b (1 - t^b)
 
-to a chosen order. With numerator {d} and denominators equal to the
-coordinate weights this is the Hilbert series of a degree-d hypersurface
-in a weighted projective space, e.g.
+to a chosen order in plain integer arithmetic: every coefficient of such a
+product is an integer, so no ``Fraction`` is built until ``expand_product``
+wraps the result in a ``PowerSeries``. With numerator {d} and denominators
+equal to the coordinate weights this is the Hilbert series of a degree-d
+hypersurface in a weighted projective space, e.g.
 
     (1 - t^12) / ((1-t^3)(1-t^4)(1-t^5)(1-t^6)(1-t^7))
         = 1 + t^3 + t^4 + t^5 + 2t^6 + 2t^7 + ...
 
+With an empty numerator the t^d coefficient counts the degree-d monomials
+in variables of those weights, which is how ``wps`` counts monomials
+without listing them.
+
 ``partition_count`` recounts the same coefficients by exhaustive recursion
-and serves as the independent oracle in the test suite; it is kept free of
+and stays the independent oracle in the test suite; it is kept free of
 any series machinery on purpose.
 """
 
@@ -34,6 +41,7 @@ __all__ = [
     "TruncationError",
     "expand_product",
     "partition_count",
+    "product_coefficients",
     "series_equal_upto",
 ]
 
@@ -69,6 +77,8 @@ class PowerSeries:
         return self.coefficients[m]
 
     def truncate(self, order: int) -> "PowerSeries":
+        if order < 0:
+            raise ValueError("truncation order must be >= 0")
         if order > self.order:
             raise TruncationError(
                 f"cannot extend a series of order {self.order} to order {order}"
@@ -104,12 +114,15 @@ class ProductSpec:
                 raise ValueError(f"factor exponent {a} must be >= 1")
 
 
-def expand_product(spec: ProductSpec, order: int) -> PowerSeries:
-    """Expand prod (1-t^a) / prod (1-t^b) through t^order, exactly."""
+def product_coefficients(spec: ProductSpec, order: int) -> tuple[int, ...]:
+    """Integer coefficients of prod (1-t^a) / prod (1-t^b) through t^order.
+
+    O((len(numerator) + len(denominator)) * order) integer steps.
+    """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    coeffs = [Fraction(0)] * (order + 1)
-    coeffs[0] = Fraction(1)
+    coeffs = [0] * (order + 1)
+    coeffs[0] = 1
     for a in spec.numerator:
         for m in range(order, a - 1, -1):
             coeffs[m] -= coeffs[m - a]
@@ -117,7 +130,12 @@ def expand_product(spec: ProductSpec, order: int) -> PowerSeries:
         # multiply by 1/(1-t^b): prefix recurrence c[m] += c[m-b]
         for m in range(b, order + 1):
             coeffs[m] += coeffs[m - b]
-    return PowerSeries(tuple(coeffs))
+    return tuple(coeffs)
+
+
+def expand_product(spec: ProductSpec, order: int) -> PowerSeries:
+    """Expand prod (1-t^a) / prod (1-t^b) through t^order, exactly."""
+    return PowerSeries(product_coefficients(spec, order))
 
 
 def partition_count(parts: Iterable[int], n: int) -> int:
@@ -125,7 +143,7 @@ def partition_count(parts: Iterable[int], n: int) -> int:
 
     `parts` is a multiset: repeated entries count as distinguishable part
     kinds, matching the generating function prod 1/(1-t^p). This is the
-    independent oracle for expand_product and is deliberately naive.
+    independent oracle for product_coefficients and is deliberately naive.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

@@ -4,9 +4,15 @@ A shape is a weight system plus a degree. Degree 0 encodes the (4-weight)
 weighted projective space itself; positive degree encodes a general
 hypersurface of that degree in the 5-weight space. Everything proved here
 is combinatorial: well-formedness, Fano index q = sum(w) - d, the degree
-A^3 = d / prod(w), monomial enumeration, Hilbert series, and the
-vertex/edge singularity analysis that assembles the basket of terminal
-cyclic quotient points 1/r(1, r-1, b).
+A^3 = d / prod(w), monomial counts, Hilbert series, and the vertex/edge
+singularity analysis that assembles the basket of terminal cyclic quotient
+points 1/r(1, r-1, b).
+
+Monomials are counted, not listed: the number of degree-d monomials is the
+t^d coefficient of prod 1/(1 - t^w), read from the integer series kernel
+``series.product_coefficients`` in O(n*d) steps. ``monomials`` still lists
+exponent vectors where the vectors themselves are needed (base loci) and is
+the oracle the counts are tested against.
 
 Conventions fixed for determinism: weights are sorted ascending on
 construction, monomials are listed in descending lexicographic order on
@@ -24,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .series import DEFAULT_ORDER, PowerSeries, ProductSpec, expand_product
+from .series import DEFAULT_ORDER, PowerSeries, ProductSpec, expand_product, product_coefficients
 
 
 class NotFano(ValueError):
@@ -84,7 +90,7 @@ class HypersurfaceShape:
             raise ValueError("degree 0 encodes a weighted projective 3-space: 4 weights")
         if self.degree > 0 and len(self.weights) != 5:
             raise ValueError("a hypersurface shape needs 5 weights")
-        if self.degree > 0 and not monomials(self.weights, self.degree):
+        if self.degree > 0 and monomial_count(self.weights, self.degree) == 0:
             raise ValueError(
                 f"no monomial of degree {self.degree} in weights {self.weights}: empty shape"
             )
@@ -190,6 +196,16 @@ def monomials(weights, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(found, reverse=True))
 
 
+def monomial_count(weights, d: int) -> int:
+    """How many exponent vectors have sum(a_i w_i) = d, without listing them.
+
+    The t^d coefficient of prod 1/(1 - t^w_i), in O(len(weights) * d) steps.
+    """
+    if d < 0:
+        raise ValueError("degree must be >= 0")
+    return product_coefficients(ProductSpec((), tuple(weights)), d)[d]
+
+
 def hilbert(shape: HypersurfaceShape, order: int = DEFAULT_ORDER) -> PowerSeries:
     """Hilbert series of the shape through t^order."""
     if shape.degree == 0:
@@ -199,13 +215,15 @@ def hilbert(shape: HypersurfaceShape, order: int = DEFAULT_ORDER) -> PowerSeries
     return expand_product(spec, order)
 
 
+def _genus_from(series: PowerSeries, q: int) -> int:
+    """Hilbert coefficient at t^q minus 2; the series must reach t^q."""
+    return int(series[q]) - 2
+
+
 def genus(shape: HypersurfaceShape) -> int:
     """h^0 of the anticanonical class minus 2: Hilbert coefficient at t^q, minus 2."""
     q = fano_index(shape)
-    coeff = hilbert(shape, q)[q]
-    if coeff.denominator != 1:
-        raise ValueError("non-integral Hilbert coefficient")
-    return int(coeff) - 2
+    return _genus_from(hilbert(shape, q), q)
 
 
 def corner_requirements(shape: HypersurfaceShape) -> dict[int, tuple[tuple[int, ...], ...]]:
@@ -328,13 +346,7 @@ def edge_singularities(
         raise ValueError("use basket() for the d=0 analysis")
     wi, wj = ws[i], ws[j]
     m = math.gcd(wi, wj)
-    pure = [
-        (a, b)
-        for a in range(d // wi + 1)
-        for b in range(d // wj + 1)
-        if a * wi + b * wj == d
-    ]
-    if not pure:
+    if not any((d - a * wi) % wj == 0 for a in range(d // wi + 1)):
         raise EdgeContained(
             f"no degree-{d} monomial in x_{wi}, x_{wj}: member contains the edge"
         )
@@ -499,8 +511,8 @@ def analyze(shape: HypersurfaceShape, order: int | None = None) -> AnalysisRepor
                 strata.append(StratumVerdict((i,), (ws[i],), "quotient", qtype, 1))
         for i in range(len(ws)):
             for j in range(i + 1, len(ws)):
-                if math.gcd(ws[i], ws[j]) == 1:
-                    continue
+                # coprime edges carry no quotient points but may still lie on
+                # the member, which basket() would then refuse
                 try:
                     result = edge_singularities(shape, i, j)
                 except EdgeContained:
@@ -531,13 +543,15 @@ def analyze(shape: HypersurfaceShape, order: int | None = None) -> AnalysisRepor
         bk = None
     else:
         bk = basket(shape)
+    # one expansion serves both the genus (t^q) and the reported series
+    series = hilbert(shape, max(order, q))
     return AnalysisReport(
         shape=shape,
         fano_index=q,
         a3=degree_a3(shape),
         basket=bk,
-        genus=genus(shape),
-        hilbert=hilbert(shape, order),
+        genus=_genus_from(series, q),
+        hilbert=series if order >= q else series.truncate(order),
         strata=tuple(strata),
         warnings=tuple(warnings),
     )

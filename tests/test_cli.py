@@ -1,8 +1,13 @@
 """CLI behavior: outputs, JSON round-trips, exit codes, self-test."""
 
+import contextlib
+import io
 import json
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfano import cli, fixtures
 
@@ -54,6 +59,13 @@ def test_hilbert_usage_conflicts(capsys):
     assert code == 2 and "--degree" in err
 
 
+@pytest.mark.parametrize("command", ["hilbert", "analyze"])
+def test_negative_terms_is_a_usage_error(capsys, command):
+    code, out, err = run(capsys, command, "--weights", "3,4,5,6,7", "--degree", "12", "--terms", "-1")
+    assert code == 2 and out == ""
+    assert "--terms" in err
+
+
 def test_analyze_x12_json(capsys):
     code, out, _ = run(capsys, "analyze", "--weights", "3,4,5,6,7", "--degree", "12", "--json")
     assert code == 0
@@ -96,6 +108,62 @@ def test_analyze_form_b_poly_warning(tmp_path, capsys):
     assert payload["poly"]["corner"]["3"] is False
     assert payload["poly"]["edges"]["3,6"]["count"] == 1
     assert payload["poly"]["edges"]["3,6"]["reduced"] is False
+
+
+@pytest.mark.parametrize(
+    "weights,degree,edge",
+    [("1,2,3,5,7", "7", "3,5"), ("1,3,4,5,11", "11", "4,5"), ("2,3,5,7,23", "23", "5,7"), ("3,4,5,7,17", "17", "4,7")],
+)
+def test_analyze_contained_coprime_edge_warns(capsys, weights, degree, edge):
+    code, out, err = run(capsys, "analyze", "--weights", weights, "--degree", degree, "--json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["basket"] == []
+    assert payload["warnings"] == [f"member contains the edge w=({edge}); analysis out of scope"]
+
+
+# every example, however large its degree or --terms, must finish in this time
+EXAMPLE_DEADLINE_S = 2.0
+cli_weights = st.lists(st.integers(min_value=1, max_value=40), min_size=4, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["hilbert", "analyze"]),
+    cli_weights,
+    st.one_of(st.integers(min_value=-5, max_value=200), st.integers(min_value=0, max_value=2000)),
+    st.one_of(st.none(), st.integers(min_value=-5, max_value=300)),
+    st.booleans(),
+)
+def test_cli_boundary_exit_codes(command, weights, degree, terms, as_json):
+    text = ",".join(map(str, weights))
+    if len(weights) == 5:
+        argv = [command, "--weights", text, "--degree", str(degree)]
+    else:
+        argv = [command, "--space", text]
+    if terms is not None:
+        argv += ["--terms", str(terms)]
+    if as_json:
+        argv.append("--json")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    elapsed = time.perf_counter() - start
+    out, err = stdout.getvalue(), stderr.getvalue()
+    assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
+    assert (out != "") == (code == 0) and (err != "") == (code != 0)
+    if terms is not None and terms < 0:
+        assert code == 2
+    assert elapsed < EXAMPLE_DEADLINE_S, (argv, elapsed)
+
+
+def test_analyze_huge_degree_is_bounded(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "analyze", "--weights", "1,1,1,1,1", "--degree", "400")
+    assert code == 3 and "index" in err
+    assert time.perf_counter() - start < EXAMPLE_DEADLINE_S
 
 
 def test_link_p5(capsys):

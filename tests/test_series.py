@@ -12,6 +12,7 @@ from qfano.series import (
     TruncationError,
     expand_product,
     partition_count,
+    product_coefficients,
     series_equal_upto,
 )
 
@@ -123,6 +124,39 @@ def test_single_numerator_shift_identity(weights, d):
         if m >= d:
             expected -= partition_count(weights, m - d)
         assert series[m] == expected
+
+
+def _fraction_expand(spec, order):
+    """The Fraction recurrence product_coefficients replaced, kept as its reference."""
+    coeffs = [Fraction(0)] * (order + 1)
+    coeffs[0] = Fraction(1)
+    for a in spec.numerator:
+        for m in range(order, a - 1, -1):
+            coeffs[m] -= coeffs[m - a]
+    for b in spec.denominator:
+        for m in range(b, order + 1):
+            coeffs[m] += coeffs[m - b]
+    return tuple(coeffs)
+
+
+exponent_lists = st.lists(st.integers(min_value=1, max_value=40), max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(exponent_lists, exponent_lists, st.integers(min_value=0, max_value=120))
+def test_integer_kernel_matches_fraction_recurrence(numerator, denominator, order):
+    spec = ProductSpec(tuple(numerator), tuple(denominator))
+    coeffs = product_coefficients(spec, order)
+    assert all(type(c) is int for c in coeffs)
+    assert coeffs == _fraction_expand(spec, order)
+    assert expand_product(spec, order).coefficients == coeffs
+
+
+def test_integer_kernel_rejects_negative_order():
+    with pytest.raises(ValueError):
+        product_coefficients(X12_SPEC, -1)
+    with pytest.raises(ValueError):
+        expand_product(X12_SPEC, 10).truncate(-1)
 
 
 fractions = st.fractions(

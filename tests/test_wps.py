@@ -1,11 +1,14 @@
 """Weighted projective shapes: indices, monomials, singularity baskets."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qfano import wps
+from qfano import fixtures, wps
 from qfano.series import partition_count
 
 X12 = wps.HypersurfaceShape((3, 4, 5, 6, 7), 12)
@@ -71,6 +74,37 @@ def test_monomial_count_matches_partition_oracle():
             if shape.degree and m >= shape.degree:
                 count -= len(wps.monomials(shape.weights, m - shape.degree))
             assert series[m] == count
+
+
+# the enumerator is the oracle wherever its output is small enough to list
+LISTABLE = 20_000
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=33), min_size=5, max_size=5),
+    st.integers(min_value=0, max_value=200),
+)
+def test_monomial_count_matches_enumeration_and_partitions(weights, d):
+    count = wps.monomial_count(weights, d)
+    assert count == partition_count(weights, d)
+    if count <= LISTABLE:
+        assert count == len(wps.monomials(weights, d))
+
+
+def test_monomial_count_examples():
+    assert wps.monomial_count((3, 4, 5, 6, 7), 12) == 6
+    assert wps.monomial_count((3, 4, 5, 6, 7), 1) == 0
+    assert wps.monomial_count((3, 4, 5, 6, 7), 0) == 1
+    with pytest.raises(ValueError):
+        wps.monomial_count((3, 4, 5, 6, 7), -1)
+
+
+def test_large_degree_shape_is_counted_not_listed():
+    start = time.perf_counter()
+    shape = wps.HypersurfaceShape((1,) * 5, 400)
+    assert wps.monomial_count(shape.weights, shape.degree) == math.comb(404, 4)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_corner_requirements_x12():
@@ -249,6 +283,40 @@ def test_analyze_report_x12():
     assert report.warnings == ()
     statuses = {v.stratum: v.status for v in report.strata}
     assert statuses[(2,)] == "quotient" and statuses[(0,)] == "off-member"
+
+
+@pytest.mark.parametrize("fixture", fixtures.FIXTURES, ids=lambda f: f.name)
+@pytest.mark.parametrize("order", [None, 0, 5, 60])
+def test_analyze_genus_matches_genus(fixture, order):
+    report = wps.analyze(fixture.shape, order)
+    assert report.genus == wps.genus(fixture.shape) == fixture.genus
+    expected_order = max(fixture.fano_index, 30) if order is None else order
+    assert report.hilbert == wps.hilbert(fixture.shape, expected_order)
+
+
+# shapes whose general member contains a coprime coordinate edge and has no
+# other defect, so that basket() is reached
+CONTAINED_COPRIME_EDGES = [
+    ((1, 2, 3, 5, 7), 7, (3, 5)),
+    ((1, 3, 4, 5, 11), 11, (4, 5)),
+    ((2, 3, 5, 7, 23), 23, (5, 7)),
+    ((3, 4, 5, 7, 17), 17, (4, 7)),
+]
+
+
+@pytest.mark.parametrize("weights,d,edge", CONTAINED_COPRIME_EDGES)
+def test_analyze_warns_on_contained_coprime_edge(weights, d, edge):
+    shape = wps.HypersurfaceShape(weights, d)
+    report = wps.analyze(shape)
+    assert report.basket is None
+    assert report.warnings == (
+        f"member contains the edge w=({edge[0]},{edge[1]}); analysis out of scope",
+    )
+    contained = [v for v in report.strata if v.status == "edge-contained"]
+    assert [v.weights for v in contained] == [edge]
+    assert math.gcd(*edge) == 1
+    with pytest.raises(wps.EdgeContained):
+        wps.basket(shape)
 
 
 def test_analyze_flags_ill_formed():

@@ -13,6 +13,22 @@ with the periodic per-point correction
 
 and A.c2 fixed by 24 chi(O) = q (A.c2) + sum (r - 1/r).
 
+Evaluation is in plain integers over one common denominator
+
+    D = lcm(12 den(A^3), 12 den(A.c2), 12 r for each basket point),
+
+so that every term of D chi(mA) is an integer:
+
+    D chi(mA) = D chi(O) + C m(m+q)(2m+q) + L m + sum T_P[(m wA) mod r],
+
+with C = D A^3 / 12, L = D (A.c2) / 12 and, per point P, the table
+T_P[i] = D c_{r,b}(i) filled by the prefix recurrence
+T_P[i+1] = T_P[i] - D (r^2 - 1) / (12 r) + (ib mod r)(r - ib mod r) D / (2 r).
+The terms are built once per ``FanoData``; ``divmod`` by D then decides
+integrality, and a ``Fraction`` is built only to report a non-integral
+total. ``local_c`` and ``a_c2`` keep the formula in its stated form and
+are the reference the integer terms are tested against.
+
 The correction is symmetric in b <-> r-b, so the type parameter can be fed
 in either orientation; the local weight wA of the class A is what carries
 orientation. Since qA = -K, the class of A against the canonical-class
@@ -143,28 +159,54 @@ def local_c(r: int, b: int, i: int) -> Fraction:
     return value
 
 
+def _integer_chi(data: FanoData):
+    """m -> chi(mA) through the common-denominator integer terms (module doc)."""
+    q = data.q
+    a3 = data.a3
+    ac2 = a_c2(data)
+    den = math.lcm(
+        12 * a3.denominator, 12 * ac2.denominator, *(12 * e.r for e in data.entries)
+    )
+    constant = den * data.chi0
+    cubic = den // (12 * a3.denominator) * a3.numerator
+    linear = den // (12 * ac2.denominator) * ac2.numerator
+    points = []
+    for e in data.entries:
+        r, b = e.r, e.b
+        step = (r * r - 1) * (den // (12 * r))
+        half = den // (2 * r)
+        table = [0]
+        for i in range(r - 1):
+            ib = (i * b) % r
+            table.append(table[-1] - step + ib * (r - ib) * half)
+        points.append((r, e.wa, table))
+
+    def evaluate(m: int) -> int:
+        total = constant + cubic * m * (m + q) * (2 * m + q) + linear * m
+        for r, wa, table in points:
+            total += table[(m * wa) % r]
+        value, rest = divmod(total, den)
+        if rest:
+            raise ConventionError(
+                f"chi({m}A) = {Fraction(total, den)} is not an integer: "
+                f"wrong (b, wA) assignment"
+            )
+        return value
+
+    return evaluate
+
+
 def chi(data: FanoData, m: int) -> int:
     """chi(X, mA) as an integer; ConventionError when the total is fractional."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    q = data.q
-    total = (
-        Fraction(data.chi0)
-        + Fraction(m * (m + q) * (2 * m + q), 12) * data.a3
-        + Fraction(m, 12) * a_c2(data)
-    )
-    for entry in data.entries:
-        total += local_c(entry.r, entry.b, (m * entry.wa) % entry.r)
-    if total.denominator != 1:
-        raise ConventionError(
-            f"chi({m}A) = {total} is not an integer: wrong (b, wA) assignment"
-        )
-    return int(total)
+    return _integer_chi(data)(m)
 
 
 def hilbert_rr(data: FanoData, order: int = DEFAULT_ORDER) -> PowerSeries:
     """Termwise chi as a power series through t^order."""
-    return PowerSeries(tuple(Fraction(chi(data, m)) for m in range(order + 1)))
+    evaluate = _integer_chi(data)
+    return PowerSeries(tuple(evaluate(m) for m in range(order + 1)))
 
 
 def _canonical_entry(r: int, b: int, wa: int) -> tuple[int, int, int]:

@@ -12,7 +12,9 @@ Monomials are counted, not listed: the number of degree-d monomials is the
 t^d coefficient of prod 1/(1 - t^w), read from the integer series kernel
 ``series.product_coefficients`` in O(n*d) steps. ``monomials`` still lists
 exponent vectors where the vectors themselves are needed (base loci) and is
-the oracle the counts are tested against.
+the oracle the counts are tested against. Whether a shape is empty needs no
+count at all: ``has_monomial`` decides it from least degrees per residue
+class of the smallest weight, at a cost independent of d.
 
 Conventions fixed for determinism: weights are sorted ascending on
 construction, monomials are listed in descending lexicographic order on
@@ -90,7 +92,7 @@ class HypersurfaceShape:
             raise ValueError("degree 0 encodes a weighted projective 3-space: 4 weights")
         if self.degree > 0 and len(self.weights) != 5:
             raise ValueError("a hypersurface shape needs 5 weights")
-        if self.degree > 0 and monomial_count(self.weights, self.degree) == 0:
+        if self.degree > 0 and not has_monomial(self.weights, self.degree):
             raise ValueError(
                 f"no monomial of degree {self.degree} in weights {self.weights}: empty shape"
             )
@@ -204,6 +206,35 @@ def monomial_count(weights, d: int) -> int:
     if d < 0:
         raise ValueError("degree must be >= 0")
     return product_coefficients(ProductSpec((), tuple(weights)), d)[d]
+
+
+def has_monomial(weights, d: int) -> bool:
+    """Whether some exponent vector has sum(a_i w_i) = d, in O(n * min(w)) steps.
+
+    least[k] is the least degree of a monomial congruent to k modulo the
+    smallest weight a (round-robin shortest paths over residues, Boecker and
+    Liptak 2007). Adding powers of the weight-a variable reaches every
+    larger degree in the same class, so a degree-d monomial exists iff
+    least[d mod a] <= d; the cost does not depend on d.
+    """
+    if d < 0:
+        raise ValueError("degree must be >= 0")
+    ws = sorted(int(w) for w in weights)
+    a = ws[0]
+    least = [0] + [math.inf] * (a - 1)
+    for w in ws[1:]:
+        g = math.gcd(a, w)
+        for start in range(g):
+            # residues start, start + g, ... form one cycle under k -> k + w;
+            # walk it once from its least reached degree
+            n = min(least[start::g])
+            if n == math.inf:
+                continue
+            for _ in range(a // g - 1):
+                n += w
+                k = n % a
+                n = least[k] = min(n, least[k])
+    return least[d % a] <= d
 
 
 def hilbert(shape: HypersurfaceShape, order: int = DEFAULT_ORDER) -> PowerSeries:
@@ -509,6 +540,9 @@ def analyze(shape: HypersurfaceShape, order: int | None = None) -> AnalysisRepor
                 strata.append(StratumVerdict((i,), (ws[i],), status))
             else:
                 strata.append(StratumVerdict((i,), (ws[i],), "quotient", qtype, 1))
+        # contained edges of equal weights share one warning:
+        # weight pair -> (position of its warning, edges so far)
+        contained: dict[tuple[int, int], tuple[int, int]] = {}
         for i in range(len(ws)):
             for j in range(i + 1, len(ws)):
                 # coprime edges carry no quotient points but may still lie on
@@ -516,14 +550,20 @@ def analyze(shape: HypersurfaceShape, order: int | None = None) -> AnalysisRepor
                 try:
                     result = edge_singularities(shape, i, j)
                 except EdgeContained:
-                    strata.append(
-                        StratumVerdict((i, j), (ws[i], ws[j]), "edge-contained")
-                    )
-                    warnings.append(
-                        f"member contains the edge w=({ws[i]},{ws[j]}); "
+                    pair = (ws[i], ws[j])
+                    strata.append(StratumVerdict((i, j), pair, "edge-contained"))
+                    failed = True
+                    slot, edges = contained.get(pair, (len(warnings), 0))
+                    contained[pair] = (slot, edges + 1)
+                    what = "the edge" if edges == 0 else f"{edges + 1} edges"
+                    message = (
+                        f"member contains {what} w=({ws[i]},{ws[j]}); "
                         f"analysis out of scope"
                     )
-                    failed = True
+                    if edges == 0:
+                        warnings.append(message)
+                    else:
+                        warnings[slot] = message
                     continue
                 except (NotGeneral, NotTerminalIsolated) as exc:
                     strata.append(

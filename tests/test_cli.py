@@ -166,6 +166,17 @@ def test_analyze_huge_degree_is_bounded(capsys):
     assert time.perf_counter() - start < EXAMPLE_DEADLINE_S
 
 
+def test_hilbert_huge_degree_is_bounded(capsys):
+    # the emptiness check must not cost O(d): only five terms are asked for
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "hilbert", "--weights", "1,1,1,1,1", "--degree", "100000000", "--terms", "5"
+    )
+    assert code == 0
+    assert out.strip() == "1 5 15 35 70 126"
+    assert time.perf_counter() - start < EXAMPLE_DEADLINE_S
+
+
 def test_link_p5(capsys):
     code, out, _ = run(capsys, "link", "--case", "p5")
     assert code == 0

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfano import riemann_roch as rr
 from qfano import wps
@@ -109,6 +111,66 @@ def test_hilbert_rr_matches_closed_form(calibrated):
         24,
     )
     assert equal and mismatch is None
+
+
+def reference_chi(data, m):
+    """chi(mA) summed in Fraction arithmetic straight from the stated formula."""
+    q = data.q
+    total = (
+        Fraction(data.chi0)
+        + Fraction(m * (m + q) * (2 * m + q), 12) * data.a3
+        + Fraction(m, 12) * rr.a_c2(data)
+    )
+    for e in data.entries:
+        total += rr.local_c(e.r, e.b, (m * e.wa) % e.r)
+    return total
+
+
+@st.composite
+def fano_data(draw):
+    q = draw(st.sampled_from(rr.ALLOWED_FANO_INDICES))
+    sign = draw(st.sampled_from((1, -1)))  # q * wA = sign (mod r) at every point
+    indices = [r for r in range(2, 41) if math.gcd(r, q) == 1]
+    entries = []
+    for r in draw(st.lists(st.sampled_from(indices), max_size=4)):
+        b = draw(st.sampled_from([b for b in range(1, r) if math.gcd(b, r) == 1]))
+        entries.append(rr.RRBasketEntry(r, b, sign * pow(q, -1, r) % r))
+    lead = Fraction((1 + q) * (2 + q), 12)  # coefficient of A^3 in chi(A)
+    if draw(st.booleans()):
+        # pick A^3 so that chi(A) is integral; any failure then comes later
+        rest = reference_chi(rr.FanoData(q, Fraction(1), tuple(entries)), 1) - lead
+        a3 = (math.floor(rest) + draw(st.integers(min_value=1, max_value=4)) - rest) / lead
+    else:
+        den = math.prod(e.r for e in entries)
+        a3 = Fraction(draw(st.integers(min_value=1, max_value=3 * den)), den)
+    return rr.FanoData(q, a3, tuple(entries))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fano_data(), st.integers(min_value=0, max_value=60))
+def test_integer_kernel_matches_fraction_reference(data, order):
+    expected = [reference_chi(data, m) for m in range(order + 1)]
+    bad = next((m for m, v in enumerate(expected) if v.denominator != 1), None)
+    if bad is None:
+        series = rr.hilbert_rr(data, order)
+        assert series.coefficients == tuple(expected)
+        for m in range(order + 1):
+            assert rr.chi(data, m) == series[m]
+        return
+    message = f"chi({bad}A) = {expected[bad]} is not an integer: wrong (b, wA) assignment"
+    with pytest.raises(rr.ConventionError) as raised:
+        rr.hilbert_rr(data, order)
+    assert str(raised.value) == message
+    for m in range(bad):
+        assert rr.chi(data, m) == expected[m]
+    with pytest.raises(rr.ConventionError) as raised:
+        rr.chi(data, bad)
+    assert str(raised.value) == message
+
+
+def test_chi_rejects_negative_m(calibrated):
+    with pytest.raises(ValueError):
+        rr.chi(calibrated["X12"], -1)
 
 
 def test_orientation_sign_is_global_minus(calibrated):

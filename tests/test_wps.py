@@ -100,6 +100,27 @@ def test_monomial_count_examples():
         wps.monomial_count((3, 4, 5, 6, 7), -1)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=40), min_size=5, max_size=5),
+    st.integers(min_value=0, max_value=300),
+)
+def test_has_monomial_matches_count(weights, d):
+    assert wps.has_monomial(weights, d) == (wps.monomial_count(weights, d) > 0)
+
+
+def test_has_monomial_cost_is_independent_of_degree():
+    start = time.perf_counter()
+    for d in (10**8, 10**12, 10**30):
+        assert wps.HypersurfaceShape((1,) * 5, d).degree == d
+    assert wps.has_monomial((6, 10, 15, 15, 15), 10**12 + 1)
+    assert not wps.has_monomial((6, 10, 15, 15, 15), 29)  # 29 is the Frobenius number
+    assert not wps.has_monomial((4, 6, 8, 10, 12), 10**12 + 1)
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(ValueError):
+        wps.has_monomial((3, 4, 5, 6, 7), -1)
+
+
 def test_large_degree_shape_is_counted_not_listed():
     start = time.perf_counter()
     shape = wps.HypersurfaceShape((1,) * 5, 400)
@@ -317,6 +338,21 @@ def test_analyze_warns_on_contained_coprime_edge(weights, d, edge):
     assert math.gcd(*edge) == 1
     with pytest.raises(wps.EdgeContained):
         wps.basket(shape)
+
+
+def test_analyze_merges_contained_edges_of_equal_weights():
+    # the two weight-21 coordinates give two contained (19, 21) edges
+    report = wps.analyze(wps.HypersurfaceShape((4, 8, 19, 21, 21), 71))
+    contained = [v.weights for v in report.strata if v.status == "edge-contained"]
+    assert contained == [(4, 8), (8, 19), (19, 21), (19, 21), (21, 21)]
+    edge_warnings = [w for w in report.warnings if w.startswith("member contains")]
+    assert edge_warnings == [
+        "member contains the edge w=(4,8); analysis out of scope",
+        "member contains the edge w=(8,19); analysis out of scope",
+        "member contains 2 edges w=(19,21); analysis out of scope",
+        "member contains the edge w=(21,21); analysis out of scope",
+    ]
+    assert report.basket is None
 
 
 def test_analyze_flags_ill_formed():

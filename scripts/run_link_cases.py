@@ -20,7 +20,7 @@ def main() -> int:
     parser.add_argument("--write-golden", action="store_true")
     args = parser.parse_args()
     golden_dir = pathlib.Path(__file__).resolve().parents[1] / "src" / "qfano" / "golden"
-    for name in ("ng", "p2", "p3", "p5", "p7"):
+    for name in (case.lower() for case in sarkisov.CASES):
         text = sarkisov.run_case(name).text()
         if args.write_golden:
             (golden_dir / f"{name}.txt").write_text(text, encoding="utf-8")

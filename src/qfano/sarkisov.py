@@ -271,41 +271,28 @@ def enumerate_bare(case: CenterCase) -> list[LinkCandidate]:
     """All bare solutions of the governing equation, sorted by (qhat, e, alpha).
 
     Birational contractions range over the full admissible index set;
-    fiber-type contractions (qhat <= 3) are scanned separately with the
+    fiber-type contractions (qhat <= 3) are scanned too, with the
     s_k >= 1 requirement lifted. Solutions beyond the case's reference list
     are flagged ``extra``, never dropped.
     """
     found: list[LinkCandidate] = []
     for alpha in case.alphas:
         e_max = _e_bound(case, alpha)
-        for qhat in ALLOWED_FANO_INDICES:
-            for e in range(1, e_max + 1):
-                splits = _solve_splits(case, alpha, qhat, e, case.k, birational=True)
-                if splits:
-                    found.append(
-                        LinkCandidate(
-                            case=case.name,
-                            alpha=alpha,
-                            qhat=qhat,
-                            e=e,
-                            birational=True,
-                            splits={case.k: splits},
+        for birational, qhats in ((True, ALLOWED_FANO_INDICES), (False, (1, 2, 3))):
+            for qhat in qhats:
+                for e in range(1, e_max + 1):
+                    splits = _solve_splits(case, alpha, qhat, e, case.k, birational)
+                    if splits:
+                        found.append(
+                            LinkCandidate(
+                                case=case.name,
+                                alpha=alpha,
+                                qhat=qhat,
+                                e=e,
+                                birational=birational,
+                                splits={case.k: splits},
+                            )
                         )
-                    )
-        for qhat in (1, 2, 3):
-            for e in range(1, e_max + 1):
-                splits = _solve_splits(case, alpha, qhat, e, case.k, birational=False)
-                if splits:
-                    found.append(
-                        LinkCandidate(
-                            case=case.name,
-                            alpha=alpha,
-                            qhat=qhat,
-                            e=e,
-                            birational=False,
-                            splits={case.k: splits},
-                        )
-                    )
     reference = set(case.reference_bare)
     for cand in found:
         cand.extra = (cand.alpha, cand.qhat, cand.e) not in reference
@@ -720,7 +707,3 @@ def run_case(name: str) -> Transcript:
         contractions=contractions,
         notes=notes,
     )
-
-
-def run_all() -> dict[str, Transcript]:
-    return {name: run_case(name) for name in ("NG", "P2", "P3", "P5", "P7")}

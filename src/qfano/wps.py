@@ -20,15 +20,18 @@ Conventions fixed for determinism: weights are sorted ascending on
 construction, monomials are listed in descending lexicographic order on
 exponent vectors, and baskets are sorted by (r, b).
 
-Quasi-smoothness is checked only on strata of dimension <= 1 (vertices and
-edges), which suffices for every shape shipped with the package. A shape
-that contains a coordinate stratum is reported, not analyzed.
+Quasi-smoothness is checked only on strata of dimension <= 1, which
+suffices for every shape shipped with the package. One walk over every
+vertex, then every edge, for d = 0 and d > 0 alike, gives the verdicts
+that ``basket`` and ``analyze`` both read. A member containing an edge is
+reported, not analyzed.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -321,63 +324,68 @@ def normalize_type(r: int, raw: tuple[int, int, int]) -> int:
     return best
 
 
-def vertex_singularity(shape: HypersurfaceShape, i: int) -> QuotientType | None:
-    """Quotient type of the general member at vertex i, or None if off the member.
+def _quotient(r: int, others: tuple[int, ...]) -> QuotientType:
+    """The point 1/r(others) of a stratum with isotropy r and transverse weights others."""
+    return QuotientType(r=r, b=normalize_type(r, others), raw=tuple(x % r for x in others))
 
-    A pure power x_i^n of degree d in the support candidates means the
-    vertex misses the general member. Otherwise some x_i^n x_j eliminates
-    x_j and the remaining three weights mod w_i give the type. Raises
-    NotQuasiSmoothAtVertex when the vertex lies on the member with no
-    admissible monomial at all.
+
+def vertex_singularity(shape: HypersurfaceShape, i: int) -> QuotientType | None:
+    """Quotient type at vertex i, or None where it is smooth or off the member.
+
+    On the space itself (d = 0) the vertex is 1/w_i(other weights). For
+    d > 0 a pure power x_i^n of degree d means the vertex misses the general
+    member; otherwise some x_i^n x_j eliminates x_j and the remaining three
+    weights mod w_i give the type. Raises NotQuasiSmoothAtVertex when the
+    vertex lies on the member with no admissible monomial at all.
     """
     ws = shape.weights
     d = shape.degree
-    if d == 0:
-        raise ValueError("use basket() for the d=0 vertex analysis")
     wi = ws[i]
+    if d == 0:
+        return None if wi == 1 else _quotient(wi, ws[:i] + ws[i + 1 :])
     if d % wi == 0:
         return None  # general member avoids the vertex
-    eliminators = [
-        j
+    others = [
+        tuple(w for k, w in enumerate(ws) if k not in (i, j))
         for j, wj in enumerate(ws)
         if j != i and d - wj >= wi and (d - wj) % wi == 0
     ]
-    if not eliminators:
+    if not others:
         raise NotQuasiSmoothAtVertex(
             f"vertex w={wi} lies on the member but no monomial x_{wi}^n or "
             f"x_{wi}^n*x_j of degree {d} exists"
         )
-    results = []
-    for j in eliminators:
-        others = tuple(ws[k] for k in range(len(ws)) if k not in (i, j))
-        results.append((normalize_type(wi, others), others))
-    results.sort()
-    types = {b for b, _ in results}
+    types = sorted({normalize_type(wi, rest) for rest in others})
     if len(types) != 1:
         raise NotTerminalIsolated(
-            f"vertex w={wi}: eliminating variables disagree on the type: {sorted(types)}"
+            f"vertex w={wi}: eliminating variables disagree on the type: {types}"
         )
-    b, raw = results[0]
-    return QuotientType(r=wi, b=b, raw=tuple(x % wi for x in raw))
+    return QuotientType(r=wi, b=types[0], raw=tuple(x % wi for x in min(others)))
 
 
 def edge_singularities(
     shape: HypersurfaceShape, i: int, j: int
 ) -> tuple[int, QuotientType] | None:
-    """General-member singular points along the (i, j) edge: (count, type) or None.
+    """Singular points along the (i, j) edge: (count, type), or None.
 
-    Requires a monomial of degree d purely in {x_i, x_j}; otherwise the
-    member contains the edge and the analysis is out of scope
-    (EdgeContained). A fractional point count means the member was not
-    general (NotGeneral).
+    On the space itself (d = 0) an edge whose weights share a factor is a
+    curve of singularities (NotTerminalIsolated). For d > 0 the general member
+    needs a monomial of degree d purely in {x_i, x_j}; otherwise it contains
+    the edge and the analysis is out of scope (EdgeContained). A fractional
+    point count means the member was not general (NotGeneral).
     """
     ws = shape.weights
     d = shape.degree
-    if d == 0:
-        raise ValueError("use basket() for the d=0 analysis")
     wi, wj = ws[i], ws[j]
     m = math.gcd(wi, wj)
-    if not any((d - a * wi) % wj == 0 for a in range(d // wi + 1)):
+    if d == 0 and m > 1:
+        raise NotTerminalIsolated(
+            f"weights {wi}, {wj} share a factor: singular locus along the edge"
+        )
+    # x_i^a x_j^c has degree d iff a*w_i = d mod w_j, which fixes a mod w_j/m;
+    # the least such a decides whether one fits under d (at d = 0, a = 0 does)
+    step = wj // m
+    if d % m or d // m * pow(wi // m, -1, step) % step * wi > d:
         raise EdgeContained(
             f"no degree-{d} monomial in x_{wi}, x_{wj}: member contains the edge"
         )
@@ -388,54 +396,7 @@ def edge_singularities(
         raise NotGeneral(
             f"edge ({wi},{wj}): point count {count_frac} is not an integer"
         )
-    others = tuple(ws[k] for k in range(len(ws)) if k not in (i, j))
-    b = normalize_type(m, others)
-    qtype = QuotientType(r=m, b=b, raw=tuple(x % m for x in others))
-    return int(count_frac), qtype
-
-
-def _space_vertex_type(weights: tuple[int, ...], i: int) -> QuotientType | None:
-    """Quotient type at vertex i of the weighted projective space itself."""
-    wi = weights[i]
-    if wi == 1:
-        return None
-    others = tuple(weights[k] for k in range(len(weights)) if k != i)
-    b = normalize_type(wi, others)
-    return QuotientType(r=wi, b=b, raw=tuple(x % wi for x in others))
-
-
-def basket(shape: HypersurfaceShape) -> Basket:
-    """Union of vertex and edge contributions with multiplicities."""
-    counts: dict[QuotientType, int] = {}
-
-    def add(qtype: QuotientType, count: int = 1) -> None:
-        counts[qtype] = counts.get(qtype, 0) + count
-
-    ws = shape.weights
-    if shape.degree == 0:
-        for i in range(len(ws)):
-            for j in range(i + 1, len(ws)):
-                if math.gcd(ws[i], ws[j]) != 1:
-                    raise NotTerminalIsolated(
-                        f"weights {ws[i]}, {ws[j]} share a factor: singular locus "
-                        f"along a coordinate edge"
-                    )
-        for i in range(len(ws)):
-            qtype = _space_vertex_type(ws, i)
-            if qtype is not None:
-                add(qtype)
-    else:
-        for i in range(len(ws)):
-            qtype = vertex_singularity(shape, i)
-            if qtype is not None:
-                add(qtype)
-        for i in range(len(ws)):
-            for j in range(i + 1, len(ws)):
-                result = edge_singularities(shape, i, j)
-                if result is not None:
-                    count, qtype = result
-                    add(qtype, count)
-    return Basket(tuple(counts.items()))
+    return int(count_frac), _quotient(m, tuple(ws[k] for k in range(len(ws)) if k not in (i, j)))
 
 
 def monomial_base_locus(weights, d: int) -> tuple[tuple[int, ...], ...]:
@@ -485,8 +446,82 @@ class AnalysisReport:
     warnings: tuple[str, ...]
 
 
+# status of a stratum whose rule raised; on the space itself (d = 0) an edge
+# fails only as a curve of singularities, "singular-edge"
+_FAILED = {
+    NotQuasiSmoothAtVertex: "not-quasi-smooth",
+    EdgeContained: "edge-contained",
+    NotGeneral: "not-terminal-isolated",
+    NotTerminalIsolated: "not-terminal-isolated",
+}
+_SINGULARITY_ERRORS = tuple(_FAILED)
+
+
+def _walk(shape: HypersurfaceShape) -> Iterator[tuple[StratumVerdict, ValueError | None]]:
+    """Every vertex, then every edge: its verdict, and the error that failed it.
+
+    Coprime edges that do not fail carry no points and get no verdict. An
+    error is handed on without its traceback, so it keeps no frame alive.
+    """
+    ws = shape.weights
+    d = shape.degree
+    for i, wi in enumerate(ws):
+        try:
+            qtype = vertex_singularity(shape, i)
+        except _SINGULARITY_ERRORS as exc:
+            yield StratumVerdict((i,), (wi,), _FAILED[type(exc)]), exc.with_traceback(None)
+        else:
+            if qtype is not None:
+                yield StratumVerdict((i,), (wi,), "quotient", qtype, 1), None
+            else:
+                yield StratumVerdict((i,), (wi,), "off-member" if d else "smooth"), None
+    for i, j in itertools.combinations(range(len(ws)), 2):
+        try:
+            result = edge_singularities(shape, i, j)
+        except _SINGULARITY_ERRORS as exc:
+            status = _FAILED[type(exc)] if d else "singular-edge"
+            yield StratumVerdict((i, j), (ws[i], ws[j]), status), exc.with_traceback(None)
+        else:
+            if result is not None:
+                count, qtype = result
+                yield StratumVerdict((i, j), (ws[i], ws[j]), "quotient", qtype, count), None
+
+
+def _basket_of(verdicts: list[StratumVerdict]) -> Basket:
+    counts: dict[QuotientType, int] = {}
+    for verdict in verdicts:
+        if verdict.quotient is not None:
+            counts[verdict.quotient] = counts.get(verdict.quotient, 0) + verdict.count
+    return Basket(tuple(counts.items()))
+
+
+def basket(shape: HypersurfaceShape) -> Basket:
+    """Union of vertex and edge contributions; raises the first stratum's error."""
+    verdicts = []
+    for verdict, error in _walk(shape):
+        if error is not None:
+            raise error
+        verdicts.append(verdict)
+    return _basket_of(verdicts)
+
+
+def _warning(verdict: StratumVerdict, message: str, contained: dict[tuple[int, ...], int]) -> str:
+    if verdict.status == "not-quasi-smooth":
+        return f"not quasi-smooth at vertex w={verdict.weights[0]}"
+    if verdict.status == "edge-contained":
+        edges = contained[verdict.weights]
+        what = "the edge" if edges == 1 else f"{edges} edges"
+        wi, wj = verdict.weights
+        return f"member contains {what} w=({wi},{wj}); analysis out of scope"
+    return message
+
+
 def analyze(shape: HypersurfaceShape, order: int | None = None) -> AnalysisReport:
-    """Full combinatorial report for a shape; singularity failures become warnings."""
+    """Full combinatorial report for a shape; singularity failures become warnings.
+
+    Each distinct warning is given once; contained edges of equal weights
+    share one warning that counts them.
+    """
     q = fano_index(shape)
     if order is None:
         order = max(q, DEFAULT_ORDER)
@@ -494,104 +529,29 @@ def analyze(shape: HypersurfaceShape, order: int | None = None) -> AnalysisRepor
     if not well_formed(shape.weights):
         warnings.append(f"weights {shape.weights} are not well-formed")
 
+    # failed strata and their messages in two lists, not as pairs, and no error
+    # kept: fewer live objects for the cyclic collector to count per analysis
     strata: list[StratumVerdict] = []
-    ws = shape.weights
-    failed = False
-    if shape.degree == 0:
-        for i in range(len(ws)):
-            try:
-                qtype = _space_vertex_type(ws, i)
-            except NotTerminalIsolated as exc:
-                strata.append(StratumVerdict((i,), (ws[i],), "not-terminal-isolated"))
-                warnings.append(str(exc))
-                failed = True
-                continue
-            if qtype is None:
-                strata.append(StratumVerdict((i,), (ws[i],), "smooth"))
-            else:
-                strata.append(StratumVerdict((i,), (ws[i],), "quotient", qtype, 1))
-        for i in range(len(ws)):
-            for j in range(i + 1, len(ws)):
-                if math.gcd(ws[i], ws[j]) != 1:
-                    strata.append(
-                        StratumVerdict((i, j), (ws[i], ws[j]), "singular-edge")
-                    )
-                    warnings.append(
-                        f"weights {ws[i]}, {ws[j]} share a factor: singular "
-                        f"locus along the edge"
-                    )
-                    failed = True
-    else:
-        for i in range(len(ws)):
-            try:
-                qtype = vertex_singularity(shape, i)
-            except NotQuasiSmoothAtVertex:
-                strata.append(StratumVerdict((i,), (ws[i],), "not-quasi-smooth"))
-                warnings.append(f"not quasi-smooth at vertex w={ws[i]}")
-                failed = True
-                continue
-            except NotTerminalIsolated as exc:
-                strata.append(StratumVerdict((i,), (ws[i],), "not-terminal-isolated"))
-                warnings.append(str(exc))
-                failed = True
-                continue
-            if qtype is None:
-                status = "off-member" if shape.degree % ws[i] == 0 else "smooth"
-                strata.append(StratumVerdict((i,), (ws[i],), status))
-            else:
-                strata.append(StratumVerdict((i,), (ws[i],), "quotient", qtype, 1))
-        # contained edges of equal weights share one warning:
-        # weight pair -> (position of its warning, edges so far)
-        contained: dict[tuple[int, int], tuple[int, int]] = {}
-        for i in range(len(ws)):
-            for j in range(i + 1, len(ws)):
-                # coprime edges carry no quotient points but may still lie on
-                # the member, which basket() would then refuse
-                try:
-                    result = edge_singularities(shape, i, j)
-                except EdgeContained:
-                    pair = (ws[i], ws[j])
-                    strata.append(StratumVerdict((i, j), pair, "edge-contained"))
-                    failed = True
-                    slot, edges = contained.get(pair, (len(warnings), 0))
-                    contained[pair] = (slot, edges + 1)
-                    what = "the edge" if edges == 0 else f"{edges + 1} edges"
-                    message = (
-                        f"member contains {what} w=({ws[i]},{ws[j]}); "
-                        f"analysis out of scope"
-                    )
-                    if edges == 0:
-                        warnings.append(message)
-                    else:
-                        warnings[slot] = message
-                    continue
-                except (NotGeneral, NotTerminalIsolated) as exc:
-                    strata.append(
-                        StratumVerdict((i, j), (ws[i], ws[j]), "not-terminal-isolated")
-                    )
-                    warnings.append(str(exc))
-                    failed = True
-                    continue
-                if result is not None:
-                    count, qtype = result
-                    strata.append(
-                        StratumVerdict((i, j), (ws[i], ws[j]), "quotient", qtype, count)
-                    )
-
-    bk: Basket | None
-    if failed:
-        bk = None
-    else:
-        bk = basket(shape)
+    failed: list[StratumVerdict] = []
+    messages: list[str] = []
+    contained: dict[tuple[int, ...], int] = {}
+    for verdict, error in _walk(shape):
+        strata.append(verdict)
+        if error is not None:
+            failed.append(verdict)
+            messages.append(str(error))
+            if verdict.status == "edge-contained":
+                contained[verdict.weights] = contained.get(verdict.weights, 0) + 1
+    warnings.extend(_warning(v, message, contained) for v, message in zip(failed, messages))
     # one expansion serves both the genus (t^q) and the reported series
     series = hilbert(shape, max(order, q))
     return AnalysisReport(
         shape=shape,
         fano_index=q,
         a3=degree_a3(shape),
-        basket=bk,
+        basket=None if failed else _basket_of(strata),
         genus=_genus_from(series, q),
         hilbert=series if order >= q else series.truncate(order),
         strata=tuple(strata),
-        warnings=tuple(warnings),
+        warnings=tuple(dict.fromkeys(warnings)),
     )

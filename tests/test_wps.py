@@ -1,5 +1,6 @@
 """Weighted projective shapes: indices, monomials, singularity baskets."""
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -182,6 +183,37 @@ def test_edge_not_general_error():
         wps.edge_singularities(shape, ws.index(4), ws.index(6))
 
 
+def test_rules_on_the_space_itself():
+    space = wps.HypersurfaceShape((1, 2, 3, 5))
+    assert wps.vertex_singularity(space, 0) is None  # weight 1: smooth
+    types = [wps.vertex_singularity(space, i) for i in (1, 2, 3)]
+    assert [(t.r, t.b) for t in types] == [(2, 1), (3, 1), (5, 2)]
+    assert wps.edge_singularities(space, 1, 3) is None  # coprime weights
+    with pytest.raises(wps.NotTerminalIsolated, match="share a factor"):
+        wps.edge_singularities(wps.HypersurfaceShape((1, 2, 2, 3)), 1, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=40), min_size=5, max_size=5),
+    st.integers(min_value=1, max_value=200),
+    st.sampled_from(list(itertools.combinations(range(5), 2))),
+)
+def test_edge_contained_iff_no_monomial_in_its_two_variables(weights, d, edge):
+    if not wps.has_monomial(weights, d):
+        return
+    shape = wps.HypersurfaceShape(weights, d)
+    contained = False
+    try:
+        wps.edge_singularities(shape, *edge)
+    except wps.EdgeContained:
+        contained = True
+    except (wps.NotGeneral, wps.NotTerminalIsolated):
+        pass
+    pair = tuple(shape.weights[k] for k in edge)
+    assert contained == (not wps.has_monomial(pair, d))
+
+
 def test_hilbert_low_degree_coefficients():
     # P(1,2,3,5): two sections of degree 2 (the square of the degree-1
     # coordinate and the degree-2 coordinate)
@@ -353,6 +385,90 @@ def test_analyze_merges_contained_edges_of_equal_weights():
         "member contains the edge w=(21,21); analysis out of scope",
     ]
     assert report.basket is None
+
+
+@pytest.mark.parametrize(
+    "weights,d,expected",
+    [
+        (
+            (4, 8, 19, 21, 21),
+            71,
+            (
+                "residues (0, 1, 1) mod 4 are not coprime units: not an isolated terminal cyclic quotient",
+                "not quasi-smooth at vertex w=8",
+                "not quasi-smooth at vertex w=19",
+                "residues (4, 19, 0) mod 21 are not coprime units: not an isolated terminal cyclic quotient",
+                "member contains the edge w=(4,8); analysis out of scope",
+                "member contains the edge w=(8,19); analysis out of scope",
+                "member contains 2 edges w=(19,21); analysis out of scope",
+                "member contains the edge w=(21,21); analysis out of scope",
+            ),
+        ),
+        (
+            (12, 24, 24, 26, 27),
+            108,
+            (
+                "weights (12, 24, 24, 26, 27) are not well-formed",
+                "residues (0, 2, 3) mod 24 are not coprime units: not an isolated terminal cyclic quotient",
+                "not quasi-smooth at vertex w=26",
+                "edge (12,24): point count 9/2 is not an integer",
+                "edge (12,26): point count 9/13 is not an integer",
+                "residues (0, 0, 2) mod 3 are not coprime units: not an isolated terminal cyclic quotient",
+                "member contains the edge w=(24,24); analysis out of scope",
+                "member contains 2 edges w=(24,26); analysis out of scope",
+                "edge (24,27): point count 1/2 is not an integer",
+            ),
+        ),
+    ],
+)
+def test_analyze_gives_each_warning_once(weights, d, expected):
+    # coordinates of equal weight fail with equal messages; each is given once
+    report = wps.analyze(wps.HypersurfaceShape(weights, d))
+    assert report.warnings == expected
+
+
+def test_analyze_walks_each_stratum_once(monkeypatch):
+    calls = {"vertex_singularity": 0, "edge_singularities": 0}
+    for name in calls:
+        def counted(*args, _rule=getattr(wps, name), _name=name):
+            calls[_name] += 1
+            return _rule(*args)
+
+        monkeypatch.setattr(wps, name, counted)
+    report = wps.analyze(X12)
+    assert report.basket is not None and report.basket.indices() == (2, 3, 3, 5, 7)
+    assert calls == {"vertex_singularity": 5, "edge_singularities": 10}
+
+
+SINGULARITY_ERRORS = (
+    wps.NotQuasiSmoothAtVertex,
+    wps.EdgeContained,
+    wps.NotGeneral,
+    wps.NotTerminalIsolated,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=40), min_size=4, max_size=5),
+    st.integers(min_value=1, max_value=19),
+)
+def test_analyze_and_basket_agree(weights, q):
+    d = 0 if len(weights) == 4 else sum(weights) - q
+    if d < 0 or (d > 0 and not wps.has_monomial(weights, d)):
+        return
+    shape = wps.HypersurfaceShape(weights, d)
+    report = wps.analyze(shape)
+    failed = any(v.status not in ("smooth", "off-member", "quotient") for v in report.strata)
+    assert (report.basket is None) == failed
+    if failed:
+        with pytest.raises(SINGULARITY_ERRORS):
+            wps.basket(shape)
+    else:
+        assert report.basket == wps.basket(shape)
+    assert len(set(report.warnings)) == len(report.warnings)
+    vertices = [v.stratum for v in report.strata if len(v.stratum) == 1]
+    assert vertices == [(i,) for i in range(len(weights))]
 
 
 def test_analyze_flags_ill_formed():

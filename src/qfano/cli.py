@@ -155,10 +155,11 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _transcript_json(t: sarkisov.Transcript) -> dict:
-    def split_json(sp: sarkisov.Split) -> dict:
-        return {"s": sp.s, "beta": _frac(sp.beta)}
+def _split_json(sp: sarkisov.Split) -> dict:
+    return {"s": sp.s, "beta": _frac(sp.beta)}
 
+
+def _transcript_json(t: sarkisov.Transcript) -> dict:
     def cand_json(c: sarkisov.LinkCandidate) -> dict:
         return {
             "alpha": _frac(c.alpha),
@@ -167,10 +168,10 @@ def _transcript_json(t: sarkisov.Transcript) -> dict:
             "birational": c.birational,
             "extra": c.extra,
             "splits": {
-                str(k): [split_json(sp) for sp in sps] for k, sps in sorted(c.splits.items())
+                str(k): [_split_json(sp) for sp in sps] for k, sps in sorted(c.splits.items())
             },
             "admissible": {
-                str(k): [split_json(sp) for sp in sps]
+                str(k): [_split_json(sp) for sp in sps]
                 for k, sps in sorted(c.admissible.items())
             },
             "status": c.status,
@@ -221,9 +222,7 @@ def cmd_link(args) -> int:
                         "qhat": c.qhat,
                         "e": c.e,
                         "extra": c.extra,
-                        "splits": [
-                            {"s": sp.s, "beta": _frac(sp.beta)} for sp in c.splits[case.k]
-                        ],
+                        "splits": [_split_json(sp) for sp in c.splits[case.k]],
                     }
                     for c in bare
                 ],

@@ -16,8 +16,18 @@ canonical threshold of the sixfold system is at most 1/2.
 The enumeration is complete by construction: with beta_k and s_k at their
 minima the equation bounds e <= 19 k / (13 beta_min - k alpha), and the
 target index qhat ranges over the finite admissible index set (fiber-type
-contractions only allow qhat <= 3). Candidates are then run through
-individually attributable filters:
+contractions only allow qhat <= 3).
+
+The equations are solved in integers. Writing beta_k = rep + m with rep the
+class representative in [0, 1) and D = lcm(den alpha, den rep) (the
+center's index), the constants c = D * (13 * rep - k * alpha) and the least
+m are computed once per (alpha, k), outside the loop over (qhat, e); a pair
+(qhat, e) has splits iff k * qhat * D - c * e is non-negative and divisible
+by 13 * D, and a Fraction is built only for a split that is returned.
+verify_equation re-checks every split exactly, as an identity over
+den(alpha) * den(beta).
+
+Candidates are then run through individually attributable filters:
 
   F1 torsion      the exceptional class forces |T(target)| = d/e with
                   d >= 3; the admissible torsion orders per qhat come from
@@ -125,8 +135,7 @@ class CenterCase:
         if self.r is None:
             return Fraction(0)  # Cartier center: beta integral
         t = beta_congruence(Q, self.r, k)
-        value = t * alpha
-        return value - math.floor(value)
+        return Fraction(t * alpha.numerator % alpha.denominator, alpha.denominator)
 
 
 def _ng_alphas() -> tuple[Fraction, ...]:
@@ -222,6 +231,10 @@ class LinkCandidate:
     torsion_options: tuple[int, ...] = ()
     extra: bool = False
 
+    def __post_init__(self) -> None:
+        if self.e < 1:
+            raise ValueError(f"e must be >= 1, got {self.e}")
+
     def key(self) -> str:
         return f"alpha={self.alpha} qhat={self.qhat} e={self.e}"
 
@@ -229,42 +242,46 @@ class LinkCandidate:
         return (self.qhat, self.e, self.alpha)
 
 
+_Equation = tuple[int, int, Fraction, int]  # (D, c, rep, m_min), see _equation
+
+
+def _equation(case: CenterCase, alpha: Fraction, k: int) -> _Equation:
+    """Integer constants (D, c, rep, m_min) of the degree-k equation at alpha.
+
+    beta_k = rep + m with m >= m_min, D = lcm(den alpha, den rep) and
+    c = D * (13 * rep - k * alpha), so the equation reads
+    k * qhat * D - c * e = 13 * D * (s_k + m * e) in integers.
+    """
+    rep = case.beta_class(k, alpha)
+    D = math.lcm(alpha.denominator, rep.denominator)
+    rep_D = rep.numerator * (D // rep.denominator)
+    alpha_D = alpha.numerator * (D // alpha.denominator)
+    # canonical threshold <= 1/2 forces beta_6 >= 2*alpha: m >= ceil(2*alpha - rep)
+    m_min = max(0, -((rep_D - 2 * alpha_D) // D)) if k == 6 else 0
+    return D, Q * rep_D - k * alpha_D, rep, m_min
+
+
 def _solve_splits(
-    case: CenterCase, alpha: Fraction, qhat: int, e: int, k: int, birational: bool
+    equation: _Equation, qhat: int, e: int, k: int, birational: bool
 ) -> tuple[Split, ...]:
     """All admissible (s_k, beta_k) with k*qhat = Q*s + (Q*beta - k*alpha)*e."""
-    rep = case.beta_class(k, alpha)
-    if k == 6:
-        # canonical threshold <= 1/2 forces beta_6 >= 2*alpha
-        m_min = max(0, math.ceil(2 * alpha - rep))
-    else:
-        m_min = 0
+    D, c, rep, m_min = equation
+    lhs = k * qhat * D - c * e
+    if lhs < 0 or lhs % (Q * D):
+        return ()
+    reach = lhs // (Q * D)  # equals s + m*e
     s_min = 1 if (birational and DIMS[k] >= 1) else 0
-    lhs = k * qhat - (Q * rep - k * alpha) * e
-    if lhs.denominator != 1:
-        return ()
-    total = int(lhs)
-    if total < 0 or total % Q != 0:
-        return ()
-    reach = total // Q  # equals s + m*e
-    out = []
-    m = m_min
-    while reach - m * e >= s_min:
-        out.append(Split(reach - m * e, rep + m))
-        m += 1
-    return tuple(out)
+    m_max = (reach - s_min) // e  # last m with s = reach - m*e >= s_min
+    return tuple(Split(reach - m * e, rep + m) for m in range(m_min, m_max + 1))
 
 
-def _e_bound(case: CenterCase, alpha: Fraction) -> int:
+def _e_bound(case: CenterCase, alpha: Fraction, equation: _Equation) -> int:
     """Largest e compatible with the governing equation at minimal beta and s."""
-    k = case.k
-    rep = case.beta_class(k, alpha)
-    m_min = max(0, math.ceil(2 * alpha - rep)) if k == 6 else 0
-    beta_min = rep + m_min
-    denom = Q * beta_min - k * alpha
+    D, c, _, m_min = equation
+    denom = c + Q * D * m_min  # D * (Q * beta_min - k * alpha)
     if denom <= 0:
         raise ValueError(f"unbounded enumeration for case {case.name}, alpha={alpha}")
-    return math.floor(Fraction(k * max(ALLOWED_FANO_INDICES)) / denom)
+    return case.k * max(ALLOWED_FANO_INDICES) * D // denom
 
 
 def enumerate_bare(case: CenterCase) -> list[LinkCandidate]:
@@ -277,11 +294,12 @@ def enumerate_bare(case: CenterCase) -> list[LinkCandidate]:
     """
     found: list[LinkCandidate] = []
     for alpha in case.alphas:
-        e_max = _e_bound(case, alpha)
+        equation = _equation(case, alpha, case.k)
+        e_max = _e_bound(case, alpha, equation)
         for birational, qhats in ((True, ALLOWED_FANO_INDICES), (False, (1, 2, 3))):
             for qhat in qhats:
                 for e in range(1, e_max + 1):
-                    splits = _solve_splits(case, alpha, qhat, e, case.k, birational)
+                    splits = _solve_splits(equation, qhat, e, case.k, birational)
                     if splits:
                         found.append(
                             LinkCandidate(
@@ -302,10 +320,8 @@ def enumerate_bare(case: CenterCase) -> list[LinkCandidate]:
 
 def determine_sk(candidate: LinkCandidate, k: int) -> tuple[Split, ...]:
     """All (s_k, beta_k) splits of the degree-k equation for a candidate."""
-    case = CASES[candidate.case]
-    splits = _solve_splits(
-        case, candidate.alpha, candidate.qhat, candidate.e, k, candidate.birational
-    )
+    equation = _equation(CASES[candidate.case], candidate.alpha, k)
+    splits = _solve_splits(equation, candidate.qhat, candidate.e, k, candidate.birational)
     if not splits:
         raise Infeasible(
             f"no (s_{k}, beta_{k}) split for {candidate.key()} in case {candidate.case}"
@@ -315,17 +331,16 @@ def determine_sk(candidate: LinkCandidate, k: int) -> tuple[Split, ...]:
 
 def verify_equation(candidate: LinkCandidate) -> bool:
     """Re-check every recorded split against its defining equation, exactly."""
+    a = candidate.alpha
     for k, splits in candidate.splits.items():
         for sp in splits:
-            lhs = Fraction(k * candidate.qhat)
-            rhs = Q * sp.s + (Q * sp.beta - k * candidate.alpha) * candidate.e
-            if lhs != rhs:
+            # k*qhat = Q*s + (Q*beta - k*alpha)*e, both sides times den(alpha)*den(beta)
+            b = sp.beta
+            n = a.denominator * b.denominator
+            slope = Q * b.numerator * a.denominator - k * a.numerator * b.denominator
+            if k * candidate.qhat * n != Q * sp.s * n + slope * candidate.e:
                 return False
     return True
-
-
-def _h0(weights: tuple[int, ...], s: int) -> int:
-    return wps.monomial_count(weights, s)
 
 
 def _pin_target(candidate: LinkCandidate) -> fixtures.Fixture | None:
@@ -359,7 +374,7 @@ class SecondContractionSolution:
 
     delta: int
     b: Fraction
-    gammas: tuple[tuple[int, Fraction], ...]
+    gammas: tuple[tuple[int, int], ...]
 
     def b_integral(self) -> bool:
         return self.b.denominator == 1
@@ -386,8 +401,8 @@ def second_contraction(
         gammas = []
         ok = True
         for k in sorted(s):
-            g = Fraction(s[k] * delta - k, e)
-            if g < 0 or g.denominator != 1:
+            g, rest = divmod(s[k] * delta - k, e)
+            if g < 0 or rest:
                 ok = False
                 break
             gammas.append((k, g))
@@ -400,7 +415,7 @@ def second_contraction(
     return tuple(out)
 
 
-def canonical_threshold(case: CenterCase, candidate: LinkCandidate) -> Fraction:
+def canonical_threshold(candidate: LinkCandidate) -> Fraction:
     """alpha / beta_6 with the minimal admissible beta_6 of the candidate."""
     splits = candidate.admissible.get(6) or candidate.splits.get(6)
     if not splits:
@@ -511,9 +526,8 @@ def apply_filters(candidates: list[LinkCandidate]) -> list[FilterEvent]:
         # full split data for every k (the transcript shows it all)
         for k in range(3, 8):
             if k not in cand.splits:
-                cand.splits[k] = _solve_splits(
-                    CASES[cand.case], cand.alpha, cand.qhat, cand.e, k, cand.birational
-                )
+                equation = _equation(CASES[cand.case], cand.alpha, k)
+                cand.splits[k] = _solve_splits(equation, cand.qhat, cand.e, k, cand.birational)
         cand.admissible = dict(cand.splits)
 
         # F3: effectivity on a pinned target
@@ -531,7 +545,7 @@ def apply_filters(candidates: list[LinkCandidate]) -> list[FilterEvent]:
                         if DIMS[k] == 0:
                             keep.append(sp)
                         continue
-                    if _h0(weights, sp.s) >= DIMS[k] + 1:
+                    if wps.monomial_count(weights, sp.s) >= DIMS[k] + 1:
                         keep.append(sp)
                 new_admissible[k] = tuple(keep)
                 if not keep and failed_k is None:
@@ -540,7 +554,7 @@ def apply_filters(candidates: list[LinkCandidate]) -> list[FilterEvent]:
                         shown = "no integral split at all"
                     else:
                         shown = ", ".join(
-                            f"h0({target.name}, {sp.s}*A) = {_h0(weights, sp.s)}"
+                            f"h0({target.name}, {sp.s}*A) = {wps.monomial_count(weights, sp.s)}"
                             for sp in cand.splits[k]
                             if sp.s > 0
                         ) or "only s=0 splits while dim|kA| > 0"
@@ -668,7 +682,7 @@ def run_case(name: str) -> Transcript:
     contractions: list[tuple[str, SecondContractionSolution]] = []
     for cand in final:
         if cand.birational:
-            thresholds.append((cand.key(), canonical_threshold(case, cand)))
+            thresholds.append((cand.key(), canonical_threshold(cand)))
             s = {
                 k: sps[0].s
                 for k, sps in sorted(cand.admissible.items())

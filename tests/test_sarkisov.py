@@ -1,10 +1,15 @@
 """Sarkisov-link case enumeration, filters, transcripts, second contractions."""
 
+import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfano import sarkisov as sk
+from qfano.riemann_roch import ALLOWED_FANO_INDICES
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +117,13 @@ def test_determine_sk_infeasible(transcripts):
         sk.determine_sk(cand, 4)
 
 
+@pytest.mark.parametrize("e", [0, -1])
+def test_candidate_rejects_a_non_positive_multiple(e):
+    # e = 0 used to loop forever in the split solver
+    with pytest.raises(ValueError, match="e must be >= 1"):
+        sk.LinkCandidate("P5", Fraction(1, 5), 13, e, True)
+
+
 def test_filters_p7(transcripts):
     for c in transcripts["P7"].bare:
         assert c.status == "eliminated" and c.filter_id == "F1"
@@ -177,11 +189,10 @@ def test_thresholds(transcripts):
 
 
 def test_canonical_threshold_undefined():
-    case = sk.CASES["P5"]
     cand = sk.LinkCandidate("P5", Fraction(1, 5), 7, 4, True)
     cand.admissible = {6: (sk.Split(2, Fraction(0)),)}
     with pytest.raises(sk.UndefinedThreshold):
-        sk.canonical_threshold(case, cand)
+        sk.canonical_threshold(cand)
 
 
 def test_second_contraction_p5_survivor():
@@ -251,3 +262,131 @@ def test_reference_bare_solutions_present(transcripts):
             assert ref in keys, f"{name}: reference solution {ref} missing"
         for cand in t.bare:
             assert cand.extra == ((cand.alpha, cand.qhat, cand.e) not in set(t.case.reference_bare))
+
+
+# The Fraction evaluation of the link equations that the integer kernel
+# replaced, kept here as its oracle.
+
+
+def reference_beta_class(case, k, alpha):
+    if case.r is None:
+        return Fraction(0)
+    value = sk.beta_congruence(sk.Q, case.r, k) * alpha
+    return value - math.floor(value)
+
+
+def reference_m_min(case, k, alpha):
+    return max(0, math.ceil(2 * alpha - reference_beta_class(case, k, alpha))) if k == 6 else 0
+
+
+def reference_splits(case, alpha, qhat, e, k, birational):
+    rep = reference_beta_class(case, k, alpha)
+    m_min = reference_m_min(case, k, alpha)
+    s_min = 1 if (birational and sk.DIMS[k] >= 1) else 0
+    lhs = k * qhat - (sk.Q * rep - k * alpha) * e
+    if lhs.denominator != 1:
+        return ()
+    total = int(lhs)
+    if total < 0 or total % sk.Q != 0:
+        return ()
+    reach = total // sk.Q
+    out = []
+    m = m_min
+    while reach - m * e >= s_min:
+        out.append(sk.Split(reach - m * e, rep + m))
+        m += 1
+    return tuple(out)
+
+
+def reference_e_bound(case, alpha):
+    beta_min = reference_beta_class(case, case.k, alpha) + reference_m_min(case, case.k, alpha)
+    return math.floor(Fraction(case.k * max(ALLOWED_FANO_INDICES)) / (sk.Q * beta_min - case.k * alpha))
+
+
+def reference_second_contraction(e, qhat, s, q=sk.Q, smooth_point=True, delta_max=50):
+    out = []
+    for delta in range(1, delta_max + 1):
+        gammas = [(k, Fraction(s[k] * delta - k, e)) for k in sorted(s)]
+        if any(g < 0 or g.denominator != 1 for _, g in gammas):
+            continue
+        b = Fraction(qhat * delta - q, e)
+        if smooth_point and b.denominator != 1:
+            continue
+        out.append(sk.SecondContractionSolution(delta, b, tuple(gammas)))
+    return tuple(out)
+
+
+def _kernel_splits(case, alpha, qhat, e, k, birational):
+    return sk._solve_splits(sk._equation(case, alpha, k), qhat, e, k, birational)
+
+
+def _assert_same_splits(got, want):
+    assert got == want
+    assert all(type(sp.s) is int and type(sp.beta) is Fraction for sp in got)
+
+
+QHATS = sorted(set(ALLOWED_FANO_INDICES) | {1, 2, 3})
+
+
+def test_integer_kernel_matches_fraction_reference_on_every_case():
+    """Every case and alpha, k in 3..7, every qhat, e in 1..e_max+5, both flags."""
+    for case in sk.CASES.values():
+        for alpha in case.alphas:
+            e_max = reference_e_bound(case, alpha)
+            assert sk._e_bound(case, alpha, sk._equation(case, alpha, case.k)) == e_max
+            for k in range(3, 8):
+                assert sk._equation(case, alpha, k)[2] == reference_beta_class(case, k, alpha)
+                for qhat in QHATS:
+                    for e in range(1, e_max + 6):
+                        for birational in (True, False):
+                            args = (case, alpha, qhat, e, k, birational)
+                            _assert_same_splits(_kernel_splits(*args), reference_splits(*args))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=st.sampled_from(list(sk.CASES.values())),
+    alpha=st.builds(Fraction, st.integers(1, 60), st.integers(1, 21)),
+    k=st.integers(3, 7),
+    qhat=st.sampled_from(QHATS),
+    e=st.integers(1, 80),
+    birational=st.booleans(),
+)
+def test_integer_kernel_matches_fraction_reference_off_the_case_list(
+    case, alpha, k, qhat, e, birational
+):
+    """Discrepancies and multiples beyond the five cases' own, same answers."""
+    args = (case, alpha, qhat, e, k, birational)
+    _assert_same_splits(_kernel_splits(*args), reference_splits(*args))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    e=st.integers(1, 12),
+    qhat=st.sampled_from(QHATS),
+    s=st.dictionaries(st.integers(3, 7), st.integers(0, 9), max_size=5),
+    q=st.sampled_from((sk.Q, 1, 7)),
+    smooth_point=st.booleans(),
+)
+def test_second_contraction_matches_fraction_reference(e, qhat, s, q, smooth_point):
+    got = sk.second_contraction(e, qhat, s, q=q, smooth_point=smooth_point)
+    assert got == reference_second_contraction(e, qhat, s, q=q, smooth_point=smooth_point)
+    assert all(type(g) is int for sol in got for _, g in sol.gammas)
+
+
+@pytest.mark.parametrize("name", list(sk.CASES))
+def test_verify_equation_rejects_a_corrupted_split(transcripts, name):
+    """One split off by s +- 1 or beta +- 1/r fails the exact re-check."""
+    cand = transcripts[name].bare[0]
+    assert sk.verify_equation(cand)
+    step = Fraction(1, sk.CASES[name].r or 1)
+    for k, splits in cand.splits.items():
+        for i, sp in enumerate(splits):
+            for bad in (
+                sk.Split(sp.s + 1, sp.beta),
+                sk.Split(sp.s - 1, sp.beta),
+                sk.Split(sp.s, sp.beta + step),
+                sk.Split(sp.s, sp.beta - step),
+            ):
+                corrupted = {**cand.splits, k: splits[:i] + (bad,) + splits[i + 1 :]}
+                assert not sk.verify_equation(dataclasses.replace(cand, splits=corrupted))

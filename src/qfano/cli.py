@@ -131,27 +131,29 @@ def cmd_analyze(args) -> int:
     if args.json:
         print(json.dumps(_analysis_json(report, poly_block), indent=2))
     else:
-        print(f"weights: {','.join(str(w) for w in report.shape.weights)}")
-        print(f"degree: {report.shape.degree}")
-        print(f"fano index: {report.fano_index}")
-        print(f"A^3: {_frac(report.a3)}")
+        lines = [
+            f"weights: {','.join(str(w) for w in report.shape.weights)}",
+            f"degree: {report.shape.degree}",
+            f"fano index: {report.fano_index}",
+            f"A^3: {_frac(report.a3)}",
+        ]
         if report.basket is not None:
             entries = " ".join(
                 f"{point}x{count}" if count > 1 else str(point)
                 for point, count in report.basket.entries
             )
-            print(f"basket: {entries}")
-            print(f"basket indices: {','.join(str(r) for r in report.basket.indices())}")
-        print(f"genus: {report.genus}")
+            lines.append(f"basket: {entries}")
+            lines.append(f"basket indices: {','.join(str(r) for r in report.basket.indices())}")
+        lines.append(f"genus: {report.genus}")
         coeffs = report.hilbert.integer_coefficients()
-        print(f"hilbert: {' '.join(str(c) for c in coeffs)}")
+        lines.append(f"hilbert: {' '.join(str(c) for c in coeffs)}")
         if poly_block is not None:
             corner = " ".join(f"w={w}:{'ok' if ok else 'FAIL'}" for w, ok in poly_block["corner"].items())
-            print(f"poly corners: {corner}")
+            lines.append(f"poly corners: {corner}")
             for edge, info in poly_block["edges"].items():
-                print(f"poly edge ({edge}): {info}")
-        for w in report.warnings:
-            print(f"warning: {w}")
+                lines.append(f"poly edge ({edge}): {info}")
+        lines += [f"warning: {w}" for w in report.warnings]
+        print("\n".join(lines))
     return 0
 
 
@@ -247,20 +249,19 @@ def cmd_normalize(args) -> int:
     text = _read_file(args.input)
     poly = normal_form.parse(text)
     result = normal_form.normalize(poly)
+    payload = {
+        "class": result.form,
+        "lambda": _frac(result.lam),
+        "substitutions": list(result.steps),
+        "final": normal_form.poly_text(result.final),
+    }
     if args.json:
-        payload = {
-            "class": result.form,
-            "lambda": _frac(result.lam),
-            "substitutions": list(result.steps),
-            "final": normal_form.poly_text(result.final),
-        }
         print(json.dumps(payload, indent=2))
     else:
-        print(f"class: {result.form}")
-        print(f"lambda: {_frac(result.lam)}")
-        for step in result.steps:
-            print(f"substitution: {step}")
-        print(f"final: {normal_form.poly_text(result.final)}")
+        lines = [f"class: {payload['class']}", f"lambda: {payload['lambda']}"]
+        lines += [f"substitution: {step}" for step in result.steps]
+        lines.append(f"final: {payload['final']}")
+        print("\n".join(lines))
     return 0
 
 
@@ -402,6 +403,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # An exact answer is printed in full however many digits it has; input
+    # literals are bounded by the parser (normal_form.MAX_LITERAL_DIGITS).
+    # Interpreters before 3.10.7 have no int/str digit limit to lift.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -414,6 +421,9 @@ def main(argv: list[str] | None = None) -> int:
         # shape or polynomial violates a documented precondition
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

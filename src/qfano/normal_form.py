@@ -11,6 +11,9 @@ text grammar names each variable by its weight in the standard system
     var    := 'x' nat
     coeff  := nat | nat '/' nat
 
+A number literal has at most MAX_LITERAL_DIGITS digits. Results are not
+bounded: a normal form may have far longer coefficients than its input.
+
 The normalization pipeline reduces any quasi-homogeneous degree-12
 polynomial whose x5*x7, x4^3 and x6^2 coefficients are nonzero to support
 inside {x5*x7, x4^3, x6^2, x3^4}: rational rescalings first, then the
@@ -18,6 +21,16 @@ shift x7 -> x7 - c*x3*x4 kills x3*x4*x5, then completing the square in x6
 kills x3^2*x6. The class is A when the leftover x3^4 coefficient lambda is
 nonzero and B when it vanishes; making lambda exactly 1 would need a
 4th root, so only rational scalings are performed and lambda is reported.
+
+``substitute`` expands on plain ints over one denominator. The polynomial
+is written as integer numerators over D_poly, the lcm of its coefficient
+denominators, and each moved variable's replacement R_i = c_i*x_i + g_i as
+numerators over D_i. Only the variables the rules move are expanded; the
+others keep their exponents. The powers (D_i*R_i)^k for k up to top_i, the
+largest exponent of x_i in the polynomial, are built once per call. A term
+with exponent a_i is scaled by the product of D_i^(top_i - a_i), so every
+expanded term lies over D = D_poly * prod D_i^top_i, and one Fraction(v, D)
+is built per output term. ``invert`` expands through ``substitute`` too.
 """
 
 from __future__ import annotations
@@ -25,12 +38,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import NamedTuple
 
 from . import wps
 from .series import PowerSeries
 
 STANDARD_WEIGHTS = (3, 4, 5, 6, 7)
+MAX_LITERAL_DIGITS = 4300  # CPython's default int/str conversion limit
 
 
 class ParseError(ValueError):
@@ -152,6 +167,11 @@ class _Tokenizer:
             self.pos += 1
         if self.pos == start:
             raise ParseError(f"expected a number at position {start}")
+        if self.pos - start > MAX_LITERAL_DIGITS:
+            raise ParseError(
+                f"number of {self.pos - start} digits at position {start} "
+                f"exceeds {MAX_LITERAL_DIGITS} digits"
+            )
         return int(self.text[start : self.pos])
 
     def expect(self, ch: str) -> None:
@@ -239,34 +259,12 @@ def is_quasihomogeneous(poly: WeightedPolynomial, d: int) -> bool:
     return all(poly.degree_of(exp) == d for exp in poly.terms)
 
 
-def _add(a: Coeffs, b: Coeffs) -> Coeffs:
-    out = dict(a)
-    for exp, c in b.items():
-        total = out.get(exp, Fraction(0)) + c
-        if total == 0:
-            out.pop(exp, None)
-        else:
-            out[exp] = total
-    return out
-
-
-def _mul(a: Coeffs, b: Coeffs) -> Coeffs:
-    out: Coeffs = {}
+def _times(a: dict[Term, int], b: dict[Term, int]) -> dict[Term, int]:
+    out: dict[Term, int] = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            exp = tuple(x + y for x, y in zip(e1, e2))
-            total = out.get(exp, Fraction(0)) + c1 * c2
-            if total == 0:
-                out.pop(exp, None)
-            else:
-                out[exp] = total
-    return out
-
-
-def _pow(a: Coeffs, n: int, nvars: int) -> Coeffs:
-    out: Coeffs = {(0,) * nvars: Fraction(1)}
-    for _ in range(n):
-        out = _mul(out, a)
+            exp = tuple(map(add, e1, e2))
+            out[exp] = out.get(exp, 0) + c1 * c2
     return out
 
 
@@ -323,73 +321,68 @@ class Substitution:
         for i in deps:
             visit(i, set())
 
-    def replacement(self, i: int) -> Coeffs:
-        n = len(self.weights)
-        unit = [0] * n
-        unit[i] = 1
-        if i not in self.rules:
-            return {tuple(unit): Fraction(1)}
-        c, g = self.rules[i]
-        return _add({tuple(unit): c}, g.terms)
-
 
 def substitute(poly: WeightedPolynomial, subst: Substitution) -> WeightedPolynomial:
-    """Exact expansion of the substitution; preserves quasi-homogeneity."""
+    """Exact expansion of the substitution over one denominator D (see above)."""
     if poly.weights != subst.weights:
         raise GradingError("polynomial and substitution weights differ")
     n = len(poly.weights)
-    replacements = {i: subst.replacement(i) for i in range(n)}
-    total: Coeffs = {}
+    zero = (0,) * n
+    den_poly = math.lcm(*(c.denominator for c in poly.terms.values()))
+    den = den_poly
+    moved = []  # (i, D_i, top_i, [(D_i*R_i)^k for k = 0..top_i])
+    for i, (c, g) in subst.rules.items():
+        top = max((exp[i] for exp in poly.terms), default=0)
+        if not top:
+            continue
+        lead = Fraction(c)
+        d_i = math.lcm(lead.denominator, *(v.denominator for v in g.terms.values()))
+        step = {zero[:i] + (1,) + zero[i + 1 :]: lead.numerator * (d_i // lead.denominator)}
+        for exp, v in g.terms.items():
+            step[exp] = v.numerator * (d_i // v.denominator)
+        powers = [{zero: 1}]
+        for _ in range(top):
+            powers.append(_times(powers[-1], step))
+        moved.append((i, d_i, top, powers))
+        den *= d_i**top
+    total: dict[Term, int] = {}
     for exp, coeff in poly.terms.items():
-        piece: Coeffs = {(0,) * n: coeff}
-        for i, a in enumerate(exp):
-            if a:
-                piece = _mul(piece, _pow(replacements[i], a, n))
-        total = _add(total, piece)
-    return WeightedPolynomial(poly.weights, total)
+        kept = list(exp)
+        value = coeff.numerator * (den_poly // coeff.denominator)
+        for i, d_i, top, _ in moved:
+            kept[i] = 0
+            value *= d_i ** (top - exp[i])
+        piece = {tuple(kept): value}
+        for i, _, _, powers in moved:
+            if exp[i]:
+                piece = _times(piece, powers[exp[i]])
+        for e, v in piece.items():
+            total[e] = total.get(e, 0) + v
+    return WeightedPolynomial(poly.weights, {e: Fraction(v, den) for e, v in total.items() if v})
 
 
 def invert(subst: Substitution) -> Substitution:
-    """Exact inverse of a triangular substitution."""
-    n = len(subst.weights)
+    """Exact inverse of a triangular substitution.
+
+    Variables are inverted in dependency order: x_i = (y_i - g_i(x)) / c_i,
+    where g_i only uses variables whose inverse is already known, so g_i in
+    the y coordinates is g_i under the partial inverse built so far.
+    """
     inverse_rules: dict[int, tuple[Fraction, WeightedPolynomial]] = {}
-    # process in dependency order: variables whose shifts only use
-    # already-inverted variables
     pending = dict(subst.rules)
-    resolved: dict[int, Coeffs] = {}
-    for i in range(n):
-        if i not in pending:
-            unit = [0] * n
-            unit[i] = 1
-            resolved[i] = {tuple(unit): Fraction(1)}
-    guard = 0
     while pending:
-        guard += 1
-        if guard > n + 1:
-            raise GradingError("substitution is not triangular")
-        for i in sorted(pending):
-            c, g = pending[i]
-            used = {j for exp in g.terms for j, a in enumerate(exp) if a > 0}
-            if not used <= set(resolved):
-                continue
-            # x_i = (y_i - g(x_others)) / c with x_others already in y-terms
-            g_in_y: Coeffs = {}
-            for exp, coeff in g.terms.items():
-                piece: Coeffs = {(0,) * n: coeff}
-                for j, a in enumerate(exp):
-                    if a:
-                        piece = _mul(piece, _pow(resolved[j], a, n))
-                g_in_y = _add(g_in_y, piece)
-            unit = [0] * n
-            unit[i] = 1
-            rule = _add({tuple(unit): Fraction(1)}, {k: -v for k, v in g_in_y.items()})
-            rule = {k: v / c for k, v in rule.items()}
-            resolved[i] = rule
-            shift = dict(rule)
-            lead = shift.pop(tuple(unit))
-            inverse_rules[i] = (lead, WeightedPolynomial(subst.weights, shift))
-            del pending[i]
-            break
+        # the first variable whose shift uses no variable still pending
+        i = next(
+            i for i in sorted(pending)
+            if not any(exp[j] for exp in pending[i][1].terms for j in pending)
+        )
+        c, g = pending.pop(i)
+        g_in_y = substitute(g, Substitution(subst.weights, dict(inverse_rules)))
+        lead = 1 / Fraction(c)
+        inverse_rules[i] = (
+            lead,
+            WeightedPolynomial(subst.weights, {e: -v * lead for e, v in g_in_y.terms.items()}),
+        )
     return Substitution(subst.weights, inverse_rules)
 
 

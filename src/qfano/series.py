@@ -11,10 +11,12 @@ cyclotomic-style products
     prod_a (1 - t^a) / prod_b (1 - t^b)
 
 to a chosen order in plain integer arithmetic: every coefficient of such a
-product is an integer, so no ``Fraction`` is built until ``expand_product``
-wraps the result in a ``PowerSeries``. With numerator {d} and denominators
-equal to the coordinate weights this is the Hilbert series of a degree-d
-hypersurface in a weighted projective space, e.g.
+product is an integer. ``PowerSeries`` keeps int coefficients as ints and
+converts only non-int ones to ``Fraction``; an int and a Fraction of equal
+value compare and hash alike, so a series built either way is the same
+series. With numerator {d} and denominators equal to the coordinate
+weights this is the Hilbert series of a degree-d hypersurface in a
+weighted projective space, e.g.
 
     (1 - t^12) / ((1-t^3)(1-t^4)(1-t^5)(1-t^6)(1-t^7))
         = 1 + t^3 + t^4 + t^5 + 2t^6 + 2t^7 + ...
@@ -56,20 +58,21 @@ class TruncationError(ValueError):
 class PowerSeries:
     """A truncated formal series sum_{m<=order} c_m t^m with exact coefficients."""
 
-    coefficients: tuple[Fraction, ...]
+    coefficients: tuple[int | Fraction, ...]
 
     def __post_init__(self) -> None:
-        if len(self.coefficients) == 0:
+        coeffs = tuple(self.coefficients)
+        if not coeffs:
             raise ValueError("a series needs at least the constant coefficient")
-        object.__setattr__(
-            self, "coefficients", tuple(Fraction(c) for c in self.coefficients)
-        )
+        if not set(map(type, coeffs)) <= {int}:
+            coeffs = tuple(c if type(c) is int else Fraction(c) for c in coeffs)
+        object.__setattr__(self, "coefficients", coeffs)
 
     @property
     def order(self) -> int:
         return len(self.coefficients) - 1
 
-    def __getitem__(self, m: int) -> Fraction:
+    def __getitem__(self, m: int) -> int | Fraction:
         if not 0 <= m <= self.order:
             raise TruncationError(
                 f"coefficient of t^{m} requested, series truncated at order {self.order}"

@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -244,6 +246,59 @@ def test_normalize_parse_error_exit_3(tmp_path, capsys):
     path.write_text("x5*x7 +")
     code, _, _ = run(capsys, "normalize", "--input", str(path))
     assert code == 3
+
+
+@contextlib.contextmanager
+def digit_limit(n):
+    """Set the interpreter's int/str digit limit to n (0: none), where it has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(n)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+def test_normalize_prints_a_huge_lambda_in_full(tmp_path, capsys, flags):
+    # completing the square in x6 leaves lambda = -c^2/36, 4,403 digits
+    c = "1" * 2200
+    path = tmp_path / "big.txt"
+    path.write_text(f"x5*x7 + x4^3 + x6^2 + 7*x3*x4*x5 + {c}/3*x3^2*x6")
+    with digit_limit(4300):
+        code, out, err = run(capsys, "normalize", "--input", str(path), *flags)
+        assert getattr(sys, "get_int_max_str_digits", lambda: 4300)() == 4300
+    assert (code, err) == (0, "")
+    with digit_limit(0):
+        square = str(int(c) ** 2)
+        shift = str(Fraction(int(c), 6))
+    expected = {
+        "class": "A",
+        "lambda": f"-{square}/36",
+        "substitutions": ["x7 -> x7 - 7*x3*x4", f"x6 -> x6 - {shift}*x3^2"],
+        "final": f"x5*x7 + x6^2 + x4^3 - {square}/36*x3^4",
+    }
+    if flags:
+        assert json.loads(out) == expected
+    else:
+        assert out.splitlines() == [
+            "class: A",
+            f"lambda: {expected['lambda']}",
+            *(f"substitution: {step}" for step in expected["substitutions"]),
+            f"final: {expected['final']}",
+        ]
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+def test_normalize_overlong_literal_is_a_parse_error(tmp_path, capsys, flags):
+    path = tmp_path / "long.txt"
+    path.write_text("x5*x7 + x4^3 + x6^2 + " + "7" * 5000 + "*x3^4")
+    code, out, err = run(capsys, "normalize", "--input", str(path), *flags)
+    assert (code, out) == (3, "")
+    assert err == "error: number of 5000 digits at position 22 exceeds 4300 digits\n"
 
 
 def test_normalize_unreadable_file_exit_2(capsys):

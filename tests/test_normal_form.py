@@ -37,6 +37,18 @@ def test_parse_errors():
         nf.parse("")
 
 
+def test_parse_bounds_literal_length():
+    longest = "7" * nf.MAX_LITERAL_DIGITS
+    assert nf.parse(f"{longest}/{longest}*x3^4").coefficient((4, 0, 0, 0, 0)) == 1
+    for text, position in (
+        ("x5*x7 + " + "7" * (nf.MAX_LITERAL_DIGITS + 1) + "*x3^4", 8),
+        ("x5*x7 + 1/" + "3" * 5000 + "*x3^4", 10),
+        ("x" + "1" * 5000, 1),
+    ):
+        with pytest.raises(nf.ParseError, match=f"digits at position {position} exceeds"):
+            nf.parse(text)
+
+
 def test_print_parse_roundtrip_fixed():
     for text in (FORM_A, FORM_B, "0", "x3^4 - 2*x6^2 + 5/3*x3^2*x6"):
         poly = nf.parse(text)
@@ -86,6 +98,125 @@ def test_substitution_roundtrip_random():
         poly = random_degree12_poly(rng)
         sub = random_substitution(rng)
         assert nf.substitute(nf.substitute(poly, sub), nf.invert(sub)) == poly
+
+
+def _add(a, b):
+    out = dict(a)
+    for exp, c in b.items():
+        total = out.get(exp, Fraction(0)) + c
+        if total == 0:
+            out.pop(exp, None)
+        else:
+            out[exp] = total
+    return out
+
+
+def _mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exp = tuple(x + y for x, y in zip(e1, e2))
+            total = out.get(exp, Fraction(0)) + c1 * c2
+            if total == 0:
+                out.pop(exp, None)
+            else:
+                out[exp] = total
+    return out
+
+
+def _pow(a, n, nvars):
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(n):
+        out = _mul(out, a)
+    return out
+
+
+def reference_substitute(poly, subst):
+    """The Fraction expansion substitute replaced, kept as its oracle."""
+    n = len(poly.weights)
+    replacements = {}
+    for i in range(n):
+        unit = tuple(int(k == i) for k in range(n))
+        c, g = subst.rules.get(i, (Fraction(1), nf.WeightedPolynomial(poly.weights)))
+        replacements[i] = _add({unit: Fraction(c)}, g.terms)
+    total = {}
+    for exp, coeff in poly.terms.items():
+        piece = {(0,) * n: coeff}
+        for i, a in enumerate(exp):
+            if a:
+                piece = _mul(piece, _pow(replacements[i], a, n))
+        total = _add(total, piece)
+    return nf.WeightedPolynomial(poly.weights, total)
+
+
+# Weight systems with chains of graded shifts (x2 -> x2 + x1^2, x3 -> x3 +
+# x1*x2, ...), repeated weights, and the standard system.
+SUBSTITUTION_WEIGHTS = (WS, (1, 2, 3, 4, 5), (1, 1, 2, 3), (2, 3, 4, 6, 9), (1, 2, 2, 5))
+
+coefficients = st.builds(
+    Fraction,
+    st.integers(-(10**6), 10**6),
+    st.one_of(st.integers(1, 12), st.integers(1, 10**40)),
+)
+
+
+@st.composite
+def polys_and_substitutions(draw):
+    """A graded polynomial and a triangular substitution, shifts chained.
+
+    Variables are shifted in a drawn order; each shift may use any variable
+    earlier in that order, itself shifted or not.
+    """
+    weights = draw(st.sampled_from(SUBSTITUTION_WEIGHTS))
+    monos = wps.monomials(weights, draw(st.integers(0, 14)))
+    terms = {}
+    for exp in draw(st.lists(st.sampled_from(monos))) if monos else ():
+        terms[exp] = terms.get(exp, 0) + draw(coefficients)
+    order = draw(st.permutations(range(len(weights))))
+    rules = {}
+    for k, i in enumerate(order):
+        if draw(st.booleans()):
+            earlier = set(order[:k])
+            shifts = [
+                e for e in wps.monomials(weights, weights[i])
+                if all(j in earlier for j, a in enumerate(e) if a)
+            ]
+            chosen = draw(st.lists(st.sampled_from(shifts))) if shifts else ()
+            shift = {e: draw(coefficients) for e in chosen}
+            rules[i] = (draw(coefficients.filter(bool)), nf.WeightedPolynomial(weights, shift))
+    return nf.WeightedPolynomial(weights, terms), nf.Substitution(weights, rules)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys_and_substitutions())
+def test_substitute_matches_fraction_reference(case):
+    poly, sub = case
+    image = nf.substitute(poly, sub)
+    assert image == reference_substitute(poly, sub)
+    assert all(type(c) is Fraction for c in image.terms.values())
+    # the preimage under the inverse cancels back to poly term by term
+    preimage = reference_substitute(poly, nf.invert(sub))
+    assert nf.substitute(preimage, sub) == poly
+    assert nf.substitute(image, nf.invert(sub)) == poly
+
+
+def test_substitute_chained_shifts_and_cancellation():
+    ws = (1, 2, 3, 4, 5)
+    # x2 -> x2 - 10^-30*x1^2, x3 -> x3 + 5*x1*x2 (x2 itself shifted),
+    # x5 -> x5 - 2/9*x2*x3 (both shifted), x1 -> 3/7*x1
+    sub = nf.Substitution(ws, {
+        0: (Fraction(3, 7), nf.WeightedPolynomial(ws)),
+        1: (Fraction(1), nf.WeightedPolynomial(ws, {(2, 0, 0, 0, 0): Fraction(-1, 10**30)})),
+        2: (Fraction(1), nf.WeightedPolynomial(ws, {(1, 1, 0, 0, 0): Fraction(5)})),
+        4: (Fraction(1), nf.WeightedPolynomial(ws, {(0, 1, 1, 0, 0): Fraction(-2, 9)})),
+    })
+    poly = nf.WeightedPolynomial(ws, {
+        (0, 1, 1, 0, 0): Fraction(2, 9), (0, 0, 0, 0, 1): Fraction(1), (1, 0, 0, 1, 0): Fraction(4),
+    })
+    image = nf.substitute(poly, sub)
+    assert image == reference_substitute(poly, sub)
+    assert (0, 1, 1, 0, 0) not in image.terms  # cancels against the x5 shift
+    assert nf.substitute(nf.WeightedPolynomial(ws), sub).is_zero()
 
 
 def test_corner_check():

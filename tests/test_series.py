@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfano import fixtures, riemann_roch, wps
 from qfano.series import (
     PowerSeries,
     ProductSpec,
@@ -97,6 +98,37 @@ def test_power_series_validation():
         expand_product(X12_SPEC, 3)[4]
     with pytest.raises(ValueError):
         PowerSeries((Fraction(1, 2),)).integer_coefficients()
+
+
+def test_hilbert_and_riemann_roch_coefficients_are_ints():
+    for f in fixtures.FIXTURES:
+        data = riemann_roch.calibrated_data(f.shape)
+        for series in (wps.hilbert(f.shape, 60), riemann_roch.hilbert_rr(data, 60)):
+            assert {type(c) for c in series.coefficients} == {int}
+            assert {type(c) for c in series.truncate(10).coefficients} == {int}
+
+
+def test_non_int_coefficients_become_exact_fractions():
+    series = PowerSeries((1, Fraction(-7, 3), 2.5, Fraction(4)))
+    assert series.coefficients == (1, Fraction(-7, 3), Fraction(5, 2), 4)
+    assert [type(c) for c in series.coefficients] == [int, Fraction, Fraction, Fraction]
+    with pytest.raises(ValueError, match=r"t\^1 is -7/3"):
+        series.integer_coefficients()
+    assert PowerSeries((Fraction(6, 2), 0)).integer_coefficients() == (3, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=40), st.data())
+def test_int_and_fraction_built_series_agree(coeffs, data):
+    ints = PowerSeries(tuple(coeffs))
+    fractions = PowerSeries(tuple(Fraction(c) for c in coeffs))
+    assert {type(c) for c in ints.coefficients} == {int}
+    assert {type(c) for c in fractions.coefficients} == {Fraction}
+    assert ints == fractions and hash(ints) == hash(fractions)
+    order = data.draw(st.integers(0, ints.order))
+    assert ints.truncate(order) == fractions.truncate(order)
+    assert series_equal_upto(ints, fractions, ints.order) == (True, None)
+    assert ints.integer_coefficients() == fractions.integer_coefficients() == tuple(coeffs)
 
 
 def test_product_spec_validation():

@@ -4,7 +4,7 @@ Submodules:
 
 * ``series``       exact rationals, truncated power series, product expansion
 * ``wps``          weighted projective spaces and quasi-smooth hypersurfaces
-* ``riemann_roch`` orbifold Riemann-Roch with oracle-calibrated conventions
+* ``riemann_roch`` orbifold Riemann-Roch, its convention checked by a series
 * ``sarkisov``     Sarkisov-link Diophantine case analysis and transcripts
 * ``normal_form``  weighted polynomial algebra and the degree-12 normal form
 * ``fixtures``     the embedded shape corpus with expected invariants

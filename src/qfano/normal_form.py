@@ -573,6 +573,18 @@ def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return a
 
 
+def _minus_derivative(quotient: list[Fraction], c: list[Fraction]) -> list[Fraction]:
+    """quotient - c', the next d of Yun's decomposition."""
+    cp = [i * x for i, x in enumerate(c)][1:]
+    return _poly_normalize(
+        [
+            (quotient[i] if i < len(quotient) else Fraction(0))
+            - (cp[i] if i < len(cp) else Fraction(0))
+            for i in range(max(len(quotient), len(cp)))
+        ]
+    )
+
+
 def _squarefree_multiplicities(h: list[Fraction]) -> list[tuple[int, int]]:
     """Yun decomposition: list of (degree of squarefree factor, multiplicity)."""
     h = _poly_normalize(list(h))
@@ -584,32 +596,14 @@ def _squarefree_multiplicities(h: list[Fraction]) -> list[tuple[int, int]]:
         return [(len(h) - 1, 1)]
     out: list[tuple[int, int]] = []
     c, _ = _poly_divmod(h, g)
-    d_, _ = _poly_divmod(deriv, g)
-    # d = deriv/g - c'
-    cp = _poly_normalize([i * x for i, x in enumerate(c)][1:])
-    d = _poly_normalize(
-        [
-            (d_[i] if i < len(d_) else Fraction(0)) - (cp[i] if i < len(cp) else Fraction(0))
-            for i in range(max(len(d_), len(cp)))
-        ]
-    )
+    d = _minus_derivative(_poly_divmod(deriv, g)[0], c)
     mult = 1
     while len(c) > 1:
         a = _poly_gcd(c, d)
         if len(a) > 1:
             out.append((len(a) - 1, mult))
         c, _ = _poly_divmod(c, a)
-        quot, _ = _poly_divmod(d, a)
-        ap = _poly_normalize([i * x for i, x in enumerate(a)][1:])
-        # next d = d/a - c'
-        cp = _poly_normalize([i * x for i, x in enumerate(c)][1:])
-        d = _poly_normalize(
-            [
-                (quot[i] if i < len(quot) else Fraction(0))
-                - (cp[i] if i < len(cp) else Fraction(0))
-                for i in range(max(len(quot), len(cp)))
-            ]
-        )
+        d = _minus_derivative(_poly_divmod(d, a)[0], c)
         mult += 1
     return out
 

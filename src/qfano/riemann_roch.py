@@ -33,10 +33,10 @@ The correction is symmetric in b <-> r-b, so the type parameter can be fed
 in either orientation; the local weight wA of the class A is what carries
 orientation. Since qA = -K, the class of A against the canonical-class
 trivialization is determined up to one global sign: wA = (+-q)^{-1} mod r.
-That sign is the classic bug source, so this module never guesses it:
-``calibrate`` searches the finite flip set and keeps the unique assignment
-whose series matches a closed-form oracle (the resolved convention comes
-out as q * wA = -1 mod r at every point, see ``orientation_sign``).
+That sign is the classic bug source. The convention is q * wA = -1 mod r
+at every point (``orientation_sign`` is -1); ``rr_candidates`` is the one
+place that builds it, and ``calibrate`` confirms it instead of trusting it:
+the Riemann-Roch series of the data must equal a closed-form oracle.
 
 Higher cohomology of mA is assumed to vanish for m >= 0, so Hilbert series
 coefficients are identified with chi(mA); that assumption is not verified
@@ -45,7 +45,6 @@ here.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,7 +60,7 @@ class ConventionError(ValueError):
 
 
 class CalibrationError(ValueError):
-    """No assignment, or more than one inequivalent assignment, fits the oracle."""
+    """The Riemann-Roch series of the data is not integral or misses the oracle."""
 
 
 class InconsistentSeries(ValueError):
@@ -128,7 +127,6 @@ class FanoData:
     q: int
     a3: Fraction
     entries: tuple[RRBasketEntry, ...]
-    chi0: int = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a3", Fraction(self.a3))
@@ -145,7 +143,7 @@ def a_c2(data: FanoData) -> Fraction:
     total = sum(
         (Fraction(e.r) - Fraction(1, e.r) for e in data.entries), Fraction(0)
     )
-    return (24 * data.chi0 - total) / data.q
+    return (24 - total) / data.q
 
 
 def local_c(r: int, b: int, i: int) -> Fraction:
@@ -167,7 +165,6 @@ def _integer_chi(data: FanoData):
     den = math.lcm(
         12 * a3.denominator, 12 * ac2.denominator, *(12 * e.r for e in data.entries)
     )
-    constant = den * data.chi0
     cubic = den // (12 * a3.denominator) * a3.numerator
     linear = den // (12 * ac2.denominator) * ac2.numerator
     points = []
@@ -182,7 +179,7 @@ def _integer_chi(data: FanoData):
         points.append((r, e.wa, table))
 
     def evaluate(m: int) -> int:
-        total = constant + cubic * m * (m + q) * (2 * m + q) + linear * m
+        total = den + cubic * m * (m + q) * (2 * m + q) + linear * m
         for r, wa, table in points:
             total += table[(m * wa) % r]
         value, rest = divmod(total, den)
@@ -209,60 +206,25 @@ def hilbert_rr(data: FanoData, order: int = DEFAULT_ORDER) -> PowerSeries:
     return PowerSeries(tuple(evaluate(m) for m in range(order + 1)))
 
 
-def _canonical_entry(r: int, b: int, wa: int) -> tuple[int, int, int]:
-    # the correction formula is symmetric in b <-> r-b; store b = min(b, r-b)
-    return (r, min(b % r, (r - b) % r), wa % r)
+def calibrate(q: int, a3: Fraction, candidates, oracle: PowerSeries) -> FanoData:
+    """Build the Riemann-Roch data and confirm it against a closed-form series.
 
-
-def calibrate(
-    q: int,
-    a3: Fraction,
-    candidates,
-    oracle: PowerSeries,
-    order: int | None = None,
-) -> FanoData:
-    """Resolve per-entry orientation against a closed-form Hilbert series.
-
-    ``candidates`` is a sequence of (r, b, wA) triples whose orientation is
-    unresolved. The search runs over the flips b <-> r-b and wA <-> r-wA
-    per entry; b <-> r-b changes nothing (the correction is symmetric in
-    it) and is identified away, so the real unknowns are the wA signs.
-    Exactly one inequivalent assignment must make the Riemann-Roch series
-    match the oracle.
+    ``candidates`` are (r, b, wA) triples with wA already oriented, as
+    ``rr_candidates`` returns them. Entries are stored with b = min(b, r-b)
+    (the correction is symmetric in b <-> r-b) and sorted. The series of
+    the data must equal ``oracle`` through its order; a mismatch or a
+    non-integral chi(mA) raises CalibrationError.
     """
-    if order is None:
-        order = oracle.order
-    options: list[tuple[tuple[int, int, int], ...]] = []
-    for r, b, wa in candidates:
-        combos = {
-            _canonical_entry(r, b, ww) for ww in {wa % r, (r - wa) % r}
-        }
-        options.append(tuple(sorted(combos)))
-
-    matches: dict[tuple[tuple[int, int, int], ...], FanoData] = {}
-    for assignment in itertools.product(*options):
-        key = tuple(sorted(assignment))
-        if key in matches:
-            continue
-        try:
-            data = FanoData(
-                q=q,
-                a3=a3,
-                entries=tuple(RRBasketEntry(r, b, wa) for r, b, wa in key),
-            )
-            series = hilbert_rr(data, order)
-        except ConventionError:
-            continue
-        equal, _ = series_equal_upto(series, oracle, order)
-        if equal:
-            matches[key] = data
-    if not matches:
-        raise CalibrationError("no orientation assignment matches the oracle series")
-    if len(matches) > 1:
-        raise CalibrationError(
-            f"{len(matches)} inequivalent assignments match the oracle series"
-        )
-    return next(iter(matches.values()))
+    entries = sorted((r, min(b % r, -b % r), wa % r) for r, b, wa in candidates)
+    try:
+        data = FanoData(q, a3, tuple(RRBasketEntry(*e) for e in entries))
+        series = hilbert_rr(data, oracle.order)
+    except ConventionError as exc:
+        raise CalibrationError(f"Riemann-Roch data rejected: {exc}") from exc
+    equal, m = series_equal_upto(series, oracle, oracle.order)
+    if not equal:
+        raise CalibrationError(f"Riemann-Roch series differs from the oracle at t^{m}")
+    return data
 
 
 def rr_candidates(
@@ -270,9 +232,8 @@ def rr_candidates(
 ) -> tuple[int, Fraction, tuple[tuple[int, int, int], ...]]:
     """(q, A^3, per-point (r, b, wA) triples) read off a shape's basket.
 
-    The wA candidate is q^{-1} mod r, the residue of A against the
-    canonical-class trivialization up to the global sign that calibrate
-    resolves.
+    wA = -q^{-1} mod r is the residue of A against the canonical-class
+    trivialization (module doc); ``calibrate`` checks it against the series.
     """
     q = wps.fano_index(shape)
     a3 = wps.degree_a3(shape)
@@ -282,7 +243,7 @@ def rr_candidates(
             raise ConventionError(
                 f"index q={q} not invertible mod the local index {p.r}"
             )
-        triples.append((p.r, p.b, pow(q, -1, p.r)))
+        triples.append((p.r, p.b, pow(-q, -1, p.r)))
     return q, a3, tuple(triples)
 
 
@@ -290,7 +251,7 @@ def calibrated_data(shape: wps.HypersurfaceShape, order: int = 24) -> FanoData:
     """Calibrate a shape's Riemann-Roch data against its closed-form series."""
     q, a3, triples = rr_candidates(shape)
     oracle = wps.hilbert(shape, order)
-    return calibrate(q, a3, triples, oracle, order)
+    return calibrate(q, a3, triples, oracle)
 
 
 def infer_generators(series: PowerSeries) -> tuple[tuple[int, ...], int | None]:

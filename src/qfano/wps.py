@@ -399,30 +399,6 @@ def edge_singularities(
     return int(count_frac), _quotient(m, tuple(ws[k] for k in range(len(ws)) if k not in (i, j)))
 
 
-def monomial_base_locus(weights, d: int) -> tuple[tuple[int, ...], ...]:
-    """Maximal coordinate strata in the common zero locus of all degree-d monomials.
-
-    Each stratum is the sorted tuple of vanishing variable positions; a
-    stratum S is in the base locus iff every degree-d monomial uses some
-    variable from S. Minimal such S are returned (the full variable set,
-    which cuts the empty stratum, is excluded).
-    """
-    ws = tuple(int(w) for w in weights)
-    supports = [frozenset(k for k, a in enumerate(vec) if a > 0) for vec in monomials(ws, d)]
-    if not supports:
-        raise ValueError(f"no monomials of degree {d} in weights {ws}")
-    n = len(ws)
-    hitting: list[tuple[int, ...]] = []
-    for size in range(1, n):
-        for combo in itertools.combinations(range(n), size):
-            s = set(combo)
-            if any(set(prev) <= s for prev in hitting):
-                continue
-            if all(s & supp for supp in supports):
-                hitting.append(combo)
-    return tuple(sorted(hitting))
-
-
 @dataclass(frozen=True)
 class StratumVerdict:
     """One vertex or edge of the analysis with its status."""

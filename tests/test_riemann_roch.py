@@ -1,5 +1,6 @@
 """Riemann-Roch evaluation against the closed-form series oracles."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from qfano import riemann_roch as rr
 from qfano import wps
-from qfano.series import PowerSeries, ProductSpec, expand_product
+from qfano.series import PowerSeries, ProductSpec, expand_product, series_equal_upto
 
 X12 = wps.HypersurfaceShape((3, 4, 5, 6, 7), 12)
 
@@ -117,7 +118,7 @@ def reference_chi(data, m):
     """chi(mA) summed in Fraction arithmetic straight from the stated formula."""
     q = data.q
     total = (
-        Fraction(data.chi0)
+        Fraction(1)
         + Fraction(m * (m + q) * (2 * m + q), 12) * data.a3
         + Fraction(m, 12) * rr.a_c2(data)
     )
@@ -191,6 +192,143 @@ def test_calibrate_unique_and_trivial():
     with pytest.raises(rr.CalibrationError):
         # wrong A^3 cannot match any assignment
         rr.calibrate(4, Fraction(2), (), oracle)
+
+
+def _canonical_entry(r: int, b: int, wa: int) -> tuple[int, int, int]:
+    # the correction formula is symmetric in b <-> r-b; store b = min(b, r-b)
+    return (r, min(b % r, (r - b) % r), wa % r)
+
+
+def reference_calibrate(
+    q: int,
+    a3: Fraction,
+    candidates,
+    oracle: PowerSeries,
+    order: int | None = None,
+) -> rr.FanoData:
+    """Resolve per-entry orientation against a closed-form Hilbert series.
+
+    ``candidates`` is a sequence of (r, b, wA) triples whose orientation is
+    unresolved. The search runs over the flips b <-> r-b and wA <-> r-wA
+    per entry; b <-> r-b changes nothing (the correction is symmetric in
+    it) and is identified away, so the real unknowns are the wA signs.
+    Exactly one inequivalent assignment must make the Riemann-Roch series
+    match the oracle.
+    """
+    if order is None:
+        order = oracle.order
+    options: list[tuple[tuple[int, int, int], ...]] = []
+    for r, b, wa in candidates:
+        combos = {
+            _canonical_entry(r, b, ww) for ww in {wa % r, (r - wa) % r}
+        }
+        options.append(tuple(sorted(combos)))
+
+    matches: dict[tuple[tuple[int, int, int], ...], rr.FanoData] = {}
+    for assignment in itertools.product(*options):
+        key = tuple(sorted(assignment))
+        if key in matches:
+            continue
+        try:
+            data = rr.FanoData(
+                q=q,
+                a3=a3,
+                entries=tuple(rr.RRBasketEntry(r, b, wa) for r, b, wa in key),
+            )
+            series = rr.hilbert_rr(data, order)
+        except rr.ConventionError:
+            continue
+        equal, _ = series_equal_upto(series, oracle, order)
+        if equal:
+            matches[key] = data
+    if not matches:
+        raise rr.CalibrationError("no orientation assignment matches the oracle series")
+    if len(matches) > 1:
+        raise rr.CalibrationError(
+            f"{len(matches)} inequivalent assignments match the oracle series"
+        )
+    return next(iter(matches.values()))
+
+
+def clean_shapes(max_weight: int) -> list[wps.HypersurfaceShape]:
+    """Spaces and hypersurfaces of every allowed index, weights <= max_weight,
+    that are well formed and analyze to a basket with no warning."""
+    shapes = []
+    for n in (4, 5):
+        for weights in itertools.combinations_with_replacement(range(1, max_weight + 1), n):
+            for q in rr.ALLOWED_FANO_INDICES:
+                d = sum(weights) - q
+                if d < 0 or (n == 4) != (d == 0):
+                    continue
+                # a vertex without a degree-d monomial x_i^a or x_i^a x_j is a
+                # warning anyway; skipping it here keeps the test fast
+                if d and any(
+                    d % w and not any(d - v >= w and (d - v) % w == 0 for v in weights[:i] + weights[i + 1:])
+                    for i, w in enumerate(weights)
+                ):
+                    continue
+                try:
+                    shape = wps.HypersurfaceShape(weights, d)
+                except ValueError:
+                    continue
+                if not wps.well_formed(weights):
+                    continue
+                report = wps.analyze(shape)
+                if report.basket is not None and not report.warnings:
+                    shapes.append(shape)
+    return shapes
+
+
+def test_flip_search_finds_exactly_the_calibrated_data():
+    # the flip search raises unless exactly one assignment matches; feeding it
+    # either orientation of the candidates must land on calibrated_data
+    corpus = clean_shapes(10)
+    assert len(corpus) == 105
+    for shape in list(FIXTURE_SHAPES.values()) + corpus:
+        q, a3, triples = rr.rr_candidates(shape)
+        oracle = wps.hilbert(shape, 24)
+        data = rr.calibrated_data(shape, 24)
+        flipped = tuple((r, b, -wa % r) for r, b, wa in triples)
+        for fed in (triples, flipped):
+            assert reference_calibrate(q, a3, fed, oracle) == data, shape
+
+
+@pytest.mark.parametrize(
+    "name,expected",
+    [
+        ("X12", [(2, 1, 1), (3, 1, 2), (3, 1, 2), (5, 2, 3), (7, 2, 1)]),
+        ("P(3,4,5,7)", [(3, 1, 2), (4, 1, 1), (5, 2, 1), (7, 3, 4)]),
+        ("P(2,3,5,7)", [(2, 1, 1), (3, 1, 1), (5, 1, 2), (7, 2, 2)]),
+        ("P(1,3,4,5)", [(3, 1, 2), (4, 1, 3), (5, 2, 3)]),
+        ("P(1,2,3,5)", [(2, 1, 1), (3, 1, 1), (5, 2, 4)]),
+        ("P(1,1,2,3)", [(2, 1, 1), (3, 1, 2)]),
+    ],
+)
+def test_calibrated_entries_pinned(calibrated, name, expected):
+    assert [(e.r, e.b, e.wa) for e in calibrated[name].entries] == expected
+
+
+def test_calibrate_rejects_wrong_data():
+    q, a3, triples = rr.rr_candidates(X12)
+    oracle = wps.hilbert(X12, 24)
+    # m(m+q)(2m+q) is divisible by 6, so A^3 + 2 keeps chi(mA) integral:
+    # a plain series mismatch
+    with pytest.raises(rr.CalibrationError) as raised:
+        rr.calibrate(q, a3 + 2, triples, oracle)
+    assert raised.value.__cause__ is None
+    # X12's basket against P(1,3,4,5)'s series (same index q = 13)
+    with pytest.raises(rr.CalibrationError) as raised:
+        rr.calibrate(q, a3, triples, wps.hilbert(FIXTURE_SHAPES["P(1,3,4,5)"], 24))
+    assert raised.value.__cause__ is None
+    # a non-integral chi(mA) surfaces as CalibrationError, not ConventionError
+    for bad_a3, bad_triples in (
+        (2 * a3, triples),
+        (a3, tuple((r, b, -wa % r) for r, b, wa in triples)),
+    ):
+        with pytest.raises(rr.CalibrationError) as raised:
+            rr.calibrate(q, bad_a3, bad_triples, oracle)
+        assert not isinstance(raised.value, rr.ConventionError)
+        assert isinstance(raised.value.__cause__, rr.ConventionError)
 
 
 def test_calibrate_resolves_wa_signs():

@@ -302,18 +302,6 @@ def test_vertex_type_independent_of_eliminator():
     assert qt is not None and qt.b == choices.pop()
 
 
-@pytest.mark.parametrize(
-    "weights,d,expected",
-    [
-        ((1, 1, 2, 3), 1, ((0, 1),)),
-        ((2, 3, 5, 7), 4, ((0,),)),
-        ((1, 1, 1, 1), 2, ()),
-    ],
-)
-def test_monomial_base_locus(weights, d, expected):
-    assert wps.monomial_base_locus(weights, d) == expected
-
-
 def test_index_degree_consistency():
     for shape in FIXTURE_SHAPES:
         q = wps.fano_index(shape)

@@ -15,10 +15,7 @@ def main() -> int:
         report = wps.analyze(f.shape)
         data = riemann_roch.calibrated_data(f.shape, order=24)
         sign = riemann_roch.orientation_sign(data.q, data.entries)
-        basket = " ".join(
-            f"{point}x{count}" if count > 1 else str(point)
-            for point, count in (report.basket.entries if report.basket else ())
-        )
+        basket = str(report.basket) if report.basket else ""
         print(f"{f.name}: q={report.fano_index} A^3={report.a3} genus={report.genus}")
         print(f"  basket: {basket}")
         print(f"  A.c2 = {riemann_roch.a_c2(data)}, orientation sign = {sign}")

@@ -3,18 +3,22 @@ normal forms, and the fixture self-test.
 
 Exit codes are stable: 0 success, 1 verification mismatch, 2 usage error,
 3 domain precondition failure. Rational values serialize as "p/q" strings,
-never floats.
+never floats. Each command returns its whole answer (JSON record, text,
+exit code) and ``main`` writes it to stdout once, after it is built. A
+reader that closes the pipe early gets no traceback and no stderr, and the
+exit code stays the command's own.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import difflib
+import itertools
 import json
+import os
 import sys
-from fractions import Fraction
 from importlib import resources
+from typing import NamedTuple
 
 from . import fixtures, normal_form, riemann_roch, sarkisov, wps
 from .series import DEFAULT_ORDER
@@ -54,215 +58,104 @@ def _terms(args) -> int | None:
     return args.terms
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
+class Answer(NamedTuple):
+    """A command's whole answer: its JSON record, its text and its exit code."""
+
+    record: dict | None
+    text: str
+    code: int = 0
 
 
-def cmd_hilbert(args) -> int:
+def cmd_hilbert(args) -> Answer:
     terms = _terms(args)
     shape = _shape_from_args(args)
-    series = wps.hilbert(shape, terms)
-    coeffs = series.integer_coefficients()
-    if args.json:
-        payload = {
-            "weights": list(shape.weights),
-            "degree": shape.degree,
-            "terms": terms,
-            "coefficients": list(coeffs),
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(" ".join(str(c) for c in coeffs))
-    return 0
+    coeffs = wps.hilbert(shape, terms).integer_coefficients()
+    record = {
+        "weights": list(shape.weights),
+        "degree": shape.degree,
+        "terms": terms,
+        "coefficients": list(coeffs),
+    }
+    return Answer(record, " ".join(str(c) for c in coeffs) + "\n")
 
 
-def _analysis_json(report: wps.AnalysisReport, poly_block: dict | None) -> dict:
-    payload = {
-        "weights": list(report.shape.weights),
-        "degree": report.shape.degree,
+def cmd_analyze(args) -> Answer:
+    terms = _terms(args)
+    shape = _shape_from_args(args)
+    report = wps.analyze(shape, order=terms)
+    hilbert = report.hilbert.integer_coefficients()
+    record = {
+        "weights": list(shape.weights),
+        "degree": shape.degree,
         "fano_index": report.fano_index,
-        "a3": _frac(report.a3),
+        "a3": str(report.a3),
         "basket": [
             {"r": point.r, "b": point.b, "count": count}
             for point, count in (report.basket.entries if report.basket else ())
         ],
         "genus": report.genus,
-        "hilbert": [int(c) for c in report.hilbert.coefficients],
+        "hilbert": list(hilbert),
         "warnings": list(report.warnings),
     }
-    if poly_block is not None:
-        payload["poly"] = poly_block
-    return payload
-
-
-def cmd_analyze(args) -> int:
-    terms = _terms(args)
-    shape = _shape_from_args(args)
-    report = wps.analyze(shape, order=terms)
-    warnings = list(report.warnings)
-    poly_block: dict | None = None
+    lines = [
+        f"weights: {','.join(str(w) for w in shape.weights)}",
+        f"degree: {shape.degree}",
+        f"fano index: {report.fano_index}",
+        f"A^3: {report.a3}",
+    ]
+    if report.basket is not None:
+        lines.append(f"basket: {report.basket}")
+        lines.append(f"basket indices: {','.join(str(r) for r in report.basket.indices())}")
+    lines.append(f"genus: {report.genus}")
+    lines.append(f"hilbert: {' '.join(str(c) for c in hilbert)}")
     if args.poly is not None:
-        text = _read_file(args.poly)
-        poly = normal_form.parse(text)
+        poly = normal_form.parse(_read_file(args.poly))
         if not normal_form.is_quasihomogeneous(poly, shape.degree):
             raise ValueError(f"polynomial is not quasi-homogeneous of degree {shape.degree}")
-        corners = normal_form.corner_check(poly, shape.degree)
-        for i, ok in sorted(corners.items()):
-            if not ok:
-                warnings.append(f"not quasi-smooth at vertex w={shape.weights[i]}")
+        w = shape.weights
+        corners = sorted(normal_form.corner_check(poly, shape.degree).items())
+        record["warnings"] += [f"not quasi-smooth at vertex w={w[i]}" for i, ok in corners if not ok]
         edges = {}
-        for i in range(len(shape.weights)):
-            for j in range(i + 1, len(shape.weights)):
-                try:
-                    pts = normal_form.edge_restriction_points(poly, i, j)
-                except wps.EdgeContained:
-                    edges[f"{shape.weights[i]},{shape.weights[j]}"] = "contained"
-                    continue
-                edges[f"{shape.weights[i]},{shape.weights[j]}"] = {
-                    "count": pts.count,
-                    "multiplicities": list(pts.multiplicities),
-                    "reduced": pts.reduced,
-                }
-        poly_block = {
-            "corner": {str(shape.weights[i]): ok for i, ok in sorted(corners.items())},
-            "edges": edges,
-        }
-    report = dataclasses.replace(report, warnings=tuple(warnings))
-    if args.json:
-        print(json.dumps(_analysis_json(report, poly_block), indent=2))
-    else:
-        lines = [
-            f"weights: {','.join(str(w) for w in report.shape.weights)}",
-            f"degree: {report.shape.degree}",
-            f"fano index: {report.fano_index}",
-            f"A^3: {_frac(report.a3)}",
-        ]
-        if report.basket is not None:
-            entries = " ".join(
-                f"{point}x{count}" if count > 1 else str(point)
-                for point, count in report.basket.entries
-            )
-            lines.append(f"basket: {entries}")
-            lines.append(f"basket indices: {','.join(str(r) for r in report.basket.indices())}")
-        lines.append(f"genus: {report.genus}")
-        coeffs = report.hilbert.integer_coefficients()
-        lines.append(f"hilbert: {' '.join(str(c) for c in coeffs)}")
-        if poly_block is not None:
-            corner = " ".join(f"w={w}:{'ok' if ok else 'FAIL'}" for w, ok in poly_block["corner"].items())
-            lines.append(f"poly corners: {corner}")
-            for edge, info in poly_block["edges"].items():
-                lines.append(f"poly edge ({edge}): {info}")
-        lines += [f"warning: {w}" for w in report.warnings]
-        print("\n".join(lines))
-    return 0
-
-
-def _split_json(sp: sarkisov.Split) -> dict:
-    return {"s": sp.s, "beta": _frac(sp.beta)}
-
-
-def _transcript_json(t: sarkisov.Transcript) -> dict:
-    def cand_json(c: sarkisov.LinkCandidate) -> dict:
-        return {
-            "alpha": _frac(c.alpha),
-            "qhat": c.qhat,
-            "e": c.e,
-            "birational": c.birational,
-            "extra": c.extra,
-            "splits": {
-                str(k): [_split_json(sp) for sp in sps] for k, sps in sorted(c.splits.items())
-            },
-            "admissible": {
-                str(k): [_split_json(sp) for sp in sps]
-                for k, sps in sorted(c.admissible.items())
-            },
-            "status": c.status,
-            "filter": c.filter_id,
-            "reason": c.reason,
-            "target": c.target,
-            "d": c.d,
-            "torsion_options": list(c.torsion_options),
-        }
-
-    return {
-        "case": t.case.name,
-        "center": t.case.description,
-        "k": t.case.k,
-        "alphas": [_frac(a) for a in t.case.alphas],
-        "dims": {str(k): v for k, v in sorted(sarkisov.DIMS.items())},
-        "bare": [cand_json(c) for c in t.bare],
-        "filter_log": [
-            {"candidate": ev.candidate, "filter": ev.filter_id, "verdict": ev.verdict, "detail": ev.detail}
-            for ev in t.events
-        ],
-        "final": [c.key() for c in t.final],
-        "thresholds": {key: _frac(ct) for key, ct in t.thresholds},
-        "second_contractions": {
-            key: {
-                "delta": sol.delta,
-                "b": _frac(sol.b),
-                "gammas": {str(k): _frac(g) for k, g in sol.gammas},
+        for i, j in itertools.combinations(range(len(w)), 2):
+            try:
+                pts = normal_form.edge_restriction_points(poly, i, j)
+            except wps.EdgeContained:
+                edges[f"{w[i]},{w[j]}"] = "contained"
+                continue
+            edges[f"{w[i]},{w[j]}"] = {
+                "count": pts.count,
+                "multiplicities": list(pts.multiplicities),
+                "reduced": pts.reduced,
             }
-            for key, sol in t.contractions
-        },
-        "notes": list(t.notes),
-    }
+        record["poly"] = {"corner": {str(w[i]): ok for i, ok in corners}, "edges": edges}
+        shown = " ".join(f"w={v}:{'ok' if ok else 'FAIL'}" for v, ok in record["poly"]["corner"].items())
+        lines.append(f"poly corners: {shown}")
+        lines += [f"poly edge ({edge}): {info}" for edge, info in edges.items()]
+    lines += [f"warning: {warning}" for warning in record["warnings"]]
+    return Answer(record, "\n".join(lines) + "\n")
 
 
-def cmd_link(args) -> int:
-    name = args.case.upper()
+def cmd_link(args) -> Answer:
     if args.bare:
-        case = sarkisov.CASES[name]
+        case = sarkisov.CASES[args.case.upper()]
         bare = sarkisov.enumerate_bare(case)
-        if args.json:
-            payload = {
-                "case": case.name,
-                "k": case.k,
-                "bare": [
-                    {
-                        "alpha": _frac(c.alpha),
-                        "qhat": c.qhat,
-                        "e": c.e,
-                        "extra": c.extra,
-                        "splits": [_split_json(sp) for sp in c.splits[case.k]],
-                    }
-                    for c in bare
-                ],
-            }
-            print(json.dumps(payload, indent=2))
-        else:
-            print(f"bare solutions for case {case.name} (k={case.k}):")
-            for c in bare:
-                splits = " ".join(str(sp) for sp in c.splits[case.k])
-                flag = "  [extra]" if c.extra else ""
-                print(f"  [{c.key()}] {splits}{flag}")
-        return 0
-    transcript = sarkisov.run_case(name)
-    if args.json:
-        print(json.dumps(_transcript_json(transcript), indent=2))
-    else:
-        sys.stdout.write(transcript.text())
-    return 0
+        return Answer(sarkisov.bare_record(case, bare), sarkisov.bare_text(case, bare))
+    transcript = sarkisov.run_case(args.case)
+    return Answer(transcript.record(), transcript.text())
 
 
-def cmd_normalize(args) -> int:
-    text = _read_file(args.input)
-    poly = normal_form.parse(text)
-    result = normal_form.normalize(poly)
-    payload = {
+def cmd_normalize(args) -> Answer:
+    result = normal_form.normalize(normal_form.parse(_read_file(args.input)))
+    record = {
         "class": result.form,
-        "lambda": _frac(result.lam),
+        "lambda": str(result.lam),
         "substitutions": list(result.steps),
         "final": normal_form.poly_text(result.final),
     }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        lines = [f"class: {payload['class']}", f"lambda: {payload['lambda']}"]
-        lines += [f"substitution: {step}" for step in result.steps]
-        lines.append(f"final: {payload['final']}")
-        print("\n".join(lines))
-    return 0
+    lines = [f"class: {result.form}", f"lambda: {record['lambda']}"]
+    lines += [f"substitution: {step}" for step in result.steps]
+    lines.append(f"final: {record['final']}")
+    return Answer(record, "\n".join(lines) + "\n")
 
 
 def _read_file(path: str) -> str:
@@ -277,16 +170,17 @@ def _golden_text(name: str) -> str:
     return resources.files("qfano").joinpath(f"golden/{name}.txt").read_text(encoding="utf-8")
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> Answer:
+    lines: list[str] = []
     failures = 0
 
     def report(ok: bool, label: str, detail: str = "") -> None:
         nonlocal failures
         if ok:
-            print(f"ok   {label}")
+            lines.append(f"ok   {label}")
         else:
             failures += 1
-            print(f"FAIL {label}" + (f": {detail}" if detail else ""))
+            lines.append(f"FAIL {label}" + (f": {detail}" if detail else ""))
 
     for f in fixtures.FIXTURES:
         problems = fixtures.verify(f)
@@ -340,8 +234,8 @@ def cmd_selftest(args) -> int:
     corners = normal_form.corner_check(normal_form.parse(fixtures.FORM_B), 12)
     report(corners[0] is False, "form (b) vertex w=3 flagged", str(corners))
 
-    print("selftest:", "PASS" if failures == 0 else f"{failures} failure(s)")
-    return 0 if failures == 0 else 1
+    lines.append("selftest: " + ("PASS" if failures == 0 else f"{failures} failure(s)"))
+    return Answer(None, "\n".join(lines) + "\n", 0 if failures == 0 else 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,21 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("selftest", help="verify fixtures, calibration and transcripts")
-    p.set_defaults(func=cmd_selftest)
+    p.set_defaults(func=cmd_selftest, json=False)
     return parser
-
-
-DOMAIN_ERRORS = (
-    normal_form.MissingCornerMonomial,
-    normal_form.ParseError,
-    normal_form.GradingError,
-    normal_form.SeriesExceedsFreeAlgebra,
-    wps.NotFano,
-    wps.NotQuasiSmoothAtVertex,
-    wps.EdgeContained,
-    wps.NotGeneral,
-    wps.NotTerminalIsolated,
-)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -410,13 +291,11 @@ def main(argv: list[str] | None = None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        answer = args.func(args)
+        out = json.dumps(answer.record, indent=2) + "\n" if args.json else answer.text
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
         # shape or polynomial violates a documented precondition
         print(f"error: {exc}", file=sys.stderr)
@@ -424,6 +303,14 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+    try:
+        sys.stdout.write(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early. The answer stands; point stdout at devnull
+        # so the interpreter's flush at exit cannot raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return answer.code
 
 
 if __name__ == "__main__":

@@ -211,6 +211,9 @@ class Split:
     def __str__(self) -> str:
         return f"(s={self.s}, beta={self.beta})"
 
+    def record(self) -> dict:
+        return {"s": self.s, "beta": str(self.beta)}
+
 
 @dataclass
 class LinkCandidate:
@@ -240,6 +243,28 @@ class LinkCandidate:
 
     def sort_key(self) -> tuple:
         return (self.qhat, self.e, self.alpha)
+
+    def record(self) -> dict:
+        """JSON record of the candidate; rationals are "p/q" strings."""
+
+        def by_k(splits: dict[int, tuple[Split, ...]]) -> dict:
+            return {str(k): [sp.record() for sp in sps] for k, sps in sorted(splits.items())}
+
+        return {
+            "alpha": str(self.alpha),
+            "qhat": self.qhat,
+            "e": self.e,
+            "birational": self.birational,
+            "extra": self.extra,
+            "splits": by_k(self.splits),
+            "admissible": by_k(self.admissible),
+            "status": self.status,
+            "filter": self.filter_id,
+            "reason": self.reason,
+            "target": self.target,
+            "d": self.d,
+            "torsion_options": list(self.torsion_options),
+        }
 
 
 _Equation = tuple[int, int, Fraction, int]  # (D, c, rep, m_min), see _equation
@@ -316,6 +341,27 @@ def enumerate_bare(case: CenterCase) -> list[LinkCandidate]:
         cand.extra = (cand.alpha, cand.qhat, cand.e) not in reference
     found.sort(key=LinkCandidate.sort_key)
     return found
+
+
+def bare_record(case: CenterCase, bare: list[LinkCandidate]) -> dict:
+    """``link --bare --json`` payload: each candidate record cut to alpha,
+    qhat, e, extra and its splits for the case's k."""
+
+    def cut(rec: dict) -> dict:
+        return {key: rec[key] for key in ("alpha", "qhat", "e", "extra")} | {
+            "splits": rec["splits"][str(case.k)]
+        }
+
+    return {"case": case.name, "k": case.k, "bare": [cut(c.record()) for c in bare]}
+
+
+def bare_text(case: CenterCase, bare: list[LinkCandidate]) -> str:
+    """``link --bare`` text: one line per candidate with its splits for k."""
+    lines = [f"bare solutions for case {case.name} (k={case.k}):"]
+    for c in bare:
+        splits = " ".join(str(sp) for sp in c.splits[case.k])
+        lines.append(f"  [{c.key()}] {splits}" + ("  [extra]" if c.extra else ""))
+    return "\n".join(lines) + "\n"
 
 
 def determine_sk(candidate: LinkCandidate, k: int) -> tuple[Split, ...]:
@@ -663,6 +709,28 @@ class Transcript:
             lines.append(f"note: {note}")
         lines.append("")
         return "\n".join(lines)
+
+    def record(self) -> dict:
+        """``link --json`` payload: the transcript text() renders, as a record."""
+        return {
+            "case": self.case.name,
+            "center": self.case.description,
+            "k": self.case.k,
+            "alphas": [str(a) for a in self.case.alphas],
+            "dims": {str(k): v for k, v in sorted(DIMS.items())},
+            "bare": [c.record() for c in self.bare],
+            "filter_log": [
+                {"candidate": ev.candidate, "filter": ev.filter_id, "verdict": ev.verdict, "detail": ev.detail}
+                for ev in self.events
+            ],
+            "final": [c.key() for c in self.final],
+            "thresholds": {key: str(ct) for key, ct in self.thresholds},
+            "second_contractions": {
+                key: {"delta": sol.delta, "b": str(sol.b), "gammas": {str(k): str(g) for k, g in sol.gammas}}
+                for key, sol in self.contractions
+            },
+            "notes": list(self.notes),
+        }
 
 
 def run_case(name: str) -> Transcript:

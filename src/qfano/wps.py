@@ -11,10 +11,10 @@ points 1/r(1, r-1, b).
 Monomials are counted, not listed: the number of degree-d monomials is the
 t^d coefficient of prod 1/(1 - t^w), read from the integer series kernel
 ``series.product_coefficients`` in O(n*d) steps. ``monomials`` still lists
-exponent vectors where the vectors themselves are needed (base loci) and is
-the oracle the counts are tested against. Whether a shape is empty needs no
-count at all: ``has_monomial`` decides it from least degrees per residue
-class of the smallest weight, at a cost independent of d.
+exponent vectors, but no production code reads them: it is the test oracle
+the counts are checked against. Whether a shape is empty needs no count at
+all: ``has_monomial`` decides it from least degrees per residue class of
+the smallest weight, at a cost independent of d.
 
 Conventions fixed for determinism: weights are sorted ascending on
 construction, monomials are listed in descending lexicographic order on
@@ -139,6 +139,10 @@ class Basket:
         for _, count in self.entries:
             if count < 1:
                 raise ValueError("basket multiplicities must be >= 1")
+
+    def __str__(self) -> str:
+        """Points in order, a repeated one as point x count: 1/2(1,1,1) 1/3(1,2,1)x2."""
+        return " ".join(f"{q}x{count}" if count > 1 else str(q) for q, count in self.entries)
 
     def indices(self) -> tuple[int, ...]:
         """Index multiset, e.g. (2, 3, 3, 5, 7)."""

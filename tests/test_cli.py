@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -330,3 +333,19 @@ def test_selftest_detects_golden_drift(monkeypatch, capsys):
     assert code == 1
     assert "FAIL transcript" in out
     assert "---" in out  # unified diff shown
+
+
+@pytest.mark.parametrize("argv", [("link", "--case", "p5", "--json"), ("selftest",)])
+def test_closed_pipe_keeps_the_exit_code_and_stderr_empty(argv):
+    # a reader that has already gone: every write to stdout fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qfano.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")

@@ -7,23 +7,22 @@ never floats. Each command returns its whole answer (JSON record, text,
 exit code) and ``main`` writes it to stdout once, after it is built. A
 reader that closes the pipe early gets no traceback and no stderr, and the
 exit code stays the command's own.
+
+Each command imports only the modules it uses, inside its own function and
+after its flags and files are checked: a usage error costs the interpreter
+and ``argparse``, ``hilbert`` loads ``wps`` and ``series`` alone, and only
+``selftest`` loads everything.
 """
 
 from __future__ import annotations
 
 import argparse
-import difflib
-import itertools
-import json
 import os
 import sys
-from importlib import resources
 from typing import NamedTuple
 
-from . import fixtures, normal_form, riemann_roch, sarkisov, wps
-from .series import DEFAULT_ORDER
-
-GOLDEN_CASES = tuple(name.lower() for name in sarkisov.CASES)
+# sarkisov.CASES in lower case, spelled out so that parsing imports nothing
+GOLDEN_CASES = ("ng", "p2", "p3", "p5", "p7")
 
 
 class UsageError(ValueError):
@@ -40,16 +39,17 @@ def _parse_weights(text: str, expected: int) -> tuple[int, ...]:
         raise UsageError(f"malformed weights {text!r}: {exc}") from exc
 
 
-def _shape_from_args(args) -> wps.HypersurfaceShape:
+def _shape_args(args) -> tuple[tuple[int, ...], int]:
+    """(weights, degree) of --weights/--degree or --space; degree 0 for a space."""
     if args.space is not None and args.weights is not None:
         raise UsageError("--weights and --space are mutually exclusive")
     if args.space is not None:
-        return wps.HypersurfaceShape(_parse_weights(args.space, 4), 0)
+        return _parse_weights(args.space, 4), 0
     if args.weights is None:
         raise UsageError("one of --weights or --space is required")
     if args.degree is None:
         raise UsageError("--weights requires --degree")
-    return wps.HypersurfaceShape(_parse_weights(args.weights, 5), args.degree)
+    return _parse_weights(args.weights, 5), args.degree
 
 
 def _terms(args) -> int | None:
@@ -68,7 +68,12 @@ class Answer(NamedTuple):
 
 def cmd_hilbert(args) -> Answer:
     terms = _terms(args)
-    shape = _shape_from_args(args)
+    weights, degree = _shape_args(args)
+    from . import wps
+    from .series import DEFAULT_ORDER
+
+    terms = DEFAULT_ORDER if terms is None else terms
+    shape = wps.HypersurfaceShape(weights, degree)
     coeffs = wps.hilbert(shape, terms).integer_coefficients()
     record = {
         "weights": list(shape.weights),
@@ -81,7 +86,11 @@ def cmd_hilbert(args) -> Answer:
 
 def cmd_analyze(args) -> Answer:
     terms = _terms(args)
-    shape = _shape_from_args(args)
+    weights, degree = _shape_args(args)
+    text = None if args.poly is None else _read_file(args.poly)
+    from . import wps
+
+    shape = wps.HypersurfaceShape(weights, degree)
     report = wps.analyze(shape, order=terms)
     hilbert = report.hilbert.integer_coefficients()
     record = {
@@ -108,8 +117,14 @@ def cmd_analyze(args) -> Answer:
         lines.append(f"basket indices: {','.join(str(r) for r in report.basket.indices())}")
     lines.append(f"genus: {report.genus}")
     lines.append(f"hilbert: {' '.join(str(c) for c in hilbert)}")
-    if args.poly is not None:
-        poly = normal_form.parse(_read_file(args.poly))
+    if text is not None:
+        import itertools
+
+        from . import normal_form
+
+        poly = normal_form.parse(text)
+        if poly.weights != shape.weights:
+            raise ValueError(f"polynomial weights {poly.weights} are not the shape's weights {shape.weights}")
         if not normal_form.is_quasihomogeneous(poly, shape.degree):
             raise ValueError(f"polynomial is not quasi-homogeneous of degree {shape.degree}")
         w = shape.weights
@@ -136,6 +151,8 @@ def cmd_analyze(args) -> Answer:
 
 
 def cmd_link(args) -> Answer:
+    from . import sarkisov
+
     if args.bare:
         case = sarkisov.CASES[args.case.upper()]
         bare = sarkisov.enumerate_bare(case)
@@ -145,7 +162,10 @@ def cmd_link(args) -> Answer:
 
 
 def cmd_normalize(args) -> Answer:
-    result = normal_form.normalize(normal_form.parse(_read_file(args.input)))
+    text = _read_file(args.input)
+    from . import normal_form
+
+    result = normal_form.normalize(normal_form.parse(text))
     record = {
         "class": result.form,
         "lambda": str(result.lam),
@@ -167,10 +187,17 @@ def _read_file(path: str) -> str:
 
 
 def _golden_text(name: str) -> str:
+    from importlib import resources
+
     return resources.files("qfano").joinpath(f"golden/{name}.txt").read_text(encoding="utf-8")
 
 
 def cmd_selftest(args) -> Answer:
+    import difflib
+
+    from . import fixtures, normal_form, riemann_roch, sarkisov, wps
+    from .series import series_equal_upto
+
     lines: list[str] = []
     failures = 0
 
@@ -190,8 +217,10 @@ def cmd_selftest(args) -> Answer:
         try:
             data = riemann_roch.calibrated_data(f.shape, order=24)
             oracle = wps.hilbert(f.shape, 24)
-            match = riemann_roch.hilbert_rr(data, 24) == oracle
-            integral = all(isinstance(riemann_roch.chi(data, m), int) for m in range(31))
+            # chi(mA) for m = 0..30 in one series; a fractional one raises ConventionError
+            series = riemann_roch.hilbert_rr(data, 30)
+            match, _ = series_equal_upto(series, oracle, 24)
+            integral = all(isinstance(c, int) for c in series.coefficients)
             sign = riemann_roch.orientation_sign(data.q, data.entries)
             report(
                 match and integral and sign in (-1, None),
@@ -249,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", help="five comma-separated weights (hypersurface)")
     p.add_argument("--degree", type=int, help="hypersurface degree")
     p.add_argument("--space", help="four comma-separated weights (the space itself)")
-    p.add_argument("--terms", type=int, default=DEFAULT_ORDER, help="truncation order")
+    p.add_argument("--terms", type=int, help="truncation order")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_hilbert)
 
@@ -292,7 +321,12 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         answer = args.func(args)
-        out = json.dumps(answer.record, indent=2) + "\n" if args.json else answer.text
+        if args.json:
+            import json
+
+            out = json.dumps(answer.record, indent=2) + "\n"
+        else:
+            out = answer.text
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

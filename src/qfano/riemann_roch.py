@@ -51,8 +51,7 @@ from fractions import Fraction
 
 from . import wps
 from .series import DEFAULT_ORDER, PowerSeries, series_equal_upto
-
-ALLOWED_FANO_INDICES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 17, 19)
+from .wps import ALLOWED_FANO_INDICES
 
 
 class ConventionError(ValueError):

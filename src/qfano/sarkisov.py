@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import fixtures, wps
-from .riemann_roch import ALLOWED_FANO_INDICES
+from .wps import ALLOWED_FANO_INDICES
 
 Q = 13  # Fano index of the threefold whose links are being classified
 

@@ -165,6 +165,10 @@ class Basket:
         )
 
 
+# the Fano indices that riemann_roch.FanoData and the sarkisov link enumeration admit
+ALLOWED_FANO_INDICES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 17, 19)
+
+
 def fano_index(shape: HypersurfaceShape) -> int:
     """sum(weights) - degree; raises NotFano when the result is <= 0."""
     q = sum(shape.weights) - shape.degree

@@ -115,6 +115,22 @@ def test_analyze_form_b_poly_warning(tmp_path, capsys):
     assert payload["poly"]["edges"]["3,6"]["reduced"] is False
 
 
+@pytest.mark.parametrize("weights", ["2,3,5,7,9", "3,3,4,5,6"])
+def test_analyze_poly_in_other_weights_exit_3(tmp_path, capsys, weights):
+    # the polynomial is read in the weights (3,4,5,6,7); labelling its corners
+    # and edges with another shape's weights would misname them
+    poly = tmp_path / "form_a.txt"
+    poly.write_text(fixtures.FORM_A)
+    for flags in ((), ("--json",)):
+        code, out, err = run(
+            capsys, "analyze", "--weights", weights, "--degree", "12", "--poly", str(poly), *flags
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: polynomial weights (3, 4, 5, 6, 7) are not the shape's weights ({weights.replace(',', ', ')})\n"
+        )
+
+
 @pytest.mark.parametrize(
     "weights,degree,edge",
     [("1,2,3,5,7", "7", "3,5"), ("1,3,4,5,11", "11", "4,5"), ("2,3,5,7,23", "23", "5,7"), ("3,4,5,7,17", "17", "4,7")],
@@ -349,3 +365,49 @@ def test_closed_pipe_keeps_the_exit_code_and_stderr_empty(argv):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_golden_cases_are_the_link_cases():
+    from qfano import sarkisov
+
+    assert cli.GOLDEN_CASES == tuple(name.lower() for name in sarkisov.CASES)
+
+
+def loaded_modules(argv) -> set[str]:
+    """Modules in sys.modules after ``cli.main(argv)`` in a new interpreter (after import alone for None)."""
+    script = "import sys\nfrom qfano import cli\n"
+    if argv is not None:
+        script += f"cli.main({list(argv)!r})\n"
+    script += "sys.stderr.write('\\nMODULES ' + ' '.join(sys.modules))\n"
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    return set(proc.stderr.rsplit("MODULES ", 1)[1].split())
+
+
+@pytest.mark.parametrize(
+    "argv", [None, ("frobnicate",), ("hilbert", "--weights", "3,4,5,6", "--degree", "12")],
+    ids=["import", "unknown-command", "usage-error"],
+)
+def test_parsing_imports_no_computation_module(argv):
+    modules = loaded_modules(argv)
+    assert {m for m in modules if m.split(".")[0] == "qfano"} == {"qfano", "qfano.cli"}
+    assert not modules & {"json", "difflib"}
+
+
+@pytest.mark.parametrize(
+    "argv,absent",
+    [
+        (
+            ("hilbert", "--weights", "3,4,5,6,7", "--degree", "12"),
+            {"qfano.sarkisov", "qfano.normal_form", "qfano.riemann_roch", "qfano.fixtures", "json", "difflib"},
+        ),
+        (("link", "--case", "p5"), {"qfano.normal_form", "qfano.riemann_roch"}),
+    ],
+    ids=["hilbert", "link"],
+)
+def test_each_command_imports_only_what_it_uses(argv, absent):
+    modules = loaded_modules(argv)
+    assert "qfano.wps" in modules
+    assert not modules & absent

@@ -30,7 +30,12 @@ others keep their exponents. The powers (D_i*R_i)^k for k up to top_i, the
 largest exponent of x_i in the polynomial, are built once per call. A term
 with exponent a_i is scaled by the product of D_i^(top_i - a_i), so every
 expanded term lies over D = D_poly * prod D_i^top_i, and one Fraction(v, D)
-is built per output term. ``invert`` expands through ``substitute`` too.
+is built per output term.
+
+A vertex passes ``corner_check`` when some term is x_i^n or x_i^n*x_j, read
+off the support. ``edge_restriction_points`` counts the distinct zeros of
+a binary form over the algebraic closure from the degrees of repeated gcds
+with the derivative, without factoring.
 """
 
 from __future__ import annotations
@@ -163,7 +168,7 @@ class _Tokenizer:
     def take_nat(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise ParseError(f"expected a number at position {start}")
@@ -180,11 +185,9 @@ class _Tokenizer:
         self.pos += 1
 
 
-def parse(text: str, weights: tuple[int, ...] = STANDARD_WEIGHTS) -> WeightedPolynomial:
-    """Parse the grammar above; variables are named by their weight."""
-    ws = tuple(int(w) for w in weights)
-    if len(set(ws)) != len(ws):
-        raise ValueError("the text grammar needs pairwise distinct weights")
+def parse(text: str) -> WeightedPolynomial:
+    """Parse the grammar above over STANDARD_WEIGHTS; variables are named by their weight."""
+    ws = STANDARD_WEIGHTS
     index_of = {w: i for i, w in enumerate(ws)}
     tok = _Tokenizer(text)
     terms: Coeffs = {}
@@ -203,7 +206,7 @@ def parse(text: str, weights: tuple[int, ...] = STANDARD_WEIGHTS) -> WeightedPol
     def read_term(sign: int) -> None:
         coeff = Fraction(sign)
         exp = [0] * len(ws)
-        if tok.peek().isdigit():
+        if tok.peek().isdecimal():
             num = tok.take_nat()
             if tok.peek() == "/":
                 tok.pos += 1
@@ -361,41 +364,18 @@ def substitute(poly: WeightedPolynomial, subst: Substitution) -> WeightedPolynom
     return WeightedPolynomial(poly.weights, {e: Fraction(v, den) for e, v in total.items() if v})
 
 
-def invert(subst: Substitution) -> Substitution:
-    """Exact inverse of a triangular substitution.
-
-    Variables are inverted in dependency order: x_i = (y_i - g_i(x)) / c_i,
-    where g_i only uses variables whose inverse is already known, so g_i in
-    the y coordinates is g_i under the partial inverse built so far.
-    """
-    inverse_rules: dict[int, tuple[Fraction, WeightedPolynomial]] = {}
-    pending = dict(subst.rules)
-    while pending:
-        # the first variable whose shift uses no variable still pending
-        i = next(
-            i for i in sorted(pending)
-            if not any(exp[j] for exp in pending[i][1].terms for j in pending)
-        )
-        c, g = pending.pop(i)
-        g_in_y = substitute(g, Substitution(subst.weights, dict(inverse_rules)))
-        lead = 1 / Fraction(c)
-        inverse_rules[i] = (
-            lead,
-            WeightedPolynomial(subst.weights, {e: -v * lead for e, v in g_in_y.terms.items()}),
-        )
-    return Substitution(subst.weights, inverse_rules)
-
-
 def corner_check(poly: WeightedPolynomial, d: int) -> dict[int, bool]:
-    """Per-vertex verdicts: does the support meet the admissible corner set."""
+    """Per-vertex verdicts: is some term x_i^n or x_i^n*x_j, read off the support.
+
+    That is, a term with x_i and at most one other variable, to the first
+    power: the terms that keep the member quasi-smooth at vertex i.
+    """
     if not is_quasihomogeneous(poly, d):
         raise ValueError("corner check needs a quasi-homogeneous polynomial")
-    shape = wps.HypersurfaceShape(poly.weights, d)
-    requirements = wps.corner_requirements(shape)
-    support = poly.support()
+    wps.HypersurfaceShape(poly.weights, d)  # five positive weights, d > 0, a nonempty shape
     return {
-        i: any(mono in support for mono in monos)
-        for i, monos in requirements.items()
+        i: any(exp[i] and sum(exp) - exp[i] <= 1 for exp in poly.terms)
+        for i in range(len(poly.weights))
     }
 
 
@@ -549,63 +529,42 @@ def _poly_normalize(coeffs: list[Fraction]) -> list[Fraction]:
     return coeffs
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+def _poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     a = list(a)
-    quotient = [Fraction(0)] * max(0, len(a) - len(b) + 1)
     while len(a) >= len(b) and _poly_normalize(a):
         shift = len(a) - len(b)
         factor = a[-1] / b[-1]
-        quotient[shift] = factor
         for i, c in enumerate(b):
             a[i + shift] -= factor * c
         _poly_normalize(a)
-    return _poly_normalize(quotient), _poly_normalize(a)
+    return _poly_normalize(a)
 
 
 def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     a, b = _poly_normalize(list(a)), _poly_normalize(list(b))
     while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
+        a, b = b, _poly_rem(a, b)
     if a:
         lead = a[-1]
         a = [c / lead for c in a]
     return a
 
 
-def _minus_derivative(quotient: list[Fraction], c: list[Fraction]) -> list[Fraction]:
-    """quotient - c', the next d of Yun's decomposition."""
-    cp = [i * x for i, x in enumerate(c)][1:]
-    return _poly_normalize(
-        [
-            (quotient[i] if i < len(quotient) else Fraction(0))
-            - (cp[i] if i < len(cp) else Fraction(0))
-            for i in range(max(len(quotient), len(cp)))
-        ]
-    )
+def _root_multiplicities(h: list[Fraction]) -> list[int]:
+    """Multiplicities of the distinct roots of h over the algebraic closure, largest first.
 
-
-def _squarefree_multiplicities(h: list[Fraction]) -> list[tuple[int, int]]:
-    """Yun decomposition: list of (degree of squarefree factor, multiplicity)."""
-    h = _poly_normalize(list(h))
-    if len(h) <= 1:
-        return []
-    deriv = _poly_normalize([i * c for i, c in enumerate(h)][1:])
-    g = _poly_gcd(h, deriv)
-    if len(g) == 1:
-        return [(len(h) - 1, 1)]
-    out: list[tuple[int, int]] = []
-    c, _ = _poly_divmod(h, g)
-    d = _minus_derivative(_poly_divmod(deriv, g)[0], c)
-    mult = 1
-    while len(c) > 1:
-        a = _poly_gcd(c, d)
-        if len(a) > 1:
-            out.append((len(a) - 1, mult))
-        c, _ = _poly_divmod(c, a)
-        d = _minus_derivative(_poly_divmod(d, a)[0], c)
-        mult += 1
-    return out
+    g_0 = h and g_k = gcd(g_{k-1}, g_{k-1}') has degree sum(max(m - k, 0))
+    over the root multiplicities m, so deg g_{k-1} - deg g_k counts the
+    roots of multiplicity >= k. The multiplicities are the conjugate
+    partition of those counts.
+    """
+    at_least: list[int] = []
+    g = _poly_normalize(list(h))
+    while len(g) > 1:
+        g_next = _poly_gcd(g, [i * c for i, c in enumerate(g)][1:])
+        at_least.append(len(g) - len(g_next))
+        g = g_next
+    return [sum(n > j for n in at_least) for j in range(max(at_least, default=0))]
 
 
 def edge_restriction_points(
@@ -616,9 +575,9 @@ def edge_restriction_points(
     The edge is a weighted projective line; after factoring out powers of
     the two coordinates, the remaining binary form is a polynomial in the
     degree-0 orbit coordinate u = x_i^{w_j/m} / x_j^{w_i/m} and distinct
-    zeros over the algebraic closure are counted through its squarefree
-    decomposition. Vertex zeros (leftover coordinate powers) are included
-    with their multiplicities. Raises EdgeContained on a zero restriction.
+    zeros over the algebraic closure are counted by ``_root_multiplicities``.
+    Vertex zeros (leftover coordinate powers) are included with their
+    multiplicities. Raises EdgeContained on a zero restriction.
     """
     ws = poly.weights
     restricted = {
@@ -646,8 +605,7 @@ def edge_restriction_points(
         multiplicities.append(a_min)   # zero at the x_j vertex
     if b_min > 0:
         multiplicities.append(b_min)   # zero at the x_i vertex
-    for deg, mult in _squarefree_multiplicities(h):
-        multiplicities.extend([mult] * deg)
+    multiplicities.extend(_root_multiplicities(h))
     multiplicities.sort(reverse=True)
     return EdgePoints(
         count=len(multiplicities),

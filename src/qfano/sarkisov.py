@@ -55,6 +55,7 @@ from . import fixtures, wps
 from .wps import ALLOWED_FANO_INDICES
 
 Q = 13  # Fano index of the threefold whose links are being classified
+DELTA_MAX = 50  # second_contraction searches delta in 1..DELTA_MAX
 
 
 class InvalidIndex(ValueError):
@@ -432,18 +433,17 @@ def second_contraction(
     s: dict[int, int],
     q: int = Q,
     smooth_point: bool = True,
-    delta_max: int = 50,
 ) -> tuple[SecondContractionSolution, ...]:
     """Solutions of e*gamma_k = s_k*delta - k and e*b = qhat*delta - q.
 
-    Returns all delta in 1..delta_max with every gamma_k a non-negative
+    Returns all delta in 1..DELTA_MAX with every gamma_k a non-negative
     integer, requiring b integral when the contracted point is smooth.
     Ascending delta; the first entry is the minimal admissible one.
     """
     if e < 1:
         raise ValueError("e must be >= 1")
     out = []
-    for delta in range(1, delta_max + 1):
+    for delta in range(1, DELTA_MAX + 1):
         gammas = []
         ok = True
         for k in sorted(s):

@@ -6,7 +6,9 @@ hypersurface of that degree in the 5-weight space. Everything proved here
 is combinatorial: well-formedness, Fano index q = sum(w) - d, the degree
 A^3 = d / prod(w), monomial counts, Hilbert series, and the vertex/edge
 singularity analysis that assembles the basket of terminal cyclic quotient
-points 1/r(1, r-1, b).
+points 1/r(1, r-1, b). A point's type is read off its residues by the
+terminal lemma: two of them sum to 0 mod r, and b is the third over the
+first (``normalize_type``), with no search over units.
 
 Monomials are counted, not listed: the number of degree-d monomials is the
 t^d coefficient of prod 1/(1 - t^w), read from the integer series kernel
@@ -32,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .series import DEFAULT_ORDER, PowerSeries, ProductSpec, expand_product, product_coefficients
@@ -103,15 +105,10 @@ class HypersurfaceShape:
 
 @dataclass(frozen=True)
 class QuotientType:
-    """Terminal cyclic quotient point 1/r(1, r-1, b), stored with b = min(b, r-b).
-
-    ``raw`` keeps the unnormalized residues for reporting; it does not take
-    part in equality.
-    """
+    """Terminal cyclic quotient point 1/r(1, r-1, b), stored with b = min(b, r-b)."""
 
     r: int
     b: int
-    raw: tuple[int, int, int] = field(compare=False, default=(0, 0, 0))
 
     def __post_init__(self) -> None:
         if self.r < 2:
@@ -268,73 +265,35 @@ def genus(shape: HypersurfaceShape) -> int:
     return _genus_from(hilbert(shape, q), q)
 
 
-def corner_requirements(shape: HypersurfaceShape) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """Per-vertex admissible monomials: pure powers x_i^n and near-powers x_i^n x_j.
+def normalize_type(r: int, residues: tuple[int, int, int]) -> int:
+    """The b of 1/r(residues) = 1/r(1, r-1, b), reduced to min(b, r-b).
 
-    Quasi-smoothness at vertex i (for a general or specific member) requires
-    the support to meet the returned set.
-    """
-    if shape.degree == 0:
-        raise ValueError("corner requirements are defined for hypersurfaces (d > 0)")
-    ws = shape.weights
-    d = shape.degree
-    out: dict[int, tuple[tuple[int, ...], ...]] = {}
-    for i, wi in enumerate(ws):
-        admissible: list[tuple[int, ...]] = []
-        if d % wi == 0:
-            vec = [0] * len(ws)
-            vec[i] = d // wi
-            admissible.append(tuple(vec))
-        for j, wj in enumerate(ws):
-            if j == i:
-                continue
-            rem = d - wj
-            if rem >= wi and rem % wi == 0:
-                vec = [0] * len(ws)
-                vec[i] = rem // wi
-                vec[j] = 1
-                admissible.append(tuple(vec))
-        out[i] = tuple(sorted(admissible, reverse=True))
-    return out
-
-
-def normalize_type(r: int, raw: tuple[int, int, int]) -> int:
-    """Canonical b with u * raw = {1, r-1, b} for some unit u; min(b, r-b).
-
-    Raises NotTerminalIsolated when a residue vanishes or shares a factor
-    with r, or when no unit puts the triple in the required form.
+    By the terminal lemma (Reid 1987) two residues x, y sum to 0 mod r; the
+    unit u = x^-1 carries them to (1, r-1) and the third residue z to u*z.
+    When two pairs sum to 0, both give b = 1. Raises NotTerminalIsolated
+    when a residue vanishes or shares a factor with r, or when no pair sums
+    to 0.
     """
     if r < 2:
         raise ValueError("index must be >= 2")
-    residues = tuple(x % r for x in raw)
+    residues = tuple(x % r for x in residues)
     for x in residues:
         if x == 0 or math.gcd(x, r) != 1:
             raise NotTerminalIsolated(
                 f"residues {residues} mod {r} are not coprime units: not an "
                 f"isolated terminal cyclic quotient"
             )
-    best: int | None = None
-    for u in range(1, r):
-        if math.gcd(u, r) != 1:
-            continue
-        rest = sorted((u * x) % r for x in residues)
-        if 1 in rest:
-            rest.remove(1)
-            if (r - 1) % r in rest:
-                rest.remove((r - 1) % r)
-                b = min(rest[0], r - rest[0])
-                if best is None or b < best:
-                    best = b
-    if best is None:
-        raise NotTerminalIsolated(
-            f"no unit carries {residues} mod {r} to the form (1, {r - 1}, b)"
-        )
-    return best
+    x, y, z = residues
+    for p, q, t in ((x, y, z), (x, z, y), (y, z, x)):
+        if (p + q) % r == 0:
+            c = pow(p, -1, r) * t % r
+            return min(c, r - c)
+    raise NotTerminalIsolated(f"no unit carries {residues} mod {r} to the form (1, {r - 1}, b)")
 
 
 def _quotient(r: int, others: tuple[int, ...]) -> QuotientType:
     """The point 1/r(others) of a stratum with isotropy r and transverse weights others."""
-    return QuotientType(r=r, b=normalize_type(r, others), raw=tuple(x % r for x in others))
+    return QuotientType(r=r, b=normalize_type(r, others))
 
 
 def vertex_singularity(shape: HypersurfaceShape, i: int) -> QuotientType | None:
@@ -368,7 +327,7 @@ def vertex_singularity(shape: HypersurfaceShape, i: int) -> QuotientType | None:
         raise NotTerminalIsolated(
             f"vertex w={wi}: eliminating variables disagree on the type: {types}"
         )
-    return QuotientType(r=wi, b=types[0], raw=tuple(x % wi for x in min(others)))
+    return QuotientType(r=wi, b=types[0])
 
 
 def edge_singularities(

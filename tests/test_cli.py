@@ -267,6 +267,15 @@ def test_normalize_parse_error_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_normalize_non_decimal_digit_is_a_parse_error(tmp_path, capsys):
+    # "\u00b2" passes str.isdigit but not int: a ParseError with its position, exit 3
+    path = tmp_path / "square.txt"
+    path.write_text("x5\u00b2", encoding="utf-8")
+    code, out, err = run(capsys, "normalize", "--input", str(path))
+    assert (code, out) == (3, "")
+    assert err == "error: unexpected '\u00b2' at position 2\n"
+
+
 @contextlib.contextmanager
 def digit_limit(n):
     """Set the interpreter's int/str digit limit to n (0: none), where it has one."""

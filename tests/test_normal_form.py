@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import WS, random_degree12_poly, random_substitution
@@ -35,6 +35,16 @@ def test_parse_errors():
         nf.parse("x5 ** 2")
     with pytest.raises(nf.ParseError):
         nf.parse("")
+    # digits that str.isdigit accepts but int does not: superscripts and the like
+    for text, message in (
+        ("x5\u00b2", "unexpected '\u00b2' at position 2"),
+        ("x\u00b2", "expected a number at position 1"),
+        ("x3^\u00b2", "expected a number at position 3"),
+        ("\u00b2*x3^4", "expected 'x' at position 0"),
+        ("x3^4 + \u2460*x6^2", "expected 'x' at position 7"),
+    ):
+        with pytest.raises(nf.ParseError, match=message):
+            nf.parse(text)
 
 
 def test_parse_bounds_literal_length():
@@ -90,14 +100,6 @@ def test_substitution_grading_errors():
     self_ref = nf.WeightedPolynomial(WS, {(0, 0, 0, 1, 0): Fraction(1)})
     with pytest.raises(nf.GradingError):
         nf.Substitution(WS, {WS.index(6): (Fraction(1), self_ref)})
-
-
-def test_substitution_roundtrip_random():
-    rng = random.Random(20260810)
-    for _ in range(40):
-        poly = random_degree12_poly(rng)
-        sub = random_substitution(rng)
-        assert nf.substitute(nf.substitute(poly, sub), nf.invert(sub)) == poly
 
 
 def _add(a, b):
@@ -194,10 +196,6 @@ def test_substitute_matches_fraction_reference(case):
     image = nf.substitute(poly, sub)
     assert image == reference_substitute(poly, sub)
     assert all(type(c) is Fraction for c in image.terms.values())
-    # the preimage under the inverse cancels back to poly term by term
-    preimage = reference_substitute(poly, nf.invert(sub))
-    assert nf.substitute(preimage, sub) == poly
-    assert nf.substitute(image, nf.invert(sub)) == poly
 
 
 def test_substitute_chained_shifts_and_cancellation():
@@ -228,6 +226,84 @@ def test_corner_check():
     form_b = nf.corner_check(nf.parse(FORM_B), 12)
     assert form_b[WS.index(3)] is False
     assert all(form_b[i] for i in range(1, 5))
+    with pytest.raises(ValueError, match="quasi-homogeneous"):
+        nf.corner_check(nf.parse("x3 + x4"), 3)
+    with pytest.raises(ValueError, match="4 weights"):
+        nf.corner_check(nf.WeightedPolynomial(WS), 0)
+
+
+def test_corner_check_x12():
+    # the degree-12 monomials that keep a vertex quasi-smooth on their own
+    passing = {
+        w: {
+            exp
+            for exp in wps.monomials(WS, 12)
+            if nf.corner_check(nf.WeightedPolynomial(WS, {exp: 1}), 12)[i]
+        }
+        for i, w in enumerate(WS)
+    }
+    assert passing[7] == {(0, 0, 1, 0, 1)}                      # x5*x7
+    assert passing[6] == {(0, 0, 0, 2, 0)}                      # x6^2
+    assert passing[3] == {(4, 0, 0, 0, 0), (2, 0, 0, 1, 0)}     # x3^4, x3^2*x6
+    assert passing[4] == {(0, 3, 0, 0, 0)}
+    assert passing[5] == {(0, 0, 1, 0, 1)}
+
+
+def test_corner_check_in_any_weight_order():
+    # form (b) with its variables listed as (7,3,4,5,6): the verdicts move with them
+    order = (4, 0, 1, 2, 3)
+    form_b = nf.parse(FORM_B)
+    moved = nf.WeightedPolynomial(
+        tuple(WS[k] for k in order),
+        {tuple(exp[k] for k in order): c for exp, c in form_b.terms.items()},
+    )
+    expected = nf.corner_check(form_b, 12)
+    assert nf.corner_check(moved, 12) == {i: expected[k] for i, k in enumerate(order)}
+
+
+def reference_corner_requirements(weights, d):
+    """The per-vertex monomial table corner_check replaced, kept as its oracle.
+
+    Vertex i admits the pure power x_i^n and every near-power x_i^n*x_j of
+    degree d, over the weights in the order given.
+    """
+    out = {}
+    for i, wi in enumerate(weights):
+        admissible = []
+        if d % wi == 0:
+            admissible.append(tuple(d // wi if k == i else 0 for k in range(len(weights))))
+        for j, wj in enumerate(weights):
+            rem = d - wj
+            if j != i and rem >= wi and rem % wi == 0:
+                admissible.append(
+                    tuple(rem // wi if k == i else int(k == j) for k in range(len(weights)))
+                )
+        out[i] = admissible
+    return out
+
+
+@st.composite
+def quasihomogeneous_polys(draw):
+    """A degree-d polynomial over five weights in any order, repeats allowed."""
+    weights = tuple(draw(st.lists(st.integers(1, 9), min_size=5, max_size=5)))
+    d = draw(st.integers(1, 30))
+    monos = wps.monomials(weights, d)
+    assume(monos)
+    table = [m for ms in reference_corner_requirements(weights, d).values() for m in ms]
+    chosen = draw(st.lists(st.sampled_from(monos), max_size=4))
+    chosen += draw(st.lists(st.sampled_from(table), max_size=2)) if table else []
+    terms = {exp: draw(st.integers(1, 5)) for exp in chosen}
+    return nf.WeightedPolynomial(weights, terms), d
+
+
+@settings(max_examples=300, deadline=None)
+@given(quasihomogeneous_polys())
+def test_corner_check_matches_corner_table(case):
+    poly, d = case
+    table = reference_corner_requirements(poly.weights, d)
+    support = poly.support()
+    expected = {i: any(m in support for m in monos) for i, monos in table.items()}
+    assert nf.corner_check(poly, d) == expected
 
 
 def test_normalize_completing_square():
@@ -363,6 +439,48 @@ def test_edge_restriction_rejects_mixed_degrees():
     poly = nf.parse("x6^2 + x3^2")
     with pytest.raises(ValueError):
         nf.edge_restriction_points(poly, 0, 3)
+
+
+def _poly_product(factors):
+    out = [Fraction(1)]
+    for f in factors:
+        prod = [Fraction(0)] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+# x^2 + 1, x^2 - 2, x^2 + x + 1, 3x^2 - x + 5: irreducible over Q, pairwise coprime
+QUADRATICS = (
+    [Fraction(1), Fraction(0), Fraction(1)],
+    [Fraction(-2), Fraction(0), Fraction(1)],
+    [Fraction(1), Fraction(1), Fraction(1)],
+    [Fraction(5), Fraction(-1), Fraction(3)],
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(
+        st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool),
+        st.integers(1, 4),
+        max_size=4,
+    ),
+    st.lists(st.integers(0, 3), min_size=len(QUADRATICS), max_size=len(QUADRATICS)),
+    st.integers(0, 3),
+    st.fractions(min_value=-5, max_value=5, max_denominator=5).filter(bool),
+)
+def test_root_multiplicities_of_known_factors(roots, quadratic_powers, zero_power, lead):
+    # rational roots r with multiplicity m, each quadratic's two conjugate
+    # roots with its power, and a root at 0 (a vertex zero) of zero_power
+    factors = [[-r, Fraction(1)] for r, m in roots.items() for _ in range(m)]
+    factors += [q for q, m in zip(QUADRATICS, quadratic_powers) for _ in range(m)]
+    factors += [[Fraction(0), Fraction(1)]] * zero_power + [[lead]]
+    expected = list(roots.values()) + [m for m in quadratic_powers if m for _ in range(2)]
+    expected += [zero_power] if zero_power else []
+    assert nf._root_multiplicities(_poly_product(factors)) == sorted(expected, reverse=True)
 
 
 def test_edge_counts_match_general_member_formula():

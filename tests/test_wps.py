@@ -129,25 +129,15 @@ def test_large_degree_shape_is_counted_not_listed():
     assert time.perf_counter() - start < 1.0
 
 
-def test_corner_requirements_x12():
-    req = wps.corner_requirements(X12)
-    by_weight = {X12.weights[i]: set(monos) for i, monos in req.items()}
-    assert by_weight[7] == {(0, 0, 1, 0, 1)}                      # x5*x7
-    assert by_weight[6] == {(0, 0, 0, 2, 0)}                      # x6^2
-    assert by_weight[3] == {(4, 0, 0, 0, 0), (2, 0, 0, 1, 0)}     # x3^4, x3^2*x6
-    assert by_weight[4] == {(0, 3, 0, 0, 0)}
-    assert by_weight[5] == {(0, 0, 1, 0, 1)}
-
-
 def test_vertex_singularities_x12():
     # vertices indexed by position in the sorted weights (3,4,5,6,7)
     assert wps.vertex_singularity(X12, 0) is None   # pure power x3^4
     assert wps.vertex_singularity(X12, 1) is None   # x4^3
     assert wps.vertex_singularity(X12, 3) is None   # x6^2
     p5 = wps.vertex_singularity(X12, 2)
-    assert (p5.r, p5.b) == (5, 2) and p5.raw == (3, 4, 1)
+    assert (p5.r, p5.b) == (5, 2)
     p7 = wps.vertex_singularity(X12, 4)
-    assert (p7.r, p7.b) == (7, 2) and p7.raw == (3, 4, 6)
+    assert (p7.r, p7.b) == (7, 2)
 
 
 def test_vertex_singularity_not_quasi_smooth():
@@ -267,6 +257,12 @@ def test_normalize_type(r, raw, expected):
 def test_normalize_type_not_terminal():
     with pytest.raises(wps.NotTerminalIsolated):
         wps.normalize_type(4, (1, 1, 2))  # 2 shares a factor with 4
+    for r, raw in ((6, (1, 5, 0)), (9, (3, 6, 1))):
+        with pytest.raises(wps.NotTerminalIsolated, match="not coprime units"):
+            wps.normalize_type(r, raw)
+    # units, but no two of them sum to 0 mod 5
+    with pytest.raises(wps.NotTerminalIsolated, match=r"no unit carries \(1, 1, 2\) mod 5"):
+        wps.normalize_type(5, (1, 6, 2))
 
 
 def test_normalize_type_exhausts_units():
@@ -278,6 +274,53 @@ def test_normalize_type_exhausts_units():
                 continue
             raw = (1, r - 1, b)
             assert wps.normalize_type(r, raw) == min(b, r - b)
+
+
+def reference_normalize_type(r, raw):
+    """The unit search normalize_type replaced, kept as its oracle.
+
+    Tries every unit u mod r for one that carries the residues to
+    {1, r-1, b}; the least min(b, r-b) found wins.
+    """
+    residues = tuple(x % r for x in raw)
+    if any(x == 0 or math.gcd(x, r) != 1 for x in residues):
+        raise wps.NotTerminalIsolated(residues)
+    best = None
+    for u in range(1, r):
+        if math.gcd(u, r) != 1:
+            continue
+        rest = sorted((u * x) % r for x in residues)
+        if 1 in rest:
+            rest.remove(1)
+            if (r - 1) % r in rest:
+                rest.remove((r - 1) % r)
+                b = min(rest[0], r - rest[0])
+                if best is None or b < best:
+                    best = b
+    if best is None:
+        raise wps.NotTerminalIsolated(residues)
+    return best
+
+
+def _type_or_none(rule, r, residues):
+    try:
+        return rule(r, residues)
+    except wps.NotTerminalIsolated:
+        return None
+
+
+def test_normalize_type_matches_unit_search():
+    # every ordered triple of units mod r for 2 <= r <= 40; the unit search
+    # sorts its triple, so it runs once per sorted triple
+    checked = 0
+    for r in range(2, 41):
+        units = [u for u in range(1, r) if math.gcd(u, r) == 1]
+        for triple in itertools.combinations_with_replacement(units, 3):
+            expected = _type_or_none(reference_normalize_type, r, triple)
+            for ordered in set(itertools.permutations(triple)):
+                assert _type_or_none(wps.normalize_type, r, ordered) == expected, (r, ordered)
+                checked += 1
+    assert checked == sum(sum(math.gcd(u, r) == 1 for u in range(1, r)) ** 3 for r in range(2, 41))
 
 
 def test_vertex_type_independent_of_eliminator():
@@ -443,7 +486,7 @@ SINGULARITY_ERRORS = (
 )
 def test_analyze_and_basket_agree(weights, q):
     d = 0 if len(weights) == 4 else sum(weights) - q
-    if d < 0 or (d > 0 and not wps.has_monomial(weights, d)):
+    if len(weights) == 5 and (d <= 0 or not wps.has_monomial(weights, d)):
         return
     shape = wps.HypersurfaceShape(weights, d)
     report = wps.analyze(shape)

@@ -10,17 +10,29 @@ text grammar names each variable by its weight in the standard system
     factor := var ('^' nat)?
     var    := 'x' nat
     coeff  := nat | nat '/' nat
+    nat    := [0-9]+
 
-A number literal has at most MAX_LITERAL_DIGITS digits. Results are not
-bounded: a normal form may have far longer coefficients than its input.
+``parse`` reads the text in one pass over the tokens of one regular
+expression, each a run of ASCII digits or one other non-space character;
+whitespace (what str.isspace accepts) may stand between any two tokens. A
+digit other than ASCII 0-9, such as a superscript or an Arabic-Indic digit,
+is a ParseError with its position. A number literal has at most
+MAX_LITERAL_DIGITS digits. Results are not bounded: a normal form may have
+far longer coefficients than its input.
 
 The normalization pipeline reduces any quasi-homogeneous degree-12
 polynomial whose x5*x7, x4^3 and x6^2 coefficients are nonzero to support
-inside {x5*x7, x4^3, x6^2, x3^4}: rational rescalings first, then the
-shift x7 -> x7 - c*x3*x4 kills x3*x4*x5, then completing the square in x6
-kills x3^2*x6. The class is A when the leftover x3^4 coefficient lambda is
-nonzero and B when it vanishes; making lambda exactly 1 would need a
-4th root, so only rational scalings are performed and lambda is reported.
+inside {x5*x7, x4^3, x6^2, x3^4}. Its support lies inside the six
+degree-12 monomials, so after scaling the equation by 1/c66 every step is
+read off the coefficients c: x5 -> x5/c57; x4 -> x4/cbrt(c444) when the
+cube root is rational; x7 -> x7 - t*x3*x4, which kills x3*x4*x5, with t
+its coefficient after those scalings; and x6 -> x6 - (c336/2)*x3^2, which
+completes the square and leaves lambda = c3333 - c336^2/4. The four rules
+form one triangular Substitution, expanded by one ``substitute`` call, and
+the expansion is checked against this closed form. The class is A when
+lambda is nonzero and B when it vanishes; making lambda exactly 1 would
+need a 4th root, so only rational scalings are performed and lambda is
+reported.
 
 ``substitute`` expands on plain ints over one denominator. The polynomial
 is written as integer numerators over D_poly, the lcm of its coefficient
@@ -41,6 +53,7 @@ with the derivative, without factoring.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
@@ -51,6 +64,9 @@ from .series import PowerSeries
 
 STANDARD_WEIGHTS = (3, 4, 5, 6, 7)
 MAX_LITERAL_DIGITS = 4300  # CPython's default int/str conversion limit
+_TOKEN = re.compile(r"[0-9]+|\S")  # a run of ASCII digits or one other non-space character
+_DIGITS = frozenset("0123456789")
+_INDEX = {w: i for i, w in enumerate(STANDARD_WEIGHTS)}
 
 
 class ParseError(ValueError):
@@ -88,7 +104,8 @@ class WeightedPolynomial:
         self.weights = tuple(int(w) for w in self.weights)
         cleaned: Coeffs = {}
         for exp, c in self.terms.items():
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c != 0:
                 cleaned[tuple(exp)] = c
         self.terms = cleaned
@@ -152,109 +169,77 @@ def poly_text(poly: WeightedPolynomial) -> str:
     return " ".join(pieces)
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _position(text: str, k: int, end: bool = False) -> int:
+    """Where token k starts (ends, with ``end``) in text; len(text) past the last token."""
+    for n, match in enumerate(_TOKEN.finditer(text)):
+        if n == k:
+            return match.end() if end else match.start()
+    return len(text)
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take_nat(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError(f"expected a number at position {start}")
-        if self.pos - start > MAX_LITERAL_DIGITS:
-            raise ParseError(
-                f"number of {self.pos - start} digits at position {start} "
-                f"exceeds {MAX_LITERAL_DIGITS} digits"
-            )
-        return int(self.text[start : self.pos])
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise ParseError(f"expected {ch!r} at position {self.pos}")
-        self.pos += 1
+def _nat(text: str, tokens: list[str], k: int) -> int:
+    tok = tokens[k]
+    if tok[:1] not in _DIGITS:
+        raise ParseError(f"expected a number at position {_position(text, k)}")
+    if len(tok) > MAX_LITERAL_DIGITS:
+        raise ParseError(
+            f"number of {len(tok)} digits at position {_position(text, k)} "
+            f"exceeds {MAX_LITERAL_DIGITS} digits"
+        )
+    return int(tok)
 
 
 def parse(text: str) -> WeightedPolynomial:
     """Parse the grammar above over STANDARD_WEIGHTS; variables are named by their weight."""
-    ws = STANDARD_WEIGHTS
-    index_of = {w: i for i, w in enumerate(ws)}
-    tok = _Tokenizer(text)
-    terms: Coeffs = {}
-
-    def read_factor() -> tuple[int, int]:
-        tok.expect("x")
-        w = tok.take_nat()
-        if w not in index_of:
-            raise ParseError(f"unknown variable x{w} at position {tok.pos}")
-        power = 1
-        if tok.peek() == "^":
-            tok.pos += 1
-            power = tok.take_nat()
-        return index_of[w], power
-
-    def read_term(sign: int) -> None:
-        coeff = Fraction(sign)
-        exp = [0] * len(ws)
-        if tok.peek().isdecimal():
-            num = tok.take_nat()
-            if tok.peek() == "/":
-                tok.pos += 1
-                den = tok.take_nat()
-                if den == 0:
-                    raise ParseError(f"zero denominator at position {tok.pos}")
-                coeff *= Fraction(num, den)
-            else:
-                coeff *= num
-            while tok.peek() == "*":
-                tok.pos += 1
-                i, a = read_factor()
-                exp[i] += a
-        else:
-            i, a = read_factor()
-            exp[i] += a
-            while tok.peek() == "*":
-                tok.pos += 1
-                i, a = read_factor()
-                exp[i] += a
-        key = tuple(exp)
-        total = terms.get(key, Fraction(0)) + coeff
-        if total == 0:
-            terms.pop(key, None)
-        else:
-            terms[key] = total
-
-    first = tok.peek()
-    if first == "":
+    tokens = _TOKEN.findall(text)
+    if not tokens:
         raise ParseError("empty input")
-    sign = 1
-    if first == "-":
-        tok.pos += 1
-        sign = -1
-    read_term(sign)
+    tokens.append("")  # end of input
+    terms: Coeffs = {}
+    k, sign = (1, -1) if tokens[0] == "-" else (0, 1)
     while True:
-        nxt = tok.peek()
-        if nxt == "":
-            break
-        if nxt == "+":
-            tok.pos += 1
-            read_term(1)
-        elif nxt == "-":
-            tok.pos += 1
-            read_term(-1)
+        exp = [0] * len(STANDARD_WEIGHTS)
+        num = den = 1
+        factors = True
+        if tokens[k][:1] in _DIGITS:
+            num = _nat(text, tokens, k)
+            k += 1
+            if tokens[k] == "/":
+                den = _nat(text, tokens, k + 1)
+                k += 2
+                if den == 0:
+                    raise ParseError(f"zero denominator at position {_position(text, k - 1, True)}")
+            factors = tokens[k] == "*"
+            k += factors  # past the '*'
+        while factors:
+            if tokens[k] != "x":
+                raise ParseError(f"expected 'x' at position {_position(text, k)}")
+            w = _nat(text, tokens, k + 1)
+            if w not in _INDEX:
+                raise ParseError(f"unknown variable x{w} at position {_position(text, k + 1, True)}")
+            k += 2
+            if tokens[k] == "^":
+                exp[_INDEX[w]] += _nat(text, tokens, k + 1)
+                k += 2
+            else:
+                exp[_INDEX[w]] += 1
+            factors = tokens[k] == "*"
+            k += factors  # past the '*'
+        key = tuple(exp)
+        coeff = Fraction(sign * num, den)
+        if key in terms:
+            coeff += terms[key]
+        if coeff:
+            terms[key] = coeff
         else:
-            raise ParseError(f"unexpected {nxt!r} at position {tok.pos}")
-    return WeightedPolynomial(ws, terms)
+            terms.pop(key, None)
+        tok = tokens[k]
+        if tok == "":
+            return WeightedPolynomial(STANDARD_WEIGHTS, terms)
+        if tok not in ("+", "-"):
+            raise ParseError(f"unexpected {tok[0]!r} at position {_position(text, k)}")
+        sign = 1 if tok == "+" else -1
+        k += 1
 
 
 def is_quasihomogeneous(poly: WeightedPolynomial, d: int) -> bool:
@@ -379,6 +364,13 @@ def corner_check(poly: WeightedPolynomial, d: int) -> dict[int, bool]:
     }
 
 
+# the six degree-12 monomials over (3,4,5,6,7)
+E57, E444, E66, E336, E345, E3333 = (
+    (0, 0, 1, 0, 1), (0, 3, 0, 0, 0), (0, 0, 0, 2, 0),
+    (2, 0, 0, 1, 0), (1, 1, 1, 0, 0), (4, 0, 0, 0, 0),
+)
+
+
 @dataclass(frozen=True)
 class NormalFormResult:
     """Outcome of the degree-12 pipeline: class, residual lambda, log, result."""
@@ -387,14 +379,6 @@ class NormalFormResult:
     lam: Fraction
     steps: tuple[str, ...]
     final: WeightedPolynomial
-
-
-def _exp(weights: tuple[int, ...], **powers: int) -> Term:
-    out = [0] * len(weights)
-    for name, a in powers.items():
-        w = int(name[1:])
-        out[weights.index(w)] = a
-    return tuple(out)
 
 
 def _rational_cbrt(x: Fraction) -> Fraction | None:
@@ -432,68 +416,53 @@ def normalize(poly: WeightedPolynomial) -> NormalFormResult:
         raise ValueError(f"normalization is defined for weights {STANDARD_WEIGHTS}")
     if not is_quasihomogeneous(poly, 12):
         raise ValueError("normalization needs a quasi-homogeneous degree-12 polynomial")
-
-    e57 = _exp(ws, x5=1, x7=1)
-    e444 = _exp(ws, x4=3)
-    e66 = _exp(ws, x6=2)
-    e336 = _exp(ws, x3=2, x6=1)
-    e345 = _exp(ws, x3=1, x4=1, x5=1)
-    e3333 = _exp(ws, x3=4)
-
-    for exp, name in ((e57, "x5*x7"), (e444, "x4^3"), (e66, "x6^2")):
+    for exp, name in ((E57, "x5*x7"), (E444, "x4^3"), (E66, "x6^2")):
         if poly.coefficient(exp) == 0:
             raise MissingCornerMonomial(name)
 
     steps: list[str] = []
-    current = poly
-
-    # rational rescalings: x6^2 and x5*x7 always reach 1, x4^3 when a cube
-    c66 = current.coefficient(e66)
+    scaled = poly
+    c66 = poly.coefficient(E66)
     if c66 != 1:
-        current = WeightedPolynomial(ws, {k: v / c66 for k, v in current.terms.items()})
+        scaled = WeightedPolynomial(ws, {k: v / c66 for k, v in poly.terms.items()})
         steps.append(f"scale the equation by {1 / c66}")
-    c57 = current.coefficient(e57)
-    if c57 != 1:
-        current = substitute(
-            current, Substitution(ws, {ws.index(5): (1 / c57, WeightedPolynomial(ws))})
-        )
-        steps.append(f"x5 -> {1 / c57}*x5")
-    c444 = current.coefficient(e444)
+    c = scaled.coefficient
+    rules: dict[int, tuple[Fraction, WeightedPolynomial]] = {}
+    # rational rescalings: x5*x7 always reaches 1, x4^3 when a cube
+    s5 = s4 = Fraction(1)
+    if c(E57) != 1:
+        s5 = 1 / c(E57)
+        rules[_INDEX[5]] = (s5, WeightedPolynomial(ws))
+        steps.append(f"x5 -> {s5}*x5")
+    c444 = c(E444)
     if c444 != 1:
         root = _rational_cbrt(c444)
         if root is not None:
-            current = substitute(
-                current,
-                Substitution(ws, {ws.index(4): (1 / root, WeightedPolynomial(ws))}),
-            )
-            steps.append(f"x4 -> {1 / root}*x4")
+            s4, c444 = 1 / root, Fraction(1)
+            rules[_INDEX[4]] = (s4, WeightedPolynomial(ws))
+            steps.append(f"x4 -> {s4}*x4")
         else:
             steps.append(f"x4^3 keeps unit {c444} (no rational cube root)")
+    # x7 -> x7 - t*x3*x4 kills x3*x4*x5; completing the square in x6 kills x3^2*x6
+    t = c(E345) * s5 * s4
+    if t:
+        rules[_INDEX[7]] = (Fraction(1), WeightedPolynomial(ws, {(1, 1, 0, 0, 0): -t}))
+        steps.append(f"x7 -> x7 - {t}*x3*x4")
+    u = c(E336) / 2
+    if u:
+        rules[_INDEX[6]] = (Fraction(1), WeightedPolynomial(ws, {(2, 0, 0, 0, 0): -u}))
+        steps.append(f"x6 -> x6 - {u}*x3^2")
 
-    c345 = current.coefficient(e345)
-    if c345 != 0:
-        shift = c345 / current.coefficient(e57)
-        g = WeightedPolynomial(ws, {_exp(ws, x3=1, x4=1): -shift})
-        current = substitute(current, Substitution(ws, {ws.index(7): (Fraction(1), g)}))
-        steps.append(f"x7 -> x7 - {shift}*x3*x4")
-
-    c336 = current.coefficient(e336)
-    if c336 != 0:
-        shift = c336 / (2 * current.coefficient(e66))
-        g = WeightedPolynomial(ws, {_exp(ws, x3=2): -shift})
-        current = substitute(current, Substitution(ws, {ws.index(6): (Fraction(1), g)}))
-        steps.append(f"x6 -> x6 - {shift}*x3^2")
-
-    allowed = {e57, e444, e66, e3333}
-    leftover = current.support() - allowed
-    if leftover:
-        raise AssertionError(f"pipeline left unexpected support {leftover}")
-    lam = current.coefficient(e3333)
+    final = substitute(scaled, Substitution(ws, rules))
+    lam = c(E3333) - u * u
+    expected = WeightedPolynomial(ws, {E57: 1, E444: c444, E66: 1, E3333: lam})
+    if final != expected:
+        raise AssertionError(f"pipeline left {final}, not the closed form {expected}")
     return NormalFormResult(
         form="A" if lam != 0 else "B",
         lam=lam,
         steps=tuple(steps),
-        final=current,
+        final=final,
     )
 
 

@@ -26,8 +26,8 @@ T_P[i] = D c_{r,b}(i) filled by the prefix recurrence
 T_P[i+1] = T_P[i] - D (r^2 - 1) / (12 r) + (ib mod r)(r - ib mod r) D / (2 r).
 The terms are built once per ``FanoData``; ``divmod`` by D then decides
 integrality, and a ``Fraction`` is built only to report a non-integral
-total. ``local_c`` and ``a_c2`` keep the formula in its stated form and
-are the reference the integer terms are tested against.
+total. ``a_c2`` keeps A.c2 in its stated form; the tests keep c_{r,b}
+in its stated form as the oracle the integer tables are checked against.
 
 The correction is symmetric in b <-> r-b, so the type parameter can be fed
 in either orientation; the local weight wA of the class A is what carries
@@ -143,17 +143,6 @@ def a_c2(data: FanoData) -> Fraction:
         (Fraction(e.r) - Fraction(1, e.r) for e in data.entries), Fraction(0)
     )
     return (24 - total) / data.q
-
-
-def local_c(r: int, b: int, i: int) -> Fraction:
-    """Periodic Riemann-Roch correction of a point 1/r(1, r-1, b) at residue i."""
-    if not 0 <= i < r:
-        raise ValueError(f"residue {i} must be reduced mod {r} by the caller")
-    value = Fraction(-i * (r * r - 1), 12 * r)
-    for j in range(1, i):
-        jb = (j * b) % r
-        value += Fraction(jb * (r - jb), 2 * r)
-    return value
 
 
 def _integer_chi(data: FanoData):

@@ -276,6 +276,21 @@ def test_normalize_non_decimal_digit_is_a_parse_error(tmp_path, capsys):
     assert err == "error: unexpected '\u00b2' at position 2\n"
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("x\u0665*x\u0667 + x4^3 + x6^2", "expected a number at position 1"),
+        ("\u0665", "expected 'x' at position 0"),
+    ],
+)
+def test_normalize_non_ascii_digit_is_a_parse_error(tmp_path, capsys, text, message):
+    # Arabic-Indic digits pass str.isdecimal, but the grammar's digits are ASCII 0-9
+    path = tmp_path / "arabic.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "normalize", "--input", str(path))
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
 @contextlib.contextmanager
 def digit_limit(n):
     """Set the interpreter's int/str digit limit to n (0: none), where it has one."""

@@ -13,6 +13,123 @@ from qfano import wps
 from qfano.fixtures import FORM_A, FORM_B, X12_SHAPE
 
 
+class _Tokenizer:
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take_nat(self):
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
+            self.pos += 1
+        if self.pos == start:
+            raise nf.ParseError(f"expected a number at position {start}")
+        if self.pos - start > nf.MAX_LITERAL_DIGITS:
+            raise nf.ParseError(
+                f"number of {self.pos - start} digits at position {start} "
+                f"exceeds {nf.MAX_LITERAL_DIGITS} digits"
+            )
+        return int(self.text[start : self.pos])
+
+    def expect(self, ch):
+        if self.peek() != ch:
+            raise nf.ParseError(f"expected {ch!r} at position {self.pos}")
+        self.pos += 1
+
+
+def reference_parse(text):
+    """The character-at-a-time parser that parse replaced, kept as its oracle.
+
+    It reads digits with str.isdecimal, so it agrees with parse on text whose
+    digits are ASCII.
+    """
+    ws = nf.STANDARD_WEIGHTS
+    index_of = {w: i for i, w in enumerate(ws)}
+    tok = _Tokenizer(text)
+    terms = {}
+
+    def read_factor():
+        tok.expect("x")
+        w = tok.take_nat()
+        if w not in index_of:
+            raise nf.ParseError(f"unknown variable x{w} at position {tok.pos}")
+        power = 1
+        if tok.peek() == "^":
+            tok.pos += 1
+            power = tok.take_nat()
+        return index_of[w], power
+
+    def read_term(sign):
+        coeff = Fraction(sign)
+        exp = [0] * len(ws)
+        if tok.peek().isdecimal():
+            num = tok.take_nat()
+            if tok.peek() == "/":
+                tok.pos += 1
+                den = tok.take_nat()
+                if den == 0:
+                    raise nf.ParseError(f"zero denominator at position {tok.pos}")
+                coeff *= Fraction(num, den)
+            else:
+                coeff *= num
+            while tok.peek() == "*":
+                tok.pos += 1
+                i, a = read_factor()
+                exp[i] += a
+        else:
+            i, a = read_factor()
+            exp[i] += a
+            while tok.peek() == "*":
+                tok.pos += 1
+                i, a = read_factor()
+                exp[i] += a
+        key = tuple(exp)
+        total = terms.get(key, Fraction(0)) + coeff
+        if total == 0:
+            terms.pop(key, None)
+        else:
+            terms[key] = total
+
+    first = tok.peek()
+    if first == "":
+        raise nf.ParseError("empty input")
+    sign = 1
+    if first == "-":
+        tok.pos += 1
+        sign = -1
+    read_term(sign)
+    while True:
+        nxt = tok.peek()
+        if nxt == "":
+            break
+        if nxt == "+":
+            tok.pos += 1
+            read_term(1)
+        elif nxt == "-":
+            tok.pos += 1
+            read_term(-1)
+        else:
+            raise nf.ParseError(f"unexpected {nxt!r} at position {tok.pos}")
+    return nf.WeightedPolynomial(ws, terms)
+
+
+def parse_outcome(parser, text):
+    """The polynomial, or the ParseError message, that parser gives for text."""
+    try:
+        return parser(text)
+    except nf.ParseError as err:
+        return f"ParseError: {err}"
+
+
 def test_parse_forms():
     assert len(nf.parse(FORM_A).terms) == 4
     assert len(nf.parse(FORM_B).terms) == 3
@@ -42,6 +159,11 @@ def test_parse_errors():
         ("x3^\u00b2", "expected a number at position 3"),
         ("\u00b2*x3^4", "expected 'x' at position 0"),
         ("x3^4 + \u2460*x6^2", "expected 'x' at position 7"),
+        # digits are ASCII: Arabic-Indic five and seven are not numbers
+        ("x\u0665*x\u0667", "expected a number at position 1"),
+        ("\u0665", "expected 'x' at position 0"),
+        ("x5*x7 + \u0665/2*x3^4", "expected 'x' at position 8"),
+        ("x3\u0665", "unexpected '\u0665' at position 2"),
     ):
         with pytest.raises(nf.ParseError, match=message):
             nf.parse(text)
@@ -57,6 +179,95 @@ def test_parse_bounds_literal_length():
     ):
         with pytest.raises(nf.ParseError, match=f"digits at position {position} exceeds"):
             nf.parse(text)
+
+
+def test_whitespace_is_what_str_isspace_says():
+    # the tokenizer skips exactly the characters that str.isspace calls whitespace
+    assert all((nf._TOKEN.match(chr(c)) is None) == chr(c).isspace() for c in range(0x110000))
+
+
+ODD_SPACE = ("", " ", "  ", "\t", "\n", "\r\n", "\u00a0", "\u2003", "\u3000", "\x1c", "\x85")
+
+
+@st.composite
+def grammar_texts(draw):
+    """Text in the grammar, with odd whitespace, repeated factors, cancelling terms and 0.
+
+    Half the texts may also name unknown variables and divide by zero.
+    """
+    space = st.sampled_from(ODD_SPACE)
+    nat = st.one_of(st.integers(0, 12).map(str), st.integers(0, 10**30).map(str), st.just("007"))
+    names = ("3", "4", "5", "6", "7", "03")
+    den = nat.filter(lambda n: int(n) != 0)
+    if draw(st.booleans()):
+        names, den = names + ("9", "12"), st.one_of(nat, st.just("0"))
+    variable = st.sampled_from(names)
+
+    def factor():
+        text = "x" + draw(space) + draw(variable)
+        if draw(st.booleans()):
+            text += draw(space) + "^" + draw(space) + draw(nat)
+        return text
+
+    def term():
+        pieces = []
+        if draw(st.booleans()):
+            coeff = draw(nat)
+            if draw(st.booleans()):
+                coeff += draw(space) + "/" + draw(space) + draw(den)
+            pieces.append(coeff)
+        pieces += [factor() for _ in range(draw(st.integers(0 if pieces else 1, 3)))]
+        glue = draw(space) + "*" + draw(space)
+        return glue.join(pieces)
+
+    terms = [term() for _ in range(draw(st.integers(1, 6)))]
+    if draw(st.booleans()):
+        terms.append(terms[0])  # the same term again, added or cancelled
+    text = draw(space) + ("-" if draw(st.booleans()) else "")
+    for k, t in enumerate(terms):
+        if k:
+            text += draw(space) + draw(st.sampled_from("+-")) + draw(space)
+        text += draw(space) + t
+    return text + draw(space)
+
+
+@st.composite
+def mutated_texts(draw):
+    """Grammar text with ASCII characters inserted, deleted or replaced, or cut short."""
+    text = draw(grammar_texts())
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(("insert", "delete", "replace", "truncate")))
+        char = draw(st.sampled_from("x0123456789^*/+- \t.y("))
+        if kind == "insert":
+            text = text[:at] + char + text[at:]
+        elif kind == "delete":
+            text = text[:at] + text[at + 1 :]
+        elif kind == "replace":
+            text = text[:at] + char + text[at + 1 :]
+        else:
+            text = text[:at]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(grammar_texts(), mutated_texts()))
+def test_parse_matches_reference_parser(text):
+    assert parse_outcome(nf.parse, text) == parse_outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "  ", "-", "0", "-0", "x3", "x3 - x3", "1/0", "x5*x7 +", "x5 ** 2", "3x5", "x3^",
+     "x 3 ^ 2 * 1", "1 2", "x03^007", "2/4*x3 + 1/2*x3", "x9^2", "x12", "x3 + +x4", "x3)"],
+)
+def test_parse_matches_reference_parser_on_edge_cases(text):
+    assert parse_outcome(nf.parse, text) == parse_outcome(reference_parse, text)
+
+
+def test_parse_matches_reference_parser_past_the_digit_limit():
+    for text in ("x3 + 2/ " + "3" * 4301, "9" * 4301 + "*x3", "x" + "1" * 4301):
+        assert parse_outcome(nf.parse, text) == parse_outcome(reference_parse, text)
 
 
 def test_print_parse_roundtrip_fixed():
@@ -304,6 +515,132 @@ def test_corner_check_matches_corner_table(case):
     support = poly.support()
     expected = {i: any(m in support for m in monos) for i, monos in table.items()}
     assert nf.corner_check(poly, d) == expected
+
+
+def reference_normalize(poly):
+    """The four-step pipeline normalize replaced, kept as its oracle.
+
+    Each rescaling and each shift is its own substitution, and every
+    coefficient is read back from the expanded polynomial.
+    """
+    ws = poly.weights
+    e57, e444, e66 = (0, 0, 1, 0, 1), (0, 3, 0, 0, 0), (0, 0, 0, 2, 0)
+    e336, e345, e3333 = (2, 0, 0, 1, 0), (1, 1, 1, 0, 0), (4, 0, 0, 0, 0)
+    for exp, name in ((e57, "x5*x7"), (e444, "x4^3"), (e66, "x6^2")):
+        if poly.coefficient(exp) == 0:
+            raise nf.MissingCornerMonomial(name)
+    steps = []
+    current = poly
+    c66 = current.coefficient(e66)
+    if c66 != 1:
+        current = nf.WeightedPolynomial(ws, {k: v / c66 for k, v in current.terms.items()})
+        steps.append(f"scale the equation by {1 / c66}")
+    c57 = current.coefficient(e57)
+    if c57 != 1:
+        current = nf.substitute(
+            current, nf.Substitution(ws, {ws.index(5): (1 / c57, nf.WeightedPolynomial(ws))})
+        )
+        steps.append(f"x5 -> {1 / c57}*x5")
+    c444 = current.coefficient(e444)
+    if c444 != 1:
+        root = nf._rational_cbrt(c444)
+        if root is not None:
+            current = nf.substitute(
+                current,
+                nf.Substitution(ws, {ws.index(4): (1 / root, nf.WeightedPolynomial(ws))}),
+            )
+            steps.append(f"x4 -> {1 / root}*x4")
+        else:
+            steps.append(f"x4^3 keeps unit {c444} (no rational cube root)")
+    c345 = current.coefficient(e345)
+    if c345 != 0:
+        shift = c345 / current.coefficient(e57)
+        g = nf.WeightedPolynomial(ws, {(1, 1, 0, 0, 0): -shift})
+        current = nf.substitute(current, nf.Substitution(ws, {ws.index(7): (Fraction(1), g)}))
+        steps.append(f"x7 -> x7 - {shift}*x3*x4")
+    c336 = current.coefficient(e336)
+    if c336 != 0:
+        shift = c336 / (2 * current.coefficient(e66))
+        g = nf.WeightedPolynomial(ws, {(2, 0, 0, 0, 0): -shift})
+        current = nf.substitute(current, nf.Substitution(ws, {ws.index(6): (Fraction(1), g)}))
+        steps.append(f"x6 -> x6 - {shift}*x3^2")
+    leftover = current.support() - {e57, e444, e66, e3333}
+    if leftover:
+        raise AssertionError(f"pipeline left unexpected support {leftover}")
+    lam = current.coefficient(e3333)
+    return nf.NormalFormResult("A" if lam != 0 else "B", lam, tuple(steps), current)
+
+
+def assert_matches_reference_normalize(poly):
+    result, expected = nf.normalize(poly), reference_normalize(poly)
+    assert result == expected
+    assert nf.poly_text(result.final) == nf.poly_text(expected.final)
+    return result
+
+
+def test_normalize_matches_reference_on_random_polys():
+    rng = random.Random(2024)
+    for _ in range(300):
+        assert_matches_reference_normalize(random_degree12_poly(rng))
+
+
+def test_normalize_matches_reference_on_changed_forms():
+    rng = random.Random(13)
+    for text in (FORM_A, FORM_B) * 60:
+        assert_matches_reference_normalize(nf.substitute(nf.parse(text), random_substitution(rng)))
+
+
+@pytest.mark.parametrize(
+    "text,steps",
+    [
+        (   # c57 = 1, a cube c444
+            "x5*x7 + 8*x4^3 + x6^2 + x3*x4*x5 + 2*x3^2*x6",
+            ("x4 -> 1/2*x4", "x7 -> x7 - 1/2*x3*x4", "x6 -> x6 - 1*x3^2"),
+        ),
+        (   # c57 = 1 after the scaling, no c336
+            "2*x5*x7 + 3*x4^3 + 2*x6^2 + x3*x4*x5",
+            ("scale the equation by 1/2", "x4^3 keeps unit 3/2 (no rational cube root)",
+             "x7 -> x7 - 1/2*x3*x4"),
+        ),
+        (   # no rational cube root
+            "x5*x7 + 2*x4^3 + x6^2 + x3*x4*x5 + x3^2*x6",
+            ("x4^3 keeps unit 2 (no rational cube root)", "x7 -> x7 - 1*x3*x4",
+             "x6 -> x6 - 1/2*x3^2"),
+        ),
+        (   # no c345
+            "3*x5*x7 - 27/8*x4^3 + x6^2 + x3^2*x6 + x3^4",
+            ("x5 -> 1/3*x5", "x4 -> -2/3*x4", "x6 -> x6 - 1/2*x3^2"),
+        ),
+        (   # no c336
+            "3*x5*x7 + 5*x4^3 + x6^2 + x3*x4*x5 + x3^4",
+            ("x5 -> 1/3*x5", "x4^3 keeps unit 5 (no rational cube root)", "x7 -> x7 - 1/3*x3*x4"),
+        ),
+        (   # completing the square cancels lambda: class B
+            "-x5*x7 + 4*x4^3 + 9*x6^2 + 6*x3^2*x6 + x3^4",
+            ("scale the equation by 1/9", "x5 -> -9*x5", "x4^3 keeps unit 4/9 (no rational cube root)",
+             "x6 -> x6 - 1/3*x3^2"),
+        ),
+    ],
+)
+def test_normalize_matches_reference_on_each_branch(text, steps):
+    assert assert_matches_reference_normalize(nf.parse(text)).steps == steps
+
+
+def test_normalize_substitutes_once(monkeypatch):
+    calls = []
+    real = nf.substitute
+
+    def counted(poly, subst):
+        calls.append(sorted(subst.rules))
+        return real(poly, subst)
+
+    monkeypatch.setattr(nf, "substitute", counted)
+    rng = random.Random(3)
+    for poly in [nf.parse(FORM_A), nf.parse(FORM_B)] + [random_degree12_poly(rng) for _ in range(20)]:
+        calls.clear()
+        nf.normalize(poly)
+        assert len(calls) == 1
+    assert calls[0]  # a random equation moves some coordinate
 
 
 def test_normalize_completing_square():

@@ -423,9 +423,6 @@ class SecondContractionSolution:
     b: Fraction
     gammas: tuple[tuple[int, int], ...]
 
-    def b_integral(self) -> bool:
-        return self.b.denominator == 1
-
 
 def second_contraction(
     e: int,

@@ -15,8 +15,13 @@ t^d coefficient of prod 1/(1 - t^w), read from the integer series kernel
 ``series.product_coefficients`` in O(n*d) steps. ``monomials`` still lists
 exponent vectors, but no production code reads them: it is the test oracle
 the counts are checked against. Whether a shape is empty needs no count at
-all: ``has_monomial`` decides it from least degrees per residue class of
-the smallest weight, at a cost independent of d.
+all. ``has_monomial`` divides out the gcd of the weights, and past Schur's
+bound (a - 1)(b - 1) on the Frobenius number of the reduced weights every
+degree is reached; below it a shift-or bitset of reachable degrees decides.
+The bitset holds at most min(d, (a - 1)(b - 1)) bits, and where that is
+more than 16 bits per step of the residue-class table (the least degree in
+each class mod a, O(n*a) steps) the table decides instead. Either way the
+cost is bounded by the weights, not by d.
 
 Conventions fixed for determinism: weights are sorted ascending on
 construction, monomials are listed in descending lexicographic order on
@@ -25,7 +30,10 @@ exponent vectors, and baskets are sorted by (r, b).
 Quasi-smoothness is checked only on strata of dimension <= 1, which
 suffices for every shape shipped with the package. One walk over every
 vertex, then every edge, for d = 0 and d > 0 alike, gives the verdicts
-that ``basket`` and ``analyze`` both read. A member containing an edge is
+that ``basket`` and ``analyze`` both read. Inside the walk a stratum's
+failure is returned by its rule as an exception instance, never raised;
+only the public rules (``vertex_singularity``, ``edge_singularities``,
+``normalize_type``) and ``basket`` raise it. A member containing an edge is
 reported, not analyzed.
 """
 
@@ -36,6 +44,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .series import DEFAULT_ORDER, PowerSeries, ProductSpec, expand_product, product_coefficients
 
@@ -62,21 +71,22 @@ class NotTerminalIsolated(ValueError):
 
 def weight_system(weights) -> tuple[int, ...]:
     """Validate and sort a weight tuple ascending."""
-    ws = tuple(sorted(int(w) for w in weights))
+    ws = tuple(sorted(map(int, weights)))
     if len(ws) < 2:
         raise ValueError("a weight system needs at least two weights")
-    if any(w < 1 for w in ws):
+    if ws[0] < 1:
         raise ValueError(f"weights must be positive, got {ws}")
     return ws
 
 
 def well_formed(weights) -> bool:
     """True iff every (n-1)-subset of the weights has gcd 1."""
-    ws = weight_system(weights)
-    n = len(ws)
-    for drop in range(n):
-        subset = ws[:drop] + ws[drop + 1 :]
-        if math.gcd(*subset) != 1:
+    return _well_formed(weight_system(weights))
+
+
+def _well_formed(ws: tuple[int, ...]) -> bool:
+    for drop in range(len(ws)):
+        if math.gcd(*ws[:drop], *ws[drop + 1 :]) != 1:
             return False
     return True
 
@@ -154,13 +164,6 @@ class Basket:
             out.extend([q] * count)
         return tuple(out)
 
-    def curvature_sum(self) -> Fraction:
-        """sum over points of (r - 1/r); < 24 for every terminal Fano basket."""
-        return sum(
-            (count * (Fraction(q.r) - Fraction(1, q.r)) for q, count in self.entries),
-            Fraction(0),
-        )
-
 
 # the Fano indices that riemann_roch.FanoData and the sarkisov link enumeration admit
 ALLOWED_FANO_INDICES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 17, 19)
@@ -217,24 +220,65 @@ def monomial_count(weights, d: int) -> int:
 
 
 def has_monomial(weights, d: int) -> bool:
-    """Whether some exponent vector has sum(a_i w_i) = d, in O(n * min(w)) steps.
+    """Whether some exponent vector has sum(a_i w_i) = d.
 
-    least[k] is the least degree of a monomial congruent to k modulo the
-    smallest weight a (round-robin shortest paths over residues, Boecker and
-    Liptak 2007). Adding powers of the weight-a variable reaches every
-    larger degree in the same class, so a degree-d monomial exists iff
-    least[d mod a] <= d; the cost does not depend on d.
+    Weights above d cannot occur, and dividing out the gcd g of the rest
+    leaves weights with gcd 1, or no monomial when g does not divide d.
+    Take the shortest run a = w_1 <= ... <= w_k of the reduced weights with
+    gcd 1: every degree >= (a - 1)(w_k - 1) is reached (Schur's bound on the
+    Frobenius number, Brauer 1942). Below it a bitset of reachable degrees,
+    built by shift-or, decides in d bits, about 1,000 at most for weights up
+    to 33. When d is above 16 bits per step of the residue-class table, the
+    table decides in O(n * a) steps instead, so neither memory nor time
+    grows with d past the weights.
     """
     if d < 0:
         raise ValueError("degree must be >= 0")
-    ws = sorted(int(w) for w in weights)
+    ws = sorted(set(map(int, weights)))
+    if ws and ws[0] < 1:
+        raise ValueError(f"weights must be positive, got {tuple(ws)}")
+    ws = [w for w in ws if w <= d]
+    if not ws:
+        return d == 0
+    g = math.gcd(*ws)
+    if d % g:
+        return False
+    d //= g
+    ws = [w // g for w in ws]
+    run = ws[0]
+    for b in ws:
+        run = math.gcd(run, b)
+        if run == 1:
+            break
+    if d >= (ws[0] - 1) * (b - 1):
+        return True
+    if d > 16 * len(ws) * ws[0]:
+        least = _least_degrees(ws)
+        return least[d % ws[0]] <= d
+    mask = (1 << d + 1) - 1
+    reach = 1
+    for w in ws:
+        # after shifts by w, 2w, 4w, ... every multiple of w up to d is added
+        while w <= d:
+            reach |= reach << w & mask
+            w <<= 1
+    return reach >> d & 1 == 1
+
+
+def _least_degrees(ws: list[int]) -> list[int | float]:
+    """least[k]: the least degree of a monomial congruent to k mod a = ws[0].
+
+    Round-robin shortest paths over residues (Boecker and Liptak 2007): each
+    further weight w walks the cycles k -> k + w mod a once, from the least
+    degree reached on the cycle; math.inf marks a class no monomial reaches.
+    Adding powers of the weight-a variable reaches every larger degree in a
+    class, so a degree-d monomial exists iff least[d mod a] <= d.
+    """
     a = ws[0]
     least = [0] + [math.inf] * (a - 1)
     for w in ws[1:]:
         g = math.gcd(a, w)
         for start in range(g):
-            # residues start, start + g, ... form one cycle under k -> k + w;
-            # walk it once from its least reached degree
             n = min(least[start::g])
             if n == math.inf:
                 continue
@@ -242,7 +286,7 @@ def has_monomial(weights, d: int) -> bool:
                 n += w
                 k = n % a
                 n = least[k] = min(n, least[k])
-    return least[d % a] <= d
+    return least
 
 
 def hilbert(shape: HypersurfaceShape, order: int = DEFAULT_ORDER) -> PowerSeries:
@@ -265,6 +309,34 @@ def genus(shape: HypersurfaceShape) -> int:
     return _genus_from(hilbert(shape, q), q)
 
 
+def _normalize_type(r: int, residues: tuple[int, ...]) -> int | NotTerminalIsolated:
+    """``normalize_type`` for r >= 2, returning its failure instead of raising it."""
+    x, y, z = residues
+    x, y, z = x % r, y % r, z % r
+    # one gcd checks all three: a zero residue makes it r, a shared factor too
+    if math.gcd(x * y * z, r) != 1:
+        return NotTerminalIsolated(
+            f"residues {(x, y, z)} mod {r} are not coprime units: not an "
+            f"isolated terminal cyclic quotient"
+        )
+    if (x + y) % r == 0:
+        c = pow(x, -1, r) * z % r
+    elif (x + z) % r == 0:
+        c = pow(x, -1, r) * y % r
+    elif (y + z) % r == 0:
+        c = pow(y, -1, r) * x % r
+    else:
+        return NotTerminalIsolated(f"no unit carries {(x, y, z)} mod {r} to the form (1, {r - 1}, b)")
+    return min(c, r - c)
+
+
+def _raised(result):
+    """A rule's answer, or raise the failure it returned."""
+    if isinstance(result, ValueError):
+        raise result
+    return result
+
+
 def normalize_type(r: int, residues: tuple[int, int, int]) -> int:
     """The b of 1/r(residues) = 1/r(1, r-1, b), reduced to min(b, r-b).
 
@@ -276,24 +348,40 @@ def normalize_type(r: int, residues: tuple[int, int, int]) -> int:
     """
     if r < 2:
         raise ValueError("index must be >= 2")
-    residues = tuple(x % r for x in residues)
-    for x in residues:
-        if x == 0 or math.gcd(x, r) != 1:
-            raise NotTerminalIsolated(
-                f"residues {residues} mod {r} are not coprime units: not an "
-                f"isolated terminal cyclic quotient"
-            )
-    x, y, z = residues
-    for p, q, t in ((x, y, z), (x, z, y), (y, z, x)):
-        if (p + q) % r == 0:
-            c = pow(p, -1, r) * t % r
-            return min(c, r - c)
-    raise NotTerminalIsolated(f"no unit carries {residues} mod {r} to the form (1, {r - 1}, b)")
+    return _raised(_normalize_type(r, residues))
 
 
-def _quotient(r: int, others: tuple[int, ...]) -> QuotientType:
+def _quotient(r: int, others: tuple[int, ...]) -> QuotientType | NotTerminalIsolated:
     """The point 1/r(others) of a stratum with isotropy r and transverse weights others."""
-    return QuotientType(r=r, b=normalize_type(r, others))
+    b = _normalize_type(r, others)
+    return b if isinstance(b, NotTerminalIsolated) else QuotientType(r=r, b=b)
+
+
+def _vertex(ws: tuple[int, ...], d: int, i: int) -> QuotientType | None | ValueError:
+    """``vertex_singularity`` on sorted weights, returning its failure."""
+    wi = ws[i]
+    rest = ws[:i] + ws[i + 1 :]
+    if d == 0:
+        return None if wi == 1 else _quotient(wi, rest)
+    if d % wi == 0:
+        return None  # general member avoids the vertex
+    types = set()
+    for j, wj in enumerate(rest):
+        if d - wj >= wi and (d - wj) % wi == 0:
+            b = _normalize_type(wi, rest[:j] + rest[j + 1 :])
+            if isinstance(b, NotTerminalIsolated):
+                return b
+            types.add(b)
+    if not types:
+        return NotQuasiSmoothAtVertex(
+            f"vertex w={wi} lies on the member but no monomial x_{wi}^n or "
+            f"x_{wi}^n*x_j of degree {d} exists"
+        )
+    if len(types) != 1:
+        return NotTerminalIsolated(
+            f"vertex w={wi}: eliminating variables disagree on the type: {sorted(types)}"
+        )
+    return QuotientType(r=wi, b=types.pop())
 
 
 def vertex_singularity(shape: HypersurfaceShape, i: int) -> QuotientType | None:
@@ -305,29 +393,33 @@ def vertex_singularity(shape: HypersurfaceShape, i: int) -> QuotientType | None:
     weights mod w_i give the type. Raises NotQuasiSmoothAtVertex when the
     vertex lies on the member with no admissible monomial at all.
     """
-    ws = shape.weights
-    d = shape.degree
-    wi = ws[i]
-    if d == 0:
-        return None if wi == 1 else _quotient(wi, ws[:i] + ws[i + 1 :])
-    if d % wi == 0:
-        return None  # general member avoids the vertex
-    others = [
-        tuple(w for k, w in enumerate(ws) if k not in (i, j))
-        for j, wj in enumerate(ws)
-        if j != i and d - wj >= wi and (d - wj) % wi == 0
-    ]
-    if not others:
-        raise NotQuasiSmoothAtVertex(
-            f"vertex w={wi} lies on the member but no monomial x_{wi}^n or "
-            f"x_{wi}^n*x_j of degree {d} exists"
+    return _raised(_vertex(shape.weights, shape.degree, i))
+
+
+def _edge(ws: tuple[int, ...], d: int, i: int, j: int) -> tuple[int, QuotientType] | None | ValueError:
+    """``edge_singularities`` on sorted weights, returning its failure."""
+    wi, wj = ws[i], ws[j]
+    m = math.gcd(wi, wj)
+    if d == 0 and m > 1:
+        return NotTerminalIsolated(
+            f"weights {wi}, {wj} share a factor: singular locus along the edge"
         )
-    types = sorted({normalize_type(wi, rest) for rest in others})
-    if len(types) != 1:
-        raise NotTerminalIsolated(
-            f"vertex w={wi}: eliminating variables disagree on the type: {types}"
+    # x_i^a x_j^c has degree d iff a*w_i = d mod w_j, which fixes a mod w_j/m;
+    # the least such a decides whether one fits under d (at d = 0, a = 0 does)
+    step = wj // m
+    if d % m or d // m * pow(wi // m, -1, step) % step * wi > d:
+        return EdgeContained(
+            f"no degree-{d} monomial in x_{wi}, x_{wj}: member contains the edge"
         )
-    return QuotientType(r=wi, b=types[0])
+    if m == 1:
+        return None
+    count, rest = divmod(d * m, wi * wj)
+    if rest:
+        return NotGeneral(
+            f"edge ({wi},{wj}): point count {Fraction(d * m, wi * wj)} is not an integer"
+        )
+    qtype = _quotient(m, tuple(w for k, w in enumerate(ws) if k not in (i, j)))
+    return qtype if isinstance(qtype, NotTerminalIsolated) else (count, qtype)
 
 
 def edge_singularities(
@@ -341,33 +433,10 @@ def edge_singularities(
     the edge and the analysis is out of scope (EdgeContained). A fractional
     point count means the member was not general (NotGeneral).
     """
-    ws = shape.weights
-    d = shape.degree
-    wi, wj = ws[i], ws[j]
-    m = math.gcd(wi, wj)
-    if d == 0 and m > 1:
-        raise NotTerminalIsolated(
-            f"weights {wi}, {wj} share a factor: singular locus along the edge"
-        )
-    # x_i^a x_j^c has degree d iff a*w_i = d mod w_j, which fixes a mod w_j/m;
-    # the least such a decides whether one fits under d (at d = 0, a = 0 does)
-    step = wj // m
-    if d % m or d // m * pow(wi // m, -1, step) % step * wi > d:
-        raise EdgeContained(
-            f"no degree-{d} monomial in x_{wi}, x_{wj}: member contains the edge"
-        )
-    if m == 1:
-        return None
-    count_frac = Fraction(d * m, wi * wj)
-    if count_frac.denominator != 1:
-        raise NotGeneral(
-            f"edge ({wi},{wj}): point count {count_frac} is not an integer"
-        )
-    return int(count_frac), _quotient(m, tuple(ws[k] for k in range(len(ws)) if k not in (i, j)))
+    return _raised(_edge(shape.weights, shape.degree, i, j))
 
 
-@dataclass(frozen=True)
-class StratumVerdict:
+class StratumVerdict(NamedTuple):
     """One vertex or edge of the analysis with its status."""
 
     stratum: tuple[int, ...]          # variable positions
@@ -389,7 +458,7 @@ class AnalysisReport:
     warnings: tuple[str, ...]
 
 
-# status of a stratum whose rule raised; on the space itself (d = 0) an edge
+# status of a stratum whose rule failed; on the space itself (d = 0) an edge
 # fails only as a curve of singularities, "singular-edge"
 _FAILED = {
     NotQuasiSmoothAtVertex: "not-quasi-smooth",
@@ -397,37 +466,35 @@ _FAILED = {
     NotGeneral: "not-terminal-isolated",
     NotTerminalIsolated: "not-terminal-isolated",
 }
-_SINGULARITY_ERRORS = tuple(_FAILED)
 
 
 def _walk(shape: HypersurfaceShape) -> Iterator[tuple[StratumVerdict, ValueError | None]]:
-    """Every vertex, then every edge: its verdict, and the error that failed it.
+    """Every vertex, then every edge: its verdict, and the failure the rule returned.
 
-    Coprime edges that do not fail carry no points and get no verdict. An
-    error is handed on without its traceback, so it keeps no frame alive.
+    Coprime edges that do not fail carry no points and get no verdict. The
+    rules return failures rather than raise them, so a failed stratum costs
+    no traceback.
     """
     ws = shape.weights
     d = shape.degree
     for i, wi in enumerate(ws):
-        try:
-            qtype = vertex_singularity(shape, i)
-        except _SINGULARITY_ERRORS as exc:
-            yield StratumVerdict((i,), (wi,), _FAILED[type(exc)]), exc.with_traceback(None)
+        result = _vertex(ws, d, i)
+        if result is None:
+            yield StratumVerdict((i,), (wi,), "off-member" if d else "smooth"), None
+        elif isinstance(result, QuotientType):
+            yield StratumVerdict((i,), (wi,), "quotient", result, 1), None
         else:
-            if qtype is not None:
-                yield StratumVerdict((i,), (wi,), "quotient", qtype, 1), None
-            else:
-                yield StratumVerdict((i,), (wi,), "off-member" if d else "smooth"), None
+            yield StratumVerdict((i,), (wi,), _FAILED[type(result)]), result
     for i, j in itertools.combinations(range(len(ws)), 2):
-        try:
-            result = edge_singularities(shape, i, j)
-        except _SINGULARITY_ERRORS as exc:
-            status = _FAILED[type(exc)] if d else "singular-edge"
-            yield StratumVerdict((i, j), (ws[i], ws[j]), status), exc.with_traceback(None)
+        result = _edge(ws, d, i, j)
+        if result is None:
+            continue
+        if isinstance(result, tuple):
+            count, qtype = result
+            yield StratumVerdict((i, j), (ws[i], ws[j]), "quotient", qtype, count), None
         else:
-            if result is not None:
-                count, qtype = result
-                yield StratumVerdict((i, j), (ws[i], ws[j]), "quotient", qtype, count), None
+            status = _FAILED[type(result)] if d else "singular-edge"
+            yield StratumVerdict((i, j), (ws[i], ws[j]), status), result
 
 
 def _basket_of(verdicts: list[StratumVerdict]) -> Basket:
@@ -439,53 +506,44 @@ def _basket_of(verdicts: list[StratumVerdict]) -> Basket:
 
 
 def basket(shape: HypersurfaceShape) -> Basket:
-    """Union of vertex and edge contributions; raises the first stratum's error."""
+    """Union of vertex and edge contributions; raises the first stratum's failure."""
     verdicts = []
-    for verdict, error in _walk(shape):
-        if error is not None:
-            raise error
+    for verdict, failure in _walk(shape):
+        if failure is not None:
+            raise failure
         verdicts.append(verdict)
     return _basket_of(verdicts)
-
-
-def _warning(verdict: StratumVerdict, message: str, contained: dict[tuple[int, ...], int]) -> str:
-    if verdict.status == "not-quasi-smooth":
-        return f"not quasi-smooth at vertex w={verdict.weights[0]}"
-    if verdict.status == "edge-contained":
-        edges = contained[verdict.weights]
-        what = "the edge" if edges == 1 else f"{edges} edges"
-        wi, wj = verdict.weights
-        return f"member contains {what} w=({wi},{wj}); analysis out of scope"
-    return message
 
 
 def analyze(shape: HypersurfaceShape, order: int | None = None) -> AnalysisReport:
     """Full combinatorial report for a shape; singularity failures become warnings.
 
     Each distinct warning is given once; contained edges of equal weights
-    share one warning that counts them.
+    share one warning that counts them. A failure's message is formatted
+    only where it is the warning.
     """
     q = fano_index(shape)
     if order is None:
         order = max(q, DEFAULT_ORDER)
-    warnings: list[str] = []
-    if not well_formed(shape.weights):
-        warnings.append(f"weights {shape.weights} are not well-formed")
-
-    # failed strata and their messages in two lists, not as pairs, and no error
-    # kept: fewer live objects for the cyclic collector to count per analysis
+    ws = shape.weights
+    # each warning once, in order of first appearance; contained edges are
+    # keyed by their weights and counted, and worded once the count is known
+    warnings: dict[str | tuple[int, ...], int] = {}
+    if not _well_formed(ws):  # the shape has already sorted and checked its weights
+        warnings[f"weights {ws} are not well-formed"] = 1
     strata: list[StratumVerdict] = []
-    failed: list[StratumVerdict] = []
-    messages: list[str] = []
-    contained: dict[tuple[int, ...], int] = {}
-    for verdict, error in _walk(shape):
+    failed = False
+    for verdict, failure in _walk(shape):
         strata.append(verdict)
-        if error is not None:
-            failed.append(verdict)
-            messages.append(str(error))
+        if failure is not None:
+            failed = True
             if verdict.status == "edge-contained":
-                contained[verdict.weights] = contained.get(verdict.weights, 0) + 1
-    warnings.extend(_warning(v, message, contained) for v, message in zip(failed, messages))
+                key = verdict.weights
+            elif verdict.status == "not-quasi-smooth":
+                key = f"not quasi-smooth at vertex w={verdict.weights[0]}"
+            else:
+                key = str(failure)
+            warnings[key] = warnings.get(key, 0) + 1
     # one expansion serves both the genus (t^q) and the reported series
     series = hilbert(shape, max(order, q))
     return AnalysisReport(
@@ -496,5 +554,12 @@ def analyze(shape: HypersurfaceShape, order: int | None = None) -> AnalysisRepor
         genus=_genus_from(series, q),
         hilbert=series if order >= q else series.truncate(order),
         strata=tuple(strata),
-        warnings=tuple(dict.fromkeys(warnings)),
+        warnings=tuple(
+            [key if type(key) is str else _contained_warning(key, n) for key, n in warnings.items()]
+        ),
     )
+
+
+def _contained_warning(weights: tuple[int, ...], edges: int) -> str:
+    what = "the edge" if edges == 1 else f"{edges} edges"
+    return f"member contains {what} w=({weights[0]},{weights[1]}); analysis out of scope"

@@ -110,6 +110,76 @@ def test_has_monomial_matches_count(weights, d):
     assert wps.has_monomial(weights, d) == (wps.monomial_count(weights, d) > 0)
 
 
+def least_degrees(weights) -> list:
+    """least[k]: the least degree of a monomial congruent to k mod the smallest weight a.
+
+    Round-robin shortest paths over residues (Boecker and Liptak 2007): each
+    further weight w walks the cycles k -> k + w mod a once, from the least
+    degree reached on the cycle. math.inf marks a class no monomial reaches.
+    """
+    ws = sorted(weights)
+    a = ws[0]
+    least = [0] + [math.inf] * (a - 1)
+    for w in ws[1:]:
+        g = math.gcd(a, w)
+        for start in range(g):
+            n = min(least[start::g])
+            if n == math.inf:
+                continue
+            for _ in range(a // g - 1):
+                n += w
+                k = n % a
+                n = least[k] = min(n, least[k])
+    return least
+
+
+def reference_has_monomial(weights, d) -> bool:
+    """The residue-class test has_monomial replaced, kept as its oracle.
+
+    Adding powers of the weight-a variable reaches every larger degree in a
+    residue class, so a degree-d monomial exists iff least[d mod a] <= d.
+    """
+    least = least_degrees(weights)
+    return least[d % len(least)] <= d
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=6),
+    st.sampled_from([1, 1, 2, 3, 6, 7]),
+    st.sampled_from(["schur", "run", "frobenius", "huge", "any"]),
+    st.integers(min_value=-3, max_value=3),
+    st.booleans(),
+    st.integers(min_value=0, max_value=300),
+)
+def test_has_monomial_matches_residue_classes(base, factor, near, offset, scaled, any_d):
+    # weights with a common factor g; d near the bounds of their reduced system
+    weights = [factor * w for w in base]
+    g = math.gcd(*weights)
+    reduced = sorted(w // g for w in weights)
+    run = next(k for k in range(1, len(reduced) + 1) if math.gcd(*reduced[:k]) == 1)
+    target = {
+        "schur": (reduced[0] - 1) * (reduced[-1] - 1),
+        "run": (reduced[0] - 1) * (reduced[run - 1] - 1),
+        "frobenius": max(least_degrees(reduced)) - reduced[0],
+        "huge": (10**12 + 1) // g,
+        "any": any_d // g,
+    }[near]
+    d = g * (target + offset) if scaled else g * target + offset
+    if d < 0:
+        return
+    assert wps.has_monomial(weights, d) == reference_has_monomial(weights, d)
+    assert wps.has_monomial(weights, 10**12 + 1) == reference_has_monomial(weights, 10**12 + 1)
+
+
+def test_has_monomial_matches_residue_classes_on_small_systems():
+    # every degree up to past the Schur bound (a - 1)(b - 1) of each system
+    for n in (1, 2, 3):
+        for weights in itertools.combinations_with_replacement(range(1, 13), n):
+            for d in range(weights[0] * weights[-1] + weights[-1]):
+                assert wps.has_monomial(weights, d) == reference_has_monomial(weights, d), (weights, d)
+
+
 def test_has_monomial_cost_is_independent_of_degree():
     start = time.perf_counter()
     for d in (10**8, 10**12, 10**30):
@@ -120,6 +190,44 @@ def test_has_monomial_cost_is_independent_of_degree():
     assert time.perf_counter() - start < 0.1
     with pytest.raises(ValueError):
         wps.has_monomial((3, 4, 5, 6, 7), -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=4),
+    st.sampled_from([1, 1, 2, 3]),
+    st.integers(min_value=3, max_value=30),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_has_monomial_matches_residue_classes_past_a_large_weight(base, factor, exponent, where):
+    # a weight B far above the rest and B <= d below the Schur bound: the
+    # bitset would need d bits, so the residue-class table decides
+    big = 10**exponent + 1
+    weights = [factor * w for w in base] + [big]
+    lo = big
+    hi = max(lo, (min(weights) - 1) * (big - 1))
+    for d in (lo, lo + int(where * (hi - lo)), hi - 1, hi):
+        assert wps.has_monomial(weights, d) == reference_has_monomial(weights, d), (weights, d)
+
+
+def test_has_monomial_cost_is_bounded_by_the_weights():
+    # 1 << (d + 1) here would be ~190 GB; the residue table needs three steps
+    start = time.perf_counter()
+    assert wps.has_monomial((3, 3, 3, 3, 10**12 + 1), 15 * 10**11)
+    assert not wps.has_monomial((3, 6, 9, 12, 10**12 + 1), 15 * 10**11 + 1)  # 1 mod 3 needs 2B
+    for exponent in (7, 12, 30):
+        big = 10**exponent + 1
+        d = 3 * big // 2
+        assert wps.has_monomial((3, 6, 9, 12, big), d) == reference_has_monomial((3, 6, 9, 12, big), d)
+    assert wps.HypersurfaceShape((3, 3, 3, 3, 10**12 + 1), 15 * 10**11 + 3).degree == 15 * 10**11 + 3
+    assert time.perf_counter() - start < 0.1
+
+
+def test_has_monomial_refuses_non_positive_weights():
+    # a zero or negative weight would never leave the bitset's doubling loop
+    for weights in ((0, 3), (-2, 3, 5)):
+        with pytest.raises(ValueError, match="weights must be positive"):
+            wps.has_monomial(weights, 7)
 
 
 def test_large_degree_shape_is_counted_not_listed():
@@ -156,6 +264,9 @@ def test_edge_singularities_x12():
     count46, type46 = wps.edge_singularities(X12, at[4], at[6])
     assert count46 == 1 and (type46.r, type46.b) == (2, 1)
     assert wps.edge_singularities(X12, at[3], at[4]) is None
+    # either order of the two positions names the same edge
+    for i, j in itertools.permutations(range(5), 2):
+        assert wps.edge_singularities(X12, i, j) == wps.edge_singularities(X12, j, i)
 
 
 def test_edge_contained_error():
@@ -232,9 +343,14 @@ def test_basket_spaces(weights, expected_indices):
     assert basket.indices() == expected_indices
 
 
+def curvature_sum(basket):
+    """sum over points of (r - 1/r); < 24 for every terminal Fano basket."""
+    return sum((count * (Fraction(q.r) - Fraction(1, q.r)) for q, count in basket.entries), Fraction(0))
+
+
 def test_basket_curvature_bound():
     for shape in FIXTURE_SHAPES:
-        assert wps.basket(shape).curvature_sum() < 24
+        assert curvature_sum(wps.basket(shape)) < 24
 
 
 def test_genus():
@@ -459,7 +575,7 @@ def test_analyze_gives_each_warning_once(weights, d, expected):
 
 
 def test_analyze_walks_each_stratum_once(monkeypatch):
-    calls = {"vertex_singularity": 0, "edge_singularities": 0}
+    calls = {"_vertex": 0, "_edge": 0}
     for name in calls:
         def counted(*args, _rule=getattr(wps, name), _name=name):
             calls[_name] += 1
@@ -468,7 +584,20 @@ def test_analyze_walks_each_stratum_once(monkeypatch):
         monkeypatch.setattr(wps, name, counted)
     report = wps.analyze(X12)
     assert report.basket is not None and report.basket.indices() == (2, 3, 3, 5, 7)
-    assert calls == {"vertex_singularity": 5, "edge_singularities": 10}
+    assert calls == {"_vertex": 5, "_edge": 10}
+
+
+def test_stratum_verdict_is_a_named_tuple():
+    verdict = wps.StratumVerdict((2,), (5,), "quotient", wps.QuotientType(5, 2), 1)
+    assert wps.StratumVerdict._fields == ("stratum", "weights", "status", "quotient", "count")
+    assert repr(verdict) == (
+        "StratumVerdict(stratum=(2,), weights=(5,), status='quotient', "
+        "quotient=QuotientType(r=5, b=2), count=1)"
+    )
+    assert wps.StratumVerdict((0,), (3,), "off-member") == ((0,), (3,), "off-member", None, 0)
+    # what changed with the NamedTuple: a verdict now equals the plain tuple of its fields
+    assert verdict == ((2,), (5,), "quotient", wps.QuotientType(5, 2), 1)
+    assert hash(verdict) == hash(tuple(verdict))
 
 
 SINGULARITY_ERRORS = (

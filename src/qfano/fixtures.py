@@ -46,14 +46,6 @@ def fixture(name: str) -> Fixture:
     raise KeyError(f"unknown fixture {name!r}")
 
 
-def space_by_index(q: int) -> Fixture | None:
-    """The fake weighted projective space of Fano index q, if the corpus has one."""
-    for f in FIXTURES:
-        if f.shape.degree == 0 and f.fano_index == q:
-            return f
-    return None
-
-
 def verify(f: Fixture) -> list[str]:
     """Recompute the fixture's invariants; return human-readable mismatches."""
     problems: list[str] = []

@@ -123,9 +123,6 @@ class WeightedPolynomial:
     def coefficient(self, exp: Term) -> Fraction:
         return self.terms.get(tuple(exp), Fraction(0))
 
-    def support(self) -> set[Term]:
-        return set(self.terms)
-
     def degree_of(self, exp: Term) -> int:
         return sum(a * w for a, w in zip(exp, self.weights))
 

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import wps
-from .series import DEFAULT_ORDER, PowerSeries, series_equal_upto
+from .series import DEFAULT_ORDER, PowerSeries, ProductSpec, product_coefficients, series_equal_upto
 from .wps import ALLOWED_FANO_INDICES
 
 
@@ -255,16 +255,13 @@ def infer_generators(series: PowerSeries) -> tuple[tuple[int, ...], int | None]:
         raise InconsistentSeries(f"series starts with {coeffs[0]}, expected 1")
     if any(c < 0 for c in coeffs):
         raise InconsistentSeries("negative coefficient in a Hilbert series")
-    order = series.order
-    free = [0] * (order + 1)
-    free[0] = 1
     generators: list[int] = []
-    for m in range(1, order + 1):
+    free = product_coefficients(ProductSpec(), series.order)  # 1, 0, 0, ...
+    for m in range(1, series.order + 1):
         deficit = coeffs[m] - free[m]
         if deficit < 0:
             return tuple(generators), m
-        for _ in range(deficit):
-            generators.append(m)
-            for idx in range(m, order + 1):
-                free[idx] += free[idx - m]
+        if deficit:
+            generators += [m] * deficit
+            free = product_coefficients(ProductSpec((), tuple(generators)), series.order)
     return tuple(generators), None

@@ -34,9 +34,9 @@ Candidates are then run through individually attributable filters:
                   the torsion table below.
   F2 genus        when alpha < 1 the target genus is at least 4, killing
                   torsion rows with smaller recorded genus.
-  F3 effectivity  when qhat pins the target space, each split must satisfy
-                  h^0(target, s_k A) >= dim|kA| + 1 (s_k = 0 only when
-                  dim|kA| = 0).
+  F3 effectivity  when qhat pins the target space (the TARGETS table), each
+                  split must satisfy h^0(target, s_k A) >= dim|kA| + 1,
+                  which for s_k = 0 (h^0 = 1) means dim|kA| = 0.
   F4 geometric    eliminations that rest on geometry this module does not
                   mechanize; recorded with their numeric sub-steps so the
                   transcript stays honest about what is machine-checked.
@@ -51,7 +51,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import fixtures, wps
+from . import wps
 from .wps import ALLOWED_FANO_INDICES
 
 Q = 13  # Fano index of the threefold whose links are being classified
@@ -70,12 +70,15 @@ class UndefinedThreshold(ValueError):
     """Canonical threshold alpha/beta_6 undefined because beta_6 = 0."""
 
 
-def _x12_dims() -> dict[int, int]:
-    series = wps.hilbert(fixtures.X12_SHAPE, 7)
-    return {k: int(series[k]) - 1 for k in range(3, 8)}
+X12 = wps.HypersurfaceShape((3, 4, 5, 6, 7), 25 - Q)  # Fano index: sum of weights - degree = Q
+# dim |kA| on X12 for k = 3..7: its Hilbert coefficients minus 1
+DIMS = {k: h - 1 for k, h in enumerate(wps.hilbert(X12, 7).coefficients) if k >= 3}
 
-
-DIMS = _x12_dims()  # dim |kA| on the index-13 threefold, k = 3..7
+# Target spaces F3 can pin, by index, as weights. At 19 and 17 the index
+# alone names the space; at 11 and 7 a split must also carry an effective
+# pencil of 2A (s = 2) or a second effective member of |A| (s = 1) for some
+# k with dim|kA| >= 1. Every row is recorded, not mechanized here, like F4.
+TARGETS = {19: (3, 4, 5, 7), 17: (2, 3, 5, 7), 11: (1, 2, 3, 5), 7: (1, 1, 2, 3)}
 
 
 @dataclass(frozen=True)
@@ -139,22 +142,13 @@ class CenterCase:
         return Fraction(t * alpha.numerator % alpha.denominator, alpha.denominator)
 
 
-def _ng_alphas() -> tuple[Fraction, ...]:
-    # 6*19 >= 20*alpha*e bounds integral discrepancies by alpha <= 5
-    out = []
-    a = 1
-    while 20 * a <= 6 * 19:
-        out.append(Fraction(a))
-        a += 1
-    return tuple(out)
-
-
 CASES: dict[str, CenterCase] = {
     "NG": CenterCase(
         "NG",
         "curve or Gorenstein point (integral discrepancy)",
         None,
-        _ng_alphas(),
+        # 6*19 >= 20*alpha*e bounds integral discrepancies by alpha <= 5
+        tuple(Fraction(a) for a in range(1, 6 * 19 // 20 + 1)),
         6,
         ((Fraction(1), 11, 2), (Fraction(2), 11, 1)),
     ),
@@ -365,10 +359,15 @@ def bare_text(case: CenterCase, bare: list[LinkCandidate]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _splits(candidate: LinkCandidate, k: int) -> tuple[Split, ...]:
+    """The degree-k splits of a candidate, possibly none."""
+    equation = _equation(CASES[candidate.case], candidate.alpha, k)
+    return _solve_splits(equation, candidate.qhat, candidate.e, k, candidate.birational)
+
+
 def determine_sk(candidate: LinkCandidate, k: int) -> tuple[Split, ...]:
     """All (s_k, beta_k) splits of the degree-k equation for a candidate."""
-    equation = _equation(CASES[candidate.case], candidate.alpha, k)
-    splits = _solve_splits(equation, candidate.qhat, candidate.e, k, candidate.birational)
+    splits = _splits(candidate, k)
     if not splits:
         raise Infeasible(
             f"no (s_{k}, beta_{k}) split for {candidate.key()} in case {candidate.case}"
@@ -390,21 +389,15 @@ def verify_equation(candidate: LinkCandidate) -> bool:
     return True
 
 
-def _pin_target(candidate: LinkCandidate) -> fixtures.Fixture | None:
-    """Identify the target space from qhat and the split data, when possible."""
-    if candidate.qhat in (19, 17):
-        return fixtures.space_by_index(candidate.qhat)
-    if candidate.qhat == 11:
-        # torsion-free index-11 target carrying an effective pencil of 2A
-        for k, splits in candidate.splits.items():
-            if DIMS[k] >= 1 and any(sp.s == 2 for sp in splits):
-                return fixtures.space_by_index(11)
-    if candidate.qhat == 7:
-        # two distinct effective representatives of A identify the target
-        for k, splits in candidate.splits.items():
-            if DIMS[k] >= 1 and any(sp.s == 1 for sp in splits):
-                return fixtures.space_by_index(7)
-    return None
+def _pin_target(candidate: LinkCandidate) -> tuple[int, ...] | None:
+    """Weights of the target space, when qhat and the splits pin it (TARGETS)."""
+    s = {11: 2, 7: 1}.get(candidate.qhat)
+    if s is not None and not any(
+        DIMS[k] >= 1 and any(sp.s == s for sp in splits)
+        for k, splits in candidate.splits.items()
+    ):
+        return None
+    return TARGETS.get(candidate.qhat)
 
 
 @dataclass(frozen=True)
@@ -469,6 +462,15 @@ def canonical_threshold(candidate: LinkCandidate) -> Fraction:
     return candidate.alpha / beta6
 
 
+def _forced_s(candidate: LinkCandidate) -> dict[int, int]:
+    """s_k for every k whose one admissible split has s_k >= 1."""
+    return {
+        k: sps[0].s
+        for k, sps in sorted(candidate.admissible.items())
+        if len(sps) == 1 and sps[0].s >= 1
+    }
+
+
 # geometric eliminations this module records but does not mechanize
 def _f4_reason(candidate: LinkCandidate) -> str | None:
     key = (candidate.case, candidate.alpha, candidate.qhat, candidate.e)
@@ -479,15 +481,7 @@ def _f4_reason(candidate: LinkCandidate) -> str | None:
             "geometric classification argument not mechanized here"
         )
     if key == ("P5", Fraction(1, 5), 17, 6):
-        sols = second_contraction(
-            6,
-            17,
-            {
-                k: sps[0].s
-                for k, sps in candidate.admissible.items()
-                if len(sps) == 1 and sps[0].s >= 1
-            },
-        )
+        sols = second_contraction(6, 17, _forced_s(candidate))
         step = sols[1].delta - sols[0].delta if len(sols) > 1 else None
         mod = f" (delta = {sols[0].delta} mod {step} forced by integrality)" if step else ""
         return (
@@ -569,35 +563,27 @@ def apply_filters(candidates: list[LinkCandidate]) -> list[FilterEvent]:
         # full split data for every k (the transcript shows it all)
         for k in range(3, 8):
             if k not in cand.splits:
-                equation = _equation(CASES[cand.case], cand.alpha, k)
-                cand.splits[k] = _solve_splits(equation, cand.qhat, cand.e, k, cand.birational)
+                cand.splits[k] = _splits(cand, k)
         cand.admissible = dict(cand.splits)
 
         # F3: effectivity on a pinned target
-        target = _pin_target(cand)
-        if target is not None:
-            cand.target = target.name
-            weights = target.shape.weights
+        weights = _pin_target(cand)
+        if weights is not None:
+            name = cand.target = f"P({','.join(map(str, weights))})"
             failed_k: int | None = None
             detail = ""
             new_admissible: dict[int, tuple[Split, ...]] = {}
             for k in range(3, 8):
-                keep = []
-                for sp in cand.splits[k]:
-                    if sp.s == 0:
-                        if DIMS[k] == 0:
-                            keep.append(sp)
-                        continue
-                    if wps.monomial_count(weights, sp.s) >= DIMS[k] + 1:
-                        keep.append(sp)
-                new_admissible[k] = tuple(keep)
+                keep = new_admissible[k] = tuple(
+                    sp for sp in cand.splits[k] if wps.monomial_count(weights, sp.s) >= DIMS[k] + 1
+                )
                 if not keep and failed_k is None:
                     failed_k = k
                     if not cand.splits[k]:
                         shown = "no integral split at all"
                     else:
                         shown = ", ".join(
-                            f"h0({target.name}, {sp.s}*A) = {wps.monomial_count(weights, sp.s)}"
+                            f"h0({name}, {sp.s}*A) = {wps.monomial_count(weights, sp.s)}"
                             for sp in cand.splits[k]
                             if sp.s > 0
                         ) or "only s=0 splits while dim|kA| > 0"
@@ -609,7 +595,7 @@ def apply_filters(candidates: list[LinkCandidate]) -> list[FilterEvent]:
                 eliminate(cand, "F3", detail)
                 continue
             cand.admissible = new_admissible
-            log(cand, "F3", "pass", f"target {target.name}: all k admit effective splits")
+            log(cand, "F3", "pass", f"target {name}: all k admit effective splits")
 
         # F4: geometric eliminations, recorded with their numeric sub-steps
         reason = _f4_reason(cand)
@@ -748,11 +734,7 @@ def run_case(name: str) -> Transcript:
     for cand in final:
         if cand.birational:
             thresholds.append((cand.key(), canonical_threshold(cand)))
-            s = {
-                k: sps[0].s
-                for k, sps in sorted(cand.admissible.items())
-                if len(sps) == 1 and sps[0].s >= 1
-            }
+            s = _forced_s(cand)
             if s:
                 sols = second_contraction(
                     cand.e, cand.qhat, s, smooth_point=cand.target is not None

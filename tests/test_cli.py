@@ -427,7 +427,7 @@ def test_parsing_imports_no_computation_module(argv):
             ("hilbert", "--weights", "3,4,5,6,7", "--degree", "12"),
             {"qfano.sarkisov", "qfano.normal_form", "qfano.riemann_roch", "qfano.fixtures", "json", "difflib"},
         ),
-        (("link", "--case", "p5"), {"qfano.normal_form", "qfano.riemann_roch"}),
+        (("link", "--case", "p5"), {"qfano.normal_form", "qfano.riemann_roch", "qfano.fixtures"}),
     ],
     ids=["hilbert", "link"],
 )

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfano import fixtures, wps
 from qfano import sarkisov as sk
 from qfano.riemann_roch import ALLOWED_FANO_INDICES
 
@@ -27,6 +28,21 @@ def test_beta_congruence(q, r, k, expected):
 
 def test_dims_table():
     assert sk.DIMS == {3: 0, 4: 0, 5: 0, 6: 1, 7: 1}
+
+
+def test_link_data_agree_with_the_corpus():
+    """sarkisov builds X12 and its target table itself; the corpus must agree."""
+    assert sk.X12 == fixtures.X12_SHAPE
+    spaces = {f.fano_index: f for f in fixtures.FIXTURES if f.shape.degree == 0}
+    for qhat, weights in sk.TARGETS.items():
+        assert spaces[qhat].shape.weights == weights
+        # a split with the s that pins the target at 11 and 7; F3 names it
+        split = sk.Split({11: 2, 7: 1}.get(qhat, 1), Fraction(1))
+        cand = sk.LinkCandidate("P5", Fraction(1, 5), qhat, 3, True, splits={6: (split,)})
+        sk.apply_filters([cand])
+        assert cand.target == spaces[qhat].name
+    centres = {case.r for case in sk.CASES.values()} - {None}
+    assert centres == set(wps.basket(fixtures.X12_SHAPE).indices())
 
 
 def test_torsion_table():

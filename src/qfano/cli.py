@@ -43,6 +43,8 @@ def _shape_args(args) -> tuple[tuple[int, ...], int]:
     """(weights, degree) of --weights/--degree or --space; degree 0 for a space."""
     if args.space is not None and args.weights is not None:
         raise UsageError("--weights and --space are mutually exclusive")
+    if args.space is not None and args.degree is not None:
+        raise UsageError("--degree and --space are mutually exclusive (a space has degree 0)")
     if args.space is not None:
         return _parse_weights(args.space, 4), 0
     if args.weights is None:

@@ -110,13 +110,6 @@ class WeightedPolynomial:
                 cleaned[tuple(exp)] = c
         self.terms = cleaned
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, WeightedPolynomial)
-            and self.weights == other.weights
-            and self.terms == other.terms
-        )
-
     def is_zero(self) -> bool:
         return not self.terms
 

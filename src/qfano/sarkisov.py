@@ -27,7 +27,10 @@ by 13 * D, and a Fraction is built only for a split that is returned.
 verify_equation re-checks every split exactly, as an identity over
 den(alpha) * den(beta).
 
-Candidates are then run through individually attributable filters:
+Candidates are then run through individually attributable filters. Each
+filter yields its verdict as one event, which feeds both the filter log and
+the candidate (an eliminated one takes its status, filter and reason from
+that same event):
 
   F1 torsion      the exceptional class forces |T(target)| = d/e with
                   d >= 3; the admissible torsion orders per qhat come from
@@ -96,24 +99,25 @@ class TorsionRow:
         return f"(|T|={self.t}, basket {self.basket}, A3={self.a3}, g={self.genus})"
 
 
+# Admissible |T(target)| rows by target index; every other index >= 4 has |T| = 1 only
+TORSION = {
+    4: (
+        TorsionRow(1),
+        TorsionRow(3, (9, 9), Fraction(1, 9), 3),
+        TorsionRow(5, (5, 5, 5, 5), Fraction(1, 5), 5),
+    ),
+    5: (TorsionRow(1), TorsionRow(3, (2, 9, 9), Fraction(1, 18), 2)),
+    7: (TorsionRow(1), TorsionRow(2)),
+}
+
+
 def torsion_table(qhat: int) -> tuple[TorsionRow, ...]:
     """Admissible |T(target)| rows for a Q-Fano target of index qhat >= 4."""
     if qhat not in ALLOWED_FANO_INDICES:
         raise InvalidIndex(f"index {qhat} outside the admissible set")
     if qhat < 4:
         raise InvalidIndex(f"torsion constraints are tabulated for qhat >= 4, got {qhat}")
-    if qhat >= 8 or qhat == 6:
-        return (TorsionRow(1),)
-    if qhat == 7:
-        return (TorsionRow(1), TorsionRow(2))
-    if qhat == 5:
-        return (TorsionRow(1), TorsionRow(3, (2, 9, 9), Fraction(1, 18), 2))
-    # qhat == 4
-    return (
-        TorsionRow(1),
-        TorsionRow(3, (9, 9), Fraction(1, 9), 3),
-        TorsionRow(5, (5, 5, 5, 5), Fraction(1, 5), 5),
-    )
+    return TORSION.get(qhat, (TorsionRow(1),))
 
 
 def beta_congruence(q: int, r: int, k: int) -> int:
@@ -421,10 +425,9 @@ def second_contraction(
     e: int,
     qhat: int,
     s: dict[int, int],
-    q: int = Q,
     smooth_point: bool = True,
 ) -> tuple[SecondContractionSolution, ...]:
-    """Solutions of e*gamma_k = s_k*delta - k and e*b = qhat*delta - q.
+    """Solutions of e*gamma_k = s_k*delta - k and e*b = qhat*delta - 13.
 
     Returns all delta in 1..DELTA_MAX with every gamma_k a non-negative
     integer, requiring b integral when the contracted point is smooth.
@@ -444,7 +447,7 @@ def second_contraction(
             gammas.append((k, g))
         if not ok:
             continue
-        b = Fraction(qhat * delta - q, e)
+        b = Fraction(qhat * delta - Q, e)
         if smooth_point and b.denominator != 1:
             continue
         out.append(SecondContractionSolution(delta, b, tuple(gammas)))
@@ -494,6 +497,87 @@ def _f4_reason(candidate: LinkCandidate) -> str | None:
     return None
 
 
+def _rows(rows) -> str:
+    return "{" + ", ".join(map(str, rows)) + "}"
+
+
+def _filter_chain(cand: LinkCandidate):
+    """Yield (filter_id, verdict, detail) for one candidate in transcript order.
+
+    F1 to F4 run in turn and the chain stops at the first elimination; a
+    survivor ends with a "final" pass, a fiber-type candidate with a "none"
+    pass. Torsion options, every k's splits, target and d are set on the way.
+    """
+    if not cand.birational:
+        yield "none", "pass", "fiber-type contraction: no torsion or effectivity data applies"
+        return
+
+    # F1: |T(target)| = d/e with d >= 3 must be admissible for qhat
+    rows = torsion_table(cand.qhat)
+    kept = [row for row in rows if row.t * cand.e >= 3]
+    if not kept:
+        yield "F1", "eliminated", (
+            f"|T| = d/e with d >= 3 needs |T| >= 3/{cand.e}; admissible rows "
+            f"for qhat={cand.qhat} are {_rows(rows)}"
+        )
+        return
+    yield "F1", "pass", f"rows satisfying |T|*e >= 3: {_rows(kept)}"
+
+    # F2: alpha < 1 forces target genus >= 4
+    if cand.alpha < 1:
+        dropped = [row for row in kept if row.genus is not None and row.genus < 4]
+        if dropped == kept:
+            yield "F2", "eliminated", (
+                f"alpha < 1 forces g(target) >= 4, killing every remaining row: {_rows(kept)}"
+            )
+            return
+        if dropped:
+            yield "F2", "pass", f"dropped rows with g < 4: {_rows(dropped)}"
+            kept = [row for row in kept if row not in dropped]
+    cand.torsion_options = tuple(sorted(row.t for row in kept))
+
+    # full split data for every k (the transcript shows it all)
+    for k in range(3, 8):
+        if k not in cand.splits:
+            cand.splits[k] = _splits(cand, k)
+    cand.admissible = dict(cand.splits)
+
+    # F3: effectivity on a pinned target
+    weights = _pin_target(cand)
+    if weights is not None:
+        name = cand.target = f"P({','.join(map(str, weights))})"
+        s_values = {sp.s for sps in cand.splits.values() for sp in sps}
+        h0 = {s: wps.monomial_count(weights, s) for s in s_values}
+        effective = {
+            k: tuple(sp for sp in cand.splits[k] if h0[sp.s] >= DIMS[k] + 1) for k in range(3, 8)
+        }
+        k = next((k for k in range(3, 8) if not effective[k]), None)
+        if k is not None:
+            shown = (
+                ", ".join(f"h0({name}, {sp.s}*A) = {h0[sp.s]}" for sp in cand.splits[k] if sp.s > 0)
+                or "only s=0 splits while dim|kA| > 0"
+            ) if cand.splits[k] else "no integral split at all"
+            yield "F3", "eliminated", (
+                f"k={k}: every split fails h0 >= dim|{k}A|+1 = {DIMS[k] + 1}: {shown}"
+            )
+            return
+        cand.admissible = effective
+        yield "F3", "pass", f"target {name}: all k admit effective splits"
+
+    # F4: geometric eliminations, recorded with their numeric sub-steps
+    reason = _f4_reason(cand)
+    if reason is not None:
+        yield "F4", "eliminated", reason
+        return
+
+    # |T| = 1 gives d = e; otherwise the unique member of a system with s = 0
+    # is the contracted divisor
+    cand.d = cand.e if cand.torsion_options == (1,) else next(
+        (k for k in range(3, 8) if [sp.s for sp in cand.admissible[k]] == [0]), None
+    )
+    yield "final", "pass", f"survives all filters; target {cand.target}"
+
+
 def apply_filters(candidates: list[LinkCandidate]) -> list[FilterEvent]:
     """Annotate candidates in place with pass/eliminated verdicts; return the log.
 
@@ -501,121 +585,16 @@ def apply_filters(candidates: list[LinkCandidate]) -> list[FilterEvent]:
     single filter an eliminated candidate cites.
     """
     events: list[FilterEvent] = []
-
-    def log(cand: LinkCandidate, fid: str, verdict: str, detail: str) -> None:
-        events.append(FilterEvent(cand.key(), fid, verdict, detail))
-
-    def eliminate(cand: LinkCandidate, fid: str, detail: str) -> None:
-        cand.status = "eliminated"
-        cand.filter_id = fid
-        cand.reason = detail
-        log(cand, fid, "eliminated", detail)
-
     for cand in sorted(candidates, key=LinkCandidate.sort_key):
-        if not cand.birational:
-            cand.status = "final"
-            cand.reason = "fiber-type contraction: no torsion or effectivity data applies"
-            log(cand, "none", "pass", cand.reason)
-            continue
-
-        # F1: |T(target)| = d/e with d >= 3 must be admissible for qhat
-        rows = torsion_table(cand.qhat)
-        admissible_rows = [row for row in rows if row.t * cand.e >= 3]
-        if not admissible_rows:
-            eliminate(
-                cand,
-                "F1",
-                f"|T| = d/e with d >= 3 needs |T| >= 3/{cand.e}; admissible rows "
-                f"for qhat={cand.qhat} are {{{', '.join(str(r) for r in rows)}}}",
-            )
-            continue
-        log(
-            cand,
-            "F1",
-            "pass",
-            f"rows satisfying |T|*e >= 3: {{{', '.join(str(r) for r in admissible_rows)}}}",
-        )
-
-        # F2: alpha < 1 forces target genus >= 4
-        if cand.alpha < 1:
-            survivors = [
-                row for row in admissible_rows if row.genus is None or row.genus >= 4
-            ]
-            if not survivors:
-                eliminate(
-                    cand,
-                    "F2",
-                    "alpha < 1 forces g(target) >= 4, killing every remaining row: "
-                    f"{{{', '.join(str(r) for r in admissible_rows)}}}",
-                )
-                continue
-            if len(survivors) != len(admissible_rows):
-                dropped = [r for r in admissible_rows if r not in survivors]
-                log(
-                    cand,
-                    "F2",
-                    "pass",
-                    f"dropped rows with g < 4: {{{', '.join(str(r) for r in dropped)}}}",
-                )
-            admissible_rows = survivors
-        cand.torsion_options = tuple(sorted(row.t for row in admissible_rows))
-
-        # full split data for every k (the transcript shows it all)
-        for k in range(3, 8):
-            if k not in cand.splits:
-                cand.splits[k] = _splits(cand, k)
-        cand.admissible = dict(cand.splits)
-
-        # F3: effectivity on a pinned target
-        weights = _pin_target(cand)
-        if weights is not None:
-            name = cand.target = f"P({','.join(map(str, weights))})"
-            failed_k: int | None = None
-            detail = ""
-            new_admissible: dict[int, tuple[Split, ...]] = {}
-            for k in range(3, 8):
-                keep = new_admissible[k] = tuple(
-                    sp for sp in cand.splits[k] if wps.monomial_count(weights, sp.s) >= DIMS[k] + 1
-                )
-                if not keep and failed_k is None:
-                    failed_k = k
-                    if not cand.splits[k]:
-                        shown = "no integral split at all"
-                    else:
-                        shown = ", ".join(
-                            f"h0({name}, {sp.s}*A) = {wps.monomial_count(weights, sp.s)}"
-                            for sp in cand.splits[k]
-                            if sp.s > 0
-                        ) or "only s=0 splits while dim|kA| > 0"
-                    detail = (
-                        f"k={k}: every split fails h0 >= dim|{k}A|+1 = {DIMS[k] + 1}: "
-                        f"{shown}"
-                    )
-            if failed_k is not None:
-                eliminate(cand, "F3", detail)
-                continue
-            cand.admissible = new_admissible
-            log(cand, "F3", "pass", f"target {name}: all k admit effective splits")
-
-        # F4: geometric eliminations, recorded with their numeric sub-steps
-        reason = _f4_reason(cand)
-        if reason is not None:
-            eliminate(cand, "F4", reason)
-            continue
-
-        cand.status = "final"
-        if cand.torsion_options == (1,):
-            cand.d = cand.e
+        for fid, verdict, detail in _filter_chain(cand):
+            events.append(FilterEvent(cand.key(), fid, verdict, detail))
+        # the chain's last event is the candidate's verdict
+        if verdict == "eliminated":
+            cand.status, cand.filter_id, cand.reason = verdict, fid, detail
         else:
-            zero_k = [
-                k
-                for k in range(3, 8)
-                if len(cand.admissible[k]) == 1 and cand.admissible[k][0].s == 0
-            ]
-            if zero_k:
-                # the unique member of that system is the contracted divisor
-                cand.d = zero_k[0]
-        log(cand, "final", "pass", f"survives all filters; target {cand.target}")
+            cand.status = "final"
+            if fid == "none":  # a fiber-type candidate keeps why no filter applied
+                cand.reason = detail
     return events
 
 
@@ -635,21 +614,15 @@ class Transcript:
         case = self.case
         lines = [f"=== sarkisov case {case.name} ==="]
         lines.append(f"center: {case.description}")
-        lines.append(
-            "alpha values: " + ", ".join(str(a) for a in case.alphas)
-        )
+        lines.append("alpha values: " + ", ".join(str(a) for a in case.alphas))
         lines.append(
             f"governing equation (k={case.k}): "
             f"{case.k}*qhat = 13*s{case.k} + (13*beta{case.k} - {case.k}*alpha)*e"
         )
         for alpha in case.alphas:
             rep = case.beta_class(case.k, alpha)
-            lines.append(
-                f"beta{case.k} congruence class at alpha={alpha}: {rep} (mod 1)"
-            )
-        lines.append(
-            "dim |kA|: " + " ".join(f"{k}:{DIMS[k]}" for k in range(3, 8))
-        )
+            lines.append(f"beta{case.k} congruence class at alpha={alpha}: {rep} (mod 1)")
+        lines.append("dim |kA|: " + " ".join(f"{k}:{DIMS[k]}" for k in range(3, 8)))
         lines.append(
             "admissible qhat: "
             + " ".join(str(q) for q in ALLOWED_FANO_INDICES)
@@ -716,17 +689,19 @@ class Transcript:
         }
 
 
+def _verify_all(candidates: list[LinkCandidate], what: str) -> None:
+    for cand in candidates:
+        if not verify_equation(cand):
+            raise AssertionError(f"candidate {cand.key()} fails {what}")
+
+
 def run_case(name: str) -> Transcript:
     """Enumerate, split, filter and report one center case, deterministically."""
     case = CASES[name.upper()]
     bare = enumerate_bare(case)
-    for cand in bare:
-        if not verify_equation(cand):
-            raise AssertionError(f"candidate {cand.key()} fails its defining equation")
+    _verify_all(bare, "its defining equation")
     events = apply_filters(bare)
-    for cand in bare:
-        if not verify_equation(cand):
-            raise AssertionError(f"candidate {cand.key()} fails after split extension")
+    _verify_all(bare, "after split extension")
     final = [c for c in bare if c.status == "final"]
 
     thresholds: list[tuple[str, Fraction]] = []
@@ -759,12 +734,4 @@ def run_case(name: str) -> Transcript:
             f"status: {c.status}"
             + (f" by {c.filter_id}" if c.filter_id else "")
         )
-    return Transcript(
-        case=case,
-        bare=bare,
-        events=events,
-        final=final,
-        thresholds=thresholds,
-        contractions=contractions,
-        notes=notes,
-    )
+    return Transcript(case, bare, events, final, thresholds, contractions, notes)

@@ -62,6 +62,10 @@ def test_hilbert_usage_conflicts(capsys):
     assert code == 2
     code, _, err = run(capsys, "hilbert", "--weights", "3,4,5,6,7")
     assert code == 2 and "--degree" in err
+    # a space has degree 0, so --degree beside --space is a conflict, not ignored
+    for command in ("hilbert", "analyze"):
+        code, out, err = run(capsys, command, "--space", "1,3,4,5", "--degree", "12")
+        assert (code, out) == (2, "") and "--space" in err and "--degree" in err
 
 
 @pytest.mark.parametrize("command", ["hilbert", "analyze"])
@@ -421,17 +425,29 @@ def test_parsing_imports_no_computation_module(argv):
 
 
 @pytest.mark.parametrize(
-    "argv,absent",
+    "argv,present,absent",
     [
         (
             ("hilbert", "--weights", "3,4,5,6,7", "--degree", "12"),
+            {"qfano.wps"},
             {"qfano.sarkisov", "qfano.normal_form", "qfano.riemann_roch", "qfano.fixtures", "json", "difflib"},
         ),
-        (("link", "--case", "p5"), {"qfano.normal_form", "qfano.riemann_roch", "qfano.fixtures"}),
+        (
+            ("normalize", "--input", "EQUATION", "--json"),
+            {"qfano.normal_form"},
+            {"qfano.sarkisov", "qfano.riemann_roch", "qfano.fixtures", "difflib"},
+        ),
+        (
+            ("link", "--case", "p5"),
+            {"qfano.sarkisov", "qfano.wps"},
+            {"qfano.normal_form", "qfano.riemann_roch", "qfano.fixtures", "difflib"},
+        ),
     ],
-    ids=["hilbert", "link"],
+    ids=["hilbert", "normalize", "link"],
 )
-def test_each_command_imports_only_what_it_uses(argv, absent):
-    modules = loaded_modules(argv)
-    assert "qfano.wps" in modules
+def test_each_command_imports_only_what_it_uses(tmp_path, argv, present, absent):
+    equation = tmp_path / "equation.txt"
+    equation.write_text("x5*x7 + x4^3 + x6^2 + x3^4\n", encoding="utf-8")
+    modules = loaded_modules([str(equation) if arg == "EQUATION" else arg for arg in argv])
+    assert present <= modules
     assert not modules & absent

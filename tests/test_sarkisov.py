@@ -273,6 +273,16 @@ def test_every_elimination_cites_one_filter(transcripts):
             ]
             if cand.status == "eliminated":
                 assert len(events) == 1 and events[0].filter_id == cand.filter_id
+            # the candidate's events form one run of the log, whose last event
+            # is its verdict: the elimination it cites, or its final pass
+            at = [i for i, ev in enumerate(t.events) if ev.candidate == cand.key()]
+            assert at == list(range(at[0], at[-1] + 1))
+            last = t.events[at[-1]]
+            if cand.status == "eliminated":
+                assert last == events[0] and last.detail == cand.reason
+            else:
+                assert cand.status == "final" and last.verdict == "pass"
+                assert last.filter_id == ("final" if cand.birational else "none")
 
 
 def test_reference_bare_solutions_present(transcripts):
@@ -385,12 +395,11 @@ def test_integer_kernel_matches_fraction_reference_off_the_case_list(
     e=st.integers(1, 12),
     qhat=st.sampled_from(QHATS),
     s=st.dictionaries(st.integers(3, 7), st.integers(0, 9), max_size=5),
-    q=st.sampled_from((sk.Q, 1, 7)),
     smooth_point=st.booleans(),
 )
-def test_second_contraction_matches_fraction_reference(e, qhat, s, q, smooth_point):
-    got = sk.second_contraction(e, qhat, s, q=q, smooth_point=smooth_point)
-    assert got == reference_second_contraction(e, qhat, s, q=q, smooth_point=smooth_point)
+def test_second_contraction_matches_fraction_reference(e, qhat, s, smooth_point):
+    got = sk.second_contraction(e, qhat, s, smooth_point=smooth_point)
+    assert got == reference_second_contraction(e, qhat, s, smooth_point=smooth_point)
     assert all(type(g) is int for sol in got for _, g in sol.gammas)
 
 

@@ -23,7 +23,7 @@ def main() -> int:
             "  rr entries: "
             + " ".join(f"(r={e.r},b={e.b},wA={e.wa})" for e in data.entries)
         )
-        series = wps.hilbert(f.shape, 12).integer_coefficients()
+        series = wps.hilbert(f.shape, 12).coefficients
         print(f"  hilbert through t^12: {' '.join(str(c) for c in series)}")
     return 0
 

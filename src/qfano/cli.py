@@ -76,7 +76,7 @@ def cmd_hilbert(args) -> Answer:
 
     terms = DEFAULT_ORDER if terms is None else terms
     shape = wps.HypersurfaceShape(weights, degree)
-    coeffs = wps.hilbert(shape, terms).integer_coefficients()
+    coeffs = wps.hilbert(shape, terms).coefficients
     record = {
         "weights": list(shape.weights),
         "degree": shape.degree,
@@ -94,7 +94,7 @@ def cmd_analyze(args) -> Answer:
 
     shape = wps.HypersurfaceShape(weights, degree)
     report = wps.analyze(shape, order=terms)
-    hilbert = report.hilbert.integer_coefficients()
+    hilbert = report.hilbert.coefficients
     record = {
         "weights": list(shape.weights),
         "degree": shape.degree,

@@ -56,7 +56,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
+from operator import add, index
 from typing import NamedTuple
 
 from . import wps
@@ -101,7 +101,7 @@ class WeightedPolynomial:
     terms: Coeffs = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.weights = tuple(int(w) for w in self.weights)
+        self.weights = tuple(map(index, self.weights))
         cleaned: Coeffs = {}
         for exp, c in self.terms.items():
             if type(c) is not Fraction:
@@ -259,7 +259,7 @@ class Substitution:
     rules: dict[int, tuple[Fraction, WeightedPolynomial]]
 
     def __post_init__(self) -> None:
-        self.weights = tuple(int(w) for w in self.weights)
+        self.weights = tuple(map(index, self.weights))
         n = len(self.weights)
         deps: dict[int, set[int]] = {}
         for i, (c, g) in self.rules.items():
@@ -282,22 +282,13 @@ class Substitution:
                     )
                 used |= {j for j, a in enumerate(exp) if a > 0}
             deps[i] = used
-        # triangularity: no dependency cycles among shifted variables
-        seen: set[int] = set()
-
-        def visit(node: int, stack: set[int]) -> None:
-            if node in stack:
+        # triangularity: peel off rules whose shifts use no variable still pending
+        while deps:
+            ready = [i for i, used in deps.items() if used.isdisjoint(deps)]
+            if not ready:
                 raise GradingError("substitution rules form a dependency cycle")
-            if node in seen or node not in deps:
-                return
-            stack.add(node)
-            for nxt in deps[node]:
-                visit(nxt, stack)
-            stack.remove(node)
-            seen.add(node)
-
-        for i in deps:
-            visit(i, set())
+            for i in ready:
+                del deps[i]
 
 
 def substitute(poly: WeightedPolynomial, subst: Substitution) -> WeightedPolynomial:
@@ -372,13 +363,10 @@ class NormalFormResult:
 
 
 def _rational_cbrt(x: Fraction) -> Fraction | None:
-    def icbrt(n: int) -> int | None:
-        if n < 0:
-            r = icbrt(-n)
-            return None if r is None else -r
-        lo, hi = 0, 1
-        while hi**3 < n:
-            hi *= 2
+    """The rational cube root of x, or None when x is not the cube of a rational."""
+
+    def icbrt(n: int) -> int | None:  # n >= 0; the root is below 2^ceil(bits/3)
+        lo, hi = 0, 1 << -(-n.bit_length() // 3)
         while lo < hi:
             mid = (lo + hi) // 2
             if mid**3 < n:
@@ -387,11 +375,11 @@ def _rational_cbrt(x: Fraction) -> Fraction | None:
                 hi = mid
         return lo if lo**3 == n else None
 
-    p = icbrt(x.numerator)
+    p = icbrt(abs(x.numerator))
     q = icbrt(x.denominator)
     if p is None or q is None:
         return None
-    return Fraction(p, q)
+    return Fraction(p if x >= 0 else -p, q)
 
 
 def normalize(poly: WeightedPolynomial) -> NormalFormResult:
@@ -465,10 +453,7 @@ class RelationProfile(NamedTuple):
 def relation_profile(weights, d: int, series: PowerSeries) -> RelationProfile:
     """Free monomial count vs series coefficient at degree d."""
     count = wps.monomial_count(weights, d)
-    coeff = series[d]
-    if coeff.denominator != 1:
-        raise ValueError(f"series coefficient at t^{d} is not an integer")
-    dim = int(coeff)
+    dim = series[d]
     if count < dim:
         raise SeriesExceedsFreeAlgebra(
             f"degree {d}: series coefficient {dim} exceeds the {count} monomials"

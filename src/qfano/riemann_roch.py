@@ -102,8 +102,6 @@ def orientation_sign(q: int, entries: tuple[RRBasketEntry, ...]) -> int | None:
             continue
         plus = (q * entry.wa - 1) % entry.r == 0
         minus = (q * entry.wa + 1) % entry.r == 0
-        if plus and minus:
-            continue
         if not plus and not minus:
             raise ConventionError(
                 f"entry (r={entry.r}, b={entry.b}, wA={entry.wa}) violates "
@@ -250,7 +248,7 @@ def infer_generators(series: PowerSeries) -> tuple[tuple[int, ...], int | None]:
     the free count exceeds the coefficient is the first relation degree
     (None if no relation shows up within the truncation).
     """
-    coeffs = series.integer_coefficients()
+    coeffs = series.coefficients
     if coeffs[0] != 1:
         raise InconsistentSeries(f"series starts with {coeffs[0]}, expected 1")
     if any(c < 0 for c in coeffs):

@@ -1,9 +1,11 @@
-"""Exact truncated power series over Q and product-form expansion.
+"""Exact truncated power series over the integers, and product-form expansion.
 
-Everything in this package is integer or `fractions.Fraction` arithmetic;
-no floating point anywhere. A series stores its first ``order + 1``
-coefficients, and every operation takes the truncation order explicitly
-(default 30, which covers all the checks shipped with the package).
+A series is an integer sequence: the Hilbert series of a weighted
+hypersurface and chi(mA) from orbifold Riemann-Roch are integral term by
+term, so ``PowerSeries`` holds ints and refuses anything else. A series
+stores its first ``order + 1`` coefficients, and every operation takes the
+truncation order explicitly (default 30, which covers all the checks
+shipped with the package).
 
 The workhorse, ``product_coefficients``, expands a quotient of
 cyclotomic-style products
@@ -11,12 +13,9 @@ cyclotomic-style products
     prod_a (1 - t^a) / prod_b (1 - t^b)
 
 to a chosen order in plain integer arithmetic: every coefficient of such a
-product is an integer. ``PowerSeries`` keeps int coefficients as ints and
-converts only non-int ones to ``Fraction``; an int and a Fraction of equal
-value compare and hash alike, so a series built either way is the same
-series. With numerator {d} and denominators equal to the coordinate
-weights this is the Hilbert series of a degree-d hypersurface in a
-weighted projective space, e.g.
+product is an integer. With numerator {d} and denominators equal to the
+coordinate weights this is the Hilbert series of a degree-d hypersurface
+in a weighted projective space, e.g.
 
     (1 - t^12) / ((1-t^3)(1-t^4)(1-t^5)(1-t^6)(1-t^7))
         = 1 + t^3 + t^4 + t^5 + 2t^6 + 2t^7 + ...
@@ -32,8 +31,8 @@ any series machinery on purpose.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 __all__ = [
@@ -56,23 +55,24 @@ class TruncationError(ValueError):
 
 @dataclass(frozen=True)
 class PowerSeries:
-    """A truncated formal series sum_{m<=order} c_m t^m with exact coefficients."""
+    """A truncated formal series sum_{m<=order} c_m t^m with int coefficients."""
 
-    coefficients: tuple[int | Fraction, ...]
+    coefficients: tuple[int, ...]
 
     def __post_init__(self) -> None:
         coeffs = tuple(self.coefficients)
         if not coeffs:
             raise ValueError("a series needs at least the constant coefficient")
         if not set(map(type, coeffs)) <= {int}:
-            coeffs = tuple(c if type(c) is int else Fraction(c) for c in coeffs)
+            m = next(m for m, c in enumerate(coeffs) if type(c) is not int)
+            raise ValueError(f"coefficient of t^{m} is {coeffs[m]!r}, not an int")
         object.__setattr__(self, "coefficients", coeffs)
 
     @property
     def order(self) -> int:
         return len(self.coefficients) - 1
 
-    def __getitem__(self, m: int) -> int | Fraction:
+    def __getitem__(self, m: int) -> int:
         if not 0 <= m <= self.order:
             raise TruncationError(
                 f"coefficient of t^{m} requested, series truncated at order {self.order}"
@@ -88,15 +88,6 @@ class PowerSeries:
             )
         return PowerSeries(self.coefficients[: order + 1])
 
-    def integer_coefficients(self) -> tuple[int, ...]:
-        """All coefficients as plain ints; ValueError if one is not integral."""
-        out = []
-        for m, c in enumerate(self.coefficients):
-            if c.denominator != 1:
-                raise ValueError(f"coefficient of t^{m} is {c}, not an integer")
-            out.append(int(c))
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class ProductSpec:
@@ -110,8 +101,8 @@ class ProductSpec:
     denominator: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "numerator", tuple(int(a) for a in self.numerator))
-        object.__setattr__(self, "denominator", tuple(int(b) for b in self.denominator))
+        object.__setattr__(self, "numerator", tuple(map(operator.index, self.numerator)))
+        object.__setattr__(self, "denominator", tuple(map(operator.index, self.denominator)))
         for a in self.numerator + self.denominator:
             if a < 1:
                 raise ValueError(f"factor exponent {a} must be >= 1")

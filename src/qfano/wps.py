@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,7 +72,7 @@ class NotTerminalIsolated(ValueError):
 
 def weight_system(weights) -> tuple[int, ...]:
     """Validate and sort a weight tuple ascending."""
-    ws = tuple(sorted(map(int, weights)))
+    ws = tuple(sorted(map(operator.index, weights)))
     if len(ws) < 2:
         raise ValueError("a weight system needs at least two weights")
     if ws[0] < 1:
@@ -100,7 +101,7 @@ class HypersurfaceShape:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", weight_system(self.weights))
-        object.__setattr__(self, "degree", int(self.degree))
+        object.__setattr__(self, "degree", operator.index(self.degree))
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
         if self.degree == 0 and len(self.weights) != 4:
@@ -187,7 +188,7 @@ def degree_a3(shape: HypersurfaceShape) -> Fraction:
 
 def monomials(weights, d: int) -> tuple[tuple[int, ...], ...]:
     """All exponent vectors with sum(a_i w_i) = d, descending lexicographic."""
-    ws = tuple(int(w) for w in weights)
+    ws = tuple(map(operator.index, weights))
     if d < 0:
         raise ValueError("degree must be >= 0")
 
@@ -234,7 +235,7 @@ def has_monomial(weights, d: int) -> bool:
     """
     if d < 0:
         raise ValueError("degree must be >= 0")
-    ws = sorted(set(map(int, weights)))
+    ws = sorted(set(map(operator.index, weights)))
     if ws and ws[0] < 1:
         raise ValueError(f"weights must be positive, got {tuple(ws)}")
     ws = [w for w in ws if w <= d]
@@ -300,7 +301,7 @@ def hilbert(shape: HypersurfaceShape, order: int = DEFAULT_ORDER) -> PowerSeries
 
 def _genus_from(series: PowerSeries, q: int) -> int:
     """Hilbert coefficient at t^q minus 2; the series must reach t^q."""
-    return int(series[q]) - 2
+    return series[q] - 2
 
 
 def genus(shape: HypersurfaceShape) -> int:

@@ -313,6 +313,43 @@ def test_substitution_grading_errors():
         nf.Substitution(WS, {WS.index(6): (Fraction(1), self_ref)})
 
 
+def test_substitution_dependency_cycles():
+    # only variables of equal weight can shift into each other, so cycles need repeats
+    ws = (1, 1, 1, 2, 3)
+
+    def shift(*exp):
+        return (Fraction(1), nf.WeightedPolynomial(ws, {exp: Fraction(1)}))
+
+    x0, x1, x2 = (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0)
+    cycles = [
+        {0: shift(*x1), 1: shift(*x0)},
+        {0: shift(*x1), 1: shift(*x2), 2: shift(*x0)},
+        {3: shift(1, 1, 0, 0, 0), 4: shift(1, 0, 0, 1, 0), 1: shift(*x2), 2: shift(*x1)},
+    ]
+    for rules in cycles:
+        with pytest.raises(nf.GradingError, match="substitution rules form a dependency cycle"):
+            nf.Substitution(ws, rules)
+    # x4 -> x0*x3, x3 -> x0*x1, x0 -> x1 -> x2, listed against the dependency order
+    chain = nf.Substitution(
+        ws, {4: shift(1, 0, 0, 1, 0), 3: shift(1, 1, 0, 0, 0), 0: shift(*x1), 1: shift(*x2)}
+    )
+    poly = nf.WeightedPolynomial(ws, {(0, 0, 0, 0, 1): Fraction(1), (3, 0, 0, 0, 0): Fraction(2)})
+    assert nf.substitute(poly, chain) == reference_substitute(poly, chain)
+
+
+def test_rational_cbrt():
+    for p in range(-60, 61):
+        for q in range(1, 31):
+            x = Fraction(p, q)
+            assert nf._rational_cbrt(x**3) == x
+            if x != 0:
+                assert nf._rational_cbrt(2 * x**3) is None
+                assert nf._rational_cbrt(x**3 / 3) is None
+    big = Fraction(-(10**40 + 7), 3**50)
+    assert nf._rational_cbrt(big**3) == big
+    assert nf._rational_cbrt(big**3 + 1) is None
+
+
 def _add(a, b):
     out = dict(a)
     for exp, c in b.items():
@@ -717,7 +754,7 @@ def test_relation_profile(d, expected):
 def test_relation_profile_exceeds():
     from qfano.series import PowerSeries
 
-    fat = PowerSeries(tuple(Fraction(100) if m == 6 else Fraction(1) for m in range(13)))
+    fat = PowerSeries(tuple(100 if m == 6 else 1 for m in range(13)))
     with pytest.raises(nf.SeriesExceedsFreeAlgebra):
         nf.relation_profile(WS, 6, fat)
 

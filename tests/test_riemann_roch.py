@@ -391,6 +391,6 @@ def test_infer_generators_degreewise_detail():
 
 def test_infer_generators_inconsistent():
     with pytest.raises(rr.InconsistentSeries):
-        rr.infer_generators(PowerSeries((Fraction(2), Fraction(1))))
+        rr.infer_generators(PowerSeries((2, 1)))
     with pytest.raises(rr.InconsistentSeries):
-        rr.infer_generators(PowerSeries((Fraction(1), Fraction(-1))))
+        rr.infer_generators(PowerSeries((1, -1)))

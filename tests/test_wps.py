@@ -230,6 +230,29 @@ def test_has_monomial_refuses_non_positive_weights():
             wps.has_monomial(weights, 7)
 
 
+@pytest.mark.parametrize("bad", [3.9, 3.0, Fraction(5, 2), Fraction(3)], ids=repr)
+def test_non_integer_weights_and_degrees_are_refused(bad):
+    from qfano import normal_form as nf
+    from qfano.series import ProductSpec
+
+    weights = (bad, 4, 5, 6, 7)
+    calls = [
+        lambda: wps.weight_system(weights),
+        lambda: wps.well_formed(weights),
+        lambda: wps.HypersurfaceShape(weights, 12),
+        lambda: wps.HypersurfaceShape((3, 4, 5, 6, 7), bad + 9),
+        lambda: wps.monomials(weights, 12),
+        lambda: wps.has_monomial(weights, 12),
+        lambda: ProductSpec((bad,), (2,)),
+        lambda: ProductSpec((12,), weights),
+        lambda: nf.WeightedPolynomial(weights),
+        lambda: nf.Substitution(weights, {}),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+
+
 def test_large_degree_shape_is_counted_not_listed():
     start = time.perf_counter()
     shape = wps.HypersurfaceShape((1,) * 5, 400)
@@ -319,8 +342,8 @@ def test_hilbert_low_degree_coefficients():
     # P(1,2,3,5): two sections of degree 2 (the square of the degree-1
     # coordinate and the degree-2 coordinate)
     series = wps.hilbert(wps.HypersurfaceShape((1, 2, 3, 5)), 2)
-    assert series.integer_coefficients() == (1, 1, 2)
-    assert wps.hilbert(X12, 0).integer_coefficients() == (1,)
+    assert series.coefficients == (1, 1, 2)
+    assert wps.hilbert(X12, 0).coefficients == (1,)
 
 
 def test_basket_x12():

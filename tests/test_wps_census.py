@@ -62,7 +62,7 @@ def analysis_digest(report) -> str:
         list(report.warnings),
         None if report.basket is None else str(report.basket),
         report.genus,
-        list(report.hilbert.integer_coefficients()),
+        list(report.hilbert.coefficients),
     ]
     return hashlib.sha256(json.dumps(record, separators=(",", ":")).encode()).hexdigest()[:16]
 

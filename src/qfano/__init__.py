@@ -2,7 +2,7 @@
 
 Submodules:
 
-* ``series``       exact rationals, truncated power series, product expansion
+* ``series``       truncated integer power series and their product expansion
 * ``wps``          weighted projective spaces and quasi-smooth hypersurfaces
 * ``riemann_roch`` orbifold Riemann-Roch, its convention checked by a series
 * ``sarkisov``     Sarkisov-link Diophantine case analysis and transcripts

@@ -131,7 +131,9 @@ def cmd_analyze(args) -> Answer:
             raise ValueError(f"polynomial is not quasi-homogeneous of degree {shape.degree}")
         w = shape.weights
         corners = sorted(normal_form.corner_check(poly, shape.degree).items())
-        record["warnings"] += [f"not quasi-smooth at vertex w={w[i]}" for i, ok in corners if not ok]
+        # the shape's walk may already have given a corner's warning: each once
+        failed = [f"not quasi-smooth at vertex w={w[i]}" for i, ok in corners if not ok]
+        record["warnings"] = list(dict.fromkeys(record["warnings"] + failed))
         edges = {}
         for i, j in itertools.combinations(range(len(w)), 2):
             try:

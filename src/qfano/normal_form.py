@@ -102,6 +102,8 @@ class WeightedPolynomial:
 
     def __post_init__(self) -> None:
         self.weights = tuple(map(index, self.weights))
+        if self.weights and min(self.weights) < 1:
+            raise ValueError(f"weights must be positive, got {self.weights}")
         cleaned: Coeffs = {}
         for exp, c in self.terms.items():
             if type(c) is not Fraction:
@@ -260,6 +262,8 @@ class Substitution:
 
     def __post_init__(self) -> None:
         self.weights = tuple(map(index, self.weights))
+        if self.weights and min(self.weights) < 1:
+            raise ValueError(f"weights must be positive, got {self.weights}")
         n = len(self.weights)
         deps: dict[int, set[int]] = {}
         for i, (c, g) in self.rules.items():

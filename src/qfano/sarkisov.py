@@ -57,7 +57,6 @@ from fractions import Fraction
 from . import wps
 from .wps import ALLOWED_FANO_INDICES
 
-Q = 13  # Fano index of the threefold whose links are being classified
 DELTA_MAX = 50  # second_contraction searches delta in 1..DELTA_MAX
 
 
@@ -73,9 +72,10 @@ class UndefinedThreshold(ValueError):
     """Canonical threshold alpha/beta_6 undefined because beta_6 = 0."""
 
 
-X12 = wps.HypersurfaceShape((3, 4, 5, 6, 7), 25 - Q)  # Fano index: sum of weights - degree = Q
-# dim |kA| on X12 for k = 3..7: its Hilbert coefficients minus 1
-DIMS = {k: h - 1 for k, h in enumerate(wps.hilbert(X12, 7).coefficients) if k >= 3}
+X12 = wps.HypersurfaceShape((3, 4, 5, 6, 7), 12)
+Q = wps.fano_index(X12)  # the index of the threefold whose links are being classified
+DIMS = {k: wps.hilbert(X12, k)[k] - 1 for k in X12.weights}  # dim |kA| at each generator degree
+_CT_DEGREE = 6  # ct(X, |6A|) = alpha / beta_6, and ct <= 1/2 forces beta_6 >= 2 * alpha
 
 # Target spaces F3 can pin, by index, as weights. At 19 and 17 the index
 # alone names the space; at 11 and 7 a split must also carry an effective
@@ -151,8 +151,9 @@ CASES: dict[str, CenterCase] = {
         "NG",
         "curve or Gorenstein point (integral discrepancy)",
         None,
-        # 6*19 >= 20*alpha*e bounds integral discrepancies by alpha <= 5
-        tuple(Fraction(a) for a in range(1, 6 * 19 // 20 + 1)),
+        # _e_bound at k = 6, beta_6 = 2*alpha: 6*19 >= (2*Q - 6)*alpha*e, so alpha <= 5
+        tuple(map(Fraction, range(1, 1 + _CT_DEGREE * max(ALLOWED_FANO_INDICES)
+                                  // (2 * Q - _CT_DEGREE)))),
         6,
         ((Fraction(1), 11, 2), (Fraction(2), 11, 1)),
     ),
@@ -281,7 +282,7 @@ def _equation(case: CenterCase, alpha: Fraction, k: int) -> _Equation:
     rep_D = rep.numerator * (D // rep.denominator)
     alpha_D = alpha.numerator * (D // alpha.denominator)
     # canonical threshold <= 1/2 forces beta_6 >= 2*alpha: m >= ceil(2*alpha - rep)
-    m_min = max(0, -((rep_D - 2 * alpha_D) // D)) if k == 6 else 0
+    m_min = max(0, -((rep_D - 2 * alpha_D) // D)) if k == _CT_DEGREE else 0
     return D, Q * rep_D - k * alpha_D, rep, m_min
 
 
@@ -456,9 +457,9 @@ def second_contraction(
 
 def canonical_threshold(candidate: LinkCandidate) -> Fraction:
     """alpha / beta_6 with the minimal admissible beta_6 of the candidate."""
-    splits = candidate.admissible.get(6) or candidate.splits.get(6)
+    splits = candidate.admissible.get(_CT_DEGREE) or candidate.splits.get(_CT_DEGREE)
     if not splits:
-        splits = determine_sk(candidate, 6)
+        splits = determine_sk(candidate, _CT_DEGREE)
     beta6 = min(sp.beta for sp in splits)
     if beta6 == 0:
         raise UndefinedThreshold("beta_6 = 0: threshold alpha/beta_6 undefined")
@@ -537,7 +538,7 @@ def _filter_chain(cand: LinkCandidate):
     cand.torsion_options = tuple(sorted(row.t for row in kept))
 
     # full split data for every k (the transcript shows it all)
-    for k in range(3, 8):
+    for k in DIMS:
         if k not in cand.splits:
             cand.splits[k] = _splits(cand, k)
     cand.admissible = dict(cand.splits)
@@ -549,9 +550,9 @@ def _filter_chain(cand: LinkCandidate):
         s_values = {sp.s for sps in cand.splits.values() for sp in sps}
         h0 = {s: wps.monomial_count(weights, s) for s in s_values}
         effective = {
-            k: tuple(sp for sp in cand.splits[k] if h0[sp.s] >= DIMS[k] + 1) for k in range(3, 8)
+            k: tuple(sp for sp in cand.splits[k] if h0[sp.s] >= DIMS[k] + 1) for k in DIMS
         }
-        k = next((k for k in range(3, 8) if not effective[k]), None)
+        k = next((k for k in DIMS if not effective[k]), None)
         if k is not None:
             shown = (
                 ", ".join(f"h0({name}, {sp.s}*A) = {h0[sp.s]}" for sp in cand.splits[k] if sp.s > 0)
@@ -573,7 +574,7 @@ def _filter_chain(cand: LinkCandidate):
     # |T| = 1 gives d = e; otherwise the unique member of a system with s = 0
     # is the contracted divisor
     cand.d = cand.e if cand.torsion_options == (1,) else next(
-        (k for k in range(3, 8) if [sp.s for sp in cand.admissible[k]] == [0]), None
+        (k for k in DIMS if [sp.s for sp in cand.admissible[k]] == [0]), None
     )
     yield "final", "pass", f"survives all filters; target {cand.target}"
 
@@ -617,12 +618,12 @@ class Transcript:
         lines.append("alpha values: " + ", ".join(str(a) for a in case.alphas))
         lines.append(
             f"governing equation (k={case.k}): "
-            f"{case.k}*qhat = 13*s{case.k} + (13*beta{case.k} - {case.k}*alpha)*e"
+            f"{case.k}*qhat = {Q}*s{case.k} + ({Q}*beta{case.k} - {case.k}*alpha)*e"
         )
         for alpha in case.alphas:
             rep = case.beta_class(case.k, alpha)
             lines.append(f"beta{case.k} congruence class at alpha={alpha}: {rep} (mod 1)")
-        lines.append("dim |kA|: " + " ".join(f"{k}:{DIMS[k]}" for k in range(3, 8)))
+        lines.append("dim |kA|: " + " ".join(f"{k}:{dim}" for k, dim in DIMS.items()))
         lines.append(
             "admissible qhat: "
             + " ".join(str(q) for q in ALLOWED_FANO_INDICES)
@@ -644,7 +645,7 @@ class Transcript:
         lines.append(f"final solutions: {len(self.final)}")
         for cand in self.final:
             lines.append(f"  [{cand.key()}] target: {cand.target or 'unidentified'}")
-            for k in range(3, 8):
+            for k in DIMS:
                 splits = cand.admissible.get(k) or ()
                 shown = " ".join(str(sp) for sp in splits)
                 lines.append(f"    k={k}: {shown}")
@@ -654,7 +655,7 @@ class Transcript:
             else:
                 lines.append(f"    |T(target)| options: {cand.torsion_options}")
         for key, ct in self.thresholds:
-            lines.append(f"canonical threshold ct(X, |6A|) at [{key}]: {ct}")
+            lines.append(f"canonical threshold ct(X, |{_CT_DEGREE}A|) at [{key}]: {ct}")
         for key, sol in self.contractions:
             gammas = " ".join(f"gamma{k}={g}" for k, g in sol.gammas)
             lines.append(
@@ -722,7 +723,7 @@ def run_case(name: str) -> Transcript:
         forced = sorted({(c.qhat, c.alpha * c.e) for c in bare})
         if forced == [(11, Fraction(2))]:
             notes.append(
-                "every bare solution satisfies qhat + alpha*e = 0 (mod 13) and is "
+                f"every bare solution satisfies qhat + alpha*e = 0 (mod {Q}) and is "
                 "forced to qhat = 11, alpha*e = 2"
             )
         else:

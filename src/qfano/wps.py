@@ -14,14 +14,15 @@ Monomials are counted, not listed: the number of degree-d monomials is the
 t^d coefficient of prod 1/(1 - t^w), read from the integer series kernel
 ``series.product_coefficients`` in O(n*d) steps. ``monomials`` still lists
 exponent vectors, but no production code reads them: it is the test oracle
-the counts are checked against. Whether a shape is empty needs no count at
-all. ``has_monomial`` divides out the gcd of the weights, and past Schur's
-bound (a - 1)(b - 1) on the Frobenius number of the reduced weights every
-degree is reached; below it a shift-or bitset of reachable degrees decides.
-The bitset holds at most min(d, (a - 1)(b - 1)) bits, and where that is
-more than 16 bits per step of the residue-class table (the least degree in
-each class mod a, O(n*a) steps) the table decides instead. Either way the
-cost is bounded by the weights, not by d.
+the counts are checked against, and like ``weight_system`` it refuses a
+weight below 1. Whether a shape is empty needs no count at all.
+``has_monomial`` divides out the gcd of the weights, and past Schur's bound
+(a - 1)(b - 1) on the Frobenius number of the reduced weights every degree
+is reached; below it a shift-or bitset of reachable degrees decides. The
+bitset holds at most min(d, (a - 1)(b - 1)) bits, and where that is more
+than 16 bits per step of the residue-class table (the least degree in each
+class mod a, O(n*a) steps) the table decides instead. Either way the cost
+is bounded by the weights, not by d.
 
 Conventions fixed for determinism: weights are sorted ascending on
 construction, monomials are listed in descending lexicographic order on
@@ -127,9 +128,6 @@ class QuotientType:
         if not (1 <= self.b < self.r and math.gcd(self.b, self.r) == 1):
             raise ValueError(f"b={self.b} invalid for index {self.r}")
 
-    def sort_key(self) -> tuple[int, int]:
-        return (self.r, self.b)
-
     def __str__(self) -> str:
         return f"1/{self.r}(1,{self.r - 1},{self.b})"
 
@@ -142,7 +140,7 @@ class Basket:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "entries", tuple(sorted(self.entries, key=lambda e: e[0].sort_key()))
+            self, "entries", tuple(sorted(self.entries, key=lambda e: (e[0].r, e[0].b)))
         )
         for _, count in self.entries:
             if count < 1:
@@ -153,11 +151,8 @@ class Basket:
         return " ".join(f"{q}x{count}" if count > 1 else str(q) for q, count in self.entries)
 
     def indices(self) -> tuple[int, ...]:
-        """Index multiset, e.g. (2, 3, 3, 5, 7)."""
-        out: list[int] = []
-        for q, count in self.entries:
-            out.extend([q.r] * count)
-        return tuple(sorted(out))
+        """Index multiset, e.g. (2, 3, 3, 5, 7), ascending as the entries are."""
+        return tuple(q.r for q in self.points())
 
     def points(self) -> tuple[QuotientType, ...]:
         out: list[QuotientType] = []
@@ -180,34 +175,28 @@ def fano_index(shape: HypersurfaceShape) -> int:
 
 def degree_a3(shape: HypersurfaceShape) -> Fraction:
     """A^3 = d / prod(w) for a hypersurface, 1 / prod(w) for the space itself."""
-    prod = math.prod(shape.weights)
-    if shape.degree == 0:
-        return Fraction(1, prod)
-    return Fraction(shape.degree, prod)
+    return Fraction(shape.degree or 1, math.prod(shape.weights))
 
 
 def monomials(weights, d: int) -> tuple[tuple[int, ...], ...]:
     """All exponent vectors with sum(a_i w_i) = d, descending lexicographic."""
-    ws = tuple(map(operator.index, weights))
     if d < 0:
         raise ValueError("degree must be >= 0")
+    ws = tuple(map(operator.index, weights))
+    if ws and min(ws) < 1:
+        raise ValueError(f"weights must be positive, got {ws}")
+    return tuple(_monomials(ws, d))
 
-    found: list[tuple[int, ...]] = []
 
-    def rec(pos: int, rem: int, acc: list[int]) -> None:
-        if pos == len(ws):
-            if rem == 0:
-                found.append(tuple(acc))
-            return
-        if pos == len(ws) - 1:
-            if rem % ws[pos] == 0:
-                found.append(tuple(acc + [rem // ws[pos]]))
-            return
-        for a in range(rem // ws[pos] + 1):
-            rec(pos + 1, rem - a * ws[pos], acc + [a])
-
-    rec(0, d, [])
-    return tuple(sorted(found, reverse=True))
+def _monomials(ws: tuple[int, ...], d: int) -> Iterator[tuple[int, ...]]:
+    """``monomials`` on checked weights: the first exponent falls, each tail descends."""
+    if not ws:
+        if d == 0:
+            yield ()
+        return
+    for a in range(d // ws[0], -1, -1):
+        for tail in _monomials(ws[1:], d - a * ws[0]):
+            yield (a, *tail)
 
 
 def monomial_count(weights, d: int) -> int:
@@ -292,22 +281,14 @@ def _least_degrees(ws: list[int]) -> list[int | float]:
 
 def hilbert(shape: HypersurfaceShape, order: int = DEFAULT_ORDER) -> PowerSeries:
     """Hilbert series of the shape through t^order."""
-    if shape.degree == 0:
-        spec = ProductSpec((), shape.weights)
-    else:
-        spec = ProductSpec((shape.degree,), shape.weights)
-    return expand_product(spec, order)
-
-
-def _genus_from(series: PowerSeries, q: int) -> int:
-    """Hilbert coefficient at t^q minus 2; the series must reach t^q."""
-    return series[q] - 2
+    numerator = (shape.degree,) if shape.degree else ()
+    return expand_product(ProductSpec(numerator, shape.weights), order)
 
 
 def genus(shape: HypersurfaceShape) -> int:
     """h^0 of the anticanonical class minus 2: Hilbert coefficient at t^q, minus 2."""
     q = fano_index(shape)
-    return _genus_from(hilbert(shape, q), q)
+    return hilbert(shape, q)[q] - 2
 
 
 def _normalize_type(r: int, residues: tuple[int, ...]) -> int | NotTerminalIsolated:
@@ -366,23 +347,15 @@ def _vertex(ws: tuple[int, ...], d: int, i: int) -> QuotientType | None | ValueE
         return None if wi == 1 else _quotient(wi, rest)
     if d % wi == 0:
         return None  # general member avoids the vertex
-    types = set()
+    # the first x_i^n*x_j of degree d decides: any other one, x_i^m*x_k, has
+    # w_k = d = w_j mod w_i, so the residues left over are the same multiset
     for j, wj in enumerate(rest):
         if d - wj >= wi and (d - wj) % wi == 0:
-            b = _normalize_type(wi, rest[:j] + rest[j + 1 :])
-            if isinstance(b, NotTerminalIsolated):
-                return b
-            types.add(b)
-    if not types:
-        return NotQuasiSmoothAtVertex(
-            f"vertex w={wi} lies on the member but no monomial x_{wi}^n or "
-            f"x_{wi}^n*x_j of degree {d} exists"
-        )
-    if len(types) != 1:
-        return NotTerminalIsolated(
-            f"vertex w={wi}: eliminating variables disagree on the type: {sorted(types)}"
-        )
-    return QuotientType(r=wi, b=types.pop())
+            return _quotient(wi, rest[:j] + rest[j + 1 :])
+    return NotQuasiSmoothAtVertex(
+        f"vertex w={wi} lies on the member but no monomial x_{wi}^n or "
+        f"x_{wi}^n*x_j of degree {d} exists"
+    )
 
 
 def vertex_singularity(shape: HypersurfaceShape, i: int) -> QuotientType | None:
@@ -552,7 +525,7 @@ def analyze(shape: HypersurfaceShape, order: int | None = None) -> AnalysisRepor
         fano_index=q,
         a3=degree_a3(shape),
         basket=None if failed else _basket_of(strata),
-        genus=_genus_from(series, q),
+        genus=series[q] - 2,
         hilbert=series if order >= q else series.truncate(order),
         strata=tuple(strata),
         warnings=tuple(

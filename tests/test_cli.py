@@ -119,6 +119,24 @@ def test_analyze_form_b_poly_warning(tmp_path, capsys):
     assert payload["poly"]["edges"]["3,6"]["reduced"] is False
 
 
+def test_analyze_poly_gives_each_warning_once(tmp_path, capsys):
+    # the shape's walk already finds the vertices w=4..7 off x3 = 0 not quasi-smooth
+    poly = tmp_path / "x3.txt"
+    poly.write_text("x3\n")
+    argv = ("analyze", "--weights", "3,4,5,6,7", "--degree", "3", "--poly", str(poly))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    warnings = [line for line in out.splitlines() if line.startswith("warning: ")]
+    assert len(warnings) == len(set(warnings))
+    for w in (4, 5, 6, 7):
+        assert warnings.count(f"warning: not quasi-smooth at vertex w={w}") == 1
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["warnings"] == [line.removeprefix("warning: ") for line in warnings]
+    assert [w for w, ok in payload["poly"]["corner"].items() if not ok] == ["4", "5", "6", "7"]
+
+
 @pytest.mark.parametrize("weights", ["2,3,5,7,9", "3,3,4,5,6"])
 def test_analyze_poly_in_other_weights_exit_3(tmp_path, capsys, weights):
     # the polynomial is read in the weights (3,4,5,6,7); labelling its corners

@@ -313,6 +313,13 @@ def test_substitution_grading_errors():
         nf.Substitution(WS, {WS.index(6): (Fraction(1), self_ref)})
 
 
+def test_polynomials_and_substitutions_refuse_non_positive_weights():
+    with pytest.raises(ValueError, match=r"weights must be positive, got \(0, -3, 5\)"):
+        nf.WeightedPolynomial((0, -3, 5), {(1, 1, 1): Fraction(2)})
+    with pytest.raises(ValueError, match="weights must be positive"):
+        nf.Substitution((0, 4, 5, 6, 7), {})
+
+
 def test_substitution_dependency_cycles():
     # only variables of equal weight can shift into each other, so cycles need repeats
     ws = (1, 1, 1, 2, 3)

@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qfano import fixtures, wps
@@ -65,6 +65,31 @@ def test_monomials_degree_twelve():
 def test_monomials_corner_cases():
     assert wps.monomials((3, 4, 5, 6, 7), 0) == ((0, 0, 0, 0, 0),)
     assert wps.monomials((2, 3, 5, 7), 4) == ((2, 0, 0, 0),)
+    assert wps.monomials((), 0) == ((),)
+    assert wps.monomials((), 3) == ()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=8), min_size=0, max_size=5),
+    st.integers(min_value=0, max_value=30),
+)
+def test_monomials_match_brute_force(weights, d):
+    ranges = [range(d // w + 1) for w in weights]
+    assume(math.prod(map(len, ranges)) <= 20_000)
+    vectors = itertools.product(*ranges)
+    expected = sorted(
+        (v for v in vectors if sum(a * w for a, w in zip(v, weights)) == d), reverse=True
+    )
+    assert wps.monomials(weights, d) == tuple(expected)
+
+
+def test_monomials_refuse_non_positive_weights():
+    # the enumerator once divided by zero, dropped a negative first weight's
+    # monomials and listed negative exponents for a negative last weight
+    for weights in ((0, 3), (-2, 3), (3, -2), (0,)):
+        with pytest.raises(ValueError, match="weights must be positive"):
+            wps.monomials(weights, 5)
 
 
 def test_monomial_count_matches_partition_oracle():
@@ -463,25 +488,38 @@ def test_normalize_type_matches_unit_search():
 
 
 def test_vertex_type_independent_of_eliminator():
-    # degree 12 over (2,3,5,7,11): the weight-5 vertex admits two
-    # eliminating monomials, x5^2*x2 and x5*x7, which must agree on (r, b)
-    shape = wps.HypersurfaceShape((2, 3, 5, 7, 11), 12)
-    at5 = shape.weights.index(5)
-    eliminators = [
-        j
-        for j, wj in enumerate(shape.weights)
-        if j != at5 and 12 - wj >= 5 and (12 - wj) % 5 == 0
-    ]
-    assert len(eliminators) == 2
-    choices = {
-        wps.normalize_type(
-            5, tuple(w for k, w in enumerate(shape.weights) if k not in (at5, j))
-        )
-        for j in eliminators
-    }
-    assert len(choices) == 1
-    qt = wps.vertex_singularity(shape, at5)
-    assert qt is not None and qt.b == choices.pop()
+    # x_i^n*x_j and x_i^m*x_k of degree d give w_j = d = w_k mod w_i, so
+    # every eliminating variable leaves the same residues and the same type;
+    # checked at every vertex of every Fano 5-weight shape with weights <= 10
+    def outcome(r, residues):
+        try:
+            return wps.normalize_type(r, residues)
+        except wps.NotTerminalIsolated:
+            return None
+
+    checked = 0
+    for ws in itertools.combinations_with_replacement(range(1, 11), 5):
+        for d in range(1, sum(ws)):
+            for i, wi in enumerate(ws):
+                if d % wi == 0:
+                    continue
+                rest = ws[:i] + ws[i + 1 :]
+                eliminators = [
+                    j for j, wj in enumerate(rest) if d - wj >= wi and (d - wj) % wi == 0
+                ]
+                if len(eliminators) < 2:
+                    continue
+                checked += 1
+                choices = {outcome(wi, rest[:j] + rest[j + 1 :]) for j in eliminators}
+                assert len(choices) == 1, (ws, d, wi)
+                (b,) = choices
+                shape = wps.HypersurfaceShape(ws, d)
+                if b is None:
+                    with pytest.raises(wps.NotTerminalIsolated):
+                        wps.vertex_singularity(shape, i)
+                else:
+                    assert wps.vertex_singularity(shape, i) == wps.QuotientType(wi, b)
+    assert checked > 10_000
 
 
 def test_index_degree_consistency():

@@ -31,8 +31,12 @@ class Fixture:
 
 FIXTURES: tuple[Fixture, ...] = (
     Fixture("X12", X12_SHAPE, 13, Fraction(1, 210), (2, 3, 3, 5, 7), 4),
-    Fixture("P(3,4,5,7)", wps.HypersurfaceShape((3, 4, 5, 7)), 19, Fraction(1, 420), (3, 4, 5, 7), 7),
-    Fixture("P(2,3,5,7)", wps.HypersurfaceShape((2, 3, 5, 7)), 17, Fraction(1, 210), (2, 3, 5, 7), 11),
+    Fixture(
+        "P(3,4,5,7)", wps.HypersurfaceShape((3, 4, 5, 7)), 19, Fraction(1, 420), (3, 4, 5, 7), 7
+    ),
+    Fixture(
+        "P(2,3,5,7)", wps.HypersurfaceShape((2, 3, 5, 7)), 17, Fraction(1, 210), (2, 3, 5, 7), 11
+    ),
     Fixture("P(1,3,4,5)", wps.HypersurfaceShape((1, 3, 4, 5)), 13, Fraction(1, 60), (3, 4, 5), 18),
     Fixture("P(1,2,3,5)", wps.HypersurfaceShape((1, 2, 3, 5)), 11, Fraction(1, 30), (2, 3, 5), 22),
     Fixture("P(1,1,2,3)", wps.HypersurfaceShape((1, 1, 2, 3)), 7, Fraction(1, 6), (2, 3), 29),

@@ -208,7 +208,9 @@ def parse(text: str) -> WeightedPolynomial:
                 raise ParseError(f"expected 'x' at position {_position(text, k)}")
             w = _nat(text, tokens, k + 1)
             if w not in _INDEX:
-                raise ParseError(f"unknown variable x{w} at position {_position(text, k + 1, True)}")
+                raise ParseError(
+                    f"unknown variable x{w} at position {_position(text, k + 1, True)}"
+                )
             k += 2
             if tokens[k] == "^":
                 exp[_INDEX[w]] += _nat(text, tokens, k + 1)

@@ -34,7 +34,7 @@ in either orientation; the local weight wA of the class A is what carries
 orientation. Since qA = -K, the class of A against the canonical-class
 trivialization is determined up to one global sign: wA = (+-q)^{-1} mod r.
 That sign is the classic bug source. The convention is q * wA = -1 mod r
-at every point (``orientation_sign`` is -1); ``rr_candidates`` is the one
+at every point (``orientation_sign`` is -1); ``calibrated_data`` is the one
 place that builds it, and ``calibrate`` confirms it instead of trusting it:
 the Riemann-Roch series of the data must equal a closed-form oracle.
 
@@ -55,11 +55,11 @@ from .wps import ALLOWED_FANO_INDICES
 
 
 class ConventionError(ValueError):
-    """A (b, wA, sign) assignment produced a non-integral chi or is inconsistent."""
+    """Basket data that breaks the wA convention or gives a non-integral chi(mA)."""
 
 
 class CalibrationError(ValueError):
-    """The Riemann-Roch series of the data is not integral or misses the oracle."""
+    """``calibrate`` found the data's series non-integral or off the oracle."""
 
 
 class InconsistentSeries(ValueError):
@@ -192,52 +192,36 @@ def hilbert_rr(data: FanoData, order: int = DEFAULT_ORDER) -> PowerSeries:
     return PowerSeries(tuple(evaluate(m) for m in range(order + 1)))
 
 
-def calibrate(q: int, a3: Fraction, candidates, oracle: PowerSeries) -> FanoData:
-    """Build the Riemann-Roch data and confirm it against a closed-form series.
+def calibrate(data: FanoData, oracle: PowerSeries) -> None:
+    """Check the data's Riemann-Roch series against a closed-form one, through its order.
 
-    ``candidates`` are (r, b, wA) triples with wA already oriented, as
-    ``rr_candidates`` returns them. Entries are stored with b = min(b, r-b)
-    (the correction is symmetric in b <-> r-b) and sorted. The series of
-    the data must equal ``oracle`` through its order; a mismatch or a
-    non-integral chi(mA) raises CalibrationError.
+    A non-integral chi(mA), or a mismatch at its first t^m, raises CalibrationError.
     """
-    entries = sorted((r, min(b % r, -b % r), wa % r) for r, b, wa in candidates)
     try:
-        data = FanoData(q, a3, tuple(RRBasketEntry(*e) for e in entries))
         series = hilbert_rr(data, oracle.order)
     except ConventionError as exc:
         raise CalibrationError(f"Riemann-Roch data rejected: {exc}") from exc
     equal, m = series_equal_upto(series, oracle, oracle.order)
     if not equal:
         raise CalibrationError(f"Riemann-Roch series differs from the oracle at t^{m}")
-    return data
-
-
-def rr_candidates(
-    shape: wps.HypersurfaceShape,
-) -> tuple[int, Fraction, tuple[tuple[int, int, int], ...]]:
-    """(q, A^3, per-point (r, b, wA) triples) read off a shape's basket.
-
-    wA = -q^{-1} mod r is the residue of A against the canonical-class
-    trivialization (module doc); ``calibrate`` checks it against the series.
-    """
-    q = wps.fano_index(shape)
-    a3 = wps.degree_a3(shape)
-    triples = []
-    for p in wps.basket(shape).points():
-        if math.gcd(q, p.r) != 1:
-            raise ConventionError(
-                f"index q={q} not invertible mod the local index {p.r}"
-            )
-        triples.append((p.r, p.b, pow(-q, -1, p.r)))
-    return q, a3, tuple(triples)
 
 
 def calibrated_data(shape: wps.HypersurfaceShape, order: int = 24) -> FanoData:
-    """Calibrate a shape's Riemann-Roch data against its closed-form series."""
-    q, a3, triples = rr_candidates(shape)
-    oracle = wps.hilbert(shape, order)
-    return calibrate(q, a3, triples, oracle)
+    """A shape's Riemann-Roch data, calibrated against its closed-form series.
+
+    Each basket point 1/r(1, r-1, b) gets wA = -q^{-1} mod r (module doc).
+    The basket stores b = min(b, r-b) sorted by (r, b), and wA depends on r
+    alone, so the entries come out canonical and sorted.
+    """
+    q = wps.fano_index(shape)
+    entries = []
+    for p in wps.basket(shape).points():
+        if math.gcd(q, p.r) != 1:
+            raise ConventionError(f"index q={q} not invertible mod the local index {p.r}")
+        entries.append(RRBasketEntry(p.r, p.b, pow(-q, -1, p.r)))
+    data = FanoData(q, wps.degree_a3(shape), tuple(entries))
+    calibrate(data, wps.hilbert(shape, order))
+    return data
 
 
 def infer_generators(series: PowerSeries) -> tuple[tuple[int, ...], int | None]:

@@ -370,16 +370,6 @@ def _splits(candidate: LinkCandidate, k: int) -> tuple[Split, ...]:
     return _solve_splits(equation, candidate.qhat, candidate.e, k, candidate.birational)
 
 
-def determine_sk(candidate: LinkCandidate, k: int) -> tuple[Split, ...]:
-    """All (s_k, beta_k) splits of the degree-k equation for a candidate."""
-    splits = _splits(candidate, k)
-    if not splits:
-        raise Infeasible(
-            f"no (s_{k}, beta_{k}) split for {candidate.key()} in case {candidate.case}"
-        )
-    return splits
-
-
 def verify_equation(candidate: LinkCandidate) -> bool:
     """Re-check every recorded split against its defining equation, exactly."""
     a = candidate.alpha
@@ -457,9 +447,9 @@ def second_contraction(
 
 def canonical_threshold(candidate: LinkCandidate) -> Fraction:
     """alpha / beta_6 with the minimal admissible beta_6 of the candidate."""
-    splits = candidate.admissible.get(_CT_DEGREE) or candidate.splits.get(_CT_DEGREE)
+    splits = candidate.admissible.get(_CT_DEGREE) or _splits(candidate, _CT_DEGREE)
     if not splits:
-        splits = determine_sk(candidate, _CT_DEGREE)
+        raise Infeasible(f"no (s_6, beta_6) split for {candidate.key()} in case {candidate.case}")
     beta6 = min(sp.beta for sp in splits)
     if beta6 == 0:
         raise UndefinedThreshold("beta_6 = 0: threshold alpha/beta_6 undefined")
@@ -677,13 +667,19 @@ class Transcript:
             "dims": {str(k): v for k, v in sorted(DIMS.items())},
             "bare": [c.record() for c in self.bare],
             "filter_log": [
-                {"candidate": ev.candidate, "filter": ev.filter_id, "verdict": ev.verdict, "detail": ev.detail}
+                {
+                    "candidate": ev.candidate, "filter": ev.filter_id,
+                    "verdict": ev.verdict, "detail": ev.detail,
+                }
                 for ev in self.events
             ],
             "final": [c.key() for c in self.final],
             "thresholds": {key: str(ct) for key, ct in self.thresholds},
             "second_contractions": {
-                key: {"delta": sol.delta, "b": str(sol.b), "gammas": {str(k): str(g) for k, g in sol.gammas}}
+                key: {
+                    "delta": sol.delta, "b": str(sol.b),
+                    "gammas": {str(k): str(g) for k, g in sol.gammas},
+                }
                 for key, sol in self.contractions
             },
             "notes": list(self.notes),

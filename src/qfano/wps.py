@@ -308,7 +308,9 @@ def _normalize_type(r: int, residues: tuple[int, ...]) -> int | NotTerminalIsola
     elif (y + z) % r == 0:
         c = pow(y, -1, r) * x % r
     else:
-        return NotTerminalIsolated(f"no unit carries {(x, y, z)} mod {r} to the form (1, {r - 1}, b)")
+        return NotTerminalIsolated(
+            f"no unit carries {(x, y, z)} mod {r} to the form (1, {r - 1}, b)"
+        )
     return min(c, r - c)
 
 
@@ -370,7 +372,9 @@ def vertex_singularity(shape: HypersurfaceShape, i: int) -> QuotientType | None:
     return _raised(_vertex(shape.weights, shape.degree, i))
 
 
-def _edge(ws: tuple[int, ...], d: int, i: int, j: int) -> tuple[int, QuotientType] | None | ValueError:
+def _edge(
+    ws: tuple[int, ...], d: int, i: int, j: int
+) -> tuple[int, QuotientType] | None | ValueError:
     """``edge_singularities`` on sorted weights, returning its failure."""
     wi, wj = ws[i], ws[j]
     m = math.gcd(wi, wj)

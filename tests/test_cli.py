@@ -153,6 +153,19 @@ def test_analyze_poly_in_other_weights_exit_3(tmp_path, capsys, weights):
         )
 
 
+@pytest.mark.parametrize("text", ["0\n", "x3^4 - x3^4\n"])
+def test_analyze_zero_polynomial_exit_3(tmp_path, capsys, text):
+    # 0 is vacuously quasi-homogeneous, but it is the whole space, not a member
+    poly = tmp_path / "zero.txt"
+    poly.write_text(text)
+    for flags in ((), ("--json",)):
+        code, out, err = run(
+            capsys, "analyze", "--weights", "3,4,5,6,7", "--degree", "12", "--poly", str(poly), *flags
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: the polynomial is zero: it defines no hypersurface\n"
+
+
 @pytest.mark.parametrize(
     "weights,degree,edge",
     [("1,2,3,5,7", "7", "3,5"), ("1,3,4,5,11", "11", "4,5"), ("2,3,5,7,23", "23", "5,7"), ("3,4,5,7,17", "17", "4,7")],
@@ -395,6 +408,45 @@ def test_selftest_detects_golden_drift(monkeypatch, capsys):
     assert code == 1
     assert "FAIL transcript" in out
     assert "---" in out  # unified diff shown
+
+
+def _calibration_fails(rr, monkeypatch):
+    def calibrated_data(shape, order=24):
+        raise rr.CalibrationError("Riemann-Roch series differs from the oracle at t^5")
+
+    monkeypatch.setattr(rr, "calibrated_data", calibrated_data)
+    return "Riemann-Roch series differs from the oracle at t^5"
+
+
+def _chi_fractional_at_30(rr, monkeypatch):
+    hilbert_rr = rr.hilbert_rr
+
+    def fractional_at_30(data, order):
+        if order == 30:
+            raise rr.ConventionError("chi(30A) = 1/2 is not an integer")
+        return hilbert_rr(data, order)
+
+    monkeypatch.setattr(rr, "hilbert_rr", fractional_at_30)
+    return "chi(30A) = 1/2 is not an integer"
+
+
+def _orientation_flipped(rr, monkeypatch):
+    monkeypatch.setattr(rr, "orientation_sign", lambda q, entries: 1)
+    return "sign=1"
+
+
+@pytest.mark.parametrize(
+    "patch", [_calibration_fails, _chi_fractional_at_30, _orientation_flipped],
+    ids=lambda patch: patch.__name__.lstrip("_"),
+)
+def test_selftest_detects_riemann_roch_failures(monkeypatch, capsys, patch):
+    from qfano import riemann_roch
+
+    detail = patch(riemann_roch, monkeypatch)
+    code, out, _ = run(capsys, "selftest")
+    assert code == 1
+    [line] = [line for line in out.splitlines() if line.startswith("FAIL riemann-roch X12: ")]
+    assert detail in line
 
 
 @pytest.mark.parametrize("argv", [("link", "--case", "p5", "--json"), ("selftest",)])

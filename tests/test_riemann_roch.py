@@ -1,5 +1,6 @@
 """Riemann-Roch evaluation against the closed-form series oracles."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -196,12 +197,11 @@ def test_orientation_sign_is_global_minus(calibrated):
 def test_calibrate_unique_and_trivial():
     # empty basket calibrates trivially
     oracle = expand_product(ProductSpec((), (1, 1, 1, 1)), 10)
-    data = rr.calibrate(4, Fraction(1), (), oracle)
-    assert data.entries == ()
+    assert rr.calibrate(rr.FanoData(4, Fraction(1), ()), oracle) is None
 
     with pytest.raises(rr.CalibrationError):
-        # wrong A^3 cannot match any assignment
-        rr.calibrate(4, Fraction(2), (), oracle)
+        # wrong A^3 cannot match
+        rr.calibrate(rr.FanoData(4, Fraction(2), ()), oracle)
 
 
 def _canonical_entry(r: int, b: int, wa: int) -> tuple[int, int, int]:
@@ -291,16 +291,16 @@ def clean_shapes(max_weight: int) -> list[wps.HypersurfaceShape]:
 
 def test_flip_search_finds_exactly_the_calibrated_data():
     # the flip search raises unless exactly one assignment matches; feeding it
-    # either orientation of the candidates must land on calibrated_data
+    # either orientation of the calibrated entries must land on calibrated_data
     corpus = clean_shapes(10)
     assert len(corpus) == 105
     for shape in list(FIXTURE_SHAPES.values()) + corpus:
-        q, a3, triples = rr.rr_candidates(shape)
         oracle = wps.hilbert(shape, 24)
         data = rr.calibrated_data(shape, 24)
+        triples = tuple((e.r, e.b, e.wa) for e in data.entries)
         flipped = tuple((r, b, -wa % r) for r, b, wa in triples)
         for fed in (triples, flipped):
-            assert reference_calibrate(q, a3, fed, oracle) == data, shape
+            assert reference_calibrate(data.q, data.a3, fed, oracle) == data, shape
 
 
 @pytest.mark.parametrize(
@@ -318,37 +318,40 @@ def test_calibrated_entries_pinned(calibrated, name, expected):
     assert [(e.r, e.b, e.wa) for e in calibrated[name].entries] == expected
 
 
-def test_calibrate_rejects_wrong_data():
-    q, a3, triples = rr.rr_candidates(X12)
+def test_calibrate_rejects_wrong_data(calibrated):
+    data = calibrated["X12"]
     oracle = wps.hilbert(X12, 24)
     # m(m+q)(2m+q) is divisible by 6, so A^3 + 2 keeps chi(mA) integral:
-    # a plain series mismatch
-    with pytest.raises(rr.CalibrationError) as raised:
-        rr.calibrate(q, a3 + 2, triples, oracle)
+    # a plain series mismatch, reported at its first coefficient
+    with pytest.raises(rr.CalibrationError, match=r"at t\^1$") as raised:
+        rr.calibrate(dataclasses.replace(data, a3=data.a3 + 2), oracle)
     assert raised.value.__cause__ is None
     # X12's basket against P(1,3,4,5)'s series (same index q = 13)
     with pytest.raises(rr.CalibrationError) as raised:
-        rr.calibrate(q, a3, triples, wps.hilbert(FIXTURE_SHAPES["P(1,3,4,5)"], 24))
+        rr.calibrate(data, wps.hilbert(FIXTURE_SHAPES["P(1,3,4,5)"], 24))
     assert raised.value.__cause__ is None
     # a non-integral chi(mA) surfaces as CalibrationError, not ConventionError
-    for bad_a3, bad_triples in (
-        (2 * a3, triples),
-        (a3, tuple((r, b, -wa % r) for r, b, wa in triples)),
+    flipped = tuple(dataclasses.replace(e, wa=-e.wa % e.r) for e in data.entries)
+    for bad in (
+        dataclasses.replace(data, a3=2 * data.a3),
+        dataclasses.replace(data, entries=flipped),
     ):
         with pytest.raises(rr.CalibrationError) as raised:
-            rr.calibrate(q, bad_a3, bad_triples, oracle)
+            rr.calibrate(bad, oracle)
         assert not isinstance(raised.value, rr.ConventionError)
         assert isinstance(raised.value.__cause__, rr.ConventionError)
 
 
-def test_calibrate_resolves_wa_signs():
-    q, a3, triples = rr.rr_candidates(X12)
-    oracle = wps.hilbert(X12, 24)
-    data = rr.calibrate(q, a3, triples, oracle)
-    resolved = sorted((e.r, e.b, e.wa) for e in data.entries)
-    assert resolved == [(2, 1, 1), (3, 1, 2), (3, 1, 2), (5, 2, 3), (7, 2, 1)]
-    for e in data.entries:
-        assert (q * e.wa + 1) % e.r == 0  # wA = -q^{-1} mod r
+def test_calibrate_resolves_wa_signs(calibrated):
+    # of the two global orientations, calibration accepts wA = -q^{-1} mod r
+    # and rejects its flip wherever an entry of index >= 3 pins the sign
+    for name, shape in FIXTURE_SHAPES.items():
+        data = calibrated[name]
+        for e in data.entries:
+            assert (data.q * e.wa + 1) % e.r == 0
+        flipped = tuple(dataclasses.replace(e, wa=-e.wa % e.r) for e in data.entries)
+        with pytest.raises(rr.CalibrationError):
+            rr.calibrate(dataclasses.replace(data, entries=flipped), wps.hilbert(shape, 24))
 
 
 def test_fano_data_validation():

@@ -112,25 +112,26 @@ def _candidate(transcript, qhat, e, alpha=None):
     raise AssertionError(f"candidate ({qhat},{e}) not found")
 
 
-def test_determine_sk_p5_survivor(transcripts):
+def test_splits_p5_survivor(transcripts):
     cand = _candidate(transcripts["P5"], 7, 4)
-    assert sk.determine_sk(cand, 7) == (sk.Split(1, Fraction(4, 5)),)
-    assert sk.determine_sk(cand, 6) == (sk.Split(2, Fraction(2, 5)),)
-    assert sk.determine_sk(cand, 3) == (sk.Split(1, Fraction(1, 5)),)
-    assert sk.determine_sk(cand, 5) == (sk.Split(3, Fraction(0)),)
+    assert cand.splits[7] == (sk.Split(1, Fraction(4, 5)),)
+    assert cand.splits[6] == (sk.Split(2, Fraction(2, 5)),)
+    assert cand.splits[3] == (sk.Split(1, Fraction(1, 5)),)
+    assert cand.splits[5] == (sk.Split(3, Fraction(0)),)
 
 
-def test_determine_sk_p5_seventeen(transcripts):
+def test_splits_p5_seventeen(transcripts):
     cand = _candidate(transcripts["P5"], 17, 6)
-    assert sk.determine_sk(cand, 3)[0].s == 3
-    assert sk.determine_sk(cand, 4)[0].s == 2
-    assert sk.determine_sk(cand, 7)[0].s == 5
+    assert cand.splits[3][0].s == 3
+    assert cand.splits[4][0].s == 2
+    assert cand.splits[7][0].s == 5
 
 
-def test_determine_sk_infeasible(transcripts):
+def test_canonical_threshold_infeasible():
+    # no admissible splits recorded, and the degree-6 equation has none
     cand = sk.LinkCandidate("P5", Fraction(1, 5), 13, 10, True)
-    with pytest.raises(sk.Infeasible):
-        sk.determine_sk(cand, 4)
+    with pytest.raises(sk.Infeasible, match=r"no \(s_6, beta_6\) split for alpha=1/5 qhat=13 e=10"):
+        sk.canonical_threshold(cand)
 
 
 @pytest.mark.parametrize("e", [0, -1])

@@ -29,13 +29,20 @@ class UsageError(ValueError):
     """Malformed flags or arguments: exit code 2."""
 
 
+def _integer(text: str) -> int:
+    """An optional '-' and ASCII digits; int() alone also reads 7_0, +7 and other scripts."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer in ASCII digits 0-9")
+    return int(text)
+
+
 def _parse_weights(text: str, expected: int) -> tuple[int, ...]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != expected:
         raise UsageError(f"expected {expected} comma-separated weights, got {len(parts)}")
     try:
-        return tuple(int(p) for p in parts)
-    except ValueError as exc:
+        return tuple(map(_integer, parts))
+    except argparse.ArgumentTypeError as exc:
         raise UsageError(f"malformed weights {text!r}: {exc}") from exc
 
 
@@ -131,8 +138,6 @@ def cmd_analyze(args) -> Answer:
             raise ValueError(
                 f"polynomial weights {poly.weights} are not the shape's weights {shape.weights}"
             )
-        if not normal_form.is_quasihomogeneous(poly, shape.degree):
-            raise ValueError(f"polynomial is not quasi-homogeneous of degree {shape.degree}")
         w = shape.weights
         corners = sorted(normal_form.corner_check(poly, shape.degree).items())
         # the shape's walk may already have given a corner's warning: each once
@@ -192,7 +197,7 @@ def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
@@ -279,18 +284,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilbert", help="expand a Hilbert series")
     p.add_argument("--weights", help="five comma-separated weights (hypersurface)")
-    p.add_argument("--degree", type=int, help="hypersurface degree")
+    p.add_argument("--degree", type=_integer, help="hypersurface degree")
     p.add_argument("--space", help="four comma-separated weights (the space itself)")
-    p.add_argument("--terms", type=int, help="truncation order")
+    p.add_argument("--terms", type=_integer, help="truncation order")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_hilbert)
 
     p = sub.add_parser("analyze", help="index, degree, basket, genus of a shape")
     p.add_argument("--weights", help="five comma-separated weights (hypersurface)")
-    p.add_argument("--degree", type=int, help="hypersurface degree")
+    p.add_argument("--degree", type=_integer, help="hypersurface degree")
     p.add_argument("--space", help="four comma-separated weights (the space itself)")
     p.add_argument("--poly", help="polynomial file checked against the shape")
-    p.add_argument("--terms", type=int, help="Hilbert truncation order override")
+    p.add_argument("--terms", type=_integer, help="Hilbert truncation order override")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_analyze)
 

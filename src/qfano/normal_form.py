@@ -45,9 +45,10 @@ expanded term lies over D = D_poly * prod D_i^top_i, and one Fraction(v, D)
 is built per output term.
 
 A vertex passes ``corner_check`` when some term is x_i^n or x_i^n*x_j, read
-off the support. ``edge_restriction_points`` counts the distinct zeros of
-a binary form over the algebraic closure from the degrees of repeated gcds
-with the derivative, without factoring.
+off the support of a polynomial quasi-homogeneous of the given degree.
+``edge_restriction_points`` counts the distinct zeros of a binary form over
+the algebraic closure from the degrees of repeated gcds with the
+derivative, without factoring.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from operator import add, index
 from typing import NamedTuple
 
 from . import wps
-from .series import PowerSeries
 
 STANDARD_WEIGHTS = (3, 4, 5, 6, 7)
 MAX_LITERAL_DIGITS = 4300  # CPython's default int/str conversion limit
@@ -83,10 +83,6 @@ class MissingCornerMonomial(ValueError):
     def __init__(self, monomial: str):
         self.monomial = monomial
         super().__init__(f"required corner monomial {monomial} has zero coefficient")
-
-
-class SeriesExceedsFreeAlgebra(ValueError):
-    """A series coefficient exceeds the free monomial count at that degree."""
 
 
 Term = tuple[int, ...]
@@ -343,7 +339,7 @@ def corner_check(poly: WeightedPolynomial, d: int) -> dict[int, bool]:
     power: the terms that keep the member quasi-smooth at vertex i.
     """
     if not is_quasihomogeneous(poly, d):
-        raise ValueError("corner check needs a quasi-homogeneous polynomial")
+        raise ValueError(f"polynomial is not quasi-homogeneous of degree {d}")
     wps.HypersurfaceShape(poly.weights, d)  # five positive weights, d > 0, a nonempty shape
     return {
         i: any(exp[i] and sum(exp) - exp[i] <= 1 for exp in poly.terms)
@@ -448,23 +444,6 @@ def normalize(poly: WeightedPolynomial) -> NormalFormResult:
         steps=tuple(steps),
         final=final,
     )
-
-
-class RelationProfile(NamedTuple):
-    monomials: int      # free monomial count at the degree
-    dimension: int      # Hilbert series coefficient
-    relations: int      # their difference
-
-
-def relation_profile(weights, d: int, series: PowerSeries) -> RelationProfile:
-    """Free monomial count vs series coefficient at degree d."""
-    count = wps.monomial_count(weights, d)
-    dim = series[d]
-    if count < dim:
-        raise SeriesExceedsFreeAlgebra(
-            f"degree {d}: series coefficient {dim} exceeds the {count} monomials"
-        )
-    return RelationProfile(count, dim, count - dim)
 
 
 class EdgePoints(NamedTuple):

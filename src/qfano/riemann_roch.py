@@ -41,6 +41,10 @@ the Riemann-Roch series of the data must equal a closed-form oracle.
 Higher cohomology of mA is assumed to vanish for m >= 0, so Hilbert series
 coefficients are identified with chi(mA); that assumption is not verified
 here.
+
+``infer_generators`` and ``relation_profile`` read a Hilbert series as a
+graded ring: each compares a coefficient with the free-algebra count on
+generator degrees, read from ``series.product_coefficients``.
 """
 
 from __future__ import annotations
@@ -48,9 +52,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import wps
-from .series import DEFAULT_ORDER, PowerSeries, ProductSpec, product_coefficients, series_equal_upto
+from .series import DEFAULT_ORDER, PowerSeries, product_coefficients, series_equal_upto
 from .wps import ALLOWED_FANO_INDICES
 
 
@@ -63,7 +68,7 @@ class CalibrationError(ValueError):
 
 
 class InconsistentSeries(ValueError):
-    """A series cannot be the Hilbert series of a graded domain with R_0 = k."""
+    """A series that no graded domain with R_0 = k, or none on the given generators, has."""
 
 
 @dataclass(frozen=True)
@@ -238,12 +243,26 @@ def infer_generators(series: PowerSeries) -> tuple[tuple[int, ...], int | None]:
     if any(c < 0 for c in coeffs):
         raise InconsistentSeries("negative coefficient in a Hilbert series")
     generators: list[int] = []
-    free = product_coefficients(ProductSpec(), series.order)  # 1, 0, 0, ...
     for m in range(1, series.order + 1):
-        deficit = coeffs[m] - free[m]
+        deficit = coeffs[m] - product_coefficients((), generators, m)[m]
         if deficit < 0:
             return tuple(generators), m
-        if deficit:
-            generators += [m] * deficit
-            free = product_coefficients(ProductSpec((), tuple(generators)), series.order)
+        generators += [m] * deficit
     return tuple(generators), None
+
+
+class RelationProfile(NamedTuple):
+    monomials: int      # free monomial count at the degree
+    dimension: int      # Hilbert series coefficient
+    relations: int      # their difference
+
+
+def relation_profile(weights, d: int, series: PowerSeries) -> RelationProfile:
+    """Free monomial count on generators of these weights vs the series at degree d."""
+    count = product_coefficients((), weights, d)[d]
+    dim = series[d]
+    if count < dim:
+        raise InconsistentSeries(
+            f"degree {d}: series coefficient {dim} exceeds the {count} monomials"
+        )
+    return RelationProfile(count, dim, count - dim)

@@ -7,22 +7,24 @@ stores its first ``order + 1`` coefficients, and every operation takes the
 truncation order explicitly (default 30, which covers all the checks
 shipped with the package).
 
-The workhorse, ``product_coefficients``, expands a quotient of
+The workhorse, ``product_coefficients(numerator, denominator, order)``,
+takes two plain tuples of exponents and expands the quotient of
 cyclotomic-style products
 
     prod_a (1 - t^a) / prod_b (1 - t^b)
 
 to a chosen order in plain integer arithmetic: every coefficient of such a
-product is an integer. With numerator {d} and denominators equal to the
-coordinate weights this is the Hilbert series of a degree-d hypersurface
-in a weighted projective space, e.g.
+product is an integer. With numerator (d,) and the coordinate weights as
+denominator this is the Hilbert series of a degree-d hypersurface in a
+weighted projective space, e.g.
 
     (1 - t^12) / ((1-t^3)(1-t^4)(1-t^5)(1-t^6)(1-t^7))
         = 1 + t^3 + t^4 + t^5 + 2t^6 + 2t^7 + ...
 
 With an empty numerator the t^d coefficient counts the degree-d monomials
 in variables of those weights, which is how ``wps`` counts monomials
-without listing them.
+without listing them and ``riemann_roch`` counts the free algebra on a
+set of generator degrees.
 
 ``partition_count`` recounts the same coefficients by exhaustive recursion
 and stays the independent oracle in the test suite; it is kept free of
@@ -38,7 +40,6 @@ from typing import Iterable
 __all__ = [
     "DEFAULT_ORDER",
     "PowerSeries",
-    "ProductSpec",
     "TruncationError",
     "expand_product",
     "partition_count",
@@ -89,47 +90,34 @@ class PowerSeries:
         return PowerSeries(self.coefficients[: order + 1])
 
 
-@dataclass(frozen=True)
-class ProductSpec:
-    """Exponents of the factors (1 - t^a) upstairs and (1 - t^b) downstairs.
+def product_coefficients(numerator, denominator, order: int) -> tuple[int, ...]:
+    """Integer coefficients of prod_a (1-t^a) / prod_b (1-t^b) through t^order.
 
-    Repeated exponents are allowed on both sides; weights do repeat in
-    systems like P(1,1,2,3).
+    ``numerator`` and ``denominator`` hold the exponents a and b, each an
+    int >= 1; repeats are allowed on both sides, as weights repeat in
+    systems like P(1,1,2,3). O((len(numerator) + len(denominator)) * order)
+    integer steps.
     """
-
-    numerator: tuple[int, ...] = ()
-    denominator: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "numerator", tuple(map(operator.index, self.numerator)))
-        object.__setattr__(self, "denominator", tuple(map(operator.index, self.denominator)))
-        for a in self.numerator + self.denominator:
-            if a < 1:
-                raise ValueError(f"factor exponent {a} must be >= 1")
-
-
-def product_coefficients(spec: ProductSpec, order: int) -> tuple[int, ...]:
-    """Integer coefficients of prod (1-t^a) / prod (1-t^b) through t^order.
-
-    O((len(numerator) + len(denominator)) * order) integer steps.
-    """
+    for a in (*numerator, *denominator):
+        if operator.index(a) < 1:
+            raise ValueError(f"factor exponent {a} must be >= 1")
     if order < 0:
         raise ValueError("truncation order must be >= 0")
     coeffs = [0] * (order + 1)
     coeffs[0] = 1
-    for a in spec.numerator:
+    for a in numerator:
         for m in range(order, a - 1, -1):
             coeffs[m] -= coeffs[m - a]
-    for b in spec.denominator:
+    for b in denominator:
         # multiply by 1/(1-t^b): prefix recurrence c[m] += c[m-b]
         for m in range(b, order + 1):
             coeffs[m] += coeffs[m - b]
     return tuple(coeffs)
 
 
-def expand_product(spec: ProductSpec, order: int) -> PowerSeries:
-    """Expand prod (1-t^a) / prod (1-t^b) through t^order, exactly."""
-    return PowerSeries(product_coefficients(spec, order))
+def expand_product(numerator, denominator, order: int) -> PowerSeries:
+    """Expand prod_a (1-t^a) / prod_b (1-t^b) through t^order, exactly."""
+    return PowerSeries(product_coefficients(numerator, denominator, order))
 
 
 def partition_count(parts: Iterable[int], n: int) -> int:

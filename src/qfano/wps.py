@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .series import DEFAULT_ORDER, PowerSeries, ProductSpec, expand_product, product_coefficients
+from .series import DEFAULT_ORDER, PowerSeries, expand_product, product_coefficients
 
 
 class NotFano(ValueError):
@@ -206,7 +206,7 @@ def monomial_count(weights, d: int) -> int:
     """
     if d < 0:
         raise ValueError("degree must be >= 0")
-    return product_coefficients(ProductSpec((), tuple(weights)), d)[d]
+    return product_coefficients((), weights, d)[d]
 
 
 def has_monomial(weights, d: int) -> bool:
@@ -281,8 +281,7 @@ def _least_degrees(ws: list[int]) -> list[int | float]:
 
 def hilbert(shape: HypersurfaceShape, order: int = DEFAULT_ORDER) -> PowerSeries:
     """Hilbert series of the shape through t^order."""
-    numerator = (shape.degree,) if shape.degree else ()
-    return expand_product(ProductSpec(numerator, shape.weights), order)
+    return expand_product((shape.degree,) if shape.degree else (), shape.weights, order)
 
 
 def genus(shape: HypersurfaceShape) -> int:

@@ -68,6 +68,43 @@ def test_hilbert_usage_conflicts(capsys):
         assert (code, out) == (2, "") and "--space" in err and "--degree" in err
 
 
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (("hilbert", "--weights", "\u0663,4,5,6,7", "--degree", "12"), "weights"),
+        (("hilbert", "--weights", "3,4,5,6,7_0", "--degree", "12"), "weights"),
+        (("hilbert", "--weights", "+3,4,5,6,7", "--degree", "12"), "weights"),
+        (("analyze", "--space", "1,3,4,\u0665"), "weights"),
+        (("hilbert", "--weights", "3,4,5,6,7", "--degree", "1_2"), "--degree"),
+        (("hilbert", "--weights", "3,4,5,6,7", "--degree", "+12"), "--degree"),
+        (("analyze", "--weights", "3,4,5,6,7", "--degree", "\u0661\u0662"), "--degree"),
+        (("hilbert", "--weights", "3,4,5,6,7", "--degree", "12", "--terms", "\u0665"), "--terms"),
+        (("analyze", "--weights", "3,4,5,6,7", "--degree", "12", "--terms", "1_0"), "--terms"),
+        (("hilbert", "--weights", "3,4,5,6,7", "--degree", "12", "--terms", " 5"), "--terms"),
+    ],
+    ids=[
+        "weights-arabic-indic", "weights-underscore", "weights-plus", "space-arabic-indic",
+        "degree-underscore", "degree-plus", "degree-arabic-indic",
+        "terms-arabic-indic", "terms-underscore", "terms-space",
+    ],
+)
+def test_numbers_are_ascii_digits_only(capsys, argv, named):
+    # int() would read 7_0 as 70, +3 as 3 and Arabic-Indic digits as theirs
+    for flags in ((), ("--json",)):
+        code, out, err = run(capsys, *argv, *flags)
+        assert (code, out) == (2, "") and named in err
+
+
+def test_numbers_keep_their_sign_and_the_spaces_around_weights(capsys):
+    argv = ("hilbert", "--weights", " 3, 4 ,5,6,7 ", "--degree", "12", "--terms", "5")
+    assert run(capsys, *argv) == (0, "1 0 0 1 1 1\n", "")
+    # a negative weight or degree breaks a precondition; a negative --terms is usage
+    code, out, err = run(capsys, "hilbert", "--weights=-3,4,5,6,7", "--degree", "12")
+    assert (code, out) == (3, "") and "weights must be positive" in err
+    code, out, err = run(capsys, "hilbert", "--weights", "3,4,5,6,7", "--degree", "-12")
+    assert (code, out) == (3, "") and "degree must be >= 0" in err
+
+
 @pytest.mark.parametrize("command", ["hilbert", "analyze"])
 def test_negative_terms_is_a_usage_error(capsys, command):
     code, out, err = run(capsys, command, "--weights", "3,4,5,6,7", "--degree", "12", "--terms", "-1")
@@ -164,6 +201,17 @@ def test_analyze_zero_polynomial_exit_3(tmp_path, capsys, text):
         )
         assert (code, out) == (3, "")
         assert err == "error: the polynomial is zero: it defines no hypersurface\n"
+
+
+def test_analyze_poly_not_quasi_homogeneous_exit_3(tmp_path, capsys):
+    poly = tmp_path / "mixed.txt"
+    poly.write_text("x5*x7 + x4^3 + x3\n")
+    for flags in ((), ("--json",)):
+        code, out, err = run(
+            capsys, "analyze", "--weights", "3,4,5,6,7", "--degree", "12", "--poly", str(poly), *flags
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: polynomial is not quasi-homogeneous of degree 12\n"
 
 
 @pytest.mark.parametrize(
@@ -382,6 +430,20 @@ def test_normalize_overlong_literal_is_a_parse_error(tmp_path, capsys, flags):
 def test_normalize_unreadable_file_exit_2(capsys):
     code, _, _ = run(capsys, "normalize", "--input", "/nonexistent/file.txt")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["normalize", "analyze"])
+def test_file_not_in_utf8_is_unreadable_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"\xff\xfe x3")
+    if command == "normalize":
+        argv = ("normalize", "--input", str(path))
+    else:
+        argv = ("analyze", "--weights", "3,4,5,6,7", "--degree", "12", "--poly", str(path))
+    for flags in ((), ("--json",)):
+        code, out, err = run(capsys, *argv, *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_selftest_passes(capsys):

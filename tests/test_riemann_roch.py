@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qfano import riemann_roch as rr
 from qfano import wps
-from qfano.series import PowerSeries, ProductSpec, expand_product, series_equal_upto
+from qfano.series import PowerSeries, expand_product, series_equal_upto
 
 X12 = wps.HypersurfaceShape((3, 4, 5, 6, 7), 12)
 
@@ -109,7 +109,7 @@ def test_hilbert_rr_matches_closed_form(calibrated):
     # the cross-module comparison through the comparison helper
     equal, mismatch = series_equal_upto(
         rr.hilbert_rr(calibrated["X12"], 24),
-        expand_product(ProductSpec((12,), (3, 4, 5, 6, 7)), 24),
+        expand_product((12,), (3, 4, 5, 6, 7), 24),
         24,
     )
     assert equal and mismatch is None
@@ -196,7 +196,7 @@ def test_orientation_sign_is_global_minus(calibrated):
 
 def test_calibrate_unique_and_trivial():
     # empty basket calibrates trivially
-    oracle = expand_product(ProductSpec((), (1, 1, 1, 1)), 10)
+    oracle = expand_product((), (1, 1, 1, 1), 10)
     assert rr.calibrate(rr.FanoData(4, Fraction(1), ()), oracle) is None
 
     with pytest.raises(rr.CalibrationError):
@@ -371,16 +371,33 @@ def test_fano_data_validation():
 @pytest.mark.parametrize(
     "spec,expected_gens,expected_rel",
     [
-        ((ProductSpec((12,), (3, 4, 5, 6, 7))), (3, 4, 5, 6, 7), 12),
-        ((ProductSpec((), (1, 1, 1, 1))), (1, 1, 1, 1), None),
-        ((ProductSpec((6,), (1, 1, 2, 3))), (1, 1, 2, 3), 6),
+        (((12,), (3, 4, 5, 6, 7)), (3, 4, 5, 6, 7), 12),
+        (((), (1, 1, 1, 1)), (1, 1, 1, 1), None),
+        (((6,), (1, 1, 2, 3)), (1, 1, 2, 3), 6),
     ],
 )
 def test_infer_generators(spec, expected_gens, expected_rel):
-    series = expand_product(spec, 30)
+    series = expand_product(*spec, 30)
     gens, rel = rr.infer_generators(series)
     assert gens == expected_gens
     assert rel == expected_rel
+
+
+@pytest.mark.parametrize("shape", FIXTURE_SHAPES.values(), ids=FIXTURE_SHAPES.keys())
+def test_relation_profile_agrees_with_infer_generators(shape):
+    series = wps.hilbert(shape, 30)
+    generators, first = rr.infer_generators(series)
+    # the greedy generators leave no relation below the first relation degree
+    for d in range(first or series.order + 1):
+        assert rr.relation_profile(generators, d, series).relations == 0
+    if first is not None:
+        assert rr.relation_profile(generators, first, series).relations >= 1
+    if shape.degree:
+        assert (generators, first) == ((3, 4, 5, 6, 7), 12)
+        assert rr.relation_profile(generators, first, series) == (6, 5, 1)
+    else:
+        # a weighted projective space is free on its weights through t^30
+        assert (generators, first) == (shape.weights, None)
 
 
 def test_infer_generators_degreewise_detail():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from qfano import fixtures, riemann_roch, wps
 from qfano.series import (
     PowerSeries,
-    ProductSpec,
     TruncationError,
     expand_product,
     partition_count,
@@ -18,16 +17,16 @@ from qfano.series import (
     series_equal_upto,
 )
 
-X12_SPEC = ProductSpec((12,), (3, 4, 5, 6, 7))
+X12_EXPONENTS = ((12,), (3, 4, 5, 6, 7))
 
 
 def test_degree_12_hypersurface_series_prefix():
-    series = expand_product(X12_SPEC, 10)
+    series = expand_product(*X12_EXPONENTS, 10)
     assert series.coefficients == (1, 0, 0, 1, 1, 1, 2, 2, 2, 3, 4)
 
 
 def test_geometric_series():
-    series = expand_product(ProductSpec((), (1,)), 5)
+    series = expand_product((), (1,), 5)
     assert series.coefficients == (1, 1, 1, 1, 1, 1)
 
 
@@ -35,7 +34,7 @@ def test_coefficient_thirteen_from_partition_oracle():
     # shifted-partition identity evaluated by the independent oracle
     expected = partition_count((3, 4, 5, 6, 7), 13) - partition_count((3, 4, 5, 6, 7), 1)
     assert expected == 6
-    assert expand_product(X12_SPEC, 13)[13] == expected
+    assert expand_product(*X12_EXPONENTS, 13)[13] == expected
 
 
 def _enumerate_multisets(parts, n):
@@ -72,22 +71,22 @@ def test_partition_count_matches_listing_through_30():
 
 
 def test_series_equal_upto_reflexive():
-    series = expand_product(X12_SPEC, 10)
+    series = expand_product(*X12_EXPONENTS, 10)
     assert series_equal_upto(series, series, 10) == (True, None)
 
 
 def test_series_equal_upto_first_mismatch():
     # degree-6 relation would already change the coefficient of t^6
-    a = expand_product(X12_SPEC, 10)
-    b = expand_product(ProductSpec((6,), (3, 4, 5, 6, 7)), 10)
+    a = expand_product(*X12_EXPONENTS, 10)
+    b = expand_product((6,), (3, 4, 5, 6, 7), 10)
     equal, at = series_equal_upto(a, b, 10)
     assert not equal and at == 6
     assert (a[6], b[6]) == (Fraction(2), Fraction(1))
 
 
 def test_series_equal_upto_truncation_error():
-    a = expand_product(X12_SPEC, 5)
-    b = expand_product(X12_SPEC, 10)
+    a = expand_product(*X12_EXPONENTS, 5)
+    b = expand_product(*X12_EXPONENTS, 10)
     with pytest.raises(TruncationError):
         series_equal_upto(a, b, 8)
 
@@ -96,7 +95,7 @@ def test_power_series_validation():
     with pytest.raises(ValueError):
         PowerSeries(())
     with pytest.raises(TruncationError):
-        expand_product(X12_SPEC, 3)[4]
+        expand_product(*X12_EXPONENTS, 3)[4]
     with pytest.raises(ValueError):
         PowerSeries((Fraction(1, 2),))
 
@@ -131,9 +130,20 @@ def test_int_series_truncate_and_compare(coeffs, data):
     assert series_equal_upto(series, bumped, series.order) == (False, m)
 
 
-def test_product_spec_validation():
-    with pytest.raises(ValueError):
-        ProductSpec((0,), (1,))
+def test_product_exponent_validation():
+    for kernel in (product_coefficients, expand_product):
+        for bad in (0, -2):
+            with pytest.raises(ValueError, match=f"factor exponent {bad} must be >= 1"):
+                kernel((bad,), (1,), 5)
+            with pytest.raises(ValueError, match=f"factor exponent {bad} must be >= 1"):
+                kernel((), (3, bad), 5)
+        for bad in (2.0, Fraction(2)):
+            with pytest.raises(TypeError):
+                kernel((bad,), (1,), 5)
+            with pytest.raises(TypeError):
+                kernel((), (3, bad), 5)
+        with pytest.raises(ValueError, match="truncation order must be >= 0"):
+            kernel(*X12_EXPONENTS, -1)
 
 
 weights_lists = st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=4)
@@ -142,7 +152,7 @@ weights_lists = st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_
 @settings(max_examples=60, deadline=None)
 @given(weights_lists)
 def test_pure_denominator_matches_partition_oracle(weights):
-    series = expand_product(ProductSpec((), tuple(weights)), 30)
+    series = expand_product((), weights, 30)
     for m in range(31):
         assert series[m] == partition_count(weights, m)
 
@@ -150,7 +160,7 @@ def test_pure_denominator_matches_partition_oracle(weights):
 @settings(max_examples=60, deadline=None)
 @given(weights_lists, st.integers(min_value=1, max_value=15))
 def test_single_numerator_shift_identity(weights, d):
-    series = expand_product(ProductSpec((d,), tuple(weights)), 30)
+    series = expand_product((d,), weights, 30)
     for m in range(31):
         expected = partition_count(weights, m)
         if m >= d:
@@ -158,14 +168,14 @@ def test_single_numerator_shift_identity(weights, d):
         assert series[m] == expected
 
 
-def _fraction_expand(spec, order):
+def _fraction_expand(numerator, denominator, order):
     """The Fraction recurrence product_coefficients replaced, kept as its reference."""
     coeffs = [Fraction(0)] * (order + 1)
     coeffs[0] = Fraction(1)
-    for a in spec.numerator:
+    for a in numerator:
         for m in range(order, a - 1, -1):
             coeffs[m] -= coeffs[m - a]
-    for b in spec.denominator:
+    for b in denominator:
         for m in range(b, order + 1):
             coeffs[m] += coeffs[m - b]
     return tuple(coeffs)
@@ -177,18 +187,17 @@ exponent_lists = st.lists(st.integers(min_value=1, max_value=40), max_size=5)
 @settings(max_examples=100, deadline=None)
 @given(exponent_lists, exponent_lists, st.integers(min_value=0, max_value=120))
 def test_integer_kernel_matches_fraction_recurrence(numerator, denominator, order):
-    spec = ProductSpec(tuple(numerator), tuple(denominator))
-    coeffs = product_coefficients(spec, order)
+    coeffs = product_coefficients(numerator, denominator, order)
     assert all(type(c) is int for c in coeffs)
-    assert coeffs == _fraction_expand(spec, order)
-    assert expand_product(spec, order).coefficients == coeffs
+    assert coeffs == _fraction_expand(numerator, denominator, order)
+    assert expand_product(numerator, denominator, order).coefficients == coeffs
 
 
 def test_integer_kernel_rejects_negative_order():
     with pytest.raises(ValueError):
-        product_coefficients(X12_SPEC, -1)
+        product_coefficients(*X12_EXPONENTS, -1)
     with pytest.raises(ValueError):
-        expand_product(X12_SPEC, 10).truncate(-1)
+        expand_product(*X12_EXPONENTS, 10).truncate(-1)
 
 
 fractions = st.fractions(

@@ -258,7 +258,7 @@ def test_has_monomial_refuses_non_positive_weights():
 @pytest.mark.parametrize("bad", [3.9, 3.0, Fraction(5, 2), Fraction(3)], ids=repr)
 def test_non_integer_weights_and_degrees_are_refused(bad):
     from qfano import normal_form as nf
-    from qfano.series import ProductSpec
+    from qfano.series import expand_product, product_coefficients
 
     weights = (bad, 4, 5, 6, 7)
     calls = [
@@ -268,8 +268,8 @@ def test_non_integer_weights_and_degrees_are_refused(bad):
         lambda: wps.HypersurfaceShape((3, 4, 5, 6, 7), bad + 9),
         lambda: wps.monomials(weights, 12),
         lambda: wps.has_monomial(weights, 12),
-        lambda: ProductSpec((bad,), (2,)),
-        lambda: ProductSpec((12,), weights),
+        lambda: product_coefficients((bad,), (2,), 12),
+        lambda: expand_product((12,), weights, 12),
         lambda: nf.WeightedPolynomial(weights),
         lambda: nf.Substitution(weights, {}),
     ]

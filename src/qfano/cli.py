@@ -40,22 +40,25 @@ def _parse_weights(text: str, expected: int) -> tuple[int, ...]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != expected:
         raise UsageError(f"expected {expected} comma-separated weights, got {len(parts)}")
-    try:
-        return tuple(map(_integer, parts))
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"malformed weights {text!r}: {exc}") from exc
+    for part in parts:
+        # no sign: argparse refuses '--weights -3,...', so '--weights=-3,...' is usage too
+        if not (part.isascii() and part.isdigit()):
+            raise UsageError(
+                f"malformed weights {text!r}: {part!r} is not an unsigned integer in "
+                f"ASCII digits 0-9"
+            )
+    return tuple(map(int, parts))
 
 
 def _shape_args(args) -> tuple[tuple[int, ...], int]:
-    """(weights, degree) of --weights/--degree or --space; degree 0 for a space."""
-    if args.space is not None and args.weights is not None:
-        raise UsageError("--weights and --space are mutually exclusive")
-    if args.space is not None and args.degree is not None:
-        raise UsageError("--degree and --space are mutually exclusive (a space has degree 0)")
+    """(weights, degree) of --weights/--degree or --space; degree 0 for a space.
+
+    argparse already requires exactly one of --weights and --space.
+    """
     if args.space is not None:
+        if args.degree is not None:
+            raise UsageError("--degree and --space are mutually exclusive (a space has degree 0)")
         return _parse_weights(args.space, 4), 0
-    if args.weights is None:
-        raise UsageError("one of --weights or --space is required")
     if args.degree is None:
         raise UsageError("--weights requires --degree")
     return _parse_weights(args.weights, 5), args.degree
@@ -208,24 +211,12 @@ def _golden_text(name: str) -> str:
 
 
 def cmd_selftest(args) -> Answer:
-    import difflib
-
     from . import fixtures, normal_form, riemann_roch, sarkisov
 
-    lines: list[str] = []
-    failures = 0
-
-    def report(ok: bool, label: str, detail: str = "") -> None:
-        nonlocal failures
-        if ok:
-            lines.append(f"ok   {label}")
-        else:
-            failures += 1
-            lines.append(f"FAIL {label}" + (f": {detail}" if detail else ""))
-
+    rows: list[tuple[bool, str, str]] = []  # (ok, label, detail shown on failure)
     for f in fixtures.FIXTURES:
         problems = fixtures.verify(f)
-        report(not problems, f"fixture {f.name}", "; ".join(problems))
+        rows.append((not problems, f"fixture {f.name}", "; ".join(problems)))
 
     for f in fixtures.FIXTURES:
         try:
@@ -234,27 +225,27 @@ def cmd_selftest(args) -> Answer:
             # chi(mA) for m = 0..30; a fractional one raises ConventionError
             riemann_roch.hilbert_rr(data, 30)
             sign = riemann_roch.orientation_sign(data.q, data.entries)
-            report(sign in (-1, None), f"riemann-roch {f.name}", f"sign={sign}")
+            rows.append((sign in (-1, None), f"riemann-roch {f.name}", f"sign={sign}"))
         except (riemann_roch.CalibrationError, riemann_roch.ConventionError) as exc:
-            report(False, f"riemann-roch {f.name}", str(exc))
+            rows.append((False, f"riemann-roch {f.name}", str(exc)))
 
     for name in GOLDEN_CASES:
         text = sarkisov.run_case(name).text()
         try:
             golden = _golden_text(name)
         except FileNotFoundError:
-            report(False, f"transcript {name}", "golden file missing")
+            rows.append((False, f"transcript {name}", "golden file missing"))
             continue
         if text == golden:
-            report(True, f"transcript {name}")
+            rows.append((True, f"transcript {name}", ""))
         else:
-            diff = "\n".join(
-                difflib.unified_diff(
-                    golden.splitlines(), text.splitlines(),
-                    fromfile=f"golden/{name}.txt", tofile="computed", lineterm="",
-                )
+            import difflib
+
+            diff = difflib.unified_diff(
+                golden.splitlines(), text.splitlines(),
+                fromfile=f"golden/{name}.txt", tofile="computed", lineterm="",
             )
-            report(False, f"transcript {name}", "\n" + diff)
+            rows.append((False, f"transcript {name}", "\n" + "\n".join(diff)))
 
     for label, text, expected in (
         ("form (a)", fixtures.FORM_A, "A"),
@@ -262,15 +253,16 @@ def cmd_selftest(args) -> Answer:
     ):
         poly = normal_form.parse(text)
         result = normal_form.normalize(poly)
-        fixed = result.final == poly and not result.steps
-        report(
-            result.form == expected and fixed,
-            f"normal form {label}",
-            f"class={result.form} steps={result.steps}",
-        )
+        ok = result.form == expected and result.final == poly and not result.steps
+        rows.append((ok, f"normal form {label}", f"class={result.form} steps={result.steps}"))
     corners = normal_form.corner_check(normal_form.parse(fixtures.FORM_B), 12)
-    report(corners[0] is False, "form (b) vertex w=3 flagged", str(corners))
+    rows.append((corners[0] is False, "form (b) vertex w=3 flagged", str(corners)))
 
+    lines = [
+        f"ok   {label}" if ok else f"FAIL {label}" + (f": {detail}" if detail else "")
+        for ok, label, detail in rows
+    ]
+    failures = sum(not ok for ok, _, _ in rows)
     lines.append("selftest: " + ("PASS" if failures == 0 else f"{failures} failure(s)"))
     return Answer(None, "\n".join(lines) + "\n", 0 if failures == 0 else 1)
 
@@ -282,21 +274,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("hilbert", help="expand a Hilbert series")
-    p.add_argument("--weights", help="five comma-separated weights (hypersurface)")
-    p.add_argument("--degree", type=_integer, help="hypersurface degree")
-    p.add_argument("--space", help="four comma-separated weights (the space itself)")
-    p.add_argument("--terms", type=_integer, help="truncation order")
-    p.add_argument("--json", action="store_true")
+    shape = argparse.ArgumentParser(add_help=False)  # the flags hilbert and analyze share
+    given = shape.add_mutually_exclusive_group(required=True)
+    given.add_argument("--weights", help="five comma-separated weights (hypersurface)")
+    given.add_argument("--space", help="four comma-separated weights (the space itself)")
+    shape.add_argument("--degree", type=_integer, help="hypersurface degree")
+    shape.add_argument("--terms", type=_integer, help="Hilbert truncation order")
+    shape.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("hilbert", parents=[shape], help="expand a Hilbert series")
     p.set_defaults(func=cmd_hilbert)
 
-    p = sub.add_parser("analyze", help="index, degree, basket, genus of a shape")
-    p.add_argument("--weights", help="five comma-separated weights (hypersurface)")
-    p.add_argument("--degree", type=_integer, help="hypersurface degree")
-    p.add_argument("--space", help="four comma-separated weights (the space itself)")
+    p = sub.add_parser("analyze", parents=[shape], help="index, degree, basket, genus of a shape")
     p.add_argument("--poly", help="polynomial file checked against the shape")
-    p.add_argument("--terms", type=_integer, help="Hilbert truncation order override")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("link", help="run one Sarkisov center case")

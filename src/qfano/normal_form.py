@@ -121,19 +121,12 @@ class WeightedPolynomial:
         return poly_text(self)
 
 
-def _term_sort_key(weights: tuple[int, ...], exp: Term) -> tuple:
-    degree = sum(a * w for a, w in zip(exp, weights))
-    return (degree, tuple(reversed(exp)))
-
-
 def poly_text(poly: WeightedPolynomial) -> str:
     """Canonical text form: graded, then lexicographic from the top variable."""
     if poly.is_zero():
         return "0"
     items = sorted(
-        poly.terms.items(),
-        key=lambda kv: _term_sort_key(poly.weights, kv[0]),
-        reverse=True,
+        poly.terms.items(), key=lambda kv: (poly.degree_of(kv[0]), kv[0][::-1]), reverse=True
     )
     pieces: list[str] = []
     for exp, coeff in items:

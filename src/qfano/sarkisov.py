@@ -19,7 +19,7 @@ target index qhat ranges over the finite admissible index set (fiber-type
 contractions only allow qhat <= 3).
 
 The equations are solved in integers. Writing beta_k = rep + m with rep the
-class representative in [0, 1) and D = lcm(den alpha, den rep) (the
+class representative in [0, 1) and D = den alpha, which den rep divides (the
 center's index), the constants c = D * (13 * rep - k * alpha) and the least
 m are computed once per (alpha, k), outside the loop over (qhat, e); a pair
 (qhat, e) has splits iff k * qhat * D - c * e is non-negative and divisible
@@ -273,14 +273,13 @@ _Equation = tuple[int, int, Fraction, int]  # (D, c, rep, m_min), see _equation
 def _equation(case: CenterCase, alpha: Fraction, k: int) -> _Equation:
     """Integer constants (D, c, rep, m_min) of the degree-k equation at alpha.
 
-    beta_k = rep + m with m >= m_min, D = lcm(den alpha, den rep) and
-    c = D * (13 * rep - k * alpha), so the equation reads
-    k * qhat * D - c * e = 13 * D * (s_k + m * e) in integers.
+    beta_k = rep + m with m >= m_min, D = den alpha (rep is t * alpha mod 1,
+    so den rep divides it) and c = D * (13 * rep - k * alpha), so the
+    equation reads k * qhat * D - c * e = 13 * D * (s_k + m * e) in integers.
     """
     rep = case.beta_class(k, alpha)
-    D = math.lcm(alpha.denominator, rep.denominator)
+    D, alpha_D = alpha.denominator, alpha.numerator
     rep_D = rep.numerator * (D // rep.denominator)
-    alpha_D = alpha.numerator * (D // alpha.denominator)
     # canonical threshold <= 1/2 forces beta_6 >= 2*alpha: m >= ceil(2*alpha - rep)
     m_min = max(0, -((rep_D - 2 * alpha_D) // D)) if k == _CT_DEGREE else 0
     return D, Q * rep_D - k * alpha_D, rep, m_min
@@ -317,6 +316,7 @@ def enumerate_bare(case: CenterCase) -> list[LinkCandidate]:
     s_k >= 1 requirement lifted. Solutions beyond the case's reference list
     are flagged ``extra``, never dropped.
     """
+    reference = set(case.reference_bare)
     found: list[LinkCandidate] = []
     for alpha in case.alphas:
         equation = _equation(case, alpha, case.k)
@@ -334,13 +334,10 @@ def enumerate_bare(case: CenterCase) -> list[LinkCandidate]:
                                 e=e,
                                 birational=birational,
                                 splits={case.k: splits},
+                                extra=(alpha, qhat, e) not in reference,
                             )
                         )
-    reference = set(case.reference_bare)
-    for cand in found:
-        cand.extra = (cand.alpha, cand.qhat, cand.e) not in reference
-    found.sort(key=LinkCandidate.sort_key)
-    return found
+    return sorted(found, key=LinkCandidate.sort_key)
 
 
 def bare_record(case: CenterCase, bare: list[LinkCandidate]) -> dict:

@@ -8,7 +8,7 @@ A^3 = d / prod(w), monomial counts, Hilbert series, and the vertex/edge
 singularity analysis that assembles the basket of terminal cyclic quotient
 points 1/r(1, r-1, b). A point's type is read off its residues by the
 terminal lemma: two of them sum to 0 mod r, and b is the third over the
-first (``normalize_type``), with no search over units.
+first (``_normalize_type``), with no search over units.
 
 Monomials are counted, not listed: the number of degree-d monomials is the
 t^d coefficient of prod 1/(1 - t^w), read from the integer series kernel
@@ -33,9 +33,9 @@ suffices for every shape shipped with the package. One walk over every
 vertex, then every edge, for d = 0 and d > 0 alike, gives the verdicts
 that ``basket`` and ``analyze`` both read. Inside the walk a stratum's
 failure is returned by its rule as an exception instance, never raised;
-only the public rules (``vertex_singularity``, ``edge_singularities``,
-``normalize_type``) and ``basket`` raise it. A member containing an edge is
-reported, not analyzed.
+only the public rules (``vertex_singularity``, ``edge_singularities``)
+and ``basket`` raise it. A member containing an edge is reported, not
+analyzed.
 """
 
 from __future__ import annotations
@@ -291,7 +291,14 @@ def genus(shape: HypersurfaceShape) -> int:
 
 
 def _normalize_type(r: int, residues: tuple[int, ...]) -> int | NotTerminalIsolated:
-    """``normalize_type`` for r >= 2, returning its failure instead of raising it."""
+    """The b of 1/r(residues) = 1/r(1, r-1, b) for r >= 2, reduced to min(b, r-b).
+
+    By the terminal lemma (Reid 1987) two residues x, y sum to 0 mod r; the
+    unit u = x^-1 carries them to (1, r-1) and the third residue z to u*z.
+    When two pairs sum to 0, both give b = 1. Returns NotTerminalIsolated
+    when a residue vanishes or shares a factor with r, or when no pair sums
+    to 0.
+    """
     x, y, z = residues
     x, y, z = x % r, y % r, z % r
     # one gcd checks all three: a zero residue makes it r, a shared factor too
@@ -318,20 +325,6 @@ def _raised(result):
     if isinstance(result, ValueError):
         raise result
     return result
-
-
-def normalize_type(r: int, residues: tuple[int, int, int]) -> int:
-    """The b of 1/r(residues) = 1/r(1, r-1, b), reduced to min(b, r-b).
-
-    By the terminal lemma (Reid 1987) two residues x, y sum to 0 mod r; the
-    unit u = x^-1 carries them to (1, r-1) and the third residue z to u*z.
-    When two pairs sum to 0, both give b = 1. Raises NotTerminalIsolated
-    when a residue vanishes or shares a factor with r, or when no pair sums
-    to 0.
-    """
-    if r < 2:
-        raise ValueError("index must be >= 2")
-    return _raised(_normalize_type(r, residues))
 
 
 def _quotient(r: int, others: tuple[int, ...]) -> QuotientType | NotTerminalIsolated:

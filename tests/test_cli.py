@@ -98,11 +98,29 @@ def test_numbers_are_ascii_digits_only(capsys, argv, named):
 def test_numbers_keep_their_sign_and_the_spaces_around_weights(capsys):
     argv = ("hilbert", "--weights", " 3, 4 ,5,6,7 ", "--degree", "12", "--terms", "5")
     assert run(capsys, *argv) == (0, "1 0 0 1 1 1\n", "")
-    # a negative weight or degree breaks a precondition; a negative --terms is usage
+    # a signed weight is usage; a zero weight or a negative degree breaks a precondition
     code, out, err = run(capsys, "hilbert", "--weights=-3,4,5,6,7", "--degree", "12")
+    assert (code, out) == (2, "") and "-3,4,5,6,7" in err
+    code, out, err = run(capsys, "hilbert", "--weights", "0,4,5,6,7", "--degree", "12")
     assert (code, out) == (3, "") and "weights must be positive" in err
     code, out, err = run(capsys, "hilbert", "--weights", "3,4,5,6,7", "--degree", "-12")
     assert (code, out) == (3, "") and "degree must be >= 0" in err
+
+
+@pytest.mark.parametrize("command", ["hilbert", "analyze"])
+@pytest.mark.parametrize(
+    "flag,value,rest",
+    [("--weights", "-3,4,5,6,7", ("--degree", "12")), ("--space", "-1,2,3,4", ())],
+    ids=["weights", "space"],
+)
+def test_signed_weight_is_a_usage_error_however_the_flag_is_spelt(
+    capsys, command, flag, value, rest
+):
+    # argparse takes '--weights -3,...' for two flags; '--weights=-3,...' reaches the parser
+    code, out, err = run(capsys, command, flag, value, *rest)
+    assert (code, out) == (2, "") and flag in err
+    code, out, err = run(capsys, command, f"{flag}={value}", *rest)
+    assert (code, out) == (2, "") and f"malformed weights {value!r}" in err
 
 
 @pytest.mark.parametrize("command", ["hilbert", "analyze"])
@@ -574,8 +592,13 @@ def test_parsing_imports_no_computation_module(argv):
             {"qfano.sarkisov", "qfano.wps"},
             {"qfano.normal_form", "qfano.riemann_roch", "qfano.fixtures", "difflib"},
         ),
+        (
+            ("selftest",),
+            {"qfano.sarkisov", "qfano.normal_form", "qfano.riemann_roch", "qfano.fixtures"},
+            {"json", "difflib"},  # difflib only for a transcript that differs from its golden
+        ),
     ],
-    ids=["hilbert", "normalize", "link"],
+    ids=["hilbert", "normalize", "link", "selftest"],
 )
 def test_each_command_imports_only_what_it_uses(tmp_path, argv, present, absent):
     equation = tmp_path / "equation.txt"

@@ -366,7 +366,10 @@ def test_integer_kernel_matches_fraction_reference_on_every_case():
             e_max = reference_e_bound(case, alpha)
             assert sk._e_bound(case, alpha, sk._equation(case, alpha, case.k)) == e_max
             for k in range(3, 8):
-                assert sk._equation(case, alpha, k)[2] == reference_beta_class(case, k, alpha)
+                D, _, rep, _ = sk._equation(case, alpha, k)
+                assert rep == reference_beta_class(case, k, alpha)
+                # rep is t * alpha mod 1, so its denominator divides alpha's
+                assert D == alpha.denominator
                 for qhat in QHATS:
                     for e in range(1, e_max + 6):
                         for birational in (True, False):

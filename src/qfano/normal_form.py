@@ -1,9 +1,11 @@
 """Exact weighted polynomial algebra and the degree-12 normal-form pipeline.
 
-A polynomial is a mapping from exponent tuples to nonzero Fraction
-coefficients over a fixed weight system; zero is the empty mapping. The
-text grammar names each variable by its weight in the standard system
-(3,4,5,6,7):
+A polynomial over a fixed weight system holds nonzero integer numerators,
+one per exponent tuple, over one positive denominator in lowest terms with
+them (zero is none over 1), so equal polynomials have equal fields. Its
+``terms`` are the read-only Fraction view; the constructor takes int or
+Fraction coefficients. The text grammar names each variable by its weight
+in the standard system (3,4,5,6,7):
 
     poly   := ['-'] term (('+'|'-') term)*
     term   := coeff ('*' factor)* | factor ('*' factor)*
@@ -18,31 +20,26 @@ whitespace (what str.isspace accepts) may stand between any two tokens. A
 digit other than ASCII 0-9, such as a superscript or an Arabic-Indic digit,
 is a ParseError with its position. A number literal has at most
 MAX_LITERAL_DIGITS digits. Results are not bounded: a normal form may have
-far longer coefficients than its input.
+far longer coefficients than its input. Numbers are read and printed
+_CHUNK digits at a time, whatever the interpreter's int/str digit limit.
 
 The normalization pipeline reduces any quasi-homogeneous degree-12
 polynomial whose x5*x7, x4^3 and x6^2 coefficients are nonzero to support
 inside {x5*x7, x4^3, x6^2, x3^4}. Its support lies inside the six
 degree-12 monomials, so after scaling the equation by 1/c66 every step is
-read off the coefficients c: x5 -> x5/c57; x4 -> x4/cbrt(c444) when the
-cube root is rational; x7 -> x7 - t*x3*x4, which kills x3*x4*x5, with t
-its coefficient after those scalings; and x6 -> x6 - (c336/2)*x3^2, which
-completes the square and leaves lambda = c3333 - c336^2/4. The four rules
-form one triangular Substitution, expanded by one ``substitute`` call, and
-the expansion is checked against this closed form. The class is A when
-lambda is nonzero and B when it vanishes; making lambda exactly 1 would
-need a 4th root, so only rational scalings are performed and lambda is
-reported.
+read off its numerators n over its denominator s, c = n/s: x5 -> x5/c57;
+x4 -> x4/cbrt(c444) when the cube root is rational; x7 -> x7 - t*x3*x4,
+which kills x3*x4*x5, with t its coefficient after those scalings; and
+x6 -> x6 - (c336/2)*x3^2, which completes the square and leaves
+lambda = c3333 - c336^2/4. The four rules form one triangular Substitution,
+expanded by one ``substitute`` call and checked against this closed form
+over 4s^2. The class is A when lambda is nonzero and B when it vanishes;
+scaling lambda to 1 needs a 4th root, so it is reported, not scaled.
 
-``substitute`` expands on plain ints over one denominator. The polynomial
-is written as integer numerators over D_poly, the lcm of its coefficient
-denominators, and each moved variable's replacement R_i = c_i*x_i + g_i as
-numerators over D_i. Only the variables the rules move are expanded; the
-others keep their exponents. The powers (D_i*R_i)^k for k up to top_i, the
-largest exponent of x_i in the polynomial, are built once per call. A term
-with exponent a_i is scaled by the product of D_i^(top_i - a_i), so every
-expanded term lies over D = D_poly * prod D_i^top_i, and one Fraction(v, D)
-is built per output term.
+``substitute`` expands on plain ints. It writes each moved variable's
+replacement R_i = c_i*x_i + g_i over D_i, builds (D_i*R_i)^k once for k up
+to top_i, the largest exponent of x_i, and scales a term with exponent a_i
+by D_i^(top_i - a_i), so every expanded term lies over den * prod D_i^top_i.
 
 A vertex passes ``corner_check`` when some term is x_i^n or x_i^n*x_j, read
 off the support of a polynomial quasi-homogeneous of the given degree.
@@ -55,15 +52,17 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, index
-from typing import NamedTuple
+from operator import add, index, mul
+from typing import Mapping, NamedTuple
 
 from . import wps
 
 STANDARD_WEIGHTS = (3, 4, 5, 6, 7)
 MAX_LITERAL_DIGITS = 4300  # CPython's default int/str conversion limit
+_CHUNK = 600  # digits per int/str conversion, below 640, the least limit CPython accepts
+_BASE = 10**_CHUNK
 _TOKEN = re.compile(r"[0-9]+|\S")  # a run of ASCII digits or one other non-space character
 _DIGITS = frozenset("0123456789")
 _INDEX = {w: i for i, w in enumerate(STANDARD_WEIGHTS)}
@@ -86,63 +85,78 @@ class MissingCornerMonomial(ValueError):
 
 
 Term = tuple[int, ...]
-Coeffs = dict[Term, Fraction]
 
 
-@dataclass
+@dataclass(init=False)
 class WeightedPolynomial:
-    """Finite Fraction combination of monomials over a weight system."""
+    """Finite rational combination of monomials over a weight system (module doc)."""
 
     weights: tuple[int, ...]
-    terms: Coeffs = field(default_factory=dict)
+    nums: dict[Term, int]  # nonzero numerators
+    den: int  # > 0, with gcd(den, *nums) == 1
 
-    def __post_init__(self) -> None:
-        self.weights = tuple(map(index, self.weights))
+    def __init__(self, weights, terms: dict[Term, int | Fraction] | None = None) -> None:
+        self.weights = tuple(map(index, weights))
         if self.weights and min(self.weights) < 1:
             raise ValueError(f"weights must be positive, got {self.weights}")
-        cleaned: Coeffs = {}
-        for exp, c in self.terms.items():
-            if type(c) is not Fraction:
-                c = Fraction(c)
-            if c != 0:
-                cleaned[tuple(exp)] = c
-        self.terms = cleaned
+        terms = terms or {}
+        for c in terms.values():
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+        # the lcm of reduced denominators is already in lowest terms with the numerators
+        self.den = den = math.lcm(*(c.denominator for c in terms.values()))
+        self.nums = {tuple(e): c.numerator * (den // c.denominator) for e, c in terms.items() if c}
+
+    @property
+    def terms(self) -> Mapping[Term, Fraction]:
+        """Read-only exponent -> Fraction coefficient view."""
+        from types import MappingProxyType
+
+        return MappingProxyType({e: Fraction(v, self.den) for e, v in self.nums.items()})
 
     def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, exp: Term) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
+        return not self.nums
 
     def degree_of(self, exp: Term) -> int:
-        return sum(a * w for a, w in zip(exp, self.weights))
+        return sum(map(mul, exp, self.weights))
 
     def __str__(self) -> str:
         return poly_text(self)
+
+
+def _poly(weights: tuple[int, ...], nums: dict[Term, int], den: int) -> WeightedPolynomial:
+    """The polynomial with these numerators over den != 0, zeros dropped, in lowest terms."""
+    nums = {e: v for e, v in nums.items() if v}
+    g = math.gcd(den, *nums.values()) * (1 if den > 0 else -1)
+    poly = object.__new__(WeightedPolynomial)
+    poly.weights, poly.den = weights, den // g
+    poly.nums = {e: v // g for e, v in nums.items()} if g != 1 else nums
+    return poly
+
+
+def _text(num: int, den: int = 1) -> str:
+    """str(Fraction(num, den)), den != 0, at any int/str digit limit: _CHUNK digits at a time."""
+    g = math.gcd(num, den) * (1 if den > 0 else -1)
+    num, den = num // g, den // g
+    if den != 1:
+        return f"{_text(num)}/{_text(den)}"
+    low, rest = [], abs(num)
+    while rest >= _BASE:
+        rest, piece = divmod(rest, _BASE)
+        low.append(f"{piece:0{_CHUNK}d}")
+    return "-" * (num < 0) + str(rest) + "".join(reversed(low))
 
 
 def poly_text(poly: WeightedPolynomial) -> str:
     """Canonical text form: graded, then lexicographic from the top variable."""
     if poly.is_zero():
         return "0"
-    items = sorted(
-        poly.terms.items(), key=lambda kv: (poly.degree_of(kv[0]), kv[0][::-1]), reverse=True
-    )
     pieces: list[str] = []
-    for exp, coeff in items:
-        factors = []
-        for w, a in zip(poly.weights, exp):
-            if a == 1:
-                factors.append(f"x{w}")
-            elif a > 1:
-                factors.append(f"x{w}^{a}")
-        magnitude = abs(coeff)
-        if not factors:
-            body = str(magnitude)
-        elif magnitude == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(magnitude)] + factors)
+    for exp in sorted(poly.nums, key=lambda e: (poly.degree_of(e), e[::-1]), reverse=True):
+        coeff = poly.nums[exp]
+        factors = [f"x{w}^{a}" if a > 1 else f"x{w}" for w, a in zip(poly.weights, exp) if a > 0]
+        magnitude = _text(abs(coeff), poly.den)
+        body = "*".join(factors if factors and magnitude == "1" else [magnitude] + factors)
         if not pieces:
             pieces.append(body if coeff > 0 else f"-{body}")
         else:
@@ -167,7 +181,11 @@ def _nat(text: str, tokens: list[str], k: int) -> int:
             f"number of {len(tok)} digits at position {_position(text, k)} "
             f"exceeds {MAX_LITERAL_DIGITS} digits"
         )
-    return int(tok)
+    value = int(tok[:_CHUNK])
+    for start in range(_CHUNK, len(tok), _CHUNK):  # the rest at any int/str digit limit
+        piece = tok[start : start + _CHUNK]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
 
 
 def parse(text: str) -> WeightedPolynomial:
@@ -176,7 +194,7 @@ def parse(text: str) -> WeightedPolynomial:
     if not tokens:
         raise ParseError("empty input")
     tokens.append("")  # end of input
-    terms: Coeffs = {}
+    found: list[tuple[Term, int, int]] = []  # (exponent, signed numerator, denominator)
     k, sign = (1, -1) if tokens[0] == "-" else (0, 1)
     while True:
         exp = [0] * len(STANDARD_WEIGHTS)
@@ -208,17 +226,14 @@ def parse(text: str) -> WeightedPolynomial:
                 exp[_INDEX[w]] += 1
             factors = tokens[k] == "*"
             k += factors  # past the '*'
-        key = tuple(exp)
-        coeff = Fraction(sign * num, den)
-        if key in terms:
-            coeff += terms[key]
-        if coeff:
-            terms[key] = coeff
-        else:
-            terms.pop(key, None)
+        found.append((tuple(exp), sign * num, den))
         tok = tokens[k]
         if tok == "":
-            return WeightedPolynomial(STANDARD_WEIGHTS, terms)
+            common = math.lcm(*(d for _, _, d in found))
+            nums: dict[Term, int] = {}
+            for key, v, d in found:
+                nums[key] = nums.get(key, 0) + v * (common // d)
+            return _poly(STANDARD_WEIGHTS, nums, common)
         if tok not in ("+", "-"):
             raise ParseError(f"unexpected {tok[0]!r} at position {_position(text, k)}")
         sign = 1 if tok == "+" else -1
@@ -227,7 +242,7 @@ def parse(text: str) -> WeightedPolynomial:
 
 def is_quasihomogeneous(poly: WeightedPolynomial, d: int) -> bool:
     """True iff every term has weighted degree d (vacuously true for 0)."""
-    return all(poly.degree_of(exp) == d for exp in poly.terms)
+    return all(poly.degree_of(exp) == d for exp in poly.nums)
 
 
 def _times(a: dict[Term, int], b: dict[Term, int]) -> dict[Term, int]:
@@ -243,13 +258,13 @@ def _times(a: dict[Term, int], b: dict[Term, int]) -> dict[Term, int]:
 class Substitution:
     """Degree-preserving rules x_i -> c_i * x_i + g_i, triangular and invertible.
 
-    ``rules`` maps a variable position to (c, g) with c a nonzero Fraction
-    and g a polynomial of degree w_i in the other variables; unmentioned
-    variables stay fixed.
+    ``rules`` maps a variable position to (c, g) with c a nonzero int or
+    Fraction and g a polynomial of degree w_i in the other variables;
+    unmentioned variables stay fixed.
     """
 
     weights: tuple[int, ...]
-    rules: dict[int, tuple[Fraction, WeightedPolynomial]]
+    rules: dict[int, tuple[int | Fraction, WeightedPolynomial]]
 
     def __post_init__(self) -> None:
         self.weights = tuple(map(index, self.weights))
@@ -260,12 +275,14 @@ class Substitution:
         for i, (c, g) in self.rules.items():
             if not 0 <= i < n:
                 raise ValueError(f"no variable at position {i}")
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"rule {i}: coefficient {c!r} is not an int or a Fraction")
             if c == 0:
                 raise GradingError(f"rule for position {i} has zero leading coefficient")
             if g.weights != self.weights:
                 raise GradingError("shift polynomial lives over different weights")
             used = set()
-            for exp in g.terms:
+            for exp in g.nums:
                 if exp[i] != 0:
                     raise GradingError(
                         f"shift for position {i} may not involve the variable itself"
@@ -290,29 +307,24 @@ def substitute(poly: WeightedPolynomial, subst: Substitution) -> WeightedPolynom
     """Exact expansion of the substitution over one denominator D (see above)."""
     if poly.weights != subst.weights:
         raise GradingError("polynomial and substitution weights differ")
-    n = len(poly.weights)
-    zero = (0,) * n
-    den_poly = math.lcm(*(c.denominator for c in poly.terms.values()))
-    den = den_poly
+    zero = (0,) * len(poly.weights)
+    den = poly.den
     moved = []  # (i, D_i, top_i, [(D_i*R_i)^k for k = 0..top_i])
     for i, (c, g) in subst.rules.items():
-        top = max((exp[i] for exp in poly.terms), default=0)
+        top = max((exp[i] for exp in poly.nums), default=0)
         if not top:
             continue
-        lead = Fraction(c)
-        d_i = math.lcm(lead.denominator, *(v.denominator for v in g.terms.values()))
-        step = {zero[:i] + (1,) + zero[i + 1 :]: lead.numerator * (d_i // lead.denominator)}
-        for exp, v in g.terms.items():
-            step[exp] = v.numerator * (d_i // v.denominator)
+        d_i = math.lcm(c.denominator, g.den)
+        step = {e: v * (d_i // g.den) for e, v in g.nums.items()}
+        step[zero[:i] + (1,) + zero[i + 1 :]] = c.numerator * (d_i // c.denominator)
         powers = [{zero: 1}]
         for _ in range(top):
             powers.append(_times(powers[-1], step))
         moved.append((i, d_i, top, powers))
         den *= d_i**top
     total: dict[Term, int] = {}
-    for exp, coeff in poly.terms.items():
+    for exp, value in poly.nums.items():
         kept = list(exp)
-        value = coeff.numerator * (den_poly // coeff.denominator)
         for i, d_i, top, _ in moved:
             kept[i] = 0
             value *= d_i ** (top - exp[i])
@@ -322,7 +334,7 @@ def substitute(poly: WeightedPolynomial, subst: Substitution) -> WeightedPolynom
                 piece = _times(piece, powers[exp[i]])
         for e, v in piece.items():
             total[e] = total.get(e, 0) + v
-    return WeightedPolynomial(poly.weights, {e: Fraction(v, den) for e, v in total.items() if v})
+    return _poly(poly.weights, total, den)
 
 
 def corner_check(poly: WeightedPolynomial, d: int) -> dict[int, bool]:
@@ -335,7 +347,7 @@ def corner_check(poly: WeightedPolynomial, d: int) -> dict[int, bool]:
         raise ValueError(f"polynomial is not quasi-homogeneous of degree {d}")
     wps.HypersurfaceShape(poly.weights, d)  # five positive weights, d > 0, a nonempty shape
     return {
-        i: any(exp[i] and sum(exp) - exp[i] <= 1 for exp in poly.terms)
+        i: any(exp[i] and sum(exp) - exp[i] <= 1 for exp in poly.nums)
         for i in range(len(poly.weights))
     }
 
@@ -357,8 +369,8 @@ class NormalFormResult:
     final: WeightedPolynomial
 
 
-def _rational_cbrt(x: Fraction) -> Fraction | None:
-    """The rational cube root of x, or None when x is not the cube of a rational."""
+def _rational_cbrt(num: int, den: int) -> tuple[int, int] | None:
+    """The cube root of num/den (den > 0) in lowest terms, or None when it is not rational."""
 
     def icbrt(n: int) -> int | None:  # n >= 0; the root is below 2^ceil(bits/3)
         lo, hi = 0, 1 << -(-n.bit_length() // 3)
@@ -370,11 +382,9 @@ def _rational_cbrt(x: Fraction) -> Fraction | None:
                 hi = mid
         return lo if lo**3 == n else None
 
-    p = icbrt(abs(x.numerator))
-    q = icbrt(x.denominator)
-    if p is None or q is None:
-        return None
-    return Fraction(p if x >= 0 else -p, q)
+    g = math.gcd(num, den)
+    p, q = icbrt(abs(num) // g), icbrt(den // g)
+    return None if p is None or q is None else (p if num >= 0 else -p, q)
 
 
 def normalize(poly: WeightedPolynomial) -> NormalFormResult:
@@ -390,53 +400,46 @@ def normalize(poly: WeightedPolynomial) -> NormalFormResult:
     if not is_quasihomogeneous(poly, 12):
         raise ValueError("normalization needs a quasi-homogeneous degree-12 polynomial")
     for exp, name in ((E57, "x5*x7"), (E444, "x4^3"), (E66, "x6^2")):
-        if poly.coefficient(exp) == 0:
+        if exp not in poly.nums:
             raise MissingCornerMonomial(name)
 
     steps: list[str] = []
-    scaled = poly
-    c66 = poly.coefficient(E66)
-    if c66 != 1:
-        scaled = WeightedPolynomial(ws, {k: v / c66 for k, v in poly.terms.items()})
-        steps.append(f"scale the equation by {1 / c66}")
-    c = scaled.coefficient
-    rules: dict[int, tuple[Fraction, WeightedPolynomial]] = {}
+    n66 = poly.nums[E66]
+    scaled = _poly(ws, poly.nums, n66)  # the equation times 1/c66 = den/n66
+    if n66 != poly.den:
+        steps.append(f"scale the equation by {_text(poly.den, n66)}")
+    n, s = scaled.nums.get, scaled.den  # each coefficient is n(exp, 0)/s
+    n57, unit = n(E57), n(E444)  # unit/s: the x4^3 coefficient left by the rules
+    rules: dict[int, tuple[int | Fraction, WeightedPolynomial]] = {}
     # rational rescalings: x5*x7 always reaches 1, x4^3 when a cube
-    s5 = s4 = Fraction(1)
-    if c(E57) != 1:
-        s5 = 1 / c(E57)
-        rules[_INDEX[5]] = (s5, WeightedPolynomial(ws))
-        steps.append(f"x5 -> {s5}*x5")
-    c444 = c(E444)
-    if c444 != 1:
-        root = _rational_cbrt(c444)
+    if n57 != s:
+        rules[_INDEX[5]] = (Fraction(s, n57), _poly(ws, {}, 1))
+        steps.append(f"x5 -> {_text(s, n57)}*x5")
+    p4 = q4 = 1  # x4 -> (q4/p4)*x4
+    if unit != s:
+        root = _rational_cbrt(unit, s)
         if root is not None:
-            s4, c444 = 1 / root, Fraction(1)
-            rules[_INDEX[4]] = (s4, WeightedPolynomial(ws))
-            steps.append(f"x4 -> {s4}*x4")
+            (p4, q4), unit = root, s
+            rules[_INDEX[4]] = (Fraction(q4, p4), _poly(ws, {}, 1))
+            steps.append(f"x4 -> {_text(q4, p4)}*x4")
         else:
-            steps.append(f"x4^3 keeps unit {c444} (no rational cube root)")
+            steps.append(f"x4^3 keeps unit {_text(unit, s)} (no rational cube root)")
     # x7 -> x7 - t*x3*x4 kills x3*x4*x5; completing the square in x6 kills x3^2*x6
-    t = c(E345) * s5 * s4
-    if t:
-        rules[_INDEX[7]] = (Fraction(1), WeightedPolynomial(ws, {(1, 1, 0, 0, 0): -t}))
-        steps.append(f"x7 -> x7 - {t}*x3*x4")
-    u = c(E336) / 2
-    if u:
-        rules[_INDEX[6]] = (Fraction(1), WeightedPolynomial(ws, {(2, 0, 0, 0, 0): -u}))
-        steps.append(f"x6 -> x6 - {u}*x3^2")
+    n345, n336 = n(E345, 0), n(E336, 0)
+    if n345:  # t = c345 * (s/n57) * (q4/p4)
+        rules[_INDEX[7]] = (1, _poly(ws, {(1, 1, 0, 0, 0): -n345 * q4}, n57 * p4))
+        steps.append(f"x7 -> x7 - {_text(n345 * q4, n57 * p4)}*x3*x4")
+    if n336:  # u = c336/2
+        rules[_INDEX[6]] = (1, _poly(ws, {(2, 0, 0, 0, 0): -n336}, 2 * s))
+        steps.append(f"x6 -> x6 - {_text(n336, 2 * s)}*x3^2")
 
     final = substitute(scaled, Substitution(ws, rules))
-    lam = c(E3333) - u * u
-    expected = WeightedPolynomial(ws, {E57: 1, E444: c444, E66: 1, E3333: lam})
+    square = 4 * s * s  # lambda = c3333 - u^2 = lam/square
+    lam = 4 * s * n(E3333, 0) - n336 * n336
+    expected = _poly(ws, {E57: square, E444: 4 * s * unit, E66: square, E3333: lam}, square)
     if final != expected:
         raise AssertionError(f"pipeline left {final}, not the closed form {expected}")
-    return NormalFormResult(
-        form="A" if lam != 0 else "B",
-        lam=lam,
-        steps=tuple(steps),
-        final=final,
-    )
+    return NormalFormResult("A" if lam else "B", Fraction(lam, square), tuple(steps), final)
 
 
 class EdgePoints(NamedTuple):
@@ -466,9 +469,6 @@ def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     a, b = _poly_normalize(list(a)), _poly_normalize(list(b))
     while b:
         a, b = b, _poly_rem(a, b)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
     return a
 
 

@@ -26,8 +26,8 @@ T_P[i] = D c_{r,b}(i) filled by the prefix recurrence
 T_P[i+1] = T_P[i] - D (r^2 - 1) / (12 r) + (ib mod r)(r - ib mod r) D / (2 r).
 The terms are built once per ``FanoData``; ``divmod`` by D then decides
 integrality, and a ``Fraction`` is built only to report a non-integral
-total. ``a_c2`` keeps A.c2 in its stated form; the tests keep c_{r,b}
-in its stated form as the oracle the integer tables are checked against.
+total. ``a_c2`` is one Fraction over L = lcm(r), (24 L - sum (r^2-1) L/r) / (q L);
+the tests keep A.c2 and c_{r,b} in their stated forms as the oracles.
 
 The correction is symmetric in b <-> r-b, so the type parameter can be fed
 in either orientation; the local weight wA of the class A is what carries
@@ -131,6 +131,8 @@ class FanoData:
     entries: tuple[RRBasketEntry, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.a3, (int, Fraction)):
+            raise TypeError(f"A^3 must be an int or a Fraction, got {self.a3!r}")
         object.__setattr__(self, "a3", Fraction(self.a3))
         object.__setattr__(self, "entries", tuple(self.entries))
         if self.q not in ALLOWED_FANO_INDICES:
@@ -141,11 +143,9 @@ class FanoData:
 
 
 def a_c2(data: FanoData) -> Fraction:
-    """A.c2 from 24 chi(O) = q (A.c2) + sum over points of (r - 1/r)."""
-    total = sum(
-        (Fraction(e.r) - Fraction(1, e.r) for e in data.entries), Fraction(0)
-    )
-    return (24 - total) / data.q
+    """A.c2 from 24 chi(O) = q (A.c2) + sum over points of (r - 1/r), over lcm(r)."""
+    lcm = math.lcm(*(e.r for e in data.entries))
+    return Fraction(24 * lcm - sum((e.r**2 - 1) * (lcm // e.r) for e in data.entries), data.q * lcm)
 
 
 def _integer_chi(data: FanoData):

@@ -436,6 +436,43 @@ def test_normalize_prints_a_huge_lambda_in_full(tmp_path, capsys, flags):
         ]
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # x5 -> (10^2500+1)*x5 and a 5,001-digit x7 shift
+        f"1/{10**2500 + 1}*x5*x7 + x4^3 + x6^2 + {10**2500 + 3}*x3*x4*x5",
+        # a 4,403-digit lambda, as above
+        f"x5*x7 + x4^3 + x6^2 + 7*x3*x4*x5 + {'1' * 2200}/3*x3^2*x6",
+    ],
+    ids=["steps", "final"],
+)
+def test_library_normal_form_text_ignores_the_digit_limit(tmp_path, capsys, text):
+    from qfano import normal_form as nf
+
+    path = tmp_path / "big.txt"
+    path.write_text(text)
+    with digit_limit(4300):
+        result = nf.normalize(nf.parse(text))
+        steps, final = list(result.steps), nf.poly_text(result.final)
+        code, out, err = run(capsys, "normalize", "--input", str(path), "--json")
+    assert (code, err) == (0, "")
+    answer = json.loads(out)
+    assert (answer["substitutions"], answer["final"]) == (steps, final)
+    with digit_limit(0):
+        assert answer["lambda"] == str(result.lam)
+
+
+def test_parse_reads_a_long_literal_under_the_least_digit_limit():
+    from qfano import normal_form as nf
+
+    digits = "9" * 1001
+    with digit_limit(640):
+        poly = nf.parse(f"{digits}/7*x3^4 - x6^2")
+        assert nf.parse(nf.poly_text(poly)) == poly
+    with digit_limit(0):
+        assert poly.terms == {(4, 0, 0, 0, 0): Fraction(int(digits), 7), (0, 0, 0, 2, 0): -1}
+
+
 @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
 def test_normalize_overlong_literal_is_a_parse_error(tmp_path, capsys, flags):
     path = tmp_path / "long.txt"

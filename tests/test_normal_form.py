@@ -1,6 +1,7 @@
 """Weighted polynomial algebra and the degree-12 normal-form pipeline."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -139,9 +140,7 @@ def test_parse_forms():
 
 def test_parse_coefficients():
     poly = nf.parse("2*x3^4 - 1/2*x5*x7 + x6^2")
-    assert poly.coefficient((4, 0, 0, 0, 0)) == 2
-    assert poly.coefficient((0, 0, 1, 0, 1)) == Fraction(-1, 2)
-    assert poly.coefficient((0, 0, 0, 2, 0)) == 1
+    assert poly.terms == {(4, 0, 0, 0, 0): 2, (0, 0, 1, 0, 1): Fraction(-1, 2), (0, 0, 0, 2, 0): 1}
 
 
 def test_parse_errors():
@@ -172,7 +171,7 @@ def test_parse_errors():
 
 def test_parse_bounds_literal_length():
     longest = "7" * nf.MAX_LITERAL_DIGITS
-    assert nf.parse(f"{longest}/{longest}*x3^4").coefficient((4, 0, 0, 0, 0)) == 1
+    assert nf.parse(f"{longest}/{longest}*x3^4").terms == {(4, 0, 0, 0, 0): 1}
     for text, position in (
         ("x5*x7 + " + "7" * (nf.MAX_LITERAL_DIGITS + 1) + "*x3^4", 8),
         ("x5*x7 + 1/" + "3" * 5000 + "*x3^4", 10),
@@ -321,6 +320,37 @@ def test_polynomials_and_substitutions_refuse_non_positive_weights():
         nf.Substitution((0, 4, 5, 6, 7), {})
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1/3", Decimal("0.5"), None], ids=repr)
+def test_coefficients_are_ints_or_fractions(bad):
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        nf.WeightedPolynomial(WS, {(4, 0, 0, 0, 0): bad})
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        nf.Substitution(WS, {0: (bad, nf.WeightedPolynomial(WS))})
+
+
+def test_polynomial_equality_is_by_value():
+    x3_4, x6_2 = (4, 0, 0, 0, 0), (0, 0, 0, 2, 0)
+    half = nf.WeightedPolynomial(WS, {x3_4: Fraction(1, 2)})
+    assert (half.nums, half.den) == ({x3_4: 1}, 2)
+    assert nf.parse("2/4*x3^4") == half
+    assert nf.parse("x3^4 - 1/2*x3^4 + 0*x6^2") == half
+    # zero coefficients are dropped, whatever their type
+    assert nf.WeightedPolynomial(WS, {x3_4: Fraction(1, 2), x6_2: 0}) == half
+    assert nf.WeightedPolynomial(WS, {x6_2: Fraction(0)}) == nf.WeightedPolynomial(WS)
+    assert nf.parse("x6^2 - x6^2").den == 1
+    # numerators over a negative or unreduced denominator are stored in lowest terms
+    assert nf._poly(WS, {x3_4: -3, x6_2: 0}, -6) == half
+    assert nf._poly(WS, {x3_4: 6, x6_2: -12}, 12) == nf.parse("1/2*x3^4 - x6^2")
+    assert nf._poly(WS, {x3_4: 5}, 5) == nf.WeightedPolynomial(WS, {x3_4: 1}) != half
+    # the Fraction view is read-only
+    with pytest.raises(TypeError):
+        half.terms[x6_2] = Fraction(1)
+    # what the self-test checks: the normal forms are their own normal forms
+    for text in (FORM_A, FORM_B):
+        poly = nf.parse(text)
+        assert nf.normalize(poly).final == poly
+
+
 def test_substitution_dependency_cycles():
     # only variables of equal weight can shift into each other, so cycles need repeats
     ws = (1, 1, 1, 2, 3)
@@ -345,17 +375,25 @@ def test_substitution_dependency_cycles():
     assert nf.substitute(poly, chain) == reference_substitute(poly, chain)
 
 
+def rational_cbrt(x):
+    """nf._rational_cbrt on a Fraction, its root as a Fraction."""
+    root = nf._rational_cbrt(x.numerator, x.denominator)
+    return None if root is None else Fraction(*root)
+
+
 def test_rational_cbrt():
     for p in range(-60, 61):
         for q in range(1, 31):
             x = Fraction(p, q)
-            assert nf._rational_cbrt(x**3) == x
+            assert nf._rational_cbrt(x.numerator**3, x.denominator**3) == (x.numerator, x.denominator)
+            # any numerator/denominator pair of the cube, not only the reduced one
+            assert nf._rational_cbrt(7 * p**3, 7 * q**3) == (x.numerator, x.denominator)
             if x != 0:
-                assert nf._rational_cbrt(2 * x**3) is None
-                assert nf._rational_cbrt(x**3 / 3) is None
+                assert rational_cbrt(2 * x**3) is None
+                assert rational_cbrt(x**3 / 3) is None
     big = Fraction(-(10**40 + 7), 3**50)
-    assert nf._rational_cbrt(big**3) == big
-    assert nf._rational_cbrt(big**3 + 1) is None
+    assert rational_cbrt(big**3) == big
+    assert rational_cbrt(big**3 + 1) is None
 
 
 def _add(a, b):
@@ -562,6 +600,10 @@ def test_corner_check_matches_corner_table(case):
     assert nf.corner_check(poly, d) == expected
 
 
+def coefficient(poly, exp):
+    return poly.terms.get(exp, Fraction(0))
+
+
 def reference_normalize(poly):
     """The four-step pipeline normalize replaced, kept as its oracle.
 
@@ -572,23 +614,23 @@ def reference_normalize(poly):
     e57, e444, e66 = (0, 0, 1, 0, 1), (0, 3, 0, 0, 0), (0, 0, 0, 2, 0)
     e336, e345, e3333 = (2, 0, 0, 1, 0), (1, 1, 1, 0, 0), (4, 0, 0, 0, 0)
     for exp, name in ((e57, "x5*x7"), (e444, "x4^3"), (e66, "x6^2")):
-        if poly.coefficient(exp) == 0:
+        if coefficient(poly, exp) == 0:
             raise nf.MissingCornerMonomial(name)
     steps = []
     current = poly
-    c66 = current.coefficient(e66)
+    c66 = coefficient(current, e66)
     if c66 != 1:
         current = nf.WeightedPolynomial(ws, {k: v / c66 for k, v in current.terms.items()})
         steps.append(f"scale the equation by {1 / c66}")
-    c57 = current.coefficient(e57)
+    c57 = coefficient(current, e57)
     if c57 != 1:
         current = nf.substitute(
             current, nf.Substitution(ws, {ws.index(5): (1 / c57, nf.WeightedPolynomial(ws))})
         )
         steps.append(f"x5 -> {1 / c57}*x5")
-    c444 = current.coefficient(e444)
+    c444 = coefficient(current, e444)
     if c444 != 1:
-        root = nf._rational_cbrt(c444)
+        root = rational_cbrt(c444)
         if root is not None:
             current = nf.substitute(
                 current,
@@ -597,22 +639,22 @@ def reference_normalize(poly):
             steps.append(f"x4 -> {1 / root}*x4")
         else:
             steps.append(f"x4^3 keeps unit {c444} (no rational cube root)")
-    c345 = current.coefficient(e345)
+    c345 = coefficient(current, e345)
     if c345 != 0:
-        shift = c345 / current.coefficient(e57)
+        shift = c345 / coefficient(current, e57)
         g = nf.WeightedPolynomial(ws, {(1, 1, 0, 0, 0): -shift})
         current = nf.substitute(current, nf.Substitution(ws, {ws.index(7): (Fraction(1), g)}))
         steps.append(f"x7 -> x7 - {shift}*x3*x4")
-    c336 = current.coefficient(e336)
+    c336 = coefficient(current, e336)
     if c336 != 0:
-        shift = c336 / (2 * current.coefficient(e66))
+        shift = c336 / (2 * coefficient(current, e66))
         g = nf.WeightedPolynomial(ws, {(2, 0, 0, 0, 0): -shift})
         current = nf.substitute(current, nf.Substitution(ws, {ws.index(6): (Fraction(1), g)}))
         steps.append(f"x6 -> x6 - {shift}*x3^2")
     leftover = set(current.terms) - {e57, e444, e66, e3333}
     if leftover:
         raise AssertionError(f"pipeline left unexpected support {leftover}")
-    lam = current.coefficient(e3333)
+    lam = coefficient(current, e3333)
     return nf.NormalFormResult("A" if lam != 0 else "B", lam, tuple(steps), current)
 
 

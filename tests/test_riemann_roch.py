@@ -125,13 +125,19 @@ def local_c(r, b, i):
     return value
 
 
+def reference_a_c2(data):
+    """A.c2 from 24 chi(O) = q (A.c2) + sum (r - 1/r), summed in Fraction arithmetic as stated."""
+    total = sum((Fraction(e.r) - Fraction(1, e.r) for e in data.entries), Fraction(0))
+    return (24 - total) / data.q
+
+
 def reference_chi(data, m):
     """chi(mA) summed in Fraction arithmetic straight from the stated formula."""
     q = data.q
     total = (
         Fraction(1)
         + Fraction(m * (m + q) * (2 * m + q), 12) * data.a3
-        + Fraction(m, 12) * rr.a_c2(data)
+        + Fraction(m, 12) * reference_a_c2(data)
     )
     for e in data.entries:
         total += local_c(e.r, e.b, (m * e.wa) % e.r)
@@ -178,6 +184,19 @@ def test_integer_kernel_matches_fraction_reference(data, order):
     with pytest.raises(rr.ConventionError) as raised:
         rr.chi(data, bad)
     assert str(raised.value) == message
+
+
+@settings(max_examples=300, deadline=None)
+@given(fano_data())
+def test_a_c2_matches_the_stated_form(data):
+    assert rr.a_c2(data) == reference_a_c2(data)
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, "1/3", None], ids=repr)
+def test_a3_is_an_int_or_a_fraction(bad):
+    with pytest.raises(TypeError, match="A\\^3 must be an int or a Fraction"):
+        rr.FanoData(13, bad, ())
+    assert rr.FanoData(13, 2, ()).a3 == Fraction(2)
 
 
 def test_chi_rejects_negative_m(calibrated):

@@ -65,8 +65,15 @@ def _shape_args(args) -> tuple[tuple[int, ...], int]:
 
 
 def _terms(args) -> int | None:
-    if args.terms is not None and args.terms < 0:
+    """--terms from 0 to series.MAX_ORDER; a negative one is refused without loading series."""
+    if args.terms is None:
+        return None
+    if args.terms < 0:
         raise UsageError(f"--terms must be >= 0, got {args.terms}")
+    from .series import MAX_ORDER
+
+    if args.terms > MAX_ORDER:
+        raise UsageError(f"--terms must be <= {MAX_ORDER}, the longest series expanded")
     return args.terms
 
 
@@ -144,7 +151,7 @@ def cmd_analyze(args) -> Answer:
         w = shape.weights
         corners = sorted(normal_form.corner_check(poly, shape.degree).items())
         # the shape's walk may already have given a corner's warning: each once
-        failed = [f"not quasi-smooth at vertex w={w[i]}" for i, ok in corners if not ok]
+        failed = [wps.vertex_warning(w[i]) for i, ok in corners if not ok]
         record["warnings"] = list(dict.fromkeys(record["warnings"] + failed))
         edges = {}
         for i, j in itertools.combinations(range(len(w)), 2):
@@ -307,17 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    # An exact answer is printed in full however many digits it has; input
-    # literals are bounded by the parser (normal_form.MAX_LITERAL_DIGITS).
+    # A flag is read, and an exact answer printed, in full however many
+    # digits it has; polynomial literals are bounded by the parser
+    # (normal_form.MAX_LITERAL_DIGITS) and series lengths by MAX_ORDER.
     # Interpreters before 3.10.7 have no int/str digit limit to lift.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
     try:
+        args = parser.parse_args(argv)
         answer = args.func(args)
         if args.json:
             import json
@@ -325,6 +330,8 @@ def main(argv: list[str] | None = None) -> int:
             out = json.dumps(answer.record, indent=2) + "\n"
         else:
             out = answer.text
+    except SystemExit as exc:  # argparse has printed its usage error or help
+        return exc.code if isinstance(exc.code, int) else 2
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

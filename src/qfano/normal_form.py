@@ -100,9 +100,11 @@ class WeightedPolynomial:
         if self.weights and min(self.weights) < 1:
             raise ValueError(f"weights must be positive, got {self.weights}")
         terms = terms or {}
-        for c in terms.values():
+        for e, c in terms.items():
             if not isinstance(c, (int, Fraction)):
                 raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+            if len(e) != len(self.weights) or min(e, default=0) < 0:
+                raise ValueError(f"exponent {e} needs {len(self.weights)} entries, each >= 0")
         # the lcm of reduced denominators is already in lowest terms with the numerators
         self.den = den = math.lcm(*(c.denominator for c in terms.values()))
         self.nums = {tuple(e): c.numerator * (den // c.denominator) for e, c in terms.items() if c}

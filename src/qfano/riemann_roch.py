@@ -44,18 +44,19 @@ here.
 
 ``infer_generators`` and ``relation_profile`` read a Hilbert series as a
 graded ring: each compares a coefficient with the free-algebra count on
-generator degrees, read from ``series.product_coefficients``.
+generator degrees, ``wps.monomial_count``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import wps
-from .series import DEFAULT_ORDER, PowerSeries, product_coefficients, series_equal_upto
+from .series import DEFAULT_ORDER, PowerSeries, series_equal_upto
 from .wps import ALLOWED_FANO_INDICES
 
 
@@ -133,6 +134,7 @@ class FanoData:
     def __post_init__(self) -> None:
         if not isinstance(self.a3, (int, Fraction)):
             raise TypeError(f"A^3 must be an int or a Fraction, got {self.a3!r}")
+        object.__setattr__(self, "q", operator.index(self.q))
         object.__setattr__(self, "a3", Fraction(self.a3))
         object.__setattr__(self, "entries", tuple(self.entries))
         if self.q not in ALLOWED_FANO_INDICES:
@@ -244,7 +246,7 @@ def infer_generators(series: PowerSeries) -> tuple[tuple[int, ...], int | None]:
         raise InconsistentSeries("negative coefficient in a Hilbert series")
     generators: list[int] = []
     for m in range(1, series.order + 1):
-        deficit = coeffs[m] - product_coefficients((), generators, m)[m]
+        deficit = coeffs[m] - wps.monomial_count(generators, m)
         if deficit < 0:
             return tuple(generators), m
         generators += [m] * deficit
@@ -259,7 +261,7 @@ class RelationProfile(NamedTuple):
 
 def relation_profile(weights, d: int, series: PowerSeries) -> RelationProfile:
     """Free monomial count on generators of these weights vs the series at degree d."""
-    count = product_coefficients((), weights, d)[d]
+    count = wps.monomial_count(weights, d)
     dim = series[d]
     if count < dim:
         raise InconsistentSeries(

@@ -5,7 +5,9 @@ hypersurface and chi(mA) from orbifold Riemann-Roch are integral term by
 term, so ``PowerSeries`` holds ints and refuses anything else. A series
 stores its first ``order + 1`` coefficients, and every operation takes the
 truncation order explicitly (default 30, which covers all the checks
-shipped with the package).
+shipped with the package). ``MAX_ORDER`` caps the series the package
+expands for a caller: the CLI's ``--terms`` and the index q to which
+``wps.analyze`` and ``wps.genus`` expand.
 
 The workhorse, ``product_coefficients(numerator, denominator, order)``,
 takes two plain tuples of exponents and expands the quotient of
@@ -39,6 +41,7 @@ from typing import Iterable
 
 __all__ = [
     "DEFAULT_ORDER",
+    "MAX_ORDER",
     "PowerSeries",
     "TruncationError",
     "expand_product",
@@ -48,6 +51,7 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 30
+MAX_ORDER = 10**6  # the longest series expanded on request
 
 
 class TruncationError(ValueError):

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .series import DEFAULT_ORDER, PowerSeries, expand_product, product_coefficients
+from .series import DEFAULT_ORDER, MAX_ORDER, PowerSeries, expand_product, product_coefficients
 
 
 class NotFano(ValueError):
@@ -284,9 +284,20 @@ def hilbert(shape: HypersurfaceShape, order: int = DEFAULT_ORDER) -> PowerSeries
     return expand_product((shape.degree,) if shape.degree else (), shape.weights, order)
 
 
-def genus(shape: HypersurfaceShape) -> int:
-    """h^0 of the anticanonical class minus 2: Hilbert coefficient at t^q, minus 2."""
+def _expandable_index(shape: HypersurfaceShape) -> int:
+    """fano_index, refused with ValueError when the series through t^q exceeds MAX_ORDER."""
     q = fano_index(shape)
+    if q > MAX_ORDER:
+        raise ValueError(f"Fano index above {MAX_ORDER}: its series to t^q is not expanded")
+    return q
+
+
+def genus(shape: HypersurfaceShape) -> int:
+    """h^0 of the anticanonical class minus 2: Hilbert coefficient at t^q, minus 2.
+
+    Raises ValueError when q exceeds MAX_ORDER.
+    """
+    q = _expandable_index(shape)
     return hilbert(shape, q)[q] - 2
 
 
@@ -490,9 +501,10 @@ def analyze(shape: HypersurfaceShape, order: int | None = None) -> AnalysisRepor
 
     Each distinct warning is given once; contained edges of equal weights
     share one warning that counts them. A failure's message is formatted
-    only where it is the warning.
+    only where it is the warning. A shape whose index q exceeds MAX_ORDER
+    is refused (ValueError) before anything is walked or expanded.
     """
-    q = fano_index(shape)
+    q = _expandable_index(shape)
     if order is None:
         order = max(q, DEFAULT_ORDER)
     ws = shape.weights
@@ -510,7 +522,7 @@ def analyze(shape: HypersurfaceShape, order: int | None = None) -> AnalysisRepor
             if verdict.status == "edge-contained":
                 key = verdict.weights
             elif verdict.status == "not-quasi-smooth":
-                key = f"not quasi-smooth at vertex w={verdict.weights[0]}"
+                key = vertex_warning(verdict.weights[0])
             else:
                 key = str(failure)
             warnings[key] = warnings.get(key, 0) + 1
@@ -528,6 +540,11 @@ def analyze(shape: HypersurfaceShape, order: int | None = None) -> AnalysisRepor
             [key if type(key) is str else _contained_warning(key, n) for key, n in warnings.items()]
         ),
     )
+
+
+def vertex_warning(weight: int) -> str:
+    """The warning for a vertex of this weight where the member is not quasi-smooth."""
+    return f"not quasi-smooth at vertex w={weight}"
 
 
 def _contained_warning(weights: tuple[int, ...], edges: int) -> str:

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfano import cli, fixtures
+from qfano.series import MAX_ORDER
 
 
 def run(capsys, *argv):
@@ -128,6 +129,44 @@ def test_negative_terms_is_a_usage_error(capsys, command):
     code, out, err = run(capsys, command, "--weights", "3,4,5,6,7", "--degree", "12", "--terms", "-1")
     assert code == 2 and out == ""
     assert "--terms" in err
+
+
+@pytest.mark.parametrize("command", ["hilbert", "analyze"])
+def test_terms_above_the_cap_is_a_usage_error(capsys, command):
+    x12 = ("--weights", "3,4,5,6,7", "--degree", "12")
+    for terms in (MAX_ORDER + 1, 10**20):
+        code, out, err = run(capsys, command, *x12, "--terms", str(terms))
+        assert (code, out) == (2, "") and f"--terms must be <= {MAX_ORDER}" in err
+
+
+# 4,401 digits: above CPython's default int/str conversion limit of 4,300
+BIG = 10**4400
+BIG_TEXT = "1" + "0" * 4400
+
+
+def decimal(n: int) -> str:
+    """str(n), also for BIG, which str() refuses under the interpreter's digit limit."""
+    return BIG_TEXT if n == BIG else str(n)
+
+
+@pytest.mark.parametrize(
+    "argv,code,out",
+    [
+        (("hilbert", "--weights", "3,4,5,6,7", "--degree", BIG_TEXT, "--terms", "8"), 0,
+         "1 0 0 1 1 1 2 2 2\n"),
+        (("hilbert", "--weights", "3,4,5,6,7", "--degree", "12", "--terms", BIG_TEXT), 2, ""),
+        (("analyze", "--weights", f"3,4,5,6,{BIG_TEXT}", "--degree", "12"), 3, ""),
+        (("analyze", "--space", f"3,4,5,{BIG_TEXT}"), 3, ""),
+    ],
+    ids=["--degree", "--terms", "--weights", "--space"],
+)
+def test_a_number_past_the_digit_limit_is_read_whatever_its_flag(capsys, argv, code, out):
+    # parsing runs with the limit lifted too: no flag is an argparse error that echoes
+    # thousands of digits, and the interpreter's limit is restored afterwards
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    result = run(capsys, *argv)
+    assert result[:2] == (code, out) and len(result[2]) < 200, result[2][:300]
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_analyze_x12_json(capsys):
@@ -244,27 +283,42 @@ def test_analyze_contained_coprime_edge_warns(capsys, weights, degree, edge):
     assert payload["warnings"] == [f"member contains the edge w=({edge}); analysis out of scope"]
 
 
-# every example, however large its degree or --terms, must finish in this time
+# every example, however large its degree, --terms or weights, must finish in this time
 EXAMPLE_DEADLINE_S = 2.0
-cli_weights = st.lists(st.integers(min_value=1, max_value=40), min_size=4, max_size=5)
+small_weights = st.lists(st.integers(min_value=1, max_value=40), min_size=4, max_size=5)
+# a last weight that puts q above series.MAX_ORDER at any drawn degree but BIG
+huge_weight = st.one_of(st.integers(min_value=2 * MAX_ORDER, max_value=10**30), st.just(BIG))
+cli_weights = st.one_of(
+    small_weights,
+    st.tuples(small_weights, huge_weight).map(lambda pair: pair[0][:-1] + [pair[1]]),
+)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     st.sampled_from(["hilbert", "analyze"]),
     cli_weights,
-    st.one_of(st.integers(min_value=-5, max_value=200), st.integers(min_value=0, max_value=2000)),
-    st.one_of(st.none(), st.integers(min_value=-5, max_value=300)),
+    st.one_of(
+        st.integers(min_value=-5, max_value=200),
+        st.integers(min_value=0, max_value=2000),
+        st.just(BIG),
+    ),
+    st.one_of(
+        st.none(),
+        st.integers(min_value=-5, max_value=300),
+        st.integers(min_value=MAX_ORDER + 1, max_value=10**30),
+        st.just(BIG),
+    ),
     st.booleans(),
 )
 def test_cli_boundary_exit_codes(command, weights, degree, terms, as_json):
-    text = ",".join(map(str, weights))
+    text = ",".join(map(decimal, weights))
     if len(weights) == 5:
-        argv = [command, "--weights", text, "--degree", str(degree)]
+        argv = [command, "--weights", text, "--degree", decimal(degree)]
     else:
         argv = [command, "--space", text]
     if terms is not None:
-        argv += ["--terms", str(terms)]
+        argv += ["--terms", decimal(terms)]
     if as_json:
         argv.append("--json")
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -276,8 +330,10 @@ def test_cli_boundary_exit_codes(command, weights, degree, terms, as_json):
     assert code in (0, 2, 3), (argv, code, err)
     assert "Traceback" not in err
     assert (out != "") == (code == 0) and (err != "") == (code != 0)
-    if terms is not None and terms < 0:
+    if terms is not None and not 0 <= terms <= MAX_ORDER:
         assert code == 2
+    if command == "analyze" and sum(weights) - (len(weights) == 5) * degree > MAX_ORDER:
+        assert code in (2, 3)  # refused before the series to t^q is expanded
     assert elapsed < EXAMPLE_DEADLINE_S, (argv, elapsed)
 
 

@@ -3,7 +3,10 @@
 ``data/cli_outputs.json`` lists argv, exit code and stdout for the text,
 ``--json`` and ``--bare`` forms of each command. A polynomial file argument
 is written as ``{NAME}`` and replaced by a file holding ``POLYS[NAME]``.
-After a deliberate output change, rewrite the data with
+The text transcript of ``link --case X`` is stored once, as the package's
+``golden/X.txt``, which ``selftest`` and the benchmark read too; it is
+checked against that file, not copied into the data. After a deliberate
+output change, rewrite the data and the five golden files with
 
     PYTHONPATH=src python tests/test_cli_outputs.py
 """
@@ -26,11 +29,12 @@ POLYS = {
     "NO_CORNER": "x5*x7 + x4^3 + x3^4",
 }
 X12 = ("--weights", "3,4,5,6,7", "--degree", "12")
+GOLDEN = pathlib.Path(cli.__file__).with_name("golden")
 COMMANDS = [
     *(
         ("link", "--case", case, *flags)
-        for case in ("ng", "p2", "p3", "p5", "p7")
-        for flags in ((), ("--json",), ("--bare",), ("--bare", "--json"))
+        for case in cli.GOLDEN_CASES
+        for flags in (("--json",), ("--bare",), ("--bare", "--json"))
     ),
     *(
         (*argv, *json_flag)
@@ -80,6 +84,11 @@ def test_frozen_outputs_cover_every_command():
     assert [tuple(e["argv"]) for e in ENTRIES] == COMMANDS
 
 
+@pytest.mark.parametrize("case", cli.GOLDEN_CASES)
+def test_link_text_is_the_golden(case, tmp_path):
+    assert replay(("link", "--case", case), tmp_path) == (0, cli._golden_text(case))
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -88,6 +97,14 @@ if __name__ == "__main__":
         for argv in COMMANDS:
             code, stdout = replay(argv, pathlib.Path(tmp))
             entries.append({"argv": list(argv), "code": code, "stdout": stdout})
+        goldens = {
+            case: replay(("link", "--case", case), pathlib.Path(tmp)) for case in cli.GOLDEN_CASES
+        }
+    failed = [case for case, (code, _) in goldens.items() if code != 0]
+    if failed:
+        sys.exit(f"link --case {' '.join(failed)} failed: golden files left as they are")
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
+    for case, (_, text) in goldens.items():
+        (GOLDEN / f"{case}.txt").write_text(text, encoding="utf-8")
     sys.exit(0)

@@ -320,6 +320,16 @@ def test_polynomials_and_substitutions_refuse_non_positive_weights():
         nf.Substitution((0, 4, 5, 6, 7), {})
 
 
+@pytest.mark.parametrize(
+    "exponent", [(4, 0, 0, 0, 0, 0), (4, 0, 0, 0), (-2, 0, 0, 3, 0)], ids=str
+)
+def test_exponents_have_one_entry_per_weight_each_non_negative(exponent):
+    # (-2,0,0,3,0) has degree 12 and a 6-entry tuple zips down to 12 too: both
+    # would pass is_quasihomogeneous and fail inside normalize
+    with pytest.raises(ValueError, match="needs 5 entries, each >= 0"):
+        nf.WeightedPolynomial(WS, {(0, 0, 1, 0, 1): 1, exponent: 1})
+
+
 @pytest.mark.parametrize("bad", [0.5, 1.0, "1/3", Decimal("0.5"), None], ids=repr)
 def test_coefficients_are_ints_or_fractions(bad):
     with pytest.raises(TypeError, match="not an int or a Fraction"):

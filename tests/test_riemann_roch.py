@@ -199,6 +199,13 @@ def test_a3_is_an_int_or_a_fraction(bad):
     assert rr.FanoData(13, 2, ()).a3 == Fraction(2)
 
 
+@pytest.mark.parametrize("bad", [13.0, Fraction(13), "13"], ids=repr)
+def test_fano_index_is_an_int(bad):
+    # 13.0 == 13 is in the allowed set, so only operator.index refuses it at construction
+    with pytest.raises(TypeError):
+        rr.FanoData(bad, Fraction(1, 210), ())
+
+
 def test_chi_rejects_negative_m(calibrated):
     with pytest.raises(ValueError):
         rr.chi(calibrated["X12"], -1)

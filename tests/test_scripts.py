@@ -4,7 +4,7 @@ import pathlib
 import subprocess
 import sys
 
-from qfano import cli, fixtures, wps
+from qfano import fixtures, wps
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -15,12 +15,6 @@ def run_script(name: str) -> str:
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     return proc.stdout
-
-
-def test_run_link_cases_prints_the_goldens():
-    separator = "-" * 72 + "\n"
-    expected = "".join(cli._golden_text(name) + separator for name in cli.GOLDEN_CASES)
-    assert run_script("run_link_cases.py") == expected
 
 
 def test_fixture_report_prints_each_hilbert_series():

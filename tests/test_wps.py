@@ -402,6 +402,18 @@ def test_basket_curvature_bound():
         assert curvature_sum(wps.basket(shape)) < 24
 
 
+def test_series_to_an_index_above_the_cap_is_refused_before_expanding():
+    from qfano.series import MAX_ORDER
+
+    shape = wps.HypersurfaceShape((3, 4, 5, 6, 10**4400), 12)
+    for compute in (wps.genus, wps.analyze):
+        with pytest.raises(ValueError, match=f"Fano index above {MAX_ORDER}"):
+            compute(shape)
+    just_above = wps.HypersurfaceShape((1, 1, 1, 1, MAX_ORDER + 9), 12)  # q = MAX_ORDER + 1
+    with pytest.raises(ValueError, match="Fano index above"):
+        wps.genus(just_above)
+
+
 def test_genus():
     assert wps.genus(X12) == 4
     assert wps.genus(wps.HypersurfaceShape((1, 1, 1, 1))) == 33  # C(7,3) - 2

@@ -99,7 +99,7 @@ class WeightedPolynomial:
         self.weights = tuple(map(index, weights))
         if self.weights and min(self.weights) < 1:
             raise ValueError(f"weights must be positive, got {self.weights}")
-        terms = terms or {}
+        terms = {tuple(map(index, e)): c for e, c in (terms or {}).items()}
         for e, c in terms.items():
             if not isinstance(c, (int, Fraction)):
                 raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
@@ -107,7 +107,7 @@ class WeightedPolynomial:
                 raise ValueError(f"exponent {e} needs {len(self.weights)} entries, each >= 0")
         # the lcm of reduced denominators is already in lowest terms with the numerators
         self.den = den = math.lcm(*(c.denominator for c in terms.values()))
-        self.nums = {tuple(e): c.numerator * (den // c.denominator) for e, c in terms.items() if c}
+        self.nums = {e: c.numerator * (den // c.denominator) for e, c in terms.items() if c}
 
     @property
     def terms(self) -> Mapping[Term, Fraction]:

@@ -24,9 +24,15 @@ so that every term of D chi(mA) is an integer:
 with C = D A^3 / 12, L = D (A.c2) / 12 and, per point P, the table
 T_P[i] = D c_{r,b}(i) filled by the prefix recurrence
 T_P[i+1] = T_P[i] - D (r^2 - 1) / (12 r) + (ib mod r)(r - ib mod r) D / (2 r).
-The terms are built once per ``FanoData``; ``divmod`` by D then decides
-integrality, and a ``Fraction`` is built only to report a non-integral
-total. ``a_c2`` is one Fraction over L = lcm(r), (24 L - sum (r^2-1) L/r) / (q L);
+``_chi_values`` evaluates a whole range start <= m < stop at once: the cubic
+D + C m(m+q)(2m+q) + L m by three running sums from its first four values
+(its third difference is constant); the corrections by cycling each point's
+r values T_P[(m wA) mod r] along one basket period lcm(r) (or the range,
+where shorter), summing there, and cycling that sum along the range; then
+one integrality pass by D. A ``Fraction`` is built only to report the first
+non-integral total.
+``chi`` and ``hilbert_rr`` are its ranges [m, m+1) and [0, order].
+``a_c2`` is one Fraction over L = lcm(r), (24 L - sum (r^2-1) L/r) / (q L);
 the tests keep A.c2 and c_{r,b} in their stated forms as the oracles.
 
 The correction is symmetric in b <-> r-b, so the type parameter can be fed
@@ -53,6 +59,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, cycle, islice, repeat
 from typing import NamedTuple
 
 from . import wps
@@ -150,17 +157,21 @@ def a_c2(data: FanoData) -> Fraction:
     return Fraction(24 * lcm - sum((e.r**2 - 1) * (lcm // e.r) for e in data.entries), data.q * lcm)
 
 
-def _integer_chi(data: FanoData):
-    """m -> chi(mA) through the common-denominator integer terms (module doc)."""
-    q = data.q
-    a3 = data.a3
-    ac2 = a_c2(data)
-    den = math.lcm(
-        12 * a3.denominator, 12 * ac2.denominator, *(12 * e.r for e in data.entries)
-    )
+def _chi_values(data: FanoData, start: int, stop: int) -> list[int]:
+    """chi(mA) for start <= m < stop through the common-denominator integer terms (module doc)."""
+    q, a3, ac2 = data.q, data.a3, a_c2(data)
+    den = math.lcm(12 * a3.denominator, 12 * ac2.denominator, *(12 * e.r for e in data.entries))
     cubic = den // (12 * a3.denominator) * a3.numerator
     linear = den // (12 * ac2.denominator) * ac2.numerator
-    points = []
+    v0, v1, v2, v3 = (
+        den + cubic * m * (m + q) * (2 * m + q) + linear * m for m in range(start, start + 4)
+    )
+    # a cubic's third difference is constant: three running sums rebuild it
+    rises = accumulate(repeat(v3 - 3 * v2 + 3 * v1 - v0), initial=v2 - 2 * v1 + v0)
+    cubics = islice(accumulate(accumulate(rises, initial=v1 - v0), initial=v0), stop - start)
+    # the corrections repeat with the basket's period lcm(r): one period, or the whole
+    # range where that is shorter, is summed point by point and cycled along the range
+    corrections = repeat(0, min(math.lcm(*(e.r for e in data.entries)), stop - start))
     for e in data.entries:
         r, b = e.r, e.b
         step = (r * r - 1) * (den // (12 * r))
@@ -169,34 +180,31 @@ def _integer_chi(data: FanoData):
         for i in range(r - 1):
             ib = (i * b) % r
             table.append(table[-1] - step + ib * (r - ib) * half)
-        points.append((r, e.wa, table))
-
-    def evaluate(m: int) -> int:
-        total = den + cubic * m * (m + q) * (2 * m + q) + linear * m
-        for r, wa, table in points:
-            total += table[(m * wa) % r]
-        value, rest = divmod(total, den)
-        if rest:
-            raise ConventionError(
-                f"chi({m}A) = {Fraction(total, den)} is not an integer: "
-                f"wrong (b, wA) assignment"
-            )
-        return value
-
-    return evaluate
+        period = [table[(m * e.wa) % r] for m in range(start, start + r)]
+        corrections = map(operator.add, corrections, cycle(period))
+    totals = list(map(operator.add, cubics, cycle(corrections)))
+    values = list(map(operator.floordiv, totals, repeat(den)))
+    # every remainder is in [0, D), so the sums agree only when each remainder is 0
+    if sum(totals) != den * sum(values):
+        m, total = next((m, t) for m, t in enumerate(totals, start) if t % den)
+        raise ConventionError(
+            f"chi({m}A) = {Fraction(total, den)} is not an integer: wrong (b, wA) assignment"
+        )
+    return values
 
 
 def chi(data: FanoData, m: int) -> int:
     """chi(X, mA) as an integer; ConventionError when the total is fractional."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    return _integer_chi(data)(m)
+    return _chi_values(data, m, m + 1)[0]
 
 
 def hilbert_rr(data: FanoData, order: int = DEFAULT_ORDER) -> PowerSeries:
     """Termwise chi as a power series through t^order."""
-    evaluate = _integer_chi(data)
-    return PowerSeries(tuple(evaluate(m) for m in range(order + 1)))
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
+    return PowerSeries(_chi_values(data, 0, order + 1))
 
 
 def calibrate(data: FanoData, oracle: PowerSeries) -> None:

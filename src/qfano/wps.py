@@ -139,9 +139,8 @@ class Basket:
     entries: tuple[tuple[QuotientType, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "entries", tuple(sorted(self.entries, key=lambda e: (e[0].r, e[0].b)))
-        )
+        entries = ((point, operator.index(count)) for point, count in self.entries)
+        object.__setattr__(self, "entries", tuple(sorted(entries, key=lambda e: (e[0].r, e[0].b))))
         for _, count in self.entries:
             if count < 1:
                 raise ValueError("basket multiplicities must be >= 1")
@@ -169,7 +168,8 @@ def fano_index(shape: HypersurfaceShape) -> int:
     """sum(weights) - degree; raises NotFano when the result is <= 0."""
     q = sum(shape.weights) - shape.degree
     if q <= 0:
-        raise NotFano(f"index {q} <= 0 for {shape}")
+        # neither q nor the shape: a degree can run to thousands of digits
+        raise NotFano("index sum(weights) - degree is not positive")
     return q
 
 

@@ -169,6 +169,13 @@ def test_a_number_past_the_digit_limit_is_read_whatever_its_flag(capsys, argv, c
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
+def test_a_negative_index_is_one_short_line(capsys):
+    # q = 25 - d has 4,400 digits here; the message names neither q nor the shape
+    code, out, err = run(capsys, "analyze", "--weights", "3,4,5,6,7", "--degree", "9" * 4400)
+    assert (code, out) == (3, "")
+    assert err == "error: index sum(weights) - degree is not positive\n"
+
+
 def test_analyze_x12_json(capsys):
     code, out, _ = run(capsys, "analyze", "--weights", "3,4,5,6,7", "--degree", "12", "--json")
     assert code == 0

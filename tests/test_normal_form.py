@@ -330,6 +330,14 @@ def test_exponents_have_one_entry_per_weight_each_non_negative(exponent):
         nf.WeightedPolynomial(WS, {(0, 0, 1, 0, 1): 1, exponent: 1})
 
 
+@pytest.mark.parametrize("bad", [4.0, "4", Fraction(4), None], ids=repr)
+def test_exponent_entries_are_ints(bad):
+    # (4.0, 0, 0, 0, 0) was accepted and kept a float key in nums
+    with pytest.raises(TypeError):
+        nf.WeightedPolynomial(WS, {(bad, 0, 0, 0, 0): 1})
+    assert list(nf.WeightedPolynomial(WS, {(True, 0, 0, 3, 0): 1}).nums) == [(1, 0, 0, 3, 0)]
+
+
 @pytest.mark.parametrize("bad", [0.5, 1.0, "1/3", Decimal("0.5"), None], ids=repr)
 def test_coefficients_are_ints_or_fractions(bad):
     with pytest.raises(TypeError, match="not an int or a Fraction"):

@@ -1,6 +1,7 @@
 """Riemann-Roch evaluation against the closed-form series oracles."""
 
 import dataclasses
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -104,8 +105,10 @@ def test_chi_convention_error():
 def test_hilbert_rr_matches_closed_form(calibrated):
     from qfano.series import series_equal_upto
 
+    # 24 as calibrated_data uses it; 500, the longest series request of the x12_session benchmark
     for name, shape in FIXTURE_SHAPES.items():
-        assert rr.hilbert_rr(calibrated[name], 24) == wps.hilbert(shape, 24)
+        for order in (24, 500):
+            assert rr.hilbert_rr(calibrated[name], order) == wps.hilbert(shape, order)
     # the cross-module comparison through the comparison helper
     equal, mismatch = series_equal_upto(
         rr.hilbert_rr(calibrated["X12"], 24),
@@ -115,6 +118,7 @@ def test_hilbert_rr_matches_closed_form(calibrated):
     assert equal and mismatch is None
 
 
+@functools.cache
 def local_c(r, b, i):
     """Periodic Riemann-Roch correction of a point 1/r(1, r-1, b) at residue i, as stated."""
     assert 0 <= i < r
@@ -186,6 +190,52 @@ def test_integer_kernel_matches_fraction_reference(data, order):
     assert str(raised.value) == message
 
 
+def expected_chi(data, ms):
+    """reference_chi over ms as ints, then the ConventionError text at the first fractional one."""
+    values = []
+    for m in ms:
+        value = reference_chi(data, m)
+        if value.denominator != 1:
+            return values, f"chi({m}A) = {value} is not an integer: wrong (b, wA) assignment"
+        values.append(int(value))
+    return values, None
+
+
+@functools.cache
+def clean_data():
+    """Calibrated data of the fixtures and the clean shapes: integral at every m."""
+    return [rr.calibrated_data(shape, 24) for shape in [*FIXTURE_SHAPES.values(), *clean_shapes(10)]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(fano_data(), st.deferred(lambda: st.sampled_from(clean_data()))),
+    st.integers(min_value=60, max_value=400),
+)
+def test_long_series_match_the_fraction_reference(data, order):
+    # orders spanning several periods of every point (r <= 40); drawn data is
+    # mostly fractional early, calibrated data integral throughout
+    expected, message = expected_chi(data, range(order + 1))
+    if message is None:
+        assert rr.hilbert_rr(data, order).coefficients == tuple(expected)
+        return
+    with pytest.raises(rr.ConventionError) as raised:
+        rr.hilbert_rr(data, order)
+    assert str(raised.value) == message
+
+
+@settings(max_examples=100, deadline=None)
+@given(fano_data(), st.integers(min_value=10**5, max_value=10**6))
+def test_chi_far_out_matches_the_fraction_reference(data, m):
+    expected, message = expected_chi(data, [m])
+    if message is None:
+        assert rr.chi(data, m) == expected[0]
+        return
+    with pytest.raises(rr.ConventionError) as raised:
+        rr.chi(data, m)
+    assert str(raised.value) == message
+
+
 @settings(max_examples=300, deadline=None)
 @given(fano_data())
 def test_a_c2_matches_the_stated_form(data):
@@ -209,6 +259,9 @@ def test_fano_index_is_an_int(bad):
 def test_chi_rejects_negative_m(calibrated):
     with pytest.raises(ValueError):
         rr.chi(calibrated["X12"], -1)
+    for order in (-1, -2):
+        with pytest.raises(ValueError, match="truncation order must be >= 0"):
+            rr.hilbert_rr(calibrated["X12"], order)
 
 
 def test_orientation_sign_is_global_minus(calibrated):
@@ -286,6 +339,7 @@ def reference_calibrate(
     return next(iter(matches.values()))
 
 
+@functools.cache
 def clean_shapes(max_weight: int) -> list[wps.HypersurfaceShape]:
     """Spaces and hypersurfaces of every allowed index, weights <= max_weight,
     that are well formed and analyze to a basket with no warning."""

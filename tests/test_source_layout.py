@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import sys
 
 SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "qfano"
 MAX_LINE = 100
@@ -51,3 +52,22 @@ def test_modules_import_only_the_layers_below_them():
     assert {path.stem for path in paths} == set(PACKAGE_IMPORTS)
     found = {path.stem: _package_imports(path) for path in paths}
     assert found == PACKAGE_IMPORTS
+
+
+def test_every_import_is_qfano_or_the_standard_library():
+    # no runtime dependencies: imports inside functions count as much as top-level ones
+    outside = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}:{node.lineno} imports {name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names | {"qfano"}
+            ]
+    assert outside == []

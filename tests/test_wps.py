@@ -392,6 +392,23 @@ def test_basket_spaces(weights, expected_indices):
     assert basket.indices() == expected_indices
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, "2", Fraction(2)], ids=repr)
+def test_basket_multiplicities_are_ints(bad):
+    # 1.5 was accepted and printed as 1/5(1,4,2)x1.5
+    with pytest.raises(TypeError):
+        wps.Basket(((wps.QuotientType(5, 2), bad),))
+    assert str(wps.Basket(((wps.QuotientType(5, 2), 2),))) == "1/5(1,4,2)x2"
+
+
+def test_a_bool_weight_or_degree_counts_as_an_int():
+    # operator.index(True) is 1, as the README says: True is the weight 1
+    shape = wps.HypersurfaceShape((True, 1, 1, 1, 1), 4)
+    assert shape == wps.HypersurfaceShape((1, 1, 1, 1, 1), 4)
+    assert type(shape.weights[0]) is int
+    degree = wps.HypersurfaceShape((1, 1, 1, 1, 2), True).degree
+    assert type(degree) is int and degree == 1
+
+
 def curvature_sum(basket):
     """sum over points of (r - 1/r); < 24 for every terminal Fano basket."""
     return sum((count * (Fraction(q.r) - Fraction(1, q.r)) for q, count in basket.entries), Fraction(0))

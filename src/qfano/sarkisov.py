@@ -18,14 +18,20 @@ minima the equation bounds e <= 19 k / (13 beta_min - k alpha), and the
 target index qhat ranges over the finite admissible index set (fiber-type
 contractions only allow qhat <= 3).
 
-The equations are solved in integers. Writing beta_k = rep + m with rep the
-class representative in [0, 1) and D = den alpha, which den rep divides (the
-center's index), the constants c = D * (13 * rep - k * alpha) and the least
-m are computed once per (alpha, k), outside the loop over (qhat, e); a pair
-(qhat, e) has splits iff k * qhat * D - c * e is non-negative and divisible
-by 13 * D, and a Fraction is built only for a split that is returned.
-verify_equation re-checks every split exactly, as an identity over
-den(alpha) * den(beta).
+The equations are solved in integers. With D = den alpha and the class
+representative rep = rep_D / D in [0, 1) (rep is t * alpha mod 1, so den rep
+divides D), write beta_k = (rep_D + m * D) / D with m >= m_min. The ints
+c = D * (13 * rep - k * alpha), rep_D and m_min are computed once per
+(alpha, k), and the equation reads
+
+    k * qhat * D - c * e = 13 * D * (s_k + m * e).
+
+So e must solve c * e = k * qhat * D (mod 13 * D): with g = gcd(c, 13 * D)
+there is no such e unless g divides k * qhat * D, and otherwise e runs over
+one residue class mod 13 * D / g, found by one modular inverse per alpha.
+enumerate_bare visits only that class up to the bound on e, and a Fraction
+is built only for a split that is returned. verify_equation re-checks
+every split exactly, as an identity over den(alpha) * den(beta).
 
 Candidates are then run through individually attributable filters. Each
 filter yields its verdict as one event, which feeds both the filter log and
@@ -51,6 +57,7 @@ solution beyond the reference case list is flagged, never dropped.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -140,10 +147,8 @@ class CenterCase:
 
     def beta_class(self, k: int, alpha: Fraction) -> Fraction:
         """Representative in [0, 1) of the beta_k congruence class."""
-        if self.r is None:
-            return Fraction(0)  # Cartier center: beta integral
-        t = beta_congruence(Q, self.r, k)
-        return Fraction(t * alpha.numerator % alpha.denominator, alpha.denominator)
+        D, _, rep_D, _ = _equation(self, alpha, k)
+        return Fraction(rep_D, D)
 
 
 CASES: dict[str, CenterCase] = {
@@ -235,6 +240,9 @@ class LinkCandidate:
     extra: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.alpha, (int, Fraction)):
+            raise TypeError(f"alpha must be a Fraction or an int, got {self.alpha!r}")
+        self.qhat, self.e = operator.index(self.qhat), operator.index(self.e)
         if self.e < 1:
             raise ValueError(f"e must be >= 1, got {self.e}")
 
@@ -267,36 +275,38 @@ class LinkCandidate:
         }
 
 
-_Equation = tuple[int, int, Fraction, int]  # (D, c, rep, m_min), see _equation
+_Equation = tuple[int, int, int, int]  # (D, c, rep_D, m_min), see _equation
 
 
 def _equation(case: CenterCase, alpha: Fraction, k: int) -> _Equation:
-    """Integer constants (D, c, rep, m_min) of the degree-k equation at alpha.
+    """Integer constants (D, c, rep_D, m_min) of the degree-k equation at alpha.
 
-    beta_k = rep + m with m >= m_min, D = den alpha (rep is t * alpha mod 1,
-    so den rep divides it) and c = D * (13 * rep - k * alpha), so the
-    equation reads k * qhat * D - c * e = 13 * D * (s_k + m * e) in integers.
+    D = den alpha, beta_k = (rep_D + m * D) / D with m >= m_min, where
+    rep_D = (k * 13^-1 mod r) * num alpha mod D, and c = Q * rep_D - k * num
+    alpha, so the equation reads k * qhat * D - c * e = 13 * D * (s_k + m * e).
     """
-    rep = case.beta_class(k, alpha)
     D, alpha_D = alpha.denominator, alpha.numerator
-    rep_D = rep.numerator * (D // rep.denominator)
+    # a Cartier center (r None) has beta integral
+    rep_D = 0 if case.r is None else beta_congruence(Q, case.r, k) * alpha_D % D
     # canonical threshold <= 1/2 forces beta_6 >= 2*alpha: m >= ceil(2*alpha - rep)
     m_min = max(0, -((rep_D - 2 * alpha_D) // D)) if k == _CT_DEGREE else 0
-    return D, Q * rep_D - k * alpha_D, rep, m_min
+    return D, Q * rep_D - k * alpha_D, rep_D, m_min
 
 
 def _solve_splits(
     equation: _Equation, qhat: int, e: int, k: int, birational: bool
 ) -> tuple[Split, ...]:
     """All admissible (s_k, beta_k) with k*qhat = Q*s + (Q*beta - k*alpha)*e."""
-    D, c, rep, m_min = equation
+    D, c, rep_D, m_min = equation
     lhs = k * qhat * D - c * e
     if lhs < 0 or lhs % (Q * D):
         return ()
     reach = lhs // (Q * D)  # equals s + m*e
     s_min = 1 if (birational and DIMS[k] >= 1) else 0
     m_max = (reach - s_min) // e  # last m with s = reach - m*e >= s_min
-    return tuple(Split(reach - m * e, rep + m) for m in range(m_min, m_max + 1))
+    return tuple(
+        Split(reach - m * e, Fraction(rep_D + m * D, D)) for m in range(m_min, m_max + 1)
+    )
 
 
 def _e_bound(case: CenterCase, alpha: Fraction, equation: _Equation) -> int:
@@ -316,27 +326,27 @@ def enumerate_bare(case: CenterCase) -> list[LinkCandidate]:
     s_k >= 1 requirement lifted. Solutions beyond the case's reference list
     are flagged ``extra``, never dropped.
     """
-    reference = set(case.reference_bare)
+    k = case.k
     found: list[LinkCandidate] = []
     for alpha in case.alphas:
-        equation = _equation(case, alpha, case.k)
+        equation = D, c, _, _ = _equation(case, alpha, k)
         e_max = _e_bound(case, alpha, equation)
+        reference = {(qhat, e) for a, qhat, e in case.reference_bare if a == alpha}
+        # c * e = k * qhat * D (mod Q * D) is solvable iff g divides k * qhat * D,
+        # and then fixes e mod step
+        g = math.gcd(c, Q * D)
+        step = Q * D // g
+        inverse = pow(c // g, -1, step)
         for birational, qhats in ((True, ALLOWED_FANO_INDICES), (False, (1, 2, 3))):
             for qhat in qhats:
-                for e in range(1, e_max + 1):
-                    splits = _solve_splits(equation, qhat, e, case.k, birational)
+                rhs = k * qhat * D
+                if rhs % g:
+                    continue
+                for e in range(rhs // g * inverse % step or step, e_max + 1, step):
+                    splits = _solve_splits(equation, qhat, e, k, birational)
                     if splits:
-                        found.append(
-                            LinkCandidate(
-                                case=case.name,
-                                alpha=alpha,
-                                qhat=qhat,
-                                e=e,
-                                birational=birational,
-                                splits={case.k: splits},
-                                extra=(alpha, qhat, e) not in reference,
-                            )
-                        )
+                        found.append(LinkCandidate(case.name, alpha, qhat, e, birational,
+                                                   {k: splits}, extra=(qhat, e) not in reference))
     return sorted(found, key=LinkCandidate.sort_key)
 
 
@@ -369,14 +379,13 @@ def _splits(candidate: LinkCandidate, k: int) -> tuple[Split, ...]:
 
 def verify_equation(candidate: LinkCandidate) -> bool:
     """Re-check every recorded split against its defining equation, exactly."""
-    a = candidate.alpha
+    a, a_den = candidate.alpha.numerator, candidate.alpha.denominator
     for k, splits in candidate.splits.items():
         for sp in splits:
             # k*qhat = Q*s + (Q*beta - k*alpha)*e, both sides times den(alpha)*den(beta)
-            b = sp.beta
-            n = a.denominator * b.denominator
-            slope = Q * b.numerator * a.denominator - k * a.numerator * b.denominator
-            if k * candidate.qhat * n != Q * sp.s * n + slope * candidate.e:
+            b, b_den = sp.beta.numerator, sp.beta.denominator
+            slope = Q * b * a_den - k * a * b_den
+            if (k * candidate.qhat - Q * sp.s) * a_den * b_den != slope * candidate.e:
                 return False
     return True
 
@@ -423,22 +432,20 @@ def second_contraction(
     """
     if e < 1:
         raise ValueError("e must be >= 1")
+    system = sorted(s.items())
     out = []
     for delta in range(1, DELTA_MAX + 1):
+        if smooth_point and (qhat * delta - Q) % e:
+            continue  # b not integral
         gammas = []
-        ok = True
-        for k in sorted(s):
-            g, rest = divmod(s[k] * delta - k, e)
+        for k, s_k in system:
+            g, rest = divmod(s_k * delta - k, e)
             if g < 0 or rest:
-                ok = False
                 break
             gammas.append((k, g))
-        if not ok:
-            continue
-        b = Fraction(qhat * delta - Q, e)
-        if smooth_point and b.denominator != 1:
-            continue
-        out.append(SecondContractionSolution(delta, b, tuple(gammas)))
+        else:
+            b = Fraction(qhat * delta - Q, e)
+            out.append(SecondContractionSolution(delta, b, tuple(gammas)))
     return tuple(out)
 
 
@@ -464,14 +471,14 @@ def _forced_s(candidate: LinkCandidate) -> dict[int, int]:
 
 # geometric eliminations this module records but does not mechanize
 def _f4_reason(candidate: LinkCandidate) -> str | None:
-    key = (candidate.case, candidate.alpha, candidate.qhat, candidate.e)
-    if key == ("P3", Fraction(1, 3), 4, 1):
+    key = (candidate.case, candidate.qhat, candidate.e)
+    if key == ("P3", 4, 1) and candidate.alpha == Fraction(1, 3):
         return (
             "numeric filters leave torsion row (|T|=5, basket (5,5,5,5), "
             "A3=1/5, g=5) alive; the elimination of this row rests on a "
             "geometric classification argument not mechanized here"
         )
-    if key == ("P5", Fraction(1, 5), 17, 6):
+    if key == ("P5", 17, 6) and candidate.alpha == Fraction(1, 5):
         sols = second_contraction(6, 17, _forced_s(candidate))
         step = sols[1].delta - sols[0].delta if len(sols) > 1 else None
         mod = f" (delta = {sols[0].delta} mod {step} forced by integrality)" if step else ""
@@ -534,8 +541,8 @@ def _filter_chain(cand: LinkCandidate):
     weights = _pin_target(cand)
     if weights is not None:
         name = cand.target = f"P({','.join(map(str, weights))})"
-        s_values = {sp.s for sps in cand.splits.values() for sp in sps}
-        h0 = {s: wps.monomial_count(weights, s) for s in s_values}
+        top = max((sp.s for sps in cand.splits.values() for sp in sps), default=0)
+        h0 = wps.hilbert(wps.HypersurfaceShape(weights), top).coefficients
         effective = {
             k: tuple(sp for sp in cand.splits[k] if h0[sp.s] >= DIMS[k] + 1) for k in DIMS
         }
@@ -574,8 +581,9 @@ def apply_filters(candidates: list[LinkCandidate]) -> list[FilterEvent]:
     """
     events: list[FilterEvent] = []
     for cand in sorted(candidates, key=LinkCandidate.sort_key):
+        key = cand.key()
         for fid, verdict, detail in _filter_chain(cand):
-            events.append(FilterEvent(cand.key(), fid, verdict, detail))
+            events.append(FilterEvent(key, fid, verdict, detail))
         # the chain's last event is the candidate's verdict
         if verdict == "eliminated":
             cand.status, cand.filter_id, cand.reason = verdict, fid, detail

@@ -22,7 +22,8 @@ is reached; below it a shift-or bitset of reachable degrees decides. The
 bitset holds at most min(d, (a - 1)(b - 1)) bits, and where that is more
 than 16 bits per step of the residue-class table (the least degree in each
 class mod a, O(n*a) steps) the table decides instead. Either way the cost
-is bounded by the weights, not by d.
+is bounded by the weights, not by d. Where d // a is small and a > 64, a
+search over the exponents of the larger weights can be cheaper than both.
 
 Conventions fixed for determinism: weights are sorted ascending on
 construction, monomials are listed in descending lexicographic order on
@@ -220,7 +221,11 @@ def has_monomial(weights, d: int) -> bool:
     built by shift-or, decides in d bits, about 1,000 at most for weights up
     to 33. When d is above 16 bits per step of the residue-class table, the
     table decides in O(n * a) steps instead, so neither memory nor time
-    grows with d past the weights.
+    grows with d past the weights. When d // a is small, a direct search
+    over the exponents of the larger weights, at most (d // a + 1)^(n - 1)
+    steps, decides if that is fewer than the table's n * a steps and the
+    bitset's d / 64 words. Those steps exceed d / a, so the search needs
+    a > 64: no system of weights up to 64 takes it.
     """
     if d < 0:
         raise ValueError("degree must be >= 0")
@@ -242,9 +247,26 @@ def has_monomial(weights, d: int) -> bool:
             break
     if d >= (ws[0] - 1) * (b - 1):
         return True
-    if d > 16 * len(ws) * ws[0]:
-        least = _least_degrees(ws)
-        return least[d % ws[0]] <= d
+    n, a = len(ws), ws[0]
+    steps = (d // a + 1) ** (n - 1)
+    if steps < n * a and 64 * steps < d:
+        return _by_search(ws, d)
+    if d > 16 * n * a:
+        return _least_degrees(ws)[d % a] <= d
+    return _by_bitset(ws, d)
+
+
+def _by_search(ws: list[int], d: int) -> bool:
+    """Whether d less a combination of ws[1:] is a multiple of ws[0]: the
+    remainders after i weights form a set of at most (d // ws[0] + 1)^i."""
+    rests = {d}
+    for w in ws[1:]:
+        rests = {r - j * w for r in rests for j in range(r // w + 1)}
+    return any(r % ws[0] == 0 for r in rests)
+
+
+def _by_bitset(ws: list[int], d: int) -> bool:
+    """Whether some monomial has degree d, by a shift-or bitset of d + 1 bits."""
     mask = (1 << d + 1) - 1
     reach = 1
     for w in ws:

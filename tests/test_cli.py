@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,21 @@ def test_hilbert_json_roundtrip(capsys):
     payload = json.loads(out)
     assert payload == json.loads(json.dumps(payload))
     assert payload["coefficients"] == [1, 0, 0, 1, 1, 1, 2, 2, 2, 3, 4]
+
+
+def test_hilbert_on_weights_near_10_to_the_8_is_quick_and_small(capsys):
+    # deciding the shape's emptiness by a bitset held 5 * 10^8 bits (334 MB peak RSS)
+    argv = ("hilbert", "--weights", "100000000,100000001,100000002,100000003,100000004")
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out, _ = run(capsys, *argv, "--degree", "500000010", "--terms", "5")
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (0, "1 0 0 0 0 0\n")
+    assert elapsed < 0.5 and peak < 10 * 2**20
 
 
 def test_hilbert_malformed_weights(capsys):

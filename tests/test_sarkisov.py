@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qfano import fixtures, wps
@@ -141,6 +141,29 @@ def test_candidate_rejects_a_non_positive_multiple(e):
         sk.LinkCandidate("P5", Fraction(1, 5), 13, e, True)
 
 
+@pytest.mark.parametrize(
+    "alpha,qhat,e",
+    [
+        (0.2, 7, 1),  # verify_equation then raised AttributeError
+        ("1/5", 7, 1),
+        (None, 7, 1),
+        (Fraction(1, 5), 7, 1.5),  # second_contraction then raised TypeError
+        (Fraction(1, 5), 7, 4.0),
+        (Fraction(1, 5), 7.0, 4),
+        (Fraction(1, 5), Fraction(7), 4),
+    ],
+    ids=repr,
+)
+def test_candidate_rejects_a_non_rational_discrepancy_or_a_non_int_index(alpha, qhat, e):
+    with pytest.raises(TypeError):
+        sk.LinkCandidate("P5", alpha, qhat, e, True)
+
+
+def test_candidate_takes_an_int_discrepancy():
+    cand = sk.LinkCandidate("NG", 2, 11, 1, True, splits={6: (sk.Split(2, Fraction(4)),)})
+    assert sk.verify_equation(cand) and cand.key() == "alpha=2 qhat=11 e=1"
+
+
 def test_filters_p7(transcripts):
     for c in transcripts["P7"].bare:
         assert c.status == "eliminated" and c.filter_id == "F1"
@@ -197,6 +220,14 @@ def test_p2_seventeen_killed_by_effectivity(transcripts):
     cand = _candidate(transcripts["P2"], 17, 5)
     assert cand.filter_id == "F3"
     assert "h0(P(2,3,5,7), 4*A) = 1" in cand.reason
+
+
+def test_f3_names_a_pinned_candidate_with_no_split_at_all():
+    cand = sk.LinkCandidate("P5", Fraction(1, 5), 19, 3, True)
+    sk.apply_filters([cand])
+    assert (cand.filter_id, cand.reason) == (
+        "F3", "k=3: every split fails h0 >= dim|3A|+1 = 1: no integral split at all"
+    )
 
 
 def test_thresholds(transcripts):
@@ -366,15 +397,88 @@ def test_integer_kernel_matches_fraction_reference_on_every_case():
             e_max = reference_e_bound(case, alpha)
             assert sk._e_bound(case, alpha, sk._equation(case, alpha, case.k)) == e_max
             for k in range(3, 8):
-                D, _, rep, _ = sk._equation(case, alpha, k)
-                assert rep == reference_beta_class(case, k, alpha)
-                # rep is t * alpha mod 1, so its denominator divides alpha's
-                assert D == alpha.denominator
+                D, _, rep_D, _ = sk._equation(case, alpha, k)
+                assert Fraction(rep_D, D) == reference_beta_class(case, k, alpha)
+                assert D == alpha.denominator and 0 <= rep_D < D
                 for qhat in QHATS:
                     for e in range(1, e_max + 6):
                         for birational in (True, False):
                             args = (case, alpha, qhat, e, k, birational)
                             _assert_same_splits(_kernel_splits(*args), reference_splits(*args))
+
+
+def brute_force_bare(case):
+    """Every (alpha, qhat, e <= e_max) with reference splits, in enumerate_bare's order."""
+    found = []
+    reference = set(case.reference_bare)
+    for alpha in case.alphas:
+        for birational, qhats in ((True, ALLOWED_FANO_INDICES), (False, (1, 2, 3))):
+            for qhat in qhats:
+                for e in range(1, reference_e_bound(case, alpha) + 1):
+                    splits = reference_splits(case, alpha, qhat, e, case.k, birational)
+                    if splits:
+                        extra = (alpha, qhat, e) not in reference
+                        found.append((alpha, qhat, e, birational, splits, extra))
+    return sorted(found, key=lambda row: (row[1], row[2], row[0]))
+
+
+def _bare_rows(bare, k):
+    return [(c.alpha, c.qhat, c.e, c.birational, c.splits[k], c.extra) for c in bare]
+
+
+@pytest.mark.parametrize("name", list(sk.CASES))
+def test_congruence_solve_matches_a_scan_of_every_multiple(name):
+    case = sk.CASES[name]
+    assert _bare_rows(sk.enumerate_bare(case), case.k) == brute_force_bare(case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.one_of(st.none(), st.integers(2, 23).filter(lambda r: r % sk.Q)),
+    numerators=st.lists(st.integers(0, 60), min_size=1, max_size=3),
+    k=st.integers(3, 7),
+)
+def test_congruence_solve_matches_a_scan_on_synthetic_centres(r, numerators, k):
+    """Centres of index 2..23 or Cartier ones, discrepancies a/r up to 2 (6 if Cartier), any k."""
+    alphas = tuple(Fraction(a, r or 1) for a in sorted({n % (2 * (r or 3)) + 1 for n in numerators}))
+    case = sk.CenterCase("S", "synthetic", r, alphas, k, ())
+    denominators = [
+        sk.Q * (reference_beta_class(case, k, a) + reference_m_min(case, k, a)) - k * a
+        for a in alphas
+    ]
+    if min(denominators) <= 0:
+        with pytest.raises(ValueError, match="unbounded enumeration"):
+            sk.enumerate_bare(case)
+        return
+    assume(max(reference_e_bound(case, a) for a in alphas) <= 200)
+    bare = sk.enumerate_bare(case)
+    assert _bare_rows(bare, k) == brute_force_bare(case)
+    assert all(c.extra for c in bare)
+
+
+def test_split_solver_runs_only_on_the_residue_class(monkeypatch):
+    """enumerate_bare solves for s and beta only where c * e = k * qhat * D (mod 13 * D)."""
+    calls = []
+    solve = sk._solve_splits
+
+    def counted(equation, qhat, e, k, birational):
+        calls.append((equation, qhat, e, k))
+        return solve(equation, qhat, e, k, birational)
+
+    monkeypatch.setattr(sk, "_solve_splits", counted)
+    # 13 divides num alpha = 13, so c = 0 and only qhat = 13 has a class at all
+    thirteen = sk.CenterCase("S", "synthetic", 23, (Fraction(13, 23),), 6, ())
+    for case in (*sk.CASES.values(), thirteen):
+        calls.clear()
+        sk.enumerate_bare(case)
+        in_class = 0
+        for alpha in case.alphas:
+            D, c, _, _ = sk._equation(case, alpha, case.k)
+            for qhat in (*ALLOWED_FANO_INDICES, 1, 2, 3):
+                for e in range(1, reference_e_bound(case, alpha) + 1):
+                    in_class += (case.k * qhat * D - c * e) % (sk.Q * D) == 0
+        assert all((k * qhat * eq[0] - eq[1] * e) % (sk.Q * eq[0]) == 0 for eq, qhat, e, k in calls)
+        assert len(calls) == in_class < 50
 
 
 @settings(max_examples=300, deadline=None)

@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -247,6 +248,44 @@ def test_has_monomial_cost_is_bounded_by_the_weights():
         assert wps.has_monomial((3, 6, 9, 12, big), d) == reference_has_monomial((3, 6, 9, 12, big), d)
     assert wps.HypersurfaceShape((3, 3, 3, 3, 10**12 + 1), 15 * 10**11 + 3).degree == 15 * 10**11 + 3
     assert time.perf_counter() - start < 0.1
+
+
+def test_has_monomial_near_a_large_least_weight_is_a_short_search():
+    # the bitset would hold 5 * 10^8 bits and the residue table 10^8 entries;
+    # the exponents of the four larger weights sum to at most 5
+    weights = tuple(10**8 + i for i in range(5))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert wps.has_monomial(weights, 5 * 10**8 + 10)  # the product of all five
+        assert wps.has_monomial(weights, 5 * 10**8 + 11)
+        assert not wps.has_monomial(weights, 4 * 10**8 + 17)  # four exponents add at most 16
+        assert not wps.has_monomial(weights, 10**8 + 5)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1 and peak < 2**20
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=5),
+    st.integers(min_value=0, max_value=300),
+    st.integers(min_value=0, max_value=8),
+)
+def test_each_decision_of_has_monomial_matches_partition_count(weights, d, quotient):
+    """Bitset, residue table and exponent search each agree with the partition oracle.
+
+    The search is checked where has_monomial may take it, at d // min(w) <= 8.
+    """
+    ws = sorted(weights)
+    near = quotient * ws[0] + d % ws[0]
+    for degree in (d, near):
+        expected = partition_count(ws, degree) > 0
+        assert wps._by_bitset(ws, degree) == expected, (ws, degree)
+        assert (wps._least_degrees(ws)[degree % ws[0]] <= degree) == expected, (ws, degree)
+    assert wps._by_search(ws, near) == (partition_count(ws, near) > 0), (ws, near)
 
 
 def test_has_monomial_refuses_non_positive_weights():

@@ -99,7 +99,7 @@ class WeightedPolynomial:
         self.weights = tuple(map(index, weights))
         if self.weights and min(self.weights) < 1:
             raise ValueError(f"weights must be positive, got {self.weights}")
-        terms = {tuple(map(index, e)): c for e, c in (terms or {}).items()}
+        terms = {tuple(map(index, e)): c for e, c in dict(terms or {}).items()}
         for e, c in terms.items():
             if not isinstance(c, (int, Fraction)):
                 raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
@@ -273,12 +273,15 @@ class Substitution:
         if self.weights and min(self.weights) < 1:
             raise ValueError(f"weights must be positive, got {self.weights}")
         n = len(self.weights)
+        self.rules = {index(i): rule for i, rule in dict(self.rules).items()}
         deps: dict[int, set[int]] = {}
         for i, (c, g) in self.rules.items():
             if not 0 <= i < n:
                 raise ValueError(f"no variable at position {i}")
             if not isinstance(c, (int, Fraction)):
                 raise TypeError(f"rule {i}: coefficient {c!r} is not an int or a Fraction")
+            if not isinstance(g, WeightedPolynomial):
+                raise TypeError(f"rule {i}: shift {g!r} is not a WeightedPolynomial")
             if c == 0:
                 raise GradingError(f"rule for position {i} has zero leading coefficient")
             if g.weights != self.weights:

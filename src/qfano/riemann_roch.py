@@ -144,6 +144,8 @@ class FanoData:
         object.__setattr__(self, "q", operator.index(self.q))
         object.__setattr__(self, "a3", Fraction(self.a3))
         object.__setattr__(self, "entries", tuple(self.entries))
+        if not all(isinstance(entry, RRBasketEntry) for entry in self.entries):
+            raise TypeError(f"basket entries must be RRBasketEntry, got {self.entries!r}")
         if self.q not in ALLOWED_FANO_INDICES:
             raise ValueError(f"Fano index {self.q} outside the allowed set")
         if self.a3 <= 0:

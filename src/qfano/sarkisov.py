@@ -33,6 +33,14 @@ enumerate_bare visits only that class up to the bound on e, and a Fraction
 is built only for a split that is returned. verify_equation re-checks
 every split exactly, as an identity over den(alpha) * den(beta).
 
+The second contraction's conditions, e * gamma_k = s_k * delta - k and,
+over a smooth point, e * b = qhat * delta - 13, are congruences c * delta
+= k (mod e), each true on one class of delta mod e / gcd(c, e) or never.
+second_contraction meets them one at a time, so the admissible delta form
+one class mod period = lcm(e / gcd(c, e)), or none. As gamma_k >= 0 once
+delta >= ceil(k / s_k) (an s_k < 1 admits no delta), the least one lies
+within one period past that bound; no delta is searched.
+
 Candidates are then run through individually attributable filters. Each
 filter yields its verdict as one event, which feeds both the filter log and
 the candidate (an eliminated one takes its status, filter and reason from
@@ -63,9 +71,6 @@ from fractions import Fraction
 
 from . import wps
 from .wps import ALLOWED_FANO_INDICES
-
-DELTA_MAX = 50  # second_contraction searches delta in 1..DELTA_MAX
-
 
 class InvalidIndex(ValueError):
     """qhat outside the admissible Fano index set (or below 4 for torsion data)."""
@@ -224,7 +229,7 @@ class Split:
 class LinkCandidate:
     """One bare solution of the governing equation, annotated by the filters."""
 
-    case: str
+    case: CenterCase                # given as itself or by its name in CASES
     alpha: Fraction
     qhat: int
     e: int
@@ -240,11 +245,16 @@ class LinkCandidate:
     extra: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.alpha, (int, Fraction)):
-            raise TypeError(f"alpha must be a Fraction or an int, got {self.alpha!r}")
+        if not isinstance(self.alpha, (int, Fraction)) or type(self.birational) is not bool:
+            raise TypeError(f"alpha {self.alpha!r} must be a Fraction or an int, "
+                            f"birational {self.birational!r} a bool")
         self.qhat, self.e = operator.index(self.qhat), operator.index(self.e)
-        if self.e < 1:
-            raise ValueError(f"e must be >= 1, got {self.e}")
+        if not isinstance(self.case, CenterCase):
+            if self.case not in CASES:
+                raise ValueError(f"no center case {self.case!r}")
+            self.case = CASES[self.case]
+        if self.qhat not in ALLOWED_FANO_INDICES or self.alpha <= 0 or self.e < 1:
+            raise ValueError(f"{self.key()}: qhat must be admissible, alpha > 0 and e must be >= 1")
 
     def key(self) -> str:
         return f"alpha={self.alpha} qhat={self.qhat} e={self.e}"
@@ -345,7 +355,7 @@ def enumerate_bare(case: CenterCase) -> list[LinkCandidate]:
                 for e in range(rhs // g * inverse % step or step, e_max + 1, step):
                     splits = _solve_splits(equation, qhat, e, k, birational)
                     if splits:
-                        found.append(LinkCandidate(case.name, alpha, qhat, e, birational,
+                        found.append(LinkCandidate(case, alpha, qhat, e, birational,
                                                    {k: splits}, extra=(qhat, e) not in reference))
     return sorted(found, key=LinkCandidate.sort_key)
 
@@ -373,7 +383,7 @@ def bare_text(case: CenterCase, bare: list[LinkCandidate]) -> str:
 
 def _splits(candidate: LinkCandidate, k: int) -> tuple[Split, ...]:
     """The degree-k splits of a candidate, possibly none."""
-    equation = _equation(CASES[candidate.case], candidate.alpha, k)
+    equation = _equation(candidate.case, candidate.alpha, k)
     return _solve_splits(equation, candidate.qhat, candidate.e, k, candidate.birational)
 
 
@@ -411,49 +421,48 @@ class FilterEvent:
 
 @dataclass(frozen=True)
 class SecondContractionSolution:
-    """One admissible multiplicity vector for the link's second contraction."""
+    """The least admissible multiplicity vector of the link's second contraction;
+    the admissible delta are exactly delta + j * period for j >= 0."""
 
     delta: int
     b: Fraction
     gammas: tuple[tuple[int, int], ...]
+    period: int
 
 
 def second_contraction(
-    e: int,
-    qhat: int,
-    s: dict[int, int],
-    smooth_point: bool = True,
-) -> tuple[SecondContractionSolution, ...]:
-    """Solutions of e*gamma_k = s_k*delta - k and e*b = qhat*delta - 13.
+    e: int, qhat: int, s: dict[int, int], smooth_point: bool = True
+) -> SecondContractionSolution | None:
+    """The least delta >= 1 solving e*gamma_k = s_k*delta - k and e*b = qhat*delta - 13.
 
-    Returns all delta in 1..DELTA_MAX with every gamma_k a non-negative
-    integer, requiring b integral when the contracted point is smooth.
-    Ascending delta; the first entry is the minimal admissible one.
+    Every gamma_k must be a non-negative integer, and b an integer when the
+    contracted point is smooth. The congruences are solved as the module
+    docstring says; None when no delta is admissible.
     """
-    if e < 1:
-        raise ValueError("e must be >= 1")
-    system = sorted(s.items())
-    out = []
-    for delta in range(1, DELTA_MAX + 1):
-        if smooth_point and (qhat * delta - Q) % e:
-            continue  # b not integral
-        gammas = []
-        for k, s_k in system:
-            g, rest = divmod(s_k * delta - k, e)
-            if g < 0 or rest:
-                break
-            gammas.append((k, g))
-        else:
-            b = Fraction(qhat * delta - Q, e)
-            out.append(SecondContractionSolution(delta, b, tuple(gammas)))
-    return tuple(out)
+    if e < 1 or min(s, default=1) < 1:
+        raise ValueError("e and every degree k must be >= 1")
+    if min(s.values(), default=1) < 1:
+        return None  # gamma_k = (s_k*delta - k)/e < 0 for every delta >= 1
+    delta, period = 0, 1  # the delta meeting the conditions so far are delta + j*period
+    for c, k in [(s_k, k) for k, s_k in s.items()] + ([(qhat, Q)] if smooth_point else []):
+        # c*(delta + j*period) = k (mod e) holds on one class of j mod e/g, or never
+        g = math.gcd(c * period, e)
+        if (k - c * delta) % g:
+            return None
+        delta += (k - c * delta) // g * pow(c * period // g, -1, e // g) % (e // g) * period
+        period *= e // g
+    low = max([1, *(-(-k // s_k) for k, s_k in s.items())])  # gamma_k >= 0 from low on
+    delta = low + (delta - low) % period
+    gammas = tuple((k, (s_k * delta - k) // e) for k, s_k in sorted(s.items()))
+    return SecondContractionSolution(delta, Fraction(qhat * delta - Q, e), gammas, period)
 
 
 def canonical_threshold(candidate: LinkCandidate) -> Fraction:
     """alpha / beta_6 with the minimal admissible beta_6 of the candidate."""
     splits = candidate.admissible.get(_CT_DEGREE) or _splits(candidate, _CT_DEGREE)
     if not splits:
-        raise Infeasible(f"no (s_6, beta_6) split for {candidate.key()} in case {candidate.case}")
+        raise Infeasible(
+            f"no (s_6, beta_6) split for {candidate.key()} in case {candidate.case.name}")
     beta6 = min(sp.beta for sp in splits)
     if beta6 == 0:
         raise UndefinedThreshold("beta_6 = 0: threshold alpha/beta_6 undefined")
@@ -471,7 +480,7 @@ def _forced_s(candidate: LinkCandidate) -> dict[int, int]:
 
 # geometric eliminations this module records but does not mechanize
 def _f4_reason(candidate: LinkCandidate) -> str | None:
-    key = (candidate.case, candidate.qhat, candidate.e)
+    key = (candidate.case.name, candidate.qhat, candidate.e)
     if key == ("P3", 4, 1) and candidate.alpha == Fraction(1, 3):
         return (
             "numeric filters leave torsion row (|T|=5, basket (5,5,5,5), "
@@ -479,12 +488,11 @@ def _f4_reason(candidate: LinkCandidate) -> str | None:
             "geometric classification argument not mechanized here"
         )
     if key == ("P5", 17, 6) and candidate.alpha == Fraction(1, 5):
-        sols = second_contraction(6, 17, _forced_s(candidate))
-        step = sols[1].delta - sols[0].delta if len(sols) > 1 else None
-        mod = f" (delta = {sols[0].delta} mod {step} forced by integrality)" if step else ""
+        sol = second_contraction(6, 17, _forced_s(candidate))
         return (
-            "second contraction over a smooth target point forces "
-            f"minimal delta = {sols[0].delta}{mod} with b = {sols[0].b} > 3; "
+            "second contraction over a smooth target point forces minimal delta = "
+            f"{sol.delta} (delta = {sol.delta} mod {sol.period} forced by integrality) "
+            f"with b = {sol.b} > 3; "
             "base-locus tracking then places the contracted point at the "
             "index-7 point of P(2,3,5,7), contradicting smoothness - a "
             "geometric step not mechanized here"
@@ -624,29 +632,23 @@ class Transcript:
             + " ".join(str(q) for q in ALLOWED_FANO_INDICES)
             + " (fiber type only for qhat <= 3)"
         )
-        lines.append("")
-        lines.append(f"bare solutions: {len(self.bare)}")
+        lines += ["", f"bare solutions: {len(self.bare)}"]
         for cand in self.bare:
             flag = "  [extra: beyond the reference solution list]" if cand.extra else ""
             splits = " ".join(str(sp) for sp in cand.splits[case.k])
             lines.append(f"  [{cand.key()}] splits k={case.k}: {splits}{flag}")
-        lines.append("")
-        lines.append("filter log:")
+        lines += ["", "filter log:"]
         if not self.events:
             lines.append("  (no candidates)")
         for ev in self.events:
             lines.append(f"  [{ev.candidate}] {ev.filter_id} {ev.verdict}: {ev.detail}")
-        lines.append("")
-        lines.append(f"final solutions: {len(self.final)}")
+        lines += ["", f"final solutions: {len(self.final)}"]
         for cand in self.final:
             lines.append(f"  [{cand.key()}] target: {cand.target or 'unidentified'}")
             for k in DIMS:
-                splits = cand.admissible.get(k) or ()
-                shown = " ".join(str(sp) for sp in splits)
-                lines.append(f"    k={k}: {shown}")
+                lines.append(f"    k={k}: " + " ".join(map(str, cand.admissible.get(k) or ())))
             if cand.d is not None:
-                torder = Fraction(cand.d, cand.e)
-                lines.append(f"    d = {cand.d}, |T(target)| = d/e = {torder}")
+                lines.append(f"    d = {cand.d}, |T(target)| = d/e = {Fraction(cand.d, cand.e)}")
             else:
                 lines.append(f"    |T(target)| options: {cand.torsion_options}")
         for key, ct in self.thresholds:
@@ -712,12 +714,9 @@ def run_case(name: str) -> Transcript:
         if cand.birational:
             thresholds.append((cand.key(), canonical_threshold(cand)))
             s = _forced_s(cand)
-            if s:
-                sols = second_contraction(
-                    cand.e, cand.qhat, s, smooth_point=cand.target is not None
-                )
-                if sols:
-                    contractions.append((cand.key(), sols[0]))
+            sol = second_contraction(cand.e, cand.qhat, s, cand.target is not None) if s else None
+            if sol:
+                contractions.append((cand.key(), sol))
 
     notes: list[str] = []
     if name.upper() == "NG" and bare:

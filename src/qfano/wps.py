@@ -22,7 +22,8 @@ is reached; below it a shift-or bitset of reachable degrees decides. The
 bitset holds at most min(d, (a - 1)(b - 1)) bits, and where that is more
 than 16 bits per step of the residue-class table (the least degree in each
 class mod a, O(n*a) steps) the table decides instead. Either way the cost
-is bounded by the weights, not by d. Where d // a is small and a > 64, a
+is bounded by the weights, not by d, and a table of more than MAX_ORDER
+entries is refused, not built. Where d // a is small and a > 64, a
 search over the exponents of the larger weights can be cheaper than both.
 
 Conventions fixed for determinism: weights are sorted ascending on
@@ -140,11 +141,12 @@ class Basket:
     entries: tuple[tuple[QuotientType, int], ...]
 
     def __post_init__(self) -> None:
-        entries = ((point, operator.index(count)) for point, count in self.entries)
+        entries = [(point, operator.index(count)) for point, count in self.entries]
+        if not all(isinstance(point, QuotientType) for point, _ in entries):
+            raise TypeError("a basket entry pairs a QuotientType with its multiplicity")
+        if min((count for _, count in entries), default=1) < 1:
+            raise ValueError("basket multiplicities must be >= 1")
         object.__setattr__(self, "entries", tuple(sorted(entries, key=lambda e: (e[0].r, e[0].b))))
-        for _, count in self.entries:
-            if count < 1:
-                raise ValueError("basket multiplicities must be >= 1")
 
     def __str__(self) -> str:
         """Points in order, a repeated one as point x count: 1/2(1,1,1) 1/3(1,2,1)x2."""
@@ -225,8 +227,10 @@ def has_monomial(weights, d: int) -> bool:
     over the exponents of the larger weights, at most (d // a + 1)^(n - 1)
     steps, decides if that is fewer than the table's n * a steps and the
     bitset's d / 64 words. Those steps exceed d / a, so the search needs
-    a > 64: no system of weights up to 64 takes it.
+    a > 64: no system of weights up to 64 takes it. A table of more than
+    MAX_ORDER entries is refused (ValueError) rather than built.
     """
+    d = operator.index(d)
     if d < 0:
         raise ValueError("degree must be >= 0")
     ws = sorted(set(map(operator.index, weights)))
@@ -252,6 +256,8 @@ def has_monomial(weights, d: int) -> bool:
     if steps < n * a and 64 * steps < d:
         return _by_search(ws, d)
     if d > 16 * n * a:
+        if a > MAX_ORDER:
+            raise ValueError(f"the monomial test needs a table of more than {MAX_ORDER} entries")
         return _least_degrees(ws)[d % a] <= d
     return _by_bitset(ws, d)
 

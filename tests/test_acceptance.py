@@ -107,12 +107,12 @@ def test_criterion_4_link_transcripts():
 
 @_criterion(5, "second-contraction systems: minimal delta and integrality classes")
 def test_criterion_5_second_contraction():
-    sols = sk.second_contraction(4, 7, {3: 1, 5: 3, 6: 2, 7: 1})
-    assert sols[0].delta == 7
-    assert sols[0].b == 9
-    assert dict(sols[0].gammas) == {3: 1, 5: 4, 6: 2, 7: 0}
-    sols17 = sk.second_contraction(6, 17, {3: 3, 4: 2, 7: 5})
-    assert sols17 and all(s.delta % 6 == 5 for s in sols17)
+    sol = sk.second_contraction(4, 7, {3: 1, 5: 3, 6: 2, 7: 1})
+    assert sol.delta == 7
+    assert sol.b == 9
+    assert dict(sol.gammas) == {3: 1, 5: 4, 6: 2, 7: 0}
+    sol17 = sk.second_contraction(6, 17, {3: 3, 4: 2, 7: 5})
+    assert sol17.delta % 6 == 5 and sol17.period == 6
 
 
 @_criterion(6, "graded-ring profile: one relation at 12, generators {3,4,5,6,7}")

@@ -69,6 +69,16 @@ def test_hilbert_on_weights_near_10_to_the_8_is_quick_and_small(capsys):
     assert elapsed < 0.5 and peak < 10 * 2**20
 
 
+def test_hilbert_past_the_residue_table_cap_is_one_short_line(capsys):
+    # building the 10^7-entry table took 23 s and 628 MB peak RSS to find the shape empty
+    argv = ("hilbert", "--weights", "10000000,13000007,17000003,19000011,23000001")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--degree", "3000000003")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == f"error: the monomial test needs a table of more than {MAX_ORDER} entries\n"
+
+
 def test_hilbert_malformed_weights(capsys):
     code, _, err = run(capsys, "hilbert", "--weights", "3,4", "--degree", "12")
     assert code == 2 and "weights" in err

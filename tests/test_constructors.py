@@ -1,0 +1,138 @@
+"""Every public constructor and kernel entry point refuses a bad argument at the call.
+
+Each slot that holds an int is fed a float, a str and a ``Fraction`` of the
+int that belongs there, and its negative where a negative is not a legitimate
+value. Each entry point is also fed wrong-length and wrong-type elements.
+Every one must raise ``TypeError`` or ``ValueError`` right there, never be
+accepted and fail later.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from qfano import normal_form as nf
+from qfano import riemann_roch as rr
+from qfano import sarkisov as sk
+from qfano import series, wps
+
+WS = (3, 4, 5, 6, 7)
+POINT = wps.QuotientType(5, 2)
+ENTRY = rr.RRBasketEntry(5, 2, 2)
+ZERO = nf.WeightedPolynomial(WS)
+ALPHA = Fraction(1, 5)
+X3_4 = (4, 0, 0, 0, 0)  # the exponent of x3^4
+
+# slot: (call with the value in that slot, the int that belongs there, whether
+# its negative is refused; a series coefficient may be negative)
+INT_SLOTS = {
+    "HypersurfaceShape weight": (lambda v: wps.HypersurfaceShape((v, 4, 5, 6, 7), 12), 3, True),
+    "HypersurfaceShape degree": (lambda v: wps.HypersurfaceShape(WS, v), 12, True),
+    "QuotientType r": (lambda v: wps.QuotientType(v, 2), 5, True),
+    "QuotientType b": (lambda v: wps.QuotientType(5, v), 2, True),
+    "Basket multiplicity": (lambda v: wps.Basket(((POINT, v),)), 1, True),
+    "FanoData q": (lambda v: rr.FanoData(v, Fraction(1, 210), (ENTRY,)), 13, True),
+    "RRBasketEntry r": (lambda v: rr.RRBasketEntry(v, 2, 2), 5, True),
+    "RRBasketEntry b": (lambda v: rr.RRBasketEntry(5, v, 2), 2, True),
+    "RRBasketEntry wa": (lambda v: rr.RRBasketEntry(5, 2, v), 2, True),
+    "PowerSeries coefficient": (lambda v: series.PowerSeries((1, v)), 1, False),
+    "WeightedPolynomial weight": (lambda v: nf.WeightedPolynomial((v, 4, 5, 6, 7)), 3, True),
+    "WeightedPolynomial exponent": (
+        lambda v: nf.WeightedPolynomial(WS, {(v, 0, 0, 0, 0): 1}), 4, True
+    ),
+    "Substitution weight": (lambda v: nf.Substitution((v, 4, 5, 6, 7), {}), 3, True),
+    "Substitution position": (lambda v: nf.Substitution(WS, {v: (2, ZERO)}), 1, True),
+    "LinkCandidate qhat": (lambda v: sk.LinkCandidate("P5", ALPHA, v, 4, True), 7, True),
+    "LinkCandidate e": (lambda v: sk.LinkCandidate("P5", ALPHA, 7, v, True), 4, True),
+    "product_coefficients numerator": (
+        lambda v: series.product_coefficients((v,), (1,), 5), 2, True
+    ),
+    "product_coefficients denominator": (
+        lambda v: series.product_coefficients((), (v,), 5), 1, True
+    ),
+    "product_coefficients order": (lambda v: series.product_coefficients((), (1,), v), 5, True),
+    "expand_product numerator": (lambda v: series.expand_product((v,), (1,), 5), 2, True),
+    "expand_product denominator": (lambda v: series.expand_product((), (v,), 5), 1, True),
+    "expand_product order": (lambda v: series.expand_product((), (1,), v), 5, True),
+    "has_monomial weight": (lambda v: wps.has_monomial((v, 4), 12), 3, True),
+    "has_monomial degree": (lambda v: wps.has_monomial((3, 4), v), 12, True),
+    "monomial_count weight": (lambda v: wps.monomial_count((v, 4), 12), 3, True),
+    "monomial_count degree": (lambda v: wps.monomial_count((3, 4), v), 12, True),
+}
+
+BAD_INTS = [
+    (f"{slot} {kind}", call, bad)
+    for slot, (call, good, negative) in INT_SLOTS.items()
+    for kind, bad in (
+        ("float", float(good)),
+        ("str", str(good)),
+        ("Fraction", Fraction(good)),
+        ("negative", -good),
+    )
+    if negative or kind != "negative"
+]
+
+BAD_ELEMENTS = {
+    "HypersurfaceShape four weights": lambda: wps.HypersurfaceShape((3, 4, 5, 6), 12),
+    "HypersurfaceShape tuple weight": lambda: wps.HypersurfaceShape(((3,), 4, 5, 6, 7), 12),
+    "HypersurfaceShape int weights": lambda: wps.HypersurfaceShape(3, 12),
+    "QuotientType None": lambda: wps.QuotientType(None, 2),
+    "Basket short entry": lambda: wps.Basket(((POINT,),)),
+    "Basket long entry": lambda: wps.Basket(((POINT, 1, 1),)),
+    "Basket int point": lambda: wps.Basket(((5, 1),)),
+    "Basket str entry": lambda: wps.Basket(("ab",)),
+    "FanoData tuple entry": lambda: rr.FanoData(13, Fraction(1, 210), ((5, 2, 3),)),
+    "FanoData QuotientType entry": lambda: rr.FanoData(13, Fraction(1, 210), (POINT,)),
+    "FanoData float A3": lambda: rr.FanoData(13, 0.5, ()),
+    "FanoData str A3": lambda: rr.FanoData(13, "1/210", ()),
+    "FanoData negative A3": lambda: rr.FanoData(13, Fraction(-1, 210), ()),
+    "RRBasketEntry None": lambda: rr.RRBasketEntry(5, None, 2),
+    "PowerSeries empty": lambda: series.PowerSeries(()),
+    "PowerSeries int": lambda: series.PowerSeries(5),
+    "PowerSeries None coefficient": lambda: series.PowerSeries((1, None)),
+    "WeightedPolynomial four-entry exponent": lambda: nf.WeightedPolynomial(WS, {(4, 0, 0, 0): 1}),
+    "WeightedPolynomial int exponent": lambda: nf.WeightedPolynomial(WS, {4: 1}),
+    "WeightedPolynomial float coefficient": lambda: nf.WeightedPolynomial(WS, {X3_4: 1.0}),
+    "WeightedPolynomial str coefficient": lambda: nf.WeightedPolynomial(WS, {X3_4: "1"}),
+    "WeightedPolynomial list of exponents": lambda: nf.WeightedPolynomial(WS, [X3_4]),
+    "Substitution str shift": lambda: nf.Substitution((3, 4), {0: (2, "x")}),
+    "Substitution short rule": lambda: nf.Substitution(WS, {0: (2,)}),
+    "Substitution long rule": lambda: nf.Substitution(WS, {0: (2, ZERO, 1)}),
+    "Substitution float coefficient": lambda: nf.Substitution(WS, {0: (2.0, ZERO)}),
+    "Substitution str coefficient": lambda: nf.Substitution(WS, {0: ("2", ZERO)}),
+    "LinkCandidate unknown case": lambda: sk.LinkCandidate("P9", ALPHA, 7, 4, True),
+    "LinkCandidate int case": lambda: sk.LinkCandidate(5, ALPHA, 7, 4, True),
+    "LinkCandidate str birational": lambda: sk.LinkCandidate("P5", ALPHA, 7, 4, "yes"),
+    "LinkCandidate None birational": lambda: sk.LinkCandidate("P5", ALPHA, 7, 4, None),
+    "LinkCandidate float alpha": lambda: sk.LinkCandidate("P5", 0.2, 7, 4, True),
+    "LinkCandidate str alpha": lambda: sk.LinkCandidate("P5", "1/5", 7, 4, True),
+    "LinkCandidate negative alpha": lambda: sk.LinkCandidate("P5", -ALPHA, 7, 4, True),
+    "LinkCandidate zero alpha": lambda: sk.LinkCandidate("P5", Fraction(0), 7, 4, True),
+    "LinkCandidate inadmissible qhat": lambda: sk.LinkCandidate("P5", ALPHA, 10, 4, True),
+    "product_coefficients tuple exponent": lambda: series.product_coefficients(((2,),), (1,), 5),
+    "product_coefficients int numerator": lambda: series.product_coefficients(2, (1,), 5),
+    "expand_product tuple exponent": lambda: series.expand_product((), ((1,),), 5),
+    "has_monomial tuple weight": lambda: wps.has_monomial(((3,), 4), 12),
+    "has_monomial int weights": lambda: wps.has_monomial(3, 12),
+    "monomial_count tuple weight": lambda: wps.monomial_count(((3,), 4), 12),
+}
+
+
+@pytest.mark.parametrize("slot", list(INT_SLOTS))
+def test_the_int_that_belongs_in_each_slot_is_accepted(slot):
+    call, good, _ = INT_SLOTS[slot]
+    call(good)
+
+
+@pytest.mark.parametrize("call,bad", [c[1:] for c in BAD_INTS], ids=[c[0] for c in BAD_INTS])
+def test_a_float_str_fraction_or_negative_int_is_refused_at_the_call(call, bad):
+    with pytest.raises((TypeError, ValueError)):
+        call(bad)
+
+
+@pytest.mark.parametrize("call", list(BAD_ELEMENTS.values()), ids=list(BAD_ELEMENTS))
+def test_a_wrong_length_or_wrong_type_element_is_refused_at_the_call(call):
+    with pytest.raises((TypeError, ValueError)):
+        call()

@@ -1,6 +1,7 @@
 """Sarkisov-link case enumeration, filters, transcripts, second contractions."""
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -244,18 +245,16 @@ def test_canonical_threshold_undefined():
 
 
 def test_second_contraction_p5_survivor():
-    sols = sk.second_contraction(4, 7, {3: 1, 5: 3, 6: 2, 7: 1})
-    assert sols[0].delta == 7
-    assert sols[0].b == 9
-    assert dict(sols[0].gammas) == {3: 1, 5: 4, 6: 2, 7: 0}
-    # gamma_7 >= 0 already forces delta >= 7
-    assert all(s.delta >= 7 for s in sols)
+    sol = sk.second_contraction(4, 7, {3: 1, 5: 3, 6: 2, 7: 1})
+    assert (sol.delta, sol.b, sol.period) == (7, 9, 4)
+    assert dict(sol.gammas) == {3: 1, 5: 4, 6: 2, 7: 0}
+    # the congruences allow delta = 3 (mod 4); gamma_7 >= 0 moves the least one to 7
+    assert sol.delta % sol.period == 3
 
 
 def test_second_contraction_mod_class():
-    sols = sk.second_contraction(6, 17, {3: 3, 4: 2, 7: 5})
-    assert sols[0].delta == 5 and sols[0].b == 12
-    assert all(s.delta % 6 == 5 for s in sols)
+    sol = sk.second_contraction(6, 17, {3: 3, 4: 2, 7: 5})
+    assert (sol.delta, sol.b, sol.period) == (5, 12, 6)
 
 
 def test_second_contraction_p5_gamma_forces_b_integral():
@@ -263,21 +262,44 @@ def test_second_contraction_p5_gamma_forces_b_integral():
     # which makes b integral with or without the smoothness requirement
     loose = sk.second_contraction(6, 17, {3: 3, 4: 2, 7: 5}, smooth_point=False)
     strict = sk.second_contraction(6, 17, {3: 3, 4: 2, 7: 5}, smooth_point=True)
-    assert loose == strict
-
-
-def b_integral(solution) -> bool:
-    return solution.b.denominator == 1
+    assert loose == strict and strict.period == 6
 
 
 def test_second_contraction_smoothness_filters_b():
     # reduced system {6: 2}: gamma only forces delta odd >= 3, so delta = 5
-    # gives fractional b = 22/4 and must drop when the point is smooth
+    # gives fractional b = 22/4; over a smooth point the class narrows to 3 mod 4
     loose = sk.second_contraction(4, 7, {6: 2}, smooth_point=False)
     strict = sk.second_contraction(4, 7, {6: 2}, smooth_point=True)
-    assert any(not b_integral(s) for s in loose)
-    assert all(b_integral(s) for s in strict)
-    assert {s.delta for s in loose} - {s.delta for s in strict} != set()
+    assert (loose.delta, loose.period) == (3, 2)
+    assert Fraction(7 * (loose.delta + loose.period) - sk.Q, 4) == Fraction(22, 4)
+    assert (strict.delta, strict.b, strict.period) == (3, 2, 4)
+
+
+def test_second_contraction_past_fifty():
+    """The least delta is 53 here: a search that stopped at delta = 50 found nothing."""
+    sol = sk.second_contraction(61, 6, {5: 7})
+    assert (sol.delta, sol.b, sol.gammas, sol.period) == (53, 5, ((5, 6),), 61)
+
+
+@pytest.mark.parametrize(
+    "e,qhat,s,smooth_point",
+    [(4, 7, {6: 0}, False), (6, 17, {3: 2}, False), (4, 2, {6: 2}, True)],
+)
+def test_second_contraction_none(e, qhat, s, smooth_point):
+    """s_k = 0, then 2*delta = 3 (mod 6), then 2*delta = 13 (mod 4): no delta at all."""
+    assert sk.second_contraction(e, qhat, s, smooth_point=smooth_point) is None
+    assert not list(reference_second_contraction(e, qhat, s, smooth_point=smooth_point))
+
+
+def test_second_contraction_with_nothing_to_solve():
+    sol = sk.second_contraction(5, 7, {}, smooth_point=False)
+    assert (sol.delta, sol.b, sol.gammas, sol.period) == (1, Fraction(-6, 5), (), 1)
+
+
+@pytest.mark.parametrize("e,s", [(0, {3: 1}), (4, {0: 1}), (4, {-3: 1})])
+def test_second_contraction_refuses_a_non_positive_multiple_or_degree(e, s):
+    with pytest.raises(ValueError, match="e and every degree k must be >= 1"):
+        sk.second_contraction(e, 7, s)
 
 
 def test_equations_verified(transcripts):
@@ -365,8 +387,8 @@ def reference_e_bound(case, alpha):
     return math.floor(Fraction(case.k * max(ALLOWED_FANO_INDICES)) / (sk.Q * beta_min - case.k * alpha))
 
 
-def reference_second_contraction(e, qhat, s, q=sk.Q, smooth_point=True, delta_max=50):
-    out = []
+def reference_second_contraction(e, qhat, s, q=sk.Q, smooth_point=True, delta_max=400):
+    """Every admissible (delta, b, gammas) with delta <= delta_max, by trying each delta."""
     for delta in range(1, delta_max + 1):
         gammas = [(k, Fraction(s[k] * delta - k, e)) for k in sorted(s)]
         if any(g < 0 or g.denominator != 1 for _, g in gammas):
@@ -374,8 +396,7 @@ def reference_second_contraction(e, qhat, s, q=sk.Q, smooth_point=True, delta_ma
         b = Fraction(qhat * delta - q, e)
         if smooth_point and b.denominator != 1:
             continue
-        out.append(sk.SecondContractionSolution(delta, b, tuple(gammas)))
-    return tuple(out)
+        yield delta, b, tuple(gammas)
 
 
 def _kernel_splits(case, alpha, qhat, e, k, birational):
@@ -500,15 +521,25 @@ def test_integer_kernel_matches_fraction_reference_off_the_case_list(
 
 @settings(max_examples=300, deadline=None)
 @given(
-    e=st.integers(1, 12),
+    e=st.integers(1, 80),
     qhat=st.sampled_from(QHATS),
     s=st.dictionaries(st.integers(3, 7), st.integers(0, 9), max_size=5),
     smooth_point=st.booleans(),
 )
 def test_second_contraction_matches_fraction_reference(e, qhat, s, smooth_point):
+    """The least delta is the oracle's first hit, the period the gap to its second.
+
+    Both lie below 7 + 2 * 80 < 400 when there is any, as period <= e.
+    """
     got = sk.second_contraction(e, qhat, s, smooth_point=smooth_point)
-    assert got == reference_second_contraction(e, qhat, s, smooth_point=smooth_point)
-    assert all(type(g) is int for sol in got for _, g in sol.gammas)
+    hits = reference_second_contraction(e, qhat, s, smooth_point=smooth_point)
+    hits = list(itertools.islice(hits, 2))
+    if not hits:
+        assert got is None
+        return
+    assert (got.delta, got.b, got.gammas) == hits[0]
+    assert got.period == hits[1][0] - hits[0][0]
+    assert all(type(g) is int for _, g in got.gammas)
 
 
 @pytest.mark.parametrize("name", list(sk.CASES))

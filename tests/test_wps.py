@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qfano import fixtures, wps
+from qfano.series import MAX_ORDER
 from qfano.series import partition_count
 
 X12 = wps.HypersurfaceShape((3, 4, 5, 6, 7), 12)
@@ -247,6 +248,16 @@ def test_has_monomial_cost_is_bounded_by_the_weights():
         d = 3 * big // 2
         assert wps.has_monomial((3, 6, 9, 12, big), d) == reference_has_monomial((3, 6, 9, 12, big), d)
     assert wps.HypersurfaceShape((3, 3, 3, 3, 10**12 + 1), 15 * 10**11 + 3).degree == 15 * 10**11 + 3
+    assert time.perf_counter() - start < 0.1
+
+
+def test_has_monomial_refuses_a_residue_table_past_the_cap():
+    # d // a = 300 makes the exponent search longer than the table, whose
+    # MAX_ORDER + 1 entries are refused before one is built
+    weights = (MAX_ORDER + 1, 1300007, 1700003, 1900011, 2300001)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"a table of more than {MAX_ORDER} entries"):
+        wps.has_monomial(weights, 300 * MAX_ORDER + 3)
     assert time.perf_counter() - start < 0.1
 
 

@@ -13,7 +13,7 @@ from qfano import fixtures, riemann_roch, wps  # noqa: E402
 def main() -> int:
     for f in fixtures.FIXTURES:
         report = wps.analyze(f.shape)
-        data = riemann_roch.calibrated_data(f.shape, order=24)
+        data = riemann_roch.calibrated_data(f.shape)
         sign = riemann_roch.orientation_sign(data.q, data.entries)
         basket = str(report.basket) if report.basket else ""
         print(f"{f.name}: q={report.fano_index} A^3={report.a3} genus={report.genus}")

@@ -24,14 +24,10 @@ so that every term of D chi(mA) is an integer:
 with C = D A^3 / 12, L = D (A.c2) / 12 and, per point P, the table
 T_P[i] = D c_{r,b}(i) filled by the prefix recurrence
 T_P[i+1] = T_P[i] - D (r^2 - 1) / (12 r) + (ib mod r)(r - ib mod r) D / (2 r).
-``_chi_values`` evaluates a whole range start <= m < stop at once: the cubic
-D + C m(m+q)(2m+q) + L m by three running sums from its first four values
-(its third difference is constant); the corrections by cycling each point's
-r values T_P[(m wA) mod r] along one basket period lcm(r) (or the range,
-where shorter), summing there, and cycling that sum along the range; then
-one integrality pass by D. A ``Fraction`` is built only to report the first
-non-integral total.
-``chi`` and ``hilbert_rr`` are its ranges [m, m+1) and [0, order].
+``_chi_values`` evaluates a whole range start <= m < stop at once (its
+comments say how) and checks integrality by D in one pass, building a
+``Fraction`` only to report the first non-integral total. ``chi`` and
+``hilbert_rr`` are its ranges [m, m+1) and [0, order].
 ``a_c2`` is one Fraction over L = lcm(r), (24 L - sum (r^2-1) L/r) / (q L);
 the tests keep A.c2 and c_{r,b} in their stated forms as the oracles.
 
@@ -42,11 +38,16 @@ trivialization is determined up to one global sign: wA = (+-q)^{-1} mod r.
 That sign is the classic bug source. The convention is q * wA = -1 mod r
 at every point (``orientation_sign`` is -1); ``calibrated_data`` is the one
 place that builds it, and ``calibrate`` confirms it instead of trusting it:
-the Riemann-Roch series of the data must equal a closed-form oracle.
+the Riemann-Roch series of the data must equal a closed-form oracle, and
+finitely many terms decide that. chi(mA) is a cubic in m plus a term of period
+r per point, so that series is N / ((1-t)^4 prod(1-t^r)) over the distinct r,
+deg N <= 3 + sum r; the oracle prod(1-t^d) / prod(1-t^w) has d < sum w. Their
+difference is a numerator of degree <= 3 + sum r + sum w over a denominator
+with constant term 1, so its first nonzero coefficient is the numerator's
+lowest: agreement through t^(3 + sum r + sum w) (X12: t^45) is equality.
 
 Higher cohomology of mA is assumed to vanish for m >= 0, so Hilbert series
-coefficients are identified with chi(mA); that assumption is not verified
-here.
+coefficients are identified with chi(mA); that is not verified here.
 
 ``infer_generators`` and ``relation_profile`` read a Hilbert series as a
 graded ring: each compares a coefficient with the free-algebra count on
@@ -223,12 +224,13 @@ def calibrate(data: FanoData, oracle: PowerSeries) -> None:
         raise CalibrationError(f"Riemann-Roch series differs from the oracle at t^{m}")
 
 
-def calibrated_data(shape: wps.HypersurfaceShape, order: int = 24) -> FanoData:
-    """A shape's Riemann-Roch data, calibrated against its closed-form series.
+def calibrated_data(shape: wps.HypersurfaceShape, order: int = 0) -> FanoData:
+    """A shape's Riemann-Roch data, proved equal to its closed-form series.
 
     Each basket point 1/r(1, r-1, b) gets wA = -q^{-1} mod r (module doc).
     The basket stores b = min(b, r-b) sorted by (r, b), and wA depends on r
-    alone, so the entries come out canonical and sorted.
+    alone, so the entries come out canonical and sorted. Agreement through
+    t^max(order, 3 + sum of the distinct r + sum w) is equality (module doc).
     """
     q = wps.fano_index(shape)
     entries = []
@@ -237,7 +239,8 @@ def calibrated_data(shape: wps.HypersurfaceShape, order: int = 24) -> FanoData:
             raise ConventionError(f"index q={q} not invertible mod the local index {p.r}")
         entries.append(RRBasketEntry(p.r, p.b, pow(-q, -1, p.r)))
     data = FanoData(q, wps.degree_a3(shape), tuple(entries))
-    calibrate(data, wps.hilbert(shape, order))
+    depth = 3 + sum({e.r for e in entries}) + sum(shape.weights)
+    calibrate(data, wps.hilbert(shape, max(order, depth)))
     return data
 
 

@@ -48,7 +48,8 @@ that same event):
 
   F1 torsion      the exceptional class forces |T(target)| = d/e with
                   d >= 3; the admissible torsion orders per qhat come from
-                  the torsion table below.
+                  the torsion table below, which has no rows for qhat <= 3:
+                  a birational candidate there passes F1 and skips F2.
   F2 genus        when alpha < 1 the target genus is at least 4, killing
                   torsion rows with smaller recorded genus.
   F3 effectivity  when qhat pins the target space (the TARGETS table), each
@@ -516,18 +517,22 @@ def _filter_chain(cand: LinkCandidate):
         return
 
     # F1: |T(target)| = d/e with d >= 3 must be admissible for qhat
-    rows = torsion_table(cand.qhat)
-    kept = [row for row in rows if row.t * cand.e >= 3]
-    if not kept:
-        yield "F1", "eliminated", (
-            f"|T| = d/e with d >= 3 needs |T| >= 3/{cand.e}; admissible rows "
-            f"for qhat={cand.qhat} are {_rows(rows)}"
-        )
-        return
-    yield "F1", "pass", f"rows satisfying |T|*e >= 3: {_rows(kept)}"
+    kept = []
+    if cand.qhat <= 3:
+        yield "F1", "pass", "no torsion rows are tabulated for qhat <= 3"
+    else:
+        rows = torsion_table(cand.qhat)
+        kept = [row for row in rows if row.t * cand.e >= 3]
+        if not kept:
+            yield "F1", "eliminated", (
+                f"|T| = d/e with d >= 3 needs |T| >= 3/{cand.e}; admissible rows "
+                f"for qhat={cand.qhat} are {_rows(rows)}"
+            )
+            return
+        yield "F1", "pass", f"rows satisfying |T|*e >= 3: {_rows(kept)}"
 
-    # F2: alpha < 1 forces target genus >= 4
-    if cand.alpha < 1:
+    # F2: alpha < 1 forces target genus >= 4, on the rows F1 kept
+    if cand.alpha < 1 and kept:
         dropped = [row for row in kept if row.genus is not None and row.genus < 4]
         if dropped == kept:
             yield "F2", "eliminated", (

@@ -22,9 +22,10 @@ is reached; below it a shift-or bitset of reachable degrees decides. The
 bitset holds at most min(d, (a - 1)(b - 1)) bits, and where that is more
 than 16 bits per step of the residue-class table (the least degree in each
 class mod a, O(n*a) steps) the table decides instead. Either way the cost
-is bounded by the weights, not by d, and a table of more than MAX_ORDER
-entries is refused, not built. Where d // a is small and a > 64, a
+is bounded by the weights, not by d. Where d // a is small and a > 64, a
 search over the exponents of the larger weights can be cheaper than both.
+Elsewhere a least weight a above MAX_ORDER is refused, not decided: the
+table holds at most MAX_ORDER entries, the bitset 16 * n * MAX_ORDER bits.
 
 Conventions fixed for determinism: weights are sorted ascending on
 construction, monomials are listed in descending lexicographic order on
@@ -227,8 +228,9 @@ def has_monomial(weights, d: int) -> bool:
     over the exponents of the larger weights, at most (d // a + 1)^(n - 1)
     steps, decides if that is fewer than the table's n * a steps and the
     bitset's d / 64 words. Those steps exceed d / a, so the search needs
-    a > 64: no system of weights up to 64 takes it. A table of more than
-    MAX_ORDER entries is refused (ValueError) rather than built.
+    a > 64: no system of weights up to 64 takes it. Otherwise a least weight
+    above MAX_ORDER is refused (ValueError): its table would hold more than
+    MAX_ORDER entries, and its bitset up to 16 * n * a bits.
     """
     d = operator.index(d)
     if d < 0:
@@ -255,9 +257,9 @@ def has_monomial(weights, d: int) -> bool:
     steps = (d // a + 1) ** (n - 1)
     if steps < n * a and 64 * steps < d:
         return _by_search(ws, d)
+    if a > MAX_ORDER:
+        raise ValueError(f"the monomial test needs a table of more than {MAX_ORDER} entries")
     if d > 16 * n * a:
-        if a > MAX_ORDER:
-            raise ValueError(f"the monomial test needs a table of more than {MAX_ORDER} entries")
         return _least_degrees(ws)[d % a] <= d
     return _by_bitset(ws, d)
 

@@ -28,7 +28,7 @@ FIXTURE_SHAPES = {
 
 @pytest.fixture(scope="module")
 def calibrated():
-    return {name: rr.calibrated_data(shape, 24) for name, shape in FIXTURE_SHAPES.items()}
+    return {name: rr.calibrated_data(shape) for name, shape in FIXTURE_SHAPES.items()}
 
 
 def test_a_c2_x12(calibrated):
@@ -118,6 +118,67 @@ def test_hilbert_rr_matches_closed_form(calibrated):
     assert equal and mismatch is None
 
 
+# 3 + the sum of the distinct basket indices + the sum of the weights
+CALIBRATION_DEPTHS = {
+    "X12": 45, "P(3,4,5,7)": 41, "P(2,3,5,7)": 37, "P(1,3,4,5)": 28, "P(1,2,3,5)": 24, "P(1,1,2,3)": 15,
+}
+
+
+@pytest.mark.parametrize("name", FIXTURE_SHAPES)
+def test_calibrated_data_compares_through_the_numerator_bound(monkeypatch, name):
+    shape = FIXTURE_SHAPES[name]
+    depths = []
+    calibrate = rr.calibrate
+
+    def recording(data, oracle):
+        depths.append(oracle.order)
+        return calibrate(data, oracle)
+
+    monkeypatch.setattr(rr, "calibrate", recording)
+    rr.calibrated_data(shape)
+    bound = 3 + sum(set(wps.basket(shape).indices())) + sum(shape.weights)
+    assert depths == [bound] == [CALIBRATION_DEPTHS[name]]
+    # a shorter order changes nothing, a longer one only deepens the comparison
+    rr.calibrated_data(shape, 24)
+    rr.calibrated_data(shape, bound + 7)
+    assert depths[1:] == [max(24, bound), bound + 7]
+
+
+@pytest.mark.parametrize("name", FIXTURE_SHAPES)
+def test_calibrated_data_ignores_an_order_below_the_bound(calibrated, name):
+    assert rr.calibrated_data(FIXTURE_SHAPES[name], 24) == calibrated[name]
+
+
+def test_calibrated_data_sees_an_oracle_changed_past_t24(monkeypatch):
+    # X12's oracle with only t^30 changed agrees through t^24; the derived depth 45 reaches it
+    hilbert = wps.hilbert
+
+    def changed_at_30(shape, order):
+        coeffs = list(hilbert(shape, order).coefficients)
+        if order >= 30:
+            coeffs[30] += 1
+        return PowerSeries(tuple(coeffs))
+
+    monkeypatch.setattr(wps, "hilbert", changed_at_30)
+    for order in (0, 24):
+        with pytest.raises(rr.CalibrationError, match=r"differs from the oracle at t\^30$"):
+            rr.calibrated_data(X12, order)
+
+
+def test_calibrated_series_equal_the_closed_form_over_four_periods():
+    # both coefficient sequences are quasi-polynomials of degree <= 3 with the
+    # common period P = lcm(weights, r), so agreeing for m < 4P is equality
+    checked = 0
+    for shape in [*FIXTURE_SHAPES.values(), *clean_shapes(10)]:
+        data = rr.calibrated_data(shape)
+        period = math.lcm(*shape.weights, *(e.r for e in data.entries))
+        if period > 1000:
+            continue
+        assert rr.hilbert_rr(data, 4 * period) == wps.hilbert(shape, 4 * period), shape
+        checked += 1
+    assert checked == 110
+
+
 @functools.cache
 def local_c(r, b, i):
     """Periodic Riemann-Roch correction of a point 1/r(1, r-1, b) at residue i, as stated."""
@@ -204,7 +265,7 @@ def expected_chi(data, ms):
 @functools.cache
 def clean_data():
     """Calibrated data of the fixtures and the clean shapes: integral at every m."""
-    return [rr.calibrated_data(shape, 24) for shape in [*FIXTURE_SHAPES.values(), *clean_shapes(10)]]
+    return [rr.calibrated_data(shape) for shape in [*FIXTURE_SHAPES.values(), *clean_shapes(10)]]
 
 
 @settings(max_examples=80, deadline=None)

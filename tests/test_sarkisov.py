@@ -31,6 +31,39 @@ def test_dims_table():
     assert sk.DIMS == {3: 0, 4: 0, 5: 0, 6: 1, 7: 1}
 
 
+def test_birational_candidate_below_index_4_passes_f1_and_skips_f2():
+    # no torsion rows exist for qhat <= 3; torsion_table(3) raised inside F1 and
+    # left the rest of the list unannotated
+    case = sk.CenterCase("T", "test", 3, (Fraction(1, 3),), 4, ())
+    bare = sk.enumerate_bare(case)
+    [low] = [c for c in bare if c.birational and c.qhat <= 3]
+    assert (low.qhat, low.e) == (3, 4)
+    events = sk.apply_filters(bare)
+    assert all(c.status != "bare" for c in bare)
+    chain = [(ev.filter_id, ev.verdict, ev.detail) for ev in events if ev.candidate == low.key()]
+    assert chain[0] == ("F1", "pass", "no torsion rows are tabulated for qhat <= 3")
+    assert "F2" not in [fid for fid, _, _ in chain]
+    with pytest.raises(sk.InvalidIndex):
+        sk.torsion_table(3)
+
+
+def test_filters_annotate_every_candidate_of_small_centre_cases():
+    # r in {None, 2, 3, 5, 7}, k in 3..7, alpha = j/r for j <= 7: 175 cases,
+    # 26 with a birational qhat <= 3 candidate; an unbounded one is refused
+    low = 0
+    for r, k, j in itertools.product((None, 2, 3, 5, 7), range(3, 8), range(1, 8)):
+        case = sk.CenterCase("T", "test", r, (Fraction(j, r or 1),), k, ())
+        try:
+            bare = sk.enumerate_bare(case)
+        except ValueError as exc:
+            assert "unbounded enumeration" in str(exc)
+            continue
+        low += any(c.birational and c.qhat <= 3 for c in bare)
+        sk.apply_filters(bare)
+        assert all(c.status in ("final", "eliminated") for c in bare), case
+    assert low == 26
+
+
 def test_link_data_agree_with_the_corpus():
     """sarkisov builds X12 and its target table itself; the corpus must agree."""
     assert sk.X12 == fixtures.X12_SHAPE

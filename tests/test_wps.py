@@ -261,6 +261,16 @@ def test_has_monomial_refuses_a_residue_table_past_the_cap():
     assert time.perf_counter() - start < 0.1
 
 
+def test_has_monomial_refuses_a_bitset_past_the_cap():
+    # d = 45a + 12345 is below 16 * n * a, where the bitset used to decide:
+    # 225,012,346 bits, 1.6 s and 174 MB; the least weight alone now refuses it
+    a = 5 * 10**6
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"a table of more than {MAX_ORDER} entries"):
+        wps.has_monomial((a, a + 1, a + 3, a + 7, a + 9), 45 * a + 12345)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_has_monomial_near_a_large_least_weight_is_a_short_search():
     # the bitset would hold 5 * 10^8 bits and the residue table 10^8 entries;
     # the exponents of the four larger weights sum to at most 5

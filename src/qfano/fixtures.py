@@ -7,8 +7,8 @@ what the CLI self-test runs on load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import wps
 
@@ -19,8 +19,7 @@ FORM_A = "x5*x7 + x4^3 + x6^2 + x3^4"
 FORM_B = "x5*x7 + x4^3 + x6^2"
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     name: str
     shape: wps.HypersurfaceShape
     fano_index: int

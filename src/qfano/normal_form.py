@@ -87,7 +87,7 @@ class MissingCornerMonomial(ValueError):
 Term = tuple[int, ...]
 
 
-@dataclass(init=False)
+@dataclass(init=False)  # its own __init__ reduces the terms to integer numerators
 class WeightedPolynomial:
     """Finite rational combination of monomials over a weight system (module doc)."""
 
@@ -256,7 +256,7 @@ def _times(a: dict[Term, int], b: dict[Term, int]) -> dict[Term, int]:
     return out
 
 
-@dataclass
+@dataclass  # mutable: holds a dict of rules, normalized on construction
 class Substitution:
     """Degree-preserving rules x_i -> c_i * x_i + g_i, triangular and invertible.
 
@@ -364,8 +364,7 @@ E57, E444, E66, E336, E345, E3333 = (
 )
 
 
-@dataclass(frozen=True)
-class NormalFormResult:
+class NormalFormResult(NamedTuple):
     """Outcome of the degree-12 pipeline: class, residual lambda, log, result."""
 
     form: str                       # "A" or "B"

@@ -80,7 +80,7 @@ class InconsistentSeries(ValueError):
     """A series that no graded domain with R_0 = k, or none on the given generators, has."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # bench/test_bench.py calls dataclasses.replace on it
 class RRBasketEntry:
     """One basket point 1/r(1, r-1, b) with the residue wA of the class A.
 
@@ -131,7 +131,7 @@ def orientation_sign(q: int, entries: tuple[RRBasketEntry, ...]) -> int | None:
     return sign
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # bench/test_bench.py calls dataclasses.replace on it
 class FanoData:
     """Input to the Riemann-Roch evaluation; chi(O) is fixed at 1."""
 

@@ -52,9 +52,10 @@ that same event):
                   a birational candidate there passes F1 and skips F2.
   F2 genus        when alpha < 1 the target genus is at least 4, killing
                   torsion rows with smaller recorded genus.
-  F3 effectivity  when qhat pins the target space (the TARGETS table), each
-                  split must satisfy h^0(target, s_k A) >= dim|kA| + 1,
-                  which for s_k = 0 (h^0 = 1) means dim|kA| = 0.
+  F3 effectivity  every k in 3..7 needs an integral split; when qhat pins
+                  the target space (the TARGETS table), each split must
+                  satisfy h^0(target, s_k A) >= dim|kA| + 1, which for
+                  s_k = 0 (h^0 = 1) means dim|kA| = 0.
   F4 geometric    eliminations that rest on geometry this module does not
                   mechanize; recorded with their numeric sub-steps so the
                   transcript stays honest about what is machine-checked.
@@ -69,6 +70,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import wps
 from .wps import ALLOWED_FANO_INDICES
@@ -97,8 +99,7 @@ _CT_DEGREE = 6  # ct(X, |6A|) = alpha / beta_6, and ct <= 1/2 forces beta_6 >= 2
 TARGETS = {19: (3, 4, 5, 7), 17: (2, 3, 5, 7), 11: (1, 2, 3, 5), 7: (1, 1, 2, 3)}
 
 
-@dataclass(frozen=True)
-class TorsionRow:
+class TorsionRow(NamedTuple):
     """One admissible torsion order for a target index, with its known data."""
 
     t: int
@@ -140,8 +141,7 @@ def beta_congruence(q: int, r: int, k: int) -> int:
     return (k * pow(q, -1, r)) % r
 
 
-@dataclass(frozen=True)
-class CenterCase:
+class CenterCase(NamedTuple):
     """One center type for the blowup starting the link."""
 
     name: str
@@ -212,8 +212,7 @@ CASES: dict[str, CenterCase] = {
 }
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(NamedTuple):
     """One non-negative solution (s_k, beta_k) of the degree-k equation."""
 
     s: int
@@ -226,7 +225,7 @@ class Split:
         return {"s": self.s, "beta": str(self.beta)}
 
 
-@dataclass
+@dataclass  # mutable: the filters annotate it in place
 class LinkCandidate:
     """One bare solution of the governing equation, annotated by the filters."""
 
@@ -412,16 +411,14 @@ def _pin_target(candidate: LinkCandidate) -> tuple[int, ...] | None:
     return TARGETS.get(candidate.qhat)
 
 
-@dataclass(frozen=True)
-class FilterEvent:
+class FilterEvent(NamedTuple):
     candidate: str
     filter_id: str
     verdict: str        # pass | eliminated
     detail: str
 
 
-@dataclass(frozen=True)
-class SecondContractionSolution:
+class SecondContractionSolution(NamedTuple):
     """The least admissible multiplicity vector of the link's second contraction;
     the admissible delta are exactly delta + j * period for j >= 0."""
 
@@ -550,7 +547,8 @@ def _filter_chain(cand: LinkCandidate):
             cand.splits[k] = _splits(cand, k)
     cand.admissible = dict(cand.splits)
 
-    # F3: effectivity on a pinned target
+    # F3: every k needs a split, and on a pinned target an effective one
+    effective = cand.admissible
     weights = _pin_target(cand)
     if weights is not None:
         name = cand.target = f"P({','.join(map(str, weights))})"
@@ -559,16 +557,17 @@ def _filter_chain(cand: LinkCandidate):
         effective = {
             k: tuple(sp for sp in cand.splits[k] if h0[sp.s] >= DIMS[k] + 1) for k in DIMS
         }
-        k = next((k for k in DIMS if not effective[k]), None)
-        if k is not None:
-            shown = (
-                ", ".join(f"h0({name}, {sp.s}*A) = {h0[sp.s]}" for sp in cand.splits[k] if sp.s > 0)
-                or "only s=0 splits while dim|kA| > 0"
-            ) if cand.splits[k] else "no integral split at all"
-            yield "F3", "eliminated", (
-                f"k={k}: every split fails h0 >= dim|{k}A|+1 = {DIMS[k] + 1}: {shown}"
-            )
-            return
+    k = next((k for k in DIMS if not effective[k]), None)
+    if k is not None:
+        detail = "no integral split at all"
+        if cand.splits[k]:
+            shown = ", ".join(
+                f"h0({name}, {sp.s}*A) = {h0[sp.s]}" for sp in cand.splits[k] if sp.s > 0
+            ) or "only s=0 splits while dim|kA| > 0"
+            detail = f"every split fails h0 >= dim|{k}A|+1 = {DIMS[k] + 1}: {shown}"
+        yield "F3", "eliminated", f"k={k}: {detail}"
+        return
+    if weights is not None:
         cand.admissible = effective
         yield "F3", "pass", f"target {name}: all k admit effective splits"
 
@@ -583,7 +582,7 @@ def _filter_chain(cand: LinkCandidate):
     cand.d = cand.e if cand.torsion_options == (1,) else next(
         (k for k in DIMS if [sp.s for sp in cand.admissible[k]] == [0]), None
     )
-    yield "final", "pass", f"survives all filters; target {cand.target}"
+    yield "final", "pass", f"survives all filters; target {cand.target or 'unidentified'}"
 
 
 def apply_filters(candidates: list[LinkCandidate]) -> list[FilterEvent]:
@@ -607,8 +606,7 @@ def apply_filters(candidates: list[LinkCandidate]) -> list[FilterEvent]:
     return events
 
 
-@dataclass
-class Transcript:
+class Transcript(NamedTuple):
     """Ordered record of one case: bare set, filter log, final set, extras."""
 
     case: CenterCase

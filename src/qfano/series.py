@@ -58,7 +58,7 @@ class TruncationError(ValueError):
     """An operation needs more coefficients than a series holds."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # a tuple base would make len, iteration and + tuple operations
 class PowerSeries:
     """A truncated formal series sum_{m<=order} c_m t^m with int coefficients."""
 

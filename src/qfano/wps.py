@@ -46,6 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,58 +97,59 @@ def _well_formed(ws: tuple[int, ...]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class HypersurfaceShape:
+# _make, and so _replace, builds through the class: a replaced field is checked too
+_checked_make = classmethod(lambda cls, fields: cls(*fields))
+
+
+class HypersurfaceShape(namedtuple("HypersurfaceShape", "weights degree")):
     """Weights plus degree; degree 0 means the ambient space itself."""
 
-    weights: tuple[int, ...]
-    degree: int = 0
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", weight_system(self.weights))
-        object.__setattr__(self, "degree", operator.index(self.degree))
-        if self.degree < 0:
+    def __new__(cls, weights, degree: int = 0) -> HypersurfaceShape:
+        weights, degree = weight_system(weights), operator.index(degree)
+        if degree < 0:
             raise ValueError("degree must be >= 0")
-        if self.degree == 0 and len(self.weights) != 4:
+        if degree == 0 and len(weights) != 4:
             raise ValueError("degree 0 encodes a weighted projective 3-space: 4 weights")
-        if self.degree > 0 and len(self.weights) != 5:
+        if degree > 0 and len(weights) != 5:
             raise ValueError("a hypersurface shape needs 5 weights")
-        if self.degree > 0 and not has_monomial(self.weights, self.degree):
-            raise ValueError(
-                f"no monomial of degree {self.degree} in weights {self.weights}: empty shape"
-            )
+        if degree > 0 and not has_monomial(weights, degree):
+            raise ValueError(f"no monomial of degree {degree} in weights {weights}: empty shape")
+        return super().__new__(cls, weights, degree)
 
 
-@dataclass(frozen=True)
-class QuotientType:
+class QuotientType(namedtuple("QuotientType", "r b")):
     """Terminal cyclic quotient point 1/r(1, r-1, b), stored with b = min(b, r-b)."""
 
-    r: int
-    b: int
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self) -> None:
-        if self.r < 2:
+    def __new__(cls, r: int, b: int) -> QuotientType:
+        if r < 2:
             raise ValueError("quotient index must be >= 2")
-        if not (1 <= self.b < self.r and math.gcd(self.b, self.r) == 1):
-            raise ValueError(f"b={self.b} invalid for index {self.r}")
+        if not (1 <= b < r and math.gcd(b, r) == 1):
+            raise ValueError(f"b={b} invalid for index {r}")
+        return super().__new__(cls, r, b)
 
     def __str__(self) -> str:
         return f"1/{self.r}(1,{self.r - 1},{self.b})"
 
 
-@dataclass(frozen=True)
-class Basket:
+class Basket(namedtuple("Basket", "entries")):
     """Multiset of quotient points with multiplicities, sorted by (r, b)."""
 
-    entries: tuple[tuple[QuotientType, int], ...]
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self) -> None:
-        entries = [(point, operator.index(count)) for point, count in self.entries]
+    def __new__(cls, entries: tuple[tuple[QuotientType, int], ...]) -> Basket:
+        entries = [(point, operator.index(count)) for point, count in entries]
         if not all(isinstance(point, QuotientType) for point, _ in entries):
             raise TypeError("a basket entry pairs a QuotientType with its multiplicity")
         if min((count for _, count in entries), default=1) < 1:
             raise ValueError("basket multiplicities must be >= 1")
-        object.__setattr__(self, "entries", tuple(sorted(entries, key=lambda e: (e[0].r, e[0].b))))
+        return super().__new__(cls, tuple(sorted(entries, key=lambda e: (e[0].r, e[0].b))))
 
     def __str__(self) -> str:
         """Points in order, a repeated one as point x count: 1/2(1,1,1) 1/3(1,2,1)x2."""
@@ -457,7 +459,7 @@ class StratumVerdict(NamedTuple):
     count: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # bench/test_bench.py calls dataclasses.replace on it
 class AnalysisReport:
     shape: HypersurfaceShape
     fano_index: int

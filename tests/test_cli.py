@@ -653,10 +653,8 @@ def test_selftest_passes(capsys):
 
 
 def test_selftest_detects_corrupted_fixture(monkeypatch, capsys):
-    import dataclasses
-
     broken = list(fixtures.FIXTURES)
-    broken[0] = dataclasses.replace(broken[0], genus=5)
+    broken[0] = broken[0]._replace(genus=5)
     monkeypatch.setattr(fixtures, "FIXTURES", tuple(broken))
     code, out, _ = run(capsys, "selftest")
     assert code == 1

@@ -47,10 +47,9 @@ def test_birational_candidate_below_index_4_passes_f1_and_skips_f2():
         sk.torsion_table(3)
 
 
-def test_filters_annotate_every_candidate_of_small_centre_cases():
-    # r in {None, 2, 3, 5, 7}, k in 3..7, alpha = j/r for j <= 7: 175 cases,
-    # 26 with a birational qhat <= 3 candidate; an unbounded one is refused
-    low = 0
+def _small_centre_cases():
+    """r in {None, 2, 3, 5, 7}, k in 3..7, alpha = j/r for j <= 7: 175 cases,
+    each bounded one with its bare candidates; an unbounded one is refused."""
     for r, k, j in itertools.product((None, 2, 3, 5, 7), range(3, 8), range(1, 8)):
         case = sk.CenterCase("T", "test", r, (Fraction(j, r or 1),), k, ())
         try:
@@ -58,10 +57,53 @@ def test_filters_annotate_every_candidate_of_small_centre_cases():
         except ValueError as exc:
             assert "unbounded enumeration" in str(exc)
             continue
+        yield case, bare
+
+
+def test_filters_annotate_every_candidate_of_small_centre_cases():
+    # 26 of the cases have a birational qhat <= 3 candidate
+    low = 0
+    for case, bare in _small_centre_cases():
         low += any(c.birational and c.qhat <= 3 for c in bare)
         sk.apply_filters(bare)
         assert all(c.status in ("final", "eliminated") for c in bare), case
     assert low == 26
+
+
+def test_every_final_birational_candidate_of_small_centre_cases_has_a_threshold():
+    # F3 eliminates a candidate with no split at some k, target pinned or not;
+    # a survivor without a k = 6 split made canonical_threshold raise Infeasible
+    finals = 0
+    for case, bare in _small_centre_cases():
+        sk.apply_filters(bare)
+        for cand in bare:
+            if cand.status == "final" and cand.birational:
+                assert sk.canonical_threshold(cand) <= Fraction(1, 2), (case, cand.key())
+                finals += 1
+    assert finals == 28
+
+
+def test_f3_eliminates_an_unpinned_candidate_with_no_split_at_some_k():
+    cand = sk.LinkCandidate("P5", Fraction(1, 5), 9, 3, True)
+    assert sk.TARGETS.get(cand.qhat) is None
+    sk.apply_filters([cand])
+    assert (cand.status, cand.filter_id, cand.reason) == (
+        "eliminated", "F3", "k=3: no integral split at all"
+    )
+
+
+def test_a_survivor_with_no_pinned_target_is_unidentified_in_log_and_transcript():
+    case = sk.CenterCase("T", "test", 3, (Fraction(1, 3),), 6, ())
+    bare = sk.enumerate_bare(case)
+    events = sk.apply_filters(bare)
+    [cand] = [c for c in bare if c.key() == "alpha=1/3 qhat=4 e=1"]
+    assert (cand.status, cand.target) == ("final", None)
+    [last] = [ev for ev in events if ev.candidate == cand.key() and ev.filter_id == "final"]
+    assert last.detail == "survives all filters; target unidentified"
+    final = [c for c in bare if c.status == "final"]
+    text = sk.Transcript(case, bare, events, final, [], [], []).text()
+    assert f"[{cand.key()}] target: unidentified" in text
+    assert "None" not in text
 
 
 def test_link_data_agree_with_the_corpus():
@@ -260,7 +302,7 @@ def test_f3_names_a_pinned_candidate_with_no_split_at_all():
     cand = sk.LinkCandidate("P5", Fraction(1, 5), 19, 3, True)
     sk.apply_filters([cand])
     assert (cand.filter_id, cand.reason) == (
-        "F3", "k=3: every split fails h0 >= dim|3A|+1 = 1: no integral split at all"
+        "F3", "k=3: no integral split at all"
     )
 
 

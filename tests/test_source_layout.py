@@ -71,3 +71,35 @@ def test_every_import_is_qfano_or_the_standard_library():
                 if name.partition(".")[0] not in sys.stdlib_module_names | {"qfano"}
             ]
     assert outside == []
+
+
+# the classes that stay dataclasses, each with its reason in a comment on the
+# decorator line; every other record is a named tuple, which costs far less
+# to define on import than a dataclass, whose methods are generated and compiled
+DATACLASSES = {
+    "normal_form.Substitution",
+    "normal_form.WeightedPolynomial",
+    "riemann_roch.FanoData",
+    "riemann_roch.RRBasketEntry",
+    "sarkisov.LinkCandidate",
+    "series.PowerSeries",
+    "wps.AnalysisReport",
+}
+
+
+def test_only_the_listed_classes_are_dataclasses_and_each_says_why():
+    found, silent = set(), []
+    for path in sorted(SOURCE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if getattr(target, "attr", getattr(target, "id", None)) == "dataclass":
+                    found.add(f"{path.stem}.{node.name}")
+                    if "#" not in lines[decorator.end_lineno - 1]:
+                        silent.append(f"{path.name}:{decorator.lineno} {node.name}")
+    assert found == DATACLASSES
+    assert silent == []

@@ -753,6 +753,18 @@ def test_stratum_verdict_is_a_named_tuple():
     assert hash(verdict) == hash(tuple(verdict))
 
 
+def test_validated_records_check_a_replaced_field():
+    # a namedtuple's _replace builds through _make, which skips __new__ unless overridden
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        fixtures.X12_SHAPE._replace(degree=-1)
+    with pytest.raises(ValueError, match="b=5 invalid for index 5"):
+        wps.QuotientType(5, 2)._replace(b=5)
+    with pytest.raises(ValueError, match="multiplicities must be >= 1"):
+        wps.basket(X12)._replace(entries=((wps.QuotientType(2, 1), 0),))
+    # a replaced field is normalized as a constructed one is
+    assert X12._replace(weights=[7, 6, 5, 4, 3]) == ((3, 4, 5, 6, 7), 12)
+
+
 SINGULARITY_ERRORS = (
     wps.NotQuasiSmoothAtVertex,
     wps.EdgeContained,

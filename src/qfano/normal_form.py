@@ -503,9 +503,12 @@ def edge_restriction_points(
     degree-0 orbit coordinate u = x_i^{w_j/m} / x_j^{w_i/m} and distinct
     zeros over the algebraic closure are counted by ``_root_multiplicities``.
     Vertex zeros (leftover coordinate powers) are included with their
-    multiplicities. Raises EdgeContained on a zero restriction.
+    multiplicities. Raises EdgeContained on a zero restriction, and
+    ValueError for two indices that are equal or outside 0..n-1.
     """
-    ws = poly.weights
+    ws, i, j = poly.weights, index(i), index(j)
+    if i == j or not (0 <= i < len(ws) and 0 <= j < len(ws)):
+        raise ValueError(f"edge ({i}, {j}) needs two distinct indices in 0..{len(ws) - 1}")
     restricted = {
         exp: c
         for exp, c in poly.terms.items()

@@ -30,8 +30,9 @@ So e must solve c * e = k * qhat * D (mod 13 * D): with g = gcd(c, 13 * D)
 there is no such e unless g divides k * qhat * D, and otherwise e runs over
 one residue class mod 13 * D / g, found by one modular inverse per alpha.
 enumerate_bare visits only that class up to the bound on e, and a Fraction
-is built only for a split that is returned. verify_equation re-checks
-every split exactly, as an identity over den(alpha) * den(beta).
+is built only for a split that is returned. Once the filters have added
+theirs, run_case re-checks every split exactly with verify_equation, as
+an identity over den(alpha) * den(beta).
 
 The second contraction's conditions, e * gamma_k = s_k * delta - k and,
 over a smooth point, e * b = qhat * delta - 13, are congruences c * delta
@@ -696,19 +697,15 @@ class Transcript(NamedTuple):
         }
 
 
-def _verify_all(candidates: list[LinkCandidate], what: str) -> None:
-    for cand in candidates:
-        if not verify_equation(cand):
-            raise AssertionError(f"candidate {cand.key()} fails {what}")
-
-
 def run_case(name: str) -> Transcript:
     """Enumerate, split, filter and report one center case, deterministically."""
     case = CASES[name.upper()]
     bare = enumerate_bare(case)
-    _verify_all(bare, "its defining equation")
     events = apply_filters(bare)
-    _verify_all(bare, "after split extension")
+    # one exact re-check covers every split, the solver's and the filters' alike
+    for cand in bare:
+        if not verify_equation(cand):
+            raise AssertionError(f"candidate {cand.key()} fails after split extension")
     final = [c for c in bare if c.status == "final"]
 
     thresholds: list[tuple[str, Fraction]] = []

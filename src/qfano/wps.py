@@ -34,11 +34,11 @@ exponent vectors, and baskets are sorted by (r, b).
 Quasi-smoothness is checked only on strata of dimension <= 1, which
 suffices for every shape shipped with the package. One walk over every
 vertex, then every edge, for d = 0 and d > 0 alike, gives the verdicts
-that ``basket`` and ``analyze`` both read. Inside the walk a stratum's
-failure is returned by its rule as an exception instance, never raised;
-only the public rules (``vertex_singularity``, ``edge_singularities``)
-and ``basket`` raise it. A member containing an edge is reported, not
-analyzed.
+that ``basket`` and ``analyze`` both read. Each stratum rule returns its
+verdict together with the failure it records, an exception instance or
+None, and never raises it; only the public rules (``vertex_singularity``,
+``edge_singularities``) and ``basket`` raise it. A member containing an
+edge is reported, not analyzed.
 """
 
 from __future__ import annotations
@@ -363,33 +363,42 @@ def _normalize_type(r: int, residues: tuple[int, ...]) -> int | NotTerminalIsola
     return min(c, r - c)
 
 
-def _raised(result):
-    """A rule's answer, or raise the failure it returned."""
-    if isinstance(result, ValueError):
-        raise result
-    return result
+class StratumVerdict(NamedTuple):
+    """One vertex or edge of the analysis with its status."""
+
+    stratum: tuple[int, ...]          # variable positions
+    weights: tuple[int, ...]          # their weights, for display
+    status: str
+    quotient: QuotientType | None = None
+    count: int = 0
 
 
-def _quotient(r: int, others: tuple[int, ...]) -> QuotientType | NotTerminalIsolated:
-    """The point 1/r(others) of a stratum with isotropy r and transverse weights others."""
+def _quotient_verdict(
+    stratum: tuple[int, ...], weights: tuple[int, ...], r: int, others: tuple[int, ...], count: int
+) -> tuple[StratumVerdict, NotTerminalIsolated | None]:
+    """The verdict of count points 1/r(others), or not-terminal-isolated with its failure."""
     b = _normalize_type(r, others)
-    return b if isinstance(b, NotTerminalIsolated) else QuotientType(r=r, b=b)
+    if type(b) is int:
+        return StratumVerdict(stratum, weights, "quotient", QuotientType(r, b), count), None
+    return StratumVerdict(stratum, weights, "not-terminal-isolated"), b
 
 
-def _vertex(ws: tuple[int, ...], d: int, i: int) -> QuotientType | None | ValueError:
-    """``vertex_singularity`` on sorted weights, returning its failure."""
+def _vertex(ws: tuple[int, ...], d: int, i: int) -> tuple[StratumVerdict, ValueError | None]:
+    """``vertex_singularity``'s verdict on sorted weights, with the failure it records."""
     wi = ws[i]
     rest = ws[:i] + ws[i + 1 :]
     if d == 0:
-        return None if wi == 1 else _quotient(wi, rest)
+        if wi == 1:
+            return StratumVerdict((i,), (wi,), "smooth"), None
+        return _quotient_verdict((i,), (wi,), wi, rest, 1)
     if d % wi == 0:
-        return None  # general member avoids the vertex
+        return StratumVerdict((i,), (wi,), "off-member"), None  # general member avoids the vertex
     # the first x_i^n*x_j of degree d decides: any other one, x_i^m*x_k, has
     # w_k = d = w_j mod w_i, so the residues left over are the same multiset
     for j, wj in enumerate(rest):
         if d - wj >= wi and (d - wj) % wi == 0:
-            return _quotient(wi, rest[:j] + rest[j + 1 :])
-    return NotQuasiSmoothAtVertex(
+            return _quotient_verdict((i,), (wi,), wi, rest[:j] + rest[j + 1 :], 1)
+    return StratumVerdict((i,), (wi,), "not-quasi-smooth"), NotQuasiSmoothAtVertex(
         f"vertex w={wi} lies on the member but no monomial x_{wi}^n or "
         f"x_{wi}^n*x_j of degree {d} exists"
     )
@@ -402,37 +411,45 @@ def vertex_singularity(shape: HypersurfaceShape, i: int) -> QuotientType | None:
     d > 0 a pure power x_i^n of degree d means the vertex misses the general
     member; otherwise some x_i^n x_j eliminates x_j and the remaining three
     weights mod w_i give the type. Raises NotQuasiSmoothAtVertex when the
-    vertex lies on the member with no admissible monomial at all.
+    vertex lies on the member with no admissible monomial, and ValueError
+    for an index outside 0..n-1.
     """
-    return _raised(_vertex(shape.weights, shape.degree, i))
+    ws, i = shape.weights, operator.index(i)
+    if not 0 <= i < len(ws):
+        raise ValueError(f"vertex index {i} is not in 0..{len(ws) - 1}")
+    verdict, failure = _vertex(ws, shape.degree, i)
+    if failure is not None:
+        raise failure
+    return verdict.quotient
 
 
 def _edge(
     ws: tuple[int, ...], d: int, i: int, j: int
-) -> tuple[int, QuotientType] | None | ValueError:
-    """``edge_singularities`` on sorted weights, returning its failure."""
+) -> tuple[StratumVerdict, ValueError | None] | None:
+    """``edge_singularities``'s verdict on sorted weights, with the failure it
+    records; None for a coprime edge that carries no points."""
     wi, wj = ws[i], ws[j]
     m = math.gcd(wi, wj)
     if d == 0 and m > 1:
-        return NotTerminalIsolated(
+        return StratumVerdict((i, j), (wi, wj), "singular-edge"), NotTerminalIsolated(
             f"weights {wi}, {wj} share a factor: singular locus along the edge"
         )
     # x_i^a x_j^c has degree d iff a*w_i = d mod w_j, which fixes a mod w_j/m;
     # the least such a decides whether one fits under d (at d = 0, a = 0 does)
     step = wj // m
     if d % m or d // m * pow(wi // m, -1, step) % step * wi > d:
-        return EdgeContained(
+        return StratumVerdict((i, j), (wi, wj), "edge-contained"), EdgeContained(
             f"no degree-{d} monomial in x_{wi}, x_{wj}: member contains the edge"
         )
     if m == 1:
         return None
     count, rest = divmod(d * m, wi * wj)
     if rest:
-        return NotGeneral(
+        return StratumVerdict((i, j), (wi, wj), "not-terminal-isolated"), NotGeneral(
             f"edge ({wi},{wj}): point count {Fraction(d * m, wi * wj)} is not an integer"
         )
-    qtype = _quotient(m, tuple(w for k, w in enumerate(ws) if k not in (i, j)))
-    return qtype if isinstance(qtype, NotTerminalIsolated) else (count, qtype)
+    others = tuple(w for k, w in enumerate(ws) if k not in (i, j))
+    return _quotient_verdict((i, j), (wi, wj), m, others, count)
 
 
 def edge_singularities(
@@ -444,19 +461,19 @@ def edge_singularities(
     curve of singularities (NotTerminalIsolated). For d > 0 the general member
     needs a monomial of degree d purely in {x_i, x_j}; otherwise it contains
     the edge and the analysis is out of scope (EdgeContained). A fractional
-    point count means the member was not general (NotGeneral).
+    point count means the member was not general (NotGeneral). Two indices
+    that are equal or outside 0..n-1 are refused (ValueError).
     """
-    return _raised(_edge(shape.weights, shape.degree, i, j))
-
-
-class StratumVerdict(NamedTuple):
-    """One vertex or edge of the analysis with its status."""
-
-    stratum: tuple[int, ...]          # variable positions
-    weights: tuple[int, ...]          # their weights, for display
-    status: str
-    quotient: QuotientType | None = None
-    count: int = 0
+    ws, i, j = shape.weights, operator.index(i), operator.index(j)
+    if i == j or not (0 <= i < len(ws) and 0 <= j < len(ws)):
+        raise ValueError(f"edge ({i}, {j}) needs two distinct indices in 0..{len(ws) - 1}")
+    result = _edge(ws, shape.degree, i, j)
+    if result is None:
+        return None
+    verdict, failure = result
+    if failure is not None:
+        raise failure
+    return verdict.count, verdict.quotient
 
 
 @dataclass(frozen=True)  # bench/test_bench.py calls dataclasses.replace on it
@@ -471,43 +488,19 @@ class AnalysisReport:
     warnings: tuple[str, ...]
 
 
-# status of a stratum whose rule failed; on the space itself (d = 0) an edge
-# fails only as a curve of singularities, "singular-edge"
-_FAILED = {
-    NotQuasiSmoothAtVertex: "not-quasi-smooth",
-    EdgeContained: "edge-contained",
-    NotGeneral: "not-terminal-isolated",
-    NotTerminalIsolated: "not-terminal-isolated",
-}
-
-
 def _walk(shape: HypersurfaceShape) -> Iterator[tuple[StratumVerdict, ValueError | None]]:
-    """Every vertex, then every edge: its verdict, and the failure the rule returned.
-
-    Coprime edges that do not fail carry no points and get no verdict. The
-    rules return failures rather than raise them, so a failed stratum costs
-    no traceback.
+    """Every vertex, then every edge: the verdict each rule returns, with the
+    failure it records. Coprime edges that carry no points get no verdict.
+    The rules return failures rather than raise them, so a failed stratum
+    costs no traceback.
     """
-    ws = shape.weights
-    d = shape.degree
-    for i, wi in enumerate(ws):
-        result = _vertex(ws, d, i)
-        if result is None:
-            yield StratumVerdict((i,), (wi,), "off-member" if d else "smooth"), None
-        elif isinstance(result, QuotientType):
-            yield StratumVerdict((i,), (wi,), "quotient", result, 1), None
-        else:
-            yield StratumVerdict((i,), (wi,), _FAILED[type(result)]), result
+    ws, d = shape.weights, shape.degree
+    for i in range(len(ws)):
+        yield _vertex(ws, d, i)
     for i, j in itertools.combinations(range(len(ws)), 2):
         result = _edge(ws, d, i, j)
-        if result is None:
-            continue
-        if isinstance(result, tuple):
-            count, qtype = result
-            yield StratumVerdict((i, j), (ws[i], ws[j]), "quotient", qtype, count), None
-        else:
-            status = _FAILED[type(result)] if d else "singular-edge"
-            yield StratumVerdict((i, j), (ws[i], ws[j]), status), result
+        if result is not None:
+            yield result
 
 
 def _basket_of(verdicts: list[StratumVerdict]) -> Basket:

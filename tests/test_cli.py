@@ -1,6 +1,7 @@
 """CLI behavior: outputs, JSON round-trips, exit codes, self-test."""
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -423,6 +424,60 @@ def test_cli_boundary_on_polynomial_files(tmp_path_factory, data, command, as_js
     assert "Traceback" not in err, (data, argv)
     assert code == 0 or out == "", (data, argv, out)
     assert elapsed < 0.5, (data, argv, elapsed)
+
+
+# link and selftest argv: case names inside and outside the choices, given
+# as one token or two, flags and their prefixes repeated in any order, help
+# and flags neither command has
+CASE_NAMES = (*cli.GOLDEN_CASES, "P5", "p9", "p", "", " p5", "ng,p2", "--bare", "-h")
+case_args = st.tuples(
+    st.sampled_from(["--case", "--cas", "--c"]),
+    st.sampled_from(CASE_NAMES) | st.text(max_size=4),
+    st.booleans(),
+).map(lambda t: [f"{t[0]}={t[1]}"] if t[2] else [t[0], t[1]])
+FLAGS = (
+    "--bare", "--b", "--json", "--js", "-h", "--help", "--he", "--terms", "--unknown", "-x", "--", "-"
+)
+flag_args = st.sampled_from(FLAGS).map(lambda flag: [flag])
+# a case in the choices among repeated, reordered --bare and --json, or anything above
+valid_link = st.tuples(st.sampled_from(cli.GOLDEN_CASES), st.lists(st.sampled_from(FLAGS[:4])))
+link_argv = valid_link.flatmap(lambda t: st.permutations([f"--case={t[0]}", *t[1]])) | st.lists(
+    case_args | flag_args, max_size=5
+).map(lambda parts: sum(parts, []))
+
+
+@functools.lru_cache(maxsize=None)
+def link_outputs() -> frozenset[str]:
+    """Everything a successful ``link`` run may print: each case, bare or not, text or JSON."""
+    outputs = set()
+    for case in cli.GOLDEN_CASES:
+        for flags in ([], ["--bare"], ["--json"], ["--bare", "--json"]):
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                assert cli.main(["link", "--case", case, *flags]) == 0
+            outputs.add(stdout.getvalue())
+    return frozenset(outputs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["link", "selftest"]), link_argv)
+def test_cli_boundary_on_link_and_selftest_argv(command, rest):
+    argv = [command, *rest]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    elapsed = time.perf_counter() - start
+    out, err = stdout.getvalue(), stderr.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert "Traceback" not in err, argv
+    assert code == 0 or out == "", (argv, out)
+    assert elapsed < 0.5, (argv, elapsed)
+    if code == 0 and not out.startswith("usage:"):
+        # an answer, not help: exactly what the canonical argv prints
+        if command == "link":
+            assert out in link_outputs(), argv
+        else:
+            assert out.endswith("selftest: PASS\n"), argv
 
 
 def test_analyze_huge_degree_is_bounded(capsys):

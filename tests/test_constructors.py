@@ -4,7 +4,8 @@ Each slot that holds an int is fed a float, a str and a ``Fraction`` of the
 int that belongs there, and its negative where a negative is not a legitimate
 value. Each entry point is also fed wrong-length and wrong-type elements.
 Every one must raise ``TypeError`` or ``ValueError`` right there, never be
-accepted and fail later.
+accepted and fail later. A stratum index outside 0..n-1, or an edge that
+names one index twice, is refused with a plain ``ValueError`` naming it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from qfano import normal_form as nf
 from qfano import riemann_roch as rr
 from qfano import sarkisov as sk
 from qfano import series, wps
+from qfano.fixtures import FORM_A, X12_SHAPE
 
 WS = (3, 4, 5, 6, 7)
 POINT = wps.QuotientType(5, 2)
@@ -24,6 +26,7 @@ ENTRY = rr.RRBasketEntry(5, 2, 2)
 ZERO = nf.WeightedPolynomial(WS)
 ALPHA = Fraction(1, 5)
 X3_4 = (4, 0, 0, 0, 0)  # the exponent of x3^4
+POLY = nf.parse(FORM_A)
 
 # slot: (call with the value in that slot, the int that belongs there, whether
 # its negative is refused; a series coefficient may be negative)
@@ -60,6 +63,11 @@ INT_SLOTS = {
     "has_monomial degree": (lambda v: wps.has_monomial((3, 4), v), 12, True),
     "monomial_count weight": (lambda v: wps.monomial_count((v, 4), 12), 3, True),
     "monomial_count degree": (lambda v: wps.monomial_count((3, 4), v), 12, True),
+    "vertex_singularity index": (lambda v: wps.vertex_singularity(X12_SHAPE, v), 2, True),
+    "edge_singularities i": (lambda v: wps.edge_singularities(X12_SHAPE, v, 3), 1, True),
+    "edge_singularities j": (lambda v: wps.edge_singularities(X12_SHAPE, 1, v), 3, True),
+    "edge_restriction_points i": (lambda v: nf.edge_restriction_points(POLY, v, 3), 1, True),
+    "edge_restriction_points j": (lambda v: nf.edge_restriction_points(POLY, 1, v), 3, True),
 }
 
 BAD_INTS = [
@@ -119,6 +127,22 @@ BAD_ELEMENTS = {
     "monomial_count tuple weight": lambda: wps.monomial_count(((3,), 4), 12),
 }
 
+# call: the indices as its refusal names them
+BAD_INDICES = {
+    "vertex_singularity -1": (lambda: wps.vertex_singularity(X12_SHAPE, -1), "vertex index -1"),
+    "vertex_singularity 5": (lambda: wps.vertex_singularity(X12_SHAPE, 5), "vertex index 5"),
+    "edge_singularities (1, 1)": (lambda: wps.edge_singularities(X12_SHAPE, 1, 1), "edge (1, 1)"),
+    "edge_singularities (0, 0) of P(1,3,4,5)": (
+        lambda: wps.edge_singularities(wps.HypersurfaceShape((1, 3, 4, 5)), 0, 0), "edge (0, 0)"
+    ),
+    "edge_restriction_points (1, 1)": (
+        lambda: nf.edge_restriction_points(POLY, 1, 1), "edge (1, 1)"
+    ),
+    "edge_restriction_points (-1, 2)": (
+        lambda: nf.edge_restriction_points(POLY, -1, 2), "edge (-1, 2)"
+    ),
+}
+
 
 @pytest.mark.parametrize("slot", list(INT_SLOTS))
 def test_the_int_that_belongs_in_each_slot_is_accepted(slot):
@@ -136,3 +160,11 @@ def test_a_float_str_fraction_or_negative_int_is_refused_at_the_call(call, bad):
 def test_a_wrong_length_or_wrong_type_element_is_refused_at_the_call(call):
     with pytest.raises((TypeError, ValueError)):
         call()
+
+
+@pytest.mark.parametrize("call,named", list(BAD_INDICES.values()), ids=list(BAD_INDICES))
+def test_a_stratum_index_out_of_range_or_repeated_is_refused_by_name(call, named):
+    with pytest.raises(ValueError) as refused:
+        call()
+    # a plain ValueError, not a stratum failure such as EdgeContained
+    assert refused.type is ValueError and named in str(refused.value)

@@ -618,6 +618,24 @@ def test_second_contraction_matches_fraction_reference(e, qhat, s, smooth_point)
 
 
 @pytest.mark.parametrize("name", list(sk.CASES))
+def test_run_case_rejects_a_corrupted_split_from_the_solver(monkeypatch, name):
+    """The one re-check after the filters still sees a split the solver got wrong."""
+    solve, corrupted = sk._solve_splits, []
+
+    def corrupting(equation, qhat, e, k, birational):
+        splits = solve(equation, qhat, e, k, birational)
+        if splits and not corrupted:
+            corrupted.append(splits[0])
+            return (sk.Split(splits[0].s + 1, splits[0].beta), *splits[1:])
+        return splits
+
+    monkeypatch.setattr(sk, "_solve_splits", corrupting)
+    with pytest.raises(AssertionError, match=r"candidate .* fails"):
+        sk.run_case(name)
+    assert corrupted
+
+
+@pytest.mark.parametrize("name", list(sk.CASES))
 def test_verify_equation_rejects_a_corrupted_split(transcripts, name):
     """One split off by s +- 1 or beta +- 1/r fails the exact re-check."""
     cand = transcripts[name].bare[0]

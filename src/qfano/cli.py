@@ -220,47 +220,56 @@ def _golden_text(name: str) -> str:
 def cmd_selftest(args) -> Answer:
     from . import fixtures, normal_form, riemann_roch, sarkisov
 
-    rows: list[tuple[bool, str, str]] = []  # (ok, label, detail shown on failure)
-    for f in fixtures.FIXTURES:
+    def fixture(f):
         problems = fixtures.verify(f)
-        rows.append((not problems, f"fixture {f.name}", "; ".join(problems)))
+        return not problems, "; ".join(problems)
 
-    for f in fixtures.FIXTURES:
-        try:
-            data = riemann_roch.calibrated_data(f.shape)  # exact, so every chi(mA) is integral
-            sign = riemann_roch.orientation_sign(data.q, data.entries)
-            rows.append((sign in (-1, None), f"riemann-roch {f.name}", f"sign={sign}"))
-        except (riemann_roch.CalibrationError, riemann_roch.ConventionError) as exc:
-            rows.append((False, f"riemann-roch {f.name}", str(exc)))
+    def calibration(f):
+        data = riemann_roch.calibrated_data(f.shape)  # exact, so every chi(mA) is integral
+        sign = riemann_roch.orientation_sign(data.q, data.entries)
+        return sign in (-1, None), f"sign={sign}"
 
-    for name in GOLDEN_CASES:
+    def transcript(name):
         text = sarkisov.run_case(name).text()
         try:
             golden = _golden_text(name)
         except FileNotFoundError:
-            rows.append((False, f"transcript {name}", "golden file missing"))
-            continue
+            return False, "golden file missing"
         if text == golden:
-            rows.append((True, f"transcript {name}", ""))
-        else:
-            import difflib
+            return True, ""
+        import difflib
 
-            diff = difflib.unified_diff(
-                golden.splitlines(), text.splitlines(),
-                fromfile=f"golden/{name}.txt", tofile="computed", lineterm="",
-            )
-            rows.append((False, f"transcript {name}", "\n" + "\n".join(diff)))
+        diff = difflib.unified_diff(
+            golden.splitlines(), text.splitlines(),
+            fromfile=f"golden/{name}.txt", tofile="computed", lineterm="",
+        )
+        return False, "\n" + "\n".join(diff)
 
-    for label, text, expected in (
-        ("form (a)", fixtures.FORM_A, "A"),
-        ("form (b)", fixtures.FORM_B, "B"),
-    ):
+    def form(text, expected):
         poly = normal_form.parse(text)
         result = normal_form.normalize(poly)
         ok = result.form == expected and result.final == poly and not result.steps
-        rows.append((ok, f"normal form {label}", f"class={result.form} steps={result.steps}"))
-    corners = normal_form.corner_check(normal_form.parse(fixtures.FORM_B), 12)
-    rows.append((corners[0] is False, "form (b) vertex w=3 flagged", str(corners)))
+        return ok, f"class={result.form} steps={result.steps}"
+
+    def corners():
+        verdicts = normal_form.corner_check(normal_form.parse(fixtures.FORM_B), 12)
+        return verdicts[0] is False, str(verdicts)
+
+    checks = [(f"fixture {f.name}", fixture, f) for f in fixtures.FIXTURES]
+    checks += [(f"riemann-roch {f.name}", calibration, f) for f in fixtures.FIXTURES]
+    checks += [(f"transcript {name}", transcript, name) for name in GOLDEN_CASES]
+    checks += [
+        ("normal form form (a)", form, fixtures.FORM_A, "A"),
+        ("normal form form (b)", form, fixtures.FORM_B, "B"),
+        ("form (b) vertex w=3 flagged", corners),
+    ]
+    rows: list[tuple[bool, str, str]] = []  # (ok, label, detail shown on failure)
+    for label, check, *inputs in checks:
+        try:
+            ok, detail = check(*inputs)
+        except (ValueError, AssertionError) as exc:  # a check that raises fails its own row
+            ok, detail = False, str(exc)
+        rows.append((ok, label, detail))
 
     lines = [
         f"ok   {label}" if ok else f"FAIL {label}" + (f": {detail}" if detail else "")

@@ -244,6 +244,7 @@ def parse(text: str) -> WeightedPolynomial:
 
 def is_quasihomogeneous(poly: WeightedPolynomial, d: int) -> bool:
     """True iff every term has weighted degree d (vacuously true for 0)."""
+    d = index(d)
     return all(poly.degree_of(exp) == d for exp in poly.nums)
 
 

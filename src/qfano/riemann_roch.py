@@ -64,7 +64,7 @@ from itertools import accumulate, cycle, islice, repeat
 from typing import NamedTuple
 
 from . import wps
-from .series import DEFAULT_ORDER, PowerSeries, series_equal_upto
+from .series import PowerSeries, series_equal_upto
 from .wps import ALLOWED_FANO_INDICES
 
 
@@ -94,10 +94,7 @@ class RRBasketEntry:
     wa: int
 
     def __post_init__(self) -> None:
-        if self.r < 2:
-            raise ValueError("basket index must be >= 2")
-        if not (1 <= self.b < self.r and math.gcd(self.b, self.r) == 1):
-            raise ValueError(f"b={self.b} invalid for index {self.r}")
+        wps.QuotientType(self.r, self.b)  # the rule for (r, b) is the quotient point's
         if not (1 <= self.wa < self.r and math.gcd(self.wa, self.r) == 1):
             raise ValueError(f"wA={self.wa} must be a unit mod {self.r}")
 
@@ -203,8 +200,9 @@ def chi(data: FanoData, m: int) -> int:
     return _chi_values(data, m, m + 1)[0]
 
 
-def hilbert_rr(data: FanoData, order: int = DEFAULT_ORDER) -> PowerSeries:
+def hilbert_rr(data: FanoData, order: int) -> PowerSeries:
     """Termwise chi as a power series through t^order."""
+    order = operator.index(order)
     if order < 0:
         raise ValueError("truncation order must be >= 0")
     return PowerSeries(_chi_values(data, 0, order + 1))

@@ -152,11 +152,6 @@ class CenterCase(NamedTuple):
     k: int                      # linear-system degree governing the enumeration
     reference_bare: tuple[tuple[Fraction, int, int], ...]  # (alpha, qhat, e)
 
-    def beta_class(self, k: int, alpha: Fraction) -> Fraction:
-        """Representative in [0, 1) of the beta_k congruence class."""
-        D, _, rep_D, _ = _equation(self, alpha, k)
-        return Fraction(rep_D, D)
-
 
 CASES: dict[str, CenterCase] = {
     "NG": CenterCase(
@@ -230,7 +225,7 @@ class Split(NamedTuple):
 class LinkCandidate:
     """One bare solution of the governing equation, annotated by the filters."""
 
-    case: CenterCase                # given as itself or by its name in CASES
+    case: CenterCase
     alpha: Fraction
     qhat: int
     e: int
@@ -251,9 +246,7 @@ class LinkCandidate:
                             f"birational {self.birational!r} a bool")
         self.qhat, self.e = operator.index(self.qhat), operator.index(self.e)
         if not isinstance(self.case, CenterCase):
-            if self.case not in CASES:
-                raise ValueError(f"no center case {self.case!r}")
-            self.case = CASES[self.case]
+            raise TypeError(f"case {self.case!r} must be a CenterCase")
         if self.qhat not in ALLOWED_FANO_INDICES or self.alpha <= 0 or self.e < 1:
             raise ValueError(f"{self.key()}: qhat must be admissible, alpha > 0 and e must be >= 1")
 
@@ -628,7 +621,8 @@ class Transcript(NamedTuple):
             f"{case.k}*qhat = {Q}*s{case.k} + ({Q}*beta{case.k} - {case.k}*alpha)*e"
         )
         for alpha in case.alphas:
-            rep = case.beta_class(case.k, alpha)
+            D, _, rep_D, _ = _equation(case, alpha, case.k)
+            rep = Fraction(rep_D, D)  # the class's representative in [0, 1)
             lines.append(f"beta{case.k} congruence class at alpha={alpha}: {rep} (mod 1)")
         lines.append("dim |kA|: " + " ".join(f"{k}:{dim}" for k, dim in DIMS.items()))
         lines.append(

@@ -4,10 +4,12 @@ A series is an integer sequence: the Hilbert series of a weighted
 hypersurface and chi(mA) from orbifold Riemann-Roch are integral term by
 term, so ``PowerSeries`` holds ints and refuses anything else. A series
 stores its first ``order + 1`` coefficients, and every operation takes the
-truncation order explicitly (default 30, which covers all the checks
-shipped with the package). ``MAX_ORDER`` caps the series the package
-expands for a caller: the CLI's ``--terms`` and the index q to which
-``wps.analyze`` and ``wps.genus`` expand.
+truncation order explicitly, as an int. Only ``wps.analyze`` and the CLI
+fall back to ``DEFAULT_ORDER`` (30) when none is given; calibration
+compares through a depth derived from the data (t^45 for X12).
+``MAX_ORDER`` caps the series the package expands for a caller: the CLI's
+``--terms`` and the index q to which ``wps.analyze`` and ``wps.genus``
+expand.
 
 The workhorse, ``product_coefficients(numerator, denominator, order)``,
 takes two plain tuples of exponents and expands the quotient of
@@ -105,6 +107,7 @@ def product_coefficients(numerator, denominator, order: int) -> tuple[int, ...]:
     for a in (*numerator, *denominator):
         if operator.index(a) < 1:
             raise ValueError(f"factor exponent {a} must be >= 1")
+    order = operator.index(order)
     if order < 0:
         raise ValueError("truncation order must be >= 0")
     coeffs = [0] * (order + 1)

@@ -311,7 +311,7 @@ def _least_degrees(ws: list[int]) -> list[int | float]:
     return least
 
 
-def hilbert(shape: HypersurfaceShape, order: int = DEFAULT_ORDER) -> PowerSeries:
+def hilbert(shape: HypersurfaceShape, order: int) -> PowerSeries:
     """Hilbert series of the shape through t^order."""
     return expand_product((shape.degree,) if shape.degree else (), shape.weights, order)
 
@@ -530,8 +530,7 @@ def analyze(shape: HypersurfaceShape, order: int | None = None) -> AnalysisRepor
     is refused (ValueError) before anything is walked or expanded.
     """
     q = _expandable_index(shape)
-    if order is None:
-        order = max(q, DEFAULT_ORDER)
+    order = max(q, DEFAULT_ORDER) if order is None else operator.index(order)
     ws = shape.weights
     # each warning once, in order of first appearance; contained edges are
     # keyed by their weights and counted, and worded once the count is known

@@ -764,6 +764,59 @@ def test_selftest_detects_riemann_roch_failures(monkeypatch, capsys, patch):
     assert detail in line
 
 
+def _fixture_analysis_fails(monkeypatch):
+    from qfano import wps
+
+    # the basket of P(2,3,4,6) is refused: its index-2 vertex is not an isolated quotient
+    shape = wps.HypersurfaceShape((2, 3, 4, 6))
+    extra = fixtures.Fixture("P(2,3,4,6)", shape, 15, Fraction(1, 144), (), 9)
+    monkeypatch.setattr(fixtures, "FIXTURES", (*fixtures.FIXTURES, extra))
+    detail = "residues (1, 0, 0) mod 2 are not coprime units"
+    return {"fixture P(2,3,4,6)": detail, "riemann-roch P(2,3,4,6)": detail}
+
+
+def _link_recheck_fails(monkeypatch):
+    from qfano import sarkisov
+
+    solve, corrupted = sarkisov._solve_splits, []
+
+    def corrupting(*args):  # the first split solved, for case ng, gets s + 1
+        splits = solve(*args)
+        if splits and not corrupted:
+            corrupted.append(splits[0])
+            return (splits[0]._replace(s=splits[0].s + 1), *splits[1:])
+        return splits
+
+    monkeypatch.setattr(sarkisov, "_solve_splits", corrupting)
+    return {"transcript ng": "fails after split extension"}
+
+
+def _normal_form_check_fails(monkeypatch):
+    from qfano import normal_form
+
+    monkeypatch.setattr(normal_form, "substitute", lambda poly, substitution: 0)
+    detail = "pipeline left 0, not the closed form"
+    return {"normal form form (a)": detail, "normal form form (b)": detail}
+
+
+@pytest.mark.parametrize(
+    "patch", [_fixture_analysis_fails, _link_recheck_fails, _normal_form_check_fails],
+    ids=lambda patch: patch.__name__.lstrip("_"),
+)
+def test_selftest_reports_a_check_that_raises_as_its_own_row(monkeypatch, capsys, patch):
+    failing = patch(monkeypatch)
+    code, out, err = run(capsys, "selftest")
+    assert (code, err) == (1, "")
+    *rows, summary = out.splitlines()
+    # every check still has its row (two per fixture, one per transcript, three for the
+    # normal forms), and only the broken ones fail, each with its message
+    assert len(rows) == 2 * len(fixtures.FIXTURES) + len(cli.GOLDEN_CASES) + 3
+    failed = {row[5:].partition(": ")[0]: row for row in rows if row.startswith("FAIL ")}
+    assert failed.keys() == failing.keys()
+    assert all(failing[label] in row for label, row in failed.items())
+    assert summary == f"selftest: {len(failing)} failure(s)"
+
+
 @pytest.mark.parametrize("argv", [("link", "--case", "p5", "--json"), ("selftest",)])
 def test_closed_pipe_keeps_the_exit_code_and_stderr_empty(argv):
     # a reader that has already gone: every write to stdout fails with EPIPE

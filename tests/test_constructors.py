@@ -5,7 +5,9 @@ int that belongs there, and its negative where a negative is not a legitimate
 value. Each entry point is also fed wrong-length and wrong-type elements.
 Every one must raise ``TypeError`` or ``ValueError`` right there, never be
 accepted and fail later. A stratum index outside 0..n-1, or an edge that
-names one index twice, is refused with a plain ``ValueError`` naming it.
+names one index twice, is refused with a plain ``ValueError`` naming it,
+and a degree or truncation order that is not an int with the
+``TypeError`` of ``operator.index``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ POINT = wps.QuotientType(5, 2)
 ENTRY = rr.RRBasketEntry(5, 2, 2)
 ZERO = nf.WeightedPolynomial(WS)
 ALPHA = Fraction(1, 5)
+P5 = sk.CASES["P5"]
 X3_4 = (4, 0, 0, 0, 0)  # the exponent of x3^4
 POLY = nf.parse(FORM_A)
 
@@ -47,8 +50,8 @@ INT_SLOTS = {
     ),
     "Substitution weight": (lambda v: nf.Substitution((v, 4, 5, 6, 7), {}), 3, True),
     "Substitution position": (lambda v: nf.Substitution(WS, {v: (2, ZERO)}), 1, True),
-    "LinkCandidate qhat": (lambda v: sk.LinkCandidate("P5", ALPHA, v, 4, True), 7, True),
-    "LinkCandidate e": (lambda v: sk.LinkCandidate("P5", ALPHA, 7, v, True), 4, True),
+    "LinkCandidate qhat": (lambda v: sk.LinkCandidate(P5, ALPHA, v, 4, True), 7, True),
+    "LinkCandidate e": (lambda v: sk.LinkCandidate(P5, ALPHA, 7, v, True), 4, True),
     "product_coefficients numerator": (
         lambda v: series.product_coefficients((v,), (1,), 5), 2, True
     ),
@@ -68,6 +71,7 @@ INT_SLOTS = {
     "edge_singularities j": (lambda v: wps.edge_singularities(X12_SHAPE, 1, v), 3, True),
     "edge_restriction_points i": (lambda v: nf.edge_restriction_points(POLY, v, 3), 1, True),
     "edge_restriction_points j": (lambda v: nf.edge_restriction_points(POLY, 1, v), 3, True),
+    "is_quasihomogeneous degree": (lambda v: nf.is_quasihomogeneous(POLY, v), 12, False),
 }
 
 BAD_INTS = [
@@ -112,13 +116,14 @@ BAD_ELEMENTS = {
     "Substitution str coefficient": lambda: nf.Substitution(WS, {0: ("2", ZERO)}),
     "LinkCandidate unknown case": lambda: sk.LinkCandidate("P9", ALPHA, 7, 4, True),
     "LinkCandidate int case": lambda: sk.LinkCandidate(5, ALPHA, 7, 4, True),
-    "LinkCandidate str birational": lambda: sk.LinkCandidate("P5", ALPHA, 7, 4, "yes"),
-    "LinkCandidate None birational": lambda: sk.LinkCandidate("P5", ALPHA, 7, 4, None),
-    "LinkCandidate float alpha": lambda: sk.LinkCandidate("P5", 0.2, 7, 4, True),
-    "LinkCandidate str alpha": lambda: sk.LinkCandidate("P5", "1/5", 7, 4, True),
-    "LinkCandidate negative alpha": lambda: sk.LinkCandidate("P5", -ALPHA, 7, 4, True),
-    "LinkCandidate zero alpha": lambda: sk.LinkCandidate("P5", Fraction(0), 7, 4, True),
-    "LinkCandidate inadmissible qhat": lambda: sk.LinkCandidate("P5", ALPHA, 10, 4, True),
+    "LinkCandidate case name": lambda: sk.LinkCandidate("P5", ALPHA, 7, 4, True),
+    "LinkCandidate str birational": lambda: sk.LinkCandidate(P5, ALPHA, 7, 4, "yes"),
+    "LinkCandidate None birational": lambda: sk.LinkCandidate(P5, ALPHA, 7, 4, None),
+    "LinkCandidate float alpha": lambda: sk.LinkCandidate(P5, 0.2, 7, 4, True),
+    "LinkCandidate str alpha": lambda: sk.LinkCandidate(P5, "1/5", 7, 4, True),
+    "LinkCandidate negative alpha": lambda: sk.LinkCandidate(P5, -ALPHA, 7, 4, True),
+    "LinkCandidate zero alpha": lambda: sk.LinkCandidate(P5, Fraction(0), 7, 4, True),
+    "LinkCandidate inadmissible qhat": lambda: sk.LinkCandidate(P5, ALPHA, 10, 4, True),
     "product_coefficients tuple exponent": lambda: series.product_coefficients(((2,),), (1,), 5),
     "product_coefficients int numerator": lambda: series.product_coefficients(2, (1,), 5),
     "expand_product tuple exponent": lambda: series.expand_product((), ((1,),), 5),
@@ -141,6 +146,18 @@ BAD_INDICES = {
     "edge_restriction_points (-1, 2)": (
         lambda: nf.edge_restriction_points(POLY, -1, 2), "edge (-1, 2)"
     ),
+}
+
+# a degree or truncation order that is not an int; each is read through operator.index
+NOT_INT_ORDERS = {
+    "is_quasihomogeneous 12.0": lambda: nf.is_quasihomogeneous(POLY, 12.0),
+    "corner_check '12'": lambda: nf.corner_check(POLY, "12"),
+    "analyze 5.0": lambda: wps.analyze(X12_SHAPE, 5.0),
+    "hilbert 5.0": lambda: wps.hilbert(X12_SHAPE, 5.0),
+    "monomial_count 12.0": lambda: wps.monomial_count((3, 4), 12.0),
+    "hilbert_rr 5.0": lambda: rr.hilbert_rr(rr.FanoData(13, Fraction(1, 210), (ENTRY,)), 5.0),
+    "product_coefficients 5.0": lambda: series.product_coefficients((), (1,), 5.0),
+    "expand_product Fraction(5)": lambda: series.expand_product((), (1,), Fraction(5)),
 }
 
 
@@ -168,3 +185,9 @@ def test_a_stratum_index_out_of_range_or_repeated_is_refused_by_name(call, named
         call()
     # a plain ValueError, not a stratum failure such as EdgeContained
     assert refused.type is ValueError and named in str(refused.value)
+
+
+@pytest.mark.parametrize("call", list(NOT_INT_ORDERS.values()), ids=list(NOT_INT_ORDERS))
+def test_a_degree_or_order_that_is_not_an_int_is_refused_as_one(call):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call()

@@ -84,7 +84,7 @@ def test_every_final_birational_candidate_of_small_centre_cases_has_a_threshold(
 
 
 def test_f3_eliminates_an_unpinned_candidate_with_no_split_at_some_k():
-    cand = sk.LinkCandidate("P5", Fraction(1, 5), 9, 3, True)
+    cand = sk.LinkCandidate(sk.CASES["P5"], Fraction(1, 5), 9, 3, True)
     assert sk.TARGETS.get(cand.qhat) is None
     sk.apply_filters([cand])
     assert (cand.status, cand.filter_id, cand.reason) == (
@@ -114,7 +114,7 @@ def test_link_data_agree_with_the_corpus():
         assert spaces[qhat].shape.weights == weights
         # a split with the s that pins the target at 11 and 7; F3 names it
         split = sk.Split({11: 2, 7: 1}.get(qhat, 1), Fraction(1))
-        cand = sk.LinkCandidate("P5", Fraction(1, 5), qhat, 3, True, splits={6: (split,)})
+        cand = sk.LinkCandidate(sk.CASES["P5"], Fraction(1, 5), qhat, 3, True, splits={6: (split,)})
         sk.apply_filters([cand])
         assert cand.target == spaces[qhat].name
     centres = {case.r for case in sk.CASES.values()} - {None}
@@ -205,7 +205,7 @@ def test_splits_p5_seventeen(transcripts):
 
 def test_canonical_threshold_infeasible():
     # no admissible splits recorded, and the degree-6 equation has none
-    cand = sk.LinkCandidate("P5", Fraction(1, 5), 13, 10, True)
+    cand = sk.LinkCandidate(sk.CASES["P5"], Fraction(1, 5), 13, 10, True)
     with pytest.raises(sk.Infeasible, match=r"no \(s_6, beta_6\) split for alpha=1/5 qhat=13 e=10"):
         sk.canonical_threshold(cand)
 
@@ -214,7 +214,7 @@ def test_canonical_threshold_infeasible():
 def test_candidate_rejects_a_non_positive_multiple(e):
     # e = 0 used to loop forever in the split solver
     with pytest.raises(ValueError, match="e must be >= 1"):
-        sk.LinkCandidate("P5", Fraction(1, 5), 13, e, True)
+        sk.LinkCandidate(sk.CASES["P5"], Fraction(1, 5), 13, e, True)
 
 
 @pytest.mark.parametrize(
@@ -232,11 +232,17 @@ def test_candidate_rejects_a_non_positive_multiple(e):
 )
 def test_candidate_rejects_a_non_rational_discrepancy_or_a_non_int_index(alpha, qhat, e):
     with pytest.raises(TypeError):
-        sk.LinkCandidate("P5", alpha, qhat, e, True)
+        sk.LinkCandidate(sk.CASES["P5"], alpha, qhat, e, True)
+
+
+@pytest.mark.parametrize("case", ["P5", "P9", 5])
+def test_candidate_takes_its_center_case_not_a_name(case):
+    with pytest.raises(TypeError, match="must be a CenterCase"):
+        sk.LinkCandidate(case, Fraction(1, 5), 7, 4, True)
 
 
 def test_candidate_takes_an_int_discrepancy():
-    cand = sk.LinkCandidate("NG", 2, 11, 1, True, splits={6: (sk.Split(2, Fraction(4)),)})
+    cand = sk.LinkCandidate(sk.CASES["NG"], 2, 11, 1, True, splits={6: (sk.Split(2, Fraction(4)),)})
     assert sk.verify_equation(cand) and cand.key() == "alpha=2 qhat=11 e=1"
 
 
@@ -299,7 +305,7 @@ def test_p2_seventeen_killed_by_effectivity(transcripts):
 
 
 def test_f3_names_a_pinned_candidate_with_no_split_at_all():
-    cand = sk.LinkCandidate("P5", Fraction(1, 5), 19, 3, True)
+    cand = sk.LinkCandidate(sk.CASES["P5"], Fraction(1, 5), 19, 3, True)
     sk.apply_filters([cand])
     assert (cand.filter_id, cand.reason) == (
         "F3", "k=3: no integral split at all"
@@ -313,7 +319,7 @@ def test_thresholds(transcripts):
 
 
 def test_canonical_threshold_undefined():
-    cand = sk.LinkCandidate("P5", Fraction(1, 5), 7, 4, True)
+    cand = sk.LinkCandidate(sk.CASES["P5"], Fraction(1, 5), 7, 4, True)
     cand.admissible = {6: (sk.Split(2, Fraction(0)),)}
     with pytest.raises(sk.UndefinedThreshold):
         sk.canonical_threshold(cand)

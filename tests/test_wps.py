@@ -162,10 +162,12 @@ def least_degrees(weights) -> list:
 
 
 def reference_has_monomial(weights, d) -> bool:
-    """The residue-class test has_monomial replaced, kept as its oracle.
+    """A copy of the residue-class table that ``wps._least_degrees`` also keeps.
 
     Adding powers of the weight-a variable reaches every larger degree in a
     residue class, so a degree-d monomial exists iff least[d mod a] <= d.
+    It is kept for the huge-d cases, where no count can be expanded;
+    ``test_has_monomial_matches_count`` is the independent check.
     """
     least = least_degrees(weights)
     return least[d % len(least)] <= d

@@ -205,7 +205,7 @@ def hilbert_rr(data: FanoData, order: int) -> PowerSeries:
     order = operator.index(order)
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    return PowerSeries(_chi_values(data, 0, order + 1))
+    return PowerSeries._of_ints(tuple(_chi_values(data, 0, order + 1)))
 
 
 def calibrate(data: FanoData, oracle: PowerSeries) -> None:

@@ -481,6 +481,10 @@ def _f4_reason(candidate: LinkCandidate) -> str | None:
         )
     if key == ("P5", 17, 6) and candidate.alpha == Fraction(1, 5):
         sol = second_contraction(6, 17, _forced_s(candidate))
+        if sol is None:
+            raise AssertionError(
+                f"F4 for {candidate.key()}: the second contraction its note records has no solution"
+            )
         return (
             "second contraction over a smooth target point forces minimal delta = "
             f"{sol.delta} (delta = {sol.delta} mod {sol.period} forced by integrality) "

@@ -4,12 +4,13 @@ A series is an integer sequence: the Hilbert series of a weighted
 hypersurface and chi(mA) from orbifold Riemann-Roch are integral term by
 term, so ``PowerSeries`` holds ints and refuses anything else. A series
 stores its first ``order + 1`` coefficients, and every operation takes the
-truncation order explicitly, as an int. Only ``wps.analyze`` and the CLI
-fall back to ``DEFAULT_ORDER`` (30) when none is given; calibration
-compares through a depth derived from the data (t^45 for X12).
-``MAX_ORDER`` caps the series the package expands for a caller: the CLI's
-``--terms`` and the index q to which ``wps.analyze`` and ``wps.genus``
-expand.
+truncation order explicitly, as an int. Kernel-built series skip the
+re-scan (``PowerSeries._of_ints``: ``expand_product``, ``truncate``,
+``riemann_roch.hilbert_rr``). Only ``wps.analyze`` and the CLI fall back
+to ``DEFAULT_ORDER`` (30) when none is given; calibration compares
+through a depth derived from the data (t^45 for X12). ``MAX_ORDER`` caps
+the series the package expands for a caller: the CLI's ``--terms`` and
+the index q to which ``wps.analyze`` and ``wps.genus`` expand.
 
 The workhorse, ``product_coefficients(numerator, denominator, order)``,
 takes two plain tuples of exponents and expands the quotient of
@@ -75,6 +76,12 @@ class PowerSeries:
             raise ValueError(f"coefficient of t^{m} is {coeffs[m]!r}, not an int")
         object.__setattr__(self, "coefficients", coeffs)
 
+    @classmethod
+    def _of_ints(cls, coeffs: tuple[int, ...]) -> PowerSeries:
+        series = object.__new__(cls)
+        object.__setattr__(series, "coefficients", coeffs)
+        return series
+
     @property
     def order(self) -> int:
         return len(self.coefficients) - 1
@@ -93,7 +100,7 @@ class PowerSeries:
             raise TruncationError(
                 f"cannot extend a series of order {self.order} to order {order}"
             )
-        return PowerSeries(self.coefficients[: order + 1])
+        return PowerSeries._of_ints(self.coefficients[: order + 1])
 
 
 def product_coefficients(numerator, denominator, order: int) -> tuple[int, ...]:
@@ -124,7 +131,7 @@ def product_coefficients(numerator, denominator, order: int) -> tuple[int, ...]:
 
 def expand_product(numerator, denominator, order: int) -> PowerSeries:
     """Expand prod_a (1-t^a) / prod_b (1-t^b) through t^order, exactly."""
-    return PowerSeries(product_coefficients(numerator, denominator, order))
+    return PowerSeries._of_ints(product_coefficients(numerator, denominator, order))
 
 
 def partition_count(parts: Iterable[int], n: int) -> int:

@@ -35,10 +35,11 @@ Quasi-smoothness is checked only on strata of dimension <= 1, which
 suffices for every shape shipped with the package. One walk over every
 vertex, then every edge, for d = 0 and d > 0 alike, gives the verdicts
 that ``basket`` and ``analyze`` both read. Each stratum rule returns its
-verdict together with the failure it records, an exception instance or
-None, and never raises it; only the public rules (``vertex_singularity``,
-``edge_singularities``) and ``basket`` raise it. A member containing an
-edge is reported, not analyzed.
+verdict together with the failure it records, or None, and never raises
+it; only the public rules (``vertex_singularity``, ``edge_singularities``)
+and ``basket`` raise it, and a contained edge or a vertex that is not
+quasi-smooth records its class alone, worded where raised. A member
+containing an edge is reported, not analyzed.
 """
 
 from __future__ import annotations
@@ -131,14 +132,15 @@ class QuotientType(namedtuple("QuotientType", "r b")):
             raise ValueError("quotient index must be >= 2")
         if not (1 <= b < r and math.gcd(b, r) == 1):
             raise ValueError(f"b={b} invalid for index {r}")
-        return super().__new__(cls, r, b)
+        # 1/r(1, r-1, b) is 1/r(1, r-1, r-b): negate the residues, swap the first two
+        return super().__new__(cls, r, min(b, r - b))
 
     def __str__(self) -> str:
         return f"1/{self.r}(1,{self.r - 1},{self.b})"
 
 
 class Basket(namedtuple("Basket", "entries")):
-    """Multiset of quotient points with multiplicities, sorted by (r, b)."""
+    """Multiset of quotient points with multiplicities, sorted by (r, b); equal points merge."""
 
     __slots__ = ()
     _make = _checked_make
@@ -149,7 +151,10 @@ class Basket(namedtuple("Basket", "entries")):
             raise TypeError("a basket entry pairs a QuotientType with its multiplicity")
         if min((count for _, count in entries), default=1) < 1:
             raise ValueError("basket multiplicities must be >= 1")
-        return super().__new__(cls, tuple(sorted(entries, key=lambda e: (e[0].r, e[0].b))))
+        counts: dict[QuotientType, int] = {}
+        for point, count in entries:
+            counts[point] = counts.get(point, 0) + count
+        return super().__new__(cls, tuple(sorted(counts.items())))
 
     def __str__(self) -> str:
         """Points in order, a repeated one as point x count: 1/2(1,1,1) 1/3(1,2,1)x2."""
@@ -383,7 +388,21 @@ def _quotient_verdict(
     return StratumVerdict(stratum, weights, "not-terminal-isolated"), b
 
 
-def _vertex(ws: tuple[int, ...], d: int, i: int) -> tuple[StratumVerdict, ValueError | None]:
+Failure = ValueError | type[ValueError] | None  # a class is worded by _worded when raised
+
+
+def _worded(verdict: StratumVerdict, failure: ValueError | type[ValueError], d: int) -> ValueError:
+    """The exception a failed stratum raises: a recorded class is worded from weights and d."""
+    w = verdict.weights
+    if failure is NotQuasiSmoothAtVertex:
+        return failure(f"vertex w={w[0]} lies on the member but no monomial x_{w[0]}^n or "
+                       f"x_{w[0]}^n*x_j of degree {d} exists")
+    if failure is EdgeContained:
+        return failure(f"no degree-{d} monomial in x_{w[0]}, x_{w[1]}: member contains the edge")
+    return failure
+
+
+def _vertex(ws: tuple[int, ...], d: int, i: int) -> tuple[StratumVerdict, Failure]:
     """``vertex_singularity``'s verdict on sorted weights, with the failure it records."""
     wi = ws[i]
     rest = ws[:i] + ws[i + 1 :]
@@ -398,10 +417,7 @@ def _vertex(ws: tuple[int, ...], d: int, i: int) -> tuple[StratumVerdict, ValueE
     for j, wj in enumerate(rest):
         if d - wj >= wi and (d - wj) % wi == 0:
             return _quotient_verdict((i,), (wi,), wi, rest[:j] + rest[j + 1 :], 1)
-    return StratumVerdict((i,), (wi,), "not-quasi-smooth"), NotQuasiSmoothAtVertex(
-        f"vertex w={wi} lies on the member but no monomial x_{wi}^n or "
-        f"x_{wi}^n*x_j of degree {d} exists"
-    )
+    return StratumVerdict((i,), (wi,), "not-quasi-smooth"), NotQuasiSmoothAtVertex
 
 
 def vertex_singularity(shape: HypersurfaceShape, i: int) -> QuotientType | None:
@@ -419,13 +435,11 @@ def vertex_singularity(shape: HypersurfaceShape, i: int) -> QuotientType | None:
         raise ValueError(f"vertex index {i} is not in 0..{len(ws) - 1}")
     verdict, failure = _vertex(ws, shape.degree, i)
     if failure is not None:
-        raise failure
+        raise _worded(verdict, failure, shape.degree)
     return verdict.quotient
 
 
-def _edge(
-    ws: tuple[int, ...], d: int, i: int, j: int
-) -> tuple[StratumVerdict, ValueError | None] | None:
+def _edge(ws: tuple[int, ...], d: int, i: int, j: int) -> tuple[StratumVerdict, Failure] | None:
     """``edge_singularities``'s verdict on sorted weights, with the failure it
     records; None for a coprime edge that carries no points."""
     wi, wj = ws[i], ws[j]
@@ -438,9 +452,7 @@ def _edge(
     # the least such a decides whether one fits under d (at d = 0, a = 0 does)
     step = wj // m
     if d % m or d // m * pow(wi // m, -1, step) % step * wi > d:
-        return StratumVerdict((i, j), (wi, wj), "edge-contained"), EdgeContained(
-            f"no degree-{d} monomial in x_{wi}, x_{wj}: member contains the edge"
-        )
+        return StratumVerdict((i, j), (wi, wj), "edge-contained"), EdgeContained
     if m == 1:
         return None
     count, rest = divmod(d * m, wi * wj)
@@ -472,7 +484,7 @@ def edge_singularities(
         return None
     verdict, failure = result
     if failure is not None:
-        raise failure
+        raise _worded(verdict, failure, shape.degree)
     return verdict.count, verdict.quotient
 
 
@@ -488,11 +500,11 @@ class AnalysisReport:
     warnings: tuple[str, ...]
 
 
-def _walk(shape: HypersurfaceShape) -> Iterator[tuple[StratumVerdict, ValueError | None]]:
+def _walk(shape: HypersurfaceShape) -> Iterator[tuple[StratumVerdict, Failure]]:
     """Every vertex, then every edge: the verdict each rule returns, with the
-    failure it records. Coprime edges that carry no points get no verdict.
-    The rules return failures rather than raise them, so a failed stratum
-    costs no traceback.
+    failure it records (``Failure``). Coprime edges that carry no points get
+    no verdict. The rules return failures rather than raise them, so a failed
+    stratum costs no traceback, and one recorded as a class no message.
     """
     ws, d = shape.weights, shape.degree
     for i in range(len(ws)):
@@ -504,11 +516,7 @@ def _walk(shape: HypersurfaceShape) -> Iterator[tuple[StratumVerdict, ValueError
 
 
 def _basket_of(verdicts: list[StratumVerdict]) -> Basket:
-    counts: dict[QuotientType, int] = {}
-    for verdict in verdicts:
-        if verdict.quotient is not None:
-            counts[verdict.quotient] = counts.get(verdict.quotient, 0) + verdict.count
-    return Basket(tuple(counts.items()))
+    return Basket(tuple((v.quotient, v.count) for v in verdicts if v.quotient is not None))
 
 
 def basket(shape: HypersurfaceShape) -> Basket:
@@ -516,7 +524,7 @@ def basket(shape: HypersurfaceShape) -> Basket:
     verdicts = []
     for verdict, failure in _walk(shape):
         if failure is not None:
-            raise failure
+            raise _worded(verdict, failure, shape.degree)
         verdicts.append(verdict)
     return _basket_of(verdicts)
 
@@ -525,9 +533,9 @@ def analyze(shape: HypersurfaceShape, order: int | None = None) -> AnalysisRepor
     """Full combinatorial report for a shape; singularity failures become warnings.
 
     Each distinct warning is given once; contained edges of equal weights
-    share one warning that counts them. A failure's message is formatted
-    only where it is the warning. A shape whose index q exceeds MAX_ORDER
-    is refused (ValueError) before anything is walked or expanded.
+    share one warning that counts them. Other than theirs and a vertex's,
+    a warning is its failure's message. A shape whose index q exceeds
+    MAX_ORDER is refused (ValueError) before anything is walked or expanded.
     """
     q = _expandable_index(shape)
     order = max(q, DEFAULT_ORDER) if order is None else operator.index(order)

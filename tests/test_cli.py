@@ -791,6 +791,20 @@ def _link_recheck_fails(monkeypatch):
     return {"transcript ng": "fails after split extension"}
 
 
+def _every_split_corrupted(monkeypatch):
+    from qfano import sarkisov
+
+    solve = sarkisov._solve_splits
+
+    def corrupting(*args):  # every split solved gets s + 1
+        return tuple(split._replace(s=split.s + 1) for split in solve(*args))
+
+    monkeypatch.setattr(sarkisov, "_solve_splits", corrupting)
+    failing = {f"transcript {name}": "fails after split extension" for name in cli.GOLDEN_CASES}
+    failing["transcript p5"] = "F4 for alpha=1/5 qhat=17 e=6: the second contraction"
+    return failing
+
+
 def _normal_form_check_fails(monkeypatch):
     from qfano import normal_form
 
@@ -800,7 +814,13 @@ def _normal_form_check_fails(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "patch", [_fixture_analysis_fails, _link_recheck_fails, _normal_form_check_fails],
+    "patch",
+    [
+        _fixture_analysis_fails,
+        _link_recheck_fails,
+        _every_split_corrupted,
+        _normal_form_check_fails,
+    ],
     ids=lambda patch: patch.__name__.lstrip("_"),
 )
 def test_selftest_reports_a_check_that_raises_as_its_own_row(monkeypatch, capsys, patch):

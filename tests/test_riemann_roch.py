@@ -278,7 +278,10 @@ def test_long_series_match_the_fraction_reference(data, order):
     # mostly fractional early, calibrated data integral throughout
     expected, message = expected_chi(data, range(order + 1))
     if message is None:
-        assert rr.hilbert_rr(data, order).coefficients == tuple(expected)
+        # hilbert_rr wraps its tuple without re-checking it: every entry must be an int
+        coeffs = rr.hilbert_rr(data, order).coefficients
+        assert type(coeffs) is tuple and coeffs == tuple(expected)
+        assert {type(c) for c in coeffs} == {int}
         return
     with pytest.raises(rr.ConventionError) as raised:
         rr.hilbert_rr(data, order)

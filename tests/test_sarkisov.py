@@ -641,6 +641,21 @@ def test_run_case_rejects_a_corrupted_split_from_the_solver(monkeypatch, name):
     assert corrupted
 
 
+def test_f4_names_its_recorded_step_when_every_split_is_corrupted(monkeypatch):
+    # F4's note for P5 solves a second contraction before the re-check runs; with
+    # s + 1 in every split it has none, and the step is named, not dereferenced
+    solve = sk._solve_splits
+    monkeypatch.setattr(
+        sk, "_solve_splits", lambda *args: tuple(sp._replace(s=sp.s + 1) for sp in solve(*args))
+    )
+    message = (
+        "F4 for alpha=1/5 qhat=17 e=6: the second contraction its note records has no solution"
+    )
+    with pytest.raises(AssertionError) as raised:
+        sk.run_case("P5")
+    assert str(raised.value) == message
+
+
 @pytest.mark.parametrize("name", list(sk.CASES))
 def test_verify_equation_rejects_a_corrupted_split(transcripts, name):
     """One split off by s +- 1 or beta +- 1/r fails the exact re-check."""

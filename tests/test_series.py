@@ -190,7 +190,11 @@ def test_integer_kernel_matches_fraction_recurrence(numerator, denominator, orde
     coeffs = product_coefficients(numerator, denominator, order)
     assert all(type(c) is int for c in coeffs)
     assert coeffs == _fraction_expand(numerator, denominator, order)
-    assert expand_product(numerator, denominator, order).coefficients == coeffs
+    # expand_product and truncate wrap the kernel's tuple without re-checking it
+    series = expand_product(numerator, denominator, order)
+    for got in (series, series.truncate(order // 2)):
+        assert type(got.coefficients) is tuple and {type(c) for c in got.coefficients} == {int}
+        assert got.coefficients == coeffs[: got.order + 1]
 
 
 def test_integer_kernel_rejects_negative_order():

@@ -742,6 +742,59 @@ def test_analyze_walks_each_stratum_once(monkeypatch):
     assert calls == {"_vertex": 5, "_edge": 10}
 
 
+def test_analyze_builds_no_exception_for_a_contained_edge_or_vertex(monkeypatch):
+    # each exception class replaced by a subclass that records every instance built
+    built = []
+    for name in ("EdgeContained", "NotQuasiSmoothAtVertex"):
+        def init(self, *args, _base=getattr(wps, name)):
+            built.append(type(self).__name__)
+            _base.__init__(self, *args)
+
+        monkeypatch.setattr(wps, name, type(name, (getattr(wps, name),), {"__init__": init}))
+    shape = wps.HypersurfaceShape((2, 3, 4, 5, 7), 4)
+    report = wps.analyze(shape)
+    assert report.warnings == (
+        "not quasi-smooth at vertex w=3",
+        "not quasi-smooth at vertex w=5",
+        "not quasi-smooth at vertex w=7",
+        "member contains the edge w=(3,5); analysis out of scope",
+        "member contains the edge w=(3,7); analysis out of scope",
+        "member contains the edge w=(5,7); analysis out of scope",
+    )
+    assert built == []
+    # the public rules still raise the first failure, worded as before
+    message = "vertex w=3 lies on the member but no monomial x_3^n or x_3^n*x_j of degree 4 exists"
+    with pytest.raises(wps.NotQuasiSmoothAtVertex) as raised:
+        wps.basket(shape)
+    assert str(raised.value) == message
+    with pytest.raises(wps.EdgeContained) as raised:
+        wps.edge_singularities(shape, 3, 1)
+    assert str(raised.value) == "no degree-4 monomial in x_5, x_3: member contains the edge"
+    assert built == ["NotQuasiSmoothAtVertex", "EdgeContained"]
+
+
+def test_quotient_type_stores_the_least_b():
+    # 1/5(1,4,3) is 1/5(1,4,2) with its first two coordinates swapped
+    assert wps.QuotientType(5, 3) == wps.QuotientType(5, 2) == (5, 2)
+    assert str(wps.QuotientType(5, 3)) == "1/5(1,4,2)"
+    for r in range(2, 30):
+        for b in range(1, r):
+            if math.gcd(b, r) == 1:
+                assert wps.QuotientType(r, b).b == min(b, r - b)
+    assert wps.QuotientType(5, 2)._replace(b=3).b == 2
+
+
+def test_basket_merges_equal_points():
+    point = wps.QuotientType(5, 2)
+    merged = wps.Basket(((wps.QuotientType(5, 3), 1), (point, 1)))
+    assert merged.entries == ((point, 2),)
+    assert str(merged) == "1/5(1,4,2)x2" and merged.indices() == (5, 5)
+    half = wps.QuotientType(2, 1)
+    entries = ((point, 1), (half, 2), (wps.QuotientType(5, 3), 3), (half, 1))
+    assert wps.Basket(entries).entries == ((half, 3), (point, 4))
+    assert wps.Basket(entries[::-1]) == wps.Basket(((point, 4), (half, 3)))
+
+
 def test_stratum_verdict_is_a_named_tuple():
     verdict = wps.StratumVerdict((2,), (5,), "quotient", wps.QuotientType(5, 2), 1)
     assert wps.StratumVerdict._fields == ("stratum", "weights", "status", "quotient", "count")

@@ -113,13 +113,15 @@ def outcome(rule, *args):
 
 
 def test_public_rules_raise_what_the_walk_recorded():
-    # a stratum the walk gives no verdict (a coprime edge that does not fail) is None
+    # a stratum the walk gives no verdict (a coprime edge that does not fail) is None;
+    # a failure is compared as the exception the public rules raise, worded by _worded
     mismatched = []
     for weights, d, _ in CENSUS:
         shape = wps.HypersurfaceShape(weights, d)
         walked = {}
         for verdict, failure in wps._walk(shape):
             if failure is not None:
+                failure = wps._worded(verdict, failure, d)
                 walked[verdict.stratum] = type(failure), str(failure)
             elif verdict.status == "quotient":
                 point = verdict.quotient

@@ -35,11 +35,12 @@ Quasi-smoothness is checked only on strata of dimension <= 1, which
 suffices for every shape shipped with the package. One walk over every
 vertex, then every edge, for d = 0 and d > 0 alike, gives the verdicts
 that ``basket`` and ``analyze`` both read. Each stratum rule returns its
-verdict together with the failure it records, or None, and never raises
-it; only the public rules (``vertex_singularity``, ``edge_singularities``)
-and ``basket`` raise it, and a contained edge or a vertex that is not
-quasi-smooth records its class alone, worded where raised. A member
-containing an edge is reported, not analyzed.
+verdict with the failure it records, or None; only ``basket`` and the
+public rules (``vertex_singularity``, ``edge_singularities``) raise it, and
+a contained edge or a vertex that is not quasi-smooth records its class
+alone, worded where raised. A member containing an edge is reported, not
+analyzed. On other edges, points off the vertices = degree-d monomials in
+the edge's two variables minus one; a gcd > 1 edge with none gets no verdict.
 """
 
 from __future__ import annotations
@@ -66,10 +67,6 @@ class NotQuasiSmoothAtVertex(ValueError):
 
 class EdgeContained(ValueError):
     """The hypersurface contains a coordinate edge; out of analysis scope."""
-
-
-class NotGeneral(ValueError):
-    """The general-member point count on an edge is not an integer."""
 
 
 class NotTerminalIsolated(ValueError):
@@ -440,26 +437,23 @@ def vertex_singularity(shape: HypersurfaceShape, i: int) -> QuotientType | None:
 
 
 def _edge(ws: tuple[int, ...], d: int, i: int, j: int) -> tuple[StratumVerdict, Failure] | None:
-    """``edge_singularities``'s verdict on sorted weights, with the failure it
-    records; None for a coprime edge that carries no points."""
+    """``edge_singularities``'s verdict on sorted weights, with the failure it records. Points
+    off the vertices = degree-d monomials in x_i, x_j minus one; None for gcd 1 or no point."""
     wi, wj = ws[i], ws[j]
     m = math.gcd(wi, wj)
     if d == 0 and m > 1:
         return StratumVerdict((i, j), (wi, wj), "singular-edge"), NotTerminalIsolated(
             f"weights {wi}, {wj} share a factor: singular locus along the edge"
         )
-    # x_i^a x_j^c has degree d iff a*w_i = d mod w_j, which fixes a mod w_j/m;
-    # the least such a decides whether one fits under d (at d = 0, a = 0 does)
+    # x_i^a x_j^c has degree d iff a*w_i = d mod w_j, which fixes a mod w_j/m; the least
+    # such a decides whether one fits under d, and each further one (a + w_j/m) is a point
     step = wj // m
-    if d % m or d // m * pow(wi // m, -1, step) % step * wi > d:
+    a = d // m * pow(wi // m, -1, step) % step
+    if d % m or a * wi > d:
         return StratumVerdict((i, j), (wi, wj), "edge-contained"), EdgeContained
-    if m == 1:
+    count = (d - a * wi) // (wi * step)
+    if m == 1 or count == 0:
         return None
-    count, rest = divmod(d * m, wi * wj)
-    if rest:
-        return StratumVerdict((i, j), (wi, wj), "not-terminal-isolated"), NotGeneral(
-            f"edge ({wi},{wj}): point count {Fraction(d * m, wi * wj)} is not an integer"
-        )
     others = tuple(w for k, w in enumerate(ws) if k not in (i, j))
     return _quotient_verdict((i, j), (wi, wj), m, others, count)
 
@@ -472,9 +466,9 @@ def edge_singularities(
     On the space itself (d = 0) an edge whose weights share a factor is a
     curve of singularities (NotTerminalIsolated). For d > 0 the general member
     needs a monomial of degree d purely in {x_i, x_j}; otherwise it contains
-    the edge and the analysis is out of scope (EdgeContained). A fractional
-    point count means the member was not general (NotGeneral). Two indices
-    that are equal or outside 0..n-1 are refused (ValueError).
+    the edge and the analysis is out of scope (EdgeContained). Points off the
+    vertices = such monomials minus one; a gcd > 1 edge with none gives None.
+    Two indices that are equal or outside 0..n-1 are refused (ValueError).
     """
     ws, i, j = shape.weights, operator.index(i), operator.index(j)
     if i == j or not (0 <= i < len(ws) and 0 <= j < len(ws)):
@@ -502,7 +496,7 @@ class AnalysisReport:
 
 def _walk(shape: HypersurfaceShape) -> Iterator[tuple[StratumVerdict, Failure]]:
     """Every vertex, then every edge: the verdict each rule returns, with the
-    failure it records (``Failure``). Coprime edges that carry no points get
+    failure it records (``Failure``). Edges that carry no singular point get
     no verdict. The rules return failures rather than raise them, so a failed
     stratum costs no traceback, and one recorded as a class no message.
     """

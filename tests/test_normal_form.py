@@ -1,5 +1,7 @@
 """Weighted polynomial algebra and the degree-12 normal-form pipeline."""
 
+import itertools
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -9,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import WS, random_degree12_poly, random_substitution
+from test_wps_census import small_shapes
 from qfano import normal_form as nf
 from qfano import riemann_roch as rr
 from qfano import wps
@@ -925,12 +928,50 @@ def test_root_multiplicities_of_known_factors(roots, quadratic_powers, zero_powe
     assert nf._root_multiplicities(_poly_product(factors)) == sorted(expected, reverse=True)
 
 
+def member_points_off_the_vertices(rng, weights, i, j, d):
+    """Zeros off the vertices of a member's restriction to the (i, j) edge:
+    its degree-d monomials in x_i, x_j, coefficients drawn from 1..10^6."""
+    exponents = [
+        tuple(a if k == i else c if k == j else 0 for k in range(len(weights)))
+        for a, c in wps.monomials((weights[i], weights[j]), d)
+    ]
+    poly = nf.WeightedPolynomial(weights, {e: rng.randint(1, 10**6) for e in exponents})
+    # a leftover power of x_i (of x_j) is a zero at the x_j (the x_i) vertex
+    at_vertices = sum(min(e[k] for e in exponents) > 0 for k in (i, j))
+    return nf.edge_restriction_points(poly, i, j).count - at_vertices
+
+
 def test_edge_counts_match_general_member_formula():
     form_a = nf.parse(FORM_A)
     at = {w: i for i, w in enumerate(WS)}
     for i, j in ((at[3], at[6]), (at[4], at[6])):
         count, _ = wps.edge_singularities(X12_SHAPE, i, j)
         assert nf.edge_restriction_points(form_a, i, j).count == count
+    # every census edge whose weights share a factor and that the member does
+    # not contain: the rule's count (None read as 0) against a plain count of
+    # its monomials less one and the zeros of a seeded member's restriction.
+    # Coefficients in +-7 repeat a root on dozens of edges; 1..10^6 on none.
+    rng = random.Random(31)
+    mismatched, edges = [], 0
+    for weights, d in small_shapes()[0]:
+        if d == 0:
+            continue
+        shape = wps.HypersurfaceShape(weights, d)
+        for i, j in itertools.combinations(range(5), 2):
+            wi, wj = weights[i], weights[j]
+            if math.gcd(wi, wj) == 1 or not wps.has_monomial((wi, wj), d):
+                continue
+            edges += 1
+            plain = sum((d - a * wi) % wj == 0 for a in range(d // wi + 1)) - 1
+            try:
+                reported = (wps.edge_singularities(shape, i, j) or (0,))[0]
+            except wps.NotTerminalIsolated:
+                # no count, but a type is judged only where the rule found a point
+                reported = max(plain, 1)
+            if not reported == plain == member_points_off_the_vertices(rng, weights, i, j, d):
+                mismatched.append((weights, d, i, j))
+    assert edges == 21_015
+    assert mismatched == []
 
 
 small_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)

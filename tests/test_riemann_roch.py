@@ -176,7 +176,7 @@ def test_calibrated_series_equal_the_closed_form_over_four_periods():
             continue
         assert rr.hilbert_rr(data, 4 * period) == wps.hilbert(shape, 4 * period), shape
         checked += 1
-    assert checked == 110
+    assert checked == 131
 
 
 @functools.cache
@@ -404,13 +404,13 @@ def reference_calibrate(
 
 
 @functools.cache
-def clean_shapes(max_weight: int) -> list[wps.HypersurfaceShape]:
-    """Spaces and hypersurfaces of every allowed index, weights <= max_weight,
+def clean_shapes(max_weight: int, indices=rr.ALLOWED_FANO_INDICES) -> list[wps.HypersurfaceShape]:
+    """Spaces and hypersurfaces of the given indices, weights <= max_weight,
     that are well formed and analyze to a basket with no warning."""
     shapes = []
     for n in (4, 5):
         for weights in itertools.combinations_with_replacement(range(1, max_weight + 1), n):
-            for q in rr.ALLOWED_FANO_INDICES:
+            for q in indices:
                 d = sum(weights) - q
                 if d < 0 or (n == 4) != (d == 0):
                     continue
@@ -433,11 +433,30 @@ def clean_shapes(max_weight: int) -> list[wps.HypersurfaceShape]:
     return shapes
 
 
+def test_index_one_gives_the_95_families():
+    # the 95 families of quasi-smooth terminal anticanonical hypersurfaces
+    # (Iano-Fletcher 2000), complete by Johnson and Kollar (2001); the largest
+    # weight among them is 33, of X66 in P(1,5,6,22,33)
+    shapes = clean_shapes(33, (1,))
+    assert len(shapes) == 95
+    found = {(shape.weights, shape.degree) for shape in shapes}
+    for family in [
+        ((1, 5, 6, 22, 33), 66),
+        # three that a fractional edge count d*m/(w_i*w_j) once left out
+        ((1, 3, 4, 14, 21), 42),
+        ((1, 4, 5, 18, 27), 54),
+        ((1, 7, 8, 10, 25), 50),
+    ]:
+        assert family in found
+    for shape in shapes:
+        assert rr.calibrated_data(shape).q == 1, shape
+
+
 def test_flip_search_finds_exactly_the_calibrated_data():
     # the flip search raises unless exactly one assignment matches; feeding it
     # either orientation of the calibrated entries must land on calibrated_data
     corpus = clean_shapes(10)
-    assert len(corpus) == 105
+    assert len(corpus) == 126
     for shape in list(FIXTURE_SHAPES.values()) + corpus:
         oracle = wps.hilbert(shape, 24)
         data = rr.calibrated_data(shape, 24)

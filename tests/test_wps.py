@@ -387,12 +387,17 @@ def test_edge_contained_error():
         wps.edge_singularities(shape, 1, 3)
 
 
-def test_edge_not_general_error():
-    # (2,3,4,6,7) degree 18, edge (4,6): gcd 2 but 18*2/24 = 3/2 points
+def test_edge_points_are_its_monomials_less_one():
+    # degree 18, edge (4,6): x4^3*x6 and x6^3 leave one point 1/2(other weights)
+    # off the vertices, where 18*2/(4*6) counted 3/2
+    assert wps.monomials((4, 6), 18) == ((3, 1), (0, 3))
+    shape = wps.HypersurfaceShape((3, 4, 5, 6, 7), 18)
+    assert wps.edge_singularities(shape, 1, 3) == (1, wps.QuotientType(2, 1))
+    # over (2,3,4,6,7) the point is 1/2(2,3,7): a zero residue, refused as a type
     shape = wps.HypersurfaceShape((2, 3, 4, 6, 7), 18)
-    ws = shape.weights
-    with pytest.raises(wps.NotGeneral):
-        wps.edge_singularities(shape, ws.index(4), ws.index(6))
+    assert wps._edge(shape.weights, 18, 2, 3)[0].status == "not-terminal-isolated"
+    with pytest.raises(wps.NotTerminalIsolated, match=r"residues \(0, 1, 1\) mod 2"):
+        wps.edge_singularities(shape, 2, 3)
 
 
 def test_rules_on_the_space_itself():
@@ -420,7 +425,7 @@ def test_edge_contained_iff_no_monomial_in_its_two_variables(weights, d, edge):
         wps.edge_singularities(shape, *edge)
     except wps.EdgeContained:
         contained = True
-    except (wps.NotGeneral, wps.NotTerminalIsolated):
+    except wps.NotTerminalIsolated:
         pass
     pair = tuple(shape.weights[k] for k in edge)
     assert contained == (not wps.has_monomial(pair, d))
@@ -713,12 +718,11 @@ def test_analyze_merges_contained_edges_of_equal_weights():
                 "weights (12, 24, 24, 26, 27) are not well-formed",
                 "residues (0, 2, 3) mod 24 are not coprime units: not an isolated terminal cyclic quotient",
                 "not quasi-smooth at vertex w=26",
-                "edge (12,24): point count 9/2 is not an integer",
-                "edge (12,26): point count 9/13 is not an integer",
+                # edge (12,24) carries 4 points 1/12(24,26,27); (12,26) and (24,27) none
+                "residues (0, 2, 3) mod 12 are not coprime units: not an isolated terminal cyclic quotient",
                 "residues (0, 0, 2) mod 3 are not coprime units: not an isolated terminal cyclic quotient",
                 "member contains the edge w=(24,24); analysis out of scope",
                 "member contains 2 edges w=(24,26); analysis out of scope",
-                "edge (24,27): point count 1/2 is not an integer",
             ),
         ),
     ],
@@ -823,7 +827,6 @@ def test_validated_records_check_a_replaced_field():
 SINGULARITY_ERRORS = (
     wps.NotQuasiSmoothAtVertex,
     wps.EdgeContained,
-    wps.NotGeneral,
     wps.NotTerminalIsolated,
 )
 

@@ -31,16 +31,16 @@ Conventions fixed for determinism: weights are sorted ascending on
 construction, monomials are listed in descending lexicographic order on
 exponent vectors, and baskets are sorted by (r, b).
 
-Quasi-smoothness is checked only on strata of dimension <= 1, which
-suffices for every shape shipped with the package. One walk over every
-vertex, then every edge, for d = 0 and d > 0 alike, gives the verdicts
-that ``basket`` and ``analyze`` both read. Each stratum rule returns its
-verdict with the failure it records, or None; only ``basket`` and the
-public rules (``vertex_singularity``, ``edge_singularities``) raise it, and
-a contained edge or a vertex that is not quasi-smooth records its class
-alone, worded where raised. A member containing an edge is reported, not
-analyzed. On other edges, points off the vertices = degree-d monomials in
-the edge's two variables minus one; a gcd > 1 edge with none gets no verdict.
+Quasi-smoothness is checked only on strata of dimension <= 1, which suffices
+for every shape shipped with the package. One walk over every vertex, then
+every edge, for d = 0 and d > 0 alike, gives the verdicts that ``basket`` and
+``analyze`` both read; each counts its stratum's points, terminal or not.
+Each rule returns its verdict with the failure it records, or None; only
+``basket``, ``vertex_singularity`` and ``edge_singularities`` raise it, and a
+contained edge or a vertex that is not quasi-smooth records its class alone,
+worded where raised. A member containing an edge is reported, not analyzed.
+On other edges, points off the vertices = degree-d monomials in the edge's
+two variables minus one; a gcd > 1 edge with none gets no verdict.
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ def degree_a3(shape: HypersurfaceShape) -> Fraction:
 
 def monomials(weights, d: int) -> tuple[tuple[int, ...], ...]:
     """All exponent vectors with sum(a_i w_i) = d, descending lexicographic."""
-    if d < 0:
+    if operator.index(d) < 0:
         raise ValueError("degree must be >= 0")
     ws = tuple(map(operator.index, weights))
     if ws and min(ws) < 1:
@@ -372,17 +372,17 @@ class StratumVerdict(NamedTuple):
     weights: tuple[int, ...]          # their weights, for display
     status: str
     quotient: QuotientType | None = None
-    count: int = 0
+    count: int = 0                    # points on the stratum, whether or not their type is terminal
 
 
 def _quotient_verdict(
     stratum: tuple[int, ...], weights: tuple[int, ...], r: int, others: tuple[int, ...], count: int
 ) -> tuple[StratumVerdict, NotTerminalIsolated | None]:
-    """The verdict of count points 1/r(others), or not-terminal-isolated with its failure."""
+    """The verdict on count points 1/r(others), terminal (quotient) or not, with its failure."""
     b = _normalize_type(r, others)
     if type(b) is int:
         return StratumVerdict(stratum, weights, "quotient", QuotientType(r, b), count), None
-    return StratumVerdict(stratum, weights, "not-terminal-isolated"), b
+    return StratumVerdict(stratum, weights, "not-terminal-isolated", None, count), b
 
 
 Failure = ValueError | type[ValueError] | None  # a class is worded by _worded when raised
@@ -526,10 +526,10 @@ def basket(shape: HypersurfaceShape) -> Basket:
 def analyze(shape: HypersurfaceShape, order: int | None = None) -> AnalysisReport:
     """Full combinatorial report for a shape; singularity failures become warnings.
 
-    Each distinct warning is given once; contained edges of equal weights
-    share one warning that counts them. Other than theirs and a vertex's,
-    a warning is its failure's message. A shape whose index q exceeds
-    MAX_ORDER is refused (ValueError) before anything is walked or expanded.
+    Each stratum's verdict counts its points, whether or not their type is terminal. Each
+    distinct warning is given once; contained edges of equal weights share one warning that
+    counts them. Other than theirs and a vertex's, a warning is its failure's message. A shape
+    whose index q exceeds MAX_ORDER is refused (ValueError) before anything is walked or expanded.
     """
     q = _expandable_index(shape)
     order = max(q, DEFAULT_ORDER) if order is None else operator.index(order)

@@ -805,6 +805,18 @@ def _every_split_corrupted(monkeypatch):
     return failing
 
 
+def _golden_missing(monkeypatch):
+    golden_text = cli._golden_text
+
+    def missing_p5(name):
+        if name == "p5":
+            raise FileNotFoundError(name)
+        return golden_text(name)
+
+    monkeypatch.setattr(cli, "_golden_text", missing_p5)
+    return {"transcript p5": "golden file missing"}
+
+
 def _normal_form_check_fails(monkeypatch):
     from qfano import normal_form
 
@@ -819,6 +831,7 @@ def _normal_form_check_fails(monkeypatch):
         _fixture_analysis_fails,
         _link_recheck_fails,
         _every_split_corrupted,
+        _golden_missing,
         _normal_form_check_fails,
     ],
     ids=lambda patch: patch.__name__.lstrip("_"),

@@ -66,6 +66,7 @@ INT_SLOTS = {
     "has_monomial degree": (lambda v: wps.has_monomial((3, 4), v), 12, True),
     "monomial_count weight": (lambda v: wps.monomial_count((v, 4), 12), 3, True),
     "monomial_count degree": (lambda v: wps.monomial_count((3, 4), v), 12, True),
+    "monomials degree": (lambda v: wps.monomials((3, 4), v), 12, True),
     "vertex_singularity index": (lambda v: wps.vertex_singularity(X12_SHAPE, v), 2, True),
     "edge_singularities i": (lambda v: wps.edge_singularities(X12_SHAPE, v, 3), 1, True),
     "edge_singularities j": (lambda v: wps.edge_singularities(X12_SHAPE, 1, v), 3, True),
@@ -90,6 +91,7 @@ BAD_ELEMENTS = {
     "HypersurfaceShape four weights": lambda: wps.HypersurfaceShape((3, 4, 5, 6), 12),
     "HypersurfaceShape tuple weight": lambda: wps.HypersurfaceShape(((3,), 4, 5, 6, 7), 12),
     "HypersurfaceShape int weights": lambda: wps.HypersurfaceShape(3, 12),
+    "weight_system one weight": lambda: wps.weight_system((3,)),
     "QuotientType None": lambda: wps.QuotientType(None, 2),
     "Basket short entry": lambda: wps.Basket(((POINT,),)),
     "Basket long entry": lambda: wps.Basket(((POINT, 1, 1),)),

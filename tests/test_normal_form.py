@@ -314,6 +314,11 @@ def test_substitution_grading_errors():
     self_ref = nf.WeightedPolynomial(WS, {(0, 0, 0, 1, 0): Fraction(1)})
     with pytest.raises(nf.GradingError):
         nf.Substitution(WS, {WS.index(6): (Fraction(1), self_ref)})
+    elsewhere = nf.WeightedPolynomial((1, 2, 3, 4, 5))
+    with pytest.raises(nf.GradingError, match="shift polynomial lives over different weights"):
+        nf.Substitution(WS, {WS.index(6): (Fraction(1), elsewhere)})
+    with pytest.raises(nf.GradingError, match="polynomial and substitution weights differ"):
+        nf.substitute(elsewhere, nf.Substitution(WS, {}))
 
 
 def test_polynomials_and_substitutions_refuse_non_positive_weights():
@@ -791,6 +796,12 @@ def test_normalize_missing_corner():
         nf.normalize(nf.parse("x4^3 + x6^2"))
 
 
+def test_normalize_refuses_other_weights():
+    poly = nf.WeightedPolynomial((1, 2, 3, 4, 5), {(0, 0, 0, 0, 2): 1})
+    with pytest.raises(ValueError, match=r"defined for weights \(3, 4, 5, 6, 7\)"):
+        nf.normalize(poly)
+
+
 def test_normalize_final_support_100_random():
     rng = random.Random(7)
     allowed = {(0, 0, 1, 0, 1), (0, 3, 0, 0, 0), (0, 0, 0, 2, 0), (4, 0, 0, 0, 0)}
@@ -948,27 +959,24 @@ def test_edge_counts_match_general_member_formula():
         count, _ = wps.edge_singularities(X12_SHAPE, i, j)
         assert nf.edge_restriction_points(form_a, i, j).count == count
     # every census edge whose weights share a factor and that the member does
-    # not contain: the rule's count (None read as 0) against a plain count of
-    # its monomials less one and the zeros of a seeded member's restriction.
+    # not contain: the walk's count (no verdict read as 0), terminal type or
+    # not, against a plain count of its monomials less one and the zeros of a
+    # seeded member's restriction.
     # Coefficients in +-7 repeat a root on dozens of edges; 1..10^6 on none.
     rng = random.Random(31)
     mismatched, edges = [], 0
     for weights, d in small_shapes()[0]:
         if d == 0:
             continue
-        shape = wps.HypersurfaceShape(weights, d)
+        counts = {v.stratum: v.count for v, _ in wps._walk(wps.HypersurfaceShape(weights, d))}
         for i, j in itertools.combinations(range(5), 2):
             wi, wj = weights[i], weights[j]
             if math.gcd(wi, wj) == 1 or not wps.has_monomial((wi, wj), d):
                 continue
             edges += 1
             plain = sum((d - a * wi) % wj == 0 for a in range(d // wi + 1)) - 1
-            try:
-                reported = (wps.edge_singularities(shape, i, j) or (0,))[0]
-            except wps.NotTerminalIsolated:
-                # no count, but a type is judged only where the rule found a point
-                reported = max(plain, 1)
-            if not reported == plain == member_points_off_the_vertices(rng, weights, i, j, d):
+            zeros = member_points_off_the_vertices(rng, weights, i, j, d)
+            if not counts.get((i, j), 0) == plain == zeros:
                 mismatched.append((weights, d, i, j))
     assert edges == 21_015
     assert mismatched == []

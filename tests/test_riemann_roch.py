@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,13 @@ def test_chi_convention_error():
         data = rr.FanoData(good.q, good.a3, tuple(entries))
         for m in range(25):
             rr.chi(data, m)
+
+
+def test_fano_data_refuses_an_entry_off_the_wa_convention():
+    # 13 * 1 = 3 mod 5: neither +1 nor -1
+    message = "entry (r=5, b=2, wA=1) violates q*wA = +-1 (mod r) for q=13"
+    with pytest.raises(rr.ConventionError, match=re.escape(message)):
+        rr.FanoData(13, Fraction(1, 210), (rr.RRBasketEntry(5, 2, 1),))
 
 
 def test_hilbert_rr_matches_closed_form(calibrated):

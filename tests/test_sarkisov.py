@@ -27,6 +27,11 @@ def test_beta_congruence(q, r, k, expected):
     assert sk.beta_congruence(q, r, k) == expected
 
 
+def test_beta_congruence_refuses_a_center_index_sharing_a_factor_with_q():
+    with pytest.raises(ValueError, match="q=13 and r=13 must be coprime"):
+        sk.beta_congruence(13, 13, 3)
+
+
 def test_dims_table():
     assert sk.DIMS == {3: 0, 4: 0, 5: 0, 6: 1, 7: 1}
 

@@ -70,6 +70,13 @@ def test_partition_count_matches_listing_through_30():
         )
 
 
+def test_partition_count_refuses_a_negative_n_or_a_part_below_1():
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        partition_count((3, 4), -1)
+    with pytest.raises(ValueError, match="part 0 must be >= 1"):
+        partition_count((3, 0), 5)
+
+
 def test_series_equal_upto_reflexive():
     series = expand_product(*X12_EXPONENTS, 10)
     assert series_equal_upto(series, series, 10) == (True, None)
@@ -96,6 +103,8 @@ def test_power_series_validation():
         PowerSeries(())
     with pytest.raises(TruncationError):
         expand_product(*X12_EXPONENTS, 3)[4]
+    with pytest.raises(TruncationError, match="cannot extend a series of order 2 to order 5"):
+        PowerSeries((1, 2, 3)).truncate(5)
     with pytest.raises(ValueError):
         PowerSeries((Fraction(1, 2),))
 

@@ -103,3 +103,58 @@ def test_only_the_listed_classes_are_dataclasses_and_each_says_why():
                         silent.append(f"{path.name}:{decorator.lineno} {node.name}")
     assert found == DATACLASSES
     assert silent == []
+
+
+# public names that no code in src/qfano references, each kept for the reason
+# beside it; a name that loses its reason is deleted, and every other public
+# name has a caller in the package
+UNCALLED = {
+    "fixtures.fixture",  # bench/test_bench.py looks fixtures up by name
+    "riemann_roch.chi",  # README's Library block; bench/tracing.py times it
+    "riemann_roch.infer_generators",  # acceptance criterion 6; README's Library block
+    "riemann_roch.relation_profile",  # acceptance criterion 6; README's Library block
+    "series.partition_count",  # bench/oracle.py's independent series oracle
+    "wps.edge_singularities",  # bench/tracing.py times it; README's entry points
+    "wps.monomials",  # bench/tracing.py times it; the tests' listing oracle
+    "wps.vertex_singularity",  # bench/tracing.py times it; README's entry points
+    "wps.well_formed",  # bench/workloads.py calls it
+}
+
+
+def _public_definitions(tree):
+    """(name, node) of each public def, class or assigned name at a module's top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from ((name, node) for name in names if not name.startswith("_"))
+
+
+def test_every_public_name_has_a_caller_in_the_package_or_a_listed_reason():
+    # a reference is a bare name in the defining module outside the definition
+    # itself, or module.name or ``from .module import name`` in another module;
+    # a same-named local elsewhere, such as cli's fixture closure, is not one
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SOURCE.glob("*.py"))}
+    defined, used = set(), set()
+    for module, tree in trees.items():
+        own = dict(_public_definitions(tree))
+        defined |= {f"{module}.{name}" for name in own}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id in own:
+                definition = own[node.id]
+                if not definition.lineno <= node.lineno <= definition.end_lineno:
+                    used.add(f"{module}.{node.id}")
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in trees.keys() - {module}
+            ):
+                used.add(f"{node.value.id}.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                used |= {f"{node.module}.{alias.name}" for alias in node.names}
+    assert defined - used == UNCALLED

@@ -393,9 +393,10 @@ def test_edge_points_are_its_monomials_less_one():
     assert wps.monomials((4, 6), 18) == ((3, 1), (0, 3))
     shape = wps.HypersurfaceShape((3, 4, 5, 6, 7), 18)
     assert wps.edge_singularities(shape, 1, 3) == (1, wps.QuotientType(2, 1))
-    # over (2,3,4,6,7) the point is 1/2(2,3,7): a zero residue, refused as a type
+    # over (2,3,4,6,7) the point is 1/2(2,3,7): a zero residue, refused as a type but counted
     shape = wps.HypersurfaceShape((2, 3, 4, 6, 7), 18)
-    assert wps._edge(shape.weights, 18, 2, 3)[0].status == "not-terminal-isolated"
+    verdict, _ = wps._edge(shape.weights, 18, 2, 3)
+    assert (verdict.status, verdict.quotient, verdict.count) == ("not-terminal-isolated", None, 1)
     with pytest.raises(wps.NotTerminalIsolated, match=r"residues \(0, 1, 1\) mod 2"):
         wps.edge_singularities(shape, 2, 3)
 
@@ -652,6 +653,20 @@ def test_analyze_genus_matches_genus(fixture, order):
     assert report.genus == wps.genus(fixture.shape) == fixture.genus
     expected_order = max(fixture.fano_index, 30) if order is None else order
     assert report.hilbert == wps.hilbert(fixture.shape, expected_order)
+
+
+def test_fixture_lookup_and_each_verify_mismatch():
+    f = fixtures.fixture("X12")
+    assert f is fixtures.FIXTURES[0] and fixtures.verify(f) == []
+    with pytest.raises(KeyError, match="unknown fixture 'X13'"):
+        fixtures.fixture("X13")
+    wrong = f._replace(fano_index=12, a3=Fraction(1, 209), basket_indices=(2, 3, 5, 7), genus=5)
+    assert fixtures.verify(wrong) == [
+        "X12: fano index 13 != expected 12",
+        "X12: A^3 1/210 != expected 1/209",
+        "X12: basket (2, 3, 3, 5, 7) != expected (2, 3, 5, 7)",
+        "X12: genus 4 != expected 5",
+    ]
 
 
 # shapes whose general member contains a coprime coordinate edge and has no

@@ -79,10 +79,6 @@ class GradingError(ValueError):
 class MissingCornerMonomial(ValueError):
     """A corner coefficient required by the normal-form pipeline vanishes."""
 
-    def __init__(self, monomial: str):
-        self.monomial = monomial
-        super().__init__(f"required corner monomial {monomial} has zero coefficient")
-
 
 Term = tuple[int, ...]
 
@@ -406,7 +402,7 @@ def normalize(poly: WeightedPolynomial) -> NormalFormResult:
         raise ValueError("normalization needs a quasi-homogeneous degree-12 polynomial")
     for exp, name in ((E57, "x5*x7"), (E444, "x4^3"), (E66, "x6^2")):
         if exp not in poly.nums:
-            raise MissingCornerMonomial(name)
+            raise MissingCornerMonomial(f"required corner monomial {name} has zero coefficient")
 
     steps: list[str] = []
     n66 = poly.nums[E66]

@@ -36,8 +36,9 @@ in either orientation; the local weight wA of the class A is what carries
 orientation. Since qA = -K, the class of A against the canonical-class
 trivialization is determined up to one global sign: wA = (+-q)^{-1} mod r.
 That sign is the classic bug source. The convention is q * wA = -1 mod r
-at every point (``orientation_sign`` is -1); ``calibrated_data`` is the one
-place that builds it, and ``calibrate`` confirms it instead of trusting it:
+at every point (``orientation_sign`` is -1); wA exists, as q is a unit mod each r
+that ``wps.basket`` accepts (see there). ``calibrated_data`` is the one place
+that builds it, and ``calibrate`` confirms it instead of trusting it:
 the Riemann-Roch series of the data must equal a closed-form oracle, and
 finitely many terms decide that. chi(mA) is a cubic in m plus a term of period
 r per point, so that series is N / ((1-t)^4 prod(1-t^r)) over the distinct r,
@@ -231,12 +232,8 @@ def calibrated_data(shape: wps.HypersurfaceShape, order: int = 0) -> FanoData:
     t^max(order, 3 + sum of the distinct r + sum w) is equality (module doc).
     """
     q = wps.fano_index(shape)
-    entries = []
-    for p in wps.basket(shape).points():
-        if math.gcd(q, p.r) != 1:
-            raise ConventionError(f"index q={q} not invertible mod the local index {p.r}")
-        entries.append(RRBasketEntry(p.r, p.b, pow(-q, -1, p.r)))
-    data = FanoData(q, wps.degree_a3(shape), tuple(entries))
+    entries = tuple(RRBasketEntry(p.r, p.b, pow(-q, -1, p.r)) for p in wps.basket(shape).points())
+    data = FanoData(q, wps.degree_a3(shape), entries)
     depth = 3 + sum({e.r for e in entries}) + sum(shape.weights)
     calibrate(data, wps.hilbert(shape, max(order, depth)))
     return data

@@ -128,7 +128,7 @@ TORSION = {
 
 def torsion_table(qhat: int) -> tuple[TorsionRow, ...]:
     """Admissible |T(target)| rows for a Q-Fano target of index qhat >= 4."""
-    if qhat not in ALLOWED_FANO_INDICES:
+    if operator.index(qhat) not in ALLOWED_FANO_INDICES:
         raise InvalidIndex(f"index {qhat} outside the admissible set")
     if qhat < 4:
         raise InvalidIndex(f"torsion constraints are tabulated for qhat >= 4, got {qhat}")
@@ -725,7 +725,8 @@ def run_case(name: str) -> Transcript:
                 "forced to qhat = 11, alpha*e = 2"
             )
         else:
-            notes.append(f"bare (qhat, alpha*e) pairs: {forced}")
+            pairs = ", ".join(f"({q}, {ae})" for q, ae in forced)
+            notes.append(f"bare (qhat, alpha*e) pairs: {pairs}")
     extras = [c for c in bare if c.extra]
     for c in extras:
         notes.append(

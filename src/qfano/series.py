@@ -141,9 +141,9 @@ def partition_count(parts: Iterable[int], n: int) -> int:
     kinds, matching the generating function prod 1/(1-t^p). This is the
     independent oracle for product_coefficients and is deliberately naive.
     """
-    if n < 0:
+    if operator.index(n) < 0:
         raise ValueError("n must be >= 0")
-    items = tuple(sorted(parts, reverse=True))
+    items = tuple(sorted(map(operator.index, parts), reverse=True))
     for p in items:
         if p < 1:
             raise ValueError(f"part {p} must be >= 1")

@@ -514,7 +514,12 @@ def _basket_of(verdicts: list[StratumVerdict]) -> Basket:
 
 
 def basket(shape: HypersurfaceShape) -> Basket:
-    """Union of vertex and edge contributions; raises the first stratum's failure."""
+    """Union of vertex and edge contributions; raises the first stratum's failure.
+
+    At each point 1/r(x, y, z) it accepts, x + y + z = sum(w) - d = q mod r, as r = w_i at a
+    vertex, where a member eliminates a weight that is d mod r, and r | w_i, w_j, d on an edge.
+    Two residues sum to 0 (terminal lemma), so q is the third, a unit by ``_normalize_type``.
+    """
     verdicts = []
     for verdict, failure in _walk(shape):
         if failure is not None:

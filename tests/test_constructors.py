@@ -52,6 +52,7 @@ INT_SLOTS = {
     "Substitution position": (lambda v: nf.Substitution(WS, {v: (2, ZERO)}), 1, True),
     "LinkCandidate qhat": (lambda v: sk.LinkCandidate(P5, ALPHA, v, 4, True), 7, True),
     "LinkCandidate e": (lambda v: sk.LinkCandidate(P5, ALPHA, 7, v, True), 4, True),
+    "torsion_table qhat": (lambda v: sk.torsion_table(v), 5, True),
     "product_coefficients numerator": (
         lambda v: series.product_coefficients((v,), (1,), 5), 2, True
     ),
@@ -62,6 +63,8 @@ INT_SLOTS = {
     "expand_product numerator": (lambda v: series.expand_product((v,), (1,), 5), 2, True),
     "expand_product denominator": (lambda v: series.expand_product((), (v,), 5), 1, True),
     "expand_product order": (lambda v: series.expand_product((), (1,), v), 5, True),
+    "partition_count part": (lambda v: series.partition_count((v, 4), 12), 3, True),
+    "partition_count n": (lambda v: series.partition_count((3, 4), v), 12, True),
     "has_monomial weight": (lambda v: wps.has_monomial((v, 4), 12), 3, True),
     "has_monomial degree": (lambda v: wps.has_monomial((3, 4), v), 12, True),
     "monomial_count weight": (lambda v: wps.monomial_count((v, 4), 12), 3, True),
@@ -160,6 +163,7 @@ NOT_INT_ORDERS = {
     "hilbert_rr 5.0": lambda: rr.hilbert_rr(rr.FanoData(13, Fraction(1, 210), (ENTRY,)), 5.0),
     "product_coefficients 5.0": lambda: series.product_coefficients((), (1,), 5.0),
     "expand_product Fraction(5)": lambda: series.expand_product((), (1,), Fraction(5)),
+    "partition_count Fraction(12)": lambda: series.partition_count((3, 4), Fraction(12)),
 }
 
 

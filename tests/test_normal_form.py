@@ -791,7 +791,7 @@ def test_normalize_idempotent_random():
 def test_normalize_missing_corner():
     with pytest.raises(nf.MissingCornerMonomial) as err:
         nf.normalize(nf.parse("x5*x7 + x4^3 + x3^4"))
-    assert "x6^2" in str(err.value)
+    assert str(err.value) == "required corner monomial x6^2 has zero coefficient"
     with pytest.raises(nf.MissingCornerMonomial):
         nf.normalize(nf.parse("x4^3 + x6^2"))
 

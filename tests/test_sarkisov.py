@@ -111,6 +111,20 @@ def test_a_survivor_with_no_pinned_target_is_unidentified_in_log_and_transcript(
     assert "None" not in text
 
 
+def test_a_case_with_no_bare_solution_logs_no_candidates():
+    case = sk.CenterCase("T", "test", 11, (Fraction(10, 11),), 6, ())
+    bare = sk.enumerate_bare(case)
+    assert bare == [] and sk.apply_filters(bare) == []
+    text = sk.Transcript(case, bare, [], [], [], [], []).text()
+    assert "bare solutions: 0\n\nfilter log:\n  (no candidates)\n\nfinal solutions: 0" in text
+
+
+def test_an_ng_case_not_forced_to_eleven_lists_its_pairs_as_rationals(monkeypatch):
+    # NG given P7's data: its bare pairs are (9, 2/7) and (11, 1/7), not the forced (11, 2)
+    monkeypatch.setitem(sk.CASES, "NG", sk.CASES["P7"]._replace(name="NG"))
+    assert sk.run_case("NG").notes == ["bare (qhat, alpha*e) pairs: (9, 2/7), (11, 1/7)"]
+
+
 def test_link_data_agree_with_the_corpus():
     """sarkisov builds X12 and its target table itself; the corpus must agree."""
     assert sk.X12 == fixtures.X12_SHAPE
@@ -314,6 +328,18 @@ def test_f3_names_a_pinned_candidate_with_no_split_at_all():
     sk.apply_filters([cand])
     assert (cand.filter_id, cand.reason) == (
         "F3", "k=3: no integral split at all"
+    )
+
+
+def test_f3_says_when_a_pinned_candidate_has_only_s0_splits():
+    # h0(0*A) = 1 meets dim|kA| + 1 = 1 at k = 3, 4, 5, and fails 2 at k = 6
+    splits = {k: (sk.Split(0, Fraction(1)),) for k in sk.DIMS}
+    cand = sk.LinkCandidate(sk.CASES["P5"], Fraction(1, 5), 19, 3, True, splits=splits)
+    sk.apply_filters([cand])
+    assert (cand.target, cand.filter_id, cand.reason) == (
+        "P(3,4,5,7)",
+        "F3",
+        "k=6: every split fails h0 >= dim|6A|+1 = 2: only s=0 splits while dim|kA| > 0",
     )
 
 

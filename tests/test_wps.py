@@ -11,7 +11,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from test_wps_census import small_shapes
 from qfano import fixtures, wps
+from qfano import sarkisov as sk
 from qfano.series import MAX_ORDER
 from qfano.series import partition_count
 
@@ -620,6 +622,52 @@ def test_vertex_type_independent_of_eliminator():
                 else:
                     assert wps.vertex_singularity(shape, i) == wps.QuotientType(wi, b)
     assert checked > 10_000
+
+
+def basket_points_obey_the_unit_lemma(shape) -> int:
+    """The lemma in ``wps.basket``'s docstring, on each point of an accepted basket.
+
+    The residues are read off the weights: those off the point's stratum, less
+    one that is d mod r at a vertex of a member. They sum to q mod r, two sum
+    to 0, and the third is q, a unit mod r. Returns the number of points.
+    """
+    q, d = wps.fano_index(shape), shape.degree
+    basket = wps.basket(shape)
+    points = 0
+    for verdict, _ in wps._walk(shape):
+        if verdict.quotient is None:
+            continue
+        r = verdict.quotient.r
+        residues = [w % r for k, w in enumerate(shape.weights) if k not in verdict.stratum]
+        if d and len(verdict.stratum) == 1:
+            residues.remove(d % r)
+        assert wps._normalize_type(r, tuple(residues)) == verdict.quotient.b
+        assert sum(residues) % r == q % r
+        assert any(
+            (x + y) % r == 0 and z == q % r for x, y, z in itertools.permutations(residues)
+        )
+        assert math.gcd(q, r) == 1
+        points += verdict.count
+    assert points == sum(count for _, count in basket.entries)
+    return points
+
+
+def test_q_is_a_unit_mod_every_index_of_an_accepted_basket():
+    baskets = points = 0
+    for weights, d in small_shapes()[0]:
+        shape = wps.HypersurfaceShape(weights, d)
+        try:
+            if not wps.basket(shape).entries:
+                continue
+        except ValueError:
+            continue
+        baskets += 1
+        points += basket_points_obey_the_unit_lemma(shape)
+    assert (baskets, points) == (88, 274)
+    for fixture in fixtures.FIXTURES:
+        assert basket_points_obey_the_unit_lemma(fixture.shape) >= 1
+    # the link's centres are points of X12's basket, where q = sarkisov.Q = 13
+    assert all(math.gcd(sk.Q, case.r) == 1 for case in sk.CASES.values() if case.r)
 
 
 def test_index_degree_consistency():

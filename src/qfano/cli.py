@@ -337,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             out = answer.text
     except SystemExit as exc:  # argparse has printed its usage error or help
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

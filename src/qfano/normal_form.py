@@ -449,25 +449,19 @@ class EdgePoints(NamedTuple):
     reduced: bool
 
 
-def _poly_normalize(coeffs: list[Fraction]) -> list[Fraction]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
 def _poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     a = list(a)
-    while len(a) >= len(b) and _poly_normalize(a):
+    while len(a) >= len(b):
         shift = len(a) - len(b)
         factor = a[-1] / b[-1]
         for i, c in enumerate(b):
             a[i + shift] -= factor * c
-        _poly_normalize(a)
-    return _poly_normalize(a)
+        while a and a[-1] == 0:
+            a.pop()
+    return a
 
 
 def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _poly_normalize(list(a)), _poly_normalize(list(b))
     while b:
         a, b = b, _poly_rem(a, b)
     return a
@@ -476,13 +470,14 @@ def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 def _root_multiplicities(h: list[Fraction]) -> list[int]:
     """Multiplicities of the distinct roots of h over the algebraic closure, largest first.
 
+    h's top coefficient must be nonzero; then so is each derivative's, (len - 1) * top.
     g_0 = h and g_k = gcd(g_{k-1}, g_{k-1}') has degree sum(max(m - k, 0))
     over the root multiplicities m, so deg g_{k-1} - deg g_k counts the
     roots of multiplicity >= k. The multiplicities are the conjugate
     partition of those counts.
     """
     at_least: list[int] = []
-    g = _poly_normalize(list(h))
+    g = h
     while len(g) > 1:
         g_next = _poly_gcd(g, [i * c for i, c in enumerate(g)][1:])
         at_least.append(len(g) - len(g_next))

@@ -61,8 +61,8 @@ that same event):
                   mechanize; recorded with their numeric sub-steps so the
                   transcript stays honest about what is machine-checked.
 
-Bare solution sets are recorded separately from filtered ones, and any bare
-solution beyond the reference case list is flagged, never dropped.
+Bare solutions are kept apart from filtered ones; one beyond the reference
+list is flagged, never dropped; a fiber-type one's key ends in "fiber-type".
 """
 
 from __future__ import annotations
@@ -251,7 +251,9 @@ class LinkCandidate:
             raise ValueError(f"{self.key()}: qhat must be admissible, alpha > 0 and e must be >= 1")
 
     def key(self) -> str:
-        return f"alpha={self.alpha} qhat={self.qhat} e={self.e}"
+        """Name in transcripts and logs; a fiber-type candidate's ends in "fiber-type"."""
+        fiber = "" if self.birational else " fiber-type"
+        return f"alpha={self.alpha} qhat={self.qhat} e={self.e}{fiber}"
 
     def sort_key(self) -> tuple:
         return (self.qhat, self.e, self.alpha)
@@ -375,12 +377,6 @@ def bare_text(case: CenterCase, bare: list[LinkCandidate]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _splits(candidate: LinkCandidate, k: int) -> tuple[Split, ...]:
-    """The degree-k splits of a candidate, possibly none."""
-    equation = _equation(candidate.case, candidate.alpha, k)
-    return _solve_splits(equation, candidate.qhat, candidate.e, k, candidate.birational)
-
-
 def verify_equation(candidate: LinkCandidate) -> bool:
     """Re-check every recorded split against its defining equation, exactly."""
     a, a_den = candidate.alpha.numerator, candidate.alpha.denominator
@@ -450,11 +446,11 @@ def second_contraction(
 
 
 def canonical_threshold(candidate: LinkCandidate) -> Fraction:
-    """alpha / beta_6 with the minimal admissible beta_6 of the candidate."""
-    splits = candidate.admissible.get(_CT_DEGREE) or _splits(candidate, _CT_DEGREE)
+    """alpha / beta_6 with the least beta_6 of the admissible splits the filters recorded."""
+    splits = candidate.admissible.get(_CT_DEGREE)
     if not splits:
-        raise Infeasible(
-            f"no (s_6, beta_6) split for {candidate.key()} in case {candidate.case.name}")
+        raise Infeasible(f"no (s_6, beta_6) split for {candidate.key()} in case "
+                         f"{candidate.case.name} among the admissible splits the filters recorded")
     beta6 = min(sp.beta for sp in splits)
     if beta6 == 0:
         raise UndefinedThreshold("beta_6 = 0: threshold alpha/beta_6 undefined")
@@ -542,7 +538,8 @@ def _filter_chain(cand: LinkCandidate):
     # full split data for every k (the transcript shows it all)
     for k in DIMS:
         if k not in cand.splits:
-            cand.splits[k] = _splits(cand, k)
+            equation = _equation(cand.case, cand.alpha, k)
+            cand.splits[k] = _solve_splits(equation, cand.qhat, cand.e, k, cand.birational)
     cand.admissible = dict(cand.splits)
 
     # F3: every k needs a split, and on a pinned target an effective one
@@ -586,11 +583,11 @@ def _filter_chain(cand: LinkCandidate):
 def apply_filters(candidates: list[LinkCandidate]) -> list[FilterEvent]:
     """Annotate candidates in place with pass/eliminated verdicts; return the log.
 
-    Filters run in order F1, F2, F3, F4; the first one that fires is the
-    single filter an eliminated candidate cites.
+    Candidates are visited in the order given, filters in order F1 to F4;
+    the first one that fires is the single filter an eliminated candidate cites.
     """
     events: list[FilterEvent] = []
-    for cand in sorted(candidates, key=LinkCandidate.sort_key):
+    for cand in candidates:
         key = cand.key()
         for fid, verdict, detail in _filter_chain(cand):
             events.append(FilterEvent(key, fid, verdict, detail))

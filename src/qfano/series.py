@@ -42,17 +42,6 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable
 
-__all__ = [
-    "DEFAULT_ORDER",
-    "MAX_ORDER",
-    "PowerSeries",
-    "TruncationError",
-    "expand_product",
-    "partition_count",
-    "product_coefficients",
-    "series_equal_upto",
-]
-
 DEFAULT_ORDER = 30
 MAX_ORDER = 10**6  # the longest series expanded on request
 

@@ -825,6 +825,23 @@ def _normal_form_check_fails(monkeypatch):
     return {"normal form form (a)": detail, "normal form form (b)": detail}
 
 
+def _form_a_classed_b(monkeypatch):
+    from qfano import normal_form
+
+    # form (a) comes back unchanged but classed B: its check fails without raising
+    normalize = normal_form.normalize
+    monkeypatch.setattr(normal_form, "normalize", lambda poly: normalize(poly)._replace(form="B"))
+    return {"normal form form (a)": "class=B steps=()"}
+
+
+def _fixture_check_raises_no_message(monkeypatch):
+    def verify(f):
+        raise AssertionError()
+
+    monkeypatch.setattr(fixtures, "verify", verify)
+    return {f"fixture {f.name}": "" for f in fixtures.FIXTURES}
+
+
 @pytest.mark.parametrize(
     "patch",
     [
@@ -833,6 +850,8 @@ def _normal_form_check_fails(monkeypatch):
         _every_split_corrupted,
         _golden_missing,
         _normal_form_check_fails,
+        _form_a_classed_b,
+        _fixture_check_raises_no_message,
     ],
     ids=lambda patch: patch.__name__.lstrip("_"),
 )
@@ -848,6 +867,19 @@ def test_selftest_reports_a_check_that_raises_as_its_own_row(monkeypatch, capsys
     assert failed.keys() == failing.keys()
     assert all(failing[label] in row for label, row in failed.items())
     assert summary == f"selftest: {len(failing)} failure(s)"
+
+
+@pytest.mark.parametrize(
+    "patch", [_form_a_classed_b, _fixture_check_raises_no_message],
+    ids=lambda patch: patch.__name__.lstrip("_"),
+)
+def test_selftest_row_shows_a_detail_only_when_there_is_one(monkeypatch, capsys, patch):
+    failing = patch(monkeypatch)
+    code, out, _ = run(capsys, "selftest")
+    assert code == 1
+    assert [row for row in out.splitlines() if row.startswith("FAIL ")] == [
+        f"FAIL {label}" + (f": {detail}" if detail else "") for label, detail in failing.items()
+    ]
 
 
 @pytest.mark.parametrize("argv", [("link", "--case", "p5", "--json"), ("selftest",)])

@@ -153,6 +153,12 @@ BAD_INDICES = {
     ),
 }
 
+# call: its refusal; in range, but sharing a factor with the index r = 4
+NOT_UNITS = {
+    "QuotientType b=2": (lambda: wps.QuotientType(4, 2), "b=2 invalid for index 4"),
+    "RRBasketEntry wa=2": (lambda: rr.RRBasketEntry(4, 1, 2), "wA=2 must be a unit mod 4"),
+}
+
 # a degree or truncation order that is not an int; each is read through operator.index
 NOT_INT_ORDERS = {
     "is_quasihomogeneous 12.0": lambda: nf.is_quasihomogeneous(POLY, 12.0),
@@ -191,6 +197,12 @@ def test_a_stratum_index_out_of_range_or_repeated_is_refused_by_name(call, named
         call()
     # a plain ValueError, not a stratum failure such as EdgeContained
     assert refused.type is ValueError and named in str(refused.value)
+
+
+@pytest.mark.parametrize("call,refusal", list(NOT_UNITS.values()), ids=list(NOT_UNITS))
+def test_a_residue_sharing_a_factor_with_the_index_is_refused(call, refusal):
+    with pytest.raises(ValueError, match=refusal):
+        call()
 
 
 @pytest.mark.parametrize("call", list(NOT_INT_ORDERS.values()), ids=list(NOT_INT_ORDERS))

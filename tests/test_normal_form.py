@@ -279,6 +279,11 @@ def test_print_parse_roundtrip_fixed():
         assert nf.parse(nf.poly_text(poly)) == poly
 
 
+def test_a_constant_term_prints_as_a_number():
+    assert str(nf.parse("x3 + 2*x3^0")) == "x3 + 2"
+    assert str(nf.parse("-x3^0")) == "-1"
+
+
 def test_is_quasihomogeneous():
     assert nf.is_quasihomogeneous(nf.parse(FORM_A), 12)
     assert nf.is_quasihomogeneous(nf.parse("0"), 0)

@@ -111,6 +111,40 @@ def test_a_survivor_with_no_pinned_target_is_unidentified_in_log_and_transcript(
     assert "None" not in text
 
 
+def test_a_fiber_type_candidate_has_its_own_key(monkeypatch):
+    # the centre of test_birational_candidate_below_index_4_passes_f1_and_skips_f2 gives a
+    # birational and a fiber-type (qhat 3, e 4) candidate with the same split; F3
+    # eliminates the first, the second is final
+    monkeypatch.setitem(sk.CASES, "T", sk.CenterCase("T", "test", 3, (Fraction(1, 3),), 4, ()))
+    transcript = sk.run_case("T")
+    birational, fiber = [c for c in transcript.bare if (c.qhat, c.e) == (3, 4)]
+    assert (birational.key(), fiber.key()) == (
+        "alpha=1/3 qhat=3 e=4", "alpha=1/3 qhat=3 e=4 fiber-type"
+    )
+    assert (birational.status, birational.filter_id, fiber.status) == ("eliminated", "F3", "final")
+    assert fiber.key() in transcript.record()["final"]
+    assert birational.key() not in transcript.record()["final"]
+    assert fiber.key() not in dict(transcript.thresholds)
+    assert fiber.key() not in dict(transcript.contractions)
+    text = transcript.text()
+    assert f"[{birational.key()}] splits k=4: (s=0, beta=1/3)" in text
+    assert f"[{fiber.key()}] splits k=4: (s=0, beta=1/3)" in text
+    assert f"  [{fiber.key()}] target: unidentified\n    k=3: \n" in text
+    beyond = "goes beyond the reference case list; status:"
+    assert f"[{birational.key()}] {beyond} eliminated by F3" in text
+    assert f"[{fiber.key()}] {beyond} final" in text
+
+
+def test_apply_filters_visits_candidates_in_the_order_given():
+    bare = {(c.qhat, c.e): c for c in sk.enumerate_bare(sk.CASES["P5"])}
+    a, b = bare[(7, 4)], bare[(17, 6)]
+    events = sk.apply_filters([b, a])
+    keys = [ev.candidate for ev in events]
+    assert keys == sorted(keys, key=[b.key(), a.key()].index)
+    assert keys[0] == b.key() and keys[-1] == a.key()
+    assert (a.status, b.status, b.filter_id) == ("final", "eliminated", "F4")
+
+
 def test_a_case_with_no_bare_solution_logs_no_candidates():
     case = sk.CenterCase("T", "test", 11, (Fraction(10, 11),), 6, ())
     bare = sk.enumerate_bare(case)
@@ -347,6 +381,20 @@ def test_thresholds(transcripts):
     for name in ("P2", "P5"):
         thresholds = dict(transcripts[name].thresholds)
         assert set(thresholds.values()) == {Fraction(1, 2)}
+
+
+def test_canonical_threshold_reads_only_the_splits_the_filters_recorded():
+    # the P5 survivor before the filters ran: its degree-6 equation has splits,
+    # but none was recorded as admissible
+    cand = sk.LinkCandidate(sk.CASES["P5"], Fraction(1, 5), 7, 4, True)
+    with pytest.raises(sk.Infeasible, match=(
+        r"no \(s_6, beta_6\) split for alpha=1/5 qhat=7 e=4 in case P5 "
+        "among the admissible splits the filters recorded"
+    )):
+        sk.canonical_threshold(cand)
+    sk.apply_filters([cand])
+    assert cand.status == "final"
+    assert sk.canonical_threshold(cand) == Fraction(1, 2)
 
 
 def test_canonical_threshold_undefined():

@@ -98,6 +98,13 @@ def test_series_equal_upto_truncation_error():
         series_equal_upto(a, b, 8)
 
 
+def test_series_equal_upto_refuses_when_only_the_second_series_is_short():
+    a = expand_product(*X12_EXPONENTS, 5)
+    b = expand_product(*X12_EXPONENTS, 3)
+    with pytest.raises(TruncationError, match=r"through t\^4 .* \(have 5 and 3\)"):
+        series_equal_upto(a, b, 4)
+
+
 def test_power_series_validation():
     with pytest.raises(ValueError):
         PowerSeries(())

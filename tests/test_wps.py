@@ -140,6 +140,11 @@ def test_has_monomial_matches_count(weights, d):
     assert wps.has_monomial(weights, d) == (wps.monomial_count(weights, d) > 0)
 
 
+def test_has_monomial_with_no_weights_reaches_only_degree_0():
+    assert wps.has_monomial((), 0)
+    assert not wps.has_monomial((), 3)
+
+
 def least_degrees(weights) -> list:
     """least[k]: the least degree of a monomial congruent to k mod the smallest weight a.
 

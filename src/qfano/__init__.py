@@ -4,6 +4,7 @@ Submodules:
 
 * ``series``       truncated integer power series and their product expansion
 * ``wps``          weighted projective spaces and quasi-smooth hypersurfaces
+* ``report``       the record ``wps.analyze`` returns, loaded by its first call
 * ``riemann_roch`` orbifold Riemann-Roch, its convention checked by a series
 * ``sarkisov``     Sarkisov-link Diophantine case analysis and transcripts
 * ``normal_form``  weighted polynomial algebra and the degree-12 normal form

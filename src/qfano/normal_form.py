@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import add, index, mul
 from typing import Mapping, NamedTuple
@@ -83,10 +83,13 @@ class MissingCornerMonomial(ValueError):
 Term = tuple[int, ...]
 
 
-@dataclass(init=False)  # its own __init__ reduces the terms to integer numerators
 class WeightedPolynomial:
-    """Finite rational combination of monomials over a weight system (module doc)."""
+    """Finite rational combination of monomials over a weight system (module doc).
 
+    A plain class, so that no command loads ``dataclasses`` for it.
+    """
+
+    __slots__ = ("weights", "nums", "den")
     weights: tuple[int, ...]
     nums: dict[Term, int]  # nonzero numerators
     den: int  # > 0, with gcd(den, *nums) == 1
@@ -117,6 +120,14 @@ class WeightedPolynomial:
 
     def degree_of(self, exp: Term) -> int:
         return sum(map(mul, exp, self.weights))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not WeightedPolynomial:
+            return NotImplemented
+        return (self.weights, self.nums, self.den) == (other.weights, other.nums, other.den)
+
+    def __repr__(self) -> str:
+        return f"WeightedPolynomial(weights={self.weights!r}, nums={self.nums!r}, den={self.den!r})"
 
     def __str__(self) -> str:
         return poly_text(self)
@@ -253,8 +264,7 @@ def _times(a: dict[Term, int], b: dict[Term, int]) -> dict[Term, int]:
     return out
 
 
-@dataclass  # mutable: holds a dict of rules, normalized on construction
-class Substitution:
+class Substitution(namedtuple("Substitution", "weights rules")):
     """Degree-preserving rules x_i -> c_i * x_i + g_i, triangular and invertible.
 
     ``rules`` maps a variable position to (c, g) with c a nonzero int or
@@ -262,17 +272,17 @@ class Substitution:
     unmentioned variables stay fixed.
     """
 
-    weights: tuple[int, ...]
-    rules: dict[int, tuple[int | Fraction, WeightedPolynomial]]
+    __slots__ = ()
+    _make = wps._checked_make
 
-    def __post_init__(self) -> None:
-        self.weights = tuple(map(index, self.weights))
-        if self.weights and min(self.weights) < 1:
-            raise ValueError(f"weights must be positive, got {self.weights}")
-        n = len(self.weights)
-        self.rules = {index(i): rule for i, rule in dict(self.rules).items()}
+    def __new__(cls, weights, rules: dict[int, tuple[int | Fraction, WeightedPolynomial]]):
+        weights = tuple(map(index, weights))
+        if weights and min(weights) < 1:
+            raise ValueError(f"weights must be positive, got {weights}")
+        n = len(weights)
+        rules = {index(i): rule for i, rule in dict(rules).items()}
         deps: dict[int, set[int]] = {}
-        for i, (c, g) in self.rules.items():
+        for i, (c, g) in rules.items():
             if not 0 <= i < n:
                 raise ValueError(f"no variable at position {i}")
             if not isinstance(c, (int, Fraction)):
@@ -281,7 +291,7 @@ class Substitution:
                 raise TypeError(f"rule {i}: shift {g!r} is not a WeightedPolynomial")
             if c == 0:
                 raise GradingError(f"rule for position {i} has zero leading coefficient")
-            if g.weights != self.weights:
+            if g.weights != weights:
                 raise GradingError("shift polynomial lives over different weights")
             used = set()
             for exp in g.nums:
@@ -289,10 +299,10 @@ class Substitution:
                     raise GradingError(
                         f"shift for position {i} may not involve the variable itself"
                     )
-                if g.degree_of(exp) != self.weights[i]:
+                if g.degree_of(exp) != weights[i]:
                     raise GradingError(
                         f"shift term of degree {g.degree_of(exp)} breaks the "
-                        f"grading of weight-{self.weights[i]} variable"
+                        f"grading of weight-{weights[i]} variable"
                     )
                 used |= {j for j, a in enumerate(exp) if a > 0}
             deps[i] = used
@@ -303,6 +313,7 @@ class Substitution:
                 raise GradingError("substitution rules form a dependency cycle")
             for i in ready:
                 del deps[i]
+        return super().__new__(cls, weights, rules)
 
 
 def substitute(poly: WeightedPolynomial, subst: Substitution) -> WeightedPolynomial:

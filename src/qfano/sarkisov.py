@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -221,34 +220,35 @@ class Split(NamedTuple):
         return {"s": self.s, "beta": str(self.beta)}
 
 
-@dataclass  # mutable: the filters annotate it in place
 class LinkCandidate:
-    """One bare solution of the governing equation, annotated by the filters."""
+    """One bare solution of the governing equation, annotated in place by the filters.
 
-    case: CenterCase
-    alpha: Fraction
-    qhat: int
-    e: int
-    birational: bool
-    splits: dict[int, tuple[Split, ...]] = field(default_factory=dict)
-    admissible: dict[int, tuple[Split, ...]] = field(default_factory=dict)
-    status: str = "bare"            # bare | eliminated | final
-    filter_id: str | None = None
-    reason: str | None = None
-    target: str | None = None
-    d: int | None = None
-    torsion_options: tuple[int, ...] = ()
-    extra: bool = False
+    A plain class, so that no command loads ``dataclasses`` for it.
+    """
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.alpha, (int, Fraction)) or type(self.birational) is not bool:
-            raise TypeError(f"alpha {self.alpha!r} must be a Fraction or an int, "
-                            f"birational {self.birational!r} a bool")
-        self.qhat, self.e = operator.index(self.qhat), operator.index(self.e)
-        if not isinstance(self.case, CenterCase):
-            raise TypeError(f"case {self.case!r} must be a CenterCase")
-        if self.qhat not in ALLOWED_FANO_INDICES or self.alpha <= 0 or self.e < 1:
+    __slots__ = ("case", "alpha", "qhat", "e", "birational", "splits", "admissible", "status",
+                 "filter_id", "reason", "target", "d", "torsion_options", "extra")
+
+    def __init__(self, case: CenterCase, alpha: Fraction, qhat: int, e: int, birational: bool,
+                 splits: dict[int, tuple[Split, ...]] | None = None, extra: bool = False) -> None:
+        if not isinstance(alpha, (int, Fraction)) or type(birational) is not bool:
+            raise TypeError(f"alpha {alpha!r} must be a Fraction or an int, "
+                            f"birational {birational!r} a bool")
+        self.case, self.alpha, self.birational = case, alpha, birational
+        self.qhat, self.e = operator.index(qhat), operator.index(e)
+        if not isinstance(case, CenterCase):
+            raise TypeError(f"case {case!r} must be a CenterCase")
+        if self.qhat not in ALLOWED_FANO_INDICES or alpha <= 0 or self.e < 1:
             raise ValueError(f"{self.key()}: qhat must be admissible, alpha > 0 and e must be >= 1")
+        self.splits = {} if splits is None else splits
+        self.admissible: dict[int, tuple[Split, ...]] = {}
+        self.status = "bare"  # bare | eliminated | final
+        self.filter_id: str | None = None
+        self.reason: str | None = None
+        self.target: str | None = None
+        self.d: int | None = None
+        self.torsion_options: tuple[int, ...] = ()
+        self.extra = extra
 
     def key(self) -> str:
         """Name in transcripts and logs; a fiber-type candidate's ends in "fiber-type"."""
@@ -644,8 +644,10 @@ class Transcript(NamedTuple):
         lines += ["", f"final solutions: {len(self.final)}"]
         for cand in self.final:
             lines.append(f"  [{cand.key()}] target: {cand.target or 'unidentified'}")
-            for k in DIMS:
-                lines.append(f"    k={k}: " + " ".join(map(str, cand.admissible.get(k) or ())))
+            if not cand.birational:  # no filter ran: the reason apply_filters recorded
+                lines.append(f"    {cand.reason}")
+                continue
+            lines += [f"    k={k}: " + " ".join(map(str, cand.admissible[k])) for k in DIMS]
             if cand.d is not None:
                 lines.append(f"    d = {cand.d}, |T(target)| = d/e = {Fraction(cand.d, cand.e)}")
             else:

@@ -39,7 +39,6 @@ any series machinery on purpose.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterable
 
 DEFAULT_ORDER = 30
@@ -50,14 +49,19 @@ class TruncationError(ValueError):
     """An operation needs more coefficients than a series holds."""
 
 
-@dataclass(frozen=True)  # a tuple base would make len, iteration and + tuple operations
 class PowerSeries:
-    """A truncated formal series sum_{m<=order} c_m t^m with int coefficients."""
+    """A truncated formal series sum_{m<=order} c_m t^m with int coefficients.
 
+    Read-only, and equal and hashed by its coefficients. A plain class, so that no
+    command loads ``dataclasses`` for it; a tuple base would make len, iteration
+    and + tuple operations.
+    """
+
+    __slots__ = ("coefficients",)
     coefficients: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(self.coefficients)
+    def __init__(self, coefficients) -> None:
+        coeffs = tuple(coefficients)
         if not coeffs:
             raise ValueError("a series needs at least the constant coefficient")
         if not set(map(type, coeffs)) <= {int}:
@@ -70,6 +74,20 @@ class PowerSeries:
         series = object.__new__(cls)
         object.__setattr__(series, "coefficients", coeffs)
         return series
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a PowerSeries")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not PowerSeries:
+            return NotImplemented
+        return self.coefficients == other.coefficients
+
+    def __hash__(self) -> int:
+        return hash(self.coefficients)
+
+    def __repr__(self) -> str:
+        return f"PowerSeries(coefficients={self.coefficients!r})"
 
     @property
     def order(self) -> int:

@@ -50,7 +50,6 @@ import math
 import operator
 from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -482,16 +481,13 @@ def edge_singularities(
     return verdict.count, verdict.quotient
 
 
-@dataclass(frozen=True)  # bench/test_bench.py calls dataclasses.replace on it
-class AnalysisReport:
-    shape: HypersurfaceShape
-    fano_index: int
-    a3: Fraction
-    basket: Basket | None
-    genus: int
-    hilbert: PowerSeries
-    strata: tuple[StratumVerdict, ...]
-    warnings: tuple[str, ...]
+def _report(**fields) -> AnalysisReport:
+    """Build the first report: load ``report`` (and with it ``dataclasses``), then rebind
+    ``_report`` to its class, so that later reports run no import statement."""
+    global _report
+    from .report import AnalysisReport as _report
+
+    return _report(**fields)
 
 
 def _walk(shape: HypersurfaceShape) -> Iterator[tuple[StratumVerdict, Failure]]:
@@ -559,7 +555,7 @@ def analyze(shape: HypersurfaceShape, order: int | None = None) -> AnalysisRepor
             warnings[key] = warnings.get(key, 0) + 1
     # one expansion serves both the genus (t^q) and the reported series
     series = hilbert(shape, max(order, q))
-    return AnalysisReport(
+    return _report(
         shape=shape,
         fano_index=q,
         a3=degree_a3(shape),

@@ -927,23 +927,33 @@ def test_parsing_imports_no_computation_module(argv):
     assert not modules & {"json", "difflib"}
 
 
+# only analyze's report (qfano.report) and riemann_roch's records are dataclasses
+NO_DATACLASSES = {"dataclasses", "inspect"}
+
+
 @pytest.mark.parametrize(
     "argv,present,absent",
     [
         (
             ("hilbert", "--weights", "3,4,5,6,7", "--degree", "12"),
             {"qfano.wps"},
-            {"qfano.sarkisov", "qfano.normal_form", "qfano.riemann_roch", "qfano.fixtures", "json", "difflib"},
+            {"qfano.sarkisov", "qfano.normal_form", "qfano.riemann_roch", "qfano.fixtures", "json", "difflib"}
+            | NO_DATACLASSES,
         ),
         (
             ("normalize", "--input", "EQUATION", "--json"),
             {"qfano.normal_form"},
-            {"qfano.sarkisov", "qfano.riemann_roch", "qfano.fixtures", "difflib"},
+            {"qfano.sarkisov", "qfano.riemann_roch", "qfano.fixtures", "difflib"} | NO_DATACLASSES,
         ),
         (
             ("link", "--case", "p5"),
             {"qfano.sarkisov", "qfano.wps"},
-            {"qfano.normal_form", "qfano.riemann_roch", "qfano.fixtures", "difflib"},
+            {"qfano.normal_form", "qfano.riemann_roch", "qfano.fixtures", "difflib"} | NO_DATACLASSES,
+        ),
+        (
+            ("analyze", "--weights", "3,4,5,6,7", "--degree", "12"),
+            {"qfano.wps", "qfano.report"},
+            {"qfano.sarkisov", "qfano.normal_form", "qfano.riemann_roch", "qfano.fixtures"},
         ),
         (
             ("selftest",),
@@ -951,7 +961,7 @@ def test_parsing_imports_no_computation_module(argv):
             {"json", "difflib"},  # difflib only for a transcript that differs from its golden
         ),
     ],
-    ids=["hilbert", "normalize", "link", "selftest"],
+    ids=["hilbert", "normalize", "link", "analyze", "selftest"],
 )
 def test_each_command_imports_only_what_it_uses(tmp_path, argv, present, absent):
     equation = tmp_path / "equation.txt"

@@ -351,6 +351,27 @@ def test_exponent_entries_are_ints(bad):
     assert list(nf.WeightedPolynomial(WS, {(True, 0, 0, 3, 0): 1}).nums) == [(1, 0, 0, 3, 0)]
 
 
+def test_polynomial_equality_compares_weights_numerators_and_denominator():
+    x3_4 = (4, 0, 0, 0, 0)
+    poly = nf.WeightedPolynomial(WS, {x3_4: 1})
+    assert poly == nf.WeightedPolynomial(list(WS), {x3_4: Fraction(2, 2)})
+    assert poly != nf.WeightedPolynomial((3, 4, 5, 6, 8), {x3_4: 1})  # weights differ
+    assert poly != nf.WeightedPolynomial(WS, {x3_4: 2})  # numerators differ
+    assert poly != nf.WeightedPolynomial(WS, {x3_4: Fraction(1, 2)})  # denominators differ
+    assert poly != poly.nums
+
+
+def test_a_replaced_substitution_field_is_checked_again():
+    g = nf.WeightedPolynomial(WS, {(2, 0, 0, 0, 0): Fraction(-1)})
+    sub = nf.Substitution(WS, {WS.index(6): (Fraction(1), g)})
+    assert sub._replace(weights=list(WS)).weights == WS
+    assert sub._replace(rules={}) == nf.Substitution(WS, {})
+    with pytest.raises(nf.GradingError, match="breaks the grading of weight-7 variable"):
+        sub._replace(rules={WS.index(7): (1, g)})
+    with pytest.raises(nf.GradingError, match="shift polynomial lives over different weights"):
+        sub._replace(weights=(3, 4, 5, 6, 8))
+
+
 @pytest.mark.parametrize("bad", [0.5, 1.0, "1/3", Decimal("0.5"), None], ids=repr)
 def test_coefficients_are_ints_or_fractions(bad):
     with pytest.raises(TypeError, match="not an int or a Fraction"):

@@ -1,6 +1,5 @@
 """Sarkisov-link case enumeration, filters, transcripts, second contractions."""
 
-import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -129,7 +128,10 @@ def test_a_fiber_type_candidate_has_its_own_key(monkeypatch):
     text = transcript.text()
     assert f"[{birational.key()}] splits k=4: (s=0, beta=1/3)" in text
     assert f"[{fiber.key()}] splits k=4: (s=0, beta=1/3)" in text
-    assert f"  [{fiber.key()}] target: unidentified\n    k=3: \n" in text
+    assert f"  [{fiber.key()}] target: unidentified\n    {fiber.reason}\n" in text
+    assert fiber.reason == "fiber-type contraction: no torsion or effectivity data applies"
+    assert [line for line in text.splitlines() if line.endswith(" ")] == []
+    assert "|T(target)| options: ()" not in text
     beyond = "goes beyond the reference case list; status:"
     assert f"[{birational.key()}] {beyond} eliminated by F3" in text
     assert f"[{fiber.key()}] {beyond} final" in text
@@ -750,4 +752,6 @@ def test_verify_equation_rejects_a_corrupted_split(transcripts, name):
                 sk.Split(sp.s, sp.beta - step),
             ):
                 corrupted = {**cand.splits, k: splits[:i] + (bad,) + splits[i + 1 :]}
-                assert not sk.verify_equation(dataclasses.replace(cand, splits=corrupted))
+                copy = sk.LinkCandidate(cand.case, cand.alpha, cand.qhat, cand.e, cand.birational,
+                                        splits=corrupted)
+                assert not sk.verify_equation(copy)

@@ -66,3 +66,33 @@ def test_bench_pairs_reads_the_declared_end_to_end_metrics():
     declared = json.loads(pairs.BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]
     assert {m["better"] for m in declared} <= {"higher", "lower"}
     assert all({"name", "unit", "better"} <= m.keys() for m in declared)
+
+
+def test_bench_pairs_writes_each_run_and_the_comparison_by_workload(tmp_path):
+    pairs = load_script("bench_pairs.py")
+    metrics = [{"name": "p50_ms", "unit": "ms", "better": "lower"}]
+
+    def runs(side: str, rev: str, values: list[float]) -> list[dict]:
+        meta = {"git_rev": rev, "python": "3.11.7", "src_lines": 2746 if side == "parent" else 2771}
+        return [{"seed": seed, "meta": meta, "result": result_line(100, value)}
+                for seed, value in zip((1, 2, 3), values)]
+
+    paired = {"parent": runs("parent", "54cf30c" + "0" * 33, [3.0, 2.0, 1.0]),
+              "change": runs("change", "abcdef1" + "2" * 33, [2.0, 2.5, 0.5])}
+    path = pairs.write(tmp_path, "cli_cold", 30, metrics, paired)
+    assert path == tmp_path / "BENCH_abcdef1.json"
+    written = json.loads(path.read_text(encoding="utf-8"))
+    assert written["cli_cold"]["runs"] == paired and written["cli_cold"]["seconds"] == 30
+    assert written["cli_cold"]["metrics"] == {
+        "p50_ms": {
+            "unit": "ms", "better": "lower",
+            "parent": {"q1": 1.5, "median": 2.0, "q3": 2.5},
+            "change": {"q1": 1.25, "median": 2.0, "q3": 2.25},
+            "change_pct": 0.0, "won": 2, "pairs": 3,
+        }
+    }
+    # a second workload joins the same file; the first stays as it was
+    pairs.write(tmp_path, "scan", 10, metrics, paired)
+    both = json.loads(path.read_text(encoding="utf-8"))
+    assert sorted(both) == ["cli_cold", "scan"] and both["cli_cold"] == written["cli_cold"]
+    assert [p.name for p in tmp_path.iterdir()] == ["BENCH_abcdef1.json"]

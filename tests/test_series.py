@@ -116,6 +116,15 @@ def test_power_series_validation():
         PowerSeries((Fraction(1, 2),))
 
 
+def test_power_series_is_a_read_only_value():
+    a, b = PowerSeries((1, 0, 1)), expand_product((), (2,), 2)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != PowerSeries((1, 0, 1, 0)) and a != (1, 0, 1)
+    with pytest.raises(AttributeError):
+        a.coefficients = (2,)
+    assert a.coefficients == (1, 0, 1) and repr(a) == "PowerSeries(coefficients=(1, 0, 1))"
+
+
 def test_hilbert_and_riemann_roch_coefficients_are_ints():
     for f in fixtures.FIXTURES:
         data = riemann_roch.calibrated_data(f.shape)

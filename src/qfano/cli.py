@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 # sarkisov.CASES in lower case, spelled out so that parsing imports nothing
 GOLDEN_CASES = ("ng", "p2", "p3", "p5", "p7")
@@ -77,12 +77,10 @@ def _terms(args) -> int | None:
     return args.terms
 
 
-class Answer(NamedTuple):
+class Answer(namedtuple("Answer", "record text code", defaults=(0,))):
     """A command's whole answer: its JSON record, its text and its exit code."""
 
-    record: dict | None
-    text: str
-    code: int = 0
+    __slots__ = ()
 
 
 def cmd_hilbert(args) -> Answer:
@@ -212,9 +210,10 @@ def _read_file(path: str) -> str:
 
 
 def _golden_text(name: str) -> str:
-    from importlib import resources
-
-    return resources.files("qfano").joinpath(f"golden/{name}.txt").read_text(encoding="utf-8")
+    """golden/<name>.txt beside this module, in the checkout or the installed package."""
+    path = os.path.join(os.path.dirname(__file__), "golden", f"{name}.txt")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def cmd_selftest(args) -> Answer:

@@ -7,8 +7,8 @@ what the CLI self-test runs on load.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import wps
 
@@ -19,13 +19,7 @@ FORM_A = "x5*x7 + x4^3 + x6^2 + x3^4"
 FORM_B = "x5*x7 + x4^3 + x6^2"
 
 
-class Fixture(NamedTuple):
-    name: str
-    shape: wps.HypersurfaceShape
-    fano_index: int
-    a3: Fraction
-    basket_indices: tuple[int, ...]
-    genus: int
+Fixture = namedtuple("Fixture", "name shape fano_index a3 basket_indices genus")
 
 
 FIXTURES: tuple[Fixture, ...] = (

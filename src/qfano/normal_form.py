@@ -53,9 +53,9 @@ from __future__ import annotations
 import math
 import re
 from collections import namedtuple
+from collections.abc import Mapping
 from fractions import Fraction
 from operator import add, index, mul
-from typing import Mapping, NamedTuple
 
 from . import wps
 
@@ -372,13 +372,10 @@ E57, E444, E66, E336, E345, E3333 = (
 )
 
 
-class NormalFormResult(NamedTuple):
-    """Outcome of the degree-12 pipeline: class, residual lambda, log, result."""
+class NormalFormResult(namedtuple("NormalFormResult", "form lam steps final")):
+    """Outcome of the degree-12 pipeline: class ("A" or "B"), residual lambda, log, result."""
 
-    form: str                       # "A" or "B"
-    lam: Fraction
-    steps: tuple[str, ...]
-    final: WeightedPolynomial
+    __slots__ = ()
 
 
 def _rational_cbrt(num: int, den: int) -> tuple[int, int] | None:
@@ -454,10 +451,8 @@ def normalize(poly: WeightedPolynomial) -> NormalFormResult:
     return NormalFormResult("A" if lam else "B", Fraction(lam, square), tuple(steps), final)
 
 
-class EdgePoints(NamedTuple):
-    count: int                      # distinct zeros on the edge line
-    multiplicities: tuple[int, ...]
-    reduced: bool
+# count is the distinct zeros on the edge line
+EdgePoints = namedtuple("EdgePoints", "count multiplicities reduced")
 
 
 def _poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:

@@ -59,10 +59,10 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, cycle, islice, repeat
-from typing import NamedTuple
 
 from . import wps
 from .series import PowerSeries, series_equal_upto
@@ -261,16 +261,14 @@ def infer_generators(series: PowerSeries) -> tuple[tuple[int, ...], int | None]:
     return tuple(generators), None
 
 
-class RelationProfile(NamedTuple):
-    monomials: int      # free monomial count at the degree
-    dimension: int      # Hilbert series coefficient
-    relations: int      # their difference
+# at one degree: the free monomial count, the Hilbert series coefficient, their difference
+RelationProfile = namedtuple("RelationProfile", "monomials dimension relations")
 
 
 def relation_profile(weights, d: int, series: PowerSeries) -> RelationProfile:
     """Free monomial count on generators of these weights vs the series at degree d."""
+    dim = series[d]  # first, so that a degree past the series costs no monomial count
     count = wps.monomial_count(weights, d)
-    dim = series[d]
     if count < dim:
         raise InconsistentSeries(
             f"degree {d}: series coefficient {dim} exceeds the {count} monomials"

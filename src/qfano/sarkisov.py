@@ -69,8 +69,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import wps
 from .wps import ALLOWED_FANO_INDICES
@@ -99,13 +99,10 @@ _CT_DEGREE = 6  # ct(X, |6A|) = alpha / beta_6, and ct <= 1/2 forces beta_6 >= 2
 TARGETS = {19: (3, 4, 5, 7), 17: (2, 3, 5, 7), 11: (1, 2, 3, 5), 7: (1, 1, 2, 3)}
 
 
-class TorsionRow(NamedTuple):
-    """One admissible torsion order for a target index, with its known data."""
+class TorsionRow(namedtuple("TorsionRow", "t basket a3 genus", defaults=(None, None, None))):
+    """One admissible torsion order t for a target index, with its known data, if any."""
 
-    t: int
-    basket: tuple[int, ...] | None = None
-    a3: Fraction | None = None
-    genus: int | None = None
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.basket is None:
@@ -141,15 +138,10 @@ def beta_congruence(q: int, r: int, k: int) -> int:
     return (k * pow(q, -1, r)) % r
 
 
-class CenterCase(NamedTuple):
-    """One center type for the blowup starting the link."""
-
-    name: str
-    description: str
-    r: int | None               # index of the blown-up point; None for NG
-    alphas: tuple[Fraction, ...]
-    k: int                      # linear-system degree governing the enumeration
-    reference_bare: tuple[tuple[Fraction, int, int], ...]  # (alpha, qhat, e)
+# One center type for the blowup starting the link: r is the index of the blown-up
+# point (None for NG), k the linear-system degree governing the enumeration, and
+# reference_bare the expected bare solutions as (alpha, qhat, e)
+CenterCase = namedtuple("CenterCase", "name description r alphas k reference_bare")
 
 
 CASES: dict[str, CenterCase] = {
@@ -207,11 +199,10 @@ CASES: dict[str, CenterCase] = {
 }
 
 
-class Split(NamedTuple):
+class Split(namedtuple("Split", "s beta")):
     """One non-negative solution (s_k, beta_k) of the degree-k equation."""
 
-    s: int
-    beta: Fraction
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"(s={self.s}, beta={self.beta})"
@@ -401,21 +392,15 @@ def _pin_target(candidate: LinkCandidate) -> tuple[int, ...] | None:
     return TARGETS.get(candidate.qhat)
 
 
-class FilterEvent(NamedTuple):
-    candidate: str
-    filter_id: str
-    verdict: str        # pass | eliminated
-    detail: str
+# one filter's verdict ("pass" or "eliminated") on one candidate, by key
+FilterEvent = namedtuple("FilterEvent", "candidate filter_id verdict detail")
 
 
-class SecondContractionSolution(NamedTuple):
+class SecondContractionSolution(namedtuple("SecondContractionSolution", "delta b gammas period")):
     """The least admissible multiplicity vector of the link's second contraction;
     the admissible delta are exactly delta + j * period for j >= 0."""
 
-    delta: int
-    b: Fraction
-    gammas: tuple[tuple[int, int], ...]
-    period: int
+    __slots__ = ()
 
 
 def second_contraction(
@@ -601,16 +586,10 @@ def apply_filters(candidates: list[LinkCandidate]) -> list[FilterEvent]:
     return events
 
 
-class Transcript(NamedTuple):
+class Transcript(namedtuple("Transcript", "case bare events final thresholds contractions notes")):
     """Ordered record of one case: bare set, filter log, final set, extras."""
 
-    case: CenterCase
-    bare: list[LinkCandidate]
-    events: list[FilterEvent]
-    final: list[LinkCandidate]
-    thresholds: list[tuple[str, Fraction]]
-    contractions: list[tuple[str, SecondContractionSolution]]
-    notes: list[str]
+    __slots__ = ()
 
     def text(self) -> str:
         case = self.case

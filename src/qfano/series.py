@@ -39,7 +39,7 @@ any series machinery on purpose.
 from __future__ import annotations
 
 import operator
-from typing import Iterable
+from collections.abc import Iterable
 
 DEFAULT_ORDER = 30
 MAX_ORDER = 10**6  # the longest series expanded on request
@@ -180,6 +180,8 @@ def series_equal_upto(
     a: PowerSeries, b: PowerSeries, order: int
 ) -> tuple[bool, int | None]:
     """Compare coefficients through t^order; report the first mismatch index."""
+    if order < 0:
+        raise ValueError("comparison order must be >= 0")
     if order > a.order or order > b.order:
         raise TruncationError(
             f"comparison through t^{order} needs both series at that order "

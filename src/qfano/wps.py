@@ -51,7 +51,6 @@ import operator
 from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
-from typing import NamedTuple
 
 from .series import DEFAULT_ORDER, MAX_ORDER, PowerSeries, expand_product, product_coefficients
 
@@ -364,14 +363,13 @@ def _normalize_type(r: int, residues: tuple[int, ...]) -> int | NotTerminalIsola
     return min(c, r - c)
 
 
-class StratumVerdict(NamedTuple):
-    """One vertex or edge of the analysis with its status."""
+class StratumVerdict(
+    namedtuple("StratumVerdict", "stratum weights status quotient count", defaults=(None, 0))
+):
+    """One vertex or edge with its status. stratum holds variable positions, weights their
+    weights (for display), count the points on it, whether or not their type is terminal."""
 
-    stratum: tuple[int, ...]          # variable positions
-    weights: tuple[int, ...]          # their weights, for display
-    status: str
-    quotient: QuotientType | None = None
-    count: int = 0                    # points on the stratum, whether or not their type is terminal
+    __slots__ = ()
 
 
 def _quotient_verdict(

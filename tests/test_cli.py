@@ -905,14 +905,18 @@ def test_golden_cases_are_the_link_cases():
 
 
 def loaded_modules(argv) -> set[str]:
-    """Modules in sys.modules after ``cli.main(argv)`` in a new interpreter (after import alone for None)."""
+    """Modules in sys.modules after ``cli.main(argv)`` in a new interpreter (after import alone for None).
+
+    The interpreter runs with -S: a site whose .pth files import typing or
+    importlib.resources first would hide whether qfano imports them.
+    """
     script = "import sys\nfrom qfano import cli\n"
     if argv is not None:
         script += f"cli.main({list(argv)!r})\n"
     script += "sys.stderr.write('\\nMODULES ' + ' '.join(sys.modules))\n"
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     return set(proc.stderr.rsplit("MODULES ", 1)[1].split())
 
@@ -929,6 +933,8 @@ def test_parsing_imports_no_computation_module(argv):
 
 # only analyze's report (qfano.report) and riemann_roch's records are dataclasses
 NO_DATACLASSES = {"dataclasses", "inspect"}
+# records are collections.namedtuple, so no command loads typing
+NO_TYPING = {"typing"}
 
 
 @pytest.mark.parametrize(
@@ -938,27 +944,32 @@ NO_DATACLASSES = {"dataclasses", "inspect"}
             ("hilbert", "--weights", "3,4,5,6,7", "--degree", "12"),
             {"qfano.wps"},
             {"qfano.sarkisov", "qfano.normal_form", "qfano.riemann_roch", "qfano.fixtures", "json", "difflib"}
-            | NO_DATACLASSES,
+            | NO_DATACLASSES | NO_TYPING,
         ),
         (
             ("normalize", "--input", "EQUATION", "--json"),
             {"qfano.normal_form"},
-            {"qfano.sarkisov", "qfano.riemann_roch", "qfano.fixtures", "difflib"} | NO_DATACLASSES,
+            {"qfano.sarkisov", "qfano.riemann_roch", "qfano.fixtures", "difflib"}
+            | NO_DATACLASSES | NO_TYPING,
         ),
         (
             ("link", "--case", "p5"),
             {"qfano.sarkisov", "qfano.wps"},
-            {"qfano.normal_form", "qfano.riemann_roch", "qfano.fixtures", "difflib"} | NO_DATACLASSES,
+            {"qfano.normal_form", "qfano.riemann_roch", "qfano.fixtures", "difflib"}
+            | NO_DATACLASSES | NO_TYPING,
         ),
         (
             ("analyze", "--weights", "3,4,5,6,7", "--degree", "12"),
             {"qfano.wps", "qfano.report"},
-            {"qfano.sarkisov", "qfano.normal_form", "qfano.riemann_roch", "qfano.fixtures"},
+            {"qfano.sarkisov", "qfano.normal_form", "qfano.riemann_roch", "qfano.fixtures"}
+            | NO_TYPING,
         ),
         (
             ("selftest",),
             {"qfano.sarkisov", "qfano.normal_form", "qfano.riemann_roch", "qfano.fixtures"},
-            {"json", "difflib"},  # difflib only for a transcript that differs from its golden
+            # difflib only for a transcript that differs from its golden; the goldens are
+            # read by path, not through importlib.resources and its zip reader
+            {"json", "difflib", "importlib.resources", "zipfile"} | NO_TYPING,
         ),
     ],
     ids=["hilbert", "normalize", "link", "analyze", "selftest"],

@@ -16,6 +16,7 @@ from qfano import normal_form as nf
 from qfano import riemann_roch as rr
 from qfano import wps
 from qfano.fixtures import FORM_A, FORM_B, X12_SHAPE
+from qfano.series import TruncationError
 
 
 class _Tokenizer:
@@ -865,6 +866,18 @@ def test_relation_profile_exceeds():
     fat = PowerSeries(tuple(100 if m == 6 else 1 for m in range(13)))
     with pytest.raises(rr.InconsistentSeries, match="coefficient 100 exceeds the 2 monomials"):
         rr.relation_profile(WS, 6, fat)
+
+
+@pytest.mark.parametrize("d", [31, 10**6])
+def test_relation_profile_reads_the_series_before_counting_monomials(monkeypatch, d):
+    # the count is O(n*d): a degree past the series must be refused before it is made
+    def refuse(weights, degree):
+        raise AssertionError(f"monomial_count({weights}, {degree}) called")
+
+    series = wps.hilbert(X12_SHAPE, 30)
+    monkeypatch.setattr(wps, "monomial_count", refuse)
+    with pytest.raises(TruncationError, match=f"t\\^{d} requested"):
+        rr.relation_profile(WS, d, series)
 
 
 def test_edge_restriction_points_form_a():

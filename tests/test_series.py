@@ -105,6 +105,13 @@ def test_series_equal_upto_refuses_when_only_the_second_series_is_short():
         series_equal_upto(a, b, 4)
 
 
+def test_series_equal_upto_refuses_a_negative_order():
+    # an empty comparison would report equality having compared nothing
+    series = expand_product(*X12_EXPONENTS, 5)
+    with pytest.raises(ValueError, match="comparison order must be >= 0"):
+        series_equal_upto(series, series, -1)
+
+
 def test_power_series_validation():
     with pytest.raises(ValueError):
         PowerSeries(())

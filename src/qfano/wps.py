@@ -31,16 +31,13 @@ Conventions fixed for determinism: weights are sorted ascending on
 construction, monomials are listed in descending lexicographic order on
 exponent vectors, and baskets are sorted by (r, b).
 
-Quasi-smoothness is checked only on strata of dimension <= 1, which suffices
-for every shape shipped with the package. One walk over every vertex, then
-every edge, for d = 0 and d > 0 alike, gives the verdicts that ``basket`` and
-``analyze`` both read; each counts its stratum's points, terminal or not.
-Each rule returns its verdict with the failure it records, or None; only
-``basket``, ``vertex_singularity`` and ``edge_singularities`` raise it, and a
-contained edge or a vertex that is not quasi-smooth records its class alone,
-worded where raised. A member containing an edge is reported, not analyzed.
-On other edges, points off the vertices = degree-d monomials in the edge's
-two variables minus one; a gcd > 1 edge with none gets no verdict.
+Quasi-smoothness is one rule on every coordinate stratum (Iano-Fletcher 2000, Thm 8.1),
+applied by one walk over every vertex, every edge and the planes ``_walk`` shows need it;
+``basket`` and ``analyze`` both read its verdicts, each counting its stratum's points,
+terminal or not (``edge_singularities`` says how an edge's are counted). Each rule returns
+its verdict with the failure it records, or None; only ``basket``, ``vertex_singularity``
+and ``edge_singularities`` raise it, and most failures record their class alone, worded
+where raised.
 """
 
 from __future__ import annotations
@@ -60,11 +57,11 @@ class NotFano(ValueError):
 
 
 class NotQuasiSmoothAtVertex(ValueError):
-    """A coordinate vertex lies on the hypersurface with no admissible monomial."""
+    """A coordinate vertex, edge or plane lies on the hypersurface without Thm 8.1's monomials."""
 
 
 class EdgeContained(ValueError):
-    """The hypersurface contains a coordinate edge; out of analysis scope."""
+    """A polynomial vanishes on a coordinate edge (``normal_form.edge_restriction_points``)."""
 
 
 class NotTerminalIsolated(ValueError):
@@ -387,13 +384,13 @@ Failure = ValueError | type[ValueError] | None  # a class is worded by _worded w
 
 def _worded(verdict: StratumVerdict, failure: ValueError | type[ValueError], d: int) -> ValueError:
     """The exception a failed stratum raises: a recorded class is worded from weights and d."""
+    if not isinstance(failure, type):
+        return failure
     w = verdict.weights
-    if failure is NotQuasiSmoothAtVertex:
-        return failure(f"vertex w={w[0]} lies on the member but no monomial x_{w[0]}^n or "
-                       f"x_{w[0]}^n*x_j of degree {d} exists")
-    if failure is EdgeContained:
-        return failure(f"no degree-{d} monomial in x_{w[0]}, x_{w[1]}: member contains the edge")
-    return failure
+    if len(w) > 1:
+        return failure(_warning(verdict))
+    return failure(f"vertex w={w[0]} lies on the member but no monomial x_{w[0]}^n or "
+                   f"x_{w[0]}^n*x_j of degree {d} exists")
 
 
 def _vertex(ws: tuple[int, ...], d: int, i: int) -> tuple[StratumVerdict, Failure]:
@@ -433,21 +430,27 @@ def vertex_singularity(shape: HypersurfaceShape, i: int) -> QuotientType | None:
     return verdict.quotient
 
 
-def _edge(ws: tuple[int, ...], d: int, i: int, j: int) -> tuple[StratumVerdict, Failure] | None:
-    """``edge_singularities``'s verdict on sorted weights, with the failure it records. Points
-    off the vertices = degree-d monomials in x_i, x_j minus one; None for gcd 1 or no point."""
+def _edge(ws: tuple[int, ...], d: int, i: int, j: int) -> tuple | None:
+    """``edge_singularities``'s verdict on sorted weights, with the failure it records; None
+    for no point, and () for a contained coprime edge that passes, which ``_walk`` reads."""
     wi, wj = ws[i], ws[j]
     m = math.gcd(wi, wj)
-    if d == 0 and m > 1:
-        return StratumVerdict((i, j), (wi, wj), "singular-edge"), NotTerminalIsolated(
-            f"weights {wi}, {wj} share a factor: singular locus along the edge"
-        )
     # x_i^a x_j^c has degree d iff a*w_i = d mod w_j, which fixes a mod w_j/m; the least
     # such a decides whether one fits under d, and each further one (a + w_j/m) is a point
     step = wj // m
-    a = d // m * pow(wi // m, -1, step) % step
-    if d % m or a * wi > d:
-        return StratumVerdict((i, j), (wi, wj), "edge-contained"), EdgeContained
+    inv = pow(wi // m, -1, step)
+    a = d // m * inv % step
+    contained = d % m or a * wi > d
+    if m > 1 and (contained or d == 0):
+        return StratumVerdict((i, j), (wi, wj), "singular-edge"), NotTerminalIsolated
+    if contained:  # quasi-smooth iff two distinct x_e carry some x_i^a*x_j^c*x_e of degree d
+        found = 0  # a loop, as sum() of a generator would make cells of four locals per call
+        for w in ws:  # t = d - w_e has a monomial in x_i, x_j; never so for e = i, j (contained)
+            if 0 < (t := d - w) >= t * inv % step * wi:
+                found += 1
+        if found > 1:
+            return ()
+        return StratumVerdict((i, j), (wi, wj), "not-quasi-smooth"), NotQuasiSmoothAtVertex
     count = (d - a * wi) // (wi * step)
     if m == 1 or count == 0:
         return None
@@ -460,18 +463,18 @@ def edge_singularities(
 ) -> tuple[int, QuotientType] | None:
     """Singular points along the (i, j) edge: (count, type), or None.
 
-    On the space itself (d = 0) an edge whose weights share a factor is a
-    curve of singularities (NotTerminalIsolated). For d > 0 the general member
-    needs a monomial of degree d purely in {x_i, x_j}; otherwise it contains
-    the edge and the analysis is out of scope (EdgeContained). Points off the
-    vertices = such monomials minus one; a gcd > 1 edge with none gives None.
-    Two indices that are equal or outside 0..n-1 are refused (ValueError).
+    An edge whose weights share a factor is a curve of singularities (NotTerminalIsolated)
+    on the space (d = 0), and where the general member contains it: where no degree-d
+    monomial is purely in x_i, x_j. A contained coprime edge has no point; it raises
+    NotQuasiSmoothAtVertex unless two distinct x_e outside it have a monomial x_i^a*x_j^c*x_e
+    of degree d. On other edges, points off the vertices = those monomials minus one; a
+    gcd > 1 edge with none gives None. Two indices equal or outside 0..n-1 raise ValueError.
     """
     ws, i, j = shape.weights, operator.index(i), operator.index(j)
     if i == j or not (0 <= i < len(ws) and 0 <= j < len(ws)):
         raise ValueError(f"edge ({i}, {j}) needs two distinct indices in 0..{len(ws) - 1}")
     result = _edge(ws, shape.degree, i, j)
-    if result is None:
+    if not result:
         return None
     verdict, failure = result
     if failure is not None:
@@ -489,18 +492,29 @@ def _report(**fields) -> AnalysisReport:
 
 
 def _walk(shape: HypersurfaceShape) -> Iterator[tuple[StratumVerdict, Failure]]:
-    """Every vertex, then every edge: the verdict each rule returns, with the
-    failure it records (``Failure``). Edges that carry no singular point get
-    no verdict. The rules return failures rather than raise them, so a failed
-    stratum costs no traceback, and one recorded as a class no message.
+    """Every vertex, every edge, then the planes that need a test: each rule's verdict and the
+    failure it records (``Failure``), returned, not raised, so no traceback; none for a stratum
+    with no point and no failure. Thm 8.1 asks of a set I of 3 or 4 variables a degree-d
+    monomial in x_I alone, as fewer than |I| variables lie outside I. A plane needs a test only
+    where its three edges are contained and pass: else an edge's monomial lies in its variables,
+    or the shape has failed. A 4-set never does: without that monomial, each edge inside it is
+    contained and has at most one qualifying x_e, the fifth variable, so it has failed.
     """
     ws, d = shape.weights, shape.degree
     for i in range(len(ws)):
         yield _vertex(ws, d, i)
+    passed = []  # the contained edges that pass, in order
     for i, j in itertools.combinations(range(len(ws)), 2):
         result = _edge(ws, d, i, j)
-        if result is not None:
+        if result:
             yield result
+        elif result is not None:
+            passed.append((i, j))
+    for i, j in passed:  # each plane (i, j, k) from its first edge, so in order
+        for k in range(j + 1, len(ws)):
+            plane = (ws[i], ws[j], ws[k])
+            if (i, k) in passed and (j, k) in passed and not has_monomial(plane, d):
+                yield StratumVerdict((i, j, k), plane, "not-quasi-smooth"), NotQuasiSmoothAtVertex
 
 
 def _basket_of(verdicts: list[StratumVerdict]) -> Basket:
@@ -526,31 +540,23 @@ def analyze(shape: HypersurfaceShape, order: int | None = None) -> AnalysisRepor
     """Full combinatorial report for a shape; singularity failures become warnings.
 
     Each stratum's verdict counts its points, whether or not their type is terminal. Each
-    distinct warning is given once; contained edges of equal weights share one warning that
-    counts them. Other than theirs and a vertex's, a warning is its failure's message. A shape
-    whose index q exceeds MAX_ORDER is refused (ValueError) before anything is walked or expanded.
+    distinct warning is given once: a failure's message, or ``_warning`` of one recorded as a
+    class. A shape whose index q exceeds MAX_ORDER is refused (ValueError) before anything is
+    walked or expanded.
     """
     q = _expandable_index(shape)
     order = max(q, DEFAULT_ORDER) if order is None else operator.index(order)
     ws = shape.weights
-    # each warning once, in order of first appearance; contained edges are
-    # keyed by their weights and counted, and worded once the count is known
-    warnings: dict[str | tuple[int, ...], int] = {}
+    warnings: dict[str, None] = {}  # each once, in order of first appearance
     if not _well_formed(ws):  # the shape has already sorted and checked its weights
-        warnings[f"weights {ws} are not well-formed"] = 1
+        warnings[f"weights {ws} are not well-formed"] = None
     strata: list[StratumVerdict] = []
     failed = False
     for verdict, failure in _walk(shape):
         strata.append(verdict)
         if failure is not None:
             failed = True
-            if verdict.status == "edge-contained":
-                key = verdict.weights
-            elif verdict.status == "not-quasi-smooth":
-                key = vertex_warning(verdict.weights[0])
-            else:
-                key = str(failure)
-            warnings[key] = warnings.get(key, 0) + 1
+            warnings[_warning(verdict) if isinstance(failure, type) else str(failure)] = None
     # one expansion serves both the genus (t^q) and the reported series
     series = hilbert(shape, max(order, q))
     return _report(
@@ -561,9 +567,7 @@ def analyze(shape: HypersurfaceShape, order: int | None = None) -> AnalysisRepor
         genus=series[q] - 2,
         hilbert=series if order >= q else series.truncate(order),
         strata=tuple(strata),
-        warnings=tuple(
-            [key if type(key) is str else _contained_warning(key, n) for key, n in warnings.items()]
-        ),
+        warnings=tuple(warnings),
     )
 
 
@@ -572,6 +576,13 @@ def vertex_warning(weight: int) -> str:
     return f"not quasi-smooth at vertex w={weight}"
 
 
-def _contained_warning(weights: tuple[int, ...], edges: int) -> str:
-    what = "the edge" if edges == 1 else f"{edges} edges"
-    return f"member contains {what} w=({weights[0]},{weights[1]}); analysis out of scope"
+def _warning(verdict: StratumVerdict) -> str:
+    """How ``analyze`` words a failure recorded as a class: not quasi-smooth at edge w=(3,5)."""
+    w = verdict.weights
+    if verdict.status == "singular-edge":
+        return f"weights {w[0]}, {w[1]} share a factor: singular locus along the edge"
+    if len(w) == 1:
+        return vertex_warning(w[0])
+    if len(w) == 2:  # field by field: edges fail often, and a join costs about 3x as much
+        return f"not quasi-smooth at edge w=({w[0]},{w[1]})"
+    return f"not quasi-smooth at plane w=({w[0]},{w[1]},{w[2]})"

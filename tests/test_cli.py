@@ -316,15 +316,21 @@ def test_analyze_poly_not_quasi_homogeneous_exit_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "weights,degree,edge",
-    [("1,2,3,5,7", "7", "3,5"), ("1,3,4,5,11", "11", "4,5"), ("2,3,5,7,23", "23", "5,7"), ("3,4,5,7,17", "17", "4,7")],
+    "weights,degree",
+    [("1,2,3,5,7", "7"), ("1,3,4,5,11", "11"), ("2,3,5,7,23", "23"), ("3,4,5,7,17", "17")],
 )
-def test_analyze_contained_coprime_edge_warns(capsys, weights, degree, edge):
+def test_analyze_linear_cone_with_a_contained_coprime_edge_has_its_space_basket(
+    capsys, weights, degree
+):
+    # each member contains a coprime edge, and two variables outside it qualify; as a
+    # linear cone over the space of its first four weights it has that space's basket
     code, out, err = run(capsys, "analyze", "--weights", weights, "--degree", degree, "--json")
     assert code == 0 and err == ""
     payload = json.loads(out)
-    assert payload["basket"] == []
-    assert payload["warnings"] == [f"member contains the edge w=({edge}); analysis out of scope"]
+    space = weights.rsplit(",", 1)[0]
+    code, out, err = run(capsys, "analyze", "--space", space, "--json")
+    assert code == 0 and err == ""
+    assert payload["warnings"] == [] and payload["basket"] == json.loads(out)["basket"] != []
 
 
 # every example, however large its degree, --terms or weights, must finish in this time
@@ -745,13 +751,8 @@ def _chi_fractional_at_30(rr, monkeypatch):
     return "chi(30A) = 1/2 is not an integer"
 
 
-def _orientation_flipped(rr, monkeypatch):
-    monkeypatch.setattr(rr, "orientation_sign", lambda q, entries: 1)
-    return "sign=1"
-
-
 @pytest.mark.parametrize(
-    "patch", [_calibration_fails, _chi_fractional_at_30, _orientation_flipped],
+    "patch", [_calibration_fails, _chi_fractional_at_30],
     ids=lambda patch: patch.__name__.lstrip("_"),
 )
 def test_selftest_detects_riemann_roch_failures(monkeypatch, capsys, patch):

@@ -184,7 +184,7 @@ def test_calibrated_series_equal_the_closed_form_over_four_periods():
             continue
         assert rr.hilbert_rr(data, 4 * period) == wps.hilbert(shape, 4 * period), shape
         checked += 1
-    assert checked == 131
+    assert checked == 134
 
 
 @functools.cache
@@ -464,7 +464,7 @@ def test_flip_search_finds_exactly_the_calibrated_data():
     # the flip search raises unless exactly one assignment matches; feeding it
     # either orientation of the calibrated entries must land on calibrated_data
     corpus = clean_shapes(10)
-    assert len(corpus) == 126
+    assert len(corpus) == 129
     for shape in list(FIXTURE_SHAPES.values()) + corpus:
         oracle = wps.hilbert(shape, 24)
         data = rr.calibrated_data(shape, 24)

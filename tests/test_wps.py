@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from test_wps_census import small_shapes
 from qfano import fixtures, wps
+from qfano import riemann_roch as rr
 from qfano import sarkisov as sk
 from qfano.series import MAX_ORDER
 from qfano.series import partition_count
@@ -387,10 +388,11 @@ def test_edge_singularities_x12():
         assert wps.edge_singularities(X12, i, j) == wps.edge_singularities(X12, j, i)
 
 
-def test_edge_contained_error():
-    # no pure {x4, x6} monomial of odd degree 11 over (3,4,5,6,7)
+def test_contained_edge_of_weights_with_a_shared_factor_is_a_curve_of_singularities():
+    # no pure {x4, x6} monomial of odd degree 11 over (3,4,5,6,7): the member contains
+    # the edge, whose points all have the stabilizer Z/2, as on the space itself
     shape = wps.HypersurfaceShape((3, 4, 5, 6, 7), 11)
-    with pytest.raises(wps.EdgeContained):
+    with pytest.raises(wps.NotTerminalIsolated, match="weights 4, 6 share a factor: singular locus"):
         wps.edge_singularities(shape, 1, 3)
 
 
@@ -424,19 +426,25 @@ def test_rules_on_the_space_itself():
     st.integers(min_value=1, max_value=200),
     st.sampled_from(list(itertools.combinations(range(5), 2))),
 )
-def test_edge_contained_iff_no_monomial_in_its_two_variables(weights, d, edge):
+def test_a_contained_edge_is_decided_by_the_variables_outside_it(weights, d, edge):
     if not wps.has_monomial(weights, d):
         return
     shape = wps.HypersurfaceShape(weights, d)
-    contained = False
     try:
-        wps.edge_singularities(shape, *edge)
-    except wps.EdgeContained:
-        contained = True
-    except wps.NotTerminalIsolated:
-        pass
+        outcome = wps.edge_singularities(shape, *edge)
+    except ValueError as exc:
+        outcome = exc
     pair = tuple(shape.weights[k] for k in edge)
-    assert contained == (not wps.has_monomial(pair, d))
+    if wps.has_monomial(pair, d):
+        assert not isinstance(outcome, wps.NotQuasiSmoothAtVertex)
+        assert "share a factor" not in str(outcome)
+    elif math.gcd(*pair) > 1:
+        assert isinstance(outcome, wps.NotTerminalIsolated) and "share a factor" in str(outcome)
+    else:
+        # Thm 8.1 for |I| = 2: two distinct x_e outside with a degree-d x_i^a*x_j^c*x_e
+        outside = [w for k, w in enumerate(shape.weights) if k not in edge]
+        qualify = sum(d > w and wps.has_monomial(pair, d - w) for w in outside)
+        assert outcome is None if qualify >= 2 else isinstance(outcome, wps.NotQuasiSmoothAtVertex)
 
 
 def test_hilbert_low_degree_coefficients():
@@ -668,7 +676,7 @@ def test_q_is_a_unit_mod_every_index_of_an_accepted_basket():
             continue
         baskets += 1
         points += basket_points_obey_the_unit_lemma(shape)
-    assert (baskets, points) == (88, 274)
+    assert (baskets, points) == (91, 285)
     for fixture in fixtures.FIXTURES:
         assert basket_points_obey_the_unit_lemma(fixture.shape) >= 1
     # the link's centres are points of X12's basket, where q = sarkisov.Q = 13
@@ -722,8 +730,8 @@ def test_fixture_lookup_and_each_verify_mismatch():
     ]
 
 
-# shapes whose general member contains a coprime coordinate edge and has no
-# other defect, so that basket() is reached
+# linear cones whose general member contains a coprime coordinate edge with two
+# qualifying variables outside it, and has no other defect
 CONTAINED_COPRIME_EDGES = [
     ((1, 2, 3, 5, 7), 7, (3, 5)),
     ((1, 3, 4, 5, 11), 11, (4, 5)),
@@ -733,32 +741,58 @@ CONTAINED_COPRIME_EDGES = [
 
 
 @pytest.mark.parametrize("weights,d,edge", CONTAINED_COPRIME_EDGES)
-def test_analyze_warns_on_contained_coprime_edge(weights, d, edge):
+def test_a_contained_coprime_edge_that_passes_adds_no_point(weights, d, edge):
     shape = wps.HypersurfaceShape(weights, d)
+    i, j = (shape.weights.index(w) for w in edge)
+    assert math.gcd(*edge) == 1 and not wps.has_monomial(edge, d)
+    assert wps._edge(shape.weights, d, i, j) == ()
+    assert wps.edge_singularities(shape, i, j) is None
     report = wps.analyze(shape)
-    assert report.basket is None
-    assert report.warnings == (
-        f"member contains the edge w=({edge[0]},{edge[1]}); analysis out of scope",
-    )
-    contained = [v for v in report.strata if v.status == "edge-contained"]
-    assert [v.weights for v in contained] == [edge]
-    assert math.gcd(*edge) == 1
-    with pytest.raises(wps.EdgeContained):
-        wps.basket(shape)
+    assert report.warnings == () and (i, j) not in [v.stratum for v in report.strata]
+    # the member is the space of its first four weights: the same basket and A^3
+    space = wps.HypersurfaceShape(weights[:4])
+    assert report.basket == wps.basket(shape) == wps.analyze(space).basket
+    assert report.a3 == wps.degree_a3(space)
 
 
-def test_analyze_merges_contained_edges_of_equal_weights():
-    # the two weight-21 coordinates give two contained (19, 21) edges
-    report = wps.analyze(wps.HypersurfaceShape((4, 8, 19, 21, 21), 71))
-    contained = [v.weights for v in report.strata if v.status == "edge-contained"]
-    assert contained == [(4, 8), (8, 19), (19, 21), (19, 21), (21, 21)]
-    edge_warnings = [w for w in report.warnings if w.startswith("member contains")]
-    assert edge_warnings == [
-        "member contains the edge w=(4,8); analysis out of scope",
-        "member contains the edge w=(8,19); analysis out of scope",
-        "member contains 2 edges w=(19,21); analysis out of scope",
-        "member contains the edge w=(21,21); analysis out of scope",
+def test_index_9_and_11_hypersurfaces_with_a_contained_edge_get_their_baskets():
+    # X6 in P(1,2,3,4,5) contains the coprime edge (4,5), X10 in P(2,3,4,5,7) the edge (3,7)
+    for weights, d, basket in [
+        ((1, 2, 3, 4, 5), 6, "1/2(1,1,1) 1/4(1,3,1) 1/5(1,4,2)"),
+        ((2, 3, 4, 5, 7), 10, "1/2(1,1,1)x2 1/3(1,2,1) 1/4(1,3,1) 1/7(1,6,2)"),
+    ]:
+        shape = wps.HypersurfaceShape(weights, d)
+        report = wps.analyze(shape)
+        assert report.warnings == () and str(report.basket) == basket
+        assert () in [wps._edge(shape.weights, d, i, j) for i, j in itertools.combinations(range(5), 2)]
+        data = rr.calibrated_data(shape)
+        assert (data.q, data.a3) == (sum(weights) - d, report.a3)
+
+
+def test_the_walk_tests_a_plane_whose_three_edges_are_contained_and_pass():
+    # over (1,1,3,7,10) in degree 11 the edges (3,7), (3,10) and (7,10) are contained and
+    # pass, through the two weight-1 variables; no degree-11 monomial in x3, x7, x10
+    shape = wps.HypersurfaceShape((1, 1, 3, 7, 10), 11)
+    planes = [(v, failure) for v, failure in wps._walk(shape) if len(v.stratum) == 3]
+    assert planes == [
+        (wps.StratumVerdict((2, 3, 4), (3, 7, 10), "not-quasi-smooth"), wps.NotQuasiSmoothAtVertex)
     ]
+    assert wps.analyze(shape).warnings[-1] == "not quasi-smooth at plane w=(3,7,10)"
+    assert str(wps._worded(*planes[0], 11)) == "not quasi-smooth at plane w=(3,7,10)"
+
+
+def test_analyze_gives_equal_edges_one_warning():
+    # the two weight-21 coordinates give two (19, 21) edges that are not quasi-smooth
+    report = wps.analyze(wps.HypersurfaceShape((4, 8, 19, 21, 21), 71))
+    edges = [(v.weights, v.status) for v in report.strata if len(v.stratum) == 2]
+    assert edges == [
+        ((4, 8), "singular-edge"),
+        ((8, 19), "not-quasi-smooth"),
+        ((19, 21), "not-quasi-smooth"),
+        ((19, 21), "not-quasi-smooth"),
+        ((21, 21), "singular-edge"),
+    ]
+    assert report.warnings.count("not quasi-smooth at edge w=(19,21)") == 1
     assert report.basket is None
 
 
@@ -773,10 +807,10 @@ def test_analyze_merges_contained_edges_of_equal_weights():
                 "not quasi-smooth at vertex w=8",
                 "not quasi-smooth at vertex w=19",
                 "residues (4, 19, 0) mod 21 are not coprime units: not an isolated terminal cyclic quotient",
-                "member contains the edge w=(4,8); analysis out of scope",
-                "member contains the edge w=(8,19); analysis out of scope",
-                "member contains 2 edges w=(19,21); analysis out of scope",
-                "member contains the edge w=(21,21); analysis out of scope",
+                "weights 4, 8 share a factor: singular locus along the edge",
+                "not quasi-smooth at edge w=(8,19)",
+                "not quasi-smooth at edge w=(19,21)",
+                "weights 21, 21 share a factor: singular locus along the edge",
             ),
         ),
         (
@@ -789,8 +823,8 @@ def test_analyze_merges_contained_edges_of_equal_weights():
                 # edge (12,24) carries 4 points 1/12(24,26,27); (12,26) and (24,27) none
                 "residues (0, 2, 3) mod 12 are not coprime units: not an isolated terminal cyclic quotient",
                 "residues (0, 0, 2) mod 3 are not coprime units: not an isolated terminal cyclic quotient",
-                "member contains the edge w=(24,24); analysis out of scope",
-                "member contains 2 edges w=(24,26); analysis out of scope",
+                "weights 24, 24 share a factor: singular locus along the edge",
+                "weights 24, 26 share a factor: singular locus along the edge",
             ),
         ),
     ],
@@ -814,35 +848,47 @@ def test_analyze_walks_each_stratum_once(monkeypatch):
     assert calls == {"_vertex": 5, "_edge": 10}
 
 
-def test_analyze_builds_no_exception_for_a_contained_edge_or_vertex(monkeypatch):
+def test_analyze_builds_no_exception_for_a_stratum_that_is_not_quasi_smooth(monkeypatch):
     # each exception class replaced by a subclass that records every instance built
     built = []
-    for name in ("EdgeContained", "NotQuasiSmoothAtVertex"):
+    for name in ("NotQuasiSmoothAtVertex", "NotTerminalIsolated"):
         def init(self, *args, _base=getattr(wps, name)):
             built.append(type(self).__name__)
             _base.__init__(self, *args)
 
         monkeypatch.setattr(wps, name, type(name, (getattr(wps, name),), {"__init__": init}))
+    # nor for an edge on the member whose weights share a factor
+    shape = wps.HypersurfaceShape((1, 1, 1, 2, 4), 1)
+    assert wps.analyze(shape).warnings == (
+        "not quasi-smooth at vertex w=2",
+        "not quasi-smooth at vertex w=4",
+        "weights 2, 4 share a factor: singular locus along the edge",
+    )
+    with pytest.raises(wps.NotTerminalIsolated, match="^weights 4, 2 share a factor"):
+        wps.edge_singularities(shape, 4, 3)
+    assert built == ["NotTerminalIsolated"]
+    built.clear()
     shape = wps.HypersurfaceShape((2, 3, 4, 5, 7), 4)
     report = wps.analyze(shape)
     assert report.warnings == (
         "not quasi-smooth at vertex w=3",
         "not quasi-smooth at vertex w=5",
         "not quasi-smooth at vertex w=7",
-        "member contains the edge w=(3,5); analysis out of scope",
-        "member contains the edge w=(3,7); analysis out of scope",
-        "member contains the edge w=(5,7); analysis out of scope",
+        "not quasi-smooth at edge w=(3,5)",
+        "not quasi-smooth at edge w=(3,7)",
+        "not quasi-smooth at edge w=(5,7)",
     )
     assert built == []
-    # the public rules still raise the first failure, worded as before
+    # the public rules raise the first failure, worded when raised
     message = "vertex w=3 lies on the member but no monomial x_3^n or x_3^n*x_j of degree 4 exists"
     with pytest.raises(wps.NotQuasiSmoothAtVertex) as raised:
         wps.basket(shape)
     assert str(raised.value) == message
-    with pytest.raises(wps.EdgeContained) as raised:
+    with pytest.raises(wps.NotQuasiSmoothAtVertex) as raised:
         wps.edge_singularities(shape, 3, 1)
-    assert str(raised.value) == "no degree-4 monomial in x_5, x_3: member contains the edge"
-    assert built == ["NotQuasiSmoothAtVertex", "EdgeContained"]
+    # no variable outside the edge has a degree-4 monomial x_3^a*x_5^c*x_e with a + c > 0
+    assert str(raised.value) == "not quasi-smooth at edge w=(5,3)"
+    assert built == ["NotQuasiSmoothAtVertex"] * 2
 
 
 def test_quotient_type_stores_the_least_b():
@@ -892,11 +938,7 @@ def test_validated_records_check_a_replaced_field():
     assert X12._replace(weights=[7, 6, 5, 4, 3]) == ((3, 4, 5, 6, 7), 12)
 
 
-SINGULARITY_ERRORS = (
-    wps.NotQuasiSmoothAtVertex,
-    wps.EdgeContained,
-    wps.NotTerminalIsolated,
-)
+SINGULARITY_ERRORS = (wps.NotQuasiSmoothAtVertex, wps.NotTerminalIsolated)
 
 
 @settings(max_examples=300, deadline=None)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import mismatches
 from qfano import riemann_roch as rr
 from qfano import wps
 from qfano.series import PowerSeries, expand_product, series_equal_upto
@@ -458,6 +459,7 @@ def test_index_one_gives_the_95_families():
         assert family in found
     for shape in shapes:
         assert rr.calibrated_data(shape).q == 1, shape
+        assert mismatches(wps.analyze(shape)) == [], shape
 
 
 def test_flip_search_finds_exactly_the_calibrated_data():

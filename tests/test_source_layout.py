@@ -56,10 +56,11 @@ def test_modules_import_only_the_layers_below_them():
     assert found == PACKAGE_IMPORTS
 
 
-def _absolute_imports():
-    """(file:line, module) of every absolute import in src/qfano, inside functions too;
-    ``from m import n`` names both m and m.n, since n may be a submodule."""
-    for path in sorted(SOURCE.glob("*.py")):
+def _absolute_imports(paths=None):
+    """(file:line, module) of every absolute import in src/qfano, or in the given files,
+    inside functions too; ``from m import n`` names both m and m.n, since n may be a
+    submodule."""
+    for path in paths or sorted(SOURCE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -78,6 +79,12 @@ def test_every_import_is_qfano_or_the_standard_library():
         if name.partition(".")[0] not in sys.stdlib_module_names | {"qfano"}
     ]
     assert outside == []
+
+
+def test_the_test_oracles_import_only_the_standard_library():
+    # an oracle that imported qfano could share the fault it is meant to catch
+    oracles = [pathlib.Path(__file__).with_name("oracles.py")]
+    assert {name.partition(".")[0] for _, name in _absolute_imports(oracles)} <= sys.stdlib_module_names
 
 
 # records are collections.namedtuple and the goldens are read by path, so a

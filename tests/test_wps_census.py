@@ -1,26 +1,24 @@
-"""Frozen stratum analysis: every small shape's verdicts, report and basket.
+"""Frozen stratum census, and the stratum oracle checked on every census shape.
 
 ``data/wps_census.json`` covers every 4-weight space with weights <= 8 and
 every nonempty degree-d hypersurface shape with 5 weights <= 8 and index
 q = sum(w) - d >= 1. For each shape it records the number of strata per
-status, what ``basket`` returns or raises (class and message), and the
-first 16 hex digits of a sha256 of its ``analyze`` report: verdicts,
-quotients, counts, warnings, basket, genus and Hilbert series. Status
+status and what ``basket`` returns or raises (class and message). Status
 counts and basket outcomes repeat across shapes, so each shape names them
-by their position in two tables. After a deliberate output change,
-rewrite the data with
+by their position in two tables. The rest of each ``analyze`` report is
+checked, not frozen: ``oracles.stratum_analysis`` derives every verdict in
+order (status, weights, type and count), the basket, A^3, genus and Hilbert
+series from monomial counts and Thm 8.1, and the report must equal it field
+by field, with one warning per distinct failure. After a deliberate output
+change, rewrite the data with
 
     PYTHONPATH=src python tests/test_wps_census.py
 
 which first prints the rows that changed, counted by old -> new status
-counts and basket-outcome class. ``theorem_8_1_failures`` decides
-quasi-smoothness from reachable-degree tables alone, and the walk's
-verdicts are checked against it on every census shape.
+counts and basket-outcome class.
 """
 
 import collections
-import functools
-import hashlib
 import itertools
 import json
 import math
@@ -29,73 +27,10 @@ import sys
 
 import pytest
 
+from oracles import mismatches, small_shapes, theorem_8_1_failures
 from qfano import wps
 
 DATA = pathlib.Path(__file__).with_name("data") / "wps_census.json"
-MAX_WEIGHT = 8
-
-
-def reachable(weights, top: int) -> list[bool]:
-    """reachable[n]: some monomial in these weights has degree n, for n <= top."""
-    seen = [True] + [False] * top
-    for w in set(weights):
-        for n in range(w, top + 1):
-            seen[n] = seen[n] or seen[n - w]
-    return seen
-
-
-@functools.cache
-def reachable_table(weights: tuple[int, ...]) -> list[bool]:
-    """``reachable`` through the largest census degree, once per weight multiset."""
-    return reachable(weights, 5 * MAX_WEIGHT)
-
-
-def theorem_8_1_failures(weights, d: int) -> set[tuple[int, ...]]:
-    """The variable sets I, as position tuples, on which a general degree-d member fails
-    Iano-Fletcher's Thm 8.1 ("Working with weighted complete intersections", 2000): no
-    degree-d monomial in x_I alone, and fewer than |I| distinct x_e outside I with a
-    degree-d monomial x_I^M*x_e. All 31 sets of 5 variables, decided by reachable-degree
-    tables alone. As in the walk, M is not 0: an x_e of weight d (a linear cone) does not count.
-    """
-    failures = set()
-    for size in range(1, len(weights) + 1):
-        for subset in itertools.combinations(range(len(weights)), size):
-            seen = reachable_table(tuple(sorted(weights[k] for k in subset)))
-            if seen[d]:
-                continue
-            outside = [w for k, w in enumerate(weights) if k not in subset]
-            if sum(d > w and seen[d - w] for w in outside) < size:
-                failures.add(subset)
-    return failures
-
-
-@functools.cache
-def small_shapes() -> tuple[list, list]:
-    """(weights, degree) of the census shapes, and of the empty 5-weight shapes left out."""
-    shapes = [(ws, 0) for ws in itertools.combinations_with_replacement(range(1, MAX_WEIGHT + 1), 4)]
-    empty = []
-    for ws in itertools.combinations_with_replacement(range(1, MAX_WEIGHT + 1), 5):
-        seen = reachable(ws, sum(ws))
-        for d in range(1, sum(ws)):
-            (shapes if seen[d] else empty).append((ws, d))
-    return shapes, empty
-
-
-def analysis_digest(report) -> str:
-    """sha256 of every field of a report, spelled out field by field."""
-    record = [
-        report.fano_index,
-        str(report.a3),
-        [
-            [list(v.stratum), list(v.weights), v.status, None if v.quotient is None else str(v.quotient), v.count]
-            for v in report.strata
-        ],
-        list(report.warnings),
-        None if report.basket is None else str(report.basket),
-        report.genus,
-        list(report.hilbert.coefficients),
-    ]
-    return hashlib.sha256(json.dumps(record, separators=(",", ":")).encode()).hexdigest()[:16]
 
 
 def basket_outcome(shape) -> str:
@@ -105,20 +40,19 @@ def basket_outcome(shape) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
-def census_row(weights, d) -> tuple[str, str, str]:
-    """(status counts, basket outcome, report digest) of one shape."""
+def census_row(weights, d) -> tuple[str, str]:
+    """(status counts, basket outcome) of one shape."""
     shape = wps.HypersurfaceShape(weights, d)
-    report = wps.analyze(shape)
-    statuses = collections.Counter(v.status for v in report.strata)
+    statuses = collections.Counter(v.status for v in wps.analyze(shape).strata)
     counts = " ".join(f"{status}={n}" for status, n in sorted(statuses.items()))
-    return counts, basket_outcome(shape), analysis_digest(report)
+    return counts, basket_outcome(shape)
 
 
-def read_census() -> list[tuple[tuple[int, ...], int, tuple[str, str, str]]]:
+def read_census() -> list[tuple[tuple[int, ...], int, tuple[str, str]]]:
     census = json.loads(DATA.read_text(encoding="utf-8"))
     return [
-        (tuple(map(int, weights.split(","))), d, (census["statuses"][s], census["baskets"][b], digest))
-        for weights, d, s, b, digest in census["shapes"]
+        (tuple(map(int, weights.split(","))), d, (census["statuses"][s], census["baskets"][b]))
+        for weights, d, s, b in census["shapes"]
     ]
 
 
@@ -134,6 +68,30 @@ def test_census_covers_every_small_shape():
 def test_census_is_frozen():
     changed = [(weights, d) for weights, d, row in CENSUS if census_row(weights, d) != row]
     assert changed == []
+
+
+def test_analyze_agrees_with_the_stratum_oracle():
+    disagreeing = [
+        (weights, d, fields)
+        for weights, d, _ in CENSUS
+        if (fields := mismatches(wps.analyze(wps.HypersurfaceShape(weights, d))))
+    ]
+    assert disagreeing == []
+
+
+@pytest.mark.parametrize(
+    "weights,d",
+    [
+        ((1, 1, 3, 7, 10), 11),  # a plane verdict, which no census shape has
+        ((4, 8, 19, 21, 21), 71),  # two equal (19,21) edges that fail: one warning
+        ((12, 24, 24, 26, 27), 108),  # not well formed; 4 points on (12,24), not terminal
+        ((1, 2, 3, 4, 5), 6),  # X6 and X10 contain a coprime edge that passes
+        ((2, 3, 4, 5, 7), 10),
+        ((1, 3, 4, 5, 11), 11),  # a linear cone, with the basket of P(1,3,4,5)
+    ],
+)
+def test_analyze_agrees_with_the_stratum_oracle_beyond_the_census(weights, d):
+    assert mismatches(wps.analyze(wps.HypersurfaceShape(weights, d))) == []
 
 
 def outcome(rule, *args):
@@ -181,41 +139,20 @@ def hypersurfaces():
 
 
 def test_the_walk_fails_quasi_smoothness_where_theorem_8_1_does():
-    # the walk decides every vertex, every coprime edge, and every plane whose three edges
-    # are contained and pass; an edge with a shared factor is contained iff it is singular
+    # the oracle agreement covers every stratum the walk tests; its two lemmas cover the
+    # rest: a failed plane it does not test, or a failed 4-set, has an edge that fails or
+    # is singular, so where no edge is singular, the shape is quasi-smooth by the theorem
+    # iff the walk finds no stratum that is not
     shapes = 0
     for shape, statuses in hypersurfaces():
-        ws, d = shape.weights, shape.degree
-        failures = theorem_8_1_failures(ws, d)
+        failures = theorem_8_1_failures(shape.weights, shape.degree)
         walked = {stratum for stratum, status in statuses.items() if status == "not-quasi-smooth"}
         singular = {stratum for stratum, status in statuses.items() if status == "singular-edge"}
-
-        def coprime(pair):
-            return math.gcd(ws[pair[0]], ws[pair[1]]) == 1
-
-        def passes(pair):
-            return coprime(pair) and pair not in failures
-
-        def contained(pair):
-            return not reachable_table((ws[pair[0]], ws[pair[1]]))[d]
-
-        edges = itertools.combinations(range(5), 2)
-        assert singular == {e for e in edges if not coprime(e) and contained(e)}, (ws, d)
-        decided = {
-            stratum for stratum in failures
-            if len(stratum) == 1
-            or (len(stratum) == 2 and coprime(stratum))
-            or (len(stratum) == 3 and all(passes(e) for e in itertools.combinations(stratum, 2)))
-        }
-        assert walked == decided, (ws, d)
-        # the walk's two lemmas: a failed plane it does not test, or a failed 4-set, has an
-        # edge that fails or is singular; so where no edge is singular, the shape is
-        # quasi-smooth by the theorem iff the walk finds no stratum that is not
         for stratum in failures - walked:
             if len(stratum) > 2:
                 assert any(e in walked or e in singular for e in itertools.combinations(stratum, 2))
         if not singular:
-            assert bool(failures) == bool(walked), (ws, d)
+            assert bool(failures) == bool(walked), shape
         shapes += 1
     assert shapes == 14_946 - 330
 
@@ -270,11 +207,11 @@ if __name__ == "__main__":
     baskets: dict[str, int] = {}
     rows, new = [], []
     for weights, d in small_shapes()[0]:
-        counts, basket_text, digest = census_row(weights, d)
-        new.append((weights, d, (counts, basket_text, digest)))
+        counts, basket_text = census_row(weights, d)
+        new.append((weights, d, (counts, basket_text)))
         s = statuses.setdefault(counts, len(statuses))
         b = baskets.setdefault(basket_text, len(baskets))
-        rows.append(json.dumps([",".join(map(str, weights)), d, s, b, digest]))
+        rows.append(json.dumps([",".join(map(str, weights)), d, s, b]))
     if len(CENSUS) == len(new):
         print("\n".join(transitions(CENSUS, new)))
     DATA.parent.mkdir(exist_ok=True)

@@ -9,6 +9,7 @@ import collections
 import functools
 import itertools
 import math
+import re
 from fractions import Fraction
 
 MAX_WEIGHT = 8  # the census: every shape with weights <= MAX_WEIGHT
@@ -93,7 +94,8 @@ def stratum_analysis(weights, d: int) -> Analysis:
     (M != 0). A vertex on a member eliminates its first qualifier. An edge whose weights
     share a factor m is a curve of singularities if the member contains it; else its points
     1/m(other weights) number its degree-d monomials less one. ``warnings`` holds
-    NOT_WELL_FORMED if the weights are not well formed, then one key per distinct failure.
+    NOT_WELL_FORMED if the weights are not well formed, then, in the walk's order, the
+    numbers each distinct failure quotes: the stratum's weights, or a point's residues and r.
     """
     ws, strata, failures = tuple(sorted(weights)), [], {}
 
@@ -102,7 +104,7 @@ def stratum_analysis(weights, d: int) -> Analysis:
         if r:  # count points 1/r(the weights off the stratum and the eliminated variable)
             residues = tuple(w % r for k, w in enumerate(ws) if k not in off)
             b = point_type(r, residues)
-            status, point, key = ("quotient", (r, b), None) if b else (status, None, (r, residues))
+            status, point, key = ("quotient", (r, b), None) if b else (status, None, (*residues, r))
         strata.append((stratum, tuple(ws[k] for k in stratum), status, point, count))
         if status not in ("smooth", "off-member", "quotient"):
             failures[status, key or strata[-1][1]] = None
@@ -133,30 +135,25 @@ def stratum_analysis(weights, d: int) -> Analysis:
         if passed.issuperset(itertools.combinations(plane, 2)) and fails_theorem_8_1(ws, d, plane):
             verdict(plane, "not-quasi-smooth")
     q, counts = sum(ws) - d, _counts(ws, range(len(ws)), d)
-    order = max(q, ORDER)
-    hilbert = tuple(counts[n] - (counts[n - d] if 0 < d <= n else 0) for n in range(order + 1))
-    basket = collections.Counter()
-    for *_, point, count in strata:
-        if point:
-            basket[point] += count
+    hilbert = tuple(counts[n] - (d and n >= d and counts[n - d]) for n in range(max(q, ORDER) + 1))
+    basket = sum((collections.Counter({p: n}) for *_, p, n in strata if p), collections.Counter())
+    basket = None if failures else tuple(sorted(basket.items()))
+    genus = hilbert[q] - 2 if q > 0 else None  # analyze refuses q <= 0: NotFano
     well_formed = all(math.gcd(*ws[:k], *ws[k + 1 :]) == 1 for k in range(len(ws)))
-    return Analysis(
-        strata=strata,
-        basket=None if failures else tuple(sorted(basket.items())),
-        fano_index=q,
-        a3=Fraction(d or 1, math.prod(ws)),
-        genus=hilbert[q] - 2,
-        hilbert=hilbert,
-        warnings=[NOT_WELL_FORMED] * (not well_formed) + list(failures),
-    )
+    warnings = [NOT_WELL_FORMED] * (not well_formed) + [numbers for _, numbers in failures]
+    return Analysis(strata, basket, q, Fraction(d or 1, math.prod(ws)), genus, hilbert, warnings)
 
 
 def mismatches(report) -> list[str]:
     """The fields of an ``analyze`` report built with no order given that differ from the
-    oracle's; for warnings, their number, or which of them is the well-formedness warning."""
+    oracle's. A warning matches where it is the well-formedness one, or where it quotes the
+    oracle's numbers for that place before any other number; its wording is not compared."""
     expected = stratum_analysis(report.shape.weights, report.shape.degree)
     basket = None if report.basket is None else report.basket.entries
+    quoted = []  # each warning's numbers, cut to the length of the oracle's in its place
+    for w, key in itertools.zip_longest(report.warnings, expected.warnings, fillvalue=""):
+        numbers = tuple(map(int, re.findall(r"\d+", w)))
+        quoted.append(NOT_WELL_FORMED if w.endswith(NOT_WELL_FORMED) else numbers[: len(key)])
     found = Analysis(list(report.strata), basket, report.fano_index, report.a3, report.genus,
-                     report.hilbert.coefficients, [w.endswith(NOT_WELL_FORMED) for w in report.warnings])
-    expected = expected._replace(warnings=[key == NOT_WELL_FORMED for key in expected.warnings])
+                     report.hilbert.coefficients, quoted)
     return [field for field, a, b in zip(Analysis._fields, found, expected) if a != b]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import mismatches, point_type, small_shapes
+from oracles import mismatches, point_type, small_shapes, stratum_analysis
 from qfano import fixtures, wps
 from qfano import riemann_roch as rr
 from qfano import sarkisov as sk
@@ -410,14 +410,33 @@ def test_edge_points_are_its_monomials_less_one():
         wps.edge_singularities(shape, 2, 3)
 
 
-def test_rules_on_the_space_itself():
-    space = wps.HypersurfaceShape((1, 2, 3, 5))
-    assert wps.vertex_singularity(space, 0) is None  # weight 1: smooth
-    types = [wps.vertex_singularity(space, i) for i in (1, 2, 3)]
-    assert [(t.r, t.b) for t in types] == [(2, 1), (3, 1), (5, 2)]
-    assert wps.edge_singularities(space, 1, 3) is None  # coprime weights
-    with pytest.raises(wps.NotTerminalIsolated, match="share a factor"):
-        wps.edge_singularities(wps.HypersurfaceShape((1, 2, 2, 3)), 1, 2)
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=40), min_size=5, max_size=5),
+    st.integers(min_value=1, max_value=200),
+    st.sampled_from(list(itertools.combinations(range(5), 2))),
+)
+def test_a_contained_edge_is_decided_by_the_variables_outside_it(weights, d, edge):
+    # any index q, non-Fano shapes (q <= 0) too: the walk gives the oracle's verdicts
+    if not wps.has_monomial(weights, d):
+        return
+    shape = wps.HypersurfaceShape(weights, d)
+    assert [v for v, _ in wps._walk(shape)] == stratum_analysis(weights, d).strata
+    try:
+        outcome = wps.edge_singularities(shape, *edge)
+    except ValueError as exc:
+        outcome = exc
+    pair = tuple(shape.weights[k] for k in edge)
+    if wps.has_monomial(pair, d):
+        assert not isinstance(outcome, wps.NotQuasiSmoothAtVertex)
+        assert "share a factor" not in str(outcome)
+    elif math.gcd(*pair) > 1:
+        assert isinstance(outcome, wps.NotTerminalIsolated) and "share a factor" in str(outcome)
+    else:
+        # Thm 8.1 for |I| = 2: two distinct x_e outside with a degree-d x_i^a*x_j^c*x_e
+        outside = [w for k, w in enumerate(shape.weights) if k not in edge]
+        qualify = sum(d > w and wps.has_monomial(pair, d - w) for w in outside)
+        assert outcome is None if qualify >= 2 else isinstance(outcome, wps.NotQuasiSmoothAtVertex)
 
 
 def test_hilbert_low_degree_coefficients():
@@ -433,19 +452,6 @@ def test_basket_x12():
     assert basket.indices() == (2, 3, 3, 5, 7)
     entries = {(p.r, p.b): count for p, count in basket.entries}
     assert entries == {(2, 1): 1, (3, 1): 2, (5, 2): 1, (7, 2): 1}
-
-
-@pytest.mark.parametrize(
-    "weights,expected_indices",
-    [
-        ((1, 1, 1, 2), (2,)),
-        ((1, 2, 3, 5), (2, 3, 5)),
-        ((1, 1, 2, 3), (2, 3)),
-    ],
-)
-def test_basket_spaces(weights, expected_indices):
-    basket = wps.basket(wps.HypersurfaceShape(weights))
-    assert basket.indices() == expected_indices
 
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, "2", Fraction(2)], ids=repr)
@@ -628,6 +634,14 @@ def test_analyze_genus_matches_genus(fixture, order):
     assert report.hilbert == wps.hilbert(fixture.shape, expected_order)
 
 
+@pytest.mark.parametrize("fixture", fixtures.FIXTURES, ids=lambda f: f.name)
+def test_the_stratum_oracle_gives_each_fixture_its_recorded_invariants(fixture):
+    # the oracle's own anchor, as it shares no code with wps: X12's 1/2 + 2x1/3 + 1/5 + 1/7
+    oracle = stratum_analysis(fixture.shape.weights, fixture.shape.degree)
+    indices = tuple(r for (r, _), n in oracle.basket for _ in range(n))
+    assert (oracle.fano_index, oracle.a3, indices, oracle.genus) == fixture[2:]
+
+
 def test_fixture_lookup_and_each_verify_mismatch():
     f = fixtures.fixture("X12")
     assert f is fixtures.FIXTURES[0] and fixtures.verify(f) == []
@@ -661,6 +675,7 @@ def test_a_contained_coprime_edge_that_passes_adds_no_point(weights, d, edge):
     assert wps.edge_singularities(shape, i, j) is None
     report = wps.analyze(shape)
     assert report.warnings == () and (i, j) not in [v.stratum for v in report.strata]
+    assert mismatches(report) == []
     # the member is the space of its first four weights: the same basket and A^3
     space = wps.HypersurfaceShape(weights[:4])
     assert report.basket == wps.basket(shape) == wps.analyze(space).basket
@@ -676,21 +691,30 @@ def test_index_9_and_11_hypersurfaces_with_a_contained_edge_get_their_baskets():
         shape = wps.HypersurfaceShape(weights, d)
         report = wps.analyze(shape)
         assert report.warnings == () and str(report.basket) == basket
+        assert mismatches(report) == []
         assert () in [wps._edge(shape.weights, d, i, j) for i, j in itertools.combinations(range(5), 2)]
         data = rr.calibrated_data(shape)
         assert (data.q, data.a3) == (sum(weights) - d, report.a3)
 
 
-def test_the_walk_tests_a_plane_whose_three_edges_are_contained_and_pass():
-    # over (1,1,3,7,10) in degree 11 the edges (3,7), (3,10) and (7,10) are contained and
-    # pass, through the two weight-1 variables; no degree-11 monomial in x3, x7, x10
-    shape = wps.HypersurfaceShape((1, 1, 3, 7, 10), 11)
+@pytest.mark.parametrize(
+    "weights,d",
+    [((1, 1, 3, 7, 10), 11), ((1, 1, 5, 8, 11), 17), ((1, 1, 7, 9, 11), 19),
+     ((2, 2, 4, 5, 9), 11), ((3, 3, 5, 6, 11), 14)],
+)
+def test_the_walk_tests_a_plane_whose_three_edges_are_contained_and_pass(weights, d):
+    # e.g. X11 in P(1,1,3,7,10): the edges of (3,7,10) are contained and pass, through the two
+    # weight-1 variables, with no degree-11 monomial in x3, x7, x10 alone; no census shape has one
+    shape = wps.HypersurfaceShape(weights, d)
     planes = [(v, failure) for v, failure in wps._walk(shape) if len(v.stratum) == 3]
+    plane = shape.weights[2:]
     assert planes == [
-        (wps.StratumVerdict((2, 3, 4), (3, 7, 10), "not-quasi-smooth"), wps.NotQuasiSmoothAtVertex)
+        (wps.StratumVerdict((2, 3, 4), plane, "not-quasi-smooth"), wps.NotQuasiSmoothAtVertex)
     ]
-    assert wps.analyze(shape).warnings[-1] == "not quasi-smooth at plane w=(3,7,10)"
-    assert str(wps._worded(*planes[0], 11)) == "not quasi-smooth at plane w=(3,7,10)"
+    report = wps.analyze(shape)
+    warning = "not quasi-smooth at plane w=({},{},{})".format(*plane)
+    assert report.warnings[-1] == str(wps._worded(*planes[0], d)) == warning
+    assert mismatches(report) == []
 
 
 @pytest.mark.parametrize(
@@ -730,6 +754,7 @@ def test_analyze_gives_each_warning_once(weights, d, expected):
     # coordinates of equal weight fail with equal messages; each is given once
     report = wps.analyze(wps.HypersurfaceShape(weights, d))
     assert report.warnings == expected
+    assert mismatches(report) == []
 
 
 def test_analyze_walks_each_stratum_once(monkeypatch):
@@ -835,9 +860,6 @@ def test_validated_records_check_a_replaced_field():
     assert X12._replace(weights=[7, 6, 5, 4, 3]) == ((3, 4, 5, 6, 7), 12)
 
 
-SINGULARITY_ERRORS = (wps.NotQuasiSmoothAtVertex, wps.NotTerminalIsolated)
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(st.integers(min_value=1, max_value=40), min_size=4, max_size=5),
@@ -852,7 +874,7 @@ def test_analyze_basket_and_the_stratum_oracle_agree(weights, q):
     report = wps.analyze(shape)
     assert mismatches(report) == []
     if report.basket is None:
-        with pytest.raises(SINGULARITY_ERRORS):
+        with pytest.raises((wps.NotQuasiSmoothAtVertex, wps.NotTerminalIsolated)):
             wps.basket(shape)
     else:
         assert report.basket == wps.basket(shape)

@@ -77,6 +77,29 @@ def _terms(args) -> int | None:
     return args.terms
 
 
+def _help_formatter(prog: str) -> argparse.HelpFormatter:
+    """argparse's own formatter and width, without the ``shutil`` import that argparse
+    makes for it: COLUMNS if it is a positive integer, else the terminal's width on
+    stdout, else 80, less 2, as ``shutil.get_terminal_size`` would give it."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+    return argparse.HelpFormatter(prog, width=(columns or 80) - 2)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser with ``_help_formatter``; its subparsers are _Parsers too."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(formatter_class=_help_formatter, **kwargs)
+
+
 class Answer(namedtuple("Answer", "record text code", defaults=(0,))):
     """A command's whole answer: its JSON record, its text and its exit code."""
 
@@ -279,13 +302,13 @@ def cmd_selftest(args) -> Answer:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qfano",
         description="Exact numerics for Q-Fano threefold hypersurface classification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    shape = argparse.ArgumentParser(add_help=False)  # the flags hilbert and analyze share
+    shape = _Parser(add_help=False)  # the flags hilbert and analyze share
     given = shape.add_mutually_exclusive_group(required=True)
     given.add_argument("--weights", help="five comma-separated weights (hypersurface)")
     given.add_argument("--space", help="four comma-separated weights (the space itself)")

@@ -3,9 +3,24 @@
 from __future__ import annotations
 
 import random
+import warnings
 from fractions import Fraction
 
 from qfano import normal_form as nf
+
+# Hypothesis imports its patch writer, and through it libcst, while it reports a
+# falsifying example. Under -W error, as CI runs, libcst's mypy_extensions.TypedDict
+# DeprecationWarning would then become an INTERNALERROR in pytest's report hook in
+# place of the failure. Imported once here with that one warning ignored, the
+# module is already loaded when the report needs it.
+with warnings.catch_warnings():
+    warnings.filterwarnings(
+        "ignore", message="mypy_extensions.TypedDict is deprecated", category=DeprecationWarning
+    )
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst: hypothesis writes no patch, and warns of nothing
+        pass
 
 WS = nf.STANDARD_WEIGHTS
 

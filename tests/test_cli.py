@@ -1,5 +1,6 @@
 """CLI behavior: outputs, JSON round-trips, exit codes, self-test."""
 
+import argparse
 import contextlib
 import functools
 import io
@@ -929,13 +930,29 @@ def loaded_modules(argv) -> set[str]:
 def test_parsing_imports_no_computation_module(argv):
     modules = loaded_modules(argv)
     assert {m for m in modules if m.split(".")[0] == "qfano"} == {"qfano", "qfano.cli"}
-    assert not modules & {"json", "difflib"}
+    assert not modules & {"json", "difflib", "shutil"}
+
+
+@pytest.mark.parametrize("columns", [None, "60", "80", "200", "0", "-5", "abc", " 90 "])
+def test_the_help_width_is_the_one_shutil_gives_argparse(monkeypatch, columns):
+    import shutil
+
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    formatter = cli._help_formatter("qfano")
+    assert type(formatter) is argparse.HelpFormatter
+    assert formatter._width == shutil.get_terminal_size().columns - 2
+    assert formatter._width == argparse.HelpFormatter("qfano")._width
 
 
 # only analyze's report (qfano.report) and riemann_roch's records are dataclasses
 NO_DATACLASSES = {"dataclasses", "inspect"}
 # records are collections.namedtuple, so no command loads typing
 NO_TYPING = {"typing"}
+# argparse's help formatter gets its width from cli._help_formatter, not from shutil
+NO_SHUTIL = {"shutil"}
 
 
 @pytest.mark.parametrize(
@@ -945,32 +962,32 @@ NO_TYPING = {"typing"}
             ("hilbert", "--weights", "3,4,5,6,7", "--degree", "12"),
             {"qfano.wps"},
             {"qfano.sarkisov", "qfano.normal_form", "qfano.riemann_roch", "qfano.fixtures", "json", "difflib"}
-            | NO_DATACLASSES | NO_TYPING,
+            | NO_DATACLASSES | NO_TYPING | NO_SHUTIL,
         ),
         (
             ("normalize", "--input", "EQUATION", "--json"),
             {"qfano.normal_form"},
             {"qfano.sarkisov", "qfano.riemann_roch", "qfano.fixtures", "difflib"}
-            | NO_DATACLASSES | NO_TYPING,
+            | NO_DATACLASSES | NO_TYPING | NO_SHUTIL,
         ),
         (
             ("link", "--case", "p5"),
             {"qfano.sarkisov", "qfano.wps"},
             {"qfano.normal_form", "qfano.riemann_roch", "qfano.fixtures", "difflib"}
-            | NO_DATACLASSES | NO_TYPING,
+            | NO_DATACLASSES | NO_TYPING | NO_SHUTIL,
         ),
         (
             ("analyze", "--weights", "3,4,5,6,7", "--degree", "12"),
             {"qfano.wps", "qfano.report"},
             {"qfano.sarkisov", "qfano.normal_form", "qfano.riemann_roch", "qfano.fixtures"}
-            | NO_TYPING,
+            | NO_TYPING | NO_SHUTIL,
         ),
         (
             ("selftest",),
             {"qfano.sarkisov", "qfano.normal_form", "qfano.riemann_roch", "qfano.fixtures"},
             # difflib only for a transcript that differs from its golden; the goldens are
             # read by path, not through importlib.resources and its zip reader
-            {"json", "difflib", "importlib.resources", "zipfile"} | NO_TYPING,
+            {"json", "difflib", "importlib.resources", "zipfile"} | NO_TYPING | NO_SHUTIL,
         ),
     ],
     ids=["hilbert", "normalize", "link", "analyze", "selftest"],

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -335,6 +336,87 @@ def test_chi_rejects_negative_m(calibrated):
     for order in (-1, -2):
         with pytest.raises(ValueError, match="truncation order must be >= 0"):
             rr.hilbert_rr(calibrated["X12"], order)
+
+
+CHI_VALUES = rr._chi_values
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """An empty hilbert_rr memo for the test, and the (start, stop) of each _chi_values call."""
+    calls = []
+
+    def counted(data, start, stop):
+        calls.append((start, stop))
+        return CHI_VALUES(data, start, stop)
+
+    monkeypatch.setattr(rr, "_SERIES_MEMO", {})
+    monkeypatch.setattr(rr, "_chi_values", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", FIXTURE_SHAPES)
+def test_hilbert_rr_answers_any_order_sequence_as_a_fresh_evaluation(calibrated, evaluations, name):
+    data, shape = calibrated[name], FIXTURE_SHAPES[name]
+    rng = random.Random(name)
+    rising = sorted(rng.sample(range(1, 300), 4))
+    falling = sorted(rng.sample(range(1, 400), 4), reverse=True)
+    orders = [*rising, *falling, falling[0], falling[0], rising[1], 0]
+    longest, expected_calls = -1, []
+    for order in orders:
+        if order > longest:
+            longest = order
+            expected_calls.append((0, order + 1))
+        series = rr.hilbert_rr(data, order)
+        assert series.coefficients == tuple(CHI_VALUES(data, 0, order + 1))
+        assert series == wps.hilbert(shape, order)
+    assert evaluations == expected_calls
+    assert len(rr._SERIES_MEMO[data]) == longest + 1
+
+
+def test_hilbert_rr_stores_no_failed_evaluation(calibrated, evaluations):
+    # P(1,1,2,3) with its 1/3 point's wA flipped: both signs agree, chi(A) = 17/9
+    good = calibrated["P(1,1,2,3)"]
+    entries = tuple(rr.RRBasketEntry(e.r, e.b, e.r - e.wa) if e.r == 3 else e for e in good.entries)
+    bad = rr.FanoData(good.q, good.a3, entries)
+    message = "chi(1A) = 17/9 is not an integer: wrong (b, wA) assignment"
+    assert rr.hilbert_rr(bad, 0).coefficients == (1,)
+    for _ in range(2):
+        with pytest.raises(rr.ConventionError) as raised:
+            rr.hilbert_rr(bad, 30)
+        assert str(raised.value) == message
+        assert rr._SERIES_MEMO == {bad: (1,)}
+    assert evaluations == [(0, 1), (0, 31), (0, 31)]
+
+
+def test_equal_fano_data_share_one_memo_entry(calibrated, evaluations):
+    data = calibrated["X12"]
+    entries = tuple(rr.RRBasketEntry(*dataclasses.astuple(e)) for e in data.entries)
+    twin = rr.FanoData(data.q, data.a3, entries)
+    assert twin == data and twin is not data
+    assert rr.hilbert_rr(data, 50).truncate(40) == rr.hilbert_rr(twin, 40)
+    assert evaluations == [(0, 51)]
+    assert list(rr._SERIES_MEMO) == [data]
+
+
+def test_the_memo_holds_its_bound_and_drops_the_oldest(evaluations):
+    size = rr._SERIES_MEMO_SIZE
+    data = [rr.FanoData(13, Fraction(k), ()) for k in range(1, size + 4)]
+    for d in data:
+        assert rr.hilbert_rr(d, 0).coefficients == (1,)
+    assert list(rr._SERIES_MEMO) == data[-size:]
+    rr.hilbert_rr(data[0], 0)  # dropped, so evaluated again
+    assert len(evaluations) == size + 4 and len(rr._SERIES_MEMO) == size
+
+
+def test_a_refused_order_leaves_the_memo_alone(calibrated, evaluations):
+    data = calibrated["X12"]
+    rr.hilbert_rr(data, 10)
+    with pytest.raises(ValueError, match="^truncation order must be >= 0$"):
+        rr.hilbert_rr(data, -1)
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        rr.hilbert_rr(data, 5.0)
+    assert evaluations == [(0, 11)] and len(rr._SERIES_MEMO[data]) == 11
 
 
 def test_orientation_sign_is_global_minus(calibrated):

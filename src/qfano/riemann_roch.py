@@ -29,9 +29,10 @@ comments say how) and checks integrality by D in one pass, building a
 ``Fraction`` only to report the first non-integral total. ``chi`` and
 ``hilbert_rr`` are its ranges [m, m+1) and [0, order]. ``hilbert_rr`` keeps,
 for each of the last 16 ``FanoData`` it evaluated (equal data share one
-entry, the oldest is dropped first), the longest range it has returned: a
-request within it is a slice, a longer one evaluates again from m = 0 and
-replaces it, and an evaluation that raises ``ConventionError`` stores nothing.
+entry, the oldest is dropped first), the longest range through order 1000
+it has returned: a request within it is a slice, a longer one evaluates
+again from m = 0 and replaces it, and an evaluation that raises
+``ConventionError`` stores nothing.
 ``a_c2`` is one Fraction over L = lcm(r), (24 L - sum (r^2-1) L/r) / (q L);
 the tests keep A.c2 and c_{r,b} in their stated forms as the oracles.
 
@@ -205,9 +206,11 @@ def chi(data: FanoData, m: int) -> int:
     return _chi_values(data, m, m + 1)[0]
 
 
-# the longest chi(0A), chi(1A), ... that hilbert_rr has evaluated, per data, oldest first
+# the longest chi(0A), chi(1A), ... that hilbert_rr has evaluated, per data, oldest first;
+# a series past _SERIES_MEMO_ORDER is not kept (at order 10^6 one holds about 40 MB)
 _SERIES_MEMO: dict[FanoData, tuple[int, ...]] = {}
 _SERIES_MEMO_SIZE = 16
+_SERIES_MEMO_ORDER = 1000
 
 
 def hilbert_rr(data: FanoData, order: int) -> PowerSeries:
@@ -218,10 +221,11 @@ def hilbert_rr(data: FanoData, order: int) -> PowerSeries:
     values = _SERIES_MEMO.get(data)
     if values is None or len(values) <= order:
         values = tuple(_chi_values(data, 0, order + 1))  # a ConventionError stores nothing
-        _SERIES_MEMO.pop(data, None)
-        if len(_SERIES_MEMO) >= _SERIES_MEMO_SIZE:
-            del _SERIES_MEMO[next(iter(_SERIES_MEMO))]
-        _SERIES_MEMO[data] = values
+        if order <= _SERIES_MEMO_ORDER:
+            _SERIES_MEMO.pop(data, None)
+            if len(_SERIES_MEMO) >= _SERIES_MEMO_SIZE:
+                del _SERIES_MEMO[next(iter(_SERIES_MEMO))]
+            _SERIES_MEMO[data] = values
     return PowerSeries._of_ints(values[: order + 1])
 
 

@@ -401,12 +401,27 @@ def test_equal_fano_data_share_one_memo_entry(calibrated, evaluations):
 
 def test_the_memo_holds_its_bound_and_drops_the_oldest(evaluations):
     size = rr._SERIES_MEMO_SIZE
-    data = [rr.FanoData(13, Fraction(k), ()) for k in range(1, size + 4)]
+    # P^3 with A^3 odd, as its A is the hyperplane class: chi(mA) is integral
+    data = [rr.FanoData(4, Fraction(2 * k + 1), ()) for k in range(size + 3)]
     for d in data:
         assert rr.hilbert_rr(d, 0).coefficients == (1,)
-    assert list(rr._SERIES_MEMO) == data[-size:]
+    kept = data[-size:]
+    assert list(rr._SERIES_MEMO) == kept
+    # a longer series replaces its entry, which becomes the newest; nothing is dropped
+    rr.hilbert_rr(kept[1], 1)
+    assert list(rr._SERIES_MEMO) == [kept[0], *kept[2:], kept[1]]
     rr.hilbert_rr(data[0], 0)  # dropped, so evaluated again
-    assert len(evaluations) == size + 4 and len(rr._SERIES_MEMO) == size
+    assert list(rr._SERIES_MEMO) == [*kept[2:], kept[1], data[0]]
+    assert len(evaluations) == size + 5
+
+
+def test_a_series_past_the_memo_order_is_returned_but_not_kept(calibrated, evaluations):
+    data, shape = calibrated["P(1,1,2,3)"], FIXTURE_SHAPES["P(1,1,2,3)"]
+    top = rr._SERIES_MEMO_ORDER
+    for order in (top + 1, top + 1, top, top + 1, top):
+        assert rr.hilbert_rr(data, order) == wps.hilbert(shape, order)
+    assert evaluations == [(0, top + 2), (0, top + 2), (0, top + 1), (0, top + 2)]
+    assert rr._SERIES_MEMO == {data: tuple(CHI_VALUES(data, 0, top + 1))}
 
 
 def test_a_refused_order_leaves_the_memo_alone(calibrated, evaluations):

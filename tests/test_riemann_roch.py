@@ -401,7 +401,7 @@ def test_equal_fano_data_share_one_memo_entry(calibrated, evaluations):
 
 def test_the_memo_holds_its_bound_and_drops_the_oldest(evaluations):
     size = rr._SERIES_MEMO_SIZE
-    # P^3 with A^3 odd, as its A is the hyperplane class: chi(mA) is integral
+    # q = 4, no basket and A^3 odd: chi(0A) = 1 and chi(A) = (3 + 5 A^3) / 2 are integers
     data = [rr.FanoData(4, Fraction(2 * k + 1), ()) for k in range(size + 3)]
     for d in data:
         assert rr.hilbert_rr(d, 0).coefficients == (1,)

@@ -31,9 +31,9 @@ in variables of those weights, which is how ``wps`` counts monomials
 without listing them and ``riemann_roch`` counts the free algebra on a
 set of generator degrees.
 
-``partition_count`` recounts the same coefficients by exhaustive recursion
-and stays the independent oracle in the test suite; it is kept free of
-any series machinery on purpose.
+``partition_count`` recounts the same coefficients by exhaustive recursion,
+free of any series machinery on purpose, and is kept as the oracle of
+``bench/oracle.py``. The test suite's oracles live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations

@@ -1,8 +1,15 @@
-"""Oracles for the stratum analysis, on the standard library alone.
+"""The tests' oracles: what they compare qfano against, on the standard library alone.
 
-An oracle that imported qfano could share the fault it is meant to catch
-(``test_source_layout.py`` checks the imports). Everything here is read off one
-table of monomial counts, and a point's type off a search over units.
+The rule: only standard-library imports (``test_source_layout.py`` checks them) and no
+call into qfano, since an oracle that ran the code it checks could share its fault. Each
+takes plain values or reads a record by attribute. Counting and listing:
+``partition_count``, ``monomials``, ``monomial_counts``, ``has_monomial``. Series:
+``fraction_expand``. Riemann-Roch: ``local_c``, ``reference_a_c2``, ``reference_chi``.
+X12's link equations: ``reference_beta_class``, ``reference_m_min``, ``reference_splits``,
+``reference_e_bound``, ``reference_second_contraction``, ``brute_force_bare``. Normal
+form: ``reference_corner_requirements``. Strata: ``stratum_analysis``, every verdict read
+off one table of monomial counts and a point's type off a search over units, and
+``mismatches``, which compares an ``analyze`` report with it.
 """
 
 import collections
@@ -26,6 +33,199 @@ def monomial_counts(weights: tuple[int, ...], top: int) -> tuple[int, ...]:
         for n in range(w, top + 1):
             counts[n] += counts[n - w]
     return tuple(counts)
+
+
+def partition_count(parts, n: int) -> int:
+    """How many ways n is a sum of parts, each entry of ``parts`` its own kind: the t^n
+    coefficient of prod 1/(1 - t^p). The count oracle, a naive recursion over how often
+    each part is taken, not the running sums of the series kernel and ``monomial_counts``."""
+    parts = sorted(parts, reverse=True)
+
+    @functools.cache
+    def count(i: int, rest: int) -> int:
+        if i == len(parts):
+            return int(rest == 0)
+        return sum(count(i + 1, rest - j * parts[i]) for j in range(rest // parts[i] + 1))
+
+    return count(0, n)
+
+
+def monomials(weights, d: int) -> tuple[tuple[int, ...], ...]:
+    """Every exponent vector with sum(a_i * w_i) = d, in descending lexicographic order:
+    the listing oracle, which builds every vector of degree <= d and keeps those of d."""
+    vectors = [((), 0)]  # (exponents, their degree)
+    for w in weights:
+        vectors = [((*v, a), n + a * w) for v, n in vectors for a in range((d - n) // w + 1)]
+    return tuple(sorted((v for v, n in vectors if n == d), reverse=True))
+
+
+COUNTED = 10**4  # has_monomial counts monomials through a Schur bound up to this degree
+
+
+def has_monomial(weights, d: int) -> bool:
+    """Whether some exponent vector has sum(a_i * w_i) = d. Weights above d drop out, the
+    gcd g of the rest must divide d, and the rest over g, a <= ... <= b, reach every degree
+    from Schur's bound (a - 1)(b - 1) on (Brauer 1942). Below it the monomial count decides
+    while the bound is at most COUNTED; past that, for a huge b, ``_least_degrees`` does."""
+    ws = sorted({w for w in weights if w <= d})
+    if not ws:
+        return d == 0
+    g = math.gcd(*ws)
+    if d % g:
+        return False
+    ws, d = [w // g for w in ws], d // g
+    bound = (ws[0] - 1) * (ws[-1] - 1)
+    if d >= bound:
+        return True
+    if bound <= COUNTED:
+        return monomial_counts(tuple(ws), bound)[d] > 0
+    return _least_degrees(ws)[d % ws[0]] <= d
+
+
+def _least_degrees(ws: list[int]) -> list:
+    """least[k]: the least degree of a monomial congruent to k mod the least weight a, or
+    math.inf, by round-robin shortest paths (Boecker and Liptak 2007); powers of x_a reach
+    every larger degree of a class. A copy of the table in ``wps``, so not independent of
+    it: ``has_monomial`` reads it only past COUNTED, where no count can be expanded."""
+    a = ws[0]
+    least = [0] + [math.inf] * (a - 1)
+    for w in ws[1:]:
+        g = math.gcd(a, w)
+        for start in range(g):
+            n = min(least[start::g])
+            if n == math.inf:
+                continue
+            for _ in range(a // g - 1):
+                n += w
+                k = n % a
+                n = least[k] = min(n, least[k])
+    return least
+
+
+def fraction_expand(numerator, denominator, order: int) -> tuple[Fraction, ...]:
+    """prod (1 - t^a) / prod (1 - t^b) through t^order, in Fraction arithmetic: the
+    recurrence the series kernel replaced, kept as its reference."""
+    coeffs = [Fraction(1)] + [Fraction(0)] * order
+    for a in numerator:
+        for m in range(order, a - 1, -1):
+            coeffs[m] -= coeffs[m - a]
+    for b in denominator:
+        for m in range(b, order + 1):
+            coeffs[m] += coeffs[m - b]
+    return tuple(coeffs)
+
+
+@functools.cache
+def local_c(r: int, b: int, i: int) -> Fraction:
+    """Periodic Riemann-Roch correction of a point 1/r(1, r-1, b) at residue i, as stated."""
+    assert 0 <= i < r
+    value = Fraction(-i * (r * r - 1), 12 * r)
+    for j in range(1, i):
+        jb = (j * b) % r
+        value += Fraction(jb * (r - jb), 2 * r)
+    return value
+
+
+def reference_a_c2(data) -> Fraction:
+    """A.c2 from 24 chi(O) = q (A.c2) + sum (r - 1/r), summed in Fraction arithmetic as
+    stated; ``data`` is read for q and the entries' r."""
+    total = sum((Fraction(e.r) - Fraction(1, e.r) for e in data.entries), Fraction(0))
+    return (24 - total) / data.q
+
+
+def reference_chi(data, m: int) -> Fraction:
+    """chi(mA) summed in Fraction arithmetic straight from the stated formula; ``data`` is
+    read for q, a3 and the entries' r, b and wa."""
+    q = data.q
+    cubic = Fraction(m * (m + q) * (2 * m + q), 12) * data.a3
+    total = 1 + cubic + Fraction(m, 12) * reference_a_c2(data)
+    for e in data.entries:
+        total += local_c(e.r, e.b, (m * e.wa) % e.r)
+    return total
+
+
+# The link equations k * qhat = 13 * s_k + (13 * beta_k - k * alpha) * e of X12, of index 13,
+# in Fraction arithmetic: the evaluation the integer kernel replaced. A centre case is read
+# for r, k, alphas and reference_bare; the tests pass in the admissible Fano indices.
+LINK_Q = 13
+
+
+def reference_beta_class(case, k: int, alpha: Fraction) -> Fraction:
+    """beta_k mod 1 over the case's centre: t * alpha, t = k / 13 mod r; 0 if Cartier."""
+    if case.r is None:
+        return Fraction(0)
+    value = (k * pow(LINK_Q, -1, case.r) % case.r) * alpha
+    return value - math.floor(value)
+
+
+def reference_m_min(case, k: int, alpha: Fraction) -> int:
+    """The least m in beta_6 = class + m: canonical threshold <= 1/2 wants beta_6 >= 2 alpha."""
+    return max(0, math.ceil(2 * alpha - reference_beta_class(case, k, alpha))) if k == 6 else 0
+
+
+def reference_splits(case, alpha, qhat, e, k, birational) -> tuple:
+    """Every (s_k, beta_k) of the degree-k equation, s_k >= 1 for a birational link where
+    dim |kA| >= 1, that is where X12 has two degree-k monomials."""
+    rep = reference_beta_class(case, k, alpha)
+    m_min = reference_m_min(case, k, alpha)
+    s_min = 1 if birational and monomial_counts((3, 4, 5, 6, 7), k)[k] > 1 else 0
+    lhs = k * qhat - (LINK_Q * rep - k * alpha) * e
+    if lhs.denominator != 1 or lhs < 0 or lhs % LINK_Q:
+        return ()
+    reach, out, m = int(lhs) // LINK_Q, [], m_min
+    while reach - m * e >= s_min:
+        out.append((reach - m * e, rep + m))
+        m += 1
+    return tuple(out)
+
+
+def reference_e_bound(case, alpha: Fraction, indices) -> int:
+    """The largest e the case's equation allows at the least beta and s and the largest index."""
+    beta_min = reference_beta_class(case, case.k, alpha) + reference_m_min(case, case.k, alpha)
+    return math.floor(Fraction(case.k * max(indices)) / (LINK_Q * beta_min - case.k * alpha))
+
+
+def reference_second_contraction(e, qhat, s, q=LINK_Q, smooth_point=True, delta_max=400):
+    """Every admissible (delta, b, gammas) with delta <= delta_max, by trying each delta."""
+    for delta in range(1, delta_max + 1):
+        gammas = [(k, Fraction(s[k] * delta - k, e)) for k in sorted(s)]
+        if any(g < 0 or g.denominator != 1 for _, g in gammas):
+            continue
+        b = Fraction(qhat * delta - q, e)
+        if smooth_point and b.denominator != 1:
+            continue
+        yield delta, b, tuple(gammas)
+
+
+def brute_force_bare(case, indices) -> list[tuple]:
+    """(alpha, qhat, e, birational, splits, extra) of every e up to the bound with a split,
+    birational qhat in ``indices``, fiber-type in 1..3, as enumerate_bare sorts them."""
+    found = []
+    reference = set(case.reference_bare)
+    for alpha in case.alphas:
+        for birational, qhats in ((True, indices), (False, (1, 2, 3))):
+            for qhat in qhats:
+                for e in range(1, reference_e_bound(case, alpha, indices) + 1):
+                    splits = reference_splits(case, alpha, qhat, e, case.k, birational)
+                    if splits:
+                        extra = (alpha, qhat, e) not in reference
+                        found.append((alpha, qhat, e, birational, splits, extra))
+    return sorted(found, key=lambda row: (row[1], row[2], row[0]))
+
+
+def reference_corner_requirements(weights, d: int) -> dict[int, list[tuple[int, ...]]]:
+    """The per-vertex monomial table corner_check replaced, kept as its oracle.
+
+    Vertex i admits the pure power x_i^n and every near-power x_i^n*x_j of
+    degree d, over the weights in the order given.
+    """
+    out, n = {}, len(weights)
+    for i, wi in enumerate(weights):
+        out[i] = [tuple(d // wi if k == i else 0 for k in range(n))] if d % wi == 0 else []
+        for j, wj in enumerate(weights):
+            if j != i and d - wj >= wi and (d - wj) % wi == 0:
+                out[i].append(tuple((d - wj) // wi if k == i else int(k == j) for k in range(n)))
+    return out
 
 
 @functools.cache

@@ -9,12 +9,13 @@ import random
 from fractions import Fraction
 
 from conftest import WS, random_degree12_poly, random_substitution
+from oracles import partition_count
 from qfano import normal_form as nf
 from qfano import riemann_roch as rr
 from qfano import sarkisov as sk
 from qfano import wps
 from qfano.fixtures import FIXTURES, FORM_A, FORM_B, X12_SHAPE
-from qfano.series import expand_product, partition_count
+from qfano.series import expand_product
 
 
 def _criterion(n, label):

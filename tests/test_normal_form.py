@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import WS, random_degree12_poly, random_substitution
-from oracles import small_shapes
+from oracles import monomials, reference_corner_requirements, small_shapes
 from qfano import normal_form as nf
 from qfano import riemann_roch as rr
 from qfano import wps
@@ -517,7 +517,7 @@ def polys_and_substitutions(draw):
     earlier in that order, itself shifted or not.
     """
     weights = draw(st.sampled_from(SUBSTITUTION_WEIGHTS))
-    monos = wps.monomials(weights, draw(st.integers(0, 14)))
+    monos = monomials(weights, draw(st.integers(0, 14)))
     terms = {}
     for exp in draw(st.lists(st.sampled_from(monos))) if monos else ():
         terms[exp] = terms.get(exp, 0) + draw(coefficients)
@@ -527,7 +527,7 @@ def polys_and_substitutions(draw):
         if draw(st.booleans()):
             earlier = set(order[:k])
             shifts = [
-                e for e in wps.monomials(weights, weights[i])
+                e for e in monomials(weights, weights[i])
                 if all(j in earlier for j, a in enumerate(e) if a)
             ]
             chosen = draw(st.lists(st.sampled_from(shifts))) if shifts else ()
@@ -584,7 +584,7 @@ def test_corner_check_x12():
     passing = {
         w: {
             exp
-            for exp in wps.monomials(WS, 12)
+            for exp in monomials(WS, 12)
             if nf.corner_check(nf.WeightedPolynomial(WS, {exp: 1}), 12)[i]
         }
         for i, w in enumerate(WS)
@@ -608,33 +608,12 @@ def test_corner_check_in_any_weight_order():
     assert nf.corner_check(moved, 12) == {i: expected[k] for i, k in enumerate(order)}
 
 
-def reference_corner_requirements(weights, d):
-    """The per-vertex monomial table corner_check replaced, kept as its oracle.
-
-    Vertex i admits the pure power x_i^n and every near-power x_i^n*x_j of
-    degree d, over the weights in the order given.
-    """
-    out = {}
-    for i, wi in enumerate(weights):
-        admissible = []
-        if d % wi == 0:
-            admissible.append(tuple(d // wi if k == i else 0 for k in range(len(weights))))
-        for j, wj in enumerate(weights):
-            rem = d - wj
-            if j != i and rem >= wi and rem % wi == 0:
-                admissible.append(
-                    tuple(rem // wi if k == i else int(k == j) for k in range(len(weights)))
-                )
-        out[i] = admissible
-    return out
-
-
 @st.composite
 def quasihomogeneous_polys(draw):
     """A degree-d polynomial over five weights in any order, repeats allowed."""
     weights = tuple(draw(st.lists(st.integers(1, 9), min_size=5, max_size=5)))
     d = draw(st.integers(1, 30))
-    monos = wps.monomials(weights, d)
+    monos = monomials(weights, d)
     assume(monos)
     table = [m for ms in reference_corner_requirements(weights, d).values() for m in ms]
     chosen = draw(st.lists(st.sampled_from(monos), max_size=4))
@@ -983,7 +962,7 @@ def member_points_off_the_vertices(rng, weights, i, j, d):
     its degree-d monomials in x_i, x_j, coefficients drawn from 1..10^6."""
     exponents = [
         tuple(a if k == i else c if k == j else 0 for k in range(len(weights)))
-        for a, c in wps.monomials((weights[i], weights[j]), d)
+        for a, c in monomials((weights[i], weights[j]), d)
     ]
     poly = nf.WeightedPolynomial(weights, {e: rng.randint(1, 10**6) for e in exponents})
     # a leftover power of x_i (of x_j) is a zero at the x_j (the x_i) vertex

@@ -12,21 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mismatches
+from oracles import local_c, mismatches, reference_a_c2, reference_chi
+from qfano import fixtures, wps
 from qfano import riemann_roch as rr
-from qfano import wps
 from qfano.series import PowerSeries, expand_product, series_equal_upto
 
 X12 = wps.HypersurfaceShape((3, 4, 5, 6, 7), 12)
 
-FIXTURE_SHAPES = {
-    "X12": X12,
-    "P(3,4,5,7)": wps.HypersurfaceShape((3, 4, 5, 7)),
-    "P(2,3,5,7)": wps.HypersurfaceShape((2, 3, 5, 7)),
-    "P(1,3,4,5)": wps.HypersurfaceShape((1, 3, 4, 5)),
-    "P(1,2,3,5)": wps.HypersurfaceShape((1, 2, 3, 5)),
-    "P(1,1,2,3)": wps.HypersurfaceShape((1, 1, 2, 3)),
-}
+FIXTURE_SHAPES = {f.name: f.shape for f in fixtures.FIXTURES}
 
 
 @pytest.fixture(scope="module")
@@ -92,17 +85,19 @@ def test_chi_integrality_all_fixtures(calibrated):
             assert isinstance(rr.chi(data, m), int)
 
 
-def test_chi_convention_error():
-    # flip one wA on the X12 data: integrality must break somewhere early
-    good = rr.calibrated_data(X12, 24)
-    entries = list(good.entries)
-    idx = next(i for i, e in enumerate(entries) if e.r == 5)
-    bad5 = entries[idx]
-    entries[idx] = rr.RRBasketEntry(5, bad5.b, (5 - bad5.wa) % 5)
-    with pytest.raises(rr.ConventionError):
-        data = rr.FanoData(good.q, good.a3, tuple(entries))
-        for m in range(25):
-            rr.chi(data, m)
+def test_chi_convention_error(calibrated):
+    # one wA flipped on X12 breaks the orientation, which FanoData refuses itself
+    good = calibrated["X12"]
+    entries = tuple(rr.RRBasketEntry(5, e.b, 5 - e.wa) if e.r == 5 else e for e in good.entries)
+    with pytest.raises(rr.ConventionError, match="inconsistent orientation signs"):
+        rr.FanoData(good.q, good.a3, entries)
+    # P(1,1,2,3)'s 1/3 point flipped keeps the signs consistent, and chi refuses chi(A)
+    good = calibrated["P(1,1,2,3)"]
+    entries = tuple(rr.RRBasketEntry(3, e.b, 3 - e.wa) if e.r == 3 else e for e in good.entries)
+    data = rr.FanoData(good.q, good.a3, entries)
+    with pytest.raises(rr.ConventionError) as raised:
+        rr.chi(data, 1)
+    assert str(raised.value) == "chi(1A) = 17/9 is not an integer: wrong (b, wA) assignment"
 
 
 def test_fano_data_refuses_an_entry_off_the_wa_convention():
@@ -113,19 +108,13 @@ def test_fano_data_refuses_an_entry_off_the_wa_convention():
 
 
 def test_hilbert_rr_matches_closed_form(calibrated):
-    from qfano.series import series_equal_upto
-
     # 24 as calibrated_data uses it; 500, the longest series request of the x12_session benchmark
     for name, shape in FIXTURE_SHAPES.items():
         for order in (24, 500):
             assert rr.hilbert_rr(calibrated[name], order) == wps.hilbert(shape, order)
     # the cross-module comparison through the comparison helper
-    equal, mismatch = series_equal_upto(
-        rr.hilbert_rr(calibrated["X12"], 24),
-        expand_product((12,), (3, 4, 5, 6, 7), 24),
-        24,
-    )
-    assert equal and mismatch is None
+    x12 = rr.hilbert_rr(calibrated["X12"], 24)
+    assert series_equal_upto(x12, expand_product((12,), (3, 4, 5, 6, 7), 24), 24) == (True, None)
 
 
 # 3 + the sum of the distinct basket indices + the sum of the weights
@@ -189,36 +178,6 @@ def test_calibrated_series_equal_the_closed_form_over_four_periods():
     assert checked == 134
 
 
-@functools.cache
-def local_c(r, b, i):
-    """Periodic Riemann-Roch correction of a point 1/r(1, r-1, b) at residue i, as stated."""
-    assert 0 <= i < r
-    value = Fraction(-i * (r * r - 1), 12 * r)
-    for j in range(1, i):
-        jb = (j * b) % r
-        value += Fraction(jb * (r - jb), 2 * r)
-    return value
-
-
-def reference_a_c2(data):
-    """A.c2 from 24 chi(O) = q (A.c2) + sum (r - 1/r), summed in Fraction arithmetic as stated."""
-    total = sum((Fraction(e.r) - Fraction(1, e.r) for e in data.entries), Fraction(0))
-    return (24 - total) / data.q
-
-
-def reference_chi(data, m):
-    """chi(mA) summed in Fraction arithmetic straight from the stated formula."""
-    q = data.q
-    total = (
-        Fraction(1)
-        + Fraction(m * (m + q) * (2 * m + q), 12) * data.a3
-        + Fraction(m, 12) * reference_a_c2(data)
-    )
-    for e in data.entries:
-        total += local_c(e.r, e.b, (m * e.wa) % e.r)
-    return total
-
-
 @st.composite
 def fano_data(draw):
     q = draw(st.sampled_from(rr.ALLOWED_FANO_INDICES))
@@ -239,28 +198,6 @@ def fano_data(draw):
     return rr.FanoData(q, a3, tuple(entries))
 
 
-@settings(max_examples=300, deadline=None)
-@given(fano_data(), st.integers(min_value=0, max_value=60))
-def test_integer_kernel_matches_fraction_reference(data, order):
-    expected = [reference_chi(data, m) for m in range(order + 1)]
-    bad = next((m for m, v in enumerate(expected) if v.denominator != 1), None)
-    if bad is None:
-        series = rr.hilbert_rr(data, order)
-        assert series.coefficients == tuple(expected)
-        for m in range(order + 1):
-            assert rr.chi(data, m) == series[m]
-        return
-    message = f"chi({bad}A) = {expected[bad]} is not an integer: wrong (b, wA) assignment"
-    with pytest.raises(rr.ConventionError) as raised:
-        rr.hilbert_rr(data, order)
-    assert str(raised.value) == message
-    for m in range(bad):
-        assert rr.chi(data, m) == expected[m]
-    with pytest.raises(rr.ConventionError) as raised:
-        rr.chi(data, bad)
-    assert str(raised.value) == message
-
-
 def expected_chi(data, ms):
     """reference_chi over ms as ints, then the ConventionError text at the first fractional one."""
     values = []
@@ -270,6 +207,24 @@ def expected_chi(data, ms):
             return values, f"chi({m}A) = {value} is not an integer: wrong (b, wA) assignment"
         values.append(int(value))
     return values, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(fano_data(), st.integers(min_value=0, max_value=60))
+def test_integer_kernel_matches_fraction_reference(data, order):
+    expected, message = expected_chi(data, range(order + 1))
+    if message is None:
+        series = rr.hilbert_rr(data, order)
+        assert series.coefficients == tuple(expected)
+        assert [rr.chi(data, m) for m in range(order + 1)] == expected
+        return
+    with pytest.raises(rr.ConventionError) as raised:
+        rr.hilbert_rr(data, order)
+    assert str(raised.value) == message
+    assert [rr.chi(data, m) for m in range(len(expected))] == expected
+    with pytest.raises(rr.ConventionError) as raised:
+        rr.chi(data, len(expected))
+    assert str(raised.value) == message
 
 
 @functools.cache

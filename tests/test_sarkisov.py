@@ -1,13 +1,14 @@
 """Sarkisov-link case enumeration, filters, transcripts, second contractions."""
 
 import itertools
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import brute_force_bare, reference_beta_class, reference_e_bound, reference_m_min
+from oracles import reference_second_contraction, reference_splits
 from qfano import fixtures, wps
 from qfano import sarkisov as sk
 from qfano.riemann_roch import ALLOWED_FANO_INDICES
@@ -510,57 +511,6 @@ def test_reference_bare_solutions_present(transcripts):
             assert cand.extra == ((cand.alpha, cand.qhat, cand.e) not in set(t.case.reference_bare))
 
 
-# The Fraction evaluation of the link equations that the integer kernel
-# replaced, kept here as its oracle.
-
-
-def reference_beta_class(case, k, alpha):
-    if case.r is None:
-        return Fraction(0)
-    value = sk.beta_congruence(sk.Q, case.r, k) * alpha
-    return value - math.floor(value)
-
-
-def reference_m_min(case, k, alpha):
-    return max(0, math.ceil(2 * alpha - reference_beta_class(case, k, alpha))) if k == 6 else 0
-
-
-def reference_splits(case, alpha, qhat, e, k, birational):
-    rep = reference_beta_class(case, k, alpha)
-    m_min = reference_m_min(case, k, alpha)
-    s_min = 1 if (birational and sk.DIMS[k] >= 1) else 0
-    lhs = k * qhat - (sk.Q * rep - k * alpha) * e
-    if lhs.denominator != 1:
-        return ()
-    total = int(lhs)
-    if total < 0 or total % sk.Q != 0:
-        return ()
-    reach = total // sk.Q
-    out = []
-    m = m_min
-    while reach - m * e >= s_min:
-        out.append(sk.Split(reach - m * e, rep + m))
-        m += 1
-    return tuple(out)
-
-
-def reference_e_bound(case, alpha):
-    beta_min = reference_beta_class(case, case.k, alpha) + reference_m_min(case, case.k, alpha)
-    return math.floor(Fraction(case.k * max(ALLOWED_FANO_INDICES)) / (sk.Q * beta_min - case.k * alpha))
-
-
-def reference_second_contraction(e, qhat, s, q=sk.Q, smooth_point=True, delta_max=400):
-    """Every admissible (delta, b, gammas) with delta <= delta_max, by trying each delta."""
-    for delta in range(1, delta_max + 1):
-        gammas = [(k, Fraction(s[k] * delta - k, e)) for k in sorted(s)]
-        if any(g < 0 or g.denominator != 1 for _, g in gammas):
-            continue
-        b = Fraction(qhat * delta - q, e)
-        if smooth_point and b.denominator != 1:
-            continue
-        yield delta, b, tuple(gammas)
-
-
 def _kernel_splits(case, alpha, qhat, e, k, birational):
     return sk._solve_splits(sk._equation(case, alpha, k), qhat, e, k, birational)
 
@@ -577,7 +527,7 @@ def test_integer_kernel_matches_fraction_reference_on_every_case():
     """Every case and alpha, k in 3..7, every qhat, e in 1..e_max+5, both flags."""
     for case in sk.CASES.values():
         for alpha in case.alphas:
-            e_max = reference_e_bound(case, alpha)
+            e_max = reference_e_bound(case, alpha, ALLOWED_FANO_INDICES)
             assert sk._e_bound(case, alpha, sk._equation(case, alpha, case.k)) == e_max
             for k in range(3, 8):
                 D, _, rep_D, _ = sk._equation(case, alpha, k)
@@ -590,21 +540,6 @@ def test_integer_kernel_matches_fraction_reference_on_every_case():
                             _assert_same_splits(_kernel_splits(*args), reference_splits(*args))
 
 
-def brute_force_bare(case):
-    """Every (alpha, qhat, e <= e_max) with reference splits, in enumerate_bare's order."""
-    found = []
-    reference = set(case.reference_bare)
-    for alpha in case.alphas:
-        for birational, qhats in ((True, ALLOWED_FANO_INDICES), (False, (1, 2, 3))):
-            for qhat in qhats:
-                for e in range(1, reference_e_bound(case, alpha) + 1):
-                    splits = reference_splits(case, alpha, qhat, e, case.k, birational)
-                    if splits:
-                        extra = (alpha, qhat, e) not in reference
-                        found.append((alpha, qhat, e, birational, splits, extra))
-    return sorted(found, key=lambda row: (row[1], row[2], row[0]))
-
-
 def _bare_rows(bare, k):
     return [(c.alpha, c.qhat, c.e, c.birational, c.splits[k], c.extra) for c in bare]
 
@@ -612,7 +547,7 @@ def _bare_rows(bare, k):
 @pytest.mark.parametrize("name", list(sk.CASES))
 def test_congruence_solve_matches_a_scan_of_every_multiple(name):
     case = sk.CASES[name]
-    assert _bare_rows(sk.enumerate_bare(case), case.k) == brute_force_bare(case)
+    assert _bare_rows(sk.enumerate_bare(case), case.k) == brute_force_bare(case, ALLOWED_FANO_INDICES)
 
 
 @settings(max_examples=60, deadline=None)
@@ -625,17 +560,14 @@ def test_congruence_solve_matches_a_scan_on_synthetic_centres(r, numerators, k):
     """Centres of index 2..23 or Cartier ones, discrepancies a/r up to 2 (6 if Cartier), any k."""
     alphas = tuple(Fraction(a, r or 1) for a in sorted({n % (2 * (r or 3)) + 1 for n in numerators}))
     case = sk.CenterCase("S", "synthetic", r, alphas, k, ())
-    denominators = [
-        sk.Q * (reference_beta_class(case, k, a) + reference_m_min(case, k, a)) - k * a
-        for a in alphas
-    ]
-    if min(denominators) <= 0:
+    beta_min = [reference_beta_class(case, k, a) + reference_m_min(case, k, a) for a in alphas]
+    if min(sk.Q * b - k * a for a, b in zip(alphas, beta_min)) <= 0:
         with pytest.raises(ValueError, match="unbounded enumeration"):
             sk.enumerate_bare(case)
         return
-    assume(max(reference_e_bound(case, a) for a in alphas) <= 200)
+    assume(max(reference_e_bound(case, a, ALLOWED_FANO_INDICES) for a in alphas) <= 200)
     bare = sk.enumerate_bare(case)
-    assert _bare_rows(bare, k) == brute_force_bare(case)
+    assert _bare_rows(bare, k) == brute_force_bare(case, ALLOWED_FANO_INDICES)
     assert all(c.extra for c in bare)
 
 
@@ -658,7 +590,7 @@ def test_split_solver_runs_only_on_the_residue_class(monkeypatch):
         for alpha in case.alphas:
             D, c, _, _ = sk._equation(case, alpha, case.k)
             for qhat in (*ALLOWED_FANO_INDICES, 1, 2, 3):
-                for e in range(1, reference_e_bound(case, alpha) + 1):
+                for e in range(1, reference_e_bound(case, alpha, ALLOWED_FANO_INDICES) + 1):
                     in_class += (case.k * qhat * D - c * e) % (sk.Q * D) == 0
         assert all((k * qhat * eq[0] - eq[1] * e) % (sk.Q * eq[0]) == 0 for eq, qhat, e, k in calls)
         assert len(calls) == in_class < 50

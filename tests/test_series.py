@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from qfano import fixtures, riemann_roch, wps
 from qfano.series import (
     PowerSeries,
@@ -32,26 +33,10 @@ def test_geometric_series():
 
 def test_coefficient_thirteen_from_partition_oracle():
     # shifted-partition identity evaluated by the independent oracle
-    expected = partition_count((3, 4, 5, 6, 7), 13) - partition_count((3, 4, 5, 6, 7), 1)
+    weights = X12_EXPONENTS[1]
+    expected = oracles.partition_count(weights, 13) - oracles.partition_count(weights, 1)
     assert expected == 6
     assert expand_product(*X12_EXPONENTS, 13)[13] == expected
-
-
-def _enumerate_multisets(parts, n):
-    """Independent exhaustive multiset listing (checks the oracle itself)."""
-    parts = sorted(parts)
-
-    def rec(smallest, rem):
-        if rem == 0:
-            yield ()
-            return
-        for p in parts:
-            if p < smallest or p > rem:
-                continue
-            for rest in rec(p, rem - p):
-                yield (p,) + rest
-
-    return {tuple(sorted(m)) for m in rec(0, n)}
 
 
 @pytest.mark.parametrize(
@@ -60,14 +45,16 @@ def _enumerate_multisets(parts, n):
 )
 def test_partition_count_examples(parts, n, expected):
     assert partition_count(parts, n) == expected
-    assert len(_enumerate_multisets(parts, n)) == expected
+    assert oracles.partition_count(parts, n) == expected
 
 
-def test_partition_count_matches_listing_through_30():
-    for n in range(31):
-        assert partition_count((3, 4, 5, 6, 7), n) == len(
-            _enumerate_multisets((3, 4, 5, 6, 7), n)
-        )
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 8), max_size=5), st.integers(0, 30))
+def test_the_listing_and_counting_oracles_agree(weights, n):
+    # series.partition_count, kept as bench/oracle.py's oracle, agrees with both
+    count = oracles.partition_count(weights, n)
+    assert len(oracles.monomials(weights, n)) == count
+    assert partition_count(weights, n) == count
 
 
 def test_partition_count_refuses_a_negative_n_or_a_part_below_1():
@@ -186,7 +173,7 @@ weights_lists = st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_
 def test_pure_denominator_matches_partition_oracle(weights):
     series = expand_product((), weights, 30)
     for m in range(31):
-        assert series[m] == partition_count(weights, m)
+        assert series[m] == oracles.partition_count(weights, m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -194,23 +181,10 @@ def test_pure_denominator_matches_partition_oracle(weights):
 def test_single_numerator_shift_identity(weights, d):
     series = expand_product((d,), weights, 30)
     for m in range(31):
-        expected = partition_count(weights, m)
+        expected = oracles.partition_count(weights, m)
         if m >= d:
-            expected -= partition_count(weights, m - d)
+            expected -= oracles.partition_count(weights, m - d)
         assert series[m] == expected
-
-
-def _fraction_expand(numerator, denominator, order):
-    """The Fraction recurrence product_coefficients replaced, kept as its reference."""
-    coeffs = [Fraction(0)] * (order + 1)
-    coeffs[0] = Fraction(1)
-    for a in numerator:
-        for m in range(order, a - 1, -1):
-            coeffs[m] -= coeffs[m - a]
-    for b in denominator:
-        for m in range(b, order + 1):
-            coeffs[m] += coeffs[m - b]
-    return tuple(coeffs)
 
 
 exponent_lists = st.lists(st.integers(min_value=1, max_value=40), max_size=5)
@@ -221,7 +195,7 @@ exponent_lists = st.lists(st.integers(min_value=1, max_value=40), max_size=5)
 def test_integer_kernel_matches_fraction_recurrence(numerator, denominator, order):
     coeffs = product_coefficients(numerator, denominator, order)
     assert all(type(c) is int for c in coeffs)
-    assert coeffs == _fraction_expand(numerator, denominator, order)
+    assert coeffs == oracles.fraction_expand(numerator, denominator, order)
     # expand_product and truncate wrap the kernel's tuple without re-checking it
     series = expand_product(numerator, denominator, order)
     for got in (series, series.truncate(order // 2)):

@@ -136,7 +136,7 @@ UNCALLED = {
     "riemann_roch.relation_profile",  # acceptance criterion 6; README's Library block
     "series.partition_count",  # bench/oracle.py's independent series oracle
     "wps.edge_singularities",  # bench/tracing.py times it; README's entry points
-    "wps.monomials",  # bench/tracing.py times it; the tests' listing oracle
+    "wps.monomials",  # bench/tracing.py times it
     "wps.vertex_singularity",  # bench/tracing.py times it; README's entry points
     "wps.well_formed",  # bench/workloads.py calls it
 }

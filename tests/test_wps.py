@@ -8,26 +8,19 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import mismatches, point_type, small_shapes, stratum_analysis
 from qfano import fixtures, wps
 from qfano import riemann_roch as rr
 from qfano import sarkisov as sk
 from qfano.series import MAX_ORDER
-from qfano.series import partition_count
 
 X12 = wps.HypersurfaceShape((3, 4, 5, 6, 7), 12)
 
-FIXTURE_SHAPES = [
-    X12,
-    wps.HypersurfaceShape((3, 4, 5, 7)),
-    wps.HypersurfaceShape((2, 3, 5, 7)),
-    wps.HypersurfaceShape((1, 3, 4, 5)),
-    wps.HypersurfaceShape((1, 2, 3, 5)),
-    wps.HypersurfaceShape((1, 1, 2, 3)),
-]
+FIXTURE_SHAPES = [f.shape for f in fixtures.FIXTURES]
 
 
 @pytest.mark.parametrize(
@@ -81,13 +74,7 @@ def test_monomials_corner_cases():
     st.integers(min_value=0, max_value=30),
 )
 def test_monomials_match_brute_force(weights, d):
-    ranges = [range(d // w + 1) for w in weights]
-    assume(math.prod(map(len, ranges)) <= 20_000)
-    vectors = itertools.product(*ranges)
-    expected = sorted(
-        (v for v in vectors if sum(a * w for a, w in zip(v, weights)) == d), reverse=True
-    )
-    assert wps.monomials(weights, d) == tuple(expected)
+    assert wps.monomials(weights, d) == oracles.monomials(weights, d)
 
 
 def test_monomials_refuse_non_positive_weights():
@@ -98,18 +85,14 @@ def test_monomials_refuse_non_positive_weights():
             wps.monomials(weights, 5)
 
 
-def test_monomial_count_matches_partition_oracle():
+def test_monomial_count_matches_listing_oracle():
     for shape in FIXTURE_SHAPES:
         series = wps.hilbert(shape, 30)
         for m in range(31):
-            count = len(wps.monomials(shape.weights, m))
+            count = len(oracles.monomials(shape.weights, m))
             if shape.degree and m >= shape.degree:
-                count -= len(wps.monomials(shape.weights, m - shape.degree))
+                count -= len(oracles.monomials(shape.weights, m - shape.degree))
             assert series[m] == count
-
-
-# the enumerator is the oracle wherever its output is small enough to list
-LISTABLE = 20_000
 
 
 @settings(max_examples=150, deadline=None)
@@ -117,11 +100,8 @@ LISTABLE = 20_000
     st.lists(st.integers(min_value=1, max_value=33), min_size=5, max_size=5),
     st.integers(min_value=0, max_value=200),
 )
-def test_monomial_count_matches_enumeration_and_partitions(weights, d):
-    count = wps.monomial_count(weights, d)
-    assert count == partition_count(weights, d)
-    if count <= LISTABLE:
-        assert count == len(wps.monomials(weights, d))
+def test_monomial_count_matches_partitions(weights, d):
+    assert wps.monomial_count(weights, d) == oracles.partition_count(weights, d)
 
 
 def test_monomial_count_examples():
@@ -138,7 +118,7 @@ def test_monomial_count_examples():
     st.integers(min_value=0, max_value=300),
 )
 def test_has_monomial_matches_count(weights, d):
-    assert wps.has_monomial(weights, d) == (wps.monomial_count(weights, d) > 0)
+    assert wps.has_monomial(weights, d) == (oracles.partition_count(weights, d) > 0)
 
 
 def test_has_monomial_with_no_weights_reaches_only_degree_0():
@@ -146,39 +126,13 @@ def test_has_monomial_with_no_weights_reaches_only_degree_0():
     assert not wps.has_monomial((), 3)
 
 
-def least_degrees(weights) -> list:
-    """least[k]: the least degree of a monomial congruent to k mod the smallest weight a.
-
-    Round-robin shortest paths over residues (Boecker and Liptak 2007): each
-    further weight w walks the cycles k -> k + w mod a once, from the least
-    degree reached on the cycle. math.inf marks a class no monomial reaches.
-    """
-    ws = sorted(weights)
-    a = ws[0]
-    least = [0] + [math.inf] * (a - 1)
-    for w in ws[1:]:
-        g = math.gcd(a, w)
-        for start in range(g):
-            n = min(least[start::g])
-            if n == math.inf:
-                continue
-            for _ in range(a // g - 1):
-                n += w
-                k = n % a
-                n = least[k] = min(n, least[k])
-    return least
-
-
-def reference_has_monomial(weights, d) -> bool:
-    """A copy of the residue-class table that ``wps._least_degrees`` also keeps.
-
-    Adding powers of the weight-a variable reaches every larger degree in a
-    residue class, so a degree-d monomial exists iff least[d mod a] <= d.
-    It is kept for the huge-d cases, where no count can be expanded;
-    ``test_has_monomial_matches_count`` is the independent check.
-    """
-    least = least_degrees(weights)
-    return least[d % len(least)] <= d
+def test_the_existence_oracle_and_its_residue_classes_match_the_count_oracle():
+    # has_monomial reads its copy of wps's residue-class table only past what it counts
+    for weights in itertools.combinations_with_replacement(range(1, 13), 3):
+        least = oracles._least_degrees(list(weights))
+        for d in range(weights[0] * weights[-1] + weights[-1]):
+            exists = oracles.partition_count(weights, d) > 0
+            assert oracles.has_monomial(weights, d) == (least[d % weights[0]] <= d) == exists
 
 
 @settings(max_examples=300, deadline=None)
@@ -190,32 +144,34 @@ def reference_has_monomial(weights, d) -> bool:
     st.booleans(),
     st.integers(min_value=0, max_value=300),
 )
-def test_has_monomial_matches_residue_classes(base, factor, near, offset, scaled, any_d):
+def test_has_monomial_matches_the_oracle_near_its_bounds(base, factor, near, offset, scaled, any_d):
     # weights with a common factor g; d near the bounds of their reduced system
     weights = [factor * w for w in base]
     g = math.gcd(*weights)
     reduced = sorted(w // g for w in weights)
     run = next(k for k in range(1, len(reduced) + 1) if math.gcd(*reduced[:k]) == 1)
+    schur = (reduced[0] - 1) * (reduced[-1] - 1)
+    unreached = [n for n in range(schur) if not oracles.has_monomial(reduced, n)]
     target = {
-        "schur": (reduced[0] - 1) * (reduced[-1] - 1),
+        "schur": schur,
         "run": (reduced[0] - 1) * (reduced[run - 1] - 1),
-        "frobenius": max(least_degrees(reduced)) - reduced[0],
+        "frobenius": max([-1, *unreached]),  # the largest degree no monomial reaches
         "huge": (10**12 + 1) // g,
         "any": any_d // g,
     }[near]
     d = g * (target + offset) if scaled else g * target + offset
     if d < 0:
         return
-    assert wps.has_monomial(weights, d) == reference_has_monomial(weights, d)
-    assert wps.has_monomial(weights, 10**12 + 1) == reference_has_monomial(weights, 10**12 + 1)
+    assert wps.has_monomial(weights, d) == oracles.has_monomial(weights, d)
+    assert wps.has_monomial(weights, 10**12 + 1) == oracles.has_monomial(weights, 10**12 + 1)
 
 
-def test_has_monomial_matches_residue_classes_on_small_systems():
+def test_has_monomial_matches_the_oracle_on_small_systems():
     # every degree up to past the Schur bound (a - 1)(b - 1) of each system
     for n in (1, 2, 3):
         for weights in itertools.combinations_with_replacement(range(1, 13), n):
             for d in range(weights[0] * weights[-1] + weights[-1]):
-                assert wps.has_monomial(weights, d) == reference_has_monomial(weights, d), (weights, d)
+                assert wps.has_monomial(weights, d) == oracles.has_monomial(weights, d), (weights, d)
 
 
 def test_has_monomial_cost_is_independent_of_degree():
@@ -237,7 +193,7 @@ def test_has_monomial_cost_is_independent_of_degree():
     st.integers(min_value=3, max_value=30),
     st.floats(min_value=0.0, max_value=1.0),
 )
-def test_has_monomial_matches_residue_classes_past_a_large_weight(base, factor, exponent, where):
+def test_has_monomial_matches_the_oracle_past_a_large_weight(base, factor, exponent, where):
     # a weight B far above the rest and B <= d below the Schur bound: the
     # bitset would need d bits, so the residue-class table decides
     big = 10**exponent + 1
@@ -245,7 +201,7 @@ def test_has_monomial_matches_residue_classes_past_a_large_weight(base, factor, 
     lo = big
     hi = max(lo, (min(weights) - 1) * (big - 1))
     for d in (lo, lo + int(where * (hi - lo)), hi - 1, hi):
-        assert wps.has_monomial(weights, d) == reference_has_monomial(weights, d), (weights, d)
+        assert wps.has_monomial(weights, d) == oracles.has_monomial(weights, d), (weights, d)
 
 
 def test_has_monomial_cost_is_bounded_by_the_weights():
@@ -256,7 +212,7 @@ def test_has_monomial_cost_is_bounded_by_the_weights():
     for exponent in (7, 12, 30):
         big = 10**exponent + 1
         d = 3 * big // 2
-        assert wps.has_monomial((3, 6, 9, 12, big), d) == reference_has_monomial((3, 6, 9, 12, big), d)
+        assert wps.has_monomial((3, 6, 9, 12, big), d) == oracles.has_monomial((3, 6, 9, 12, big), d)
     assert wps.HypersurfaceShape((3, 3, 3, 3, 10**12 + 1), 15 * 10**11 + 3).degree == 15 * 10**11 + 3
     assert time.perf_counter() - start < 0.1
 
@@ -313,10 +269,10 @@ def test_each_decision_of_has_monomial_matches_partition_count(weights, d, quoti
     ws = sorted(weights)
     near = quotient * ws[0] + d % ws[0]
     for degree in (d, near):
-        expected = partition_count(ws, degree) > 0
+        expected = oracles.partition_count(ws, degree) > 0
         assert wps._by_bitset(ws, degree) == expected, (ws, degree)
         assert (wps._least_degrees(ws)[degree % ws[0]] <= degree) == expected, (ws, degree)
-    assert wps._by_search(ws, near) == (partition_count(ws, near) > 0), (ws, near)
+    assert wps._by_search(ws, near) == (oracles.partition_count(ws, near) > 0), (ws, near)
 
 
 def test_has_monomial_refuses_non_positive_weights():
@@ -399,7 +355,7 @@ def test_contained_edge_of_weights_with_a_shared_factor_is_a_curve_of_singularit
 def test_edge_points_are_its_monomials_less_one():
     # degree 18, edge (4,6): x4^3*x6 and x6^3 leave one point 1/2(other weights)
     # off the vertices, where 18*2/(4*6) counted 3/2
-    assert wps.monomials((4, 6), 18) == ((3, 1), (0, 3))
+    assert oracles.monomials((4, 6), 18) == ((3, 1), (0, 3))
     shape = wps.HypersurfaceShape((3, 4, 5, 6, 7), 18)
     assert wps.edge_singularities(shape, 1, 3) == (1, wps.QuotientType(2, 1))
     # over (2,3,4,6,7) the point is 1/2(2,3,7): a zero residue, refused as a type but counted
@@ -427,7 +383,7 @@ def test_a_contained_edge_is_decided_by_the_variables_outside_it(weights, d, edg
     except ValueError as exc:
         outcome = exc
     pair = tuple(shape.weights[k] for k in edge)
-    if wps.has_monomial(pair, d):
+    if oracles.has_monomial(pair, d):
         assert not isinstance(outcome, wps.NotQuasiSmoothAtVertex)
         assert "share a factor" not in str(outcome)
     elif math.gcd(*pair) > 1:
@@ -435,7 +391,7 @@ def test_a_contained_edge_is_decided_by_the_variables_outside_it(weights, d, edg
     else:
         # Thm 8.1 for |I| = 2: two distinct x_e outside with a degree-d x_i^a*x_j^c*x_e
         outside = [w for k, w in enumerate(shape.weights) if k not in edge]
-        qualify = sum(d > w and wps.has_monomial(pair, d - w) for w in outside)
+        qualify = sum(d > w and oracles.has_monomial(pair, d - w) for w in outside)
         assert outcome is None if qualify >= 2 else isinstance(outcome, wps.NotQuasiSmoothAtVertex)
 
 
@@ -670,7 +626,7 @@ CONTAINED_COPRIME_EDGES = [
 def test_a_contained_coprime_edge_that_passes_adds_no_point(weights, d, edge):
     shape = wps.HypersurfaceShape(weights, d)
     i, j = (shape.weights.index(w) for w in edge)
-    assert math.gcd(*edge) == 1 and not wps.has_monomial(edge, d)
+    assert math.gcd(*edge) == 1 and not oracles.has_monomial(edge, d)
     assert wps._edge(shape.weights, d, i, j) == ()
     assert wps.edge_singularities(shape, i, j) is None
     report = wps.analyze(shape)

@@ -63,12 +63,17 @@ that same event):
 
 Bare solutions are kept apart from filtered ones; one beyond the reference
 list is flagged, never dropped; a fiber-type one's key ends in "fiber-type".
+
+run_case keeps one transcript per CenterCase value ("p3" and "P3" share it, a
+patched case gets its own, a run that raises stores none) and returns it to every
+caller read-only: its sequences are tuples and its candidates sealed (_seal).
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import types
 from collections import namedtuple
 from fractions import Fraction
 
@@ -218,13 +223,14 @@ class LinkCandidate:
     """
 
     __slots__ = ("case", "alpha", "qhat", "e", "birational", "splits", "admissible", "status",
-                 "filter_id", "reason", "target", "d", "torsion_options", "extra")
+                 "filter_id", "reason", "target", "d", "torsion_options", "extra", "_sealed")
 
     def __init__(self, case: CenterCase, alpha: Fraction, qhat: int, e: int, birational: bool,
                  splits: dict[int, tuple[Split, ...]] | None = None, extra: bool = False) -> None:
         if not isinstance(alpha, (int, Fraction)) or type(birational) is not bool:
             raise TypeError(f"alpha {alpha!r} must be a Fraction or an int, "
                             f"birational {birational!r} a bool")
+        object.__setattr__(self, "_sealed", False)
         self.case, self.alpha, self.birational = case, alpha, birational
         self.qhat, self.e = operator.index(qhat), operator.index(e)
         if not isinstance(case, CenterCase):
@@ -240,6 +246,16 @@ class LinkCandidate:
         self.d: int | None = None
         self.torsion_options: tuple[int, ...] = ()
         self.extra = extra
+
+    def __setattr__(self, name: str, value) -> None:
+        if self._sealed:
+            raise AttributeError(f"[{self.key()}] is part of a shared transcript: read-only")
+        object.__setattr__(self, name, value)
+
+    def _seal(self) -> None:  # read-only splits and admissible, and no assignment from now on
+        self.splits = types.MappingProxyType(self.splits)
+        self.admissible = types.MappingProxyType(self.admissible)
+        self._sealed = True
 
     def key(self) -> str:
         """Name in transcripts and logs; a fiber-type candidate's ends in "fiber-type"."""
@@ -673,15 +689,22 @@ class Transcript(namedtuple("Transcript", "case bare events final thresholds con
         }
 
 
+_TRANSCRIPTS: dict[CenterCase, Transcript] = {}  # every transcript run_case returned, by case
+
+
 def run_case(name: str) -> Transcript:
-    """Enumerate, split, filter and report one center case, deterministically."""
+    """Enumerate, split, filter and report one center case, deterministically, once."""
     case = CASES[name.upper()]
+    transcript = _TRANSCRIPTS.get(case)
+    if transcript is not None:
+        return transcript
     bare = enumerate_bare(case)
     events = apply_filters(bare)
     # one exact re-check covers every split, the solver's and the filters' alike
     for cand in bare:
         if not verify_equation(cand):
             raise AssertionError(f"candidate {cand.key()} fails after split extension")
+        cand._seal()  # the filters are done, and what follows only reads
     final = [c for c in bare if c.status == "final"]
 
     thresholds: list[tuple[str, Fraction]] = []
@@ -695,7 +718,7 @@ def run_case(name: str) -> Transcript:
                 contractions.append((cand.key(), sol))
 
     notes: list[str] = []
-    if name.upper() == "NG" and bare:
+    if case.name == "NG" and bare:
         forced = sorted({(c.qhat, c.alpha * c.e) for c in bare})
         if forced == [(11, Fraction(2))]:
             notes.append(
@@ -712,4 +735,5 @@ def run_case(name: str) -> Transcript:
             f"status: {c.status}"
             + (f" by {c.filter_id}" if c.filter_id else "")
         )
-    return Transcript(case, bare, events, final, thresholds, contractions, notes)
+    fields = map(tuple, (bare, events, final, thresholds, contractions, notes))
+    return _TRANSCRIPTS.setdefault(case, Transcript(case, *fields))  # a raise stores nothing

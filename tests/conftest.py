@@ -1,4 +1,4 @@
-"""Shared generators for randomized exact-arithmetic tests."""
+"""Shared generators for randomized exact-arithmetic tests, and shared fixtures."""
 
 from __future__ import annotations
 
@@ -6,7 +6,10 @@ import random
 import warnings
 from fractions import Fraction
 
+import pytest
+
 from qfano import normal_form as nf
+from qfano import sarkisov
 
 # Hypothesis imports its patch writer, and through it libcst, while it reports a
 # falsifying example. Under -W error, as CI runs, libcst's mypy_extensions.TypedDict
@@ -23,6 +26,13 @@ with warnings.catch_warnings():
         pass
 
 WS = nf.STANDARD_WEIGHTS
+
+
+@pytest.fixture
+def empty_link_memo(monkeypatch):
+    """An empty ``sarkisov.run_case`` memo for one test, so that every case it runs is
+    computed again, with whatever that test has patched."""
+    monkeypatch.setattr(sarkisov, "_TRANSCRIPTS", {})
 
 DEGREE_12_MONOMIALS = {
     "x5*x7": (0, 0, 1, 0, 1),

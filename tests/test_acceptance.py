@@ -64,7 +64,7 @@ def test_criterion_3_rr_oracle_equivalence():
 @_criterion(4, "link transcripts match the expected case analysis")
 def test_criterion_4_link_transcripts():
     ng = sk.run_case("NG")
-    assert ng.final == []
+    assert ng.final == ()
     assert {(c.qhat, c.alpha * c.e) for c in ng.bare} == {(11, Fraction(2))}
 
     p3 = sk.run_case("P3")
@@ -74,11 +74,11 @@ def test_criterion_4_link_transcripts():
         (Fraction(1, 3), 4, 1),
         (Fraction(1, 3), 8, 2),
     } <= p3_keys
-    assert p3.final == []
+    assert p3.final == ()
 
     p7 = sk.run_case("P7")
     assert {(c.qhat, c.e) for c in p7.bare} == {(9, 2), (11, 1)}
-    assert p7.final == []
+    assert p7.final == ()
 
     p2 = sk.run_case("P2")
     assert len(p2.final) == 1

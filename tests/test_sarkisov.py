@@ -1,6 +1,7 @@
 """Sarkisov-link case enumeration, filters, transcripts, second contractions."""
 
 import itertools
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,8 @@ from oracles import reference_second_contraction, reference_splits
 from qfano import fixtures, wps
 from qfano import sarkisov as sk
 from qfano.riemann_roch import ALLOWED_FANO_INDICES
+
+GOLDEN = pathlib.Path(sk.__file__).with_name("golden")
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +162,7 @@ def test_a_case_with_no_bare_solution_logs_no_candidates():
 def test_an_ng_case_not_forced_to_eleven_lists_its_pairs_as_rationals(monkeypatch):
     # NG given P7's data: its bare pairs are (9, 2/7) and (11, 1/7), not the forced (11, 2)
     monkeypatch.setitem(sk.CASES, "NG", sk.CASES["P7"]._replace(name="NG"))
-    assert sk.run_case("NG").notes == ["bare (qhat, alpha*e) pairs: (9, 2/7), (11, 1/7)"]
+    assert sk.run_case("NG").notes == ("bare (qhat, alpha*e) pairs: (9, 2/7), (11, 1/7)",)
 
 
 def test_link_data_agree_with_the_corpus():
@@ -305,14 +308,14 @@ def test_candidate_takes_an_int_discrepancy():
 def test_filters_p7(transcripts):
     for c in transcripts["P7"].bare:
         assert c.status == "eliminated" and c.filter_id == "F1"
-    assert transcripts["P7"].final == []
+    assert transcripts["P7"].final == ()
 
 
 def test_filters_ng(transcripts):
-    assert transcripts["P3"].final == []
+    assert transcripts["P3"].final == ()
     for c in transcripts["NG"].bare:
         assert c.status == "eliminated" and c.filter_id == "F1"
-    assert transcripts["NG"].final == []
+    assert transcripts["NG"].final == ()
 
 
 def test_filters_p3(transcripts):
@@ -471,10 +474,59 @@ def test_equations_verified(transcripts):
             assert sk.verify_equation(cand)
 
 
-def test_transcripts_deterministic(transcripts):
+def test_transcripts_deterministic(transcripts, empty_link_memo):
+    # on an empty memo each case is computed again, not read back
     for name, t in transcripts.items():
         again = sk.run_case(name)
+        assert again is not t
         assert again.text() == t.text()
+
+
+def test_a_second_run_case_returns_the_kept_transcript(monkeypatch, empty_link_memo):
+    calls = []
+    enumerate_bare = sk.enumerate_bare
+    monkeypatch.setattr(sk, "enumerate_bare", lambda case: calls.append(case) or enumerate_bare(case))
+    first = sk.run_case("P5")
+    assert calls == [sk.CASES["P5"]]
+    assert sk.run_case("P5") is first
+    assert calls == [sk.CASES["P5"]]
+
+
+def test_the_memo_is_keyed_by_the_case_value_not_the_name(monkeypatch, empty_link_memo):
+    p3 = sk.run_case("p3")
+    assert sk.run_case("P3") is p3 and list(sk._TRANSCRIPTS) == [sk.CASES["P3"]]
+    # the same name for another case value gets an entry of its own, beside the first
+    one_alpha = sk.CASES["P3"]._replace(alphas=(Fraction(1, 3),))
+    monkeypatch.setitem(sk.CASES, "P3", one_alpha)
+    patched = sk.run_case("p3")
+    assert patched is not p3 and {c.alpha for c in patched.bare} == {Fraction(1, 3)}
+    assert sk._TRANSCRIPTS == {p3.case: p3, one_alpha: patched}
+
+
+def test_a_run_case_that_raises_stores_nothing(monkeypatch, empty_link_memo):
+    solve = sk._solve_splits
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            sk, "_solve_splits", lambda *args: tuple(sp._replace(s=sp.s + 1) for sp in solve(*args))
+        )
+        with pytest.raises(AssertionError, match="fails after split extension"):
+            sk.run_case("P7")
+    assert sk._TRANSCRIPTS == {}
+    assert sk.run_case("P7").text() == (GOLDEN / "p7.txt").read_text(encoding="utf-8")
+
+
+def test_a_shared_transcript_cannot_be_altered(empty_link_memo):
+    transcript = sk.run_case("P5")
+    text = transcript.text()
+    assert [type(field) for field in transcript[1:]] == [tuple] * 6
+    for cand in transcript.bare:
+        for name in sk.LinkCandidate.__slots__:
+            with pytest.raises(AttributeError, match="part of a shared transcript: read-only"):
+                setattr(cand, name, getattr(cand, name))
+        for splits in (cand.splits, cand.admissible):
+            with pytest.raises(TypeError):
+                splits[6] = ()
+    assert transcript.text() == text == sk.run_case("P5").text()
 
 
 def test_every_elimination_cites_one_filter(transcripts):
@@ -637,7 +689,7 @@ def test_second_contraction_matches_fraction_reference(e, qhat, s, smooth_point)
 
 
 @pytest.mark.parametrize("name", list(sk.CASES))
-def test_run_case_rejects_a_corrupted_split_from_the_solver(monkeypatch, name):
+def test_run_case_rejects_a_corrupted_split_from_the_solver(monkeypatch, empty_link_memo, name):
     """The one re-check after the filters still sees a split the solver got wrong."""
     solve, corrupted = sk._solve_splits, []
 
@@ -654,7 +706,7 @@ def test_run_case_rejects_a_corrupted_split_from_the_solver(monkeypatch, name):
     assert corrupted
 
 
-def test_f4_names_its_recorded_step_when_every_split_is_corrupted(monkeypatch):
+def test_f4_names_its_recorded_step_when_every_split_is_corrupted(monkeypatch, empty_link_memo):
     # F4's note for P5 solves a second contraction before the re-check runs; with
     # s + 1 in every split it has none, and the step is named, not dereferenced
     solve = sk._solve_splits

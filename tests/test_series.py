@@ -210,16 +210,23 @@ def test_integer_kernel_rejects_negative_order():
         expand_product(*X12_EXPONENTS, 10).truncate(-1)
 
 
-fractions = st.fractions(
-    min_value=-100, max_value=100, max_denominator=50
-)
+@settings(max_examples=100, deadline=None)
+@given(exponent_lists, exponent_lists, exponent_lists, exponent_lists, st.integers(0, 80))
+def test_expanding_a_union_of_factors_is_the_truncated_cauchy_product(
+    numerator, denominator, other_numerator, other_denominator, order
+):
+    first = product_coefficients(numerator, denominator, order)
+    second = product_coefficients(other_numerator, other_denominator, order)
+    cauchy = tuple(sum(first[i] * second[m - i] for i in range(m + 1)) for m in range(order + 1))
+    union = product_coefficients(numerator + other_numerator, denominator + other_denominator, order)
+    assert union == cauchy
 
 
-@given(fractions, fractions, fractions)
-def test_rational_addition_associative(a, b, c):
-    assert (a + b) + c == a + (b + c)
-
-
-@given(fractions.filter(lambda x: x != 0))
-def test_rational_multiplicative_inverse(a):
-    assert a * (1 / a) == 1
+@settings(max_examples=100, deadline=None)
+@given(exponent_lists, exponent_lists, st.integers(1, 40), st.data(), st.integers(0, 120))
+def test_a_factor_in_numerator_and_denominator_cancels(numerator, denominator, a, data, order):
+    # the factor goes in at any place on each side
+    i = data.draw(st.integers(0, len(numerator)))
+    j = data.draw(st.integers(0, len(denominator)))
+    with_a = (numerator[:i] + [a] + numerator[i:], denominator[:j] + [a] + denominator[j:])
+    assert product_coefficients(*with_a, order) == product_coefficients(numerator, denominator, order)

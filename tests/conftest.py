@@ -27,13 +27,6 @@ with warnings.catch_warnings():
 
 WS = nf.STANDARD_WEIGHTS
 
-
-@pytest.fixture
-def empty_link_memo(monkeypatch):
-    """An empty ``sarkisov.run_case`` memo for one test, so that every case it runs is
-    computed again, with whatever that test has patched."""
-    monkeypatch.setattr(sarkisov, "_TRANSCRIPTS", {})
-
 DEGREE_12_MONOMIALS = {
     "x5*x7": (0, 0, 1, 0, 1),
     "x4^3": (0, 3, 0, 0, 0),
@@ -84,3 +77,10 @@ def random_substitution(rng: random.Random) -> nf.Substitution:
             nf.WeightedPolynomial(WS, {(1, 1, 0, 0, 0): shift7}),
         )
     return nf.Substitution(WS, rules)
+
+
+@pytest.fixture
+def empty_link_memo(monkeypatch):
+    """An empty ``sarkisov.run_case`` memo for one test, so that every case it runs is
+    computed again, with whatever that test has patched."""
+    monkeypatch.setattr(sarkisov, "_TRANSCRIPTS", {})

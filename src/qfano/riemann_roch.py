@@ -27,12 +27,8 @@ T_P[i+1] = T_P[i] - D (r^2 - 1) / (12 r) + (ib mod r)(r - ib mod r) D / (2 r).
 ``_chi_values`` evaluates a whole range start <= m < stop at once (its
 comments say how) and checks integrality by D in one pass, building a
 ``Fraction`` only to report the first non-integral total. ``chi`` and
-``hilbert_rr`` are its ranges [m, m+1) and [0, order]. ``hilbert_rr`` keeps,
-for each of the last 16 ``FanoData`` it evaluated (equal data share one
-entry, the oldest is dropped first), the longest range through order 1000
-it has returned: a request within it is a slice, a longer one evaluates
-again from m = 0 and replaces it, and an evaluation that raises
-``ConventionError`` stores nothing.
+``hilbert_rr`` are its ranges [m, m+1) and [0, order]; ``hilbert_rr`` keeps the
+longest per ``FanoData`` by ``series.kept_prefix``, and a shorter request slices it.
 ``a_c2`` is one Fraction over L = lcm(r), (24 L - sum (r^2-1) L/r) / (q L);
 the tests keep A.c2 and c_{r,b} in their stated forms as the oracles.
 
@@ -70,7 +66,7 @@ from fractions import Fraction
 from itertools import accumulate, cycle, islice, repeat
 
 from . import wps
-from .series import PowerSeries, series_equal_upto
+from .series import PowerSeries, kept_prefix, series_equal_upto
 from .wps import ALLOWED_FANO_INDICES
 
 
@@ -163,7 +159,7 @@ def a_c2(data: FanoData) -> Fraction:
     return Fraction(24 * lcm - sum((e.r**2 - 1) * (lcm // e.r) for e in data.entries), data.q * lcm)
 
 
-def _chi_values(data: FanoData, start: int, stop: int) -> list[int]:
+def _chi_values(data: FanoData, start: int, stop: int) -> tuple[int, ...]:
     """chi(mA) for start <= m < stop through the common-denominator integer terms (module doc)."""
     q, a3, ac2 = data.q, data.a3, a_c2(data)
     den = math.lcm(12 * a3.denominator, 12 * ac2.denominator, *(12 * e.r for e in data.entries))
@@ -189,7 +185,7 @@ def _chi_values(data: FanoData, start: int, stop: int) -> list[int]:
         period = [table[(m * e.wa) % r] for m in range(start, start + r)]
         corrections = map(operator.add, corrections, cycle(period))
     totals = list(map(operator.add, cubics, cycle(corrections)))
-    values = list(map(operator.floordiv, totals, repeat(den)))
+    values = tuple(map(operator.floordiv, totals, repeat(den)))
     # every remainder is in [0, D), so the sums agree only when each remainder is 0
     if sum(totals) != den * sum(values):
         m, total = next((m, t) for m, t in enumerate(totals, start) if t % den)
@@ -206,27 +202,13 @@ def chi(data: FanoData, m: int) -> int:
     return _chi_values(data, m, m + 1)[0]
 
 
-# the longest chi(0A), chi(1A), ... that hilbert_rr has evaluated, per data, oldest first;
-# a series past _SERIES_MEMO_ORDER is not kept (at order 10^6 one holds about 40 MB)
-_SERIES_MEMO: dict[FanoData, tuple[int, ...]] = {}
-_SERIES_MEMO_SIZE = 16
-_SERIES_MEMO_ORDER = 1000
+_SERIES_MEMO: dict[FanoData, tuple[int, ...]] = {}  # chi(0A), chi(1A), ... per data
 
 
 def hilbert_rr(data: FanoData, order: int) -> PowerSeries:
     """Termwise chi as a power series through t^order."""
-    order = operator.index(order)
-    if order < 0:
-        raise ValueError("truncation order must be >= 0")
-    values = _SERIES_MEMO.get(data)
-    if values is None or len(values) <= order:
-        values = tuple(_chi_values(data, 0, order + 1))  # a ConventionError stores nothing
-        if order <= _SERIES_MEMO_ORDER:
-            _SERIES_MEMO.pop(data, None)
-            if len(_SERIES_MEMO) >= _SERIES_MEMO_SIZE:
-                del _SERIES_MEMO[next(iter(_SERIES_MEMO))]
-            _SERIES_MEMO[data] = values
-    return PowerSeries._of_ints(values[: order + 1])
+    chis = kept_prefix(_SERIES_MEMO, data, order, lambda fano, n: _chi_values(fano, 0, n + 1))
+    return PowerSeries._of_ints(chis)
 
 
 def calibrate(data: FanoData, oracle: PowerSeries) -> None:

@@ -66,7 +66,7 @@ list is flagged, never dropped; a fiber-type one's key ends in "fiber-type".
 
 run_case keeps one transcript per CenterCase value ("p3" and "P3" share it, a
 patched case gets its own, a run that raises stores none) and returns it to every
-caller read-only: its sequences are tuples and its candidates sealed (_seal).
+caller read-only: tuples, sealed candidates (_seal) and a text rendered once.
 """
 
 from __future__ import annotations
@@ -689,7 +689,19 @@ class Transcript(namedtuple("Transcript", "case bare events final thresholds con
         }
 
 
-_TRANSCRIPTS: dict[CenterCase, Transcript] = {}  # every transcript run_case returned, by case
+class _KeptTranscript(Transcript):
+    """A transcript run_case keeps and shares: read-only, so its text is rendered once."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"case {self.case.name}: a shared transcript is read-only")
+
+    def text(self) -> str:
+        if not self.__dict__:  # __setattr__ refuses, so the dict holds _text or nothing
+            self.__dict__["_text"] = super().text()
+        return self._text
+
+
+_TRANSCRIPTS: dict[CenterCase, Transcript] = {}  # the transcripts run_case returned, by case
 
 
 def run_case(name: str) -> Transcript:
@@ -736,4 +748,4 @@ def run_case(name: str) -> Transcript:
             + (f" by {c.filter_id}" if c.filter_id else "")
         )
     fields = map(tuple, (bare, events, final, thresholds, contractions, notes))
-    return _TRANSCRIPTS.setdefault(case, Transcript(case, *fields))  # a raise stores nothing
+    return _TRANSCRIPTS.setdefault(case, _KeptTranscript(case, *fields))  # a raise stores nothing

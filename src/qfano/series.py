@@ -29,7 +29,10 @@ weighted projective space, e.g.
 With an empty numerator the t^d coefficient counts the degree-d monomials
 in variables of those weights, which is how ``wps`` counts monomials
 without listing them and ``riemann_roch`` counts the free algebra on a
-set of generator degrees.
+set of generator degrees. The kernel keeps the longest expansion per pair
+by the one process memo policy, defined here and used by ``wps.basket`` and
+``riemann_roch.hilbert_rr`` too: ``keep`` holds ``MEMO_KEYS`` values per memo,
+dropping the oldest first, and ``kept_prefix`` keeps no series past ``MEMO_ORDER``.
 
 ``partition_count`` recounts the same coefficients by exhaustive recursion,
 free of any series machinery on purpose, and is kept as the oracle of
@@ -43,6 +46,9 @@ from collections.abc import Iterable
 
 DEFAULT_ORDER = 30
 MAX_ORDER = 10**6  # the longest series expanded on request
+MEMO_KEYS = 16  # the values a process memo keeps, the oldest dropped first
+MEMO_ORDER = 1000  # the longest series kept: at order 10^6 one holds about 40 MB
+_PRODUCTS: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
 
 
 class TruncationError(ValueError):
@@ -110,26 +116,47 @@ class PowerSeries:
         return PowerSeries._of_ints(self.coefficients[: order + 1])
 
 
+def keep(memo: dict, key, value):
+    """Store value as the memo's newest entry, dropping its oldest past MEMO_KEYS; return it."""
+    memo.pop(key, None)
+    if len(memo) >= MEMO_KEYS:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
+
+
+def kept_prefix(memo: dict, key, order: int, expand) -> tuple[int, ...]:
+    """Terms 0..order of key's series: sliced from the longest kept, else expand(key, order)."""
+    order = operator.index(order)
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
+    if len(values := memo.get(key, ())) <= order:  # a raise in expand stores nothing
+        values = expand(key, order) if order > MEMO_ORDER else keep(memo, key, expand(key, order))
+    return values[: order + 1]
+
+
 def product_coefficients(numerator, denominator, order: int) -> tuple[int, ...]:
     """Integer coefficients of prod_a (1-t^a) / prod_b (1-t^b) through t^order.
 
     ``numerator`` and ``denominator`` hold the exponents a and b, each an
     int >= 1; repeats are allowed on both sides, as weights repeat in
-    systems like P(1,1,2,3). O((len(numerator) + len(denominator)) * order)
-    integer steps.
+    systems like P(1,1,2,3); each is read once. O((len(numerator) +
+    len(denominator)) * order) integer steps, or a slice of a kept expansion.
     """
-    for a in (*numerator, *denominator):
+    numerator, denominator = tuple(numerator), tuple(denominator)
+    for a in numerator + denominator:
         if operator.index(a) < 1:
             raise ValueError(f"factor exponent {a} must be >= 1")
-    order = operator.index(order)
-    if order < 0:
-        raise ValueError("truncation order must be >= 0")
+    return kept_prefix(_PRODUCTS, (numerator, denominator), order, _expand)
+
+
+def _expand(pair: tuple[tuple[int, ...], tuple[int, ...]], order: int) -> tuple[int, ...]:
     coeffs = [0] * (order + 1)
     coeffs[0] = 1
-    for a in numerator:
+    for a in pair[0]:
         for m in range(order, a - 1, -1):
             coeffs[m] -= coeffs[m - a]
-    for b in denominator:
+    for b in pair[1]:
         # multiply by 1/(1-t^b): prefix recurrence c[m] += c[m-b]
         for m in range(b, order + 1):
             coeffs[m] += coeffs[m - b]

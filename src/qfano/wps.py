@@ -37,7 +37,7 @@ applied by one walk over every vertex, every edge and the planes ``_walk`` shows
 terminal or not (``edge_singularities`` says how an edge's are counted). Each rule returns
 its verdict with the failure it records, or None; only ``basket``, ``vertex_singularity``
 and ``edge_singularities`` raise it, and most failures record their class alone, worded
-where raised.
+where raised. ``basket`` keeps its answer per shape, on the memo policy of ``series``.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .series import DEFAULT_ORDER, MAX_ORDER, PowerSeries, expand_product, product_coefficients
+from .series import DEFAULT_ORDER, MAX_ORDER, PowerSeries, expand_product, keep
+from .series import product_coefficients
 
 
 class NotFano(ValueError):
@@ -165,6 +166,7 @@ class Basket(namedtuple("Basket", "entries")):
 
 # the Fano indices that riemann_roch.FanoData and the sarkisov link enumeration admit
 ALLOWED_FANO_INDICES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 17, 19)
+_BASKETS: dict[HypersurfaceShape, Basket] = {}  # the baskets basket() returned, by shape
 
 
 def fano_index(shape: HypersurfaceShape) -> int:
@@ -528,12 +530,14 @@ def basket(shape: HypersurfaceShape) -> Basket:
     vertex, where a member eliminates a weight that is d mod r, and r | w_i, w_j, d on an edge.
     Two residues sum to 0 (terminal lemma), so q is the third, a unit by ``_normalize_type``.
     """
+    if (kept := _BASKETS.get(shape)) is not None:
+        return kept
     verdicts = []
     for verdict, failure in _walk(shape):
         if failure is not None:
             raise _worded(verdict, failure, shape.degree)
         verdicts.append(verdict)
-    return _basket_of(verdicts)
+    return keep(_BASKETS, shape, _basket_of(verdicts))
 
 
 def analyze(shape: HypersurfaceShape, order: int | None = None) -> AnalysisReport:

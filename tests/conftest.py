@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from qfano import normal_form as nf
-from qfano import sarkisov
+from qfano import riemann_roch, sarkisov, series, wps
 
 # Hypothesis imports its patch writer, and through it libcst, while it reports a
 # falsifying example. Under -W error, as CI runs, libcst's mypy_extensions.TypedDict
@@ -79,8 +79,33 @@ def random_substitution(rng: random.Random) -> nf.Substitution:
     return nf.Substitution(WS, rules)
 
 
+# every process memo of the package, as (module, name)
+MEMOS = (
+    (series, "_PRODUCTS"),
+    (wps, "_BASKETS"),
+    (riemann_roch, "_SERIES_MEMO"),
+    (sarkisov, "_TRANSCRIPTS"),
+)
+
+
 @pytest.fixture
-def empty_link_memo(monkeypatch):
-    """An empty ``sarkisov.run_case`` memo for one test, so that every case it runs is
-    computed again, with whatever that test has patched."""
-    monkeypatch.setattr(sarkisov, "_TRANSCRIPTS", {})
+def empty_memos(monkeypatch):
+    """Every process memo empty for one test, so that each series, basket and link case the
+    test asks for is computed again, with whatever the test has patched."""
+    for module, name in MEMOS:
+        monkeypatch.setattr(module, name, {})
+
+
+@pytest.fixture
+def expansions(monkeypatch, empty_memos):
+    """Empty memos for one test, and the order of each series that a prefix memo
+    (``series.product_coefficients``, ``riemann_roch.hilbert_rr``) expands for it."""
+    orders = []
+    kept_prefix = series.kept_prefix
+
+    def counted(memo, key, order, expand):
+        return kept_prefix(memo, key, order, lambda k, n: orders.append(n) or expand(k, n))
+
+    for module in (series, riemann_roch):
+        monkeypatch.setattr(module, "kept_prefix", counted)
+    return orders

@@ -858,7 +858,7 @@ def _fixture_check_raises_no_message(monkeypatch):
     ids=lambda patch: patch.__name__.lstrip("_"),
 )
 def test_selftest_reports_a_check_that_raises_as_its_own_row(
-    monkeypatch, capsys, empty_link_memo, patch
+    monkeypatch, capsys, empty_memos, patch
 ):
     failing = patch(monkeypatch)
     code, out, err = run(capsys, "selftest")

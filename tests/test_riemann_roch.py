@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import local_c, mismatches, reference_a_c2, reference_chi
-from qfano import fixtures, wps
+from qfano import fixtures, series, wps
 from qfano import riemann_roch as rr
 from qfano.series import PowerSeries, expand_product, series_equal_upto
 
@@ -297,36 +297,52 @@ CHI_VALUES = rr._chi_values
 
 
 @pytest.fixture
-def evaluations(monkeypatch):
-    """An empty hilbert_rr memo for the test, and the (start, stop) of each _chi_values call."""
+def evaluations(monkeypatch, empty_memos):
+    """Empty memos for the test, and the (start, stop) of each _chi_values call."""
     calls = []
 
     def counted(data, start, stop):
         calls.append((start, stop))
         return CHI_VALUES(data, start, stop)
 
-    monkeypatch.setattr(rr, "_SERIES_MEMO", {})
     monkeypatch.setattr(rr, "_chi_values", counted)
     return calls
 
 
+# the two prefix memos: a key's coefficients through t^n, and the memo as it is now
+PREFIX_MEMOS = {
+    "hilbert_rr": (lambda data, n: rr.hilbert_rr(data, n).coefficients, lambda: rr._SERIES_MEMO),
+    "product_coefficients": (
+        lambda pair, n: series.product_coefficients(*pair, n), lambda: series._PRODUCTS
+    ),
+}
+
+
+def prefix_key(memo, name, calibrated):
+    """A fixture's key in the memo; for calibrated data both memos give its Hilbert series."""
+    shape = FIXTURE_SHAPES[name]
+    pair = ((shape.degree,) if shape.degree else (), shape.weights)
+    return calibrated[name] if memo == "hilbert_rr" else pair
+
+
+@pytest.mark.parametrize("memo", PREFIX_MEMOS)
 @pytest.mark.parametrize("name", FIXTURE_SHAPES)
-def test_hilbert_rr_answers_any_order_sequence_as_a_fresh_evaluation(calibrated, evaluations, name):
-    data, shape = calibrated[name], FIXTURE_SHAPES[name]
+def test_a_prefix_memo_answers_any_order_sequence_as_a_fresh_evaluation(
+    calibrated, expansions, memo, name
+):
+    (ask, kept), key, data = PREFIX_MEMOS[memo], prefix_key(memo, name, calibrated), calibrated[name]
     rng = random.Random(name)
     rising = sorted(rng.sample(range(1, 300), 4))
     falling = sorted(rng.sample(range(1, 400), 4), reverse=True)
     orders = [*rising, *falling, falling[0], falling[0], rising[1], 0]
-    longest, expected_calls = -1, []
+    longest, expanded = -1, []
     for order in orders:
         if order > longest:
             longest = order
-            expected_calls.append((0, order + 1))
-        series = rr.hilbert_rr(data, order)
-        assert series.coefficients == tuple(CHI_VALUES(data, 0, order + 1))
-        assert series == wps.hilbert(shape, order)
-    assert evaluations == expected_calls
-    assert len(rr._SERIES_MEMO[data]) == longest + 1
+            expanded.append(order)
+        assert ask(key, order) == tuple(CHI_VALUES(data, 0, order + 1))
+    assert expansions == expanded
+    assert len(kept()[key]) == longest + 1
 
 
 def test_hilbert_rr_stores_no_failed_evaluation(calibrated, evaluations):
@@ -354,29 +370,56 @@ def test_equal_fano_data_share_one_memo_entry(calibrated, evaluations):
     assert list(rr._SERIES_MEMO) == [data]
 
 
-def test_the_memo_holds_its_bound_and_drops_the_oldest(evaluations):
-    size = rr._SERIES_MEMO_SIZE
+@pytest.mark.parametrize("memo", PREFIX_MEMOS)
+def test_the_memo_holds_its_bound_and_drops_the_oldest(expansions, memo):
+    ask, memo_now = PREFIX_MEMOS[memo]
+    size = series.MEMO_KEYS
     # q = 4, no basket and A^3 odd: chi(0A) = 1 and chi(A) = (3 + 5 A^3) / 2 are integers
     data = [rr.FanoData(4, Fraction(2 * k + 1), ()) for k in range(size + 3)]
+    if memo == "product_coefficients":
+        data = [((), (k + 1,)) for k in range(size + 3)]
     for d in data:
-        assert rr.hilbert_rr(d, 0).coefficients == (1,)
+        assert ask(d, 0) == (1,)
     kept = data[-size:]
-    assert list(rr._SERIES_MEMO) == kept
+    assert list(memo_now()) == kept
     # a longer series replaces its entry, which becomes the newest; nothing is dropped
-    rr.hilbert_rr(kept[1], 1)
-    assert list(rr._SERIES_MEMO) == [kept[0], *kept[2:], kept[1]]
-    rr.hilbert_rr(data[0], 0)  # dropped, so evaluated again
-    assert list(rr._SERIES_MEMO) == [*kept[2:], kept[1], data[0]]
-    assert len(evaluations) == size + 5
+    ask(kept[1], 1)
+    assert list(memo_now()) == [kept[0], *kept[2:], kept[1]]
+    ask(data[0], 0)  # dropped, so evaluated again
+    assert list(memo_now()) == [*kept[2:], kept[1], data[0]]
+    assert len(expansions) == size + 5
 
 
-def test_a_series_past_the_memo_order_is_returned_but_not_kept(calibrated, evaluations):
-    data, shape = calibrated["P(1,1,2,3)"], FIXTURE_SHAPES["P(1,1,2,3)"]
-    top = rr._SERIES_MEMO_ORDER
+def test_a_ten_thousand_shape_scan_leaves_at_most_the_bound_in_each_memo(empty_memos):
+    shapes = []
+    for weights in itertools.combinations_with_replacement(range(1, 30), 5):
+        for q in (1, 2, 3):
+            try:
+                shapes.append(wps.HypersurfaceShape(weights, sum(weights) - q))
+            except ValueError:  # no monomial of that degree
+                pass
+    baskets = {}
+    for shape in shapes[:10_000]:
+        wps.genus(shape)
+        try:
+            baskets[shape] = wps.basket(shape)
+            rr.calibrated_data(shape)
+        except ValueError:  # a stratum fails, or the data do not calibrate
+            pass
+    assert len(baskets) > series.MEMO_KEYS
+    assert len(series._PRODUCTS) == len(rr._SERIES_MEMO) == series.MEMO_KEYS
+    # the newest baskets, oldest first
+    assert list(wps._BASKETS.items()) == list(baskets.items())[-series.MEMO_KEYS :]
+
+
+@pytest.mark.parametrize("memo", PREFIX_MEMOS)
+def test_a_series_past_the_memo_order_is_returned_but_not_kept(calibrated, expansions, memo):
+    (ask, kept), key = PREFIX_MEMOS[memo], prefix_key(memo, "P(1,1,2,3)", calibrated)
+    data, top = calibrated["P(1,1,2,3)"], series.MEMO_ORDER
     for order in (top + 1, top + 1, top, top + 1, top):
-        assert rr.hilbert_rr(data, order) == wps.hilbert(shape, order)
-    assert evaluations == [(0, top + 2), (0, top + 2), (0, top + 1), (0, top + 2)]
-    assert rr._SERIES_MEMO == {data: tuple(CHI_VALUES(data, 0, top + 1))}
+        assert ask(key, order) == tuple(CHI_VALUES(data, 0, order + 1))
+    assert expansions == [top + 1, top + 1, top, top + 1]
+    assert kept() == {key: tuple(CHI_VALUES(data, 0, top + 1))}
 
 
 def test_a_refused_order_leaves_the_memo_alone(calibrated, evaluations):

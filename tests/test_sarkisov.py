@@ -474,7 +474,7 @@ def test_equations_verified(transcripts):
             assert sk.verify_equation(cand)
 
 
-def test_transcripts_deterministic(transcripts, empty_link_memo):
+def test_transcripts_deterministic(transcripts, empty_memos):
     # on an empty memo each case is computed again, not read back
     for name, t in transcripts.items():
         again = sk.run_case(name)
@@ -482,7 +482,7 @@ def test_transcripts_deterministic(transcripts, empty_link_memo):
         assert again.text() == t.text()
 
 
-def test_a_second_run_case_returns_the_kept_transcript(monkeypatch, empty_link_memo):
+def test_a_second_run_case_returns_the_kept_transcript(monkeypatch, empty_memos):
     calls = []
     enumerate_bare = sk.enumerate_bare
     monkeypatch.setattr(sk, "enumerate_bare", lambda case: calls.append(case) or enumerate_bare(case))
@@ -492,7 +492,7 @@ def test_a_second_run_case_returns_the_kept_transcript(monkeypatch, empty_link_m
     assert calls == [sk.CASES["P5"]]
 
 
-def test_the_memo_is_keyed_by_the_case_value_not_the_name(monkeypatch, empty_link_memo):
+def test_the_memo_is_keyed_by_the_case_value_not_the_name(monkeypatch, empty_memos):
     p3 = sk.run_case("p3")
     assert sk.run_case("P3") is p3 and list(sk._TRANSCRIPTS) == [sk.CASES["P3"]]
     # the same name for another case value gets an entry of its own, beside the first
@@ -503,7 +503,7 @@ def test_the_memo_is_keyed_by_the_case_value_not_the_name(monkeypatch, empty_lin
     assert sk._TRANSCRIPTS == {p3.case: p3, one_alpha: patched}
 
 
-def test_a_run_case_that_raises_stores_nothing(monkeypatch, empty_link_memo):
+def test_a_run_case_that_raises_stores_nothing(monkeypatch, empty_memos):
     solve = sk._solve_splits
     with monkeypatch.context() as patch:
         patch.setattr(
@@ -515,7 +515,7 @@ def test_a_run_case_that_raises_stores_nothing(monkeypatch, empty_link_memo):
     assert sk.run_case("P7").text() == (GOLDEN / "p7.txt").read_text(encoding="utf-8")
 
 
-def test_a_shared_transcript_cannot_be_altered(empty_link_memo):
+def test_a_shared_transcript_cannot_be_altered(empty_memos):
     transcript = sk.run_case("P5")
     text = transcript.text()
     assert [type(field) for field in transcript[1:]] == [tuple] * 6
@@ -527,6 +527,23 @@ def test_a_shared_transcript_cannot_be_altered(empty_link_memo):
             with pytest.raises(TypeError):
                 splits[6] = ()
     assert transcript.text() == text == sk.run_case("P5").text()
+
+
+def test_a_kept_transcript_renders_once_and_a_hand_built_one_each_time(monkeypatch, empty_memos):
+    renders = []
+    text = sk.Transcript.text
+    monkeypatch.setattr(sk.Transcript, "text", lambda self: renders.append(self) or text(self))
+    kept = sk.run_case("P5")
+    first = kept.text()
+    assert first == (GOLDEN / "p5.txt").read_text(encoding="utf-8")
+    assert kept.text() is first and sk.run_case("p5").text() is first
+    assert renders == [kept]
+    with pytest.raises(AttributeError, match="a shared transcript is read-only"):
+        kept._text = "stale\n"
+    assert kept.text() is first
+    built = sk.Transcript(*kept)
+    assert built.text() == first and built.text() == first
+    assert renders == [kept, built, built]
 
 
 def test_every_elimination_cites_one_filter(transcripts):
@@ -689,7 +706,7 @@ def test_second_contraction_matches_fraction_reference(e, qhat, s, smooth_point)
 
 
 @pytest.mark.parametrize("name", list(sk.CASES))
-def test_run_case_rejects_a_corrupted_split_from_the_solver(monkeypatch, empty_link_memo, name):
+def test_run_case_rejects_a_corrupted_split_from_the_solver(monkeypatch, empty_memos, name):
     """The one re-check after the filters still sees a split the solver got wrong."""
     solve, corrupted = sk._solve_splits, []
 
@@ -706,7 +723,7 @@ def test_run_case_rejects_a_corrupted_split_from_the_solver(monkeypatch, empty_l
     assert corrupted
 
 
-def test_f4_names_its_recorded_step_when_every_split_is_corrupted(monkeypatch, empty_link_memo):
+def test_f4_names_its_recorded_step_when_every_split_is_corrupted(monkeypatch, empty_memos):
     # F4's note for P5 solves a second contraction before the re-check runs; with
     # s + 1 in every split it has none, and the step is named, not dereferenced
     solve = sk._solve_splits

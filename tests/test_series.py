@@ -149,6 +149,28 @@ def test_int_series_truncate_and_compare(coeffs, data):
     assert series_equal_upto(series, bumped, series.order) == (False, m)
 
 
+def test_a_one_shot_iterable_of_exponents_is_read_once():
+    expected = oracles.fraction_expand(*X12_EXPONENTS, 14)
+    numerator, denominator = (a for a in (12,)), (b for b in (3, 4, 5, 6, 7))
+    assert product_coefficients(numerator, denominator, 14) == expected
+    series = expand_product(iter((12,)), iter((3, 4, 5, 6, 7)), 14)
+    assert series.coefficients == expected
+
+
+def test_a_second_request_reads_the_kept_expansion(expansions):
+    first = product_coefficients(*X12_EXPONENTS, 40)
+    # equal exponents share the entry, from any iterable and through any caller
+    assert product_coefficients([12], list(X12_EXPONENTS[1]), 40) is first
+    assert wps.hilbert(wps.HypersurfaceShape((3, 4, 5, 6, 7), 12), 40).coefficients is first
+    assert expand_product(*X12_EXPONENTS, 20).coefficients == first[:21]
+    assert expansions == [40]
+    # an exponent that is not an int is refused, though an equal int key is kept
+    with pytest.raises(TypeError):
+        product_coefficients((12.0,), X12_EXPONENTS[1], 10)
+    assert wps.monomial_count((3, 4, 5, 6, 7), 12) == 6  # another pair: a second expansion
+    assert expansions == [40, 12]
+
+
 def test_product_exponent_validation():
     for kernel in (product_coefficients, expand_product):
         for bad in (0, -2):

@@ -713,6 +713,33 @@ def test_analyze_gives_each_warning_once(weights, d, expected):
     assert mismatches(report) == []
 
 
+@pytest.fixture
+def walks(monkeypatch, empty_memos):
+    """Empty memos for the test, and the shape of each walk over the strata."""
+    shapes = []
+    walk = wps._walk
+    monkeypatch.setattr(wps, "_walk", lambda shape: shapes.append(shape) or walk(shape))
+    return shapes
+
+
+def test_a_second_basket_request_reads_the_kept_basket(walks):
+    first = wps.basket(X12)
+    assert first.indices() == (2, 3, 3, 5, 7)
+    # an equal shape, whatever order its weights came in, shares the entry
+    assert wps.basket(wps.HypersurfaceShape((7, 6, 5, 4, 3), 12)) is first
+    assert walks == [X12] and wps._BASKETS == {X12: first}
+
+
+def test_a_basket_that_raises_stores_nothing(walks):
+    shape = wps.HypersurfaceShape((2, 3, 4, 5, 7), 4)
+    for _ in range(2):
+        with pytest.raises(wps.NotQuasiSmoothAtVertex, match="^vertex w=3 lies on the member"):
+            wps.basket(shape)
+    assert walks == [shape, shape] and wps._BASKETS == {}
+    wps.basket(X12)
+    assert walks == [shape, shape, X12] and list(wps._BASKETS) == [X12]
+
+
 def test_analyze_walks_each_stratum_once(monkeypatch):
     calls = {"_vertex": 0, "_edge": 0}
     for name in calls:

@@ -24,10 +24,10 @@ so that every term of D chi(mA) is an integer:
 with C = D A^3 / 12, L = D (A.c2) / 12 and, per point P, the table
 T_P[i] = D c_{r,b}(i) filled by the prefix recurrence
 T_P[i+1] = T_P[i] - D (r^2 - 1) / (12 r) + (ib mod r)(r - ib mod r) D / (2 r).
-``_chi_values`` evaluates a whole range start <= m < stop at once (its
-comments say how) and checks integrality by D in one pass, building a
-``Fraction`` only to report the first non-integral total. ``chi`` and
-``hilbert_rr`` are its ranges [m, m+1) and [0, order]; ``hilbert_rr`` keeps the
+``_chi_totals`` gives D and D chi(mA) over a range start <= m < stop at once (its comments
+say how), for any integer m and any A^3; A^3 = 0 leaves the basket part D + L m + sum T_P.
+``_chi_values``, its one caller, divides by D and alone refuses a non-integral chi(mA).
+``chi`` and ``hilbert_rr`` are its ranges [m, m+1) and [0, order]; ``hilbert_rr`` keeps the
 longest per ``FanoData`` by ``series.kept_prefix``, and a shorter request slices it.
 ``a_c2`` is one Fraction over L = lcm(r), (24 L - sum (r^2-1) L/r) / (q L);
 the tests keep A.c2 and c_{r,b} in their stated forms as the oracles.
@@ -159,8 +159,9 @@ def a_c2(data: FanoData) -> Fraction:
     return Fraction(24 * lcm - sum((e.r**2 - 1) * (lcm // e.r) for e in data.entries), data.q * lcm)
 
 
-def _chi_values(data: FanoData, start: int, stop: int) -> tuple[int, ...]:
-    """chi(mA) for start <= m < stop through the common-denominator integer terms (module doc)."""
+def _chi_totals(data, start: int, stop: int) -> tuple[int, list[int]]:
+    """D and the integers D chi(mA) for start <= m < stop (module doc); data is read for q,
+    a3 and the entries' r, b and wa, so a plain record with A^3 = 0 gives the basket part."""
     q, a3, ac2 = data.q, data.a3, a_c2(data)
     den = math.lcm(12 * a3.denominator, 12 * ac2.denominator, *(12 * e.r for e in data.entries))
     cubic = den // (12 * a3.denominator) * a3.numerator
@@ -184,7 +185,12 @@ def _chi_values(data: FanoData, start: int, stop: int) -> tuple[int, ...]:
             table.append(table[-1] - step + ib * (r - ib) * half)
         period = [table[(m * e.wa) % r] for m in range(start, start + r)]
         corrections = map(operator.add, corrections, cycle(period))
-    totals = list(map(operator.add, cubics, cycle(corrections)))
+    return den, list(map(operator.add, cubics, cycle(corrections)))
+
+
+def _chi_values(data: FanoData, start: int, stop: int) -> tuple[int, ...]:
+    """chi(mA) for start <= m < stop; ConventionError at the first non-integral one."""
+    den, totals = _chi_totals(data, start, stop)
     values = tuple(map(operator.floordiv, totals, repeat(den)))
     # every remainder is in [0, D), so the sums agree only when each remainder is 0
     if sum(totals) != den * sum(values):

@@ -100,7 +100,9 @@ class PowerSeries:
         return len(self.coefficients) - 1
 
     def __getitem__(self, m: int) -> int:
-        if not 0 <= m <= self.order:
+        if m < 0:
+            raise ValueError(f"coefficient of t^{m} requested: the index is negative")
+        if m > self.order:
             raise TruncationError(
                 f"coefficient of t^{m} requested, series truncated at order {self.order}"
             )

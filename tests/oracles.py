@@ -4,7 +4,8 @@ The rule: only standard-library imports (``test_source_layout.py`` checks them) 
 call into qfano, since an oracle that ran the code it checks could share its fault. Each
 takes plain values or reads a record by attribute. Counting and listing:
 ``partition_count``, ``monomials``, ``monomial_counts``, ``has_monomial``. Series:
-``fraction_expand``. Riemann-Roch: ``local_c``, ``reference_a_c2``, ``reference_chi``.
+``fraction_expand``. Riemann-Roch: ``local_c``, ``reference_a_c2``, ``reference_chi``,
+``flip_search``.
 X12's link equations: ``reference_beta_class``, ``reference_m_min``, ``reference_splits``,
 ``reference_e_bound``, ``reference_second_contraction``, ``brute_force_bare``. Normal
 form: ``reference_corner_requirements``. Strata: ``stratum_analysis``, every verdict read
@@ -142,6 +143,24 @@ def reference_chi(data, m: int) -> Fraction:
     for e in data.entries:
         total += local_c(e.r, e.b, (m * e.wa) % e.r)
     return total
+
+
+RRData = collections.namedtuple("RRData", "q a3 entries")  # what reference_chi reads
+RREntry = collections.namedtuple("RREntry", "r b wa")
+
+
+def flip_search(q: int, a3: Fraction, triples, coefficients) -> tuple:
+    """The one basket of sorted (r, b, wA) triples, each point's wA or r - wA, whose
+    reference_chi equals the series coefficients from t^0 on; b is stored as min(b, r - b),
+    since the correction is symmetric in it. Asserts that exactly one basket matches."""
+    options = [{RREntry(r, min(b, r - b), w) for w in (wa % r, -wa % r)} for r, b, wa in triples]
+    picks = {tuple(sorted(pick)) for pick in itertools.product(*options)}
+    found = [
+        pick for pick in picks
+        if all(reference_chi(RRData(q, a3, pick), m) == c for m, c in enumerate(coefficients))
+    ]
+    assert len(found) == 1, f"{len(found)} baskets match the series"
+    return found[0]
 
 
 # The link equations k * qhat = 13 * s_k + (13 * beta_k - k * alpha) * e of X12, of index 13,

@@ -1,5 +1,6 @@
 """Riemann-Roch evaluation against the closed-form series oracles."""
 
+import collections
 import dataclasses
 import functools
 import itertools
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import local_c, mismatches, reference_a_c2, reference_chi
+from oracles import (
+    flip_search, fraction_expand, local_c, mismatches, reference_a_c2, reference_chi
+)
 from qfano import fixtures, series, wps
 from qfano import riemann_roch as rr
 from qfano.series import PowerSeries, expand_product, series_equal_upto
@@ -265,6 +268,41 @@ def test_chi_far_out_matches_the_fraction_reference(data, m):
     assert str(raised.value) == message
 
 
+# the values the evaluator reads, in a plain record that FanoData's refusals do not reach
+RRValues = collections.namedtuple("RRValues", "q a3 entries")
+
+
+@settings(max_examples=200, deadline=None)
+@given(fano_data(), st.integers(min_value=-60, max_value=0), st.integers(min_value=0, max_value=120))
+def test_the_evaluator_matches_the_fraction_reference_at_negative_m_and_a3_zero(data, start, n):
+    # either orientation sign, integral or not; A^3 = 0 leaves the basket part alone
+    for values in (data, RRValues(data.q, Fraction(0), data.entries)):
+        den, totals = rr._chi_totals(values, start, start + n)
+        expected = [reference_chi(values, m) for m in range(start, start + n)]
+        assert [Fraction(total, den) for total in totals] == expected
+
+
+def test_serre_duality_on_calibrated_data():
+    # K = -qA, so chi(mA) = -chi(-(m+q)A); one range -60-q <= m <= 60 holds both sides
+    for data in clean_data():
+        low = -60 - data.q
+        den, totals = rr._chi_totals(data, low, 61)
+        assert all(total % den == 0 for total in totals), data
+        chis = dict(zip(range(low, 61), totals))
+        assert all(chis[m] == -chis[-(m + data.q)] for m in range(-60, 61)), data
+
+
+def test_a3_comes_back_from_the_basket_part_at_minus_one():
+    # chi(-A) = 0 for q >= 3, and there the cubic is -(q-1)(q-2) A^3 / 12
+    checked = 0
+    for data in clean_data():
+        if data.q >= 3:
+            den, (basket,) = rr._chi_totals(RRValues(data.q, Fraction(0), data.entries), -1, 0)
+            assert Fraction(12 * basket, den * (data.q - 1) * (data.q - 2)) == data.a3, data
+            checked += 1
+    assert checked == 75
+
+
 @settings(max_examples=300, deadline=None)
 @given(fano_data())
 def test_a_c2_matches_the_stated_form(data):
@@ -286,7 +324,7 @@ def test_fano_index_is_an_int(bad):
 
 
 def test_chi_rejects_negative_m(calibrated):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^m must be >= 0$"):
         rr.chi(calibrated["X12"], -1)
     for order in (-1, -2):
         with pytest.raises(ValueError, match="truncation order must be >= 0"):
@@ -450,62 +488,6 @@ def test_calibrate_unique_and_trivial():
         rr.calibrate(rr.FanoData(4, Fraction(2), ()), oracle)
 
 
-def _canonical_entry(r: int, b: int, wa: int) -> tuple[int, int, int]:
-    # the correction formula is symmetric in b <-> r-b; store b = min(b, r-b)
-    return (r, min(b % r, (r - b) % r), wa % r)
-
-
-def reference_calibrate(
-    q: int,
-    a3: Fraction,
-    candidates,
-    oracle: PowerSeries,
-    order: int | None = None,
-) -> rr.FanoData:
-    """Resolve per-entry orientation against a closed-form Hilbert series.
-
-    ``candidates`` is a sequence of (r, b, wA) triples whose orientation is
-    unresolved. The search runs over the flips b <-> r-b and wA <-> r-wA
-    per entry; b <-> r-b changes nothing (the correction is symmetric in
-    it) and is identified away, so the real unknowns are the wA signs.
-    Exactly one inequivalent assignment must make the Riemann-Roch series
-    match the oracle.
-    """
-    if order is None:
-        order = oracle.order
-    options: list[tuple[tuple[int, int, int], ...]] = []
-    for r, b, wa in candidates:
-        combos = {
-            _canonical_entry(r, b, ww) for ww in {wa % r, (r - wa) % r}
-        }
-        options.append(tuple(sorted(combos)))
-
-    matches: dict[tuple[tuple[int, int, int], ...], rr.FanoData] = {}
-    for assignment in itertools.product(*options):
-        key = tuple(sorted(assignment))
-        if key in matches:
-            continue
-        try:
-            data = rr.FanoData(
-                q=q,
-                a3=a3,
-                entries=tuple(rr.RRBasketEntry(r, b, wa) for r, b, wa in key),
-            )
-            series = rr.hilbert_rr(data, order)
-        except rr.ConventionError:
-            continue
-        equal, _ = series_equal_upto(series, oracle, order)
-        if equal:
-            matches[key] = data
-    if not matches:
-        raise rr.CalibrationError("no orientation assignment matches the oracle series")
-    if len(matches) > 1:
-        raise rr.CalibrationError(
-            f"{len(matches)} inequivalent assignments match the oracle series"
-        )
-    return next(iter(matches.values()))
-
-
 @functools.cache
 def clean_shapes(max_weight: int, indices=rr.ALLOWED_FANO_INDICES) -> list[wps.HypersurfaceShape]:
     """Spaces and hypersurfaces of the given indices, weights <= max_weight,
@@ -557,17 +539,17 @@ def test_index_one_gives_the_95_families():
 
 
 def test_flip_search_finds_exactly_the_calibrated_data():
-    # the flip search raises unless exactly one assignment matches; feeding it
-    # either orientation of the calibrated entries must land on calibrated_data
+    # the stdlib flip search asserts that exactly one orientation matches the closed form;
+    # fed either orientation of the calibrated entries, it must land on those entries
     corpus = clean_shapes(10)
     assert len(corpus) == 129
     for shape in list(FIXTURE_SHAPES.values()) + corpus:
-        oracle = wps.hilbert(shape, 24)
-        data = rr.calibrated_data(shape, 24)
+        closed_form = fraction_expand((shape.degree,) if shape.degree else (), shape.weights, 24)
+        data = rr.calibrated_data(shape)
         triples = tuple((e.r, e.b, e.wa) for e in data.entries)
         flipped = tuple((r, b, -wa % r) for r, b, wa in triples)
         for fed in (triples, flipped):
-            assert reference_calibrate(data.q, data.a3, fed, oracle) == data, shape
+            assert flip_search(data.q, data.a3, fed, closed_form) == triples, shape
 
 
 @pytest.mark.parametrize(
@@ -622,9 +604,9 @@ def test_calibrate_resolves_wa_signs(calibrated):
 
 
 def test_fano_data_validation():
-    with pytest.raises(ValueError):
-        rr.FanoData(10, Fraction(1), ())  # index outside the admissible set
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^Fano index 10 outside the allowed set$"):
+        rr.FanoData(10, Fraction(1), ())
+    with pytest.raises(ValueError, match="^A\\^3 must be positive$"):
         rr.FanoData(13, Fraction(-1), ())
     with pytest.raises(rr.ConventionError):
         # mixed wA signs across entries of index >= 3

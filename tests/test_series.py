@@ -110,6 +110,17 @@ def test_power_series_validation():
         PowerSeries((Fraction(1, 2),))
 
 
+def test_a_negative_index_is_refused_as_negative_not_as_a_truncation():
+    # no series has a t^-1 coefficient, however long; relation_profile reads its degree this way
+    weights = X12_EXPONENTS[1]
+    series = wps.hilbert(wps.HypersurfaceShape(weights, 12), 30)
+    message = r"^coefficient of t\^-1 requested: the index is negative$"
+    for ask in (lambda: series[-1], lambda: riemann_roch.relation_profile(weights, -1, series)):
+        with pytest.raises(ValueError, match=message) as raised:
+            ask()
+        assert type(raised.value) is ValueError
+
+
 def test_power_series_is_a_read_only_value():
     a, b = PowerSeries((1, 0, 1)), expand_product((), (2,), 2)
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1

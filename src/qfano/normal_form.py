@@ -36,10 +36,11 @@ expanded by one ``substitute`` call and checked against this closed form
 over 4s^2. The class is A when lambda is nonzero and B when it vanishes;
 scaling lambda to 1 needs a 4th root, so it is reported, not scaled.
 
-``substitute`` expands on plain ints. It writes each moved variable's
-replacement R_i = c_i*x_i + g_i over D_i, builds (D_i*R_i)^k once for k up
-to top_i, the largest exponent of x_i, and scales a term with exponent a_i
-by D_i^(top_i - a_i), so every expanded term lies over den * prod D_i^top_i.
+``substitute`` expands on plain ints. It writes each moved variable's replacement
+R_i = c_i*x_i + g_i over D_i and scales a term with exponent a_i by D_i^(top_i - a_i),
+top_i the largest exponent of x_i, so every expanded term lies over den * prod D_i^top_i.
+A rule with no shift (g_i = 0) moves no exponent, and only scales the term further, by
+(D_i*c_i)^a_i; for the others, (D_i*R_i)^k is built once per k <= top_i and multiplied in.
 
 A vertex passes ``corner_check`` when some term is x_i^n or x_i^n*x_j, read
 off the support of a polynomial quasi-homogeneous of the given degree.
@@ -55,6 +56,7 @@ import re
 from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import compress
 from operator import add, index, mul
 
 from . import wps
@@ -147,6 +149,8 @@ def _text(num: int, den: int = 1) -> str:
     """str(Fraction(num, den)), den != 0, at any int/str digit limit: _CHUNK digits at a time."""
     g = math.gcd(num, den) * (1 if den > 0 else -1)
     num, den = num // g, den // g
+    if -_BASE < num < _BASE and den < _BASE:  # str() is within every int/str digit limit
+        return f"{num}/{den}" if den != 1 else str(num)
     if den != 1:
         return f"{_text(num)}/{_text(den)}"
     low, rest = [], abs(num)
@@ -185,6 +189,8 @@ def _nat(text: str, tokens: list[str], k: int) -> int:
     tok = tokens[k]
     if tok[:1] not in _DIGITS:
         raise ParseError(f"expected a number at position {_position(text, k)}")
+    if len(tok) <= _CHUNK:  # within every int/str digit limit
+        return int(tok)
     if len(tok) > MAX_LITERAL_DIGITS:
         raise ParseError(
             f"number of {len(tok)} digits at position {_position(text, k)} "
@@ -207,8 +213,7 @@ def parse(text: str) -> WeightedPolynomial:
     k, sign = (1, -1) if tokens[0] == "-" else (0, 1)
     while True:
         exp = [0] * len(STANDARD_WEIGHTS)
-        num = den = 1
-        factors = True
+        num, den, factors = 1, 1, True
         if tokens[k][:1] in _DIGITS:
             num = _nat(text, tokens, k)
             k += 1
@@ -251,8 +256,7 @@ def parse(text: str) -> WeightedPolynomial:
 
 def is_quasihomogeneous(poly: WeightedPolynomial, d: int) -> bool:
     """True iff every term has weighted degree d (vacuously true for 0)."""
-    d = index(d)
-    return all(poly.degree_of(exp) == d for exp in poly.nums)
+    return {sum(map(mul, exp, poly.weights)) for exp in poly.nums} <= {index(d)}
 
 
 def _times(a: dict[Term, int], b: dict[Term, int]) -> dict[Term, int]:
@@ -279,9 +283,9 @@ class Substitution(namedtuple("Substitution", "weights rules")):
         weights = tuple(map(index, weights))
         if weights and min(weights) < 1:
             raise ValueError(f"weights must be positive, got {weights}")
-        n = len(weights)
+        n, bits = len(weights), [1 << j for j in range(len(weights))]
         rules = {index(i): rule for i, rule in dict(rules).items()}
-        deps: dict[int, set[int]] = {}
+        deps: dict[int, int] = {}  # position -> the variables its shift uses, as bits
         for i, (c, g) in rules.items():
             if not 0 <= i < n:
                 raise ValueError(f"no variable at position {i}")
@@ -293,22 +297,22 @@ class Substitution(namedtuple("Substitution", "weights rules")):
                 raise GradingError(f"rule for position {i} has zero leading coefficient")
             if g.weights != weights:
                 raise GradingError("shift polynomial lives over different weights")
-            used = set()
+            deps[i] = 0
             for exp in g.nums:
-                if exp[i] != 0:
+                if exp[i]:
                     raise GradingError(
                         f"shift for position {i} may not involve the variable itself"
                     )
-                if g.degree_of(exp) != weights[i]:
+                if (degree := sum(map(mul, exp, weights))) != weights[i]:
                     raise GradingError(
-                        f"shift term of degree {g.degree_of(exp)} breaks the "
+                        f"shift term of degree {degree} breaks the "
                         f"grading of weight-{weights[i]} variable"
                     )
-                used |= {j for j, a in enumerate(exp) if a > 0}
-            deps[i] = used
+                deps[i] |= sum(compress(bits, exp))
         # triangularity: peel off rules whose shifts use no variable still pending
         while deps:
-            ready = [i for i, used in deps.items() if used.isdisjoint(deps)]
+            pending = sum(bits[i] for i in deps)
+            ready = [i for i, used in deps.items() if not used & pending]
             if not ready:
                 raise GradingError("substitution rules form a dependency cycle")
             for i in ready:
@@ -321,28 +325,31 @@ def substitute(poly: WeightedPolynomial, subst: Substitution) -> WeightedPolynom
     if poly.weights != subst.weights:
         raise GradingError("polynomial and substitution weights differ")
     zero = (0,) * len(poly.weights)
-    den = poly.den
-    moved = []  # (i, D_i, top_i, [(D_i*R_i)^k for k = 0..top_i])
+    tops = list(map(max, zip(zero, *poly.nums)))  # top_i, the largest exponent of x_i
+    den, keep = poly.den, [1] * len(zero)  # keep: 0 where a shifted variable's powers go
+    scales, shifts = [], []  # (i, [term factor at a_i = 0..top_i]), (i, [(D_i*R_i)^k])
     for i, (c, g) in subst.rules.items():
-        top = max((exp[i] for exp in poly.nums), default=0)
-        if not top:
+        if not (top := tops[i]):
             continue
         d_i = math.lcm(c.denominator, g.den)
-        step = {e: v * (d_i // g.den) for e, v in g.nums.items()}
-        step[zero[:i] + (1,) + zero[i + 1 :]] = c.numerator * (d_i // c.denominator)
-        powers = [{zero: 1}]
-        for _ in range(top):
-            powers.append(_times(powers[-1], step))
-        moved.append((i, d_i, top, powers))
+        lead = c.numerator * (d_i // c.denominator)
+        base = 1 if g.nums else lead  # with no shift, the term's factor per power of x_i
+        scales.append((i, [base**a * d_i ** (top - a) for a in range(top + 1)]))
         den *= d_i**top
+        if g.nums:
+            step = {e: v * (d_i // g.den) for e, v in g.nums.items()}
+            step[zero[:i] + (1,) + zero[i + 1 :]] = lead
+            powers = [{zero: 1}, step]
+            while len(powers) <= top:
+                powers.append(_times(powers[-1], step))
+            shifts.append((i, powers))
+            keep[i] = 0
     total: dict[Term, int] = {}
     for exp, value in poly.nums.items():
-        kept = list(exp)
-        for i, d_i, top, _ in moved:
-            kept[i] = 0
-            value *= d_i ** (top - exp[i])
-        piece = {tuple(kept): value}
-        for i, _, _, powers in moved:
+        for i, factors in scales:
+            value *= factors[exp[i]]
+        piece = {tuple(map(mul, exp, keep)): value}
+        for i, powers in shifts:
             if exp[i]:
                 piece = _times(piece, powers[exp[i]])
         for e, v in piece.items():
@@ -366,10 +373,8 @@ def corner_check(poly: WeightedPolynomial, d: int) -> dict[int, bool]:
 
 
 # the six degree-12 monomials over (3,4,5,6,7)
-E57, E444, E66, E336, E345, E3333 = (
-    (0, 0, 1, 0, 1), (0, 3, 0, 0, 0), (0, 0, 0, 2, 0),
-    (2, 0, 0, 1, 0), (1, 1, 1, 0, 0), (4, 0, 0, 0, 0),
-)
+E57, E444, E66 = (0, 0, 1, 0, 1), (0, 3, 0, 0, 0), (0, 0, 0, 2, 0)
+E336, E345, E3333 = (2, 0, 0, 1, 0), (1, 1, 1, 0, 0), (4, 0, 0, 0, 0)
 
 
 class NormalFormResult(namedtuple("NormalFormResult", "form lam steps final")):
@@ -491,9 +496,7 @@ def _root_multiplicities(h: list[Fraction]) -> list[int]:
     return [sum(n > j for n in at_least) for j in range(max(at_least, default=0))]
 
 
-def edge_restriction_points(
-    poly: WeightedPolynomial, i: int, j: int
-) -> EdgePoints:
+def edge_restriction_points(poly: WeightedPolynomial, i: int, j: int) -> EdgePoints:
     """Distinct zeros of the restriction of poly to the (i, j) coordinate edge.
 
     The edge is a weighted projective line; after factoring out powers of
@@ -534,8 +537,5 @@ def edge_restriction_points(
         multiplicities.append(b_min)   # zero at the x_i vertex
     multiplicities.extend(_root_multiplicities(h))
     multiplicities.sort(reverse=True)
-    return EdgePoints(
-        count=len(multiplicities),
-        multiplicities=tuple(multiplicities),
-        reduced=all(m_ == 1 for m_ in multiplicities),
-    )
+    reduced = all(m_ == 1 for m_ in multiplicities)
+    return EdgePoints(len(multiplicities), tuple(multiplicities), reduced)

@@ -47,6 +47,8 @@ deg N <= 3 + sum r; the oracle prod(1-t^d) / prod(1-t^w) has d < sum w. Their
 difference is a numerator of degree <= 3 + sum r + sum w over a denominator
 with constant term 1, so its first nonzero coefficient is the numerator's
 lowest: agreement through t^(3 + sum r + sum w) (X12: t^45) is equality.
+``calibrated_data`` keeps each shape's data with the depth compared, by ``series.keep``;
+an order up to that depth returns the kept data, and a longer one compares again.
 
 Higher cohomology of mA is assumed to vanish for m >= 0, so Hilbert series
 coefficients are identified with chi(mA); that is not verified here.
@@ -66,7 +68,7 @@ from fractions import Fraction
 from itertools import accumulate, cycle, islice, repeat
 
 from . import wps
-from .series import PowerSeries, kept_prefix, series_equal_upto
+from .series import PowerSeries, keep, kept_prefix, series_equal_upto
 from .wps import ALLOWED_FANO_INDICES
 
 
@@ -231,20 +233,26 @@ def calibrate(data: FanoData, oracle: PowerSeries) -> None:
         raise CalibrationError(f"Riemann-Roch series differs from the oracle at t^{m}")
 
 
+_CALIBRATED: dict[wps.HypersurfaceShape, tuple[FanoData, int]] = {}  # data, depth compared
+
+
 def calibrated_data(shape: wps.HypersurfaceShape, order: int = 0) -> FanoData:
     """A shape's Riemann-Roch data, proved equal to its closed-form series.
 
     Each basket point 1/r(1, r-1, b) gets wA = -q^{-1} mod r (module doc).
     The basket stores b = min(b, r-b) sorted by (r, b), and wA depends on r
     alone, so the entries come out canonical and sorted. Agreement through
-    t^max(order, 3 + sum of the distinct r + sum w) is equality (module doc).
+    t^max(order, 3 + sum of the distinct r + sum w) is equality (module doc),
+    and the data are kept with that depth.
     """
+    if (kept := _CALIBRATED.get(shape)) and order <= kept[1]:
+        return kept[0]
     q = wps.fano_index(shape)
     entries = tuple(RRBasketEntry(p.r, p.b, pow(-q, -1, p.r)) for p in wps.basket(shape).points())
     data = FanoData(q, wps.degree_a3(shape), entries)
-    depth = 3 + sum({e.r for e in entries}) + sum(shape.weights)
-    calibrate(data, wps.hilbert(shape, max(order, depth)))
-    return data
+    depth = max(order, 3 + sum({e.r for e in entries}) + sum(shape.weights))
+    calibrate(data, wps.hilbert(shape, depth))
+    return keep(_CALIBRATED, shape, (data, depth))[0]
 
 
 def infer_generators(series: PowerSeries) -> tuple[tuple[int, ...], int | None]:

@@ -30,9 +30,10 @@ With an empty numerator the t^d coefficient counts the degree-d monomials
 in variables of those weights, which is how ``wps`` counts monomials
 without listing them and ``riemann_roch`` counts the free algebra on a
 set of generator degrees. The kernel keeps the longest expansion per pair
-by the one process memo policy, defined here and used by ``wps.basket`` and
-``riemann_roch.hilbert_rr`` too: ``keep`` holds ``MEMO_KEYS`` values per memo,
-dropping the oldest first, and ``kept_prefix`` keeps no series past ``MEMO_ORDER``.
+by the one process memo policy, defined here and used by ``wps.basket``,
+``riemann_roch.hilbert_rr`` and ``riemann_roch.calibrated_data`` too: ``keep``
+holds ``MEMO_KEYS`` values per memo, dropping the oldest first, and
+``kept_prefix`` keeps no series past ``MEMO_ORDER``.
 
 ``partition_count`` recounts the same coefficients by exhaustive recursion,
 free of any series machinery on purpose, and is kept as the oracle of

@@ -84,14 +84,15 @@ MEMOS = (
     (series, "_PRODUCTS"),
     (wps, "_BASKETS"),
     (riemann_roch, "_SERIES_MEMO"),
+    (riemann_roch, "_CALIBRATED"),
     (sarkisov, "_TRANSCRIPTS"),
 )
 
 
 @pytest.fixture
 def empty_memos(monkeypatch):
-    """Every process memo empty for one test, so that each series, basket and link case the
-    test asks for is computed again, with whatever the test has patched."""
+    """Every process memo empty for one test, so that each series, basket, calibration and
+    link case the test asks for is computed again, with whatever the test has patched."""
     for module, name in MEMOS:
         monkeypatch.setattr(module, name, {})
 

@@ -8,7 +8,9 @@ takes plain values or reads a record by attribute. Counting and listing:
 ``flip_search``.
 X12's link equations: ``reference_beta_class``, ``reference_m_min``, ``reference_splits``,
 ``reference_e_bound``, ``reference_second_contraction``, ``brute_force_bare``. Normal
-form: ``reference_corner_requirements``. Strata: ``stratum_analysis``, every verdict read
+form: ``reference_corner_requirements``, and on exponent -> Fraction dicts
+``reference_parse``, ``reference_substitute``, ``rational_cube_root`` and
+``reference_normalize``. Strata: ``stratum_analysis``, every verdict read
 off one table of monomial counts and a point's type off a search over units, and
 ``mismatches``, which compares an ``analyze`` report with it.
 """
@@ -245,6 +247,195 @@ def reference_corner_requirements(weights, d: int) -> dict[int, list[tuple[int, 
             if j != i and d - wj >= wi and (d - wj) % wi == 0:
                 out[i].append(tuple((d - wj) // wi if k == i else int(k == j) for k in range(n)))
     return out
+
+
+# The degree-12 normal form on plain values: a polynomial is an exponent -> Fraction dict,
+# zero coefficients left out, over the weights (3, 4, 5, 6, 7), and a variable is named by
+# its weight. These are the character-at-a-time parser, the Fraction expansion and the
+# step-by-step pipeline that normal_form replaced.
+NORMAL_FORM_WEIGHTS = (3, 4, 5, 6, 7)
+MAX_LITERAL_DIGITS = 4300
+
+
+class ParseFailure(ValueError):
+    """reference_parse's refusal; its message is the one normal_form.parse gives."""
+
+
+def reference_parse(text: str) -> dict:
+    """Text in normal_form's grammar as its terms, reading one character at a time.
+
+    Digits are what str.isdecimal accepts, so it agrees with parse on text whose
+    digits are ASCII.
+    """
+    ws, pos = NORMAL_FORM_WEIGHTS, 0
+    terms: dict = {}
+
+    def peek():
+        nonlocal pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        return text[pos] if pos < len(text) else ""
+
+    def take_nat():
+        nonlocal pos
+        peek()
+        start = pos
+        while pos < len(text) and text[pos].isdecimal():
+            pos += 1
+        if pos == start:
+            raise ParseFailure(f"expected a number at position {start}")
+        if pos - start > MAX_LITERAL_DIGITS:
+            raise ParseFailure(
+                f"number of {pos - start} digits at position {start} "
+                f"exceeds {MAX_LITERAL_DIGITS} digits"
+            )
+        return int(text[start:pos])
+
+    def read_factor(exp):
+        nonlocal pos
+        if peek() != "x":
+            raise ParseFailure(f"expected 'x' at position {pos}")
+        pos += 1
+        w = take_nat()
+        if w not in ws:
+            raise ParseFailure(f"unknown variable x{w} at position {pos}")
+        power = 1
+        if peek() == "^":
+            pos += 1
+            power = take_nat()
+        exp[ws.index(w)] += power
+
+    def read_term(sign):
+        nonlocal pos
+        coeff, exp = Fraction(sign), [0] * len(ws)
+        if peek().isdecimal():
+            coeff *= take_nat()
+            if peek() == "/":
+                pos += 1
+                den = take_nat()
+                if den == 0:
+                    raise ParseFailure(f"zero denominator at position {pos}")
+                coeff /= den
+        else:
+            read_factor(exp)
+        while peek() == "*":
+            pos += 1
+            read_factor(exp)
+        key = tuple(exp)
+        terms[key] = terms.get(key, 0) + coeff
+        if not terms[key]:
+            del terms[key]
+
+    if peek() == "":
+        raise ParseFailure("empty input")
+    sign = 1
+    if peek() == "-":
+        pos += 1
+        sign = -1
+    read_term(sign)
+    while (nxt := peek()) != "":
+        if nxt not in "+-":
+            raise ParseFailure(f"unexpected {nxt!r} at position {pos}")
+        pos += 1
+        read_term(1 if nxt == "+" else -1)
+    return terms
+
+
+def _plus(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for exp, c in b.items():
+        out[exp] = out.get(exp, 0) + c
+        if not out[exp]:
+            del out[exp]
+    return out
+
+
+def _times(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exp = tuple(x + y for x, y in zip(e1, e2))
+            out[exp] = out.get(exp, 0) + c1 * c2
+    return {exp: c for exp, c in out.items() if c}
+
+
+def reference_substitute(n: int, terms: dict, rules: dict) -> dict:
+    """terms with each x_i replaced at once by c*x_i + shift, for rules {i: (c, shift terms)}
+    over n variables: every power multiplied out in Fraction arithmetic."""
+    replacements = {}
+    for i in range(n):
+        unit = tuple(int(k == i) for k in range(n))
+        c, shift = rules.get(i, (1, {}))
+        replacements[i] = _plus({unit: Fraction(c)}, shift)
+    total: dict = {}
+    for exp, coeff in terms.items():
+        piece = {(0,) * n: Fraction(coeff)}
+        for i, a in enumerate(exp):
+            for _ in range(a):
+                piece = _times(piece, replacements[i])
+        total = _plus(total, piece)
+    return total
+
+
+def _cube_root(n: int) -> int | None:
+    """The integer cube root of n >= 0, or None: Newton's iteration from above."""
+    x = 1 << -(-n.bit_length() // 3)  # at least the root
+    while x and (y := (2 * x + n // (x * x)) // 3) < x:
+        x = y
+    return x if x**3 == n else None
+
+
+def rational_cube_root(x: Fraction) -> Fraction | None:
+    """The rational cube root of x, or None when it has none."""
+    p, q = _cube_root(abs(x.numerator)), _cube_root(x.denominator)
+    return None if p is None or q is None else Fraction(p if x >= 0 else -p, q)
+
+
+def reference_normalize(terms: dict) -> tuple:
+    """(form, lambda, steps, final terms) of a degree-12 equation over (3, 4, 5, 6, 7).
+
+    Each rescaling and each shift is its own substitution, and every coefficient is
+    read back from the expanded terms.
+    """
+    e57, e444, e66 = (0, 0, 1, 0, 1), (0, 3, 0, 0, 0), (0, 0, 0, 2, 0)
+    e336, e345, e3333 = (2, 0, 0, 1, 0), (1, 1, 1, 0, 0), (4, 0, 0, 0, 0)
+    x4, x5, x6, x7 = 1, 2, 3, 4  # positions
+    for exp, name in ((e57, "x5*x7"), (e444, "x4^3"), (e66, "x6^2")):
+        if not terms.get(exp):
+            raise ValueError(f"required corner monomial {name} has zero coefficient")
+    steps, current = [], dict(terms)
+
+    def coefficient(exp):
+        return current.get(exp, Fraction(0))
+
+    c66 = coefficient(e66)
+    if c66 != 1:
+        current = {k: v / c66 for k, v in current.items()}
+        steps.append(f"scale the equation by {1 / c66}")
+    c57 = coefficient(e57)
+    if c57 != 1:
+        current = reference_substitute(5, current, {x5: (1 / c57, {})})
+        steps.append(f"x5 -> {1 / c57}*x5")
+    c444 = coefficient(e444)
+    if c444 != 1:
+        root = rational_cube_root(c444)
+        if root is not None:
+            current = reference_substitute(5, current, {x4: (1 / root, {})})
+            steps.append(f"x4 -> {1 / root}*x4")
+        else:
+            steps.append(f"x4^3 keeps unit {c444} (no rational cube root)")
+    if c345 := coefficient(e345):
+        shift = c345 / coefficient(e57)
+        current = reference_substitute(5, current, {x7: (1, {(1, 1, 0, 0, 0): -shift})})
+        steps.append(f"x7 -> x7 - {shift}*x3*x4")
+    if c336 := coefficient(e336):
+        shift = c336 / (2 * coefficient(e66))
+        current = reference_substitute(5, current, {x6: (1, {(2, 0, 0, 0, 0): -shift})})
+        steps.append(f"x6 -> x6 - {shift}*x3^2")
+    leftover = set(current) - {e57, e444, e66, e3333}
+    assert not leftover, f"pipeline left unexpected support {leftover}"
+    lam = coefficient(e3333)
+    return "A" if lam else "B", lam, tuple(steps), current
 
 
 @functools.cache

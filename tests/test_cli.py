@@ -756,7 +756,7 @@ def _chi_fractional_at_30(rr, monkeypatch):
     "patch", [_calibration_fails, _chi_fractional_at_30],
     ids=lambda patch: patch.__name__.lstrip("_"),
 )
-def test_selftest_detects_riemann_roch_failures(monkeypatch, capsys, patch):
+def test_selftest_detects_riemann_roch_failures(monkeypatch, capsys, empty_memos, patch):
     from qfano import riemann_roch
 
     detail = patch(riemann_roch, monkeypatch)

@@ -11,7 +11,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import WS, random_degree12_poly, random_substitution
-from oracles import monomials, reference_corner_requirements, small_shapes
+from oracles import (
+    ParseFailure, monomials, rational_cube_root, reference_corner_requirements, reference_normalize,
+    reference_parse, reference_substitute, small_shapes,
+)
 from qfano import normal_form as nf
 from qfano import riemann_roch as rr
 from qfano import wps
@@ -19,121 +22,16 @@ from qfano.fixtures import FORM_A, FORM_B, X12_SHAPE
 from qfano.series import TruncationError
 
 
-class _Tokenizer:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take_nat(self):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == start:
-            raise nf.ParseError(f"expected a number at position {start}")
-        if self.pos - start > nf.MAX_LITERAL_DIGITS:
-            raise nf.ParseError(
-                f"number of {self.pos - start} digits at position {start} "
-                f"exceeds {nf.MAX_LITERAL_DIGITS} digits"
-            )
-        return int(self.text[start : self.pos])
-
-    def expect(self, ch):
-        if self.peek() != ch:
-            raise nf.ParseError(f"expected {ch!r} at position {self.pos}")
-        self.pos += 1
-
-
-def reference_parse(text):
-    """The character-at-a-time parser that parse replaced, kept as its oracle.
-
-    It reads digits with str.isdecimal, so it agrees with parse on text whose
-    digits are ASCII.
-    """
-    ws = nf.STANDARD_WEIGHTS
-    index_of = {w: i for i, w in enumerate(ws)}
-    tok = _Tokenizer(text)
-    terms = {}
-
-    def read_factor():
-        tok.expect("x")
-        w = tok.take_nat()
-        if w not in index_of:
-            raise nf.ParseError(f"unknown variable x{w} at position {tok.pos}")
-        power = 1
-        if tok.peek() == "^":
-            tok.pos += 1
-            power = tok.take_nat()
-        return index_of[w], power
-
-    def read_term(sign):
-        coeff = Fraction(sign)
-        exp = [0] * len(ws)
-        if tok.peek().isdecimal():
-            num = tok.take_nat()
-            if tok.peek() == "/":
-                tok.pos += 1
-                den = tok.take_nat()
-                if den == 0:
-                    raise nf.ParseError(f"zero denominator at position {tok.pos}")
-                coeff *= Fraction(num, den)
-            else:
-                coeff *= num
-            while tok.peek() == "*":
-                tok.pos += 1
-                i, a = read_factor()
-                exp[i] += a
-        else:
-            i, a = read_factor()
-            exp[i] += a
-            while tok.peek() == "*":
-                tok.pos += 1
-                i, a = read_factor()
-                exp[i] += a
-        key = tuple(exp)
-        total = terms.get(key, Fraction(0)) + coeff
-        if total == 0:
-            terms.pop(key, None)
-        else:
-            terms[key] = total
-
-    first = tok.peek()
-    if first == "":
-        raise nf.ParseError("empty input")
-    sign = 1
-    if first == "-":
-        tok.pos += 1
-        sign = -1
-    read_term(sign)
-    while True:
-        nxt = tok.peek()
-        if nxt == "":
-            break
-        if nxt == "+":
-            tok.pos += 1
-            read_term(1)
-        elif nxt == "-":
-            tok.pos += 1
-            read_term(-1)
-        else:
-            raise nf.ParseError(f"unexpected {nxt!r} at position {tok.pos}")
-    return nf.WeightedPolynomial(ws, terms)
-
-
-def parse_outcome(parser, text):
-    """The polynomial, or the ParseError message, that parser gives for text."""
-    try:
-        return parser(text)
-    except nf.ParseError as err:
-        return f"ParseError: {err}"
+def parse_outcomes(text):
+    """What parse and the reference parser give for text: terms, or the error message."""
+    outcomes = []
+    parsers = ((lambda t: nf.parse(t).terms, nf.ParseError), (reference_parse, ParseFailure))
+    for parser, error in parsers:
+        try:
+            outcomes.append(dict(parser(text)))
+        except error as err:
+            outcomes.append(f"ParseError: {err}")
+    return outcomes
 
 
 def test_parse_forms():
@@ -257,7 +155,8 @@ def mutated_texts(draw):
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(grammar_texts(), mutated_texts()))
 def test_parse_matches_reference_parser(text):
-    assert parse_outcome(nf.parse, text) == parse_outcome(reference_parse, text)
+    parsed, expected = parse_outcomes(text)
+    assert parsed == expected
 
 
 @pytest.mark.parametrize(
@@ -266,12 +165,14 @@ def test_parse_matches_reference_parser(text):
      "x 3 ^ 2 * 1", "1 2", "x03^007", "2/4*x3 + 1/2*x3", "x9^2", "x12", "x3 + +x4", "x3)"],
 )
 def test_parse_matches_reference_parser_on_edge_cases(text):
-    assert parse_outcome(nf.parse, text) == parse_outcome(reference_parse, text)
+    parsed, expected = parse_outcomes(text)
+    assert parsed == expected
 
 
 def test_parse_matches_reference_parser_past_the_digit_limit():
     for text in ("x3 + 2/ " + "3" * 4301, "9" * 4301 + "*x3", "x" + "1" * 4301):
-        assert parse_outcome(nf.parse, text) == parse_outcome(reference_parse, text)
+        parsed, expected = parse_outcomes(text)
+        assert parsed == expected
 
 
 def test_print_parse_roundtrip_fixed():
@@ -425,7 +326,7 @@ def test_substitution_dependency_cycles():
         ws, {4: shift(1, 0, 0, 1, 0), 3: shift(1, 1, 0, 0, 0), 0: shift(*x1), 1: shift(*x2)}
     )
     poly = nf.WeightedPolynomial(ws, {(0, 0, 0, 0, 1): Fraction(1), (3, 0, 0, 0, 0): Fraction(2)})
-    assert nf.substitute(poly, chain) == reference_substitute(poly, chain)
+    assert nf.substitute(poly, chain).terms == expected_image(poly, chain)
 
 
 def rational_cbrt(x):
@@ -441,61 +342,19 @@ def test_rational_cbrt():
             assert nf._rational_cbrt(x.numerator**3, x.denominator**3) == (x.numerator, x.denominator)
             # any numerator/denominator pair of the cube, not only the reduced one
             assert nf._rational_cbrt(7 * p**3, 7 * q**3) == (x.numerator, x.denominator)
+            assert rational_cube_root(x**3) == x  # the oracle reference_normalize uses
             if x != 0:
-                assert rational_cbrt(2 * x**3) is None
-                assert rational_cbrt(x**3 / 3) is None
+                for no_cube in (2 * x**3, x**3 / 3):
+                    assert rational_cbrt(no_cube) is None is rational_cube_root(no_cube)
     big = Fraction(-(10**40 + 7), 3**50)
-    assert rational_cbrt(big**3) == big
-    assert rational_cbrt(big**3 + 1) is None
+    assert rational_cbrt(big**3) == big == rational_cube_root(big**3)
+    assert rational_cbrt(big**3 + 1) is None is rational_cube_root(big**3 + 1)
 
 
-def _add(a, b):
-    out = dict(a)
-    for exp, c in b.items():
-        total = out.get(exp, Fraction(0)) + c
-        if total == 0:
-            out.pop(exp, None)
-        else:
-            out[exp] = total
-    return out
-
-
-def _mul(a, b):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            exp = tuple(x + y for x, y in zip(e1, e2))
-            total = out.get(exp, Fraction(0)) + c1 * c2
-            if total == 0:
-                out.pop(exp, None)
-            else:
-                out[exp] = total
-    return out
-
-
-def _pow(a, n, nvars):
-    out = {(0,) * nvars: Fraction(1)}
-    for _ in range(n):
-        out = _mul(out, a)
-    return out
-
-
-def reference_substitute(poly, subst):
-    """The Fraction expansion substitute replaced, kept as its oracle."""
-    n = len(poly.weights)
-    replacements = {}
-    for i in range(n):
-        unit = tuple(int(k == i) for k in range(n))
-        c, g = subst.rules.get(i, (Fraction(1), nf.WeightedPolynomial(poly.weights)))
-        replacements[i] = _add({unit: Fraction(c)}, g.terms)
-    total = {}
-    for exp, coeff in poly.terms.items():
-        piece = {(0,) * n: coeff}
-        for i, a in enumerate(exp):
-            if a:
-                piece = _mul(piece, _pow(replacements[i], a, n))
-        total = _add(total, piece)
-    return nf.WeightedPolynomial(poly.weights, total)
+def expected_image(poly, subst):
+    """reference_substitute on the plain values of a polynomial and a substitution."""
+    rules = {i: (c, dict(g.terms)) for i, (c, g) in subst.rules.items()}
+    return reference_substitute(len(poly.weights), dict(poly.terms), rules)
 
 
 # Weight systems with chains of graded shifts (x2 -> x2 + x1^2, x3 -> x3 +
@@ -541,8 +400,38 @@ def polys_and_substitutions(draw):
 def test_substitute_matches_fraction_reference(case):
     poly, sub = case
     image = nf.substitute(poly, sub)
-    assert image == reference_substitute(poly, sub)
+    assert image.terms == expected_image(poly, sub)
     assert all(type(c) is Fraction for c in image.terms.values())
+
+
+# rules as {position: (c, shift terms)}: x5 -> 2/3*x5, x4 -> -1/2*x4, x7 -> x7 - 3*x3*x4
+# and x6 -> x6 + 1/4*x3^2
+SCALE_5, SCALE_4 = (2, (Fraction(2, 3), {})), (1, (Fraction(-1, 2), {}))
+SHIFT_7 = (4, (1, {(1, 1, 0, 0, 0): Fraction(-3)}))
+SHIFT_6 = (3, (1, {(2, 0, 0, 0, 0): Fraction(1, 4)}))
+
+
+@pytest.mark.parametrize(
+    "rules,order_matters",
+    [
+        ((SCALE_5, SCALE_4), False),
+        ((SHIFT_7, SHIFT_6), False),
+        ((SCALE_4, SHIFT_7), True),  # normalize's case: x7's shift uses the scaled x4
+        ((SCALE_5, SCALE_4, SHIFT_7, SHIFT_6), True),
+    ],
+    ids=["no shift", "only shifts", "a scaled variable in a shift", "all four"],
+)
+def test_substitute_applies_every_rule_at_once(rules, order_matters):
+    poly = nf.parse("2*x5*x7 + 3*x4^3 + x6^2 + 5*x3*x4*x5 - x3^2*x6 + 7*x3^4")
+    rules = dict(rules)
+    sub = nf.Substitution(WS, {i: (c, nf.WeightedPolynomial(WS, g)) for i, (c, g) in rules.items()})
+    image = nf.substitute(poly, sub)
+    assert image.terms == expected_image(poly, sub)
+    # one rule at a time, x7's shift before x4's scaling, is another coordinate change
+    one_at_a_time = dict(poly.terms)
+    for i in sorted(rules, reverse=True):
+        one_at_a_time = reference_substitute(len(WS), one_at_a_time, {i: rules[i]})
+    assert (one_at_a_time != image.terms) is order_matters
 
 
 def test_substitute_chained_shifts_and_cancellation():
@@ -559,7 +448,7 @@ def test_substitute_chained_shifts_and_cancellation():
         (0, 1, 1, 0, 0): Fraction(2, 9), (0, 0, 0, 0, 1): Fraction(1), (1, 0, 0, 1, 0): Fraction(4),
     })
     image = nf.substitute(poly, sub)
-    assert image == reference_substitute(poly, sub)
+    assert image.terms == expected_image(poly, sub)
     assert (0, 1, 1, 0, 0) not in image.terms  # cancels against the x5 shift
     assert nf.substitute(nf.WeightedPolynomial(ws), sub).is_zero()
 
@@ -632,68 +521,9 @@ def test_corner_check_matches_corner_table(case):
     assert nf.corner_check(poly, d) == expected
 
 
-def coefficient(poly, exp):
-    return poly.terms.get(exp, Fraction(0))
-
-
-def reference_normalize(poly):
-    """The four-step pipeline normalize replaced, kept as its oracle.
-
-    Each rescaling and each shift is its own substitution, and every
-    coefficient is read back from the expanded polynomial.
-    """
-    ws = poly.weights
-    e57, e444, e66 = (0, 0, 1, 0, 1), (0, 3, 0, 0, 0), (0, 0, 0, 2, 0)
-    e336, e345, e3333 = (2, 0, 0, 1, 0), (1, 1, 1, 0, 0), (4, 0, 0, 0, 0)
-    for exp, name in ((e57, "x5*x7"), (e444, "x4^3"), (e66, "x6^2")):
-        if coefficient(poly, exp) == 0:
-            raise nf.MissingCornerMonomial(name)
-    steps = []
-    current = poly
-    c66 = coefficient(current, e66)
-    if c66 != 1:
-        current = nf.WeightedPolynomial(ws, {k: v / c66 for k, v in current.terms.items()})
-        steps.append(f"scale the equation by {1 / c66}")
-    c57 = coefficient(current, e57)
-    if c57 != 1:
-        current = nf.substitute(
-            current, nf.Substitution(ws, {ws.index(5): (1 / c57, nf.WeightedPolynomial(ws))})
-        )
-        steps.append(f"x5 -> {1 / c57}*x5")
-    c444 = coefficient(current, e444)
-    if c444 != 1:
-        root = rational_cbrt(c444)
-        if root is not None:
-            current = nf.substitute(
-                current,
-                nf.Substitution(ws, {ws.index(4): (1 / root, nf.WeightedPolynomial(ws))}),
-            )
-            steps.append(f"x4 -> {1 / root}*x4")
-        else:
-            steps.append(f"x4^3 keeps unit {c444} (no rational cube root)")
-    c345 = coefficient(current, e345)
-    if c345 != 0:
-        shift = c345 / coefficient(current, e57)
-        g = nf.WeightedPolynomial(ws, {(1, 1, 0, 0, 0): -shift})
-        current = nf.substitute(current, nf.Substitution(ws, {ws.index(7): (Fraction(1), g)}))
-        steps.append(f"x7 -> x7 - {shift}*x3*x4")
-    c336 = coefficient(current, e336)
-    if c336 != 0:
-        shift = c336 / (2 * coefficient(current, e66))
-        g = nf.WeightedPolynomial(ws, {(2, 0, 0, 0, 0): -shift})
-        current = nf.substitute(current, nf.Substitution(ws, {ws.index(6): (Fraction(1), g)}))
-        steps.append(f"x6 -> x6 - {shift}*x3^2")
-    leftover = set(current.terms) - {e57, e444, e66, e3333}
-    if leftover:
-        raise AssertionError(f"pipeline left unexpected support {leftover}")
-    lam = coefficient(current, e3333)
-    return nf.NormalFormResult("A" if lam != 0 else "B", lam, tuple(steps), current)
-
-
 def assert_matches_reference_normalize(poly):
-    result, expected = nf.normalize(poly), reference_normalize(poly)
-    assert result == expected
-    assert nf.poly_text(result.final) == nf.poly_text(expected.final)
+    result = nf.normalize(poly)
+    assert (*result[:3], result.final.terms) == reference_normalize(dict(poly.terms))
     return result
 
 

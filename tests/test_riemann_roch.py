@@ -126,9 +126,9 @@ CALIBRATION_DEPTHS = {
 }
 
 
-@pytest.mark.parametrize("name", FIXTURE_SHAPES)
-def test_calibrated_data_compares_through_the_numerator_bound(monkeypatch, name):
-    shape = FIXTURE_SHAPES[name]
+@pytest.fixture
+def calibrations(monkeypatch, empty_memos):
+    """Empty memos for the test, and the order of each oracle that calibrate compares with."""
     depths = []
     calibrate = rr.calibrate
 
@@ -137,13 +137,20 @@ def test_calibrated_data_compares_through_the_numerator_bound(monkeypatch, name)
         return calibrate(data, oracle)
 
     monkeypatch.setattr(rr, "calibrate", recording)
+    return depths
+
+
+@pytest.mark.parametrize("name", FIXTURE_SHAPES)
+def test_calibrated_data_compares_through_the_numerator_bound(calibrations, name):
+    shape = FIXTURE_SHAPES[name]
     rr.calibrated_data(shape)
     bound = 3 + sum(set(wps.basket(shape).indices())) + sum(shape.weights)
-    assert depths == [bound] == [CALIBRATION_DEPTHS[name]]
-    # a shorter order changes nothing, a longer one only deepens the comparison
-    rr.calibrated_data(shape, 24)
-    rr.calibrated_data(shape, bound + 7)
-    assert depths[1:] == [max(24, bound), bound + 7]
+    assert calibrations == [bound] == [CALIBRATION_DEPTHS[name]]
+    # an order up to the depth compared returns the kept data, a longer one compares again
+    deeper = max(24, bound) + 7
+    for order in (24, deeper, bound, deeper):
+        rr.calibrated_data(shape, order)
+    assert calibrations[1:] == [24] * (24 > bound) + [deeper]
 
 
 @pytest.mark.parametrize("name", FIXTURE_SHAPES)
@@ -151,7 +158,23 @@ def test_calibrated_data_ignores_an_order_below_the_bound(calibrated, name):
     assert rr.calibrated_data(FIXTURE_SHAPES[name], 24) == calibrated[name]
 
 
-def test_calibrated_data_sees_an_oracle_changed_past_t24(monkeypatch):
+def test_a_repeat_calibrated_data_returns_the_kept_data(calibrations):
+    data = rr.calibrated_data(X12)
+    for order in (0, 24, 45, 45.0):
+        assert rr.calibrated_data(X12, order) is data
+    assert calibrations == [45] and rr._CALIBRATED == {X12: (data, 45)}
+
+
+def test_a_longer_order_calibrates_again_through_it(calibrations):
+    data = rr.calibrated_data(X12)
+    deeper = rr.calibrated_data(X12, 60)
+    assert deeper == data and deeper is not data
+    for order in (60, 30):
+        assert rr.calibrated_data(X12, order) is deeper
+    assert calibrations == [45, 60] and rr._CALIBRATED == {X12: (deeper, 60)}
+
+
+def test_calibrated_data_sees_an_oracle_changed_past_t24(monkeypatch, empty_memos):
     # X12's oracle with only t^30 changed agrees through t^24; the derived depth 45 reaches it
     hilbert = wps.hilbert
 
@@ -165,6 +188,7 @@ def test_calibrated_data_sees_an_oracle_changed_past_t24(monkeypatch):
     for order in (0, 24):
         with pytest.raises(rr.CalibrationError, match=r"differs from the oracle at t\^30$"):
             rr.calibrated_data(X12, order)
+    assert rr._CALIBRATED == {}  # so each call compares, and raises, again
 
 
 def test_calibrated_series_equal_the_closed_form_over_four_periods():
@@ -435,18 +459,19 @@ def test_a_ten_thousand_shape_scan_leaves_at_most_the_bound_in_each_memo(empty_m
         for q in (1, 2, 3):
             if len(shapes) < 10_000 and wps.has_monomial(weights, sum(weights) - q):
                 shapes.append(wps.HypersurfaceShape(weights, sum(weights) - q))
-    baskets = {}
+    baskets, calibrated = {}, []
     for shape in shapes:
         wps.genus(shape)
         try:
             baskets[shape] = wps.basket(shape)
-            rr.calibrated_data(shape)
+            calibrated.append((shape, rr.calibrated_data(shape)))
         except ValueError:  # a stratum fails, or the data do not calibrate
             pass
-    assert len(baskets) > series.MEMO_KEYS
+    assert len(calibrated) > series.MEMO_KEYS
     assert len(series._PRODUCTS) == len(rr._SERIES_MEMO) == series.MEMO_KEYS
-    # the newest baskets, oldest first
+    # the newest baskets and calibrated data, oldest first
     assert list(wps._BASKETS.items()) == list(baskets.items())[-series.MEMO_KEYS :]
+    assert [(shape, kept[0]) for shape, kept in rr._CALIBRATED.items()] == calibrated[-series.MEMO_KEYS :]
 
 
 @pytest.mark.parametrize("memo", PREFIX_MEMOS)

@@ -153,8 +153,8 @@ def cmd_analyze(args) -> Answer:
         f"A^3: {report.a3}",
     ]
     if report.basket is not None:
-        lines.append(f"basket: {report.basket}")
-        lines.append(f"basket indices: {','.join(str(r) for r in report.basket.indices())}")
+        lines.append(f"basket: {str(report.basket) or 'none'}")
+        lines.append(f"basket indices: {','.join(map(str, report.basket.indices())) or 'none'}")
     lines.append(f"genus: {report.genus}")
     lines.append(f"hilbert: {' '.join(str(c) for c in hilbert)}")
     if text is not None:

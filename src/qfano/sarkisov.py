@@ -66,7 +66,7 @@ list is flagged, never dropped; a fiber-type one's key ends in "fiber-type".
 
 run_case keeps one transcript per CenterCase value ("p3" and "P3" share it, a
 patched case gets its own, a run that raises stores none) and returns it to every
-caller read-only: tuples, sealed candidates (_seal) and a text rendered once.
+caller. Candidates and transcripts are values; a transcript renders its text once.
 """
 
 from __future__ import annotations
@@ -216,46 +216,32 @@ class Split(namedtuple("Split", "s beta")):
         return {"s": self.s, "beta": str(self.beta)}
 
 
-class LinkCandidate:
-    """One bare solution of the governing equation, annotated in place by the filters.
+class LinkCandidate(namedtuple("LinkCandidate", "case alpha qhat e birational splits admissible "
+                               "status filter_id reason target d torsion_options extra")):
+    """One bare solution of the governing equation and what the filters found: a value.
 
-    A plain class, so that no command loads ``dataclasses`` for it.
+    status is bare, eliminated or final; splits and admissible are read-only maps.
     """
 
-    __slots__ = ("case", "alpha", "qhat", "e", "birational", "splits", "admissible", "status",
-                 "filter_id", "reason", "target", "d", "torsion_options", "extra", "_sealed")
+    __slots__ = ()
+    _make = wps._checked_make
 
-    def __init__(self, case: CenterCase, alpha: Fraction, qhat: int, e: int, birational: bool,
-                 splits: dict[int, tuple[Split, ...]] | None = None, extra: bool = False) -> None:
+    def __new__(cls, case: CenterCase, alpha: Fraction, qhat: int, e: int, birational: bool,
+                splits=None, admissible=None, status="bare", filter_id=None, reason=None,
+                target=None, d=None, torsion_options=(), extra=False) -> LinkCandidate:
         if not isinstance(alpha, (int, Fraction)) or type(birational) is not bool:
             raise TypeError(f"alpha {alpha!r} must be a Fraction or an int, "
                             f"birational {birational!r} a bool")
-        object.__setattr__(self, "_sealed", False)
-        self.case, self.alpha, self.birational = case, alpha, birational
-        self.qhat, self.e = operator.index(qhat), operator.index(e)
+        qhat, e = operator.index(qhat), operator.index(e)
         if not isinstance(case, CenterCase):
             raise TypeError(f"case {case!r} must be a CenterCase")
-        if self.qhat not in ALLOWED_FANO_INDICES or alpha <= 0 or self.e < 1:
+        splits = types.MappingProxyType(dict(splits or {}))
+        admissible = types.MappingProxyType(dict(admissible or {}))
+        self = super().__new__(cls, case, alpha, qhat, e, birational, splits, admissible, status,
+                               filter_id, reason, target, d, tuple(torsion_options), extra)
+        if qhat not in ALLOWED_FANO_INDICES or alpha <= 0 or e < 1:
             raise ValueError(f"{self.key()}: qhat must be admissible, alpha > 0 and e must be >= 1")
-        self.splits = {} if splits is None else splits
-        self.admissible: dict[int, tuple[Split, ...]] = {}
-        self.status = "bare"  # bare | eliminated | final
-        self.filter_id: str | None = None
-        self.reason: str | None = None
-        self.target: str | None = None
-        self.d: int | None = None
-        self.torsion_options: tuple[int, ...] = ()
-        self.extra = extra
-
-    def __setattr__(self, name: str, value) -> None:
-        if self._sealed:
-            raise AttributeError(f"[{self.key()}] is part of a shared transcript: read-only")
-        object.__setattr__(self, name, value)
-
-    def _seal(self) -> None:  # read-only splits and admissible, and no assignment from now on
-        self.splits = types.MappingProxyType(self.splits)
-        self.admissible = types.MappingProxyType(self.admissible)
-        self._sealed = True
+        return self
 
     def key(self) -> str:
         """Name in transcripts and logs; a fiber-type candidate's ends in "fiber-type"."""
@@ -397,15 +383,15 @@ def verify_equation(candidate: LinkCandidate) -> bool:
     return True
 
 
-def _pin_target(candidate: LinkCandidate) -> tuple[int, ...] | None:
+def _pin_target(qhat: int, splits: dict[int, tuple[Split, ...]]) -> tuple[int, ...] | None:
     """Weights of the target space, when qhat and the splits pin it (TARGETS)."""
-    s = {11: 2, 7: 1}.get(candidate.qhat)
+    s = {11: 2, 7: 1}.get(qhat)
     if s is not None and not any(
-        DIMS[k] >= 1 and any(sp.s == s for sp in splits)
-        for k, splits in candidate.splits.items()
+        DIMS[k] >= 1 and any(sp.s == s for sp in sps)
+        for k, sps in splits.items()
     ):
         return None
-    return TARGETS.get(candidate.qhat)
+    return TARGETS.get(qhat)
 
 
 # one filter's verdict ("pass" or "eliminated") on one candidate, by key
@@ -458,17 +444,17 @@ def canonical_threshold(candidate: LinkCandidate) -> Fraction:
     return candidate.alpha / beta6
 
 
-def _forced_s(candidate: LinkCandidate) -> dict[int, int]:
+def _forced_s(admissible: dict[int, tuple[Split, ...]]) -> dict[int, int]:
     """s_k for every k whose one admissible split has s_k >= 1."""
     return {
         k: sps[0].s
-        for k, sps in sorted(candidate.admissible.items())
+        for k, sps in sorted(admissible.items())
         if len(sps) == 1 and sps[0].s >= 1
     }
 
 
 # geometric eliminations this module records but does not mechanize
-def _f4_reason(candidate: LinkCandidate) -> str | None:
+def _f4_reason(candidate: LinkCandidate, admissible: dict[int, tuple[Split, ...]]) -> str | None:
     key = (candidate.case.name, candidate.qhat, candidate.e)
     if key == ("P3", 4, 1) and candidate.alpha == Fraction(1, 3):
         return (
@@ -477,7 +463,7 @@ def _f4_reason(candidate: LinkCandidate) -> str | None:
             "geometric classification argument not mechanized here"
         )
     if key == ("P5", 17, 6) and candidate.alpha == Fraction(1, 5):
-        sol = second_contraction(6, 17, _forced_s(candidate))
+        sol = second_contraction(6, 17, _forced_s(admissible))
         if sol is None:
             raise AssertionError(
                 f"F4 for {candidate.key()}: the second contraction its note records has no solution"
@@ -497,12 +483,13 @@ def _rows(rows) -> str:
     return "{" + ", ".join(map(str, rows)) + "}"
 
 
-def _filter_chain(cand: LinkCandidate):
+def _filter_chain(cand: LinkCandidate, notes: dict):
     """Yield (filter_id, verdict, detail) for one candidate in transcript order.
 
     F1 to F4 run in turn and the chain stops at the first elimination; a
     survivor ends with a "final" pass, a fiber-type candidate with a "none"
-    pass. Torsion options, every k's splits, target and d are set on the way.
+    pass. The torsion options, every k's splits, target and d found on the way
+    go into notes, by field name.
     """
     if not cand.birational:
         yield "none", "pass", "fiber-type contraction: no torsion or effectivity data applies"
@@ -534,80 +521,88 @@ def _filter_chain(cand: LinkCandidate):
         if dropped:
             yield "F2", "pass", f"dropped rows with g < 4: {_rows(dropped)}"
             kept = [row for row in kept if row not in dropped]
-    cand.torsion_options = tuple(sorted(row.t for row in kept))
+    torsion = notes["torsion_options"] = tuple(sorted(row.t for row in kept))
 
     # full split data for every k (the transcript shows it all)
+    splits = dict(cand.splits)
     for k in DIMS:
-        if k not in cand.splits:
+        if k not in splits:
             equation = _equation(cand.case, cand.alpha, k)
-            cand.splits[k] = _solve_splits(equation, cand.qhat, cand.e, k, cand.birational)
-    cand.admissible = dict(cand.splits)
+            splits[k] = _solve_splits(equation, cand.qhat, cand.e, k, cand.birational)
+    notes["splits"] = notes["admissible"] = effective = splits
 
     # F3: every k needs a split, and on a pinned target an effective one
-    effective = cand.admissible
-    weights = _pin_target(cand)
+    weights = _pin_target(cand.qhat, splits)
     if weights is not None:
-        name = cand.target = f"P({','.join(map(str, weights))})"
-        top = max((sp.s for sps in cand.splits.values() for sp in sps), default=0)
+        name = notes["target"] = f"P({','.join(map(str, weights))})"
+        top = max((sp.s for sps in splits.values() for sp in sps), default=0)
         h0 = wps.hilbert(wps.HypersurfaceShape(weights), top).coefficients
-        effective = {
-            k: tuple(sp for sp in cand.splits[k] if h0[sp.s] >= DIMS[k] + 1) for k in DIMS
-        }
+        effective = {k: tuple(sp for sp in splits[k] if h0[sp.s] >= DIMS[k] + 1) for k in DIMS}
     k = next((k for k in DIMS if not effective[k]), None)
     if k is not None:
         detail = "no integral split at all"
-        if cand.splits[k]:
+        if splits[k]:
             shown = ", ".join(
-                f"h0({name}, {sp.s}*A) = {h0[sp.s]}" for sp in cand.splits[k] if sp.s > 0
+                f"h0({name}, {sp.s}*A) = {h0[sp.s]}" for sp in splits[k] if sp.s > 0
             ) or "only s=0 splits while dim|kA| > 0"
             detail = f"every split fails h0 >= dim|{k}A|+1 = {DIMS[k] + 1}: {shown}"
         yield "F3", "eliminated", f"k={k}: {detail}"
         return
     if weights is not None:
-        cand.admissible = effective
+        notes["admissible"] = effective
         yield "F3", "pass", f"target {name}: all k admit effective splits"
 
     # F4: geometric eliminations, recorded with their numeric sub-steps
-    reason = _f4_reason(cand)
+    reason = _f4_reason(cand, effective)
     if reason is not None:
         yield "F4", "eliminated", reason
         return
 
     # |T| = 1 gives d = e; otherwise the unique member of a system with s = 0
     # is the contracted divisor
-    cand.d = cand.e if cand.torsion_options == (1,) else next(
-        (k for k in DIMS if [sp.s for sp in cand.admissible[k]] == [0]), None
+    notes["d"] = cand.e if torsion == (1,) else next(
+        (k for k in DIMS if [sp.s for sp in effective[k]] == [0]), None
     )
-    yield "final", "pass", f"survives all filters; target {cand.target or 'unidentified'}"
+    yield "final", "pass", f"survives all filters; target {notes.get('target', 'unidentified')}"
 
 
 def apply_filters(candidates: list[LinkCandidate]) -> list[FilterEvent]:
-    """Annotate candidates in place with pass/eliminated verdicts; return the log.
+    """Put each candidate's copy, annotated with its verdict, in its place; return the log.
 
     Candidates are visited in the order given, filters in order F1 to F4;
     the first one that fires is the single filter an eliminated candidate cites.
     """
     events: list[FilterEvent] = []
-    for cand in candidates:
-        key = cand.key()
-        for fid, verdict, detail in _filter_chain(cand):
+    for i, cand in enumerate(candidates):
+        key, notes = cand.key(), {}
+        for fid, verdict, detail in _filter_chain(cand, notes):
             events.append(FilterEvent(key, fid, verdict, detail))
         # the chain's last event is the candidate's verdict
         if verdict == "eliminated":
-            cand.status, cand.filter_id, cand.reason = verdict, fid, detail
+            notes.update(status=verdict, filter_id=fid, reason=detail)
         else:
-            cand.status = "final"
+            notes["status"] = "final"
             if fid == "none":  # a fiber-type candidate keeps why no filter applied
-                cand.reason = detail
+                notes["reason"] = detail
+        candidates[i] = cand._replace(**notes)
     return events
 
 
 class Transcript(namedtuple("Transcript", "case bare events final thresholds contractions notes")):
-    """Ordered record of one case: bare set, filter log, final set, extras."""
+    """Ordered record of one case: bare set, filter log, final set, extras; a value."""
 
-    __slots__ = ()
+    _make = wps._checked_make
+
+    def __new__(cls, case: CenterCase, *fields) -> Transcript:
+        return super().__new__(cls, case, *map(tuple, fields))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"case {self.case.name}: a transcript is read-only")
 
     def text(self) -> str:
+        """The transcript as ``link`` prints it, rendered on the first call only."""
+        if self.__dict__:  # nothing else can be assigned, so this holds _text
+            return self._text
         case = self.case
         lines = [f"=== sarkisov case {case.name} ==="]
         lines.append(f"center: {case.description}")
@@ -658,7 +653,8 @@ class Transcript(namedtuple("Transcript", "case bare events final thresholds con
         for note in self.notes:
             lines.append(f"note: {note}")
         lines.append("")
-        return "\n".join(lines)
+        self.__dict__["_text"] = text = "\n".join(lines)
+        return text
 
     def record(self) -> dict:
         """``link --json`` payload: the transcript text() renders, as a record."""
@@ -689,18 +685,6 @@ class Transcript(namedtuple("Transcript", "case bare events final thresholds con
         }
 
 
-class _KeptTranscript(Transcript):
-    """A transcript run_case keeps and shares: read-only, so its text is rendered once."""
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"case {self.case.name}: a shared transcript is read-only")
-
-    def text(self) -> str:
-        if not self.__dict__:  # __setattr__ refuses, so the dict holds _text or nothing
-            self.__dict__["_text"] = super().text()
-        return self._text
-
-
 _TRANSCRIPTS: dict[CenterCase, Transcript] = {}  # the transcripts run_case returned, by case
 
 
@@ -716,7 +700,6 @@ def run_case(name: str) -> Transcript:
     for cand in bare:
         if not verify_equation(cand):
             raise AssertionError(f"candidate {cand.key()} fails after split extension")
-        cand._seal()  # the filters are done, and what follows only reads
     final = [c for c in bare if c.status == "final"]
 
     thresholds: list[tuple[str, Fraction]] = []
@@ -724,7 +707,7 @@ def run_case(name: str) -> Transcript:
     for cand in final:
         if cand.birational:
             thresholds.append((cand.key(), canonical_threshold(cand)))
-            s = _forced_s(cand)
+            s = _forced_s(cand.admissible)
             sol = second_contraction(cand.e, cand.qhat, s, cand.target is not None) if s else None
             if sol:
                 contractions.append((cand.key(), sol))
@@ -747,5 +730,5 @@ def run_case(name: str) -> Transcript:
             f"status: {c.status}"
             + (f" by {c.filter_id}" if c.filter_id else "")
         )
-    fields = map(tuple, (bare, events, final, thresholds, contractions, notes))
-    return _TRANSCRIPTS.setdefault(case, _KeptTranscript(case, *fields))  # a raise stores nothing
+    transcript = Transcript(case, bare, events, final, thresholds, contractions, notes)
+    return _TRANSCRIPTS.setdefault(case, transcript)  # a raise stores nothing

@@ -235,6 +235,29 @@ def test_analyze_space(capsys):
     assert json.loads(out)["fano_index"] == 13
 
 
+def _shape_argv(shape):
+    weights = ",".join(map(str, shape.weights))
+    if shape.degree == 0:
+        return ("--space", weights)
+    return ("--weights", weights, "--degree", str(shape.degree))
+
+
+EMPTY_BASKETS = [("--space", "1,1,1,1"), ("--weights", "1,1,1,1,1", "--degree", "4"),
+                 ("--weights", "1,1,1,1,2", "--degree", "2")]
+
+
+@pytest.mark.parametrize(
+    "argv", EMPTY_BASKETS + [_shape_argv(f.shape) for f in fixtures.FIXTURES], ids=" ".join
+)
+def test_no_analyze_text_line_ends_in_a_space(capsys, argv):
+    code, out, _ = run(capsys, "analyze", *argv)
+    assert code == 0
+    assert [line for line in out.splitlines() if line.endswith(" ")] == []
+    if argv in EMPTY_BASKETS:  # an empty basket reads "none"; its JSON stays an empty list
+        assert "\nbasket: none\nbasket indices: none\n" in out
+        assert run(capsys, "analyze", *argv, "--json")[1].count('"basket": []') == 1
+
+
 def test_analyze_ill_formed_warns_not_fails(capsys):
     code, out, _ = run(capsys, "analyze", "--space", "1,2,2,2", "--json")
     assert code == 0

@@ -28,6 +28,7 @@ ENTRY = rr.RRBasketEntry(5, 2, 2)
 ZERO = nf.WeightedPolynomial(WS)
 ALPHA = Fraction(1, 5)
 P5 = sk.CASES["P5"]
+CANDIDATE = sk.LinkCandidate(P5, ALPHA, 7, 4, True)
 X3_4 = (4, 0, 0, 0, 0)  # the exponent of x3^4
 POLY = nf.parse(FORM_A)
 
@@ -52,6 +53,8 @@ INT_SLOTS = {
     "Substitution position": (lambda v: nf.Substitution(WS, {v: (2, ZERO)}), 1, True),
     "LinkCandidate qhat": (lambda v: sk.LinkCandidate(P5, ALPHA, v, 4, True), 7, True),
     "LinkCandidate e": (lambda v: sk.LinkCandidate(P5, ALPHA, 7, v, True), 4, True),
+    "LinkCandidate qhat by _replace": (lambda v: CANDIDATE._replace(qhat=v), 7, True),
+    "LinkCandidate e by _replace": (lambda v: CANDIDATE._replace(e=v), 4, True),
     "torsion_table qhat": (lambda v: sk.torsion_table(v), 5, True),
     "product_coefficients numerator": (
         lambda v: series.product_coefficients((v,), (1,), 5), 2, True
@@ -119,16 +122,6 @@ BAD_ELEMENTS = {
     "Substitution long rule": lambda: nf.Substitution(WS, {0: (2, ZERO, 1)}),
     "Substitution float coefficient": lambda: nf.Substitution(WS, {0: (2.0, ZERO)}),
     "Substitution str coefficient": lambda: nf.Substitution(WS, {0: ("2", ZERO)}),
-    "LinkCandidate unknown case": lambda: sk.LinkCandidate("P9", ALPHA, 7, 4, True),
-    "LinkCandidate int case": lambda: sk.LinkCandidate(5, ALPHA, 7, 4, True),
-    "LinkCandidate case name": lambda: sk.LinkCandidate("P5", ALPHA, 7, 4, True),
-    "LinkCandidate str birational": lambda: sk.LinkCandidate(P5, ALPHA, 7, 4, "yes"),
-    "LinkCandidate None birational": lambda: sk.LinkCandidate(P5, ALPHA, 7, 4, None),
-    "LinkCandidate float alpha": lambda: sk.LinkCandidate(P5, 0.2, 7, 4, True),
-    "LinkCandidate str alpha": lambda: sk.LinkCandidate(P5, "1/5", 7, 4, True),
-    "LinkCandidate negative alpha": lambda: sk.LinkCandidate(P5, -ALPHA, 7, 4, True),
-    "LinkCandidate zero alpha": lambda: sk.LinkCandidate(P5, Fraction(0), 7, 4, True),
-    "LinkCandidate inadmissible qhat": lambda: sk.LinkCandidate(P5, ALPHA, 10, 4, True),
     "product_coefficients tuple exponent": lambda: series.product_coefficients(((2,),), (1,), 5),
     "product_coefficients int numerator": lambda: series.product_coefficients(2, (1,), 5),
     "expand_product tuple exponent": lambda: series.expand_product((), ((1,),), 5),
@@ -136,6 +129,26 @@ BAD_ELEMENTS = {
     "has_monomial int weights": lambda: wps.has_monomial(3, 12),
     "monomial_count tuple weight": lambda: wps.monomial_count(((3,), 4), 12),
 }
+
+# each LinkCandidate refusal as (field, value), made at the constructor and again by _replace
+BAD_CANDIDATE_FIELDS = {
+    "unknown case": ("case", "P9"),
+    "int case": ("case", 5),
+    "case name": ("case", "P5"),
+    "str birational": ("birational", "yes"),
+    "None birational": ("birational", None),
+    "float alpha": ("alpha", 0.2),
+    "str alpha": ("alpha", "1/5"),
+    "negative alpha": ("alpha", -ALPHA),
+    "zero alpha": ("alpha", Fraction(0)),
+    "inadmissible qhat": ("qhat", 10),
+}
+for kind, (field, bad) in BAD_CANDIDATE_FIELDS.items():
+    fields = CANDIDATE._asdict() | {field: bad}
+    BAD_ELEMENTS[f"LinkCandidate {kind}"] = lambda fields=fields: sk.LinkCandidate(**fields)
+    BAD_ELEMENTS[f"LinkCandidate {kind} by _replace"] = (
+        lambda field=field, bad=bad: CANDIDATE._replace(**{field: bad})
+    )
 
 # call: the indices as its refusal names them
 BAD_INDICES = {

@@ -91,10 +91,16 @@ def test_every_final_birational_candidate_of_small_centre_cases_has_a_threshold(
     assert finals == 28
 
 
+def _filtered(cand):
+    """The annotated copy that apply_filters puts in the candidate's place."""
+    given = [cand]
+    sk.apply_filters(given)
+    return given[0]
+
+
 def test_f3_eliminates_an_unpinned_candidate_with_no_split_at_some_k():
-    cand = sk.LinkCandidate(sk.CASES["P5"], Fraction(1, 5), 9, 3, True)
-    assert sk.TARGETS.get(cand.qhat) is None
-    sk.apply_filters([cand])
+    assert sk.TARGETS.get(9) is None
+    cand = _filtered(sk.LinkCandidate(sk.CASES["P5"], Fraction(1, 5), 9, 3, True))
     assert (cand.status, cand.filter_id, cand.reason) == (
         "eliminated", "F3", "k=3: no integral split at all"
     )
@@ -144,11 +150,15 @@ def test_a_fiber_type_candidate_has_its_own_key(monkeypatch):
 def test_apply_filters_visits_candidates_in_the_order_given():
     bare = {(c.qhat, c.e): c for c in sk.enumerate_bare(sk.CASES["P5"])}
     a, b = bare[(7, 4)], bare[(17, 6)]
-    events = sk.apply_filters([b, a])
+    given = [b, a]
+    events = sk.apply_filters(given)
     keys = [ev.candidate for ev in events]
     assert keys == sorted(keys, key=[b.key(), a.key()].index)
     assert keys[0] == b.key() and keys[-1] == a.key()
-    assert (a.status, b.status, b.filter_id) == ("final", "eliminated", "F4")
+    # the filters write nothing: each annotated copy takes its candidate's place in the list
+    assert (a.status, b.status, len(b.splits), b.admissible) == ("bare", "bare", 1, {})
+    b, a = given
+    assert (a.status, b.status, b.filter_id, len(b.splits)) == ("final", "eliminated", "F4", 5)
 
 
 def test_a_case_with_no_bare_solution_logs_no_candidates():
@@ -174,8 +184,7 @@ def test_link_data_agree_with_the_corpus():
         # a split with the s that pins the target at 11 and 7; F3 names it
         split = sk.Split({11: 2, 7: 1}.get(qhat, 1), Fraction(1))
         cand = sk.LinkCandidate(sk.CASES["P5"], Fraction(1, 5), qhat, 3, True, splits={6: (split,)})
-        sk.apply_filters([cand])
-        assert cand.target == spaces[qhat].name
+        assert _filtered(cand).target == spaces[qhat].name
     centres = {case.r for case in sk.CASES.values()} - {None}
     assert centres == set(wps.basket(fixtures.X12_SHAPE).indices())
 
@@ -364,8 +373,7 @@ def test_p2_seventeen_killed_by_effectivity(transcripts):
 
 
 def test_f3_names_a_pinned_candidate_with_no_split_at_all():
-    cand = sk.LinkCandidate(sk.CASES["P5"], Fraction(1, 5), 19, 3, True)
-    sk.apply_filters([cand])
+    cand = _filtered(sk.LinkCandidate(sk.CASES["P5"], Fraction(1, 5), 19, 3, True))
     assert (cand.filter_id, cand.reason) == (
         "F3", "k=3: no integral split at all"
     )
@@ -374,8 +382,7 @@ def test_f3_names_a_pinned_candidate_with_no_split_at_all():
 def test_f3_says_when_a_pinned_candidate_has_only_s0_splits():
     # h0(0*A) = 1 meets dim|kA| + 1 = 1 at k = 3, 4, 5, and fails 2 at k = 6
     splits = {k: (sk.Split(0, Fraction(1)),) for k in sk.DIMS}
-    cand = sk.LinkCandidate(sk.CASES["P5"], Fraction(1, 5), 19, 3, True, splits=splits)
-    sk.apply_filters([cand])
+    cand = _filtered(sk.LinkCandidate(sk.CASES["P5"], Fraction(1, 5), 19, 3, True, splits=splits))
     assert (cand.target, cand.filter_id, cand.reason) == (
         "P(3,4,5,7)",
         "F3",
@@ -398,14 +405,14 @@ def test_canonical_threshold_reads_only_the_splits_the_filters_recorded():
         "among the admissible splits the filters recorded"
     )):
         sk.canonical_threshold(cand)
-    sk.apply_filters([cand])
+    cand = _filtered(cand)
     assert cand.status == "final"
     assert sk.canonical_threshold(cand) == Fraction(1, 2)
 
 
 def test_canonical_threshold_undefined():
-    cand = sk.LinkCandidate(sk.CASES["P5"], Fraction(1, 5), 7, 4, True)
-    cand.admissible = {6: (sk.Split(2, Fraction(0)),)}
+    admissible = {6: (sk.Split(2, Fraction(0)),)}
+    cand = sk.LinkCandidate(sk.CASES["P5"], Fraction(1, 5), 7, 4, True, admissible=admissible)
     with pytest.raises(sk.UndefinedThreshold):
         sk.canonical_threshold(cand)
 
@@ -519,31 +526,32 @@ def test_a_shared_transcript_cannot_be_altered(empty_memos):
     transcript = sk.run_case("P5")
     text = transcript.text()
     assert [type(field) for field in transcript[1:]] == [tuple] * 6
+    for name in (*sk.Transcript._fields, "_text"):
+        with pytest.raises(AttributeError, match="case P5: a transcript is read-only"):
+            setattr(transcript, name, getattr(transcript, name, None))
     for cand in transcript.bare:
-        for name in sk.LinkCandidate.__slots__:
-            with pytest.raises(AttributeError, match="part of a shared transcript: read-only"):
-                setattr(cand, name, getattr(cand, name))
+        for name in (*sk.LinkCandidate._fields, "note"):
+            with pytest.raises(AttributeError):
+                setattr(cand, name, getattr(cand, name, None))
         for splits in (cand.splits, cand.admissible):
             with pytest.raises(TypeError):
                 splits[6] = ()
     assert transcript.text() == text == sk.run_case("P5").text()
 
 
-def test_a_kept_transcript_renders_once_and_a_hand_built_one_each_time(monkeypatch, empty_memos):
-    renders = []
-    text = sk.Transcript.text
-    monkeypatch.setattr(sk.Transcript, "text", lambda self: renders.append(self) or text(self))
+def test_every_transcript_renders_its_text_once(empty_memos):
+    # a render joins new lines into a new str, so the same object back means no render
     kept = sk.run_case("P5")
     first = kept.text()
     assert first == (GOLDEN / "p5.txt").read_text(encoding="utf-8")
     assert kept.text() is first and sk.run_case("p5").text() is first
-    assert renders == [kept]
-    with pytest.raises(AttributeError, match="a shared transcript is read-only"):
-        kept._text = "stale\n"
-    assert kept.text() is first
-    built = sk.Transcript(*kept)
-    assert built.text() == first and built.text() == first
-    assert renders == [kept, built, built]
+    built = sk.Transcript(kept.case, *map(list, kept[1:]))
+    assert built == kept and [type(field) for field in built[1:]] == [tuple] * 6
+    assert built.text() == first and built.text() is built.text() is not first
+    # _replace builds through __new__: tuples again, and a text of its own
+    cut = kept._replace(notes=[])
+    assert type(cut.notes) is tuple and cut.text() is cut.text()
+    assert cut.text() == first.removesuffix(f"note: {kept.notes[0]}\n")
 
 
 def test_every_elimination_cites_one_filter(transcripts):

@@ -4,6 +4,8 @@ import ast
 import pathlib
 import sys
 
+from conftest import MEMOS
+
 SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "qfano"
 MAX_LINE = 100
 
@@ -179,3 +181,24 @@ def test_every_public_name_has_a_caller_in_the_package_or_a_listed_reason():
             elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
                 used |= {f"{node.module}.{alias.name}" for alias in node.names}
     assert defined - used == UNCALLED
+
+
+def _module_level_empty_dicts():
+    """(module, name) of each name that a module's top level assigns an empty ``{}``."""
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            if isinstance(node.value, ast.Dict) and not node.value.keys:
+                yield from ((path.stem, t.id) for t in targets if isinstance(t, ast.Name))
+
+
+def test_conftest_memos_lists_every_module_level_empty_dict():
+    # a process memo starts as {} at a module's top level; empty_memos empties only
+    # those that conftest's MEMOS lists, so a memo missing there leaks between tests
+    listed = [(module.__name__.removeprefix("qfano."), name) for module, name in MEMOS]
+    assert sorted(_module_level_empty_dicts()) == sorted(listed)

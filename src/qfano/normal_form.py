@@ -39,8 +39,9 @@ scaling lambda to 1 needs a 4th root, so it is reported, not scaled.
 ``substitute`` expands on plain ints. It writes each moved variable's replacement
 R_i = c_i*x_i + g_i over D_i and scales a term with exponent a_i by D_i^(top_i - a_i),
 top_i the largest exponent of x_i, so every expanded term lies over den * prod D_i^top_i.
-A rule with no shift (g_i = 0) moves no exponent, and only scales the term further, by
-(D_i*c_i)^a_i; for the others, (D_i*R_i)^k is built once per k <= top_i and multiplied in.
+A rule with no shift (g_i = 0) only scales the term further, by (D_i*c_i)^a_i; for the others,
+(D_i*R_i)^k / x_i^k is built once per k <= top_i. A term no shift touches goes straight into the
+total; the first shift that does multiplies its monomial by that power, any later one the expansion.
 
 A vertex passes ``corner_check`` when some term is x_i^n or x_i^n*x_j, read
 off the support of a polynomial quasi-homogeneous of the given degree.
@@ -57,7 +58,7 @@ from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import compress
-from operator import add, index, mul
+from operator import add, index, itemgetter, mul
 
 from . import wps
 
@@ -68,6 +69,7 @@ _BASE = 10**_CHUNK
 _TOKEN = re.compile(r"[0-9]+|\S")  # a run of ASCII digits or one other non-space character
 _DIGITS = frozenset("0123456789")
 _INDEX = {w: i for i, w in enumerate(STANDARD_WEIGHTS)}
+_NAMES = {str(w): i for w, i in _INDEX.items()}  # a variable's name -> its position
 
 
 class ParseError(ValueError):
@@ -137,11 +139,11 @@ class WeightedPolynomial:
 
 def _poly(weights: tuple[int, ...], nums: dict[Term, int], den: int) -> WeightedPolynomial:
     """The polynomial with these numerators over den != 0, zeros dropped, in lowest terms."""
-    nums = {e: v for e, v in nums.items() if v}
     g = math.gcd(den, *nums.values()) * (1 if den > 0 else -1)
+    if g != 1 or 0 in nums.values():  # else it keeps nums: pass a dict nothing changes after
+        nums = {e: v // g for e, v in nums.items() if v}
     poly = object.__new__(WeightedPolynomial)
-    poly.weights, poly.den = weights, den // g
-    poly.nums = {e: v // g for e, v in nums.items()} if g != 1 else nums
+    poly.weights, poly.nums, poly.den = weights, nums, den // g
     return poly
 
 
@@ -170,11 +172,9 @@ def poly_text(poly: WeightedPolynomial) -> str:
         factors = [f"x{w}^{a}" if a > 1 else f"x{w}" for w, a in zip(poly.weights, exp) if a > 0]
         magnitude = _text(abs(coeff), poly.den)
         body = "*".join(factors if factors and magnitude == "1" else [magnitude] + factors)
-        if not pieces:
-            pieces.append(body if coeff > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(pieces)
+        pieces.append(f"{'+' if coeff > 0 else '-'} {body}")
+    text = " ".join(pieces)  # the leading sign is '-' or none, with no space after it
+    return text[2:] if text[0] == "+" else f"-{text[2:]}"
 
 
 def _position(text: str, k: int, end: bool = False) -> int:
@@ -210,40 +210,44 @@ def parse(text: str) -> WeightedPolynomial:
         raise ParseError("empty input")
     tokens.append("")  # end of input
     found: list[tuple[Term, int, int]] = []  # (exponent, signed numerator, denominator)
-    k, sign = (1, -1) if tokens[0] == "-" else (0, 1)
+    k, sign, common = (1, -1, 1) if tokens[0] == "-" else (0, 1, 1)  # common: lcm of the dens
+    # a number of at most _CHUNK ASCII digits is read inline; _nat reads the rest or refuses
     while True:
         exp = [0] * len(STANDARD_WEIGHTS)
         num, den, factors = 1, 1, True
-        if tokens[k][:1] in _DIGITS:
-            num = _nat(text, tokens, k)
+        if (tok := tokens[k])[:1] in _DIGITS:
+            num = int(tok) if len(tok) <= _CHUNK else _nat(text, tokens, k)
             k += 1
             if tokens[k] == "/":
-                den = _nat(text, tokens, k + 1)
+                ok = (tok := tokens[k + 1])[:1] in _DIGITS and len(tok) <= _CHUNK
+                den = int(tok) if ok else _nat(text, tokens, k + 1)
                 k += 2
                 if den == 0:
                     raise ParseError(f"zero denominator at position {_position(text, k - 1, True)}")
+                common = math.lcm(common, den)
             factors = tokens[k] == "*"
             k += factors  # past the '*'
         while factors:
             if tokens[k] != "x":
                 raise ParseError(f"expected 'x' at position {_position(text, k)}")
-            w = _nat(text, tokens, k + 1)
-            if w not in _INDEX:
-                raise ParseError(
-                    f"unknown variable x{w} at position {_position(text, k + 1, True)}"
-                )
+            if (i := _NAMES.get(tokens[k + 1])) is None:  # a name such as x03, or no number
+                w = _nat(text, tokens, k + 1)
+                if (i := _INDEX.get(w)) is None:
+                    raise ParseError(
+                        f"unknown variable x{_text(w)} at position {_position(text, k + 1, True)}"
+                    )
             k += 2
             if tokens[k] == "^":
-                exp[_INDEX[w]] += _nat(text, tokens, k + 1)
+                ok = (tok := tokens[k + 1])[:1] in _DIGITS and len(tok) <= _CHUNK
+                exp[i] += int(tok) if ok else _nat(text, tokens, k + 1)
                 k += 2
             else:
-                exp[_INDEX[w]] += 1
+                exp[i] += 1
             factors = tokens[k] == "*"
             k += factors  # past the '*'
         found.append((tuple(exp), sign * num, den))
         tok = tokens[k]
         if tok == "":
-            common = math.lcm(*(d for _, _, d in found))
             nums: dict[Term, int] = {}
             for key, v, d in found:
                 nums[key] = nums.get(key, 0) + v * (common // d)
@@ -297,8 +301,7 @@ class Substitution(namedtuple("Substitution", "weights rules")):
                 raise GradingError(f"rule for position {i} has zero leading coefficient")
             if g.weights != weights:
                 raise GradingError("shift polynomial lives over different weights")
-            deps[i] = 0
-            for exp in g.nums:
+            for exp in g.nums:  # a rule without a shift gets no entry in deps
                 if exp[i]:
                     raise GradingError(
                         f"shift for position {i} may not involve the variable itself"
@@ -308,7 +311,7 @@ class Substitution(namedtuple("Substitution", "weights rules")):
                         f"shift term of degree {degree} breaks the "
                         f"grading of weight-{weights[i]} variable"
                     )
-                deps[i] |= sum(compress(bits, exp))
+                deps[i] = deps.get(i, 0) | sum(compress(bits, exp))
         # triangularity: peel off rules whose shifts use no variable still pending
         while deps:
             pending = sum(bits[i] for i in deps)
@@ -324,34 +327,36 @@ def substitute(poly: WeightedPolynomial, subst: Substitution) -> WeightedPolynom
     """Exact expansion of the substitution over one denominator D (see above)."""
     if poly.weights != subst.weights:
         raise GradingError("polynomial and substitution weights differ")
-    zero = (0,) * len(poly.weights)
-    tops = list(map(max, zip(zero, *poly.nums)))  # top_i, the largest exponent of x_i
-    den, keep = poly.den, [1] * len(zero)  # keep: 0 where a shifted variable's powers go
-    scales, shifts = [], []  # (i, [term factor at a_i = 0..top_i]), (i, [(D_i*R_i)^k])
+    den, scales, shifts = poly.den, [], []  # (i, [term factor at a_i = 0..top_i]), (i, powers)
+    exps = poly.nums or ((0,) * len(poly.weights),)  # the zero polynomial: no exponent above 0
     for i, (c, g) in subst.rules.items():
-        if not (top := tops[i]):
+        if not (top := max(map(itemgetter(i), exps))):  # top_i, the largest exponent of x_i
             continue
         d_i = math.lcm(c.denominator, g.den)
         lead = c.numerator * (d_i // c.denominator)
         base = 1 if g.nums else lead  # with no shift, the term's factor per power of x_i
         scales.append((i, [base**a * d_i ** (top - a) for a in range(top + 1)]))
         den *= d_i**top
-        if g.nums:
-            step = {e: v * (d_i // g.den) for e, v in g.nums.items()}
-            step[zero[:i] + (1,) + zero[i + 1 :]] = lead
-            powers = [{zero: 1}, step]
+        if g.nums:  # powers[k] = (D_i*R_i)^k / x_i^k, so a term with a_i = k times it is in place
+            step = {e[:i] + (-1,) + e[i + 1 :]: v * (d_i // g.den) for e, v in g.nums.items()}
+            step[(0,) * len(poly.weights)] = lead
+            powers = [None, step]  # a term with a_i = 0 reads none
             while len(powers) <= top:
                 powers.append(_times(powers[-1], step))
             shifts.append((i, powers))
-            keep[i] = 0
     total: dict[Term, int] = {}
     for exp, value in poly.nums.items():
         for i, factors in scales:
             value *= factors[exp[i]]
-        piece = {tuple(map(mul, exp, keep)): value}
+        piece = None  # the term's expansion, once a shift touches it
         for i, powers in shifts:
-            if exp[i]:
+            if exp[i] and piece is None:  # the first shift multiplies the term's one monomial
+                piece = {tuple(map(add, exp, e)): value * v for e, v in powers[exp[i]].items()}
+            elif exp[i]:
                 piece = _times(piece, powers[exp[i]])
+        if piece is None:  # no shift touches it: the term itself, scaled
+            total[exp] = total.get(exp, 0) + value
+            continue
         for e, v in piece.items():
             total[e] = total.get(e, 0) + v
     return _poly(poly.weights, total, den)
@@ -375,6 +380,8 @@ def corner_check(poly: WeightedPolynomial, d: int) -> dict[int, bool]:
 # the six degree-12 monomials over (3,4,5,6,7)
 E57, E444, E66 = (0, 0, 1, 0, 1), (0, 3, 0, 0, 0), (0, 0, 0, 2, 0)
 E336, E345, E3333 = (2, 0, 0, 1, 0), (1, 1, 1, 0, 0), (4, 0, 0, 0, 0)
+DEGREE_12 = frozenset((E57, E444, E66, E336, E345, E3333))  # every degree-12 exponent
+_NO_SHIFT = WeightedPolynomial(STANDARD_WEIGHTS)  # the shift of each rescaling rule
 
 
 class NormalFormResult(namedtuple("NormalFormResult", "form lam steps final")):
@@ -386,19 +393,15 @@ class NormalFormResult(namedtuple("NormalFormResult", "form lam steps final")):
 def _rational_cbrt(num: int, den: int) -> tuple[int, int] | None:
     """The cube root of num/den (den > 0) in lowest terms, or None when it is not rational."""
 
-    def icbrt(n: int) -> int | None:  # n >= 0; the root is below 2^ceil(bits/3)
-        lo, hi = 0, 1 << -(-n.bit_length() // 3)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if mid**3 < n:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo if lo**3 == n else None
+    def icbrt(n: int) -> int | None:  # n >= 0: integer Newton down from 2^ceil(bits/3) > root
+        x = 1 << -(-n.bit_length() // 3)
+        while x and (y := (2 * x + n // (x * x)) // 3) < x:
+            x = y  # stays at or above the floor of the root, and stops on it
+        return x if x * x * x == n else None
 
     g = math.gcd(num, den)
-    p, q = icbrt(abs(num) // g), icbrt(den // g)
-    return None if p is None or q is None else (p if num >= 0 else -p, q)
+    p = icbrt(abs(num) // g)
+    return None if p is None or (q := icbrt(den // g)) is None else (p if num >= 0 else -p, q)
 
 
 def normalize(poly: WeightedPolynomial) -> NormalFormResult:
@@ -411,7 +414,7 @@ def normalize(poly: WeightedPolynomial) -> NormalFormResult:
     ws = poly.weights
     if ws != STANDARD_WEIGHTS:
         raise ValueError(f"normalization is defined for weights {STANDARD_WEIGHTS}")
-    if not is_quasihomogeneous(poly, 12):
+    if not poly.nums.keys() <= DEGREE_12:  # quasi-homogeneous of degree 12
         raise ValueError("normalization needs a quasi-homogeneous degree-12 polynomial")
     for exp, name in ((E57, "x5*x7"), (E444, "x4^3"), (E66, "x6^2")):
         if exp not in poly.nums:
@@ -427,14 +430,14 @@ def normalize(poly: WeightedPolynomial) -> NormalFormResult:
     rules: dict[int, tuple[int | Fraction, WeightedPolynomial]] = {}
     # rational rescalings: x5*x7 always reaches 1, x4^3 when a cube
     if n57 != s:
-        rules[_INDEX[5]] = (Fraction(s, n57), _poly(ws, {}, 1))
+        rules[_INDEX[5]] = (Fraction(s, n57), _NO_SHIFT)
         steps.append(f"x5 -> {_text(s, n57)}*x5")
     p4 = q4 = 1  # x4 -> (q4/p4)*x4
     if unit != s:
         root = _rational_cbrt(unit, s)
         if root is not None:
             (p4, q4), unit = root, s
-            rules[_INDEX[4]] = (Fraction(q4, p4), _poly(ws, {}, 1))
+            rules[_INDEX[4]] = (Fraction(q4, p4), _NO_SHIFT)
             steps.append(f"x4 -> {_text(q4, p4)}*x4")
         else:
             steps.append(f"x4^3 keeps unit {_text(unit, s)} (no rational cube root)")
@@ -450,8 +453,11 @@ def normalize(poly: WeightedPolynomial) -> NormalFormResult:
     final = substitute(scaled, Substitution(ws, rules))
     square = 4 * s * s  # lambda = c3333 - u^2 = lam/square
     lam = 4 * s * n(E3333, 0) - n336 * n336
-    expected = _poly(ws, {E57: square, E444: 4 * s * unit, E66: square, E3333: lam}, square)
-    if final != expected:
+    # final's numerators over d, cross-multiplied with x5*x7 + unit/s*x4^3 + x6^2 + lam/square*x3^4
+    c, d = (final.nums.get, final.den) if type(final) is WeightedPolynomial else ({}.get, 0)
+    if not (c(E57) == d == c(E66) and final.weights == ws and c(E444, 0) * s == unit * d
+            and c(E3333, 0) * square == lam * d and len(final.nums) == 3 + (lam != 0)):
+        expected = _poly(ws, {E57: square, E444: 4 * s * unit, E66: square, E3333: lam}, square)
         raise AssertionError(f"pipeline left {final}, not the closed form {expected}")
     return NormalFormResult("A" if lam else "B", Fraction(lam, square), tuple(steps), final)
 
@@ -516,9 +522,7 @@ def edge_restriction_points(poly: WeightedPolynomial, i: int, j: int) -> EdgePoi
         if all(a == 0 for k, a in enumerate(exp) if k not in (i, j))
     }
     if not restricted:
-        raise wps.EdgeContained(
-            f"restriction to the edge ({ws[i]},{ws[j]}) is identically zero"
-        )
+        raise wps.EdgeContained(f"restriction to the edge ({ws[i]},{ws[j]}) is identically zero")
     degrees = {poly.degree_of(exp) for exp in restricted}
     if len(degrees) != 1:
         raise ValueError("edge restriction of a non-quasi-homogeneous polynomial")
@@ -530,12 +534,8 @@ def edge_restriction_points(poly: WeightedPolynomial, i: int, j: int) -> EdgePoi
     h = [Fraction(0)] * (degree_h + 1)
     for exp, c in restricted.items():
         h[(exp[i] - a_min) // p] = c
-    multiplicities: list[int] = []
-    if a_min > 0:
-        multiplicities.append(a_min)   # zero at the x_j vertex
-    if b_min > 0:
-        multiplicities.append(b_min)   # zero at the x_i vertex
-    multiplicities.extend(_root_multiplicities(h))
-    multiplicities.sort(reverse=True)
+    # a leftover power of x_i (of x_j) is a zero of that order at the x_j (the x_i) vertex
+    vertices = [a for a in (a_min, b_min) if a > 0]
+    multiplicities = sorted(vertices + _root_multiplicities(h), reverse=True)
     reduced = all(m_ == 1 for m_ in multiplicities)
     return EdgePoints(len(multiplicities), tuple(multiplicities), reduced)

@@ -64,9 +64,9 @@ that same event):
 Bare solutions are kept apart from filtered ones; one beyond the reference
 list is flagged, never dropped; a fiber-type one's key ends in "fiber-type".
 
-run_case keeps one transcript per CenterCase value ("p3" and "P3" share it, a
-patched case gets its own, a run that raises stores none) and returns it to every
-caller. Candidates and transcripts are values; a transcript renders its text once.
+run_case keeps one transcript per CenterCase value ("p3" and "P3" share it, a patched
+case gets its own, a run that raises stores none) on the memo bound of ``series.keep``.
+Candidates and transcripts are values; a transcript renders its text once.
 """
 
 from __future__ import annotations
@@ -731,4 +731,4 @@ def run_case(name: str) -> Transcript:
             + (f" by {c.filter_id}" if c.filter_id else "")
         )
     transcript = Transcript(case, bare, events, final, thresholds, contractions, notes)
-    return _TRANSCRIPTS.setdefault(case, transcript)  # a raise stores nothing
+    return wps.keep(_TRANSCRIPTS, case, transcript)  # a raise stores nothing

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -26,6 +28,21 @@ with warnings.catch_warnings():
         pass
 
 WS = nf.STANDARD_WEIGHTS
+
+
+@contextlib.contextmanager
+def digit_limit(n):
+    """Set the interpreter's int/str digit limit to n (0: none), where it has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(n)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
 
 DEGREE_12_MONOMIALS = {
     "x5*x7": (0, 0, 1, 0, 1),

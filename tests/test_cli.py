@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import digit_limit
 from qfano import cli, fixtures
 from qfano.series import MAX_ORDER
 
@@ -619,20 +620,6 @@ def test_normalize_non_ascii_digit_is_a_parse_error(tmp_path, capsys, text, mess
     path.write_text(text, encoding="utf-8")
     code, out, err = run(capsys, "normalize", "--input", str(path))
     assert (code, out, err) == (3, "", f"error: {message}\n")
-
-
-@contextlib.contextmanager
-def digit_limit(n):
-    """Set the interpreter's int/str digit limit to n (0: none), where it has one."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    before = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(n)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(before)
 
 
 @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])

@@ -3,14 +3,15 @@
 import itertools
 import math
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import WS, random_degree12_poly, random_substitution
+from conftest import WS, digit_limit, random_degree12_poly, random_substitution
 from oracles import (
     ParseFailure, monomials, rational_cube_root, reference_corner_requirements, reference_normalize,
     reference_parse, reference_substitute, small_shapes,
@@ -22,10 +23,12 @@ from qfano.fixtures import FORM_A, FORM_B, X12_SHAPE
 from qfano.series import TruncationError
 
 
-def parse_outcomes(text):
+PARSERS = ((lambda t: nf.parse(t).terms, nf.ParseError), (reference_parse, ParseFailure))
+
+
+def parse_outcomes(text, parsers=PARSERS):
     """What parse and the reference parser give for text: terms, or the error message."""
     outcomes = []
-    parsers = ((lambda t: nf.parse(t).terms, nf.ParseError), (reference_parse, ParseFailure))
     for parser, error in parsers:
         try:
             outcomes.append(dict(parser(text)))
@@ -173,6 +176,45 @@ def test_parse_matches_reference_parser_past_the_digit_limit():
     for text in ("x3 + 2/ " + "3" * 4301, "9" * 4301 + "*x3", "x" + "1" * 4301):
         parsed, expected = parse_outcomes(text)
         assert parsed == expected
+
+
+# each number position of the grammar, as a template with the number's place marked
+NUMBER_PLACES = {
+    "coefficient": "x5*x7 - {}*x3^4",
+    "denominator": "x5*x7 + 3/{}*x3^4",
+    "variable index": "x5*x{}",
+    "exponent": "x5*x7 + x3^{}",
+}
+LITERAL_LENGTHS = (1, nf._CHUNK, nf._CHUNK + 1, 2 * nf._CHUNK + 1, nf.MAX_LITERAL_DIGITS)
+
+
+@pytest.mark.parametrize("length", LITERAL_LENGTHS)
+@pytest.mark.parametrize("place", NUMBER_PLACES)
+def test_parse_reads_numbers_of_every_length_in_every_place(place, length):
+    # a literal of at most _CHUNK digits is read inline by int() and a longer one by
+    # _nat, also under the least int/str digit limit; a padded name (x006) is a variable,
+    # and a name of sevens or a power of ten one that does not exist
+    template = NUMBER_PLACES[place]
+    for number in ("7" * length, "0" * (length - 1) + "6", "1" + "0" * (length - 1)):
+        [expected] = parse_outcomes(template.format(number), PARSERS[1:])
+        with digit_limit(640):
+            [parsed] = parse_outcomes(template.format(number), PARSERS[:1])
+        assert parsed == expected
+        assert not isinstance(parsed, str) or place == "variable index"
+
+
+@pytest.mark.parametrize("place", NUMBER_PLACES)
+def test_parse_refuses_a_literal_past_the_limit_in_every_place(place):
+    template = NUMBER_PLACES[place]
+    text = template.format("7" * (nf.MAX_LITERAL_DIGITS + 1))
+    position = template.index("{")
+    with digit_limit(640):
+        [parsed] = parse_outcomes(text, PARSERS[:1])
+    [expected] = parse_outcomes(text, PARSERS[1:])
+    assert parsed == expected == (
+        f"ParseError: number of {nf.MAX_LITERAL_DIGITS + 1} digits at position {position} "
+        f"exceeds {nf.MAX_LITERAL_DIGITS} digits"
+    )
 
 
 def test_print_parse_roundtrip_fixed():
@@ -351,6 +393,35 @@ def test_rational_cbrt():
     assert rational_cbrt(big**3 + 1) is None is rational_cube_root(big**3 + 1)
 
 
+@pytest.mark.parametrize("digits", [300, 1500])
+def test_rational_cbrt_on_long_cubes(digits):
+    rng = random.Random(digits)
+    for _ in range(4):
+        x = Fraction(rng.randrange(10 ** (digits - 1), 10**digits), rng.randrange(1, 10**digits))
+        num, den = x.numerator**3, x.denominator**3
+        assert nf._rational_cbrt(num, den) == (x.numerator, x.denominator)
+        assert nf._rational_cbrt(-num, den) == (-x.numerator, x.denominator)
+        assert rational_cbrt(x**3) == x == rational_cube_root(x**3)
+        # the integers next to a cube are not cubes, above and below, on either side
+        for near in (Fraction(num - 1, den), Fraction(num + 1, den), Fraction(num, den + 1)):
+            for y in (near, -near):
+                assert rational_cbrt(y) is None is rational_cube_root(y)
+
+
+@pytest.mark.parametrize(
+    "num,den",
+    [(0, 1), (0, 8), (0, 10**30 + 1), (-27, 8), (-2, 1), (-16, 2), (-1, 10**300),
+     # denominators with cube factors: a cube only when what is left of them is one
+     (1, 8 * 3), (5**3, 2**3 * 7**3), (3, 3**4), (7**3 * 2, 2**4 * 5**3), (4, 2**3 * 4)],
+)
+def test_rational_cbrt_on_zero_negatives_and_cube_factors(num, den):
+    expected = rational_cube_root(Fraction(num, den))
+    root = nf._rational_cbrt(num, den)
+    assert (root if root is None else Fraction(*root)) == expected
+    if root is not None:
+        assert math.gcd(*root) == 1 and root[1] > 0
+
+
 def expected_image(poly, subst):
     """reference_substitute on the plain values of a polynomial and a substitution."""
     rules = {i: (c, dict(g.terms)) for i, (c, g) in subst.rules.items()}
@@ -395,8 +466,35 @@ def polys_and_substitutions(draw):
     return nf.WeightedPolynomial(weights, terms), nf.Substitution(weights, rules)
 
 
+def _rule(c, **shift):
+    """(c, g) with g's terms named like x3_x4=Fraction(-1, 2), over the standard weights."""
+    exps = {name: tuple(name.split("_").count(f"x{w}") for w in WS) for name in shift}
+    return c, nf.WeightedPolynomial(WS, {exps[name]: v for name, v in shift.items()})
+
+
+# substitute's branches: a term that no shift touches goes straight into the total, the
+# first shift on a term multiplies its monomial and a second one that expansion
+NO_SHIFT_TOUCHES = (nf.parse("2*x3^4 - x5*x7"), nf.Substitution(WS, {4: _rule(3, x3_x4=-1)}))
+TWO_SHIFTS_TOUCH = (
+    nf.parse("x6*x7 - 1/5*x6^2*x7 + x3^2*x7"),
+    nf.Substitution(WS, {3: _rule(1, x3_x3=Fraction(1, 4)), 4: _rule(Fraction(2, 3), x3_x4=-7)}),
+)
+INT_AND_FRACTION_LEADS = (
+    nf.parse("x3^4 + 3*x4^3 + x3*x4*x5"),
+    nf.Substitution(WS, {0: _rule(2), 1: _rule(Fraction(-3, 7)), 2: _rule(-1)}),
+)
+ABSENT_VARIABLE = (  # x7 and x5 have top 0: their rules scale nothing
+    nf.parse("x3^4 + 5/2*x6^2"),
+    nf.Substitution(WS, {4: _rule(Fraction(5, 2), x3_x4=3), 2: _rule(7), 3: _rule(2)}),
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(polys_and_substitutions())
+@example(NO_SHIFT_TOUCHES)
+@example(TWO_SHIFTS_TOUCH)
+@example(INT_AND_FRACTION_LEADS)
+@example(ABSENT_VARIABLE)
 def test_substitute_matches_fraction_reference(case):
     poly, sub = case
     image = nf.substitute(poly, sub)
@@ -592,6 +690,36 @@ def test_normalize_substitutes_once(monkeypatch):
     assert calls[0]  # a random equation moves some coordinate
 
 
+def _off_by_one(final):
+    """final with each of its numerators in turn one more, and with one term added."""
+    for exp in final.nums:
+        yield nf._poly(final.weights, {**final.nums, exp: final.nums[exp] + 1}, final.den)
+    yield nf._poly(final.weights, {**final.nums, (1, 1, 1, 0, 0): 1}, final.den)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _off_by_one,
+        lambda final: [nf._poly(final.weights, final.nums, 2 * final.den)],
+        lambda final: [nf._poly((3, 4, 5, 6, 8), final.nums, final.den)],
+    ],
+    ids=["a numerator off by one", "twice the denominator", "other weights"],
+)
+def test_the_closed_form_check_refuses_a_wrong_final(monkeypatch, corrupt):
+    # the check compares final with the closed form without building it: every way
+    # of being wrong must still raise, with the closed form in the message
+    real = nf.substitute
+    rng = random.Random(5)
+    for poly in [nf.parse(FORM_A), nf.parse(FORM_B)] + [random_degree12_poly(rng) for _ in range(5)]:
+        right = nf.normalize(poly).final
+        for wrong in corrupt(right):
+            monkeypatch.setattr(nf, "substitute", lambda *args: wrong)
+            with pytest.raises(AssertionError, match=re.escape(f"not the closed form {right}")):
+                nf.normalize(poly)
+            monkeypatch.setattr(nf, "substitute", real)
+
+
 def test_normalize_completing_square():
     result = nf.normalize(nf.parse("x5*x7 + x4^3 + x6^2 + x3^2*x6 + x3^4"))
     assert result.form == "A"
@@ -630,6 +758,14 @@ def test_normalize_missing_corner():
     assert str(err.value) == "required corner monomial x6^2 has zero coefficient"
     with pytest.raises(nf.MissingCornerMonomial):
         nf.normalize(nf.parse("x4^3 + x6^2"))
+
+
+def test_normalize_refuses_any_term_off_degree_12():
+    # quasi-homogeneity of degree 12 is read off the support: inside the six exponents
+    assert nf.DEGREE_12 == set(monomials(WS, 12))
+    for text in ("x5*x7 + x4^3 + x6^2 + x3", "x5*x7 + x4^3 + x6^2 + 2", "x5*x7 + x4^3 + x6^2*x3"):
+        with pytest.raises(ValueError, match="needs a quasi-homogeneous degree-12 polynomial"):
+            nf.normalize(nf.parse(text))
 
 
 def test_normalize_refuses_other_weights():

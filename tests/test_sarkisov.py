@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_force_bare, reference_beta_class, reference_e_bound, reference_m_min
 from oracles import reference_second_contraction, reference_splits
-from qfano import fixtures, wps
+from qfano import fixtures, series, wps
 from qfano import sarkisov as sk
 from qfano.riemann_roch import ALLOWED_FANO_INDICES
 
@@ -508,6 +508,19 @@ def test_the_memo_is_keyed_by_the_case_value_not_the_name(monkeypatch, empty_mem
     patched = sk.run_case("p3")
     assert patched is not p3 and {c.alpha for c in patched.bare} == {Fraction(1, 3)}
     assert sk._TRANSCRIPTS == {p3.case: p3, one_alpha: patched}
+
+
+def test_the_transcript_memo_holds_the_one_memo_bound(monkeypatch, empty_memos):
+    monkeypatch.setattr(series, "MEMO_KEYS", 2)
+    p2 = sk.run_case("P2")
+    sk.run_case("P3")
+    p5 = sk.run_case("P5")
+    # the oldest entry is dropped first, as in every other process memo
+    assert list(sk._TRANSCRIPTS) == [sk.CASES["P3"], sk.CASES["P5"]]
+    again = sk.run_case("p2")
+    assert again == p2 and again is not p2
+    assert list(sk._TRANSCRIPTS) == [sk.CASES["P5"], sk.CASES["P2"]]
+    assert sk.run_case("P5") is p5
 
 
 def test_a_run_case_that_raises_stores_nothing(monkeypatch, empty_memos):

@@ -378,11 +378,12 @@ def reference_substitute(n: int, terms: dict, rules: dict) -> dict:
 
 
 def _cube_root(n: int) -> int | None:
-    """The integer cube root of n >= 0, or None: Newton's iteration from above."""
-    x = 1 << -(-n.bit_length() // 3)  # at least the root
-    while x and (y := (2 * x + n // (x * x)) // 3) < x:
-        x = y
-    return x if x**3 == n else None
+    """The integer cube root of n >= 0, or None: bisection, another method than normal_form's."""
+    lo, hi = 0, 1 << -(-n.bit_length() // 3)  # the root is below 2^ceil(bits/3)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if mid**3 < n else (lo, mid)
+    return lo if lo**3 == n else None
 
 
 def rational_cube_root(x: Fraction) -> Fraction | None:

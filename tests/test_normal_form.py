@@ -396,7 +396,7 @@ def test_rational_cbrt():
 @pytest.mark.parametrize("digits", [300, 1500])
 def test_rational_cbrt_on_long_cubes(digits):
     rng = random.Random(digits)
-    for _ in range(4):
+    for _ in range(2):
         x = Fraction(rng.randrange(10 ** (digits - 1), 10**digits), rng.randrange(1, 10**digits))
         num, den = x.numerator**3, x.denominator**3
         assert nf._rational_cbrt(num, den) == (x.numerator, x.denominator)
@@ -405,7 +405,8 @@ def test_rational_cbrt_on_long_cubes(digits):
         # the integers next to a cube are not cubes, above and below, on either side
         for near in (Fraction(num - 1, den), Fraction(num + 1, den), Fraction(num, den + 1)):
             for y in (near, -near):
-                assert rational_cbrt(y) is None is rational_cube_root(y)
+                assert rational_cbrt(y) is None
+        assert rational_cube_root(Fraction(num + 1, den)) is None  # the oracle bisects: slow
 
 
 @pytest.mark.parametrize(

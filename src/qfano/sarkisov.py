@@ -689,7 +689,7 @@ _TRANSCRIPTS: dict[CenterCase, Transcript] = {}  # the transcripts run_case retu
 
 
 def run_case(name: str) -> Transcript:
-    """Enumerate, split, filter and report one center case, deterministically, once."""
+    """Enumerate, split, filter and report one center case, deterministically, once while kept."""
     case = CASES[name.upper()]
     transcript = _TRANSCRIPTS.get(case)
     if transcript is not None:

@@ -13,3 +13,6 @@ Submodules:
 """
 
 __version__ = "0.1.0"
+
+# checked named tuples' _make, and so _replace, builds through the class: a new field is checked
+_checked_make = classmethod(lambda cls, fields: cls(*fields))

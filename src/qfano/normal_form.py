@@ -60,7 +60,7 @@ from fractions import Fraction
 from itertools import compress
 from operator import add, index, itemgetter, mul
 
-from . import wps
+from . import _checked_make
 
 STANDARD_WEIGHTS = (3, 4, 5, 6, 7)
 MAX_LITERAL_DIGITS = 4300  # CPython's default int/str conversion limit
@@ -281,7 +281,7 @@ class Substitution(namedtuple("Substitution", "weights rules")):
     """
 
     __slots__ = ()
-    _make = wps._checked_make
+    _make = _checked_make
 
     def __new__(cls, weights, rules: dict[int, tuple[int | Fraction, WeightedPolynomial]]):
         weights = tuple(map(index, weights))
@@ -368,6 +368,7 @@ def corner_check(poly: WeightedPolynomial, d: int) -> dict[int, bool]:
     That is, a term with x_i and at most one other variable, to the first
     power: the terms that keep the member quasi-smooth at vertex i.
     """
+    from . import wps  # not at the top: normalize alone loads neither wps nor series
     if not is_quasihomogeneous(poly, d):
         raise ValueError(f"polynomial is not quasi-homogeneous of degree {d}")
     wps.HypersurfaceShape(poly.weights, d)  # five positive weights, d > 0, a nonempty shape
@@ -522,6 +523,7 @@ def edge_restriction_points(poly: WeightedPolynomial, i: int, j: int) -> EdgePoi
         if all(a == 0 for k, a in enumerate(exp) if k not in (i, j))
     }
     if not restricted:
+        from . import wps
         raise wps.EdgeContained(f"restriction to the edge ({ws[i]},{ws[j]}) is identically zero")
     degrees = {poly.degree_of(exp) for exp in restricted}
     if len(degrees) != 1:

@@ -11,21 +11,11 @@ terminal lemma: two of them sum to 0 mod r, and b is the third over the
 first (``_normalize_type``), with no search over units.
 
 Monomials are counted, not listed: the number of degree-d monomials is the
-t^d coefficient of prod 1/(1 - t^w), read from the integer series kernel
-``series.product_coefficients`` in O(n*d) steps. ``monomials`` still lists
-exponent vectors, but no production code reads them: it is the test oracle
-the counts are checked against, and like ``weight_system`` it refuses a
-weight below 1. Whether a shape is empty needs no count at all.
-``has_monomial`` divides out the gcd of the weights, and past Schur's bound
-(a - 1)(b - 1) on the Frobenius number of the reduced weights every degree
-is reached; below it a shift-or bitset of reachable degrees decides. The
-bitset holds at most min(d, (a - 1)(b - 1)) bits, and where that is more
-than 16 bits per step of the residue-class table (the least degree in each
-class mod a, O(n*a) steps) the table decides instead. Either way the cost
-is bounded by the weights, not by d. Where d // a is small and a > 64, a
-search over the exponents of the larger weights can be cheaper than both.
-Elsewhere a least weight a above MAX_ORDER is refused, not decided: the
-table holds at most MAX_ORDER entries, the bitset 16 * n * MAX_ORDER bits.
+t^d coefficient of prod 1/(1 - t^w), from the series kernel in O(n*d) steps.
+``monomials`` lists exponent vectors only as the oracle those counts are
+checked against. Whether a shape is empty needs no count: ``has_monomial``
+decides in steps bounded by the weights, not by d, or refuses (ValueError)
+a least weight above MAX_ORDER.
 
 Conventions fixed for determinism: weights are sorted ascending on
 construction, monomials are listed in descending lexicographic order on
@@ -38,10 +28,13 @@ terminal or not (``edge_singularities`` says how an edge's are counted). Each ru
 its verdict with the failure it records, or None; only ``basket``, ``vertex_singularity``
 and ``edge_singularities`` raise it, and most failures record their class alone, worded
 where raised. ``basket`` keeps its answer per shape, on the memo policy of ``series``.
+``_edge`` tests before any inverse: a coprime edge at d >= (w_i - 1)(w_j - 1) has a monomial
+x_i^a*x_j^c (Sylvester), so no point; a shared factor not dividing d, or d = 0, is singular.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -49,7 +42,8 @@ from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .series import DEFAULT_ORDER, MAX_ORDER, PowerSeries, expand_product, keep
+from . import _checked_make
+from .series import DEFAULT_ORDER, MAX_ORDER, PowerSeries, _expand, expand_product, keep
 from .series import product_coefficients
 
 
@@ -85,14 +79,13 @@ def well_formed(weights) -> bool:
 
 
 def _well_formed(ws: tuple[int, ...]) -> bool:
+    # a prime dividing all weights but w_k divides any pair without k: coprime w_0, w_1 leave k <= 1
+    if math.gcd(ws[0], ws[1]) == 1:
+        return math.gcd(*ws[1:]) == 1 == math.gcd(ws[0], *ws[2:])
     for drop in range(len(ws)):
         if math.gcd(*ws[:drop], *ws[drop + 1 :]) != 1:
             return False
     return True
-
-
-# _make, and so _replace, builds through the class: a replaced field is checked too
-_checked_make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class HypersurfaceShape(namedtuple("HypersurfaceShape", "weights degree")):
@@ -109,9 +102,9 @@ class HypersurfaceShape(namedtuple("HypersurfaceShape", "weights degree")):
             raise ValueError("degree 0 encodes a weighted projective 3-space: 4 weights")
         if degree > 0 and len(weights) != 5:
             raise ValueError("a hypersurface shape needs 5 weights")
-        if degree > 0 and not has_monomial(weights, degree):
+        if degree > 0 and not _has_monomial(weights, degree):  # weights sorted and checked
             raise ValueError(f"no monomial of degree {degree} in weights {weights}: empty shape")
-        return super().__new__(cls, weights, degree)
+        return tuple.__new__(cls, (weights, degree))
 
 
 class QuotientType(namedtuple("QuotientType", "r b")):
@@ -126,7 +119,7 @@ class QuotientType(namedtuple("QuotientType", "r b")):
         if not (1 <= b < r and math.gcd(b, r) == 1):
             raise ValueError(f"b={b} invalid for index {r}")
         # 1/r(1, r-1, b) is 1/r(1, r-1, r-b): negate the residues, swap the first two
-        return super().__new__(cls, r, min(b, r - b))
+        return tuple.__new__(cls, (r, min(b, r - b)))
 
     def __str__(self) -> str:
         return f"1/{self.r}(1,{self.r - 1},{self.b})"
@@ -147,7 +140,7 @@ class Basket(namedtuple("Basket", "entries")):
         counts: dict[QuotientType, int] = {}
         for point, count in entries:
             counts[point] = counts.get(point, 0) + count
-        return super().__new__(cls, tuple(sorted(counts.items())))
+        return tuple.__new__(cls, (tuple(sorted(counts.items())),))
 
     def __str__(self) -> str:
         """Points in order, a repeated one as point x count: 1/2(1,1,1) 1/3(1,2,1)x2."""
@@ -158,10 +151,7 @@ class Basket(namedtuple("Basket", "entries")):
         return tuple(q.r for q in self.points())
 
     def points(self) -> tuple[QuotientType, ...]:
-        out: list[QuotientType] = []
-        for q, count in self.entries:
-            out.extend([q] * count)
-        return tuple(out)
+        return tuple(q for q, count in self.entries for _ in range(count))
 
 
 # the Fano indices that riemann_roch.FanoData and the sarkisov link enumeration admit
@@ -205,10 +195,7 @@ def _monomials(ws: tuple[int, ...], d: int) -> Iterator[tuple[int, ...]]:
 
 
 def monomial_count(weights, d: int) -> int:
-    """How many exponent vectors have sum(a_i w_i) = d, without listing them.
-
-    The t^d coefficient of prod 1/(1 - t^w_i), in O(len(weights) * d) steps.
-    """
+    """How many exponent vectors have sum(a_i w_i) = d: the t^d coefficient of prod 1/(1 - t^w)."""
     if d < 0:
         raise ValueError("degree must be >= 0")
     return product_coefficients((), weights, d)[d]
@@ -217,21 +204,18 @@ def monomial_count(weights, d: int) -> int:
 def has_monomial(weights, d: int) -> bool:
     """Whether some exponent vector has sum(a_i w_i) = d.
 
-    Weights above d cannot occur, and dividing out the gcd g of the rest
-    leaves weights with gcd 1, or no monomial when g does not divide d.
-    Take the shortest run a = w_1 <= ... <= w_k of the reduced weights with
-    gcd 1: every degree >= (a - 1)(w_k - 1) is reached (Schur's bound on the
-    Frobenius number, Brauer 1942). Below it a bitset of reachable degrees,
-    built by shift-or, decides in d bits, about 1,000 at most for weights up
-    to 33. When d is above 16 bits per step of the residue-class table, the
-    table decides in O(n * a) steps instead, so neither memory nor time
-    grows with d past the weights. When d // a is small, a direct search
-    over the exponents of the larger weights, at most (d // a + 1)^(n - 1)
-    steps, decides if that is fewer than the table's n * a steps and the
-    bitset's d / 64 words. Those steps exceed d / a, so the search needs
-    a > 64: no system of weights up to 64 takes it. Otherwise a least weight
-    above MAX_ORDER is refused (ValueError): its table would hold more than
-    MAX_ORDER entries, and its bitset up to 16 * n * a bits.
+    First the divisor step: where the least weight is at most MAX_ORDER, which
+    no refused system has, a weight dividing d answers yes at once. Else weights
+    above d cannot occur, and the gcd g of the rest must divide d; divide it out.
+    With a the least reduced weight and b the first that brings the running gcd
+    to 1, every degree >= (a - 1)(b - 1) is reached (Schur's bound, Brauer 1942).
+    Below it one of three tests decides, in steps bounded by the weights, not by
+    d: a search over the exponents of the larger weights, where its at most
+    (d // a + 1)^(n - 1) steps are fewer than n * a and than d / 64 (so a > 64);
+    else the residue-class table of O(n * a) steps where d > 16 * n * a; else a
+    shift-or bitset of d + 1 bits. Past the search, a least weight a above
+    MAX_ORDER is refused (ValueError): its table would hold more than MAX_ORDER
+    entries, and its bitset up to 16 * n * a bits.
     """
     d = operator.index(d)
     if d < 0:
@@ -239,7 +223,16 @@ def has_monomial(weights, d: int) -> bool:
     ws = sorted(set(map(operator.index, weights)))
     if ws and ws[0] < 1:
         raise ValueError(f"weights must be positive, got {tuple(ws)}")
-    ws = [w for w in ws if w <= d]
+    return _has_monomial(ws, d)
+
+
+def _has_monomial(ws, d: int) -> bool:
+    """``has_monomial`` on weights already sorted ascending and checked positive."""
+    if ws and ws[0] <= MAX_ORDER:  # a refusal needs a least weight above MAX_ORDER
+        for w in ws:
+            if d % w == 0:
+                return True
+    ws = [w for w in dict.fromkeys(ws) if w <= d]
     if not ws:
         return d == 0
     g = math.gcd(*ws)
@@ -287,13 +280,12 @@ def _by_bitset(ws: list[int], d: int) -> bool:
 
 
 def _least_degrees(ws: list[int]) -> list[int | float]:
-    """least[k]: the least degree of a monomial congruent to k mod a = ws[0].
+    """least[k]: the least degree of a monomial congruent to k mod a = ws[0], math.inf for none.
 
-    Round-robin shortest paths over residues (Boecker and Liptak 2007): each
-    further weight w walks the cycles k -> k + w mod a once, from the least
-    degree reached on the cycle; math.inf marks a class no monomial reaches.
-    Adding powers of the weight-a variable reaches every larger degree in a
-    class, so a degree-d monomial exists iff least[d mod a] <= d.
+    Round-robin shortest paths over residues (Boecker and Liptak 2007): each further weight w
+    walks the cycles k -> k + w mod a once, from the least degree reached on the cycle. Powers
+    of the weight-a variable reach every larger degree in a class: d is reached iff
+    least[d mod a] <= d.
     """
     a = ws[0]
     least = [0] + [math.inf] * (a - 1)
@@ -310,9 +302,14 @@ def _least_degrees(ws: list[int]) -> list[int | float]:
     return least
 
 
+def _hilbert_pair(shape: HypersurfaceShape) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The exponents (numerator, denominator) of the shape's Hilbert series as a product."""
+    return (shape.degree,) if shape.degree else (), shape.weights
+
+
 def hilbert(shape: HypersurfaceShape, order: int) -> PowerSeries:
     """Hilbert series of the shape through t^order."""
-    return expand_product((shape.degree,) if shape.degree else (), shape.weights, order)
+    return expand_product(*_hilbert_pair(shape), order)
 
 
 def _expandable_index(shape: HypersurfaceShape) -> int:
@@ -324,10 +321,7 @@ def _expandable_index(shape: HypersurfaceShape) -> int:
 
 
 def genus(shape: HypersurfaceShape) -> int:
-    """h^0 of the anticanonical class minus 2: Hilbert coefficient at t^q, minus 2.
-
-    Raises ValueError when q exceeds MAX_ORDER.
-    """
+    """h^0 of the anticanonical class minus 2, the t^q coefficient; ValueError past MAX_ORDER."""
     q = _expandable_index(shape)
     return hilbert(shape, q)[q] - 2
 
@@ -335,18 +329,16 @@ def genus(shape: HypersurfaceShape) -> int:
 def _normalize_type(r: int, residues: tuple[int, ...]) -> int | NotTerminalIsolated:
     """The b of 1/r(residues) = 1/r(1, r-1, b) for r >= 2, reduced to min(b, r-b).
 
-    By the terminal lemma (Reid 1987) two residues x, y sum to 0 mod r; the
-    unit u = x^-1 carries them to (1, r-1) and the third residue z to u*z.
-    When two pairs sum to 0, both give b = 1. Returns NotTerminalIsolated
-    when a residue vanishes or shares a factor with r, or when no pair sums
-    to 0.
+    By the terminal lemma (Reid 1987) two residues x, y sum to 0 mod r; u = x^-1 carries them
+    to (1, r-1) and the third, z, to u*z; where two pairs sum to 0, both give b = 1. Returns
+    NotTerminalIsolated where a residue vanishes or shares a factor with r, or no pair sums to 0.
     """
     x, y, z = residues
     x, y, z = x % r, y % r, z % r
     # one gcd checks all three: a zero residue makes it r, a shared factor too
     if math.gcd(x * y * z, r) != 1:
         return NotTerminalIsolated(
-            f"residues {(x, y, z)} mod {r} are not coprime units: not an "
+            f"residues ({x}, {y}, {z}) mod {r} are not coprime units: not an "
             f"isolated terminal cyclic quotient"
         )
     if (x + y) % r == 0:
@@ -357,7 +349,7 @@ def _normalize_type(r: int, residues: tuple[int, ...]) -> int | NotTerminalIsola
         c = pow(y, -1, r) * x % r
     else:
         return NotTerminalIsolated(
-            f"no unit carries {(x, y, z)} mod {r} to the form (1, {r - 1}, b)"
+            f"no unit carries ({x}, {y}, {z}) mod {r} to the form (1, {r - 1}, b)"
         )
     return min(c, r - c)
 
@@ -371,17 +363,18 @@ class StratumVerdict(
     __slots__ = ()
 
 
-def _quotient_verdict(
-    stratum: tuple[int, ...], weights: tuple[int, ...], r: int, others: tuple[int, ...], count: int
-) -> tuple[StratumVerdict, NotTerminalIsolated | None]:
+# the walk builds its verdicts past the namedtuple's __new__, which checks nothing: all 5 fields
+_verdict = functools.partial(tuple.__new__, StratumVerdict)
+Failure = ValueError | type[ValueError] | None  # a class is worded by _worded when raised
+
+
+def _quotient_verdict(stratum: tuple[int, ...], weights: tuple[int, ...], r: int,
+                      others: tuple[int, ...], count: int) -> tuple[StratumVerdict, Failure]:
     """The verdict on count points 1/r(others), terminal (quotient) or not, with its failure."""
     b = _normalize_type(r, others)
     if type(b) is int:
-        return StratumVerdict(stratum, weights, "quotient", QuotientType(r, b), count), None
-    return StratumVerdict(stratum, weights, "not-terminal-isolated", None, count), b
-
-
-Failure = ValueError | type[ValueError] | None  # a class is worded by _worded when raised
+        return _verdict((stratum, weights, "quotient", QuotientType(r, b), count)), None
+    return _verdict((stratum, weights, "not-terminal-isolated", None, count)), b
 
 
 def _worded(verdict: StratumVerdict, failure: ValueError | type[ValueError], d: int) -> ValueError:
@@ -398,30 +391,32 @@ def _worded(verdict: StratumVerdict, failure: ValueError | type[ValueError], d: 
 def _vertex(ws: tuple[int, ...], d: int, i: int) -> tuple[StratumVerdict, Failure]:
     """``vertex_singularity``'s verdict on sorted weights, with the failure it records."""
     wi = ws[i]
-    rest = ws[:i] + ws[i + 1 :]
     if d == 0:
         if wi == 1:
-            return StratumVerdict((i,), (wi,), "smooth"), None
-        return _quotient_verdict((i,), (wi,), wi, rest, 1)
-    if d % wi == 0:
-        return StratumVerdict((i,), (wi,), "off-member"), None  # general member avoids the vertex
-    # the first x_i^n*x_j of degree d decides: any other one, x_i^m*x_k, has
-    # w_k = d = w_j mod w_i, so the residues left over are the same multiset
-    for j, wj in enumerate(rest):
-        if d - wj >= wi and (d - wj) % wi == 0:
-            return _quotient_verdict((i,), (wi,), wi, rest[:j] + rest[j + 1 :], 1)
-    return StratumVerdict((i,), (wi,), "not-quasi-smooth"), NotQuasiSmoothAtVertex
+            return _verdict(((i,), (wi,), "smooth", None, 0)), None
+        return _quotient_verdict((i,), (wi,), wi, ws[:i] + ws[i + 1 :], 1)
+    dr = d % wi
+    if dr == 0:  # the general member avoids the vertex
+        return _verdict(((i,), (wi,), "off-member", None, 0)), None
+    # x_i^n*x_j has degree d iff w_j = dr mod w_i and w_j <= d - w_i (never so for j = i). The
+    # first, least such w_j decides: any other w_k = w_j mod w_i leaves the same residues
+    for wj in ws:
+        if wj % wi == dr:
+            if wj <= d - wi:
+                lo, hi = (i, j) if i < (j := ws.index(wj)) else (j, i)
+                others = ws[:lo] + ws[lo + 1 : hi] + ws[hi + 1 :]
+                return _quotient_verdict((i,), (wi,), wi, others, 1)
+            break
+    return _verdict(((i,), (wi,), "not-quasi-smooth", None, 0)), NotQuasiSmoothAtVertex
 
 
 def vertex_singularity(shape: HypersurfaceShape, i: int) -> QuotientType | None:
     """Quotient type at vertex i, or None where it is smooth or off the member.
 
-    On the space itself (d = 0) the vertex is 1/w_i(other weights). For
-    d > 0 a pure power x_i^n of degree d means the vertex misses the general
-    member; otherwise some x_i^n x_j eliminates x_j and the remaining three
-    weights mod w_i give the type. Raises NotQuasiSmoothAtVertex when the
-    vertex lies on the member with no admissible monomial, and ValueError
-    for an index outside 0..n-1.
+    On the space itself (d = 0) the vertex is 1/w_i(other weights). For d > 0 a pure power
+    x_i^n of degree d means the vertex misses the general member; otherwise some x_i^n x_j
+    eliminates x_j and the remaining three weights mod w_i give the type. Raises
+    NotQuasiSmoothAtVertex where no such monomial exists, ValueError for i outside 0..n-1.
     """
     ws, i = shape.weights, operator.index(i)
     if not 0 <= i < len(ws):
@@ -437,41 +432,45 @@ def _edge(ws: tuple[int, ...], d: int, i: int, j: int) -> tuple | None:
     for no point, and () for a contained coprime edge that passes, which ``_walk`` reads."""
     wi, wj = ws[i], ws[j]
     m = math.gcd(wi, wj)
+    # before the inverse: a coprime edge has no point, and past Sylvester's bound some
+    # x_i^a*x_j^c has degree d; where m does not divide d none has, and d = 0 has no member
+    if m == 1:
+        if d >= (wi - 1) * (wj - 1):
+            return None
+    elif d % m or d == 0:
+        return _verdict(((i, j), (wi, wj), "singular-edge", None, 0)), NotTerminalIsolated
     # x_i^a x_j^c has degree d iff a*w_i = d mod w_j, which fixes a mod w_j/m; the least
     # such a decides whether one fits under d, and each further one (a + w_j/m) is a point
     step = wj // m
     inv = pow(wi // m, -1, step)
     a = d // m * inv % step
-    contained = d % m or a * wi > d
-    if m > 1 and (contained or d == 0):
-        return StratumVerdict((i, j), (wi, wj), "singular-edge"), NotTerminalIsolated
-    if contained:  # quasi-smooth iff two distinct x_e carry some x_i^a*x_j^c*x_e of degree d
+    if a * wi > d:  # contained
+        if m > 1:
+            return _verdict(((i, j), (wi, wj), "singular-edge", None, 0)), NotTerminalIsolated
+        # quasi-smooth iff two distinct x_e carry some x_i^a*x_j^c*x_e of degree d
         found = 0  # a loop, as sum() of a generator would make cells of four locals per call
         for w in ws:  # t = d - w_e has a monomial in x_i, x_j; never so for e = i, j (contained)
             if 0 < (t := d - w) >= t * inv % step * wi:
                 found += 1
         if found > 1:
             return ()
-        return StratumVerdict((i, j), (wi, wj), "not-quasi-smooth"), NotQuasiSmoothAtVertex
+        return _verdict(((i, j), (wi, wj), "not-quasi-smooth", None, 0)), NotQuasiSmoothAtVertex
     count = (d - a * wi) // (wi * step)
     if m == 1 or count == 0:
         return None
-    others = tuple(w for k, w in enumerate(ws) if k not in (i, j))
-    return _quotient_verdict((i, j), (wi, wj), m, others, count)
+    lo, hi = (i, j) if i < j else (j, i)
+    return _quotient_verdict((i, j), (wi, wj), m, ws[:lo] + ws[lo + 1 : hi] + ws[hi + 1 :], count)
 
 
-def edge_singularities(
-    shape: HypersurfaceShape, i: int, j: int
-) -> tuple[int, QuotientType] | None:
+def edge_singularities(shape: HypersurfaceShape, i: int, j: int) -> tuple[int, QuotientType] | None:
     """Singular points along the (i, j) edge: (count, type), or None.
 
-    An edge whose weights share a factor is a curve of singularities (NotTerminalIsolated)
-    on the space (d = 0), and where the general member contains it: where no degree-d
-    monomial is purely in x_i, x_j. A contained coprime edge has no point; it raises
-    NotQuasiSmoothAtVertex unless two distinct x_e outside it have a monomial x_i^a*x_j^c*x_e
-    of degree d. On other edges, points off the vertices = those monomials minus one; a
-    gcd > 1 edge with none gives None. Two indices equal or outside 0..n-1 raise ValueError.
-    """
+    An edge whose weights share a factor is a curve of singularities (NotTerminalIsolated) on
+    the space (d = 0), and where the general member contains it: where no degree-d monomial is
+    purely in x_i, x_j. A contained coprime edge has no point; it raises NotQuasiSmoothAtVertex
+    unless two distinct x_e outside it have a monomial x_i^a*x_j^c*x_e of degree d. On other
+    edges, points off the vertices = those monomials minus one; a gcd > 1 edge with none gives
+    None. Two indices equal or outside 0..n-1 raise ValueError."""
     ws, i, j = shape.weights, operator.index(i), operator.index(j)
     if i == j or not (0 <= i < len(ws) and 0 <= j < len(ws)):
         raise ValueError(f"edge ({i}, {j}) needs two distinct indices in 0..{len(ws) - 1}")
@@ -495,13 +494,12 @@ def _report(**fields) -> AnalysisReport:
 
 def _walk(shape: HypersurfaceShape) -> Iterator[tuple[StratumVerdict, Failure]]:
     """Every vertex, every edge, then the planes that need a test: each rule's verdict and the
-    failure it records (``Failure``), returned, not raised, so no traceback; none for a stratum
-    with no point and no failure. Thm 8.1 asks of a set I of 3 or 4 variables a degree-d
-    monomial in x_I alone, as fewer than |I| variables lie outside I. A plane needs a test only
-    where its three edges are contained and pass: else an edge's monomial lies in its variables,
-    or the shape has failed. A 4-set never does: without that monomial, each edge inside it is
-    contained and has at most one qualifying x_e, the fifth variable, so it has failed.
-    """
+    failure it records (``Failure``), returned, not raised; none for a stratum with no point and
+    no failure. Thm 8.1 asks of a set I of 3 or 4 variables a degree-d monomial in x_I alone, as
+    fewer than |I| variables lie outside I. A plane needs a test only where its three edges are
+    contained and pass: else an edge's monomial lies in its variables, or the shape has failed.
+    A 4-set never does: without that monomial, each edge inside it is contained and has at most
+    one qualifying x_e, the fifth variable, so it has failed."""
     ws, d = shape.weights, shape.degree
     for i in range(len(ws)):
         yield _vertex(ws, d, i)
@@ -516,7 +514,8 @@ def _walk(shape: HypersurfaceShape) -> Iterator[tuple[StratumVerdict, Failure]]:
         for k in range(j + 1, len(ws)):
             plane = (ws[i], ws[j], ws[k])
             if (i, k) in passed and (j, k) in passed and not has_monomial(plane, d):
-                yield StratumVerdict((i, j, k), plane, "not-quasi-smooth"), NotQuasiSmoothAtVertex
+                verdict = _verdict(((i, j, k), plane, "not-quasi-smooth", None, 0))
+                yield verdict, NotQuasiSmoothAtVertex
 
 
 def _basket_of(verdicts: list[StratumVerdict]) -> Basket:
@@ -546,7 +545,8 @@ def analyze(shape: HypersurfaceShape, order: int | None = None) -> AnalysisRepor
     Each stratum's verdict counts its points, whether or not their type is terminal. Each
     distinct warning is given once: a failure's message, or ``_warning`` of one recorded as a
     class. A shape whose index q exceeds MAX_ORDER is refused (ValueError) before anything is
-    walked or expanded.
+    walked or expanded. Its series comes from the kernel ``series._expand``, not the memo that
+    ``hilbert`` reads (a scan meets each shape once); one expansion serves genus and series.
     """
     q = _expandable_index(shape)
     order = max(q, DEFAULT_ORDER) if order is None else operator.index(order)
@@ -561,17 +561,12 @@ def analyze(shape: HypersurfaceShape, order: int | None = None) -> AnalysisRepor
         if failure is not None:
             failed = True
             warnings[_warning(verdict) if isinstance(failure, type) else str(failure)] = None
-    # one expansion serves both the genus (t^q) and the reported series
-    series = hilbert(shape, max(order, q))
+    coefficients = _expand(_hilbert_pair(shape), max(order, q))
+    series = PowerSeries._of_ints(coefficients)
     return _report(
-        shape=shape,
-        fano_index=q,
-        a3=degree_a3(shape),
-        basket=None if failed else _basket_of(strata),
-        genus=series[q] - 2,
-        hilbert=series if order >= q else series.truncate(order),
-        strata=tuple(strata),
-        warnings=tuple(warnings),
+        shape=shape, fano_index=q, a3=degree_a3(shape), genus=coefficients[q] - 2,
+        basket=None if failed else _basket_of(strata), strata=tuple(strata),
+        hilbert=series if order >= q else series.truncate(order), warnings=tuple(warnings),
     )
 
 

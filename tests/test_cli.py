@@ -979,8 +979,8 @@ NO_SHUTIL = {"shutil"}
         (
             ("normalize", "--input", "EQUATION", "--json"),
             {"qfano.normal_form"},
-            {"qfano.sarkisov", "qfano.riemann_roch", "qfano.fixtures", "difflib"}
-            | NO_DATACLASSES | NO_TYPING | NO_SHUTIL,
+            {"qfano.wps", "qfano.series", "qfano.sarkisov", "qfano.riemann_roch", "qfano.fixtures"}
+            | {"difflib"} | NO_DATACLASSES | NO_TYPING | NO_SHUTIL,
         ),
         (
             ("link", "--case", "p5"),

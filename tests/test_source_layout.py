@@ -31,7 +31,7 @@ PACKAGE_IMPORTS = {
     "wps": {"series"},
     "riemann_roch": {"series", "wps"},
     "sarkisov": {"wps"},
-    "normal_form": {"wps"},
+    "normal_form": set(),
     "fixtures": {"wps"},
     "cli": set(),
     "__init__": set(),

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import re
 import time
 import tracemalloc
@@ -16,6 +17,7 @@ from oracles import mismatches, point_type, small_shapes, stratum_analysis
 from qfano import fixtures, wps
 from qfano import riemann_roch as rr
 from qfano import sarkisov as sk
+from qfano import series
 from qfano.series import MAX_ORDER
 
 X12 = wps.HypersurfaceShape((3, 4, 5, 6, 7), 12)
@@ -875,3 +877,76 @@ def test_shape_validation():
         wps.HypersurfaceShape((1, 2, 3, 4), 5)      # d > 0 needs 5 weights
     with pytest.raises(ValueError):
         wps.HypersurfaceShape((3, 4, 5, 6, 7), 1)   # empty shape
+
+
+def test_the_walk_matches_the_oracle_on_inputs_drawn_as_a_scan_draws_them():
+    # five sorted weights <= 33 and q among the allowed indices: unlike the census
+    # (weights <= 8), coprime edges here often sit near Sylvester's bound (a - 1)(b - 1)
+    rng = random.Random("scan-shaped")
+    shapes = 0
+    while shapes < 2000:
+        weights = tuple(sorted(rng.choices(range(1, 34), k=5)))
+        d = sum(weights) - rng.choice(wps.ALLOWED_FANO_INDICES)
+        if d <= 0 or not oracles.has_monomial(weights, d):
+            continue
+        shapes += 1
+        report = wps.analyze(wps.HypersurfaceShape(weights, d))
+        assert mismatches(report) == [], (weights, d)
+
+
+@pytest.mark.parametrize(
+    "weights,d,edge,expected",
+    [
+        # the coprime edge (3,5) at its Frobenius number 7 = (3-1)(5-1) - 1 is contained: it
+        # fails where no two x_e carry a monomial x_3^a*x_5^c*x_e of degree 7, else it passes
+        ((2, 3, 5, 7, 11), 7, (1, 2), "not-quasi-smooth"),
+        ((1, 1, 1, 3, 5), 7, (3, 4), ()),
+        # at Sylvester's bound 8 = (3-1)(5-1), x_3*x_5 lies on it: not contained, no point
+        ((2, 3, 5, 7, 11), 8, (1, 2), None),
+        ((1, 1, 1, 3, 5), 8, (3, 4), None),
+        ((1, 2, 3, 6, 10), 14, (2, 3), "singular-edge"),  # 3 | 3, 6 but not 14
+        ((1, 2, 3, 6, 10), 14, (3, 4), "singular-edge"),  # 2 | 14, but no 6a + 10c = 14
+        ((1, 2, 3, 6, 10), 14, (1, 3), "not-terminal-isolated"),  # 2a + 6c = 14 three times
+    ],
+)
+def test_each_edge_shortcut_holds_at_its_bound(weights, d, edge, expected):
+    result = wps._edge(weights, d, *edge)
+    assert (result[0].status if result else result) == expected
+    assert mismatches(wps.analyze(wps.HypersurfaceShape(weights, d))) == []
+
+
+def test_a_vertex_is_decided_by_the_least_weight_that_eliminates_it():
+    # at w=5 of X12, d = 2 mod 5: x_5^n*x_7 eliminates x_7, the last weight, not x_3;
+    # 1/5(3, 4, 6) = 1/5(1, 4, 2)
+    assert wps._vertex(X12.weights, 12, 2) == (
+        wps.StratumVerdict((2,), (5,), "quotient", wps.QuotientType(5, 2), 1), None
+    )
+    # at w=7, x_5 comes before it: 1/7(3, 4, 6) = 1/7(1, 6, 2)
+    assert wps.vertex_singularity(X12, 4) == wps.QuotientType(7, 2)
+    # at w=3 of degree 7, 7 = 1 mod 3 but 7 > 7 - 3: no weight eliminates x_3, as 10 does not
+    verdict, failure = wps._vertex((2, 3, 5, 7, 10), 7, 1)
+    assert verdict.status == "not-quasi-smooth" and failure is wps.NotQuasiSmoothAtVertex
+
+
+def test_a_weight_dividing_d_answers_at_once_but_turns_no_refusal_into_an_answer():
+    start = time.perf_counter()
+    weights = (MAX_ORDER, 1300007, 1700003, 1900011, 2300001)
+    assert wps.has_monomial(weights, 300 * MAX_ORDER)  # the residue table had 10^6 entries
+    assert wps.HypersurfaceShape(weights, 300 * MAX_ORDER).degree == 300 * MAX_ORDER
+    assert wps.has_monomial((4, 6, 9), 18) and not wps.has_monomial((4, 6, 9), 11)
+    # a least weight one above: x^300 of that weight has degree d, but the refusal stays
+    weights = (MAX_ORDER + 1, *weights[1:])
+    for decide in (wps.has_monomial, wps.HypersurfaceShape):
+        with pytest.raises(ValueError, match=f"a table of more than {MAX_ORDER} entries"):
+            decide(weights, 300 * (MAX_ORDER + 1))
+    assert time.perf_counter() - start < 0.1
+
+
+def test_analyze_keeps_no_series_in_the_memo(empty_memos):
+    shape = wps.HypersurfaceShape((2, 3, 5, 7, 11), 8)
+    report = wps.analyze(shape)
+    assert series._PRODUCTS == {}
+    # with the pair kept, and longer than the report's, the report is the same
+    wps.hilbert(shape, 40)
+    assert list(series._PRODUCTS) == [((8,), (2, 3, 5, 7, 11))]
+    assert wps.analyze(shape) == report

@@ -151,7 +151,10 @@ class Basket(namedtuple("Basket", "entries")):
         return tuple(q.r for q in self.points())
 
     def points(self) -> tuple[QuotientType, ...]:
-        return tuple(q for q, count in self.entries for _ in range(count))
+        out: list[QuotientType] = []
+        for q, count in self.entries:
+            out.extend([q] * count)
+        return tuple(out)
 
 
 # the Fano indices that riemann_roch.FanoData and the sarkisov link enumeration admit
@@ -323,7 +326,7 @@ def _expandable_index(shape: HypersurfaceShape) -> int:
 def genus(shape: HypersurfaceShape) -> int:
     """h^0 of the anticanonical class minus 2, the t^q coefficient; ValueError past MAX_ORDER."""
     q = _expandable_index(shape)
-    return hilbert(shape, q)[q] - 2
+    return hilbert(shape, q).coefficients[q] - 2
 
 
 def _normalize_type(r: int, residues: tuple[int, ...]) -> int | NotTerminalIsolated:
@@ -474,8 +477,7 @@ def edge_singularities(shape: HypersurfaceShape, i: int, j: int) -> tuple[int, Q
     ws, i, j = shape.weights, operator.index(i), operator.index(j)
     if i == j or not (0 <= i < len(ws) and 0 <= j < len(ws)):
         raise ValueError(f"edge ({i}, {j}) needs two distinct indices in 0..{len(ws) - 1}")
-    result = _edge(ws, shape.degree, i, j)
-    if not result:
+    if not (result := _edge(ws, shape.degree, i, j)):
         return None
     verdict, failure = result
     if failure is not None:
@@ -484,8 +486,7 @@ def edge_singularities(shape: HypersurfaceShape, i: int, j: int) -> tuple[int, Q
 
 
 def _report(**fields) -> AnalysisReport:
-    """Build the first report: load ``report`` (and with it ``dataclasses``), then rebind
-    ``_report`` to its class, so that later reports run no import statement."""
+    """Load ``report`` (and ``dataclasses``) once, then rebind ``_report`` to its class."""
     global _report
     from .report import AnalysisReport as _report
 
@@ -505,8 +506,7 @@ def _walk(shape: HypersurfaceShape) -> Iterator[tuple[StratumVerdict, Failure]]:
         yield _vertex(ws, d, i)
     passed = []  # the contained edges that pass, in order
     for i, j in itertools.combinations(range(len(ws)), 2):
-        result = _edge(ws, d, i, j)
-        if result:
+        if result := _edge(ws, d, i, j):
             yield result
         elif result is not None:
             passed.append((i, j))

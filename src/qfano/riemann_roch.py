@@ -28,7 +28,7 @@ T_P[i+1] = T_P[i] - D (r^2 - 1) / (12 r) + (ib mod r)(r - ib mod r) D / (2 r).
 say how), for any integer m and any A^3; A^3 = 0 leaves the basket part D + L m + sum T_P.
 ``_chi_values``, its one caller, divides by D and alone refuses a non-integral chi(mA).
 ``chi`` and ``hilbert_rr`` are its ranges [m, m+1) and [0, order]; ``hilbert_rr`` keeps the
-longest per ``FanoData`` by ``series.kept_prefix``, and a shorter request slices it.
+longest per ``FanoData`` in a memo made by ``series.memo``; a shorter request slices it.
 ``a_c2`` is one Fraction over L = lcm(r), (24 L - sum (r^2-1) L/r) / (q L);
 the tests keep A.c2 and c_{r,b} in their stated forms as the oracles.
 
@@ -47,7 +47,7 @@ deg N <= 3 + sum r; the oracle prod(1-t^d) / prod(1-t^w) has d < sum w. Their
 difference is a numerator of degree <= 3 + sum r + sum w over a denominator
 with constant term 1, so its first nonzero coefficient is the numerator's
 lowest: agreement through t^(3 + sum r + sum w) (X12: t^45) is equality.
-``calibrated_data`` keeps each shape's data with the depth compared, by ``series.keep``;
+``calibrated_data`` keeps each shape's data with the depth compared, in a ``series.memo``;
 an order up to that depth returns the kept data, and a longer one compares again.
 
 Higher cohomology of mA is assumed to vanish for m >= 0, so Hilbert series
@@ -68,7 +68,7 @@ from fractions import Fraction
 from itertools import accumulate, cycle, islice, repeat
 
 from . import wps
-from .series import PowerSeries, keep, kept_prefix, series_equal_upto
+from .series import PowerSeries, keep, kept_prefix, memo, series_equal_upto
 from .wps import ALLOWED_FANO_INDICES
 
 
@@ -210,7 +210,7 @@ def chi(data: FanoData, m: int) -> int:
     return _chi_values(data, m, m + 1)[0]
 
 
-_SERIES_MEMO: dict[FanoData, tuple[int, ...]] = {}  # chi(0A), chi(1A), ... per data
+_SERIES_MEMO: dict[FanoData, tuple[int, ...]] = memo()  # chi(0A), chi(1A), ... per data
 
 
 def hilbert_rr(data: FanoData, order: int) -> PowerSeries:
@@ -233,7 +233,7 @@ def calibrate(data: FanoData, oracle: PowerSeries) -> None:
         raise CalibrationError(f"Riemann-Roch series differs from the oracle at t^{m}")
 
 
-_CALIBRATED: dict[wps.HypersurfaceShape, tuple[FanoData, int]] = {}  # data, depth compared
+_CALIBRATED: dict[wps.HypersurfaceShape, tuple[FanoData, int]] = memo()  # data, depth compared
 
 
 def calibrated_data(shape: wps.HypersurfaceShape, order: int = 0) -> FanoData:
@@ -245,6 +245,9 @@ def calibrated_data(shape: wps.HypersurfaceShape, order: int = 0) -> FanoData:
     t^max(order, 3 + sum of the distinct r + sum w) is equality (module doc),
     and the data are kept with that depth.
     """
+    if not isinstance(shape, wps.HypersurfaceShape):  # as wps.basket refuses one
+        raise TypeError(f"a shape is a HypersurfaceShape, not a {type(shape).__name__}")
+    order = operator.index(order)  # a float is refused before the lookup, not only on a miss
     if (kept := _CALIBRATED.get(shape)) and order <= kept[1]:
         return kept[0]
     q = wps.fano_index(shape)

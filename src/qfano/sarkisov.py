@@ -65,7 +65,7 @@ Bare solutions are kept apart from filtered ones; one beyond the reference
 list is flagged, never dropped; a fiber-type one's key ends in "fiber-type".
 
 run_case keeps one transcript per CenterCase value ("p3" and "P3" share it, a patched
-case gets its own, a run that raises stores none) on the memo bound of ``series.keep``.
+case gets its own, a run that raises stores none) in a ``series.memo``, on ``series.keep``'s bound.
 Candidates and transcripts are values; a transcript renders its text once.
 """
 
@@ -685,7 +685,7 @@ class Transcript(namedtuple("Transcript", "case bare events final thresholds con
         }
 
 
-_TRANSCRIPTS: dict[CenterCase, Transcript] = {}  # the transcripts run_case returned, by case
+_TRANSCRIPTS: dict[CenterCase, Transcript] = wps.memo()  # run_case's transcripts, by case
 
 
 def run_case(name: str) -> Transcript:

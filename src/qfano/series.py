@@ -30,10 +30,10 @@ With an empty numerator the t^d coefficient counts the degree-d monomials
 in variables of those weights, which is how ``wps`` counts monomials
 without listing them and ``riemann_roch`` counts the free algebra on a
 set of generator degrees. The kernel keeps the longest expansion per pair
-by the one process memo policy, defined here and used by ``wps.basket``,
-``riemann_roch.hilbert_rr`` and ``riemann_roch.calibrated_data`` too: ``keep``
-holds ``MEMO_KEYS`` values per memo, dropping the oldest first, and
-``kept_prefix`` keeps no series past ``MEMO_ORDER``.
+in a process memo. Every memo of the package is a ``memo()`` call, listed in
+``MEMOS`` (emptying each one there empties them all), and holds the one policy
+defined here: ``keep`` holds ``MEMO_KEYS`` values per memo, dropping the oldest
+first, and ``kept_prefix`` keeps no series past ``MEMO_ORDER``.
 
 ``partition_count`` recounts the same coefficients by exhaustive recursion,
 free of any series machinery on purpose, and is kept as the oracle of
@@ -49,7 +49,16 @@ DEFAULT_ORDER = 30
 MAX_ORDER = 10**6  # the longest series expanded on request
 MEMO_KEYS = 16  # the values a process memo keeps, the oldest dropped first
 MEMO_ORDER = 1000  # the longest series kept: at order 10^6 one holds about 40 MB
-_PRODUCTS: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
+MEMOS: list[dict] = []  # every process memo of the package, in the order made
+
+
+def memo() -> dict:
+    """A new empty process memo, listed in MEMOS."""
+    MEMOS.append(made := {})
+    return made
+
+
+_PRODUCTS: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = memo()
 
 
 class TruncationError(ValueError):

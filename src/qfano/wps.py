@@ -27,7 +27,7 @@ applied by one walk over every vertex, every edge and the planes ``_walk`` shows
 terminal or not (``edge_singularities`` says how an edge's are counted). Each rule returns
 its verdict with the failure it records, or None; only ``basket``, ``vertex_singularity``
 and ``edge_singularities`` raise it, and most failures record their class alone, worded
-where raised. ``basket`` keeps its answer per shape, on the memo policy of ``series``.
+where raised. ``basket`` keeps its answer per shape, in a memo made by ``series.memo``.
 ``_edge`` tests before any inverse: a coprime edge at d >= (w_i - 1)(w_j - 1) has a monomial
 x_i^a*x_j^c (Sylvester), so no point; a shared factor not dividing d, or d = 0, is singular.
 """
@@ -43,7 +43,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 
 from . import _checked_make
-from .series import DEFAULT_ORDER, MAX_ORDER, PowerSeries, _expand, expand_product, keep
+from .series import DEFAULT_ORDER, MAX_ORDER, PowerSeries, _expand, expand_product, keep, memo
 from .series import product_coefficients
 
 
@@ -159,7 +159,7 @@ class Basket(namedtuple("Basket", "entries")):
 
 # the Fano indices that riemann_roch.FanoData and the sarkisov link enumeration admit
 ALLOWED_FANO_INDICES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 17, 19)
-_BASKETS: dict[HypersurfaceShape, Basket] = {}  # the baskets basket() returned, by shape
+_BASKETS: dict[HypersurfaceShape, Basket] = memo()  # the baskets basket() returned, by shape
 
 
 def fano_index(shape: HypersurfaceShape) -> int:
@@ -529,6 +529,8 @@ def basket(shape: HypersurfaceShape) -> Basket:
     vertex, where a member eliminates a weight that is d mod r, and r | w_i, w_j, d on an edge.
     Two residues sum to 0 (terminal lemma), so q is the third, a unit by ``_normalize_type``.
     """
+    if not isinstance(shape, HypersurfaceShape):  # a plain tuple equal to a kept shape is none
+        raise TypeError(f"a shape is a HypersurfaceShape, not a {type(shape).__name__}")
     if (kept := _BASKETS.get(shape)) is not None:
         return kept
     verdicts = []

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from qfano import normal_form as nf
-from qfano import riemann_roch, sarkisov, series, wps
+from qfano import riemann_roch, series
 
 # Hypothesis imports its patch writer, and through it libcst, while it reports a
 # falsifying example. Under -W error, as CI runs, libcst's mypy_extensions.TypedDict
@@ -96,22 +96,16 @@ def random_substitution(rng: random.Random) -> nf.Substitution:
     return nf.Substitution(WS, rules)
 
 
-# every process memo of the package, as (module, name)
-MEMOS = (
-    (series, "_PRODUCTS"),
-    (wps, "_BASKETS"),
-    (riemann_roch, "_SERIES_MEMO"),
-    (riemann_roch, "_CALIBRATED"),
-    (sarkisov, "_TRANSCRIPTS"),
-)
-
-
 @pytest.fixture
-def empty_memos(monkeypatch):
-    """Every process memo empty for one test, so that each series, basket, calibration and
-    link case the test asks for is computed again, with whatever the test has patched."""
-    for module, name in MEMOS:
-        monkeypatch.setattr(module, name, {})
+def empty_memos():
+    """Every process memo in ``series.MEMOS`` empty for one test and after it, so that each
+    series, basket, calibration and link case the test asks for is computed again, with
+    whatever the test has patched, and nothing the test kept reaches a later test."""
+    for memo in series.MEMOS:
+        memo.clear()
+    yield
+    for memo in series.MEMOS:
+        memo.clear()
 
 
 @pytest.fixture

@@ -97,6 +97,8 @@ BAD_ELEMENTS = {
     "HypersurfaceShape four weights": lambda: wps.HypersurfaceShape((3, 4, 5, 6), 12),
     "HypersurfaceShape tuple weight": lambda: wps.HypersurfaceShape(((3,), 4, 5, 6, 7), 12),
     "HypersurfaceShape int weights": lambda: wps.HypersurfaceShape(3, 12),
+    "basket plain tuple shape": lambda: wps.basket(tuple(X12_SHAPE)),
+    "calibrated_data plain tuple shape": lambda: rr.calibrated_data(tuple(X12_SHAPE)),
     "weight_system one weight": lambda: wps.weight_system((3,)),
     "QuotientType None": lambda: wps.QuotientType(None, 2),
     "Basket short entry": lambda: wps.Basket(((POINT,),)),
@@ -179,6 +181,7 @@ NOT_INT_ORDERS = {
     "analyze 5.0": lambda: wps.analyze(X12_SHAPE, 5.0),
     "hilbert 5.0": lambda: wps.hilbert(X12_SHAPE, 5.0),
     "monomial_count 12.0": lambda: wps.monomial_count((3, 4), 12.0),
+    "calibrated_data 50.0": lambda: rr.calibrated_data(X12_SHAPE, 50.0),
     "hilbert_rr 5.0": lambda: rr.hilbert_rr(rr.FanoData(13, Fraction(1, 210), (ENTRY,)), 5.0),
     "product_coefficients 5.0": lambda: series.product_coefficients((), (1,), 5.0),
     "expand_product Fraction(5)": lambda: series.expand_product((), (1,), Fraction(5)),

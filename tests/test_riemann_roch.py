@@ -160,8 +160,11 @@ def test_calibrated_data_ignores_an_order_below_the_bound(calibrated, name):
 
 def test_a_repeat_calibrated_data_returns_the_kept_data(calibrations):
     data = rr.calibrated_data(X12)
-    for order in (0, 24, 45, 45.0):
+    for order in (0, 24, 45):
         assert rr.calibrated_data(X12, order) is data
+    # a float order is refused, kept data or not, as kept_prefix refuses one
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        rr.calibrated_data(X12, 45.0)
     assert calibrations == [45] and rr._CALIBRATED == {X12: (data, 45)}
 
 
@@ -472,6 +475,8 @@ def test_a_ten_thousand_shape_scan_leaves_at_most_the_bound_in_each_memo(empty_m
     # the newest baskets and calibrated data, oldest first
     assert list(wps._BASKETS.items()) == list(baskets.items())[-series.MEMO_KEYS :]
     assert [(shape, kept[0]) for shape, kept in rr._CALIBRATED.items()] == calibrated[-series.MEMO_KEYS :]
+    # and every memo of the registry, whichever entry points fill it
+    assert all(len(memo) <= series.MEMO_KEYS for memo in series.MEMOS)
 
 
 @pytest.mark.parametrize("memo", PREFIX_MEMOS)

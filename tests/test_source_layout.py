@@ -4,8 +4,6 @@ import ast
 import pathlib
 import sys
 
-from conftest import MEMOS
-
 SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "qfano"
 MAX_LINE = 100
 
@@ -197,8 +195,7 @@ def _module_level_empty_dicts():
                 yield from ((path.stem, t.id) for t in targets if isinstance(t, ast.Name))
 
 
-def test_conftest_memos_lists_every_module_level_empty_dict():
-    # a process memo starts as {} at a module's top level; empty_memos empties only
-    # those that conftest's MEMOS lists, so a memo missing there leaks between tests
-    listed = [(module.__name__.removeprefix("qfano."), name) for module, name in MEMOS]
-    assert sorted(_module_level_empty_dicts()) == sorted(listed)
+def test_no_module_level_empty_dict_escapes_the_memo_registry():
+    # a process memo is a series.memo() call, listed in series.MEMOS, which empty_memos
+    # empties; a memo made as a bare {} would be missing there and leak between tests
+    assert list(_module_level_empty_dicts()) == []

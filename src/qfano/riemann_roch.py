@@ -28,7 +28,7 @@ T_P[i+1] = T_P[i] - D (r^2 - 1) / (12 r) + (ib mod r)(r - ib mod r) D / (2 r).
 say how), for any integer m and any A^3; A^3 = 0 leaves the basket part D + L m + sum T_P.
 ``_chi_values``, its one caller, divides by D and alone refuses a non-integral chi(mA).
 ``chi`` and ``hilbert_rr`` are its ranges [m, m+1) and [0, order]; ``hilbert_rr`` keeps the
-longest per ``FanoData`` in a memo made by ``series.memo``; a shorter request slices it.
+longest per ``FanoData`` in a ``series.memo``, by ``series.kept_prefix``; a shorter one slices it.
 ``a_c2`` is one Fraction over L = lcm(r), (24 L - sum (r^2-1) L/r) / (q L);
 the tests keep A.c2 and c_{r,b} in their stated forms as the oracles.
 

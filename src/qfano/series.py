@@ -30,10 +30,10 @@ With an empty numerator the t^d coefficient counts the degree-d monomials
 in variables of those weights, which is how ``wps`` counts monomials
 without listing them and ``riemann_roch`` counts the free algebra on a
 set of generator degrees. The kernel keeps the longest expansion per pair
-in a process memo. Every memo of the package is a ``memo()`` call, listed in
-``MEMOS`` (emptying each one there empties them all), and holds the one policy
-defined here: ``keep`` holds ``MEMO_KEYS`` values per memo, dropping the oldest
-first, and ``kept_prefix`` keeps no series past ``MEMO_ORDER``.
+in a process memo. Every memo of the package is made by ``memo()``, which
+lists it in ``MEMOS``, and holds the one policy defined here: ``keep``
+holds ``MEMO_KEYS`` values per memo, dropping the oldest first, and
+``kept_prefix`` keeps no series past ``MEMO_ORDER``.
 
 ``partition_count`` recounts the same coefficients by exhaustive recursion,
 free of any series machinery on purpose, and is kept as the oracle of

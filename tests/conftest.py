@@ -96,16 +96,19 @@ def random_substitution(rng: random.Random) -> nf.Substitution:
     return nf.Substitution(WS, rules)
 
 
+def empty_every_memo():
+    for memo in series.MEMOS:
+        memo.clear()
+
+
 @pytest.fixture
 def empty_memos():
     """Every process memo in ``series.MEMOS`` empty for one test and after it, so that each
     series, basket, calibration and link case the test asks for is computed again, with
     whatever the test has patched, and nothing the test kept reaches a later test."""
-    for memo in series.MEMOS:
-        memo.clear()
+    empty_every_memo()
     yield
-    for memo in series.MEMOS:
-        memo.clear()
+    empty_every_memo()
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import empty_every_memo
 from qfano import cli, fixtures, series, wps
 from qfano import riemann_roch as rr
 from qfano import sarkisov as sk
@@ -45,11 +46,6 @@ MEMOIZED = {
 }
 
 
-def _empty_every_memo():
-    for memo in series.MEMOS:
-        memo.clear()
-
-
 def _outcome(call, args):
     """The value a call returns, or the class and message of what it raises."""
     try:
@@ -62,9 +58,9 @@ def _outcome(call, args):
 def test_a_memo_changes_no_answer(empty_memos, entry):
     call, warm_ups, asked = MEMOIZED[entry]
     for args in asked:
-        _empty_every_memo()
+        empty_every_memo()
         cold = _outcome(call, args)
-        _empty_every_memo()
+        empty_every_memo()
         for warm in warm_ups:
             call(*warm)
         assert _outcome(call, args) == cold, args
@@ -82,7 +78,7 @@ def test_selftest_fills_every_memo_of_the_registry_and_each_empties_there(empty_
 
     kept = ask()
     assert all(new is old for new, old in zip(ask(), kept))
-    _empty_every_memo()
+    empty_every_memo()
     assert not any(series.MEMOS)
     # the registry's dicts are the ones the entry points read: each answer is computed again
     again = ask()

@@ -12,7 +12,15 @@ not always fall on the same side. The last line each run prints is its JSON
 result. For every end-to-end metric that BENCHMARK.json (at the repo root)
 declares, the summary gives each side's median with its quartiles, the change
 of the medians in %, and the pairs the change won in the metric's ``better``
-direction (a tie counts for neither side).
+direction (a tie counts for neither side). Each line ends with a verdict against
+the metric's ``bound`` in BENCHMARK.json, the first that applies of:
+
+    regressed      the change's median is worse than the parent's by more than bound
+    unresolved     the parent's (q3 - q1) / median is above bound, and not every
+                   change run beats every parent run
+    gain           the change won at least 0.9 of the pairs, and the medians differ
+                   by more than the parent's q3 - q1
+    no regression  none of the above
 
 With ``--write`` the same numbers, and every run's ``meta:`` line and result,
 go under the workload's name into BENCH_<rev>.json at the repo root, where rev
@@ -51,21 +59,34 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def compare(metrics: list[dict], parent: list[dict], change: list[dict]) -> dict:
     """Per metric over paired result lines (parent[i] and change[i] share a seed): each
-    side's median and quartiles, the change of the medians in % and the pairs the change won."""
+    side's median and quartiles, the change of the medians in %, the pairs the change won
+    and the verdict against the metric's bound (module doc)."""
     out = {}
     for metric in metrics:
-        name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+        name, bound = metric["name"], metric["bound"]
+        sign = 1 if metric["better"] == "higher" else -1
         before = [r["metrics"][name]["value"] for r in parent]
         after = [r["metrics"][name]["value"] for r in change]
         (b1, b2, b3), (a1, a2, a3) = quartiles(before), quartiles(after)
+        won = sum(sign * (a - b) > 0 for b, a in zip(before, after))
+        overlap = min(sign * a for a in after) <= max(sign * b for b in before)
+        if sign * (a2 - b2) < -bound * abs(b2):
+            verdict = "regressed"
+        elif b3 - b1 > bound * abs(b2) and overlap:  # too wide a parent spread to tell
+            verdict = "unresolved"
+        elif won >= 0.9 * len(before) and sign * (a2 - b2) > b3 - b1:
+            verdict = "gain"
+        else:
+            verdict = "no regression"
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
             "parent": {"q1": b1, "median": b2, "q3": b3},
             "change": {"q1": a1, "median": a2, "q3": a3},
             "change_pct": 100 * (a2 - b2) / b2,
-            "won": sum(sign * (a - b) > 0 for b, a in zip(before, after)),
+            "won": won,
             "pairs": len(before),
+            "verdict": verdict,
         }
     return out
 
@@ -79,7 +100,7 @@ def summarize(metrics: list[dict], parent: list[dict], change: list[dict]) -> li
             f"{name} ({m['unit']}, {m['better']} is better): "
             f"{b['median']:.5g} [{b['q1']:.5g}, {b['q3']:.5g}] -> "
             f"{a['median']:.5g} [{a['q1']:.5g}, {a['q3']:.5g}], "
-            f"{m['change_pct']:+.1f} %, change won {m['won']}/{m['pairs']}"
+            f"{m['change_pct']:+.1f} %, change won {m['won']}/{m['pairs']}: {m['verdict']}"
         )
     for side, results in (("parent", parent), ("change", change)):
         failed, attempted = sum(r["failed"] for r in results), sum(r["attempted"] for r in results)

@@ -47,8 +47,8 @@ deg N <= 3 + sum r; the oracle prod(1-t^d) / prod(1-t^w) has d < sum w. Their
 difference is a numerator of degree <= 3 + sum r + sum w over a denominator
 with constant term 1, so its first nonzero coefficient is the numerator's
 lowest: agreement through t^(3 + sum r + sum w) (X12: t^45) is equality.
-``calibrated_data`` keeps each shape's data with the depth compared, in a ``series.memo``;
-an order up to that depth returns the kept data, and a longer one compares again.
+``calibrated_data`` compares each shape once, that far, and keeps its data in a
+``series.memo``: every order is then met, so ``order`` only has to be an int >= 0.
 
 Higher cohomology of mA is assumed to vanish for m >= 0, so Hilbert series
 coefficients are identified with chi(mA); that is not verified here.
@@ -233,29 +233,29 @@ def calibrate(data: FanoData, oracle: PowerSeries) -> None:
         raise CalibrationError(f"Riemann-Roch series differs from the oracle at t^{m}")
 
 
-_CALIBRATED: dict[wps.HypersurfaceShape, tuple[FanoData, int]] = memo()  # data, depth compared
+_CALIBRATED: dict[wps.HypersurfaceShape, FanoData] = memo()  # one per shape, compared once
 
 
 def calibrated_data(shape: wps.HypersurfaceShape, order: int = 0) -> FanoData:
     """A shape's Riemann-Roch data, proved equal to its closed-form series.
 
-    Each basket point 1/r(1, r-1, b) gets wA = -q^{-1} mod r (module doc).
-    The basket stores b = min(b, r-b) sorted by (r, b), and wA depends on r
-    alone, so the entries come out canonical and sorted. Agreement through
-    t^max(order, 3 + sum of the distinct r + sum w) is equality (module doc),
-    and the data are kept with that depth.
+    Each basket point 1/r(1, r-1, b) gets wA = -q^{-1} mod r (module doc). The basket
+    stores b = min(b, r-b) sorted by (r, b), and wA depends on r alone, so the entries
+    come out canonical and sorted. Agreement through t^(3 + sum of the distinct r + sum w)
+    is equality (module doc), so each shape is compared once and its data kept.
+    ``order`` is the least order the caller needs. Every order is met. Must be an int >= 0.
     """
     if not isinstance(shape, wps.HypersurfaceShape):  # as wps.basket refuses one
         raise TypeError(f"a shape is a HypersurfaceShape, not a {type(shape).__name__}")
-    order = operator.index(order)  # a float is refused before the lookup, not only on a miss
-    if (kept := _CALIBRATED.get(shape)) and order <= kept[1]:
-        return kept[0]
+    if operator.index(order) < 0:  # refused before the lookup, as kept_prefix refuses it
+        raise ValueError("truncation order must be >= 0")
+    if kept := _CALIBRATED.get(shape):
+        return kept
     q = wps.fano_index(shape)
     entries = tuple(RRBasketEntry(p.r, p.b, pow(-q, -1, p.r)) for p in wps.basket(shape).points())
     data = FanoData(q, wps.degree_a3(shape), entries)
-    depth = max(order, 3 + sum({e.r for e in entries}) + sum(shape.weights))
-    calibrate(data, wps.hilbert(shape, depth))
-    return keep(_CALIBRATED, shape, (data, depth))[0]
+    calibrate(data, wps.hilbert(shape, 3 + sum({e.r for e in entries}) + sum(shape.weights)))
+    return keep(_CALIBRATED, shape, data)
 
 
 def infer_generators(series: PowerSeries) -> tuple[tuple[int, ...], int | None]:

@@ -55,7 +55,7 @@ def test_criterion_2_analyze_x12():
 @_criterion(3, "Riemann-Roch equals the closed forms through t^24; chi integral to 30")
 def test_criterion_3_rr_oracle_equivalence():
     for fixture in FIXTURES:
-        data = rr.calibrated_data(fixture.shape, order=24)
+        data = rr.calibrated_data(fixture.shape)
         assert rr.hilbert_rr(data, 24) == wps.hilbert(fixture.shape, 24)
         for m in range(31):
             assert isinstance(rr.chi(data, m), int)

@@ -41,6 +41,7 @@ INT_SLOTS = {
     "QuotientType b": (lambda v: wps.QuotientType(5, v), 2, True),
     "Basket multiplicity": (lambda v: wps.Basket(((POINT, v),)), 1, True),
     "FanoData q": (lambda v: rr.FanoData(v, Fraction(1, 210), (ENTRY,)), 13, True),
+    "calibrated_data order": (lambda v: rr.calibrated_data(X12_SHAPE, v), 24, True),
     "RRBasketEntry r": (lambda v: rr.RRBasketEntry(v, 2, 2), 5, True),
     "RRBasketEntry b": (lambda v: rr.RRBasketEntry(5, v, 2), 2, True),
     "RRBasketEntry wa": (lambda v: rr.RRBasketEntry(5, 2, v), 2, True),

@@ -83,3 +83,32 @@ def test_selftest_fills_every_memo_of_the_registry_and_each_empties_there(empty_
     # the registry's dicts are the ones the entry points read: each answer is computed again
     again = ask()
     assert again == kept and all(new is not old for new, old in zip(again, kept))
+
+
+def test_each_memo_holds_what_its_entry_point_returns(empty_memos, capsys):
+    assert cli.main(["selftest"]) == 0
+    capsys.readouterr()
+    # each memo, and whether a kept value is what its entry point returns for its key:
+    # the same object, or for the two series memos the same terms through the kept order
+    holds = {
+        "_BASKETS": (wps._BASKETS, lambda shape, kept: wps.basket(shape) is kept),
+        "_CALIBRATED": (rr._CALIBRATED, lambda shape, kept: rr.calibrated_data(shape) is kept),
+        "_TRANSCRIPTS": (sk._TRANSCRIPTS, lambda case, kept: sk.run_case(case.name) is kept),
+        "_PRODUCTS": (
+            series._PRODUCTS,
+            lambda pair, kept: series.product_coefficients(*pair, len(kept) - 1) == kept,
+        ),
+        "_SERIES_MEMO": (
+            rr._SERIES_MEMO,
+            lambda data, kept: rr.hilbert_rr(data, len(kept) - 1).coefficients == kept,
+        ),
+    }
+    memos = [memo for memo, _ in holds.values()]
+    assert sorted(map(id, memos)) == sorted(map(id, series.MEMOS)) and all(memos)
+    wrong = [
+        (name, key)
+        for name, (memo, held) in holds.items()
+        for key, kept in list(memo.items())
+        if not held(key, kept)
+    ]
+    assert wrong == []

@@ -143,14 +143,12 @@ def calibrations(monkeypatch, empty_memos):
 @pytest.mark.parametrize("name", FIXTURE_SHAPES)
 def test_calibrated_data_compares_through_the_numerator_bound(calibrations, name):
     shape = FIXTURE_SHAPES[name]
-    rr.calibrated_data(shape)
+    data = rr.calibrated_data(shape)
     bound = 3 + sum(set(wps.basket(shape).indices())) + sum(shape.weights)
+    # one comparison per shape: any order, below the bound or past it, returns the kept data
+    for order in (0, 24, 45, 60, 1000, bound, bound + 7):
+        assert rr.calibrated_data(shape, order) is data
     assert calibrations == [bound] == [CALIBRATION_DEPTHS[name]]
-    # an order up to the depth compared returns the kept data, a longer one compares again
-    deeper = max(24, bound) + 7
-    for order in (24, deeper, bound, deeper):
-        rr.calibrated_data(shape, order)
-    assert calibrations[1:] == [24] * (24 > bound) + [deeper]
 
 
 @pytest.mark.parametrize("name", FIXTURE_SHAPES)
@@ -160,21 +158,22 @@ def test_calibrated_data_ignores_an_order_below_the_bound(calibrated, name):
 
 def test_a_repeat_calibrated_data_returns_the_kept_data(calibrations):
     data = rr.calibrated_data(X12)
-    for order in (0, 24, 45):
+    for order in (0, 24, 45, 60, 1000):
         assert rr.calibrated_data(X12, order) is data
-    # a float order is refused, kept data or not, as kept_prefix refuses one
+    # a float or negative order is refused, kept data or not, as kept_prefix refuses one
     with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
         rr.calibrated_data(X12, 45.0)
-    assert calibrations == [45] and rr._CALIBRATED == {X12: (data, 45)}
+    with pytest.raises(ValueError, match="^truncation order must be >= 0$"):
+        rr.calibrated_data(X12, -1)
+    assert calibrations == [45] and rr._CALIBRATED == {X12: data} and rr._CALIBRATED[X12] is data
 
 
-def test_a_longer_order_calibrates_again_through_it(calibrations):
-    data = rr.calibrated_data(X12)
-    deeper = rr.calibrated_data(X12, 60)
-    assert deeper == data and deeper is not data
-    for order in (60, 30):
-        assert rr.calibrated_data(X12, order) is deeper
-    assert calibrations == [45, 60] and rr._CALIBRATED == {X12: (deeper, 60)}
+def test_a_longer_order_compares_through_the_bound_alone(calibrations):
+    # a first request past the bound compares through the bound; the data meet every order
+    data = rr.calibrated_data(X12, 1000)
+    for order in (0, 24, 45, 60, 1000):
+        assert rr.calibrated_data(X12, order) is data
+    assert calibrations == [45] and rr._CALIBRATED == {X12: data}
 
 
 def test_calibrated_data_sees_an_oracle_changed_past_t24(monkeypatch, empty_memos):
@@ -474,7 +473,7 @@ def test_a_ten_thousand_shape_scan_leaves_at_most_the_bound_in_each_memo(empty_m
     assert len(series._PRODUCTS) == len(rr._SERIES_MEMO) == series.MEMO_KEYS
     # the newest baskets and calibrated data, oldest first
     assert list(wps._BASKETS.items()) == list(baskets.items())[-series.MEMO_KEYS :]
-    assert [(shape, kept[0]) for shape, kept in rr._CALIBRATED.items()] == calibrated[-series.MEMO_KEYS :]
+    assert list(rr._CALIBRATED.items()) == calibrated[-series.MEMO_KEYS :]
     # and every memo of the registry, whichever entry points fill it
     assert all(len(memo) <= series.MEMO_KEYS for memo in series.MEMOS)
 

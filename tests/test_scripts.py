@@ -42,23 +42,48 @@ def test_bench_pairs_summarizes_paired_runs_by_each_metrics_direction():
     pairs = load_script("bench_pairs.py")
     assert pairs.seed_list("1-4,7") == [1, 2, 3, 4, 7]
     metrics = [
-        {"name": "ops_per_s", "unit": "1/s", "better": "higher"},
-        {"name": "p50_ms", "unit": "ms", "better": "lower"},
+        {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.2},
+        {"name": "p50_ms", "unit": "ms", "better": "lower", "bound": 0.2},
     ]
     parent = [result_line(100, 1.0), result_line(110, 2.0), result_line(120, 3.0)]
     # ops_per_s: two pairs higher, one tie; p50_ms: two pairs lower, one higher
     change = [result_line(150, 0.5), result_line(110, 1.0), result_line(125, 4.0, failed=2)]
     assert pairs.summarize(metrics, parent, change) == [
         "ops_per_s (1/s, higher is better): 110 [105, 115] -> 125 [117.5, 137.5], "
-        "+13.6 %, change won 2/3",
-        "p50_ms (ms, lower is better): 2 [1.5, 2.5] -> 1 [0.75, 2.5], -50.0 %, change won 2/3",
+        "+13.6 %, change won 2/3: no regression",
+        "p50_ms (ms, lower is better): 2 [1.5, 2.5] -> 1 [0.75, 2.5], -50.0 %, change won 2/3: "
+        "unresolved",
         "parent: 0/300 operations failed, all runs correct: True",
         "change: 2/300 operations failed, all runs correct: False",
     ]
     # one pair: its values are the median and both quartiles
     assert pairs.summarize(metrics[1:], parent[:1], change[:1])[0] == (
-        "p50_ms (ms, lower is better): 1 [1, 1] -> 0.5 [0.5, 0.5], -50.0 %, change won 1/1"
+        "p50_ms (ms, lower is better): 1 [1, 1] -> 0.5 [0.5, 0.5], -50.0 %, change won 1/1: gain"
     )
+
+
+def ops_per_s_verdict(parent: list[float], change: list[float]) -> str:
+    pairs = load_script("bench_pairs.py")
+    metrics = [{"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.2}]
+    paired = ([result_line(value, 1.0) for value in side] for side in (parent, change))
+    return pairs.compare(metrics, *paired)["ops_per_s"]["verdict"]
+
+
+def test_bench_pairs_gives_each_metric_the_first_verdict_that_applies():
+    steady = [100, 101, 102]  # quartiles 100.5 and 101.5: a spread of 1 %
+    # a median 30 % worse is past the bound of 20 %, however the pairs fall
+    assert ops_per_s_verdict(steady, [70, 70, 70]) == "regressed"
+    assert ops_per_s_verdict([70, 100, 130], [75, 75, 150]) == "regressed"
+    # the parent spreads by 50 % of its median, past the bound: overlapping runs tell nothing
+    assert ops_per_s_verdict([50, 100, 150], [90, 110, 130]) == "unresolved"
+    # ... unless every change run beats every parent run
+    assert ops_per_s_verdict([50, 100, 150], [160, 170, 180]) == "gain"
+    # every pair won, and the medians 10 apart against the parent's spread of 1
+    assert ops_per_s_verdict(steady, [110, 111, 112]) == "gain"
+    # won, but the medians 1 apart: within the parent's spread
+    assert ops_per_s_verdict(steady, [101, 102, 103]) == "no regression"
+    # the medians 10 apart, but two pairs of three won: short of 0.9
+    assert ops_per_s_verdict(steady, [110, 100, 112]) == "no regression"
 
 
 def test_bench_pairs_reads_the_declared_end_to_end_metrics():
@@ -70,7 +95,7 @@ def test_bench_pairs_reads_the_declared_end_to_end_metrics():
 
 def test_bench_pairs_writes_each_run_and_the_comparison_by_workload(tmp_path):
     pairs = load_script("bench_pairs.py")
-    metrics = [{"name": "p50_ms", "unit": "ms", "better": "lower"}]
+    metrics = [{"name": "p50_ms", "unit": "ms", "better": "lower", "bound": 0.2}]
 
     def runs(side: str, rev: str, values: list[float]) -> list[dict]:
         meta = {"git_rev": rev, "python": "3.11.7", "src_lines": 2746 if side == "parent" else 2771}
@@ -88,7 +113,7 @@ def test_bench_pairs_writes_each_run_and_the_comparison_by_workload(tmp_path):
             "unit": "ms", "better": "lower",
             "parent": {"q1": 1.5, "median": 2.0, "q3": 2.5},
             "change": {"q1": 1.25, "median": 2.0, "q3": 2.25},
-            "change_pct": 0.0, "won": 2, "pairs": 3,
+            "change_pct": 0.0, "won": 2, "pairs": 3, "verdict": "unresolved",
         }
     }
     # a second workload joins the same file; the first stays as it was

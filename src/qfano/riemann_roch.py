@@ -29,6 +29,8 @@ say how), for any integer m and any A^3; A^3 = 0 leaves the basket part D + L m 
 ``_chi_values``, its one caller, divides by D and alone refuses a non-integral chi(mA).
 ``chi`` and ``hilbert_rr`` are its ranges [m, m+1) and [0, order]; ``hilbert_rr`` keeps the
 longest per ``FanoData`` in a ``series.memo``, by ``series.kept_prefix``; a shorter one slices it.
+That key hashes on ints alone (q, A^3's numerator and denominator, the number of entries), and
+equality still compares every field, so a memo hit hashes no Fraction.
 ``a_c2`` is one Fraction over L = lcm(r), (24 L - sum (r^2-1) L/r) / (q L);
 the tests keep A.c2 and c_{r,b} in their stated forms as the oracles.
 
@@ -134,7 +136,12 @@ def orientation_sign(q: int, entries: tuple[RRBasketEntry, ...]) -> int | None:
 
 @dataclass(frozen=True)  # bench/test_bench.py calls dataclasses.replace on it
 class FanoData:
-    """Input to the Riemann-Roch evaluation; chi(O) is fixed at 1."""
+    """Input to the Riemann-Roch evaluation; chi(O) is fixed at 1.
+
+    Equal only to a FanoData with equal fields, and hashed on ints alone: q, the numerator
+    and denominator of A^3 and the number of entries. A ``hilbert_rr`` memo hit hashes no
+    Fraction and no entry.
+    """
 
     q: int
     a3: Fraction
@@ -153,6 +160,9 @@ class FanoData:
         if self.a3 <= 0:
             raise ValueError("A^3 must be positive")
         orientation_sign(self.q, self.entries)  # raises when inconsistent
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.a3.numerator, self.a3.denominator, len(self.entries)))
 
 
 def a_c2(data: FanoData) -> Fraction:

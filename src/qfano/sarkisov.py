@@ -66,6 +66,8 @@ list is flagged, never dropped; a fiber-type one's key ends in "fiber-type".
 
 run_case keeps one transcript per CenterCase value ("p3" and "P3" share it, a patched
 case gets its own, a run that raises stores none) in a ``series.memo``, on ``series.keep``'s bound.
+A CenterCase key hashes on its name, r and k alone, none of them a Fraction, and equality
+still compares every field: a memo hit costs a dict lookup and hashes no Fraction.
 Candidates and transcripts are values; a transcript renders its text once.
 """
 
@@ -143,10 +145,25 @@ def beta_congruence(q: int, r: int, k: int) -> int:
     return (k * pow(q, -1, r)) % r
 
 
-# One center type for the blowup starting the link: r is the index of the blown-up
-# point (None for NG), k the linear-system degree governing the enumeration, and
-# reference_bare the expected bare solutions as (alpha, qhat, e)
-CenterCase = namedtuple("CenterCase", "name description r alphas k reference_bare")
+class CenterCase(namedtuple("CenterCase", "name description r alphas k reference_bare")):
+    """One center type for the blowup starting the link: r is the index of the blown-up
+    point (None for NG), k the linear-system degree governing the enumeration, and
+    reference_bare the expected bare solutions as (alpha, qhat, e).
+
+    Equal only to a CenterCase with equal fields, and hashed on (name, r, k) alone, so that
+    a ``run_case`` memo hit hashes no Fraction; a plain tuple of its fields is not equal.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.r, self.k))
 
 
 CASES: dict[str, CenterCase] = {

@@ -148,7 +148,7 @@ class Basket(namedtuple("Basket", "entries")):
 
     def indices(self) -> tuple[int, ...]:
         """Index multiset, e.g. (2, 3, 3, 5, 7), ascending as the entries are."""
-        return tuple(q.r for q in self.points())
+        return sum(((q.r,) * count for q, count in self.entries), ())
 
     def points(self) -> tuple[QuotientType, ...]:
         out: list[QuotientType] = []
@@ -326,7 +326,7 @@ def _expandable_index(shape: HypersurfaceShape) -> int:
 def genus(shape: HypersurfaceShape) -> int:
     """h^0 of the anticanonical class minus 2, the t^q coefficient; ValueError past MAX_ORDER."""
     q = _expandable_index(shape)
-    return hilbert(shape, q).coefficients[q] - 2
+    return product_coefficients(*_hilbert_pair(shape), q)[q] - 2
 
 
 def _normalize_type(r: int, residues: tuple[int, ...]) -> int | NotTerminalIsolated:

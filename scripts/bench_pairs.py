@@ -5,11 +5,13 @@ Usage:
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload scan --seeds 1-10 --seconds 30
 
-For each seed, each checkout runs its own ``bench/run.py --trace 0`` from its
-own directory, one after the other: the parent first at the first, third, ...
-seed and the change first at the others, so a slow spell of the machine does
-not always fall on the same side. The last line each run prints is its JSON
-result. For every end-to-end metric that BENCHMARK.json (at the repo root)
+``--seeds`` names each seed once, ascending: ``1-10``, ``3,5,8`` or both, as
+``1-4,7``; any other list is a usage error, and the summary's header repeats
+it as given. For each seed, each checkout runs its own ``bench/run.py --trace 0``
+from its own directory, one after the other: the parent first at the first,
+third, ... seed and the change first at the others, so a slow spell of the
+machine does not always fall on the same side. The last line each run prints
+is its JSON result. For every end-to-end metric that BENCHMARK.json (at the repo root)
 declares, the summary gives each side's median with its quartiles, the change
 of the medians in %, and the pairs the change won in the metric's ``better``
 direction (a tie counts for neither side). Each line ends with a verdict against
@@ -42,11 +44,18 @@ BENCHMARK = pathlib.Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def seed_list(text: str) -> list[int]:
-    """Seeds as '1-10', '3,5,8' or a mix of both."""
+    """Seeds as '1-10', '3,5,8' or a mix of both, ascending; ValueError for any other list."""
     seeds = []
     for part in text.split(","):
         low, _, high = part.partition("-")
-        seeds += range(int(low), int(high or low) + 1)
+        span = range(int(low), int(high or low) + 1)
+        if not span:
+            raise ValueError(f"{part!r} is an empty range")
+        seeds += span
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"{text!r} repeats a seed")
+    if seeds != sorted(seeds):
+        raise ValueError(f"{text!r} does not ascend")
     return seeds
 
 
@@ -137,20 +146,24 @@ def main(argv=None) -> int:
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", type=seed_list, required=True)
+    parser.add_argument("--seeds", required=True, help="ascending, as 1-10, 3,5,8 or both")
     parser.add_argument("--seconds", type=int, required=True)
     parser.add_argument("--write", action="store_true",
                         help="also add the runs and the comparison to BENCH_<short change rev>.json")
     args = parser.parse_args(argv)
+    try:
+        seeds = seed_list(args.seeds)
+    except ValueError as exc:
+        parser.error(f"argument --seeds: {exc}")
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for n, seed in enumerate(args.seeds):
+    for n, seed in enumerate(seeds):
         order = [("parent", args.parent), ("change", args.change)]
         for side, checkout in order if n % 2 == 0 else order[::-1]:
             runs[side].append(run(checkout, args.workload, seed, args.seconds))
         print(f"seed {seed} done", file=sys.stderr)
     metrics = json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]
     parent, change = ([r["result"] for r in runs[side]] for side in ("parent", "change"))
-    print(f"{args.workload}, seeds {args.seeds[0]}..{args.seeds[-1]}, {args.seconds} s runs")
+    print(f"{args.workload}, seeds {args.seeds}, {args.seconds} s runs")
     print("\n".join(summarize(metrics, parent, change)))
     if args.write:
         path = write(BENCHMARK.parent, args.workload, args.seconds, metrics, runs)

@@ -136,12 +136,7 @@ def orientation_sign(q: int, entries: tuple[RRBasketEntry, ...]) -> int | None:
 
 @dataclass(frozen=True)  # bench/test_bench.py calls dataclasses.replace on it
 class FanoData:
-    """Input to the Riemann-Roch evaluation; chi(O) is fixed at 1.
-
-    Equal only to a FanoData with equal fields, and hashed on ints alone: q, the numerator
-    and denominator of A^3 and the number of entries. A ``hilbert_rr`` memo hit hashes no
-    Fraction and no entry.
-    """
+    """Input to the Riemann-Roch evaluation; chi(O) is fixed at 1. Hashed on ints (module doc)."""
 
     q: int
     a3: Fraction

@@ -148,10 +148,8 @@ def beta_congruence(q: int, r: int, k: int) -> int:
 class CenterCase(namedtuple("CenterCase", "name description r alphas k reference_bare")):
     """One center type for the blowup starting the link: r is the index of the blown-up
     point (None for NG), k the linear-system degree governing the enumeration, and
-    reference_bare the expected bare solutions as (alpha, qhat, e).
-
-    Equal only to a CenterCase with equal fields, and hashed on (name, r, k) alone, so that
-    a ``run_case`` memo hit hashes no Fraction; a plain tuple of its fields is not equal.
+    reference_bare the expected bare solutions as (alpha, qhat, e). Equal only to a
+    CenterCase, not to the plain tuple of its fields, and hashed on (name, r, k) (module doc).
     """
 
     __slots__ = ()
@@ -159,7 +157,7 @@ class CenterCase(namedtuple("CenterCase", "name description r alphas k reference
     def __eq__(self, other) -> bool:
         return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    def __ne__(self, other) -> bool:
+    def __ne__(self, other) -> bool:  # else tuple's own != compares the fields alone
         return not self == other
 
     def __hash__(self) -> int:

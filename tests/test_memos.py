@@ -1,5 +1,6 @@
 """The process memos: each one is in ``series.MEMOS``, and none changes an answer."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -112,3 +113,73 @@ def test_each_memo_holds_what_its_entry_point_returns(empty_memos, capsys):
         if not held(key, kept)
     ]
     assert wrong == []
+
+
+def counted(calls: list, name: str, method):
+    """method, appending name to calls at each call."""
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return method(*args, **kwargs)
+
+    return counting
+
+
+def test_a_warm_link_series_or_calibrate_request_hashes_no_fraction(monkeypatch, empty_memos):
+    # x12_session's three memo-hit requests: a link transcript's text, a Riemann-Roch series,
+    # and calibrated data with the fixture's checks
+    data = {f.name: rr.calibrated_data(f.shape) for f in fixtures.FIXTURES}
+
+    def requests():
+        return (
+            [sk.run_case(name).text() for name in sk.CASES],
+            [rr.hilbert_rr(data[f.name], 300) for f in fixtures.FIXTURES],
+            [(rr.calibrated_data(f.shape, 24), fixtures.verify(f)) for f in fixtures.FIXTURES],
+        )
+
+    warm = requests()
+    calls = []
+    monkeypatch.setattr(Fraction, "__hash__", counted(calls, "hash", Fraction.__hash__))
+    assert requests() == warm and calls == []
+    # verify reads the basket's entries and the t^q coefficient, building no points or series
+    monkeypatch.setattr(wps.Basket, "points", counted(calls, "points", wps.Basket.points))
+    monkeypatch.setattr(wps, "hilbert", counted(calls, "hilbert", wps.hilbert))
+    assert [fixtures.verify(f) for f in fixtures.FIXTURES] == [[]] * 6 and calls == []
+
+
+def rebuilt_case(case: sk.CenterCase) -> sk.CenterCase:
+    """An equal case that shares no Fraction or tuple with the given one."""
+    alphas = tuple(Fraction(str(a)) for a in case.alphas)
+    bare = tuple((Fraction(str(a)), qhat, e) for a, qhat, e in case.reference_bare)
+    return sk.CenterCase(case.name, case.description, case.r, alphas, case.k, bare)
+
+
+@pytest.mark.parametrize("name", sk.CASES)
+def test_equal_center_cases_hash_equal_and_a_case_equals_no_plain_tuple(name):
+    case = sk.CASES[name]
+    for copy in (rebuilt_case(case), case._replace(name=name), sk.CenterCase._make(case)):
+        assert copy == case and not copy != case and hash(copy) == hash(case)
+        assert {copy: 1}[case] == 1
+    # a field outside the hash still parts two cases: one hash, two keys
+    other = case._replace(description="another centre")
+    assert other != case and hash(other) == hash(case) and len({case, other}) == 2
+    # equality is type-strict, both ways round: the plain tuple of the fields is another key
+    plain = tuple(case)
+    assert case != plain and plain != case and not case == plain and not plain == case
+    assert plain not in {case: 1} and case not in {plain: 1}
+
+
+@pytest.mark.parametrize("fixture", fixtures.FIXTURES, ids=lambda f: f.name)
+def test_equal_fano_data_hash_equal(fixture):
+    data = rr.calibrated_data(fixture.shape)
+    entries = tuple(rr.RRBasketEntry(e.r, e.b, e.wa) for e in data.entries)
+    rebuilt = rr.FanoData(data.q, Fraction(str(data.a3)), entries)
+    for copy in (rebuilt, dataclasses.replace(data), dataclasses.replace(data, entries=entries)):
+        assert copy == data and copy is not data and hash(copy) == hash(data)
+        assert {copy: 1}[data] == 1
+    # hashed on q, A^3 and the number of entries: other entries share the hash, not the key
+    last = data.entries[-1]  # r >= 3 in each fixture, so b and r - b differ
+    flipped = rr.RRBasketEntry(last.r, last.r - last.b, last.wa)
+    other = dataclasses.replace(data, entries=(*data.entries[:-1], flipped))
+    assert other != data and hash(other) == hash(data) and len({data, other}) == 2
+    assert rr.FanoData(data.q, data.a3, ()) != data

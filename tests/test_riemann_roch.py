@@ -141,19 +141,15 @@ def calibrations(monkeypatch, empty_memos):
 
 
 @pytest.mark.parametrize("name", FIXTURE_SHAPES)
-def test_calibrated_data_compares_through_the_numerator_bound(calibrations, name):
+def test_calibrated_data_compares_through_the_numerator_bound(calibrated, calibrations, name):
     shape = FIXTURE_SHAPES[name]
     data = rr.calibrated_data(shape)
     bound = 3 + sum(set(wps.basket(shape).indices())) + sum(shape.weights)
-    # one comparison per shape: any order, below the bound or past it, returns the kept data
+    # one comparison per shape: any order, below the bound or past it, returns the kept data,
+    # equal to the data calibrated before this test emptied the memos
     for order in (0, 24, 45, 60, 1000, bound, bound + 7):
-        assert rr.calibrated_data(shape, order) is data
+        assert rr.calibrated_data(shape, order) is data == calibrated[name]
     assert calibrations == [bound] == [CALIBRATION_DEPTHS[name]]
-
-
-@pytest.mark.parametrize("name", FIXTURE_SHAPES)
-def test_calibrated_data_ignores_an_order_below_the_bound(calibrated, name):
-    assert rr.calibrated_data(FIXTURE_SHAPES[name], 24) == calibrated[name]
 
 
 def test_a_repeat_calibrated_data_returns_the_kept_data(calibrations):

@@ -502,8 +502,10 @@ def test_a_second_run_case_returns_the_kept_transcript(monkeypatch, empty_memos)
 def test_the_memo_is_keyed_by_the_case_value_not_the_name(monkeypatch, empty_memos):
     p3 = sk.run_case("p3")
     assert sk.run_case("P3") is p3 and list(sk._TRANSCRIPTS) == [sk.CASES["P3"]]
-    # the same name for another case value gets an entry of its own, beside the first
+    # the same name for another case value gets an entry of its own, beside the first,
+    # although the two keys share their name, r and k, and so their hash
     one_alpha = sk.CASES["P3"]._replace(alphas=(Fraction(1, 3),))
+    assert hash(one_alpha) == hash(p3.case) and one_alpha != p3.case
     monkeypatch.setitem(sk.CASES, "P3", one_alpha)
     patched = sk.run_case("p3")
     assert patched is not p3 and {c.alpha for c in patched.bare} == {Fraction(1, 3)}

@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from qfano import fixtures, wps
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
@@ -84,6 +86,50 @@ def test_bench_pairs_gives_each_metric_the_first_verdict_that_applies():
     assert ops_per_s_verdict(steady, [101, 102, 103]) == "no regression"
     # the medians 10 apart, but two pairs of three won: short of 0.9
     assert ops_per_s_verdict(steady, [110, 100, 112]) == "no regression"
+
+
+@pytest.mark.parametrize(
+    "seeds, refusal",
+    [
+        ("10-1", "'10-1' is an empty range"),
+        ("1-3,2", "'1-3,2' repeats a seed"),
+        ("4,4", "'4,4' repeats a seed"),
+        ("5,3", "'5,3' does not ascend"),
+        ("", "invalid literal for int() with base 10: ''"),
+    ],
+)
+def test_bench_pairs_refuses_a_seed_list_that_is_empty_descends_or_repeats(
+    monkeypatch, capsys, seeds, refusal
+):
+    pairs = load_script("bench_pairs.py")
+    monkeypatch.setattr(pairs, "run", lambda *args: pytest.fail(f"ran {args}"))
+    with pytest.raises(SystemExit) as exited:
+        pairs.main(["parent", "change", "--workload", "scan", "--seeds", seeds, "--seconds", "1"])
+    assert exited.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument --seeds: {refusal}\n")
+
+
+def test_bench_pairs_runs_each_seed_once_and_heads_the_summary_with_the_seeds_as_given(
+    monkeypatch, capsys
+):
+    pairs = load_script("bench_pairs.py")
+    declared = json.loads(pairs.BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]
+    result = {"correct": True, "attempted": 10, "failed": 0,
+              "metrics": {m["name"]: {"value": 1.0} for m in declared}}
+    ran = []
+
+    def run(checkout, workload, seed, seconds):
+        ran.append((checkout, seed))
+        return {"seed": seed, "meta": {}, "result": result}
+
+    monkeypatch.setattr(pairs, "run", run)
+    argv = ["p", "c", "--workload", "scan", "--seeds", "1-2,5", "--seconds", "3"]
+    assert pairs.main(argv) == 0
+    # the parent first at the first and third seed, the change first at the second
+    assert ran == [("p", 1), ("c", 1), ("c", 2), ("p", 2), ("p", 5), ("c", 5)]
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "scan, seeds 1-2,5, 3 s runs"
+    assert len(out) == 1 + len(declared) + 2 and out[-1].startswith("change: 0/30 operations")
 
 
 def test_bench_pairs_reads_the_declared_end_to_end_metrics():

@@ -11,11 +11,14 @@ it as given. For each seed, each checkout runs its own ``bench/run.py --trace 0`
 from its own directory, one after the other: the parent first at the first,
 third, ... seed and the change first at the others, so a slow spell of the
 machine does not always fall on the same side. The last line each run prints
-is its JSON result. For every end-to-end metric that BENCHMARK.json (at the repo root)
-declares, the summary gives each side's median with its quartiles, the change
-of the medians in %, and the pairs the change won in the metric's ``better``
-direction (a tie counts for neither side). Each line ends with a verdict against
-the metric's ``bound`` in BENCHMARK.json, the first that applies of:
+is its JSON result. Under its header, the summary gives each side's
+``src_lines``, the line count of src/qfano that its first run's ``meta:`` line
+reports, as ``src_lines: 2896 -> 2884``. For every end-to-end metric that
+BENCHMARK.json (at the repo root) declares, it gives each side's median with its
+quartiles, the change of the medians in %, and the pairs the change won in the
+metric's ``better`` direction (a tie counts for neither side). Each line ends
+with a verdict against the metric's ``bound`` in BENCHMARK.json, the first that
+applies of:
 
     regressed      the change's median is worse than the parent's by more than bound
     unresolved     the parent's (q3 - q1) / median is above bound, and not every
@@ -24,11 +27,11 @@ the metric's ``bound`` in BENCHMARK.json, the first that applies of:
                    by more than the parent's q3 - q1
     no regression  none of the above
 
-With ``--write`` the same numbers, and every run's ``meta:`` line and result,
-go under the workload's name into BENCH_<rev>.json at the repo root, where rev
-is the first 7 characters of the git rev the change's runs report. Runs on
-other workloads are added to the same file; without ``--write`` nothing is
-written to disk.
+With ``--write`` the same numbers, both sides' ``src_lines``, and every run's
+``meta:`` line and result go under the workload's name into BENCH_<rev>.json at
+the repo root, where rev is the first 7 characters of the git rev the change's
+runs report. Runs on other workloads are added to the same file; without
+``--write`` nothing is written to disk.
 """
 
 from __future__ import annotations
@@ -118,15 +121,22 @@ def summarize(metrics: list[dict], parent: list[dict], change: list[dict]) -> li
     return lines
 
 
+def src_lines(runs: dict) -> dict:
+    """Each side's ``src_lines``, from its first run's meta (None where the meta has none)."""
+    return {side: runs[side][0]["meta"].get("src_lines") for side in ("parent", "change")}
+
+
 def write(
     root: pathlib.Path, workload: str, seconds: int, metrics: list[dict], runs: dict
 ) -> pathlib.Path:
-    """Put one workload's runs, each side's list of {"seed", "meta", "result"}, and
-    ``compare`` over their result lines into BENCH_<short change rev>.json under root."""
+    """Put one workload's runs, each side's list of {"seed", "meta", "result"}, both sides'
+    ``src_lines`` and ``compare`` over their result lines into BENCH_<short change rev>.json
+    under root."""
     parent, change = ([r["result"] for r in runs[side]] for side in ("parent", "change"))
     path = root / f"BENCH_{runs['change'][0]['meta']['git_rev'][:7]}.json"
     bench = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
-    bench[workload] = {"seconds": seconds, "runs": runs, "metrics": compare(metrics, parent, change)}
+    bench[workload] = {"seconds": seconds, "src_lines": src_lines(runs), "runs": runs,
+                       "metrics": compare(metrics, parent, change)}
     path.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return path
 
@@ -164,6 +174,7 @@ def main(argv=None) -> int:
     metrics = json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]
     parent, change = ([r["result"] for r in runs[side]] for side in ("parent", "change"))
     print(f"{args.workload}, seeds {args.seeds}, {args.seconds} s runs")
+    print("src_lines: {parent} -> {change}".format(**src_lines(runs)))
     print("\n".join(summarize(metrics, parent, change)))
     if args.write:
         path = write(BENCHMARK.parent, args.workload, args.seconds, metrics, runs)

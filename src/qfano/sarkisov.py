@@ -64,10 +64,9 @@ that same event):
 Bare solutions are kept apart from filtered ones; one beyond the reference
 list is flagged, never dropped; a fiber-type one's key ends in "fiber-type".
 
-run_case keeps one transcript per CenterCase value ("p3" and "P3" share it, a patched
-case gets its own, a run that raises stores none) in a ``series.memo``, on ``series.keep``'s bound.
-A CenterCase key hashes on its name, r and k alone, none of them a Fraction, and equality
-still compares every field: a memo hit costs a dict lookup and hashes no Fraction.
+run_case keeps one transcript per upper-cased name of CASES ("p3" and "P3" share it) in a
+``series.memo``, on ``series.keep``'s bound, served while the name still maps to its case: a case
+patched in is run again and replaces it, a raise stores none, and a hit hashes one str.
 Candidates and transcripts are values; a transcript renders its text once.
 """
 
@@ -148,20 +147,10 @@ def beta_congruence(q: int, r: int, k: int) -> int:
 class CenterCase(namedtuple("CenterCase", "name description r alphas k reference_bare")):
     """One center type for the blowup starting the link: r is the index of the blown-up
     point (None for NG), k the linear-system degree governing the enumeration, and
-    reference_bare the expected bare solutions as (alpha, qhat, e). Equal only to a
-    CenterCase, not to the plain tuple of its fields, and hashed on (name, r, k) (module doc).
-    """
+    reference_bare the expected bare solutions as (alpha, qhat, e). run_case keeps its
+    transcript under its name in CASES, not under the case (module doc)."""
 
     __slots__ = ()
-
-    def __eq__(self, other) -> bool:
-        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
-
-    def __ne__(self, other) -> bool:  # else tuple's own != compares the fields alone
-        return not self == other
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.r, self.k))
 
 
 CASES: dict[str, CenterCase] = {
@@ -700,15 +689,16 @@ class Transcript(namedtuple("Transcript", "case bare events final thresholds con
         }
 
 
-_TRANSCRIPTS: dict[CenterCase, Transcript] = wps.memo()  # run_case's transcripts, by case
+_TRANSCRIPTS: dict[str, Transcript] = wps.memo()  # run_case's transcripts, by key of CASES
 
 
 def run_case(name: str) -> Transcript:
     """Enumerate, split, filter and report one center case, deterministically, once while kept."""
-    case = CASES[name.upper()]
-    transcript = _TRANSCRIPTS.get(case)
-    if transcript is not None:
-        return transcript
+    if not isinstance(name, str):
+        raise TypeError(f"case name {name!r} must be a str")
+    case = CASES[key := name.upper()]
+    if (kept := _TRANSCRIPTS.get(key)) is not None and kept.case is case:  # not patched since
+        return kept
     bare = enumerate_bare(case)
     events = apply_filters(bare)
     # one exact re-check covers every split, the solver's and the filters' alike
@@ -746,4 +736,4 @@ def run_case(name: str) -> Transcript:
             + (f" by {c.filter_id}" if c.filter_id else "")
         )
     transcript = Transcript(case, bare, events, final, thresholds, contractions, notes)
-    return wps.keep(_TRANSCRIPTS, case, transcript)  # a raise stores nothing
+    return wps.keep(_TRANSCRIPTS, key, transcript)  # a raise stores nothing

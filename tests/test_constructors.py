@@ -100,6 +100,7 @@ BAD_ELEMENTS = {
     "HypersurfaceShape int weights": lambda: wps.HypersurfaceShape(3, 12),
     "basket plain tuple shape": lambda: wps.basket(tuple(X12_SHAPE)),
     "calibrated_data plain tuple shape": lambda: rr.calibrated_data(tuple(X12_SHAPE)),
+    "run_case int name": lambda: sk.run_case(5),
     "weight_system one weight": lambda: wps.weight_system((3,)),
     "QuotientType None": lambda: wps.QuotientType(None, 2),
     "Basket short entry": lambda: wps.Basket(((POINT,),)),

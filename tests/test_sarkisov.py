@@ -499,17 +499,26 @@ def test_a_second_run_case_returns_the_kept_transcript(monkeypatch, empty_memos)
     assert calls == [sk.CASES["P5"]]
 
 
-def test_the_memo_is_keyed_by_the_case_value_not_the_name(monkeypatch, empty_memos):
+def test_the_memo_is_keyed_by_the_case_name_and_served_for_that_case_only(
+    monkeypatch, empty_memos
+):
     p3 = sk.run_case("p3")
-    assert sk.run_case("P3") is p3 and list(sk._TRANSCRIPTS) == [sk.CASES["P3"]]
-    # the same name for another case value gets an entry of its own, beside the first,
-    # although the two keys share their name, r and k, and so their hash
-    one_alpha = sk.CASES["P3"]._replace(alphas=(Fraction(1, 3),))
-    assert hash(one_alpha) == hash(p3.case) and one_alpha != p3.case
+    assert sk.run_case("P3") is p3 and list(sk._TRANSCRIPTS.items()) == [("P3", p3)]
+    # a case patched in under the name is run again, and its transcript replaces the kept one
+    original = sk.CASES["P3"]
+    one_alpha = original._replace(alphas=(Fraction(1, 3),))
     monkeypatch.setitem(sk.CASES, "P3", one_alpha)
     patched = sk.run_case("p3")
-    assert patched is not p3 and {c.alpha for c in patched.bare} == {Fraction(1, 3)}
-    assert sk._TRANSCRIPTS == {p3.case: p3, one_alpha: patched}
+    assert patched.case is one_alpha and {c.alpha for c in patched.bare} == {Fraction(1, 3)}
+    assert sk.run_case("P3") is patched and list(sk._TRANSCRIPTS.items()) == [("P3", patched)]
+    # restoring the original case runs it again, to a transcript equal to the first
+    monkeypatch.setitem(sk.CASES, "P3", original)
+    again = sk.run_case("P3")
+    assert again.case is original and again == p3 and again is not p3
+    assert list(sk._TRANSCRIPTS.items()) == [("P3", again)]
+    # a hit needs the very case the transcript was run for: an equal copy is run again
+    monkeypatch.setitem(sk.CASES, "P3", original._replace())
+    assert sk.run_case("P3") == p3 and sk._TRANSCRIPTS["P3"] is not again
 
 
 def test_the_transcript_memo_holds_the_one_memo_bound(monkeypatch, empty_memos):
@@ -518,10 +527,10 @@ def test_the_transcript_memo_holds_the_one_memo_bound(monkeypatch, empty_memos):
     sk.run_case("P3")
     p5 = sk.run_case("P5")
     # the oldest entry is dropped first, as in every other process memo
-    assert list(sk._TRANSCRIPTS) == [sk.CASES["P3"], sk.CASES["P5"]]
+    assert list(sk._TRANSCRIPTS) == ["P3", "P5"]
     again = sk.run_case("p2")
     assert again == p2 and again is not p2
-    assert list(sk._TRANSCRIPTS) == [sk.CASES["P5"], sk.CASES["P2"]]
+    assert list(sk._TRANSCRIPTS) == ["P5", "P2"]
     assert sk.run_case("P5") is p5
 
 

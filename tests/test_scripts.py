@@ -120,7 +120,8 @@ def test_bench_pairs_runs_each_seed_once_and_heads_the_summary_with_the_seeds_as
 
     def run(checkout, workload, seed, seconds):
         ran.append((checkout, seed))
-        return {"seed": seed, "meta": {}, "result": result}
+        meta = {"src_lines": {"p": 2896, "c": 2884}[checkout]}
+        return {"seed": seed, "meta": meta, "result": result}
 
     monkeypatch.setattr(pairs, "run", run)
     argv = ["p", "c", "--workload", "scan", "--seeds", "1-2,5", "--seconds", "3"]
@@ -128,8 +129,9 @@ def test_bench_pairs_runs_each_seed_once_and_heads_the_summary_with_the_seeds_as
     # the parent first at the first and third seed, the change first at the second
     assert ran == [("p", 1), ("c", 1), ("c", 2), ("p", 2), ("p", 5), ("c", 5)]
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == "scan, seeds 1-2,5, 3 s runs"
-    assert len(out) == 1 + len(declared) + 2 and out[-1].startswith("change: 0/30 operations")
+    # each side's src/qfano line count, from its runs' meta
+    assert out[:2] == ["scan, seeds 1-2,5, 3 s runs", "src_lines: 2896 -> 2884"]
+    assert len(out) == 2 + len(declared) + 2 and out[-1].startswith("change: 0/30 operations")
 
 
 def test_bench_pairs_reads_the_declared_end_to_end_metrics():
@@ -154,6 +156,7 @@ def test_bench_pairs_writes_each_run_and_the_comparison_by_workload(tmp_path):
     assert path == tmp_path / "BENCH_abcdef1.json"
     written = json.loads(path.read_text(encoding="utf-8"))
     assert written["cli_cold"]["runs"] == paired and written["cli_cold"]["seconds"] == 30
+    assert written["cli_cold"]["src_lines"] == {"parent": 2746, "change": 2771}
     assert written["cli_cold"]["metrics"] == {
         "p50_ms": {
             "unit": "ms", "better": "lower",

@@ -831,6 +831,9 @@ def test_stratum_verdict_is_a_named_tuple():
     # what changed with the NamedTuple: a verdict now equals the plain tuple of its fields
     assert verdict == ((2,), (5,), "quotient", wps.QuotientType(5, 2), 1)
     assert hash(verdict) == hash(tuple(verdict))
+    # the rule holds for every record: each link case equals its plain tuple and hashes with it
+    for case in sk.CASES.values():
+        assert case == tuple(case) and tuple(case) == case and hash(case) == hash(tuple(case))
 
 
 def test_validated_records_check_a_replaced_field():

@@ -147,6 +147,34 @@ def test_a_warm_link_series_or_calibrate_request_hashes_no_fraction(monkeypatch,
     assert [fixtures.verify(f) for f in fixtures.FIXTURES] == [[]] * 6 and calls == []
 
 
+def rebuilt_case(case: sk.CenterCase) -> sk.CenterCase:
+    """An equal case that shares no Fraction or tuple with the given one."""
+    alphas = tuple(Fraction(str(a)) for a in case.alphas)
+    bare = tuple((Fraction(str(a)), qhat, e) for a, qhat, e in case.reference_bare)
+    return sk.CenterCase(case.name, case.description, case.r, alphas, case.k, bare)
+
+
+@pytest.mark.parametrize("name", sk.CASES)
+def test_equal_center_cases_hash_equal_and_a_case_equals_its_plain_tuple(
+    monkeypatch, empty_memos, name
+):
+    case = sk.CASES[name]
+    plain = tuple(case)
+    for copy in (rebuilt_case(case), case._replace(name=name), sk.CenterCase._make(case), plain):
+        assert copy == case and case == copy and not copy != case and hash(copy) == hash(case)
+        assert {copy: 1}[case] == 1 and {case: 1}[copy] == 1
+    # every field is in the hash and the key: another description is another key
+    other = case._replace(description="another centre")
+    assert other != case and len({case, other}) == 2
+    # the link memo serves only the very case it ran for: an equal copy is run again, alike
+    kept = sk.run_case(name)
+    copy = rebuilt_case(case)
+    monkeypatch.setitem(sk.CASES, name, copy)
+    again = sk.run_case(name)
+    assert again is not kept and again.case is copy and again == kept
+    assert again.text() == kept.text() and sk._TRANSCRIPTS == {name: again}
+
+
 @pytest.mark.parametrize("fixture", fixtures.FIXTURES, ids=lambda f: f.name)
 def test_equal_fano_data_hash_equal(fixture):
     data = rr.calibrated_data(fixture.shape)

@@ -21,7 +21,7 @@ import os
 import sys
 from collections import namedtuple
 
-# sarkisov.CASES in lower case, spelled out so that parsing imports nothing
+# sarkisov's case names in lower case, spelled out so that parsing imports nothing
 GOLDEN_CASES = ("ng", "p2", "p3", "p5", "p7")
 
 
@@ -199,11 +199,9 @@ def cmd_analyze(args) -> Answer:
 def cmd_link(args) -> Answer:
     from . import sarkisov
 
-    if args.bare:
-        case = sarkisov.CASES[args.case.upper()]
-        bare = sarkisov.enumerate_bare(case)
-        return Answer(sarkisov.bare_record(case, bare), sarkisov.bare_text(case, bare))
     transcript = sarkisov.run_case(args.case)
+    if args.bare:  # the kept transcript's bare solutions, without its filter log
+        return Answer(transcript.bare_record(), transcript.bare_text())
     return Answer(transcript.record(), transcript.text())
 
 

@@ -211,16 +211,15 @@ def parse(text: str) -> WeightedPolynomial:
     tokens.append("")  # end of input
     found: list[tuple[Term, int, int]] = []  # (exponent, signed numerator, denominator)
     k, sign, common = (1, -1, 1) if tokens[0] == "-" else (0, 1, 1)  # common: lcm of the dens
-    # a number of at most _CHUNK ASCII digits is read inline; _nat reads the rest or refuses
+    # _nat reads or refuses every number, whatever the int/str digit limit
     while True:
         exp = [0] * len(STANDARD_WEIGHTS)
         num, den, factors = 1, 1, True
-        if (tok := tokens[k])[:1] in _DIGITS:
-            num = int(tok) if len(tok) <= _CHUNK else _nat(text, tokens, k)
+        if tokens[k][:1] in _DIGITS:
+            num = _nat(text, tokens, k)
             k += 1
             if tokens[k] == "/":
-                ok = (tok := tokens[k + 1])[:1] in _DIGITS and len(tok) <= _CHUNK
-                den = int(tok) if ok else _nat(text, tokens, k + 1)
+                den = _nat(text, tokens, k + 1)
                 k += 2
                 if den == 0:
                     raise ParseError(f"zero denominator at position {_position(text, k - 1, True)}")
@@ -238,8 +237,7 @@ def parse(text: str) -> WeightedPolynomial:
                     )
             k += 2
             if tokens[k] == "^":
-                ok = (tok := tokens[k + 1])[:1] in _DIGITS and len(tok) <= _CHUNK
-                exp[i] += int(tok) if ok else _nat(text, tokens, k + 1)
+                exp[i] += _nat(text, tokens, k + 1)
                 k += 2
             else:
                 exp[i] += 1

@@ -353,27 +353,6 @@ def enumerate_bare(case: CenterCase) -> list[LinkCandidate]:
     return sorted(found, key=LinkCandidate.sort_key)
 
 
-def bare_record(case: CenterCase, bare: list[LinkCandidate]) -> dict:
-    """``link --bare --json`` payload: each candidate record cut to alpha,
-    qhat, e, extra and its splits for the case's k."""
-
-    def cut(rec: dict) -> dict:
-        return {key: rec[key] for key in ("alpha", "qhat", "e", "extra")} | {
-            "splits": rec["splits"][str(case.k)]
-        }
-
-    return {"case": case.name, "k": case.k, "bare": [cut(c.record()) for c in bare]}
-
-
-def bare_text(case: CenterCase, bare: list[LinkCandidate]) -> str:
-    """``link --bare`` text: one line per candidate with its splits for k."""
-    lines = [f"bare solutions for case {case.name} (k={case.k}):"]
-    for c in bare:
-        splits = " ".join(str(sp) for sp in c.splits[case.k])
-        lines.append(f"  [{c.key()}] {splits}" + ("  [extra]" if c.extra else ""))
-    return "\n".join(lines) + "\n"
-
-
 def verify_equation(candidate: LinkCandidate) -> bool:
     """Re-check every recorded split against its defining equation, exactly."""
     a, a_den = candidate.alpha.numerator, candidate.alpha.denominator
@@ -659,6 +638,27 @@ class Transcript(namedtuple("Transcript", "case bare events final thresholds con
         lines.append("")
         self.__dict__["_text"] = text = "\n".join(lines)
         return text
+
+    def bare_text(self) -> str:
+        """``link --bare`` text: one line per bare candidate with its splits for the case's k."""
+        k = self.case.k
+        lines = [f"bare solutions for case {self.case.name} (k={k}):"]
+        for c in self.bare:
+            splits = " ".join(str(sp) for sp in c.splits[k])
+            lines.append(f"  [{c.key()}] {splits}" + ("  [extra]" if c.extra else ""))
+        return "\n".join(lines) + "\n"
+
+    def bare_record(self) -> dict:
+        """``link --bare --json`` payload: each bare candidate's record cut to alpha,
+        qhat, e, extra and its splits for the case's k."""
+
+        def cut(rec: dict) -> dict:
+            return {key: rec[key] for key in ("alpha", "qhat", "e", "extra")} | {
+                "splits": rec["splits"][str(self.case.k)]
+            }
+
+        bare = [cut(c.record()) for c in self.bare]
+        return {"case": self.case.name, "k": self.case.k, "bare": bare}
 
     def record(self) -> dict:
         """``link --json`` payload: the transcript text() renders, as a record."""

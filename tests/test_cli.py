@@ -541,7 +541,27 @@ def test_link_p7_bare(capsys):
     code, out, _ = run(capsys, "link", "--case", "p7", "--bare")
     assert code == 0
     assert "qhat=9 e=2" in out and "qhat=11 e=1" in out
-    assert "F1" not in out  # filters suppressed
+    assert "F1" not in out  # no filter's verdict is shown
+
+
+def test_link_bare_renders_the_kept_transcript(capsys, monkeypatch, empty_memos):
+    # link, link --bare and link --bare --json on one case enumerate once: each bare
+    # answer is rendered from the transcript run_case keeps
+    from qfano import sarkisov
+
+    calls = []
+    enumerate_bare = sarkisov.enumerate_bare
+    monkeypatch.setattr(
+        sarkisov, "enumerate_bare", lambda case: calls.append(case.name) or enumerate_bare(case)
+    )
+    for case in cli.GOLDEN_CASES:
+        assert run(capsys, "link", "--case", case)[0] == 0
+        code, text, _ = run(capsys, "link", "--case", case, "--bare")
+        code_json, payload, _ = run(capsys, "link", "--case", case, "--bare", "--json")
+        transcript = sarkisov.run_case(case)
+        assert (code, text) == (0, transcript.bare_text())
+        assert (code_json, json.loads(payload)) == (0, transcript.bare_record())
+    assert calls == [case.upper() for case in cli.GOLDEN_CASES]
 
 
 def test_link_ng_final_empty(capsys):

@@ -191,9 +191,9 @@ LITERAL_LENGTHS = (1, nf._CHUNK, nf._CHUNK + 1, 2 * nf._CHUNK + 1, nf.MAX_LITERA
 @pytest.mark.parametrize("length", LITERAL_LENGTHS)
 @pytest.mark.parametrize("place", NUMBER_PLACES)
 def test_parse_reads_numbers_of_every_length_in_every_place(place, length):
-    # a literal of at most _CHUNK digits is read inline by int() and a longer one by
-    # _nat, also under the least int/str digit limit; a padded name (x006) is a variable,
-    # and a name of sevens or a power of ten one that does not exist
+    # _nat reads a literal of every length, _CHUNK digits at a time past _CHUNK, also
+    # under the least int/str digit limit; a padded name (x006) is a variable, and a
+    # name of sevens or a power of ten one that does not exist
     template = NUMBER_PLACES[place]
     for number in ("7" * length, "0" * (length - 1) + "6", "1" + "0" * (length - 1)):
         [expected] = parse_outcomes(template.format(number), PARSERS[1:])

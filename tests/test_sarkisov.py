@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_force_bare, reference_beta_class, reference_e_bound, reference_m_min
 from oracles import reference_second_contraction, reference_splits
-from qfano import fixtures, series, wps
+from qfano import cli, fixtures, series, wps
 from qfano import sarkisov as sk
 from qfano.riemann_roch import ALLOWED_FANO_INDICES
 
@@ -500,7 +500,7 @@ def test_a_second_run_case_returns_the_kept_transcript(monkeypatch, empty_memos)
 
 
 def test_the_memo_is_keyed_by_the_case_name_and_served_for_that_case_only(
-    monkeypatch, empty_memos
+    monkeypatch, capsys, empty_memos
 ):
     p3 = sk.run_case("p3")
     assert sk.run_case("P3") is p3 and list(sk._TRANSCRIPTS.items()) == [("P3", p3)]
@@ -511,6 +511,10 @@ def test_the_memo_is_keyed_by_the_case_name_and_served_for_that_case_only(
     patched = sk.run_case("p3")
     assert patched.case is one_alpha and {c.alpha for c in patched.bare} == {Fraction(1, 3)}
     assert sk.run_case("P3") is patched and list(sk._TRANSCRIPTS.items()) == [("P3", patched)]
+    # link --bare goes through run_case too, so it prints the patched case's bare solutions
+    assert cli.main(["link", "--case", "p3", "--bare"]) == 0
+    bare = capsys.readouterr().out.splitlines()[1:]
+    assert bare and all(line.startswith("  [alpha=1/3 ") for line in bare)
     # restoring the original case runs it again, to a transcript equal to the first
     monkeypatch.setitem(sk.CASES, "P3", original)
     again = sk.run_case("P3")

@@ -176,12 +176,8 @@ def cmd_analyze(args) -> Answer:
         record["warnings"] = list(dict.fromkeys(record["warnings"] + failed))
         edges = {}
         for i, j in itertools.combinations(range(len(w)), 2):
-            try:
-                pts = normal_form.edge_restriction_points(poly, i, j)
-            except wps.EdgeContained:
-                edges[f"{w[i]},{w[j]}"] = "contained"
-                continue
-            edges[f"{w[i]},{w[j]}"] = {
+            pts = normal_form.edge_restriction_points(poly, i, j)
+            edges[f"{w[i]},{w[j]}"] = "contained" if pts is None else {
                 "count": pts.count,
                 "multiplicities": list(pts.multiplicities),
                 "reduced": pts.reduced,

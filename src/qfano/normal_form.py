@@ -41,13 +41,13 @@ R_i = c_i*x_i + g_i over D_i and scales a term with exponent a_i by D_i^(top_i -
 top_i the largest exponent of x_i, so every expanded term lies over den * prod D_i^top_i.
 A rule with no shift (g_i = 0) only scales the term further, by (D_i*c_i)^a_i; for the others,
 (D_i*R_i)^k / x_i^k is built once per k <= top_i. A term no shift touches goes straight into the
-total; the first shift that does multiplies its monomial by that power, any later one the expansion.
+total; any other is multiplied, as a one-term polynomial, by that power of each shift that does.
 
 A vertex passes ``corner_check`` when some term is x_i^n or x_i^n*x_j, read
 off the support of a polynomial quasi-homogeneous of the given degree.
 ``edge_restriction_points`` counts the distinct zeros of a binary form over
 the algebraic closure from the degrees of repeated gcds with the
-derivative, without factoring.
+derivative, without factoring; an edge the hypersurface contains gives None.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from itertools import compress
 from operator import add, index, itemgetter, mul
+from types import MappingProxyType
 
 from . import _checked_make
 
@@ -115,8 +116,6 @@ class WeightedPolynomial:
     @property
     def terms(self) -> Mapping[Term, Fraction]:
         """Read-only exponent -> Fraction coefficient view."""
-        from types import MappingProxyType
-
         return MappingProxyType({e: Fraction(v, self.den) for e, v in self.nums.items()})
 
     def is_zero(self) -> bool:
@@ -348,10 +347,8 @@ def substitute(poly: WeightedPolynomial, subst: Substitution) -> WeightedPolynom
             value *= factors[exp[i]]
         piece = None  # the term's expansion, once a shift touches it
         for i, powers in shifts:
-            if exp[i] and piece is None:  # the first shift multiplies the term's one monomial
-                piece = {tuple(map(add, exp, e)): value * v for e, v in powers[exp[i]].items()}
-            elif exp[i]:
-                piece = _times(piece, powers[exp[i]])
+            if exp[i]:
+                piece = _times({exp: value} if piece is None else piece, powers[exp[i]])
         if piece is None:  # no shift touches it: the term itself, scaled
             total[exp] = total.get(exp, 0) + value
             continue
@@ -501,7 +498,7 @@ def _root_multiplicities(h: list[Fraction]) -> list[int]:
     return [sum(n > j for n in at_least) for j in range(max(at_least, default=0))]
 
 
-def edge_restriction_points(poly: WeightedPolynomial, i: int, j: int) -> EdgePoints:
+def edge_restriction_points(poly: WeightedPolynomial, i: int, j: int) -> EdgePoints | None:
     """Distinct zeros of the restriction of poly to the (i, j) coordinate edge.
 
     The edge is a weighted projective line; after factoring out powers of
@@ -509,20 +506,15 @@ def edge_restriction_points(poly: WeightedPolynomial, i: int, j: int) -> EdgePoi
     degree-0 orbit coordinate u = x_i^{w_j/m} / x_j^{w_i/m} and distinct
     zeros over the algebraic closure are counted by ``_root_multiplicities``.
     Vertex zeros (leftover coordinate powers) are included with their
-    multiplicities. Raises EdgeContained on a zero restriction, and
-    ValueError for two indices that are equal or outside 0..n-1.
+    multiplicities. None when the restriction is zero: the edge is contained.
+    Raises ValueError for two indices that are equal or outside 0..n-1.
     """
     ws, i, j = poly.weights, index(i), index(j)
     if i == j or not (0 <= i < len(ws) and 0 <= j < len(ws)):
         raise ValueError(f"edge ({i}, {j}) needs two distinct indices in 0..{len(ws) - 1}")
-    restricted = {
-        exp: c
-        for exp, c in poly.terms.items()
-        if all(a == 0 for k, a in enumerate(exp) if k not in (i, j))
-    }
+    restricted = {exp: c for exp, c in poly.terms.items() if exp[i] + exp[j] == sum(exp)}
     if not restricted:
-        from . import wps
-        raise wps.EdgeContained(f"restriction to the edge ({ws[i]},{ws[j]}) is identically zero")
+        return None
     degrees = {poly.degree_of(exp) for exp in restricted}
     if len(degrees) != 1:
         raise ValueError("edge restriction of a non-quasi-homogeneous polynomial")

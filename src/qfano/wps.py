@@ -55,10 +55,6 @@ class NotQuasiSmoothAtVertex(ValueError):
     """A coordinate vertex, edge or plane lies on the hypersurface without Thm 8.1's monomials."""
 
 
-class EdgeContained(ValueError):
-    """A polynomial vanishes on a coordinate edge (``normal_form.edge_restriction_points``)."""
-
-
 class NotTerminalIsolated(ValueError):
     """A quotient type is not an isolated terminal cyclic singularity."""
 

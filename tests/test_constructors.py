@@ -213,7 +213,7 @@ def test_a_wrong_length_or_wrong_type_element_is_refused_at_the_call(call):
 def test_a_stratum_index_out_of_range_or_repeated_is_refused_by_name(call, named):
     with pytest.raises(ValueError) as refused:
         call()
-    # a plain ValueError, not a stratum failure such as EdgeContained
+    # a plain ValueError, not a stratum failure such as NotQuasiSmoothAtVertex
     assert refused.type is ValueError and named in str(refused.value)
 
 

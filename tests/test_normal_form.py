@@ -2,8 +2,12 @@
 
 import itertools
 import math
+import os
+import pathlib
 import random
 import re
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -846,8 +850,22 @@ def test_edge_restriction_points_form_b_nonreduced():
 
 def test_edge_restriction_contained():
     poly = nf.parse("x3*x4*x5")
-    with pytest.raises(wps.EdgeContained):
-        nf.edge_restriction_points(poly, 0, 3)
+    assert nf.edge_restriction_points(poly, 0, 3) is None
+
+
+def test_a_contained_edge_gives_none_in_a_new_interpreter_with_neither_wps_nor_series_loaded():
+    # a new interpreter, as no other test can have loaded wps or series before the call
+    script = (
+        "import sys\n"
+        "from qfano import normal_form as nf\n"
+        "print(nf.edge_restriction_points(nf.parse('x3*x4*x5'), 0, 3))\n"
+        "print(sorted({'qfano.wps', 'qfano.series'} & sys.modules.keys()))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(nf.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "None\n[]\n")
 
 
 def test_edge_restriction_repeated_root():

@@ -854,7 +854,7 @@ def test_edge_restriction_contained():
 
 
 def test_a_contained_edge_gives_none_in_a_new_interpreter_with_neither_wps_nor_series_loaded():
-    # a new interpreter, as no other test can have loaded wps or series before the call
+    # a new interpreter, so that no other test has loaded wps or series before the call
     script = (
         "import sys\n"
         "from qfano import normal_form as nf\n"
